@@ -1,17 +1,17 @@
-//! Microbenchmark: the `graphr-runtime` parallel executor vs. the serial
-//! reference on a 100 k-edge R-MAT graph, the session cache's cold-vs-warm
+//! Microbenchmark: the scan executor on every host thread vs. one thread
+//! on a 100 k-edge R-MAT graph, the session cache's cold-vs-warm
 //! preprocessing saving, and the plan layer's sparse-frontier win —
 //! full-scan vs. pruned-plan BFS iterations on a high-diameter grid.
 //!
-//! On a multi-core host the strip-sharded executor should deliver ≥ 2×
+//! On a multi-core host the strip-sharded fan-out should deliver ≥ 2×
 //! wall-clock speedup on the scan-heavy PageRank workload; on a
-//! single-core host it degrades to the serial unit loop (speedup ≈ 1).
+//! single-core host it degrades to the inline unit loop (speedup ≈ 1).
 //! Either way the results are bit-identical — asserted here on every run,
 //! as is the pruned-plan BFS being strictly cheaper than full scans.
 
 use std::time::Instant;
 
-use graphr_bench::perf::{bfs_rounds_dense, bfs_rounds_on};
+use graphr_bench::perf::bfs_rounds_on;
 use graphr_core::exec::mask::FrontierMask;
 use graphr_core::exec::{ScanEngine, StreamingExecutor};
 use graphr_core::multinode::{ClusterExecutor, MultiNodeConfig, MultiNodeEstimate};
@@ -21,7 +21,7 @@ use graphr_core::{GraphRConfig, TiledGraph};
 use graphr_graph::generators::rmat::Rmat;
 use graphr_graph::generators::structured::grid;
 use graphr_graph::{GraphHandle, BYTES_PER_EDGE};
-use graphr_runtime::{pool, ExecMode, Job, JobSpec, ParallelExecutor, Session};
+use graphr_runtime::{pool, Job, JobSpec, Session};
 use graphr_units::FixedSpec;
 
 fn best_of<F: FnMut() -> std::time::Duration>(reps: usize, mut run: F) -> f64 {
@@ -51,13 +51,12 @@ fn main() {
         ),
         ("sssp", JobSpec::Sssp(TraversalOptions::default())),
     ] {
-        // Warm one session per mode so only scan time is measured.
+        // Warm one session per thread count so only scan time is measured.
         let serial = Session::new(config.clone()).with_threads(1);
         let parallel = Session::new(config.clone()).with_threads(threads);
-        let job_s = Job::new(handle.clone(), spec.clone()).with_mode(ExecMode::Serial);
-        let job_p = Job::new(handle.clone(), spec.clone()).with_mode(ExecMode::Parallel);
-        let out_s = serial.submit(&job_s).expect("serial run");
-        let out_p = parallel.submit(&job_p).expect("parallel run");
+        let job = Job::new(handle.clone(), spec.clone());
+        let out_s = serial.submit(&job).expect("serial run");
+        let out_p = parallel.submit(&job).expect("parallel run");
         assert_eq!(
             out_s.output, out_p.output,
             "parallel must be bit-identical to serial"
@@ -65,12 +64,12 @@ fn main() {
 
         let t_serial = best_of(3, || {
             let start = Instant::now();
-            serial.submit(&job_s).expect("serial rep");
+            serial.submit(&job).expect("serial rep");
             start.elapsed()
         });
         let t_parallel = best_of(3, || {
             let start = Instant::now();
-            parallel.submit(&job_p).expect("parallel rep");
+            parallel.submit(&job).expect("parallel rep");
             start.elapsed()
         });
         println!(
@@ -108,7 +107,6 @@ fn main() {
 
     sparse_frontier_case();
     incremental_planner_case();
-    frontier_mask_case();
     fused_wave_case();
     serve_stats_case();
     out_of_core_sparse_frontier_case(threads);
@@ -336,88 +334,6 @@ fn incremental_planner_case() {
         t_delta * 1e3,
         t_scratch * 1e3,
         t_scratch / t_delta.max(1e-9),
-    );
-}
-
-/// The mask representation itself: the same sparse-frontier BFS driven by
-/// the legacy dense `Vec<bool>` frontier (per-round mask conversion, full
-/// mask re-scan in the planner, dense recount) vs the native hierarchical
-/// mask + driver-supplied word deltas. Simulated results and event
-/// accounting are bit-identical — only the planner's host work changes —
-/// and the delta path must popcount fewer mask words and spend less host
-/// planning time.
-fn frontier_mask_case() {
-    // A 240×240 grid: ~57.6 k vertices over ~900 mask words, diameter
-    // ~478 — hundreds of rounds whose thin wavefront touches a handful of
-    // words each, so per-round full mask re-scans are pure waste.
-    let g = grid(240, 240);
-    let config = GraphRConfig::builder()
-        .crossbar_size(8)
-        .crossbars_per_ge(32)
-        .num_ges(4)
-        .build()
-        .expect("valid bench geometry");
-    let tiled = TiledGraph::preprocess(&g, &config).expect("grid tiles");
-    let n = tiled.num_vertices();
-    let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
-
-    let dense_run = || {
-        let mut exec = StreamingExecutor::new(&tiled, &config, spec);
-        bfs_rounds_dense(&mut exec, spec, n)
-    };
-    let mask_run = || {
-        let mut exec = StreamingExecutor::new(&tiled, &config, spec);
-        bfs_rounds_on(&mut exec, spec, n, true)
-    };
-    let (d_dense, m_dense) = dense_run();
-    let (d_mask, m_mask) = mask_run();
-
-    assert_eq!(d_dense, d_mask, "the representation must not change labels");
-    // Everything simulated is bit-identical; only the host-side planning
-    // counters (how activity was derived) may differ between the paths.
-    let strip_plan = |m: &graphr_core::Metrics| {
-        let mut m = m.clone();
-        m.plan = graphr_core::metrics::PlanCounters::default();
-        m
-    };
-    assert_eq!(
-        strip_plan(&m_dense),
-        strip_plan(&m_mask),
-        "metrics must be bit-identical modulo plan counters"
-    );
-    assert!(
-        m_mask.plan.delta_words > 0,
-        "the mask path must actually hand deltas to the planner"
-    );
-    assert!(
-        m_mask.plan.mask_words < m_dense.plan.mask_words,
-        "driver deltas must popcount fewer mask words: {} vs {}",
-        m_mask.plan.mask_words,
-        m_dense.plan.mask_words
-    );
-
-    let t_dense = best_of(5, || {
-        std::time::Duration::from_secs_f64(dense_run().1.plan.time.as_secs())
-    });
-    let t_mask = best_of(5, || {
-        std::time::Duration::from_secs_f64(mask_run().1.plan.time.as_secs())
-    });
-    assert!(
-        t_mask < t_dense,
-        "delta planning must cost less host time than full mask re-scans: {:.3} ms vs {:.3} ms",
-        t_mask * 1e3,
-        t_dense * 1e3
-    );
-    println!(
-        "  frontier masks (240x240 grid bfs, {} rounds): dense driver {} mask words / planning {:.3} ms, delta driver {} mask words + {} delta words / planning {:.3} ms → {:.1}x less planning time, {} summary skips",
-        m_mask.iterations,
-        m_dense.plan.mask_words,
-        t_dense * 1e3,
-        m_mask.plan.mask_words,
-        m_mask.plan.delta_words,
-        t_mask * 1e3,
-        t_dense / t_mask.max(1e-9),
-        m_dense.plan.summary_skips,
     );
 }
 
@@ -651,8 +567,9 @@ fn out_of_core_sparse_frontier_case(threads: usize) {
 
     let mut serial = StreamingExecutor::new(&tiled, &config, spec).with_disk(disk);
     let (d_serial, m_serial) = bfs_rounds_on(&mut serial, spec, n, true);
-    let mut parallel =
-        ParallelExecutor::with_threads(&tiled, &config, spec, threads).with_disk(disk);
+    let mut parallel = StreamingExecutor::new(&tiled, &config, spec)
+        .with_threads(threads)
+        .with_disk(disk);
     let (d_parallel, m_parallel) = bfs_rounds_on(&mut parallel, spec, n, true);
     assert_eq!(d_serial, d_parallel, "disk model must not change labels");
     assert_eq!(
@@ -783,8 +700,9 @@ fn pipelined_prefetch_case(threads: usize) {
         m_on.disk.overlapped <= m_off.disk.overlapped,
         "pipelining must never raise the per-iteration overlap total"
     );
-    let mut parallel_on =
-        ParallelExecutor::with_threads(&tiled, &config, spec, threads).with_disk(on);
+    let mut parallel_on = StreamingExecutor::new(&tiled, &config, spec)
+        .with_threads(threads)
+        .with_disk(on);
     let (d_par, m_par) = bfs_rounds_on(&mut parallel_on, spec, n, true);
     let mut cluster_on =
         ClusterExecutor::new(&tiled, &config, spec, MultiNodeConfig::pcie_cluster(1)).with_disk(on);

@@ -44,7 +44,7 @@ pub fn bfs_spec() -> FixedSpec {
     FixedSpec::new(16, 0).expect("Q16.0 is valid")
 }
 
-/// The BFS iteration loop over any engine (serial or parallel, with or
+/// The BFS iteration loop over any engine (any thread count, with or
 /// without a disk model or cluster attached). `spec` must be the label
 /// format the engine was built with. `pruned` selects frontier-pruned
 /// plans patched by driver-supplied deltas; `false` runs every iteration
@@ -91,45 +91,6 @@ pub fn bfs_rounds_on(
     (dist, exec.take_metrics())
 }
 
-/// The legacy dense driver: frontier state lives in a `Vec<bool>`, so
-/// every round converts it into a mask before planning (a full `O(|V|)`
-/// re-scan for the planner to diff) and recounts it densely afterwards —
-/// what every sim driver did before hierarchical masks became the native
-/// representation. Kept as the baseline for the frontier-mask scenario.
-pub fn bfs_rounds_dense(
-    exec: &mut dyn ScanEngine,
-    spec: FixedSpec,
-    n: usize,
-) -> (Vec<f64>, Metrics) {
-    let inf = spec.max_value();
-    let mut dist = vec![inf; n];
-    dist[0] = 0.0;
-    let mut active = vec![false; n];
-    active[0] = true;
-    for _ in 0..n {
-        let mask = FrontierMask::from_slice(&active);
-        let plan = exec.plan(Some(&mask));
-        let mut frontier = dist.clone();
-        let mut updated = FrontierMask::new(n);
-        exec.scan_add_op_planned(
-            &plan,
-            &|_w, _, _| 1.0,
-            &|du, w| du + w,
-            &dist,
-            &mask,
-            &mut frontier,
-            &mut updated,
-        );
-        exec.end_iteration();
-        dist = frontier;
-        active = updated.to_vec();
-        if !active.iter().any(|&a| a) {
-            break;
-        }
-    }
-    (dist, exec.take_metrics())
-}
-
 /// The serve scenario's latency summary: admission counters plus the
 /// simulated end-to-end latency percentiles (whole nanoseconds, exact —
 /// see `graphr_core::stats::Histogram`).
@@ -139,7 +100,9 @@ pub struct ServeLatencySummary {
     pub admitted: u64,
     /// Queries the admission controller rejected.
     pub rejected: u64,
-    /// Fused waves the drain executed.
+    /// Machine executions the drain ran: distinct
+    /// `QueryResult::wave` numbers, so solo runs count as well as fused
+    /// waves.
     pub waves: u64,
     /// Median simulated latency, ns.
     pub p50_ns: u64,
@@ -285,18 +248,6 @@ pub fn sparse_frontier() -> ScenarioRow {
     ScenarioRow::from_metrics("sparse_frontier", &m)
 }
 
-/// The same BFS driven through the legacy dense `Vec<bool>` frontier on
-/// the 240×240 grid — the frontier-mask baseline (its `plan_time_ms`
-/// against [`frontier_mask`]'s is the representation's win).
-#[must_use]
-pub fn frontier_mask_dense() -> ScenarioRow {
-    let config = bench_config();
-    let tiled = TiledGraph::preprocess(&grid(240, 240), &config).expect("grid tiles");
-    let mut exec = StreamingExecutor::new(&tiled, &config, bfs_spec());
-    let (_, m) = bfs_rounds_dense(&mut exec, bfs_spec(), tiled.num_vertices());
-    ScenarioRow::from_metrics("frontier_mask_dense", &m)
-}
-
 /// Hierarchical-mask BFS with driver-supplied deltas on the 240×240 grid.
 #[must_use]
 pub fn frontier_mask() -> ScenarioRow {
@@ -383,6 +334,9 @@ pub fn serve_batch() -> ScenarioRow {
     let mut bytes_streamed = 0u64;
     let mut plan_time_ms = 0f64;
     let mut sim_time_ns = 0f64;
+    let mut wall_ns = 0f64;
+    // The bound of the execution with the largest wall.
+    let mut slowest: Option<BottleneckReport> = None;
     let mut seen_waves = std::collections::BTreeSet::new();
     for result in &results {
         let report = result.report.as_ref().expect("serve run");
@@ -393,6 +347,11 @@ pub fn serve_batch() -> ScenarioRow {
             bytes_streamed += m.events.bytes_streamed;
             plan_time_ms += m.plan.time.as_secs() * 1e3;
             sim_time_ns += m.total_time().as_nanos();
+            let bottleneck = BottleneckReport::classify(m);
+            wall_ns += bottleneck.wall.as_nanos();
+            if slowest.as_ref().is_none_or(|s| bottleneck.wall > s.wall) {
+                slowest = Some(bottleneck);
+            }
         }
     }
     let stats = server.stats();
@@ -405,15 +364,15 @@ pub fn serve_batch() -> ScenarioRow {
         bytes_exchanged: 0,
         plan_time_ms,
         sim_time_ns,
-        wall_ns: sim_time_ns,
+        wall_ns,
         demand_io_ns: 0.0,
         bytes_prefetched: 0,
-        bound: "compute",
+        bound: slowest.map_or("compute", |s| s.bound.name()),
         serve: Some(ServeLatencySummary::from_latency(
             latency,
             stats.admitted,
             stats.rejected,
-            stats.waves,
+            seen_waves.len() as u64,
         )),
     }
 }
@@ -423,7 +382,6 @@ pub fn serve_batch() -> ScenarioRow {
 pub fn run_all() -> Vec<ScenarioRow> {
     vec![
         sparse_frontier(),
-        frontier_mask_dense(),
         frontier_mask(),
         fused_wave(),
         out_of_core(DiskModel::nvme(), "out_of_core_nvme"),

@@ -30,12 +30,14 @@
 //!
 //! [`strip`] exposes the scan's parallel-safe decomposition: one
 //! [`strip::StripUnit`] per global destination strip, executed by a
-//! per-worker [`strip::StripScanner`]. The serial executor and any
-//! parallel driver consuming the same plan (such as `graphr-runtime`'s)
-//! produce bit-identical results and metrics by construction.
+//! per-worker [`strip::StripScanner`]. [`pool`] is the scoped worker pool
+//! the executor fans units out on; its thread count only schedules the
+//! one per-unit path, so results and metrics are bit-identical at any
+//! count by construction.
 //!
-//! [`ScanEngine`] abstracts over executors so the `sim` drivers can run
-//! the same algorithm loops on the serial executor or a parallel one. An
+//! [`ScanEngine`] abstracts over engines so the `sim` drivers can run
+//! the same algorithm loops on the executor or on a simulated cluster of
+//! them (`crate::multinode::ClusterExecutor`). An
 //! engine may additionally carry an out-of-core
 //! [`DiskModel`] (see
 //! [`ScanEngine::set_disk`]): each executed plan then also charges the
@@ -49,6 +51,7 @@ pub mod lanes;
 pub mod mask;
 pub mod plan;
 pub mod planner;
+pub mod pool;
 pub mod streaming;
 pub mod strip;
 
@@ -66,9 +69,9 @@ use crate::outofcore::DiskModel;
 use crate::trace::TraceHandle;
 
 /// An executor capable of running the two streaming-apply scan
-/// primitives over [`ScanPlan`]s. Implemented by the serial
-/// [`StreamingExecutor`] and by `graphr-runtime`'s parallel executor; the
-/// `sim` drivers are generic over it.
+/// primitives over [`ScanPlan`]s. Implemented by the single-node
+/// [`StreamingExecutor`] and by the multi-node cluster engine; the `sim`
+/// drivers are generic over it.
 ///
 /// The planned methods are the primitives; the plain [`ScanEngine::scan_mac`]
 /// and [`ScanEngine::scan_add_op`] are provided conveniences that execute
@@ -190,9 +193,10 @@ pub trait ScanEngine {
     /// [`IoPlan`](crate::outofcore::IoPlan) into
     /// [`Metrics::disk`](crate::metrics::DiskCounters), and each
     /// [`ScanEngine::end_iteration`] overlaps that iteration's loads
-    /// against its compute. Attach before the first scan; both executors
-    /// route through the same [`DiskAccountant`](crate::outofcore::DiskAccountant),
-    /// so serial and parallel disk accounting stay bit-identical.
+    /// against its compute. Attach before the first scan. Disk accounting
+    /// runs on the calling thread through one
+    /// [`DiskAccountant`](crate::outofcore::DiskAccountant), so it is
+    /// bit-identical at any worker count.
     fn set_disk(&mut self, disk: Option<DiskModel>);
 
     /// Attaches (or detaches, with `None`) a trace handle: while

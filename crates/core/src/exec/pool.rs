@@ -1,0 +1,172 @@
+//! A small scoped worker pool: dynamic self-scheduling over an indexed
+//! task range, with deterministic result ordering.
+//!
+//! Workers claim task indices from a shared atomic counter — the classic
+//! self-scheduling loop, which load-balances skewed per-strip work the
+//! same way rayon's work stealing would for this flat fan-out shape —
+//! and each worker owns one per-thread state (the executor passes its
+//! long-lived [`StripScanner`](crate::exec::strip::StripScanner)s, so
+//! crossbar scratch and sALUs are never shared). Results are reassembled
+//! in task-index order, which is what makes the executor's plan-order
+//! metrics merge deterministic.
+//!
+//! The pool is scoped (`std::thread::scope`), so tasks may freely borrow
+//! from the caller's stack; no `'static` bounds, no channels, no unsafe.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Host parallelism available to the process (at least 1).
+#[must_use]
+pub fn available_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
+/// Runs `tasks` indexed tasks on up to `threads` workers and returns the
+/// results in index order.
+///
+/// `init` builds one scratch state per worker; `step` executes one task
+/// with that state. With one worker (or at most one task) everything
+/// runs inline on the caller's thread — same closure, same order.
+///
+/// # Panics
+///
+/// Re-raises a worker's panic with its original payload (after every
+/// worker has stopped), so a caller's `catch_unwind` sees the task's own
+/// message.
+pub fn run_indexed<S, T, I, F>(tasks: usize, threads: usize, init: I, step: F) -> Vec<T>
+where
+    S: Send,
+    T: Send,
+    I: Fn() -> S,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
+    let workers = threads.max(1).min(tasks.max(1));
+    let mut states: Vec<S> = (0..workers).map(|_| init()).collect();
+    run_on(&mut states, tasks, step)
+}
+
+/// [`run_indexed`] over caller-owned worker states: one worker per entry
+/// of `states` (at most one per task), each passing its own state to
+/// `step`, so states persist across calls for a caller that keeps them.
+pub(crate) fn run_on<S, T, F>(states: &mut [S], tasks: usize, step: F) -> Vec<T>
+where
+    S: Send,
+    T: Send,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
+    assert!(!states.is_empty(), "at least one worker state required");
+    let workers = states.len().min(tasks.max(1));
+    if workers == 1 {
+        let state = &mut states[0];
+        return (0..tasks).map(|i| step(state, i)).collect();
+    }
+    let counter = AtomicUsize::new(0);
+    let (step, counter) = (&step, &counter);
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = states[..workers]
+            .iter_mut()
+            .map(|state| {
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    loop {
+                        let idx = counter.fetch_add(1, Ordering::Relaxed);
+                        if idx >= tasks {
+                            break;
+                        }
+                        out.push((idx, step(state, idx)));
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let mut indexed = Vec::with_capacity(tasks);
+    for worker in joined {
+        match worker {
+            Ok(out) => indexed.extend(out),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    }
+    indexed.sort_unstable_by_key(|&(i, _)| i);
+    indexed.into_iter().map(|(_, t)| t).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn results_come_back_in_index_order() {
+        for threads in [1, 2, 8] {
+            let out = run_indexed(
+                100,
+                threads,
+                || 0u64,
+                |state, i| {
+                    *state += 1;
+                    i * i
+                },
+            );
+            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn workers_share_no_state() {
+        // Each worker's init state counts its own tasks; totals must cover
+        // exactly the task range.
+        let seen: Vec<usize> = run_indexed(64, 4, || (), |(), i| i);
+        let mut sorted = seen.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn zero_tasks_is_fine() {
+        let out: Vec<usize> = run_indexed(0, 4, || (), |(), i| i);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn borrows_from_caller_stack() {
+        let data: Vec<usize> = (0..32).collect();
+        let doubled = run_indexed(data.len(), 3, || (), |(), i| data[i] * 2);
+        assert_eq!(doubled[31], 62);
+    }
+
+    #[test]
+    fn states_persist_across_calls() {
+        let mut states = vec![0usize; 3];
+        for _ in 0..4 {
+            run_on(&mut states, 10, |count, _| *count += 1);
+        }
+        assert_eq!(states.iter().sum::<usize>(), 40);
+    }
+
+    #[test]
+    fn worker_panics_keep_their_payload() {
+        for threads in [1, 3] {
+            let caught = std::panic::catch_unwind(|| {
+                run_indexed(
+                    8,
+                    threads,
+                    || (),
+                    |(), i| {
+                        assert!(i != 5, "unit {i} rejected its input");
+                        i
+                    },
+                )
+            })
+            .expect_err("the task panic must reach the caller");
+            let message = caught
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| caught.downcast_ref::<&str>().copied())
+                .unwrap_or("");
+            assert_eq!(message, "unit 5 rejected its input", "{threads} threads");
+        }
+    }
+}

@@ -14,13 +14,16 @@
 //!   next iteration.
 //!
 //! Both primitives execute a [`ScanPlan`] — the ordered
-//! [`PlanUnit`](crate::exec::plan::PlanUnit)s of
-//! either the dense full plan or a frontier-pruned plan (see
-//! [`crate::exec::plan`]) — through a private [`StripScanner`]. That
-//! decomposition is the contract parallel drivers build on: executing the
-//! same plan's units on worker threads and merging per-unit [`Metrics`] in
-//! plan order reproduces this executor's results and accounting bit for
-//! bit (see [`crate::exec::strip`]).
+//! [`PlanUnit`]s of either the dense full plan or a frontier-pruned plan
+//! (see [`crate::exec::plan`]) — one unit at a time through a
+//! [`StripScanner`], then merge per-unit [`Metrics`] and results in plan
+//! order. Every scan kind (MAC, add-op, fused lanes) runs through that one
+//! per-unit path. The worker count ([`StreamingExecutor::with_threads`])
+//! only schedules it: at one thread units run inline on the calling
+//! thread with reused scratch; at more, they fan out over scoped workers
+//! that each keep their own long-lived scanner. Results and accounting are
+//! therefore bit-identical at any thread count (see
+//! [`crate::exec::strip`]).
 //!
 //! # Timing: dense tile packing within a strip
 //!
@@ -45,8 +48,9 @@ use std::sync::Arc;
 use crate::config::{Fidelity, GraphRConfig};
 use crate::exec::lanes::LaneFrontier;
 use crate::exec::mask::{FrontierDelta, FrontierMask};
-use crate::exec::plan::{PlanSkeleton, ScanPlan};
+use crate::exec::plan::{PlanSkeleton, PlanUnit, ScanPlan};
 use crate::exec::planner::Planner;
+use crate::exec::pool;
 use crate::exec::strip::{mac_rego_capacity, StripScanner};
 use crate::exec::ScanEngine;
 use crate::metrics::Metrics;
@@ -66,7 +70,9 @@ pub type EdgeValueFn<'f> = dyn Fn(f32, u32, u32) -> f64 + Sync + 'f;
 pub struct StreamingExecutor<'a> {
     tiled: &'a TiledGraph,
     config: &'a GraphRConfig,
-    scanner: StripScanner<'a>,
+    /// One long-lived scanner per worker; the worker count is its length.
+    /// At one worker, `scanners[0]` runs every unit inline.
+    scanners: Vec<StripScanner<'a>>,
     planner: Planner,
     metrics: Metrics,
     disk: Option<DiskAccountant>,
@@ -78,8 +84,9 @@ pub struct StreamingExecutor<'a> {
 }
 
 impl<'a> StreamingExecutor<'a> {
-    /// Creates an executor for `tiled` under `config`, quantising values to
-    /// `spec` (each algorithm picks its own fixed-point format).
+    /// Creates a one-thread executor for `tiled` under `config`,
+    /// quantising values to `spec` (each algorithm picks its own
+    /// fixed-point format).
     #[must_use]
     pub fn new(
         tiled: &'a TiledGraph,
@@ -104,9 +111,9 @@ impl<'a> StreamingExecutor<'a> {
         Self::with_planner(tiled, config, spec, planner)
     }
 
-    /// Creates an executor around a prepared incremental [`Planner`]
-    /// (typically stamped out from a session's cached skeleton + planner
-    /// index; both must come from this `tiled`).
+    /// Creates a one-thread executor around a prepared incremental
+    /// [`Planner`] (typically stamped out from a session's cached
+    /// skeleton + planner index; both must come from this `tiled`).
     #[must_use]
     pub fn with_planner(
         tiled: &'a TiledGraph,
@@ -117,13 +124,23 @@ impl<'a> StreamingExecutor<'a> {
         StreamingExecutor {
             tiled,
             config,
-            scanner: StripScanner::new(tiled, config, spec),
+            scanners: vec![StripScanner::new(tiled, config, spec)],
             planner,
             metrics: Metrics::new(),
             disk: None,
             trace: None,
             span_mark: SpanMark::default(),
         }
+    }
+
+    /// Sets the worker count scans use (at least 1). Only scheduling
+    /// changes: results and metrics are bit-identical at any count.
+    #[must_use]
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        let (tiled, config, spec) = (self.tiled, self.config, self.scanners[0].spec());
+        self.scanners
+            .resize_with(threads.max(1), || StripScanner::new(tiled, config, spec));
+        self
     }
 
     /// Builder form of [`ScanEngine::set_disk`]: prices every scan's disk
@@ -144,15 +161,8 @@ impl<'a> StreamingExecutor<'a> {
     /// accounting window first).
     #[must_use]
     pub fn into_metrics(mut self) -> Metrics {
-        if let Some(trace) = &self.trace {
-            trace.record_compute(&mut self.span_mark, &self.metrics);
-        }
-        if let Some(disk) = &mut self.disk {
-            let window = disk.commit(&mut self.metrics);
-            if let Some(trace) = &self.trace {
-                trace.record_disk(&window);
-            }
-        }
+        self.record_compute();
+        self.commit_disk();
         self.metrics
     }
 
@@ -162,15 +172,82 @@ impl<'a> StreamingExecutor<'a> {
     /// compute, never against a neighbouring iteration's.
     pub fn end_iteration(&mut self) {
         self.metrics.charge_iteration(self.config.ge_cycle());
+        self.record_compute();
+        self.commit_disk();
+    }
+
+    /// Emits a compute span up to the current state, if traced.
+    fn record_compute(&mut self) {
         if let Some(trace) = &self.trace {
             trace.record_compute(&mut self.span_mark, &self.metrics);
         }
+    }
+
+    /// Closes the open disk window, if any, tracing it.
+    fn commit_disk(&mut self) {
         if let Some(disk) = &mut self.disk {
             let window = disk.commit(&mut self.metrics);
             if let Some(trace) = &self.trace {
                 trace.record_disk(&window);
             }
         }
+    }
+
+    /// The one per-unit path every scan kind runs through. `scan` stages
+    /// one unit's slice of `out` into `scratch` and scans it; `write_back`
+    /// stores the unit's results into `out`. At one worker each unit runs
+    /// inline with a single reused scratch; otherwise units fan out over
+    /// the worker scanners with unit-local scratch. Either way unit
+    /// metrics and results merge in plan order. Returns the summed
+    /// per-unit counts.
+    fn run_units<O, X>(
+        &mut self,
+        plan: &ScanPlan,
+        out: &mut O,
+        scratch: impl Fn() -> X + Sync,
+        scan: impl Fn(&mut StripScanner<'a>, &PlanUnit, &O, &mut X, &mut Metrics) -> u64 + Sync,
+        write_back: impl Fn(&PlanUnit, &X, &mut O),
+    ) -> u64
+    where
+        O: Sync + ?Sized,
+        X: Send,
+    {
+        let punits = plan.units();
+        let mut total = 0u64;
+        if let [scanner] = self.scanners.as_mut_slice() {
+            let mut buf = scratch();
+            for punit in punits {
+                let mut unit_metrics = Metrics::new();
+                total += scan(scanner, punit, out, &mut buf, &mut unit_metrics);
+                self.metrics.merge(&unit_metrics);
+                write_back(punit, &buf, out);
+            }
+            return total;
+        }
+        let shared: &O = out;
+        let per_unit = pool::run_on(&mut self.scanners, punits.len(), |scanner, idx| {
+            let mut buf = scratch();
+            let mut unit_metrics = Metrics::new();
+            let count = scan(scanner, &punits[idx], shared, &mut buf, &mut unit_metrics);
+            (buf, unit_metrics, count)
+        });
+        for (punit, (buf, unit_metrics, count)) in punits.iter().zip(&per_unit) {
+            total += count;
+            self.metrics.merge(unit_metrics);
+            write_back(punit, buf, out);
+        }
+        total
+    }
+
+    /// What every scan charges once after its units: the plan's stream
+    /// statistics, its disk loading, and the RegO capacity it needs.
+    fn finish_scan(&mut self, plan: &ScanPlan, rego_capacity: u64) {
+        self.metrics.charge_plan(plan.stats());
+        if let Some(disk) = &mut self.disk {
+            disk.charge_scan(self.tiled, plan, &mut self.metrics);
+        }
+        let events = &mut self.metrics.events;
+        events.rego_capacity_required = events.rego_capacity_required.max(rego_capacity);
     }
 
     /// One parallel-MAC pass over the whole graph: for each input vector
@@ -199,34 +276,27 @@ impl<'a> StreamingExecutor<'a> {
         for x in inputs {
             assert_eq!(x.len(), n, "input vectors must have one entry per vertex");
         }
-        let mut outputs = vec![vec![0.0; n]; k];
         let width = self.config.strip_width();
-        let mut local: Vec<Vec<f64>> = vec![vec![0.0; width]; k];
-        for punit in plan.units() {
-            for buf in &mut local {
-                buf.fill(0.0);
-            }
-            let mut unit_metrics = Metrics::new();
-            self.scanner
-                .scan_mac_unit(punit, value, inputs, &mut local, &mut unit_metrics);
-            self.metrics.merge(&unit_metrics);
-            let unit = &punit.unit;
-            if unit.dst_len > 0 {
-                for (out, buf) in outputs.iter_mut().zip(&local) {
-                    out[unit.dst_start..unit.dst_start + unit.dst_len]
-                        .copy_from_slice(&buf[..unit.dst_len]);
+        let mut outputs = vec![vec![0.0; n]; k];
+        self.run_units(
+            plan,
+            &mut outputs,
+            || vec![vec![0.0; width]; k],
+            |scanner, punit, _, local, metrics| {
+                for buf in local.iter_mut() {
+                    buf.fill(0.0);
                 }
-            }
-        }
-        self.metrics.charge_plan(plan.stats());
-        if let Some(disk) = &mut self.disk {
-            disk.charge_scan(self.tiled, plan, &mut self.metrics);
-        }
-        self.metrics.events.rego_capacity_required = self
-            .metrics
-            .events
-            .rego_capacity_required
-            .max(mac_rego_capacity(self.config, self.tiled));
+                scanner.scan_mac_unit(punit, value, inputs, local, metrics);
+                0
+            },
+            |punit, local, outputs| {
+                let dst = dst_range(punit);
+                for (out, buf) in outputs.iter_mut().zip(local) {
+                    out[dst.clone()].copy_from_slice(&buf[..dst.len()]);
+                }
+            },
+        );
+        self.finish_scan(plan, mac_rego_capacity(self.config, self.tiled));
         outputs
     }
 
@@ -282,49 +352,40 @@ impl<'a> StreamingExecutor<'a> {
             "updated mask must range over every vertex"
         );
         let width = self.config.strip_width();
-        let mut frontier_local = vec![0.0; width];
-        let mut updated_local = vec![false; width];
-        let mut total_rows = 0u64;
-        for punit in plan.units() {
-            let (ds, dl) = (punit.unit.dst_start, punit.unit.dst_len);
-            if dl > 0 {
-                frontier_local[..dl].copy_from_slice(&frontier[ds..ds + dl]);
-                updated_local[..dl].fill(false);
-            }
-            let mut unit_metrics = Metrics::new();
-            total_rows += self.scanner.scan_add_op_unit(
-                punit,
-                value,
-                combine,
-                addend,
-                active,
-                &mut frontier_local,
-                &mut updated_local,
-                &mut unit_metrics,
-            );
-            self.metrics.merge(&unit_metrics);
-            if dl > 0 {
-                frontier[ds..ds + dl].copy_from_slice(&frontier_local[..dl]);
+        let rows = self.run_units(
+            plan,
+            &mut (frontier, updated),
+            || (vec![0.0; width], vec![false; width]),
+            |scanner, punit, (frontier, _), (frontier_local, updated_local), metrics| {
+                let dst = dst_range(punit);
+                frontier_local[..dst.len()].copy_from_slice(&frontier[dst.clone()]);
+                updated_local[..dst.len()].fill(false);
+                scanner.scan_add_op_unit(
+                    punit,
+                    value,
+                    combine,
+                    addend,
+                    active,
+                    frontier_local,
+                    updated_local,
+                    metrics,
+                )
+            },
+            |punit, (frontier_local, updated_local), (frontier, updated)| {
+                let dst = dst_range(punit);
+                frontier[dst.clone()].copy_from_slice(&frontier_local[..dst.len()]);
                 // Units tile the destination axis disjointly and the scan
                 // only ever *sets* bits, so set-only write-back preserves
                 // whatever the caller seeded.
-                for (i, &hit) in updated_local[..dl].iter().enumerate() {
+                for (i, &hit) in updated_local[..dst.len()].iter().enumerate() {
                     if hit {
-                        updated.set(ds + i);
+                        updated.set(dst.start + i);
                     }
                 }
-            }
-        }
-        self.metrics.charge_plan(plan.stats());
-        if let Some(disk) = &mut self.disk {
-            disk.charge_scan(self.tiled, plan, &mut self.metrics);
-        }
-        self.metrics.events.rego_capacity_required = self
-            .metrics
-            .events
-            .rego_capacity_required
-            .max(self.config.strip_width() as u64);
-        total_rows
+            },
+        );
+        self.finish_scan(plan, width as u64);
+        rows
     }
 
     /// One *fused* parallel-add-op pass advancing all K lanes of `active`
@@ -393,60 +454,62 @@ impl<'a> StreamingExecutor<'a> {
         }
         let width = self.config.strip_width();
         let addend_refs: Vec<&[f64]> = addends.iter().map(Vec::as_slice).collect();
-        let mut frontier_locals: Vec<Vec<f64>> = vec![vec![0.0; width]; k];
-        let mut updated_local = vec![0u64; width];
-        let mut total_rows = 0u64;
-        for punit in plan.units() {
-            let (ds, dl) = (punit.unit.dst_start, punit.unit.dst_len);
-            if dl > 0 {
+        let rows = self.run_units(
+            plan,
+            &mut (frontiers, updated),
+            || (vec![vec![0.0; width]; k], vec![0u64; width]),
+            |scanner, punit, (frontiers, _), (frontier_locals, updated_local), metrics| {
+                let dst = dst_range(punit);
                 for (buf, frontier) in frontier_locals.iter_mut().zip(frontiers.iter()) {
-                    buf[..dl].copy_from_slice(&frontier[ds..ds + dl]);
+                    buf[..dst.len()].copy_from_slice(&frontier[dst.clone()]);
                 }
-                updated_local[..dl].fill(0);
-            }
-            let mut unit_metrics = Metrics::new();
-            total_rows += self.scanner.scan_add_op_lanes_unit(
-                punit,
-                value,
-                combine,
-                &addend_refs,
-                active,
-                &mut frontier_locals,
-                &mut updated_local,
-                &mut unit_metrics,
-            );
-            self.metrics.merge(&unit_metrics);
-            if dl > 0 {
+                updated_local[..dst.len()].fill(0);
+                scanner.scan_add_op_lanes_unit(
+                    punit,
+                    value,
+                    combine,
+                    &addend_refs,
+                    active,
+                    frontier_locals,
+                    updated_local,
+                    metrics,
+                )
+            },
+            |punit, (frontier_locals, updated_local), (frontiers, updated)| {
+                let dst = dst_range(punit);
                 for (buf, frontier) in frontier_locals.iter().zip(frontiers.iter_mut()) {
-                    frontier[ds..ds + dl].copy_from_slice(&buf[..dl]);
+                    frontier[dst.clone()].copy_from_slice(&buf[..dst.len()]);
                 }
                 // Units tile the destination axis disjointly and the scan
                 // only ever *sets* lane bits, so OR-only write-back
                 // preserves whatever the caller seeded.
-                for (i, &word) in updated_local[..dl].iter().enumerate() {
+                for (i, &word) in updated_local[..dst.len()].iter().enumerate() {
                     if word != 0 {
-                        updated.or_lanes(ds + i, word);
+                        updated.or_lanes(dst.start + i, word);
                     }
                 }
-            }
-        }
-        self.metrics.charge_plan(plan.stats());
-        if let Some(disk) = &mut self.disk {
-            disk.charge_scan(self.tiled, plan, &mut self.metrics);
-        }
+            },
+        );
         // Every lane keeps its own strip window open in RegO.
-        self.metrics.events.rego_capacity_required = self
-            .metrics
-            .events
-            .rego_capacity_required
-            .max((k * self.config.strip_width()) as u64);
-        total_rows
+        self.finish_scan(plan, (k * width) as u64);
+        rows
     }
 
     /// Whether the executor runs full analog emulation.
     #[must_use]
     pub fn is_analog(&self) -> bool {
         matches!(self.config.fidelity, Fidelity::Analog)
+    }
+}
+
+/// A unit's destination vertices; empty for a padding-only strip, whose
+/// `dst_start` may lie past the last vertex.
+fn dst_range(punit: &PlanUnit) -> std::ops::Range<usize> {
+    let unit = &punit.unit;
+    if unit.dst_len == 0 {
+        0..0
+    } else {
+        unit.dst_start..unit.dst_start + unit.dst_len
     }
 }
 
@@ -513,12 +576,7 @@ impl ScanEngine for StreamingExecutor<'_> {
     }
 
     fn set_disk(&mut self, disk: Option<DiskModel>) {
-        if let Some(acc) = &mut self.disk {
-            let window = acc.commit(&mut self.metrics);
-            if let Some(trace) = &self.trace {
-                trace.record_disk(&window);
-            }
-        }
+        self.commit_disk();
         self.disk = disk.map(|model| DiskAccountant::new(model, self.metrics.elapsed));
     }
 
@@ -544,14 +602,9 @@ impl ScanEngine for StreamingExecutor<'_> {
     fn take_metrics(&mut self) -> Metrics {
         // A trailing span covers scans since the last iteration boundary
         // (e.g. CF's transposed pass, which never calls end_iteration).
-        if let Some(trace) = &self.trace {
-            trace.record_compute(&mut self.span_mark, &self.metrics);
-        }
+        self.record_compute();
+        self.commit_disk();
         if let Some(disk) = &mut self.disk {
-            let window = disk.commit(&mut self.metrics);
-            if let Some(trace) = &self.trace {
-                trace.record_disk(&window);
-            }
             disk.reset();
         }
         self.span_mark = SpanMark::default();
@@ -808,6 +861,99 @@ mod tests {
         );
         assert!(mr.events.rego_capacity_required >= mc.events.rego_capacity_required);
         assert!(mr.elapsed > mc.elapsed, "row-major should be slower");
+    }
+
+    /// Runs `run` three times back to back on one long-lived executor per
+    /// worker count in `[1, 2, 3, 7]` and asserts every pass equals the
+    /// one-thread executor's: scratch must not leak from one scan into the
+    /// next once scanners persist.
+    fn assert_thread_sweep_identical<T: PartialEq + std::fmt::Debug>(
+        tiled: &TiledGraph,
+        cfg: &GraphRConfig,
+        spec: FixedSpec,
+        run: impl Fn(&mut StreamingExecutor<'_>) -> T,
+    ) {
+        let passes = |threads| {
+            let mut exec = StreamingExecutor::new(tiled, cfg, spec).with_threads(threads);
+            (0..3).map(|_| run(&mut exec)).collect::<Vec<T>>()
+        };
+        let reference = passes(1);
+        for threads in [2, 3, 7] {
+            assert_eq!(passes(threads), reference, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn mac_is_bit_identical_at_every_thread_count() {
+        let g = Rmat::new(300, 2000).seed(3).max_weight(7).generate();
+        let cfg = small_config(Fidelity::Fast);
+        let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
+        let spec = FixedSpec::new(16, 8).unwrap();
+        let x1: Vec<f64> = (0..300).map(|i| (i % 11) as f64 * 0.125).collect();
+        let x2: Vec<f64> = (0..300).map(|i| (i % 5) as f64).collect();
+        assert_thread_sweep_identical(&tiled, &cfg, spec, |exec| {
+            let mut outputs = Vec::new();
+            for round in 0..4 {
+                outputs.push(exec.scan_mac(&weights_value, &[&x1]));
+                outputs.push(exec.scan_mac(&weights_value, &[&x1, &x2]));
+                // A one-vertex mask plans fewer units than workers.
+                let mut mask = FrontierMask::new(300);
+                mask.set(round * 70);
+                let plan = exec.plan(Some(&mask));
+                outputs.push(exec.scan_mac_planned(&plan, &weights_value, &[&x2]));
+                exec.end_iteration();
+            }
+            (outputs, exec.take_metrics())
+        });
+    }
+
+    #[test]
+    fn add_op_is_bit_identical_at_every_thread_count() {
+        let g = Rmat::new(200, 1200).seed(5).max_weight(9).generate();
+        let cfg = small_config(Fidelity::Fast);
+        let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
+        let spec = FixedSpec::new(16, 0).unwrap();
+        let inf = spec.max_value();
+        assert_thread_sweep_identical(&tiled, &cfg, spec, |exec| {
+            let mut dist = vec![inf; 200];
+            dist[0] = 0.0;
+            let mut active = FrontierMask::new(200);
+            active.set(0);
+            let mut rows_history = Vec::new();
+            for _ in 0..200 {
+                let mut frontier = dist.clone();
+                let mut updated = FrontierMask::new(200);
+                rows_history.push(exec.scan_add_op(
+                    &weights_value,
+                    &|du, w| du + w,
+                    &dist,
+                    &active,
+                    &mut frontier,
+                    &mut updated,
+                ));
+                exec.end_iteration();
+                dist = frontier;
+                active = updated;
+                if active.is_empty() {
+                    break;
+                }
+            }
+            (dist, rows_history, exec.take_metrics())
+        });
+    }
+
+    #[test]
+    fn fused_lanes_are_bit_identical_at_every_thread_count() {
+        use crate::sim::{run_sssp_lanes_with, LaneTraversalOptions};
+        let g = Rmat::new(200, 1200).seed(5).max_weight(9).generate();
+        let cfg = small_config(Fidelity::Fast);
+        let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
+        for sources in [vec![0u32], vec![0, 3, 50, 199]] {
+            let opts = LaneTraversalOptions::new(sources);
+            assert_thread_sweep_identical(&tiled, &cfg, opts.spec, |exec| {
+                run_sssp_lanes_with(&g, exec, &opts).unwrap()
+            });
+        }
     }
 
     #[test]

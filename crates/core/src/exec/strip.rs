@@ -13,13 +13,13 @@
 //! unit-local [`Metrics`].
 //!
 //! Determinism contract: a scan is the [`PlanUnit`]s of a
-//! [`ScanPlan`](crate::exec::plan::ScanPlan) executed in plan order with
-//! their metrics [`Metrics::merge`]d in that same order. The serial
-//! [`StreamingExecutor`] does exactly this, and any parallel driver that
-//! executes the same plan's units on worker threads but merges in plan
-//! order produces **bit-identical** results and metrics — every
-//! floating-point reduction happens inside one unit, in one deterministic
-//! order, regardless of which thread ran it.
+//! [`ScanPlan`](crate::exec::plan::ScanPlan), each executed by one
+//! per-unit path, with their metrics [`Metrics::merge`]d in plan order.
+//! The [`StreamingExecutor`] runs that path inline or on worker threads;
+//! the thread count only schedules it, so results and metrics are
+//! **bit-identical** at any count — every floating-point reduction
+//! happens inside one unit, in one deterministic order, regardless of
+//! which thread ran it.
 //!
 //! [`StreamingExecutor`]: crate::exec::streaming::StreamingExecutor
 

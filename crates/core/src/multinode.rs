@@ -292,8 +292,9 @@ impl NetAccountant {
 
 /// A [`ScanEngine`] that executes every plan on a simulated multi-node
 /// cluster: plans are sharded by destination-strip ownership, each shard
-/// runs through a real per-node inner engine (serial by default, any
-/// [`ScanEngine`] via [`ClusterExecutor::with_engines`]), and a
+/// runs through a real per-node inner engine (a one-thread
+/// [`StreamingExecutor`] by default, any [`ScanEngine`] via
+/// [`ClusterExecutor::with_engines`]), and a
 /// [`NetAccountant`] charges the plan-aware property exchange.
 ///
 /// Composition of the cluster [`Metrics`]:
@@ -351,7 +352,7 @@ pub struct ClusterExecutor<'a> {
 }
 
 impl<'a> ClusterExecutor<'a> {
-    /// A cluster of serial [`StreamingExecutor`] nodes over one
+    /// A cluster of one-thread [`StreamingExecutor`] nodes over one
     /// preprocessed graph, quantising values to `spec`.
     ///
     /// # Panics
@@ -378,7 +379,7 @@ impl<'a> ClusterExecutor<'a> {
     }
 
     /// A cluster over caller-built per-node engines (`make_engine(k)`
-    /// builds node `k`'s — e.g. `graphr-runtime`'s parallel executor).
+    /// builds node `k`'s — e.g. a multi-thread [`StreamingExecutor`]).
     /// Every engine must have been built over this same `tiled` (and, for
     /// cached skeletons, the same skeleton `planner` was built from).
     ///

@@ -1,7 +1,7 @@
 //! `graphr-run` — execute a job file against a GraphR runtime session and
 //! print a metrics report.
 //!
-//! Usage: `graphr-run <JOBFILE> [--threads N] [--serial] [--batch]
+//! Usage: `graphr-run <JOBFILE> [--threads N] [--batch]
 //! [--disk sata|nvme|sata-seg|nvme-seg|...-pipe|none]
 //! [--prefetch on|off] [--nodes N|single]
 //! [--owner rr|degree] [--trace PATH] [--report text|json]
@@ -14,7 +14,6 @@
 //! dataset <name> bipartite <users> <items> <ratings> <seed>
 //! dataset <name> table3 <TAG> <scale>
 //! threads <n>
-//! mode serial|parallel
 //! batch on|off
 //! disk sata|nvme|sata-seg|nvme-seg|sata-pipe|nvme-pipe|sata-seg-pipe|nvme-seg-pipe|none
 //! prefetch on|off
@@ -24,6 +23,8 @@
 //! job <app> <dataset> [key=value ...]
 //! ```
 //!
+//! `threads` (or `--threads`) sets the scan worker count; `threads 1` is
+//! the reference executor, and results are bit-identical at any count.
 //! Apps: `pagerank` (damping=, iterations=, tolerance=), `spmv`,
 //! `bfs`/`sssp` (source= or sources=a,b,c — a comma list expands to one
 //! query per source), `wcc`, `cf` (features=, epochs=). The `batch`
@@ -84,7 +85,7 @@ use graphr_core::GraphRConfig;
 use graphr_graph::generators::bipartite::RatingMatrix;
 use graphr_graph::generators::rmat::Rmat;
 use graphr_graph::{DatasetSpec, GraphHandle};
-use graphr_runtime::{ExecMode, Job, JobSpec, ServeConfig, Server, Session};
+use graphr_runtime::{Job, JobSpec, ServeConfig, Server, Session};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -98,14 +99,13 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    const USAGE: &str = "usage: graphr-run <JOBFILE> [--threads N] [--serial] [--batch] \
+    const USAGE: &str = "usage: graphr-run <JOBFILE> [--threads N] [--batch] \
                          [--disk sata|nvme|sata-seg|nvme-seg|...-pipe|none] \
                          [--prefetch on|off] [--nodes N] \
                          [--owner rr|degree] [--trace PATH] [--report text|json] \
                          [--stats PATH|-]";
     let mut path = None;
     let mut threads_override = None;
-    let mut force_serial = false;
     let mut force_batch = false;
     let mut disk_override = None;
     let mut prefetch_override = None;
@@ -121,7 +121,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 let v = it.next().ok_or("--threads needs a value")?;
                 threads_override = Some(v.parse::<usize>().map_err(|e| e.to_string())?);
             }
-            "--serial" => force_serial = true,
             "--batch" => force_batch = true,
             "--trace" => {
                 let v = it.next().ok_or("--trace needs a path (or 'off')")?;
@@ -197,21 +196,12 @@ fn run(args: &[String]) -> Result<(), String> {
     if let Some(sink) = &trace_sink {
         session = session.with_trace(std::sync::Arc::clone(sink));
     }
-    let mode = if force_serial {
-        ExecMode::Serial
-    } else {
-        plan.mode
-    };
 
     let batch = force_batch || plan.batch;
     if !report_json {
         println!(
-            "session: {} worker threads, {} mode{}, {} storage, {}, {} datasets, {} jobs",
+            "session: {} worker threads{}, {} storage, {}, {} datasets, {} jobs",
             session.threads(),
-            match mode {
-                ExecMode::Serial => "serial",
-                ExecMode::Parallel => "parallel",
-            },
             if batch { " (serve batch)" } else { "" },
             match disk {
                 None => "in-core".to_owned(),
@@ -251,9 +241,7 @@ fn run(args: &[String]) -> Result<(), String> {
         // back in submission order either way.
         let mut server = Server::new(ServeConfig::default());
         for job in &plan.jobs {
-            server
-                .enqueue(job.clone().with_mode(mode))
-                .map_err(|e| e.to_string())?;
+            server.enqueue(job.clone()).map_err(|e| e.to_string())?;
         }
         let mut tallied_waves = std::collections::HashSet::new();
         for result in server.drain(&session) {
@@ -310,8 +298,7 @@ fn run(args: &[String]) -> Result<(), String> {
         serve_latency = Some(server.latency().clone());
     } else {
         for (index, job) in plan.jobs.iter().enumerate() {
-            let job = job.clone().with_mode(mode);
-            match session.submit(&job) {
+            match session.submit(job) {
                 Ok(report) => {
                     tally_prefetch(report.output.metrics());
                     if report_json {
@@ -483,7 +470,6 @@ struct Plan {
     datasets: HashMap<String, GraphHandle>,
     jobs: Vec<Job>,
     threads: Option<usize>,
-    mode: ExecMode,
     batch: bool,
     disk: Option<DiskModel>,
     prefetch: Option<bool>,
@@ -561,7 +547,6 @@ fn parse_job_file(text: &str) -> Result<Plan, String> {
         datasets: HashMap::new(),
         jobs: Vec::new(),
         threads: None,
-        mode: ExecMode::Parallel,
         batch: false,
         disk: None,
         prefetch: None,
@@ -587,11 +572,6 @@ fn parse_job_file(text: &str) -> Result<Plan, String> {
                     .ok_or_else(|| err("threads needs a value".into()))?;
                 plan.threads = Some(v.parse().map_err(|e| err(format!("{e}")))?);
             }
-            "mode" => match fields.get(1).copied() {
-                Some("serial") => plan.mode = ExecMode::Serial,
-                Some("parallel") => plan.mode = ExecMode::Parallel,
-                other => return Err(err(format!("unknown mode {other:?}"))),
-            },
             "batch" => match fields.get(1).copied() {
                 Some("on") | None => plan.batch = true,
                 Some("off") => plan.batch = false,

@@ -15,16 +15,6 @@ use graphr_core::trace::{json_escape, TraceSink};
 use graphr_core::{GraphRConfig, Metrics};
 use graphr_graph::GraphHandle;
 
-/// Serial or parallel scan execution for a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// The reference single-thread executor.
-    Serial,
-    /// The strip-sharded worker-pool executor (the default).
-    #[default]
-    Parallel,
-}
-
 /// Per-job out-of-core storage selection, three-way so a job can both
 /// opt *into* a disk model and opt back *out* of a session-level one.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -158,8 +148,6 @@ pub struct Job {
     pub graph: GraphHandle,
     /// The application and its options.
     pub spec: JobSpec,
-    /// Serial or parallel execution.
-    pub mode: ExecMode,
     /// Per-job architectural override; `None` uses the session's
     /// configuration.
     pub config: Option<GraphRConfig>,
@@ -175,25 +163,17 @@ pub struct Job {
 }
 
 impl Job {
-    /// A parallel job under the session configuration.
+    /// A job under the session configuration.
     #[must_use]
     pub fn new(graph: GraphHandle, spec: JobSpec) -> Self {
         Job {
             graph,
             spec,
-            mode: ExecMode::default(),
             config: None,
             disk: DiskChoice::default(),
             cluster: ClusterChoice::default(),
             trace: TraceChoice::default(),
         }
-    }
-
-    /// Sets the execution mode.
-    #[must_use]
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Overrides the architectural configuration for this job.
@@ -268,7 +248,7 @@ impl Job {
     /// Whether `other` may share one fused run with this job: both must
     /// be fusable, on the same graph, running the same application with
     /// the same non-source options, under identical execution settings
-    /// (mode, architectural config, disk, cluster, and telemetry route).
+    /// (architectural config, disk, cluster, and telemetry route).
     /// Only the source vertex may differ — that is what the lanes carry.
     #[must_use]
     pub fn fusable_with(&self, other: &Job) -> bool {
@@ -282,7 +262,6 @@ impl Job {
         same_spec
             && self.is_fusable()
             && self.graph.id() == other.graph.id()
-            && self.mode == other.mode
             && self.config == other.config
             && self.disk == other.disk
             && self.cluster == other.cluster

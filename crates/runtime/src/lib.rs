@@ -1,26 +1,23 @@
-//! Parallel job runtime and analytics service layer over the GraphR
-//! simulator stack.
+//! Job runtime and analytics service layer over the GraphR simulator
+//! stack.
 //!
-//! The simulator in `graphr-core` is exact but single-threaded, and each
-//! `sim::run_*` call preprocesses its graph from scratch. This crate turns
-//! that stack into a service:
+//! The simulator in `graphr-core` is exact, and its one scan engine,
+//! [`StreamingExecutor`](graphr_core::exec::StreamingExecutor), already
+//! shards every plan's destination strips over a worker count (the
+//! paper's inter-subgraph GE parallelism, §3.3, mapped onto host threads)
+//! with bit-identical results at any count. But each `sim::run_*` call
+//! preprocesses its graph from scratch. This crate turns that stack into
+//! a service:
 //!
-//! * [`parallel::ParallelExecutor`] — a drop-in
-//!   [`ScanEngine`](graphr_core::exec::ScanEngine) that shards every
-//!   [`ScanPlan`](graphr_core::exec::ScanPlan) — dense or frontier-pruned —
-//!   across its planned destination strips on a scoped worker pool,
-//!   mirroring the paper's inter-subgraph GE parallelism (§3.3, §5.2) on
-//!   the host. Per-worker scanner state plus a deterministic plan-order
-//!   metrics merge make its results and time/energy reports
-//!   **bit-identical** to the serial executor consuming the same plan.
 //! * [`session::Session`] — a long-lived, thread-safe query session: a
 //!   preprocessed-graph cache keyed by *(graph id, tiling geometry,
 //!   streaming order)* with hit/miss counters, so repeated queries skip
 //!   the §3.4 tiler and reuse the cached plan skeleton plus the
 //!   incremental planner's graph-derived index (each engine gets a
 //!   fresh `Planner` stamped from it — frontier-delta re-planning
-//!   without re-walking the span table); serial/parallel
-//!   engine selection per job; batched multi-job submission; an
+//!   without re-walking the span table); one worker budget
+//!   ([`Session::with_threads`](session::Session::with_threads)) for
+//!   every engine; batched multi-job submission; an
 //!   optional out-of-core disk configuration
 //!   ([`Session::with_disk`](session::Session::with_disk) /
 //!   [`Job::with_disk`](job::Job::with_disk)) under which every scan's
@@ -30,7 +27,7 @@
 //!   ([`Session::with_cluster`](session::Session::with_cluster) /
 //!   [`Job::with_cluster`](job::Job::with_cluster)) under which every
 //!   scan plan is sharded by destination-strip ownership across simulated
-//!   GraphR nodes of the job's execution mode, with the plan-aware
+//!   GraphR nodes, with the plan-aware
 //!   property exchange charged into `Metrics::net` (see
 //!   `graphr_core::multinode`); and an optional telemetry sink
 //!   ([`Session::with_trace`](session::Session::with_trace) /
@@ -44,6 +41,9 @@
 //!   query, one scan of each iteration's union plan for all of them
 //!   ([`Session::submit_fused`](session::Session::submit_fused)), with
 //!   per-query attribution and answers bit-identical to solo runs.
+//! * [`pool`] — the scoped worker pool (re-exported from
+//!   `graphr_core::exec::pool`), and [`ParallelExecutor`], a
+//!   constructor kept only for source compatibility.
 //! * [`job`] — [`JobSpec`] covers all five evaluated
 //!   applications (PageRank, SpMV, BFS, SSSP, CF) plus the WCC extension;
 //!   [`JobReport`] carries the functional result, the
@@ -87,9 +87,7 @@ pub mod pool;
 pub mod serve;
 pub mod session;
 
-pub use job::{
-    ClusterChoice, DiskChoice, ExecMode, Job, JobOutput, JobReport, JobSpec, TraceChoice,
-};
+pub use job::{ClusterChoice, DiskChoice, Job, JobOutput, JobReport, JobSpec, TraceChoice};
 pub use parallel::ParallelExecutor;
 pub use serve::{AdmissionError, QueryResult, ServeConfig, ServeLatency, ServeStats, Server};
 pub use session::{CacheStats, GraphVariant, RuntimeError, Session};

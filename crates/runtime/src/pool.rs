@@ -1,116 +1,4 @@
-//! A small scoped worker pool: dynamic self-scheduling over an indexed
-//! task range, with deterministic result ordering.
-//!
-//! Workers claim task indices from a shared atomic counter — the classic
-//! self-scheduling loop, which load-balances skewed per-strip work the
-//! same way rayon's work stealing would for this flat fan-out shape —
-//! and each worker owns per-thread scratch state built by an `init`
-//! closure (the runtime passes a `StripScanner` so crossbar scratch and
-//! sALUs are never shared). Results are reassembled in task-index order,
-//! which is what makes the parallel executor's metrics merge
-//! deterministic.
-//!
-//! The pool is scoped (`std::thread::scope`), so tasks may freely borrow
-//! from the caller's stack; no `'static` bounds, no channels, no unsafe.
+//! The scoped worker pool, re-exported from
+//! [`graphr_core::exec::pool`] where the executor uses it.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Host parallelism available to the runtime (at least 1).
-#[must_use]
-pub fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Runs `tasks` indexed tasks on up to `threads` workers and returns the
-/// results in index order.
-///
-/// `init` builds one scratch state per worker; `step` executes one task
-/// with that state. With one thread (or one task) everything runs inline
-/// on the caller's thread — same closures, same order.
-///
-/// # Panics
-///
-/// Propagates panics from worker tasks.
-pub fn run_indexed<S, T, I, F>(tasks: usize, threads: usize, init: I, step: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let threads = threads.max(1).min(tasks.max(1));
-    if threads == 1 {
-        let mut state = init();
-        return (0..tasks).map(|i| step(&mut state, i)).collect();
-    }
-    let counter = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    let mut out = Vec::new();
-                    loop {
-                        let idx = counter.fetch_add(1, Ordering::Relaxed);
-                        if idx >= tasks {
-                            break;
-                        }
-                        out.push((idx, step(&mut state, idx)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("runtime worker panicked"))
-            .collect()
-    });
-    indexed.sort_unstable_by_key(|&(i, _)| i);
-    indexed.into_iter().map(|(_, t)| t).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn results_come_back_in_index_order() {
-        for threads in [1, 2, 8] {
-            let out = run_indexed(
-                100,
-                threads,
-                || 0u64,
-                |state, i| {
-                    *state += 1;
-                    i * i
-                },
-            );
-            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn workers_share_no_state() {
-        // Each worker's init state counts its own tasks; totals must cover
-        // exactly the task range.
-        let seen: Vec<usize> = run_indexed(64, 4, || (), |(), i| i);
-        let mut sorted = seen.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn zero_tasks_is_fine() {
-        let out: Vec<usize> = run_indexed(0, 4, || (), |(), i| i);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn borrows_from_caller_stack() {
-        let data: Vec<usize> = (0..32).collect();
-        let doubled = run_indexed(data.len(), 3, || (), |(), i| data[i] * 2);
-        assert_eq!(doubled[31], 62);
-    }
-}
+pub use graphr_core::exec::pool::{available_threads, run_indexed};

@@ -38,8 +38,8 @@
 //! carried on every [`QueryResult`] and recorded into the server's
 //! [`ServeLatency`] histograms (latency, wait, service, plus wave lane
 //! occupancy). Because the clock is driven purely by simulated run time,
-//! every latency statistic inherits the determinism contract: serial,
-//! parallel, and one-node-cluster sessions — and reruns — produce
+//! every latency statistic inherits the determinism contract: sessions
+//! at any thread count, one-node-cluster sessions — and reruns — produce
 //! bit-identical histograms. [`Server::collect_stats`] snapshots the
 //! counters and histograms into a
 //! [`graphr_core::stats::StatsRegistry`] for exposition (the CLI's

@@ -38,8 +38,7 @@ use graphr_graph::{EdgeList, GraphHandle, GraphId};
 use graphr_units::FixedSpec;
 use parking_lot::Mutex;
 
-use crate::job::{ExecMode, Job, JobOutput, JobReport, JobSpec};
-use crate::parallel::ParallelExecutor;
+use crate::job::{Job, JobOutput, JobReport, JobSpec};
 use crate::pool;
 
 /// Errors from the runtime service layer.
@@ -187,7 +186,8 @@ impl Session {
         }
     }
 
-    /// Caps the worker threads parallel jobs may use.
+    /// Caps the worker threads jobs may use (`1` runs every scan inline
+    /// on the submitting thread; results are identical at any count).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -212,7 +212,7 @@ impl Session {
 
     /// Runs every job on a simulated multi-node cluster by default: each
     /// scan plan is sharded by destination-strip ownership across
-    /// `cluster.nodes` engines of the job's [`ExecMode`], and the
+    /// `cluster.nodes` engines, and the
     /// plan-aware property exchange lands in
     /// [`Metrics::net`](graphr_core::Metrics). A job's own
     /// [`Job::with_cluster`] / [`Job::single_node`] still overrides this
@@ -359,30 +359,18 @@ impl Session {
         Ok(entry)
     }
 
-    /// One single-node engine of the requested mode over a cached tiling,
-    /// carrying a planner stamped out from the cached skeleton + index.
+    /// One single-node engine over a cached tiling, carrying a planner
+    /// stamped out from the cached skeleton + index.
     fn node_engine<'a>(
-        mode: ExecMode,
         tiling: &'a CachedTiling,
         config: &'a GraphRConfig,
         spec: FixedSpec,
         scan_threads: usize,
     ) -> Box<dyn ScanEngine + 'a> {
-        match mode {
-            ExecMode::Serial => Box::new(StreamingExecutor::with_planner(
-                &tiling.tiled,
-                config,
-                spec,
-                tiling.planner(),
-            )),
-            ExecMode::Parallel => Box::new(ParallelExecutor::with_planner(
-                &tiling.tiled,
-                config,
-                spec,
-                tiling.planner(),
-                scan_threads,
-            )),
-        }
+        Box::new(
+            StreamingExecutor::with_planner(&tiling.tiled, config, spec, tiling.planner())
+                .with_threads(scan_threads),
+        )
     }
 
     // One parameter per orthogonal per-job setting; bundling them would
@@ -390,7 +378,6 @@ impl Session {
     #[allow(clippy::too_many_arguments)]
     fn engine<'a>(
         &self,
-        mode: ExecMode,
         tiling: &'a CachedTiling,
         config: &'a GraphRConfig,
         spec: FixedSpec,
@@ -401,15 +388,15 @@ impl Session {
     ) -> Box<dyn ScanEngine + 'a> {
         let mut engine: Box<dyn ScanEngine + 'a> = match cluster {
             // Cluster nodes execute one after another on the host, so each
-            // node's parallel engine may use the full scan budget.
+            // node's engine may use the full scan budget.
             Some(c) => Box::new(ClusterExecutor::with_engines(
                 &tiling.tiled,
                 config,
                 c,
                 tiling.planner(),
-                |_node| Self::node_engine(mode, tiling, config, spec, scan_threads),
+                |_node| Self::node_engine(tiling, config, spec, scan_threads),
             )),
-            None => Self::node_engine(mode, tiling, config, spec, scan_threads),
+            None => Self::node_engine(tiling, config, spec, scan_threads),
         };
         engine.set_disk(disk);
         engine.set_trace(trace);
@@ -458,7 +445,6 @@ impl Session {
                     &mut cache_misses,
                 )?;
                 let mut exec = self.engine(
-                    job.mode,
                     &tiling,
                     config,
                     opts.matrix_spec,
@@ -478,7 +464,6 @@ impl Session {
                     &mut cache_misses,
                 )?;
                 let mut exec = self.engine(
-                    job.mode,
                     &tiling,
                     config,
                     opts.matrix_spec,
@@ -498,7 +483,6 @@ impl Session {
                     &mut cache_misses,
                 )?;
                 let mut exec = self.engine(
-                    job.mode,
                     &tiling,
                     config,
                     opts.spec,
@@ -518,7 +502,6 @@ impl Session {
                     &mut cache_misses,
                 )?;
                 let mut exec = self.engine(
-                    job.mode,
                     &tiling,
                     config,
                     opts.spec,
@@ -539,7 +522,6 @@ impl Session {
                 )?;
                 let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
                 let mut exec = self.engine(
-                    job.mode,
                     &tiling,
                     config,
                     spec,
@@ -578,7 +560,6 @@ impl Session {
                         CfMatrix::Transposed => &tiling_t,
                     };
                     self.engine(
-                        job.mode,
                         tiling,
                         &cf_config,
                         opts.spec,
@@ -690,16 +671,7 @@ impl Session {
             &mut cache_hits,
             &mut cache_misses,
         )?;
-        let mut exec = self.engine(
-            template.mode,
-            &tiling,
-            config,
-            spec,
-            self.threads,
-            disk,
-            cluster,
-            trace,
-        );
+        let mut exec = self.engine(&tiling, config, spec, self.threads, disk, cluster, trace);
         enum FusedOut {
             Traversal(LaneRun),
             Wcc(WccLaneRun),
@@ -773,8 +745,8 @@ impl Session {
 
     /// Executes a batch of jobs, fanning independent jobs out across the
     /// worker budget; results come back in submission order. The scan
-    /// budget is split across concurrent jobs so a batch of parallel jobs
-    /// does not oversubscribe the host.
+    /// budget is split across concurrent jobs so the batch does not
+    /// oversubscribe the host.
     pub fn submit_batch(&self, jobs: &[Job]) -> Vec<Result<JobReport, RuntimeError>> {
         let workers = self.threads.min(jobs.len()).max(1);
         let scan_threads = (self.threads / workers).max(1);

@@ -16,7 +16,7 @@ use graphr_repro::core::{GraphRConfig, TiledGraph};
 use graphr_repro::graph::generators::rmat::Rmat;
 use graphr_repro::graph::generators::structured::grid;
 use graphr_repro::graph::GraphHandle;
-use graphr_runtime::{ExecMode, Job, JobSpec, Session};
+use graphr_runtime::{Job, JobSpec, Session};
 use proptest::prelude::*;
 
 fn test_config() -> GraphRConfig {
@@ -104,31 +104,32 @@ fn cluster_results_identical_across_node_counts_and_modes() {
         .expect("single-node run");
     let single_m = single.output.metrics().clone();
     for nodes in [2usize, 3, 4, 7] {
-        for mode in [ExecMode::Serial, ExecMode::Parallel] {
+        for threads in [1, 4] {
             let report = Session::new(test_config())
-                .with_threads(4)
+                .with_threads(threads)
                 .with_cluster(MultiNodeConfig::pcie_cluster(nodes))
-                .submit(
-                    &Job::new(handle.clone(), JobSpec::Sssp(TraversalOptions::default()))
-                        .with_mode(mode),
-                )
+                .submit(&Job::new(
+                    handle.clone(),
+                    JobSpec::Sssp(TraversalOptions::default()),
+                ))
                 .expect("cluster run");
             let m = report.output.metrics();
             match (&report.output, &single.output) {
                 (
                     graphr_runtime::JobOutput::Traversal(c),
                     graphr_runtime::JobOutput::Traversal(s),
-                ) => assert_eq!(c.distances, s.distances, "{nodes} nodes, {mode:?}"),
+                ) => assert_eq!(c.distances, s.distances, "{nodes} nodes, {threads} threads"),
                 other => panic!("unexpected outputs {other:?}"),
             }
             assert_eq!(
                 m.events, single_m.events,
-                "summed per-node events must equal the single-node scan ({nodes} nodes, {mode:?})"
+                "summed per-node events must equal the single-node scan ({nodes} nodes, {threads} threads)"
             );
             assert_eq!(m.iterations, single_m.iterations);
             assert!(m.net.is_active(), "{nodes} nodes must exchange properties");
-            m.validate()
-                .unwrap_or_else(|e| panic!("inconsistent metrics ({nodes} nodes, {mode:?}): {e}"));
+            m.validate().unwrap_or_else(|e| {
+                panic!("inconsistent metrics ({nodes} nodes, {threads} threads): {e}")
+            });
         }
     }
 }

@@ -23,7 +23,7 @@ use graphr_repro::core::{GraphRConfig, TiledGraph};
 use graphr_repro::graph::generators::rmat::Rmat;
 use graphr_repro::graph::generators::structured::grid;
 use graphr_repro::graph::GraphHandle;
-use graphr_runtime::{ExecMode, Job, JobSpec, Session};
+use graphr_runtime::{Job, JobSpec, Session};
 use proptest::prelude::*;
 
 fn test_config() -> GraphRConfig {
@@ -87,7 +87,7 @@ proptest! {
                 Session::new(test_config())
                     .with_threads(1)
                     .with_disk(disk)
-                    .submit(&Job::new(handle.clone(), spec.clone()).with_mode(ExecMode::Serial))
+                    .submit(&Job::new(handle.clone(), spec.clone()))
                     .expect("out-of-core run")
             };
             let off = run(DiskModel::nvme());
@@ -108,7 +108,7 @@ proptest! {
 }
 
 /// The determinism contract wears the prefetch lane: with `nvme-pipe`,
-/// the serial engine, the parallel engine, and a one-node cluster emit
+/// one worker, four workers, and a one-node cluster emit
 /// bit-identical event streams and byte-identical Chrome exports —
 /// speculative reads included.
 #[test]
@@ -116,7 +116,7 @@ fn prefetched_traces_identical_across_modes() {
     let handle = GraphHandle::new("grid-240", grid(240, 240));
     let spec = JobSpec::Bfs(TraversalOptions::default());
     let disk = DiskModel::by_name("nvme-pipe").expect("pipelined model name");
-    let run = |mode, threads, nodes: Option<usize>| {
+    let run = |threads, nodes: Option<usize>| {
         let sink = TraceSink::shared();
         let mut session = Session::new(pipelined_config())
             .with_threads(threads)
@@ -126,13 +126,13 @@ fn prefetched_traces_identical_across_modes() {
             session = session.with_cluster(MultiNodeConfig::pcie_cluster(n));
         }
         session
-            .submit(&Job::new(handle.clone(), spec.clone()).with_mode(mode))
+            .submit(&Job::new(handle.clone(), spec.clone()))
             .expect("traced pipelined run");
         sink
     };
-    let serial = run(ExecMode::Serial, 1, None);
-    let parallel = run(ExecMode::Parallel, 4, None);
-    let cluster = run(ExecMode::Serial, 1, Some(1));
+    let serial = run(1, None);
+    let parallel = run(4, None);
+    let cluster = run(1, Some(1));
     let prefetched: u64 = serial
         .events()
         .iter()

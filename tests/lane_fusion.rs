@@ -25,7 +25,6 @@ use graphr_repro::core::sim::{
 use graphr_repro::core::{GraphRConfig, TiledGraph};
 use graphr_repro::graph::generators::rmat::Rmat;
 use graphr_repro::graph::EdgeList;
-use graphr_repro::runtime::ParallelExecutor;
 use graphr_repro::units::FixedSpec;
 use proptest::prelude::*;
 
@@ -41,8 +40,8 @@ fn small_config() -> GraphRConfig {
 }
 
 /// One engine of each determinism-contract flavour over the same
-/// preprocessing: 0 = serial reference, 1 = strip-sharded parallel,
-/// 2 = three-node cluster of serial nodes.
+/// preprocessing: 0 = one-thread reference, 1 = three worker threads,
+/// 2 = three-node cluster of one-thread nodes.
 fn make_engine<'a>(
     kind: usize,
     tiled: &'a TiledGraph,
@@ -51,7 +50,7 @@ fn make_engine<'a>(
 ) -> Box<dyn ScanEngine + 'a> {
     match kind {
         0 => Box::new(StreamingExecutor::new(tiled, config, spec)),
-        1 => Box::new(ParallelExecutor::with_threads(tiled, config, spec, 3)),
+        1 => Box::new(StreamingExecutor::new(tiled, config, spec).with_threads(3)),
         _ => Box::new(ClusterExecutor::new(
             tiled,
             config,

@@ -14,7 +14,6 @@ use graphr_repro::core::sim::{
 use graphr_repro::core::{GraphRConfig, TiledGraph};
 use graphr_repro::graph::generators::rmat::Rmat;
 use graphr_repro::graph::BYTES_PER_EDGE;
-use graphr_runtime::ParallelExecutor;
 use proptest::prelude::*;
 
 fn small_config() -> GraphRConfig {
@@ -149,8 +148,9 @@ fn serial_parallel_disk_metrics_bit_identical() {
     let mut serial = StreamingExecutor::new(&tiled, &config, opts.spec).with_disk(disk);
     let rs = run_sssp_with(&g, &mut serial, &opts).unwrap();
     for threads in [1, 3, 8] {
-        let mut par =
-            ParallelExecutor::with_threads(&tiled, &config, opts.spec, threads).with_disk(disk);
+        let mut par = StreamingExecutor::new(&tiled, &config, opts.spec)
+            .with_threads(threads)
+            .with_disk(disk);
         let rp = run_sssp_with(&g, &mut par, &opts).unwrap();
         assert_eq!(rs.distances, rp.distances);
         assert_eq!(

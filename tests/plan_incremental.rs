@@ -16,7 +16,6 @@ use graphr_repro::core::{GraphRConfig, Metrics, TiledGraph};
 use graphr_repro::graph::generators::rmat::Rmat;
 use graphr_repro::graph::generators::structured::grid;
 use graphr_repro::units::FixedSpec;
-use graphr_runtime::ParallelExecutor;
 use proptest::prelude::*;
 
 fn test_config() -> GraphRConfig {
@@ -136,7 +135,7 @@ proptest! {
 
         let scratch = scratch_planned_sssp(&tiled, &config, &skeleton, spec);
         let mut serial = StreamingExecutor::new(&tiled, &config, spec);
-        let mut parallel = ParallelExecutor::with_threads(&tiled, &config, spec, 4);
+        let mut parallel = StreamingExecutor::new(&tiled, &config, spec).with_threads(4);
         let mut cluster = ClusterExecutor::new(
             &tiled,
             &config,
@@ -144,7 +143,7 @@ proptest! {
             MultiNodeConfig::pcie_cluster(nodes).with_owner(OwnerPolicy::DegreeWeighted),
         );
         let mut serial_d = StreamingExecutor::new(&tiled, &config, spec);
-        let mut parallel_d = ParallelExecutor::with_threads(&tiled, &config, spec, 4);
+        let mut parallel_d = StreamingExecutor::new(&tiled, &config, spec).with_threads(4);
         let mut cluster_d = ClusterExecutor::new(
             &tiled,
             &config,
@@ -282,7 +281,7 @@ fn grid_bfs_patches_dominate_and_engines_agree() {
 
     let mut serial = StreamingExecutor::new(&tiled, &config, spec);
     let (dist_s, _, m_serial) = engine_planned_sssp(&mut serial, spec, n, true);
-    let mut parallel = ParallelExecutor::with_threads(&tiled, &config, spec, 3);
+    let mut parallel = StreamingExecutor::new(&tiled, &config, spec).with_threads(3);
     let (dist_p, _, m_parallel) = engine_planned_sssp(&mut parallel, spec, n, true);
 
     assert_eq!(dist_s, dist_p);

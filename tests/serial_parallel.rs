@@ -1,5 +1,5 @@
-//! Integration tests of the `graphr-runtime` service layer: the parallel
-//! executor must be observationally indistinguishable from the serial
+//! Integration tests of the `graphr-runtime` service layer: a multi-thread
+//! session must be observationally indistinguishable from the one-thread
 //! reference — bit-identical results and identical `Metrics` totals — for
 //! every application, and a warm session must skip preprocessing.
 
@@ -11,7 +11,7 @@ use graphr_repro::core::GraphRConfig;
 use graphr_repro::graph::generators::bipartite::RatingMatrix;
 use graphr_repro::graph::generators::rmat::Rmat;
 use graphr_repro::graph::GraphHandle;
-use graphr_runtime::{ExecMode, Job, JobOutput, JobSpec, Session};
+use graphr_runtime::{Job, JobOutput, JobSpec, Session};
 
 fn test_config() -> GraphRConfig {
     GraphRConfig::builder()
@@ -30,17 +30,17 @@ fn rmat_handle() -> GraphHandle {
     )
 }
 
-/// Submits the same spec serially and in parallel (4 workers) against
-/// fresh sessions and asserts bit-identical outputs (results **and**
-/// metrics — `JobOutput`'s `PartialEq` covers both).
+/// Submits the same spec on one and on four workers against fresh
+/// sessions and asserts bit-identical outputs (results **and** metrics —
+/// `JobOutput`'s `PartialEq` covers both).
 fn assert_modes_agree(handle: &GraphHandle, spec: JobSpec) -> JobOutput {
     let serial = Session::new(test_config())
         .with_threads(1)
-        .submit(&Job::new(handle.clone(), spec.clone()).with_mode(ExecMode::Serial))
+        .submit(&Job::new(handle.clone(), spec.clone()))
         .expect("serial run");
     let parallel = Session::new(test_config())
         .with_threads(4)
-        .submit(&Job::new(handle.clone(), spec.clone()).with_mode(ExecMode::Parallel))
+        .submit(&Job::new(handle.clone(), spec.clone()))
         .expect("parallel run");
     assert_eq!(
         serial.output,
@@ -148,28 +148,26 @@ fn cf_serial_parallel_identical() {
 
 #[test]
 fn pruned_plans_are_bit_identical_under_the_parallel_executor() {
+    use graphr_repro::core::exec::mask::FrontierMask;
     use graphr_repro::core::exec::{ScanEngine, StreamingExecutor};
     use graphr_repro::core::TiledGraph;
     use graphr_repro::units::FixedSpec;
-    use graphr_runtime::ParallelExecutor;
 
     let g = Rmat::new(260, 1600).seed(17).max_weight(9).generate();
     let cfg = test_config();
     let tiled = TiledGraph::preprocess(&g, &cfg).expect("valid geometry");
     let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
     let inf = spec.max_value();
+    let n = 260;
 
     // A full SSSP run where every iteration executes the frontier-pruned
-    // plan, on the serial reference and on 1/2/5-thread parallel
-    // executors: distances, per-round activations and Metrics must all be
-    // bit-identical.
-    let run = |exec: &mut dyn ScanEngine| {
-        use graphr_repro::core::exec::mask::FrontierMask;
-        let n = 260;
+    // plan; early and late rounds plan fewer units than the widest worker
+    // count below.
+    let run = |exec: &mut StreamingExecutor<'_>, source: usize| {
         let mut dist = vec![inf; n];
-        dist[0] = 0.0;
+        dist[source] = 0.0;
         let mut active = FrontierMask::new(n);
-        active.set(0);
+        active.set(source);
         let mut rows_history = Vec::new();
         for _ in 0..n {
             let plan = exec.plan(Some(&active));
@@ -194,23 +192,42 @@ fn pruned_plans_are_bit_identical_under_the_parallel_executor() {
         (dist, rows_history, exec.take_metrics())
     };
 
-    let mut serial = StreamingExecutor::new(&tiled, &cfg, spec);
-    let (ds, rs, ms) = run(&mut serial);
+    // One long-lived executor per worker count runs several traversals
+    // back to back — hundreds of consecutive scans on the same scanners —
+    // and must match the one-thread reference traversal for traversal:
+    // distances, per-round activations and full Metrics. Scratch leaking
+    // from one scan into the next would break this.
+    let sources = [0, 17, 130, 0];
+    let mut reference_exec = StreamingExecutor::new(&tiled, &cfg, spec);
+    let reference: Vec<_> = sources
+        .iter()
+        .map(|&s| run(&mut reference_exec, s))
+        .collect();
+    let (_, _, first) = &reference[0];
     assert!(
-        ms.events.subgraphs_pruned > 0,
+        first.events.subgraphs_pruned > 0,
         "the sparse frontier must actually prune"
     );
-    ms.validate()
+    first
+        .validate()
         .expect("pruned-run metrics must be consistent");
-    for threads in [1, 2, 5] {
-        let mut par = ParallelExecutor::with_threads(&tiled, &cfg, spec, threads);
-        let (dp, rp, mp) = run(&mut par);
-        assert_eq!(
-            ds, dp,
-            "distances must be bit-identical ({threads} threads)"
-        );
-        assert_eq!(rs, rp, "activations must match ({threads} threads)");
-        assert_eq!(ms, mp, "metrics must be identical ({threads} threads)");
+    for threads in [1, 2, 3, 7] {
+        let mut exec = StreamingExecutor::new(&tiled, &cfg, spec).with_threads(threads);
+        for (&source, (ds, rs, ms)) in sources.iter().zip(&reference) {
+            let (dp, rp, mp) = run(&mut exec, source);
+            assert_eq!(
+                ds, &dp,
+                "distances must be bit-identical ({threads} threads, source {source})"
+            );
+            assert_eq!(
+                rs, &rp,
+                "activations must match ({threads} threads, source {source})"
+            );
+            assert_eq!(
+                ms, &mp,
+                "metrics must be identical ({threads} threads, source {source})"
+            );
+        }
     }
 }
 

@@ -18,7 +18,7 @@ use graphr_repro::core::trace::{TraceData, TraceHandle, TraceSink};
 use graphr_repro::core::{GraphRConfig, TiledGraph};
 use graphr_repro::graph::generators::rmat::Rmat;
 use graphr_repro::graph::GraphHandle;
-use graphr_repro::runtime::{ExecMode, Job, JobSpec, ServeConfig, Server, Session};
+use graphr_repro::runtime::{Job, JobSpec, ServeConfig, Server, Session};
 use proptest::prelude::*;
 
 fn small_config() -> GraphRConfig {
@@ -199,9 +199,9 @@ fn failed_queries_leave_the_clock_and_histograms_alone() {
 
 /// Runs the same five-query batch on one engine configuration and
 /// returns the collected registry's Prometheus rendering.
-fn rendered_registry(mode: ExecMode, cluster: Option<usize>, coalesce: bool) -> String {
+fn rendered_registry(threads: usize, cluster: Option<usize>, coalesce: bool) -> String {
     let handle = rmat_handle();
-    let mut session = Session::new(small_config());
+    let mut session = Session::new(small_config()).with_threads(threads);
     if let Some(nodes) = cluster {
         session = session.with_cluster(MultiNodeConfig::pcie_cluster(nodes));
     }
@@ -210,9 +210,7 @@ fn rendered_registry(mode: ExecMode, cluster: Option<usize>, coalesce: bool) -> 
         ..ServeConfig::default()
     });
     for i in 0..5u32 {
-        server
-            .enqueue(bfs(&handle, i * 7).with_mode(mode))
-            .expect("admit");
+        server.enqueue(bfs(&handle, i * 7)).expect("admit");
     }
     for result in server.drain(&session) {
         assert!(result.report.is_ok(), "every query must run");
@@ -225,15 +223,15 @@ fn rendered_registry(mode: ExecMode, cluster: Option<usize>, coalesce: bool) -> 
 
 /// The tentpole determinism contract: the service-level histograms are
 /// simulated facts, so the full registry rendering — every bucket count,
-/// sum, and percentile — must be byte-identical across the serial
-/// engine, the parallel engine, and a one-node cluster, whether waves
+/// sum, and percentile — must be byte-identical across one worker, four
+/// workers, and a one-node cluster, whether waves
 /// are coalesced or run solo.
 #[test]
 fn serve_registry_bit_identical_across_engines() {
     for coalesce in [true, false] {
-        let serial = rendered_registry(ExecMode::Serial, None, coalesce);
-        let parallel = rendered_registry(ExecMode::Parallel, None, coalesce);
-        let one_node = rendered_registry(ExecMode::Parallel, Some(1), coalesce);
+        let serial = rendered_registry(1, None, coalesce);
+        let parallel = rendered_registry(4, None, coalesce);
+        let one_node = rendered_registry(4, Some(1), coalesce);
         assert_eq!(
             serial, parallel,
             "serial and parallel registries must render byte-identically (coalesce={coalesce})"
@@ -246,8 +244,8 @@ fn serve_registry_bit_identical_across_engines() {
     // And the two scheduling modes genuinely differ — the contract is
     // not vacuous.
     assert_ne!(
-        rendered_registry(ExecMode::Serial, None, true),
-        rendered_registry(ExecMode::Serial, None, false),
+        rendered_registry(1, None, true),
+        rendered_registry(1, None, false),
         "coalesced and solo schedules have different wave accounting"
     );
 }

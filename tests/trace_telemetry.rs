@@ -21,7 +21,7 @@ use graphr_repro::graph::generators::rmat::Rmat;
 use graphr_repro::graph::generators::structured::grid;
 use graphr_repro::graph::GraphHandle;
 use graphr_repro::units::FixedSpec;
-use graphr_runtime::{ExecMode, Job, JobReport, JobSpec, Session};
+use graphr_runtime::{Job, JobReport, JobSpec, Session};
 use proptest::prelude::*;
 
 fn test_config() -> GraphRConfig {
@@ -62,7 +62,6 @@ fn graph_specs() -> Vec<JobSpec> {
 fn traced_submit(
     handle: &GraphHandle,
     spec: &JobSpec,
-    mode: ExecMode,
     threads: usize,
     cluster_nodes: Option<usize>,
 ) -> (Arc<TraceSink>, JobReport) {
@@ -74,7 +73,7 @@ fn traced_submit(
         session = session.with_cluster(MultiNodeConfig::pcie_cluster(nodes));
     }
     let report = session
-        .submit(&Job::new(handle.clone(), spec.clone()).with_mode(mode))
+        .submit(&Job::new(handle.clone(), spec.clone()))
         .expect("traced run");
     (sink, report)
 }
@@ -100,7 +99,7 @@ fn tracing_never_changes_results_or_metrics() {
         let plain = Session::new(test_config())
             .submit(&Job::new(h.clone(), spec.clone()))
             .expect("untraced run");
-        let (sink, traced) = traced_submit(&h, &spec, ExecMode::Serial, 1, None);
+        let (sink, traced) = traced_submit(&h, &spec, 1, None);
         assert_eq!(
             plain.output,
             traced.output,
@@ -152,15 +151,15 @@ fn per_job_trace_choice_overrides_the_session_default() {
 
 /// The determinism contract, extended to telemetry: the simulated-clock
 /// event stream — and therefore the exported Chrome trace, byte for byte
-/// — is identical across the serial engine, the parallel engine, and a
-/// one-node cluster, for every application.
+/// — is identical across one worker, four workers, and a one-node
+/// cluster, for every application.
 #[test]
 fn event_streams_identical_across_serial_parallel_and_one_node_cluster() {
     let handle = rmat_handle();
     for spec in graph_specs() {
-        let (serial, _) = traced_submit(&handle, &spec, ExecMode::Serial, 1, None);
-        let (parallel, _) = traced_submit(&handle, &spec, ExecMode::Parallel, 4, None);
-        let (cluster, _) = traced_submit(&handle, &spec, ExecMode::Serial, 1, Some(1));
+        let (serial, _) = traced_submit(&handle, &spec, 1, None);
+        let (parallel, _) = traced_submit(&handle, &spec, 4, None);
+        let (cluster, _) = traced_submit(&handle, &spec, 1, Some(1));
         let evs = serial.events();
         assert!(
             evs.iter()
@@ -199,7 +198,7 @@ fn event_streams_identical_across_serial_parallel_and_one_node_cluster() {
 fn disk_windows_trace_identically_across_modes() {
     let handle = rmat_handle();
     let spec = JobSpec::Sssp(TraversalOptions::default());
-    let run = |mode, threads, nodes: Option<usize>| {
+    let run = |threads, nodes: Option<usize>| {
         let sink = TraceSink::shared();
         let mut session = Session::new(test_config())
             .with_threads(threads)
@@ -209,13 +208,13 @@ fn disk_windows_trace_identically_across_modes() {
             session = session.with_cluster(MultiNodeConfig::pcie_cluster(n));
         }
         session
-            .submit(&Job::new(handle.clone(), spec.clone()).with_mode(mode))
+            .submit(&Job::new(handle.clone(), spec.clone()))
             .expect("traced disk run");
         sink
     };
-    let serial = run(ExecMode::Serial, 1, None);
-    let parallel = run(ExecMode::Parallel, 4, None);
-    let cluster = run(ExecMode::Serial, 1, Some(1));
+    let serial = run(1, None);
+    let parallel = run(4, None);
+    let cluster = run(1, Some(1));
     assert!(
         serial
             .events()
@@ -514,12 +513,12 @@ proptest! {
                 handle.clone()
             };
             let shapes = [
-                ("serial", ExecMode::Serial, 1, None),
-                ("parallel", ExecMode::Parallel, 4, None),
-                ("cluster-4", ExecMode::Serial, 1, Some(4)),
+                ("serial", 1, None),
+                ("parallel", 4, None),
+                ("cluster-4", 1, Some(4)),
             ];
-            for (shape, mode, threads, nodes) in shapes {
-                let (sink, report) = traced_submit(&h, &spec, mode, threads, nodes);
+            for (shape, threads, nodes) in shapes {
+                let (sink, report) = traced_submit(&h, &spec, threads, nodes);
                 let metrics = report.output.metrics();
                 metrics
                     .validate()
