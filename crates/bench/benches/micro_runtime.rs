@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use graphr_bench::perf::bfs_rounds_on;
+use graphr_bench::perf::{bfs_from_zero, bfs_full_plan_rounds};
 use graphr_core::exec::mask::FrontierMask;
 use graphr_core::exec::{ScanEngine, StreamingExecutor};
 use graphr_core::multinode::{ClusterExecutor, MultiNodeConfig, MultiNodeEstimate};
@@ -179,19 +179,6 @@ fn serve_stats_case() {
     );
 }
 
-/// BFS over a dense-plan scan loop runs every iteration in O(|E|); the
-/// pruned-plan loop re-plans from the frontier each round, so iteration
-/// cost follows the (small) wavefront of a high-diameter structured graph.
-fn bfs_rounds(
-    tiled: &TiledGraph,
-    config: &GraphRConfig,
-    pruned: bool,
-) -> (Vec<f64>, graphr_core::Metrics) {
-    let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
-    let mut exec = StreamingExecutor::new(tiled, config, spec);
-    bfs_rounds_on(&mut exec, spec, tiled.num_vertices(), pruned)
-}
-
 fn sparse_frontier_case() {
     // A 120×120 grid: ~14.4 k vertices, diameter ~238 — the frontier is a
     // thin wavefront, the worst case for full scans and the best for
@@ -204,19 +191,28 @@ fn sparse_frontier_case() {
         .build()
         .expect("valid bench geometry");
     let tiled = TiledGraph::preprocess(&g, &config).expect("grid tiles");
+    let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
 
+    // A dense-plan scan loop runs every iteration in O(|E|); the driver
+    // re-plans from the frontier each round, so iteration cost follows
+    // the (small) wavefront of a high-diameter structured graph.
+    let full = || {
+        let mut exec = StreamingExecutor::new(&tiled, &config, spec);
+        bfs_full_plan_rounds(&mut exec, spec, tiled.num_vertices())
+    };
+    let pruned = || bfs_from_zero(&g, &mut StreamingExecutor::new(&tiled, &config, spec));
     let t_full = best_of(2, || {
         let start = Instant::now();
-        let _ = bfs_rounds(&tiled, &config, false);
+        let _ = full();
         start.elapsed()
     });
     let t_pruned = best_of(2, || {
         let start = Instant::now();
-        let _ = bfs_rounds(&tiled, &config, true);
+        let _ = pruned();
         start.elapsed()
     });
-    let (d_full, m_full) = bfs_rounds(&tiled, &config, false);
-    let (d_pruned, m_pruned) = bfs_rounds(&tiled, &config, true);
+    let (d_full, m_full) = full();
+    let (d_pruned, m_pruned) = pruned();
     assert_eq!(d_full, d_pruned, "pruning must not change BFS labels");
     assert!(
         m_pruned.events.bytes_streamed < m_full.events.bytes_streamed,
@@ -293,6 +289,8 @@ fn incremental_planner_case() {
                 break;
             }
         }
+        let inf = spec.max_value();
+        let dist: Vec<Option<f64>> = dist.into_iter().map(|d| (d < inf).then_some(d)).collect();
         (dist, exec.take_metrics(), planning.as_secs_f64())
     };
     let (d_scratch, m_scratch, _) = scratch_run();
@@ -300,10 +298,7 @@ fn incremental_planner_case() {
 
     // Delta planner: the engine's own plan() path; Metrics::plan carries
     // the measured planning time.
-    let delta_run = || {
-        let mut exec = StreamingExecutor::new(&tiled, &config, spec);
-        bfs_rounds_on(&mut exec, spec, n, true)
-    };
+    let delta_run = || bfs_from_zero(&g, &mut StreamingExecutor::new(&tiled, &config, spec));
     let (d_delta, m_delta) = delta_run();
     let t_delta = best_of(5, || {
         std::time::Duration::from_secs_f64(delta_run().1.plan.time.as_secs())
@@ -448,18 +443,14 @@ fn tracing_overhead_case() {
         .build()
         .expect("valid bench geometry");
     let tiled = TiledGraph::preprocess(&g, &config).expect("grid tiles");
-    let n = tiled.num_vertices();
     let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
 
-    let plain_run = || {
-        let mut exec = StreamingExecutor::new(&tiled, &config, spec);
-        bfs_rounds_on(&mut exec, spec, n, true)
-    };
+    let plain_run = || bfs_from_zero(&g, &mut StreamingExecutor::new(&tiled, &config, spec));
     let traced_run = || {
         let sink = TraceSink::shared();
         let mut exec = StreamingExecutor::new(&tiled, &config, spec);
         exec.set_trace(Some(TraceHandle::new(std::sync::Arc::clone(&sink))));
-        let out = bfs_rounds_on(&mut exec, spec, n, true);
+        let out = bfs_from_zero(&g, &mut exec);
         (out, sink)
     };
 
@@ -516,9 +507,10 @@ fn cluster_sparse_frontier_case() {
     let n = tiled.num_vertices();
     let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
 
-    let (d_single, m_single) = bfs_rounds(&tiled, &config, true);
+    let (d_single, m_single) =
+        bfs_from_zero(&g, &mut StreamingExecutor::new(&tiled, &config, spec));
     let mut cluster = ClusterExecutor::new(&tiled, &config, spec, MultiNodeConfig::pcie_cluster(4));
-    let (d_cluster, m_cluster) = bfs_rounds_on(&mut cluster, spec, n, true);
+    let (d_cluster, m_cluster) = bfs_from_zero(&g, &mut cluster);
     assert_eq!(d_single, d_cluster, "partitioning must not change labels");
     assert_eq!(
         m_single.events, m_cluster.events,
@@ -561,16 +553,15 @@ fn out_of_core_sparse_frontier_case(threads: usize) {
         .build()
         .expect("valid bench geometry");
     let tiled = TiledGraph::preprocess(&g, &config).expect("grid tiles");
-    let n = tiled.num_vertices();
     let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
     let disk = DiskModel::nvme();
 
     let mut serial = StreamingExecutor::new(&tiled, &config, spec).with_disk(disk);
-    let (d_serial, m_serial) = bfs_rounds_on(&mut serial, spec, n, true);
+    let (d_serial, m_serial) = bfs_from_zero(&g, &mut serial);
     let mut parallel = StreamingExecutor::new(&tiled, &config, spec)
         .with_threads(threads)
         .with_disk(disk);
-    let (d_parallel, m_parallel) = bfs_rounds_on(&mut parallel, spec, n, true);
+    let (d_parallel, m_parallel) = bfs_from_zero(&g, &mut parallel);
     assert_eq!(d_serial, d_parallel, "disk model must not change labels");
     assert_eq!(
         m_serial, m_parallel,
@@ -610,10 +601,10 @@ fn out_of_core_sparse_frontier_case(threads: usize) {
     // row shows between `--disk none` and `--disk sata`).
     {
         use graphr_core::analyze::{BottleneckReport, Resource};
-        let (_, m_incore) = bfs_rounds(&tiled, &config, true);
+        let (_, m_incore) = bfs_from_zero(&g, &mut StreamingExecutor::new(&tiled, &config, spec));
         let mut sata =
             StreamingExecutor::new(&tiled, &config, spec).with_disk(DiskModel::sata_ssd());
-        let (_, m_sata) = bfs_rounds_on(&mut sata, spec, n, true);
+        let (_, m_sata) = bfs_from_zero(&g, &mut sata);
         assert_eq!(
             BottleneckReport::classify(&m_incore).bound,
             Resource::Compute,
@@ -678,9 +669,9 @@ fn pipelined_prefetch_case(threads: usize) {
     // the read-ahead is active and the compute lane waits strictly less
     // on the drive without the overlapped wall ever regressing.
     let mut serial_off = StreamingExecutor::new(&tiled, &config, spec).with_disk(off);
-    let (d_off, m_off) = bfs_rounds_on(&mut serial_off, spec, n, true);
+    let (d_off, m_off) = bfs_from_zero(&g, &mut serial_off);
     let mut serial_on = StreamingExecutor::new(&tiled, &config, spec).with_disk(on);
-    let (d_on, m_on) = bfs_rounds_on(&mut serial_on, spec, n, true);
+    let (d_on, m_on) = bfs_from_zero(&g, &mut serial_on);
     assert_eq!(d_off, d_on, "prefetch must not change labels");
     assert_eq!(m_off.events, m_on.events, "prefetch must not change events");
     assert_eq!(
@@ -703,10 +694,10 @@ fn pipelined_prefetch_case(threads: usize) {
     let mut parallel_on = StreamingExecutor::new(&tiled, &config, spec)
         .with_threads(threads)
         .with_disk(on);
-    let (d_par, m_par) = bfs_rounds_on(&mut parallel_on, spec, n, true);
+    let (d_par, m_par) = bfs_from_zero(&g, &mut parallel_on);
     let mut cluster_on =
         ClusterExecutor::new(&tiled, &config, spec, MultiNodeConfig::pcie_cluster(1)).with_disk(on);
-    let (d_clu, m_clu) = bfs_rounds_on(&mut cluster_on, spec, n, true);
+    let (d_clu, m_clu) = bfs_from_zero(&g, &mut cluster_on);
     assert_eq!(d_on, d_par, "parallel prefetch must not change labels");
     assert_eq!(
         d_on, d_clu,
@@ -725,7 +716,7 @@ fn pipelined_prefetch_case(threads: usize) {
     // idle tail to fund reads ahead, and the capped demand pricing keeps
     // the run inside the legacy aggregate bound.
     let mut dense_on = StreamingExecutor::new(&tiled, &config, spec).with_disk(on);
-    let (_, m_dense) = bfs_rounds_on(&mut dense_on, spec, n, false);
+    let (_, m_dense) = bfs_full_plan_rounds(&mut dense_on, spec, n);
     let legacy = estimate_out_of_core(&tiled, &m_dense, &off);
     assert!(
         m_dense.disk.overlapped <= legacy.overlapped_time,

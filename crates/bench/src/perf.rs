@@ -13,15 +13,15 @@
 //! the BFS drivers below so both harnesses measure the same loops.
 
 use graphr_core::analyze::BottleneckReport;
-use graphr_core::exec::mask::{FrontierDelta, FrontierMask};
+use graphr_core::exec::mask::FrontierMask;
 use graphr_core::exec::{ScanEngine, StreamingExecutor};
 use graphr_core::multinode::{ClusterExecutor, MultiNodeConfig};
 use graphr_core::outofcore::DiskModel;
-use graphr_core::sim::{run_bfs_lanes_with, LaneTraversalOptions, TraversalOptions};
+use graphr_core::sim::{run_bfs_lanes_with, run_bfs_with, LaneTraversalOptions, TraversalOptions};
 use graphr_core::stats::Histogram;
 use graphr_core::{GraphRConfig, Metrics, TiledGraph};
 use graphr_graph::generators::structured::grid;
-use graphr_graph::GraphHandle;
+use graphr_graph::{EdgeList, GraphHandle};
 use graphr_runtime::{Job, JobSpec, ServeConfig, Server, Session};
 use graphr_units::FixedSpec;
 
@@ -44,31 +44,30 @@ pub fn bfs_spec() -> FixedSpec {
     FixedSpec::new(16, 0).expect("Q16.0 is valid")
 }
 
-/// The BFS iteration loop over any engine (any thread count, with or
-/// without a disk model or cluster attached). `spec` must be the label
-/// format the engine was built with. `pruned` selects frontier-pruned
-/// plans patched by driver-supplied deltas; `false` runs every iteration
-/// as a full scan.
-pub fn bfs_rounds_on(
+/// BFS from vertex 0 through the simulator's driver
+/// ([`run_bfs_with`]) on any engine (any thread count, with or without a
+/// disk model or cluster attached): frontier-pruned plans patched by the
+/// driver's deltas. The engine must use [`bfs_spec`].
+pub fn bfs_from_zero(graph: &EdgeList, exec: &mut dyn ScanEngine) -> (Vec<Option<f64>>, Metrics) {
+    let run = run_bfs_with(graph, exec, &TraversalOptions::default()).expect("vertex 0 exists");
+    (run.distances, run.metrics)
+}
+
+/// The unpruned reference for [`bfs_from_zero`]: the same BFS with every
+/// round scanning the dense full plan over `n` vertices. `spec` must be
+/// the label format the engine was built with.
+pub fn bfs_full_plan_rounds(
     exec: &mut dyn ScanEngine,
     spec: FixedSpec,
     n: usize,
-    pruned: bool,
-) -> (Vec<f64>, Metrics) {
+) -> (Vec<Option<f64>>, Metrics) {
     let inf = spec.max_value();
     let mut dist = vec![inf; n];
     dist[0] = 0.0;
     let mut active = FrontierMask::new(n);
     active.set(0);
-    let mut delta: Option<FrontierDelta> = None;
     for _ in 0..n {
-        let plan = if !pruned {
-            exec.plan(None)
-        } else if let Some(d) = &delta {
-            exec.plan_with_delta(&active, d)
-        } else {
-            exec.plan(Some(&active))
-        };
+        let plan = exec.plan(None);
         let mut frontier = dist.clone();
         let mut updated = FrontierMask::new(n);
         exec.scan_add_op_planned(
@@ -82,13 +81,13 @@ pub fn bfs_rounds_on(
         );
         exec.end_iteration();
         dist = frontier;
-        delta = Some(FrontierDelta::between(&active, &updated));
         active = updated;
         if active.is_empty() {
             break;
         }
     }
-    (dist, exec.take_metrics())
+    let distances = dist.into_iter().map(|d| (d < inf).then_some(d)).collect();
+    (distances, exec.take_metrics())
 }
 
 /// The serve scenario's latency summary: admission counters plus the
@@ -241,20 +240,22 @@ pub fn render_json(rows: &[ScenarioRow]) -> String {
 /// Pruned-plan BFS on the 120×120 grid (the sparse-frontier win).
 #[must_use]
 pub fn sparse_frontier() -> ScenarioRow {
+    let g = grid(120, 120);
     let config = bench_config();
-    let tiled = TiledGraph::preprocess(&grid(120, 120), &config).expect("grid tiles");
+    let tiled = TiledGraph::preprocess(&g, &config).expect("grid tiles");
     let mut exec = StreamingExecutor::new(&tiled, &config, bfs_spec());
-    let (_, m) = bfs_rounds_on(&mut exec, bfs_spec(), tiled.num_vertices(), true);
+    let (_, m) = bfs_from_zero(&g, &mut exec);
     ScenarioRow::from_metrics("sparse_frontier", &m)
 }
 
 /// Hierarchical-mask BFS with driver-supplied deltas on the 240×240 grid.
 #[must_use]
 pub fn frontier_mask() -> ScenarioRow {
+    let g = grid(240, 240);
     let config = bench_config();
-    let tiled = TiledGraph::preprocess(&grid(240, 240), &config).expect("grid tiles");
+    let tiled = TiledGraph::preprocess(&g, &config).expect("grid tiles");
     let mut exec = StreamingExecutor::new(&tiled, &config, bfs_spec());
-    let (_, m) = bfs_rounds_on(&mut exec, bfs_spec(), tiled.num_vertices(), true);
+    let (_, m) = bfs_from_zero(&g, &mut exec);
     ScenarioRow::from_metrics("frontier_mask", &m)
 }
 
@@ -275,10 +276,11 @@ pub fn fused_wave() -> ScenarioRow {
 /// Pruned BFS on the 240×240 grid in the out-of-core regime.
 #[must_use]
 pub fn out_of_core(disk: DiskModel, name: &'static str) -> ScenarioRow {
+    let g = grid(240, 240);
     let config = bench_config();
-    let tiled = TiledGraph::preprocess(&grid(240, 240), &config).expect("grid tiles");
+    let tiled = TiledGraph::preprocess(&g, &config).expect("grid tiles");
     let mut exec = StreamingExecutor::new(&tiled, &config, bfs_spec()).with_disk(disk);
-    let (_, m) = bfs_rounds_on(&mut exec, bfs_spec(), tiled.num_vertices(), true);
+    let (_, m) = bfs_from_zero(&g, &mut exec);
     ScenarioRow::from_metrics(name, &m)
 }
 
@@ -286,15 +288,16 @@ pub fn out_of_core(disk: DiskModel, name: &'static str) -> ScenarioRow {
 /// PCIe cluster.
 #[must_use]
 pub fn cluster() -> ScenarioRow {
+    let g = grid(120, 120);
     let config = bench_config();
-    let tiled = TiledGraph::preprocess(&grid(120, 120), &config).expect("grid tiles");
+    let tiled = TiledGraph::preprocess(&g, &config).expect("grid tiles");
     let mut cluster = ClusterExecutor::new(
         &tiled,
         &config,
         bfs_spec(),
         MultiNodeConfig::pcie_cluster(4),
     );
-    let (_, m) = bfs_rounds_on(&mut cluster, bfs_spec(), tiled.num_vertices(), true);
+    let (_, m) = bfs_from_zero(&g, &mut cluster);
     ScenarioRow::from_metrics("cluster_4node", &m)
 }
 

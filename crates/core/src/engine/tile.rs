@@ -197,22 +197,20 @@ impl TileCompute {
         }
     }
 
-    /// Entries stored on `row` as `(col, value)` pairs — the fast path for
-    /// sparse row iteration. Available in both fidelities (in analog mode
+    /// Entries stored on `row` as `(col, value)` pairs, written into
+    /// `out` (cleared first) so the add-op scan reuses one buffer for
+    /// every row it drives. Available in both fidelities (in analog mode
     /// derived from the row read, skipping exact zeros).
-    #[must_use]
-    pub fn row_entries(&self, row: usize) -> Vec<(usize, f64)> {
+    pub fn row_entries(&self, row: usize, out: &mut Vec<(usize, f64)>) {
+        out.clear();
         match self.fidelity {
-            Fidelity::Analog => self
-                .row(row)
-                .into_iter()
-                .enumerate()
-                .filter(|&(_, v)| v != 0.0)
-                .collect(),
-            Fidelity::Fast => self.rows[row]
-                .iter()
-                .map(|&(c, v)| (c as usize, v))
-                .collect(),
+            Fidelity::Analog => out.extend(
+                self.row(row)
+                    .into_iter()
+                    .enumerate()
+                    .filter(|&(_, v)| v != 0.0),
+            ),
+            Fidelity::Fast => out.extend(self.rows[row].iter().map(|&(c, v)| (c as usize, v))),
         }
     }
 }
@@ -237,6 +235,12 @@ mod tests {
 
     fn config(fidelity: Fidelity) -> GraphRConfig {
         GraphRConfig::builder().fidelity(fidelity).build().unwrap()
+    }
+
+    fn row_entries_of(tile: &TileCompute, row: usize) -> Vec<(usize, f64)> {
+        let mut out = vec![(9, 9.0)]; // stale content must be cleared
+        tile.row_entries(row, &mut out);
+        out
     }
 
     #[test]
@@ -288,8 +292,8 @@ mod tests {
         for fidelity in [Fidelity::Fast, Fidelity::Analog] {
             let mut tile = TileCompute::new(&config(fidelity), FixedSpec::new(16, 0).unwrap());
             tile.load(&e, &v, MergeRule::Sum);
-            assert_eq!(tile.row_entries(2), vec![(1, 3.0), (6, 5.0)]);
-            assert!(tile.row_entries(0).is_empty());
+            assert_eq!(row_entries_of(&tile, 2), vec![(1, 3.0), (6, 5.0)]);
+            assert!(row_entries_of(&tile, 0).is_empty());
         }
     }
 
@@ -301,8 +305,11 @@ mod tests {
         tile.load(&e1, &v1, MergeRule::Sum);
         let (e2, v2) = entries(&[(5, 5, 2.0)]);
         tile.load(&e2, &v2, MergeRule::Sum);
-        assert!(tile.row_entries(0).is_empty(), "old entry must be gone");
-        assert_eq!(tile.row_entries(5), vec![(5, 2.0)]);
+        assert!(
+            row_entries_of(&tile, 0).is_empty(),
+            "old entry must be gone"
+        );
+        assert_eq!(row_entries_of(&tile, 5), vec![(5, 2.0)]);
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! [`LaneFrontier::lane_len`] — the per-iteration per-query frontier
 //! size the fused drivers report — is O(1), exactly like
 //! [`FrontierMask::len`].
+//!
+//! A single traversal is a one-lane run, so one lane is the common case.
+//! With one lane the union *is* lane 0: the frontier keeps only its
+//! union mask and no per-vertex lane words, so a one-lane round costs
+//! what a plain [`FrontierMask`] costs.
 
 use crate::exec::mask::FrontierMask;
 
@@ -29,7 +34,8 @@ pub const MAX_LANES: usize = 64;
 pub struct LaneFrontier {
     /// Number of lanes (queries) in use; lane bits ≥ `k` are always zero.
     k: usize,
-    /// One lane word per vertex (bit `q` = query `q` active here).
+    /// One lane word per vertex (bit `q` = query `q` active here);
+    /// empty with one lane, where `union` is lane 0.
     words: Vec<u64>,
     /// Vertices whose lane word is nonzero.
     union: FrontierMask,
@@ -51,7 +57,7 @@ impl LaneFrontier {
         );
         LaneFrontier {
             k,
-            words: vec![0; n],
+            words: if k == 1 { Vec::new() } else { vec![0; n] },
             union: FrontierMask::new(n),
             counts: vec![0; k],
         }
@@ -71,7 +77,9 @@ impl LaneFrontier {
         } else {
             (1u64 << k) - 1
         };
-        lanes.words.fill(all);
+        if k > 1 {
+            lanes.words.fill(all);
+        }
         lanes.union = FrontierMask::full(n);
         lanes.counts.fill(n as u64);
         lanes
@@ -112,14 +120,18 @@ impl LaneFrontier {
     /// Vertices the frontier ranges over.
     #[must_use]
     pub fn num_vertices(&self) -> usize {
-        self.words.len()
+        self.union.num_vertices()
     }
 
     /// The lane word of vertex `v`: bit `q` set iff query `q` is active
     /// at `v` (0 for `v` past the end).
     #[must_use]
     pub fn vertex_lanes(&self, v: usize) -> u64 {
-        self.words.get(v).copied().unwrap_or(0)
+        if self.k == 1 {
+            u64::from(self.union.get(v))
+        } else {
+            self.words.get(v).copied().unwrap_or(0)
+        }
     }
 
     /// Whether query `lane` is active at vertex `v`.
@@ -136,16 +148,7 @@ impl LaneFrontier {
     /// Panics if `lane` or `v` is out of range.
     pub fn set(&mut self, lane: usize, v: usize) -> bool {
         assert!(lane < self.k, "lane {lane} out of range {}", self.k);
-        let bit = 1u64 << lane;
-        if self.words[v] & bit != 0 {
-            return false;
-        }
-        if self.words[v] == 0 {
-            self.union.set(v);
-        }
-        self.words[v] |= bit;
-        self.counts[lane] += 1;
-        true
+        self.or_lanes(v, 1u64 << lane)
     }
 
     /// Deactivates vertex `v` in `lane`; returns whether the bit changed.
@@ -155,33 +158,45 @@ impl LaneFrontier {
     /// Panics if `lane` or `v` is out of range.
     pub fn clear(&mut self, lane: usize, v: usize) -> bool {
         assert!(lane < self.k, "lane {lane} out of range {}", self.k);
-        let bit = 1u64 << lane;
-        if self.words[v] & bit == 0 {
-            return false;
-        }
-        self.words[v] &= !bit;
-        if self.words[v] == 0 {
-            self.union.clear(v);
+        if self.k == 1 {
+            if !self.union.clear(v) {
+                return false;
+            }
+        } else {
+            let bit = 1u64 << lane;
+            if self.words[v] & bit == 0 {
+                return false;
+            }
+            self.words[v] &= !bit;
+            if self.words[v] == 0 {
+                self.union.clear(v);
+            }
         }
         self.counts[lane] -= 1;
         true
     }
 
-    /// ORs a lane word into vertex `v` (the parallel merge path: unit
-    /// workers accumulate local lane words, merged in plan order).
+    /// ORs a lane word into vertex `v` (the merge path: unit workers
+    /// accumulate local lane words, merged in plan order); returns whether
+    /// any bit changed.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range or `word` names lanes ≥ `k`.
-    pub fn or_lanes(&mut self, v: usize, word: u64) {
+    pub fn or_lanes(&mut self, v: usize, word: u64) -> bool {
         assert!(
             self.k == MAX_LANES || word >> self.k == 0,
             "lane word {word:#x} names lanes past {}",
             self.k
         );
+        if self.k == 1 {
+            let fresh = word != 0 && self.union.set(v);
+            self.counts[0] += u64::from(fresh);
+            return fresh;
+        }
         let fresh = word & !self.words[v];
         if fresh == 0 {
-            return;
+            return false;
         }
         if self.words[v] == 0 {
             self.union.set(v);
@@ -193,6 +208,7 @@ impl LaneFrontier {
             bits &= bits - 1;
             self.counts[q] += 1;
         }
+        true
     }
 
     /// Number of active vertices in `lane` — O(1), the maintained count.
@@ -226,6 +242,9 @@ impl LaneFrontier {
     /// and test use; the scan paths read lane words directly).
     #[must_use]
     pub fn lane(&self, lane: usize) -> FrontierMask {
+        if self.k == 1 {
+            return self.union.clone();
+        }
         let mut mask = FrontierMask::new(self.num_vertices());
         let bit = 1u64 << lane;
         for v in self.union.iter() {
@@ -297,6 +316,30 @@ mod tests {
         assert_eq!(lanes.lane(0), m0);
         assert_eq!(lanes.lane(1), m1);
         assert_eq!(lanes.union().len(), 2);
+    }
+
+    #[test]
+    fn one_lane_is_its_union_mask() {
+        let mut lanes = LaneFrontier::new(200, 1);
+        assert!(lanes.words.is_empty(), "one lane keeps no lane words");
+        assert!(lanes.set(0, 7));
+        assert!(!lanes.set(0, 7));
+        assert!(lanes.or_lanes(150, 1));
+        assert!(!lanes.or_lanes(150, 1));
+        assert!(!lanes.or_lanes(3, 0));
+        assert_eq!(lanes.vertex_lanes(7), 1);
+        assert_eq!(lanes.vertex_lanes(8), 0);
+        assert_eq!(lanes.vertex_lanes(500), 0, "past the end");
+        assert_eq!(lanes.lane_len(0), 2);
+        assert_eq!(&lanes.lane(0), lanes.union());
+        assert!(lanes.clear(0, 7));
+        assert!(!lanes.clear(0, 7));
+        assert_eq!(lanes.lane_len(0), 1);
+        assert_eq!(lanes.union().iter().collect::<Vec<_>>(), vec![150]);
+        let full = LaneFrontier::full(200, 1);
+        assert!(full.words.is_empty());
+        assert_eq!(full.lane_len(0), 200);
+        assert_eq!(full.vertex_lanes(199), 1);
     }
 
     #[test]

@@ -30,10 +30,13 @@
 //!
 //! [`strip`] exposes the scan's parallel-safe decomposition: one
 //! [`strip::StripUnit`] per global destination strip, executed by a
-//! per-worker [`strip::StripScanner`]. [`pool`] is the scoped worker pool
-//! the executor fans units out on; its thread count only schedules the
-//! one per-unit path, so results and metrics are bit-identical at any
-//! count by construction.
+//! per-worker [`strip::StripScanner`] with one kernel per mapping
+//! pattern. The add-op kernel advances K ≤ 64 queries ([`lanes`]) per
+//! pass; a single traversal is a one-lane run, so there is one add-op
+//! path from the drivers down to the strip. [`pool`] is the scoped
+//! worker pool the executor fans units out on; its thread count only
+//! schedules the one per-unit path, so results and metrics are
+//! bit-identical at any count by construction.
 //!
 //! [`ScanEngine`] abstracts over engines so the `sim` drivers can run
 //! the same algorithm loops on the executor or on a simulated cluster of
@@ -75,7 +78,9 @@ use crate::trace::TraceHandle;
 ///
 /// The planned methods are the primitives; the plain [`ScanEngine::scan_mac`]
 /// and [`ScanEngine::scan_add_op`] are provided conveniences that execute
-/// the dense full plan.
+/// the dense full plan. Add-op scans have one primitive,
+/// [`ScanEngine::scan_add_op_lanes_planned`]; the single-query
+/// [`ScanEngine::scan_add_op_planned`] is its provided one-lane case.
 pub trait ScanEngine {
     /// Builds a scan plan for this engine's preprocessed graph: the dense
     /// full plan for `None`, or one pruned to the subgraphs holding at
@@ -109,32 +114,15 @@ pub trait ScanEngine {
         inputs: &[&[f64]],
     ) -> Vec<Vec<f64>>;
 
-    /// One parallel-add-op pass (§4.2) over a plan; see
-    /// [`StreamingExecutor::scan_add_op_planned`].
-    #[allow(clippy::too_many_arguments)]
-    fn scan_add_op_planned(
-        &mut self,
-        plan: &ScanPlan,
-        value: &EdgeValueFn<'_>,
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-        addend: &[f64],
-        active: &FrontierMask,
-        frontier: &mut [f64],
-        updated: &mut FrontierMask,
-    ) -> u64;
-
-    /// One fused parallel-add-op pass advancing all K lanes of `active`
+    /// One parallel-add-op pass (§4.2) advancing all K lanes of `active`
     /// over one plan — normally the *union* plan derived from
     /// [`LaneFrontier::union`], so one scan of the planned edge stream
     /// serves every query; see
     /// [`StreamingExecutor::scan_add_op_lanes_planned`]. `addends` and
     /// `frontiers` carry one buffer per lane; lowered destinations are
     /// recorded per lane in `updated`. Returns the per-lane row drives.
-    ///
-    /// Defaulted to K successive single-lane passes so trait objects and
-    /// test doubles stay valid: per-lane results are identical, but the
-    /// fallback charges the machine per lane instead of sharing the
-    /// stream — real engines override with the fused scan.
+    /// This is the only add-op primitive: a single query is a one-lane
+    /// run.
     #[allow(clippy::too_many_arguments)]
     fn scan_add_op_lanes_planned(
         &mut self,
@@ -145,25 +133,43 @@ pub trait ScanEngine {
         active: &LaneFrontier,
         frontiers: &mut [Vec<f64>],
         updated: &mut LaneFrontier,
+    ) -> u64;
+
+    /// One single-query parallel-add-op pass over a plan: `addend` holds
+    /// the current labels (read for active sources), `frontier` the next
+    /// labels (min-updated in place), and `updated` gains every
+    /// destination whose label dropped (bits it already holds are kept).
+    /// Provided as the one-lane case of
+    /// [`ScanEngine::scan_add_op_lanes_planned`], so it charges exactly
+    /// what a one-lane run charges.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_add_op_planned(
+        &mut self,
+        plan: &ScanPlan,
+        value: &EdgeValueFn<'_>,
+        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
+        addend: &[f64],
+        active: &FrontierMask,
+        frontier: &mut [f64],
+        updated: &mut FrontierMask,
     ) -> u64 {
-        let mut total = 0u64;
-        for q in 0..active.num_lanes() {
-            let lane_mask = active.lane(q);
-            let mut lane_updated = FrontierMask::new(active.num_vertices());
-            total += self.scan_add_op_planned(
-                plan,
-                value,
-                combine,
-                &addends[q],
-                &lane_mask,
-                &mut frontiers[q],
-                &mut lane_updated,
-            );
-            for v in lane_updated.iter() {
-                updated.set(q, v);
-            }
+        let active = LaneFrontier::from_masks(std::slice::from_ref(active));
+        let mut lane_updated = LaneFrontier::new(active.num_vertices(), 1);
+        let mut frontiers = [frontier.to_vec()];
+        let rows = self.scan_add_op_lanes_planned(
+            plan,
+            value,
+            combine,
+            &[addend.to_vec()],
+            &active,
+            &mut frontiers,
+            &mut lane_updated,
+        );
+        frontier.copy_from_slice(&frontiers[0]);
+        for v in lane_updated.union().iter() {
+            updated.set(v);
         }
-        total
+        rows
     }
 
     /// One parallel-MAC pass over the whole graph (the dense full plan).

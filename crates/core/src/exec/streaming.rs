@@ -7,23 +7,24 @@
 //!   through an `add`-configured sALU. PageRank and SpMV use one input
 //!   vector; collaborative filtering amortises one programming pass over
 //!   `F` feature vectors.
-//! * [`StreamingExecutor::scan_add_op`] — parallel add-op (§4.2): active
-//!   wordlines are driven one at a time (Figure 16 c3's `t = 1..4`); the
-//!   row's stored weights plus the source's distance label are min-reduced
-//!   into RegO by the sALU, and lowered destinations become active for the
-//!   next iteration.
+//! * [`StreamingExecutor::scan_add_op_lanes_planned`] — parallel add-op
+//!   (§4.2): active wordlines are driven one at a time (Figure 16 c3's
+//!   `t = 1..4`); the row's stored weights plus the source's distance label
+//!   are min-reduced into RegO by the sALU, and lowered destinations become
+//!   active for the next iteration. It advances K ≤ 64 queries (lanes) per
+//!   pass over one streamed plan; a single query is the one-lane case.
 //!
 //! Both primitives execute a [`ScanPlan`] — the ordered
 //! [`PlanUnit`]s of either the dense full plan or a frontier-pruned plan
 //! (see [`crate::exec::plan`]) — one unit at a time through a
 //! [`StripScanner`], then merge per-unit [`Metrics`] and results in plan
-//! order. Every scan kind (MAC, add-op, fused lanes) runs through that one
-//! per-unit path. The worker count ([`StreamingExecutor::with_threads`])
-//! only schedules it: at one thread units run inline on the calling
-//! thread with reused scratch; at more, they fan out over scoped workers
-//! that each keep their own long-lived scanner. Results and accounting are
-//! therefore bit-identical at any thread count (see
-//! [`crate::exec::strip`]).
+//! order. Both scan kinds run through that one per-unit path, and each
+//! has one strip kernel. The worker count
+//! ([`StreamingExecutor::with_threads`]) only schedules it: at one thread
+//! units run inline on the calling thread with reused scratch; at more,
+//! they fan out over scoped workers that each keep their own long-lived
+//! scanner. Results and accounting are therefore bit-identical at any
+//! thread count (see [`crate::exec::strip`]).
 //!
 //! # Timing: dense tile packing within a strip
 //!
@@ -300,107 +301,21 @@ impl<'a> StreamingExecutor<'a> {
         outputs
     }
 
-    /// One parallel-add-op pass (Figure 16 c3): for each tile containing an
-    /// edge from an active source, the active rows are driven serially; the
-    /// candidate `combine(addend[src], stored_weight)` is min-reduced into
-    /// `frontier`. Returns how many source-row activations executed.
+    /// One parallel-add-op pass (Figure 16 c3) advancing all K lanes of
+    /// `active` over one plan — normally the union plan built from
+    /// [`LaneFrontier::union`]. Each planned subgraph is streamed and
+    /// programmed once; active rows are driven once per lane holding them
+    /// (every lane needs its own `dist(u)` on the constant line, so lanes
+    /// serialise on the wordline), and each lane min-reduces the candidate
+    /// `combine(addends[q][src], stored_weight)` into its own
+    /// `frontiers[q]` buffer. Lowered destinations are recorded per lane
+    /// in `updated`. Returns the per-lane row drives.
     ///
     /// `combine` is the relaxation arithmetic — `du + w` for SSSP (the
     /// crossbar row plus the constant line of Figure 16), `du + 1` for BFS,
-    /// plain `du` for label propagation. `addend` is the current label
-    /// vector (read for active sources), `frontier` the next labels
-    /// (min-updated in place), and `updated` marks destinations whose label
-    /// dropped (active next iteration).
-    pub fn scan_add_op(
-        &mut self,
-        value: &EdgeValueFn<'_>,
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-        addend: &[f64],
-        active: &FrontierMask,
-        frontier: &mut [f64],
-        updated: &mut FrontierMask,
-    ) -> u64 {
-        let plan = self.planner.skeleton().full_plan();
-        self.scan_add_op_planned(&plan, value, combine, addend, active, frontier, updated)
-    }
-
-    /// [`StreamingExecutor::scan_add_op`] over an explicit [`ScanPlan`] —
-    /// typically one pruned by the current frontier, making the iteration
-    /// cost proportional to active work instead of `O(|E|)`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn scan_add_op_planned(
-        &mut self,
-        plan: &ScanPlan,
-        value: &EdgeValueFn<'_>,
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-        addend: &[f64],
-        active: &FrontierMask,
-        frontier: &mut [f64],
-        updated: &mut FrontierMask,
-    ) -> u64 {
-        let n = self.tiled.num_vertices();
-        assert_eq!(addend.len(), n, "addend must have one entry per vertex");
-        assert_eq!(
-            active.num_vertices(),
-            n,
-            "active mask must range over every vertex"
-        );
-        assert_eq!(frontier.len(), n, "frontier must have one entry per vertex");
-        assert_eq!(
-            updated.num_vertices(),
-            n,
-            "updated mask must range over every vertex"
-        );
-        let width = self.config.strip_width();
-        let rows = self.run_units(
-            plan,
-            &mut (frontier, updated),
-            || (vec![0.0; width], vec![false; width]),
-            |scanner, punit, (frontier, _), (frontier_local, updated_local), metrics| {
-                let dst = dst_range(punit);
-                frontier_local[..dst.len()].copy_from_slice(&frontier[dst.clone()]);
-                updated_local[..dst.len()].fill(false);
-                scanner.scan_add_op_unit(
-                    punit,
-                    value,
-                    combine,
-                    addend,
-                    active,
-                    frontier_local,
-                    updated_local,
-                    metrics,
-                )
-            },
-            |punit, (frontier_local, updated_local), (frontier, updated)| {
-                let dst = dst_range(punit);
-                frontier[dst.clone()].copy_from_slice(&frontier_local[..dst.len()]);
-                // Units tile the destination axis disjointly and the scan
-                // only ever *sets* bits, so set-only write-back preserves
-                // whatever the caller seeded.
-                for (i, &hit) in updated_local[..dst.len()].iter().enumerate() {
-                    if hit {
-                        updated.set(dst.start + i);
-                    }
-                }
-            },
-        );
-        self.finish_scan(plan, width as u64);
-        rows
-    }
-
-    /// One *fused* parallel-add-op pass advancing all K lanes of `active`
-    /// over one plan — normally the union plan built from
-    /// [`LaneFrontier::union`]. Each planned subgraph is streamed and
-    /// programmed once; union-active rows are driven once per lane holding
-    /// them (every lane needs its own `dist(u)` on the constant line, so
-    /// lanes serialise on the wordline), and each lane min-reduces into its
-    /// own `frontiers[q]` buffer. Lowered destinations are recorded per
-    /// lane in `updated`. Returns the per-lane row drives.
-    ///
-    /// With one lane this delegates to
-    /// [`StreamingExecutor::scan_add_op_planned`], so a K=1 fused run is
-    /// the unfused run — identical results *and* identical machine
-    /// accounting by construction.
+    /// plain `du` for label propagation. A single query is the one-lane
+    /// case; [`ScanEngine::scan_add_op_planned`] wraps one for callers
+    /// holding plain masks.
     #[allow(clippy::too_many_arguments)]
     pub fn scan_add_op_lanes_planned(
         &mut self,
@@ -435,32 +350,14 @@ impl<'a> StreamingExecutor<'a> {
                 "lane {q} frontier must have one entry per vertex"
             );
         }
-        if k == 1 {
-            let lane_mask = active.lane(0);
-            let mut lane_updated = FrontierMask::new(n);
-            let rows = self.scan_add_op_planned(
-                plan,
-                value,
-                combine,
-                &addends[0],
-                &lane_mask,
-                &mut frontiers[0],
-                &mut lane_updated,
-            );
-            for v in lane_updated.iter() {
-                updated.set(0, v);
-            }
-            return rows;
-        }
         let width = self.config.strip_width();
-        let addend_refs: Vec<&[f64]> = addends.iter().map(Vec::as_slice).collect();
         let rows = self.run_units(
             plan,
             &mut (frontiers, updated),
-            || (vec![vec![0.0; width]; k], vec![0u64; width]),
+            || (vec![0.0; k * width], vec![0u64; width]),
             |scanner, punit, (frontiers, _), (frontier_locals, updated_local), metrics| {
                 let dst = dst_range(punit);
-                for (buf, frontier) in frontier_locals.iter_mut().zip(frontiers.iter()) {
+                for (buf, frontier) in frontier_locals.chunks_mut(width).zip(frontiers.iter()) {
                     buf[..dst.len()].copy_from_slice(&frontier[dst.clone()]);
                 }
                 updated_local[..dst.len()].fill(0);
@@ -468,7 +365,7 @@ impl<'a> StreamingExecutor<'a> {
                     punit,
                     value,
                     combine,
-                    &addend_refs,
+                    addends,
                     active,
                     frontier_locals,
                     updated_local,
@@ -477,7 +374,7 @@ impl<'a> StreamingExecutor<'a> {
             },
             |punit, (frontier_locals, updated_local), (frontiers, updated)| {
                 let dst = dst_range(punit);
-                for (buf, frontier) in frontier_locals.iter().zip(frontiers.iter_mut()) {
+                for (buf, frontier) in frontier_locals.chunks(width).zip(frontiers.iter_mut()) {
                     frontier[dst.clone()].copy_from_slice(&buf[..dst.len()]);
                 }
                 // Units tile the destination axis disjointly and the scan
@@ -543,21 +440,6 @@ impl ScanEngine for StreamingExecutor<'_> {
         inputs: &[&[f64]],
     ) -> Vec<Vec<f64>> {
         StreamingExecutor::scan_mac_planned(self, plan, value, inputs)
-    }
-
-    fn scan_add_op_planned(
-        &mut self,
-        plan: &ScanPlan,
-        value: &EdgeValueFn<'_>,
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-        addend: &[f64],
-        active: &FrontierMask,
-        frontier: &mut [f64],
-        updated: &mut FrontierMask,
-    ) -> u64 {
-        StreamingExecutor::scan_add_op_planned(
-            self, plan, value, combine, addend, active, frontier, updated,
-        )
     }
 
     fn scan_add_op_lanes_planned(

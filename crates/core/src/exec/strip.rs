@@ -106,6 +106,12 @@ pub struct StripScanner<'a> {
     value_buf: Vec<f64>,
     /// Scratch: chunk-local input slice.
     input_buf: Vec<f64>,
+    /// Scratch: one subgraph's active rows with their lane words.
+    row_buf: Vec<(usize, u64)>,
+    /// Scratch: one tile row's stored `(col, value)` entries.
+    entry_buf: Vec<(usize, f64)>,
+    /// Scratch: one strip visit's per-tile driven-row counts.
+    tile_rows_buf: Vec<u64>,
 }
 
 impl<'a> StripScanner<'a> {
@@ -124,6 +130,9 @@ impl<'a> StripScanner<'a> {
             tile: TileCompute::new(config, spec),
             value_buf: Vec::with_capacity(c * c),
             input_buf: vec![0.0; c],
+            row_buf: Vec::with_capacity(c),
+            entry_buf: Vec::with_capacity(c),
+            tile_rows_buf: Vec::new(),
         }
     }
 
@@ -351,116 +360,36 @@ impl<'a> StripScanner<'a> {
         ev.bytes_streamed += edges * BYTES_PER_EDGE;
     }
 
-    /// One parallel-add-op pass over a single planned unit (Figure 16 c3):
-    /// active rows are driven serially; candidates are min-reduced into the
-    /// unit-local `frontier` (at least `strip_width` entries, pre-seeded
-    /// with the strip's current labels by the caller), with `updated`
-    /// marking lowered destinations. Returns the source-row activations
-    /// executed.
+    /// One parallel-add-op pass over a single planned unit (Figure 16 c3)
+    /// advancing all K lanes of `active` at once. This is the only add-op
+    /// kernel: a single query is the one-lane case.
     ///
-    /// Every subgraph the plan lists is *streamed* (edge bytes flow past
-    /// the scanner and are charged), but only those with an active source
-    /// row cost GE work; a subgraph with none counts as
-    /// `subgraphs_skipped_inactive`. Subgraphs a pruned plan excluded are
-    /// never streamed at all — the source-range index lets the controller
-    /// seek past them.
-    #[allow(clippy::too_many_arguments)]
-    pub fn scan_add_op_unit(
-        &mut self,
-        punit: &PlanUnit,
-        value: &EdgeValueFn<'_>,
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-        addend: &[f64],
-        active: &crate::exec::mask::FrontierMask,
-        frontier: &mut [f64],
-        updated: &mut [bool],
-        metrics: &mut Metrics,
-    ) -> u64 {
-        let tiled = self.tiled;
-        let n = tiled.num_vertices();
-        let c = self.config.crossbar_size;
-        let unit = &punit.unit;
-        let sidx = unit.strip as usize;
-        let spec = self.tile.spec();
-        let mut salu = SAlu::new(ReduceOp::Min);
-        let mut total_rows: u64 = 0;
-
-        for row in &punit.rows {
-            let bidx = row.block as usize;
-            let block = &tiled.blocks()[bidx];
-            let strip = &block.strips[sidx];
-            // Per-tile active-row counts drive the packed timing.
-            let mut tile_rows: Vec<u64> = Vec::new();
-            let mut strip_edges = 0u64;
-            for &g in &row.subgraphs {
-                let sg = &strip.subgraphs[g as usize];
-                let src0 = tiled.subgraph_src_start(block, sg);
-                // Planned means streamed: the edge data passes the scanner
-                // whether or not any of its rows end up driven.
-                strip_edges += u64::from(sg.edges);
-                let stream_bytes = u64::from(sg.edges) * BYTES_PER_EDGE;
-                metrics.energy.memory += self.config.cost.memory_stream_energy(stream_bytes);
-                metrics.events.bytes_streamed += stream_bytes;
-                let active_rows: Vec<usize> = (0..c)
-                    .filter(|&r| src0 + r < n && active.get(src0 + r))
-                    .collect();
-                if active_rows.is_empty() {
-                    metrics.events.subgraphs_skipped_inactive += 1;
-                    continue;
-                }
-                total_rows += active_rows.len() as u64;
-                self.addop_subgraph(
-                    bidx,
-                    sidx,
-                    g as usize,
-                    unit,
-                    value,
-                    combine,
-                    addend,
-                    &active_rows,
-                    frontier,
-                    updated,
-                    &mut salu,
-                    spec,
-                    &mut tile_rows,
-                    metrics,
-                );
-            }
-            self.charge_addop_strip_time(&mut tile_rows, strip_edges, metrics);
-            self.charge_strip_writeback(self.config.strip_width().min(n), metrics);
-        }
-        metrics.events.salu_ops += salu.ops_performed();
-        total_rows
-    }
-
-    /// The fused multi-query variant of [`StripScanner::scan_add_op_unit`]:
-    /// one pass over a planned unit advances all K lanes of `active` at
-    /// once (Figure 16 c3 per lane, sharing the streamed edge data and the
-    /// programmed tiles).
-    ///
-    /// Each planned subgraph is streamed **once** and each tile programmed
-    /// **once** for the whole batch — that sharing is the point of lane
-    /// fusion — while row drives are charged per `(row, lane)` pair: every
+    /// Every subgraph the plan lists is *streamed* once for the whole
+    /// batch (its edge bytes pass the scanner and are charged), but only
+    /// those with an active source row cost GE work; a subgraph with none
+    /// counts as `subgraphs_skipped_inactive`. Subgraphs a pruned plan
+    /// excluded are never streamed at all — the source-range index lets
+    /// the controller seek past them. Each tile is programmed once for the
+    /// batch, while row drives are charged per `(row, lane)` pair: every
     /// lane needs its own `dist(u)` on the constant line, so lanes
-    /// serialise on the wordline exactly like the single-query pattern.
-    /// `addends`/`frontiers` hold one buffer per lane (`frontiers`
-    /// pre-seeded with each lane's strip labels); `updated` holds one lane
-    /// word per local destination, pre-zeroed. Returns the per-lane row
-    /// drives executed.
+    /// serialise on the wordline (the multi-source BFS pattern of Then et
+    /// al., VLDB 2015).
     ///
-    /// Per-lane results are bit-identical to K independent
-    /// [`StripScanner::scan_add_op_unit`] runs: lane `q` sees the same
-    /// tiles in the same order, the same ascending active rows restricted
-    /// to its own lane bit, and reduces into its own buffer.
+    /// Candidates `combine(addends[q][src], stored_weight)` are
+    /// min-reduced into lane `q`'s unit-local labels: `frontiers` holds K
+    /// buffers of `strip_width` entries back to back, pre-seeded with each
+    /// lane's strip labels by the caller. `updated` holds one lane word
+    /// per local destination, pre-zeroed, and gains bit `q` wherever lane
+    /// `q` lowered a label. Returns the per-lane row activations executed.
     #[allow(clippy::too_many_arguments)]
     pub fn scan_add_op_lanes_unit(
         &mut self,
         punit: &PlanUnit,
         value: &EdgeValueFn<'_>,
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-        addends: &[&[f64]],
+        addends: &[Vec<f64>],
         active: &crate::exec::lanes::LaneFrontier,
-        frontiers: &mut [Vec<f64>],
+        frontiers: &mut [f64],
         updated: &mut [u64],
         metrics: &mut Metrics,
     ) -> u64 {
@@ -469,28 +398,33 @@ impl<'a> StripScanner<'a> {
         let c = self.config.crossbar_size;
         let unit = &punit.unit;
         let sidx = unit.strip as usize;
-        let spec = self.tile.spec();
         let mut salu = SAlu::new(ReduceOp::Min);
         let mut total_drives: u64 = 0;
-        let union = active.union();
+        let mut active_rows = std::mem::take(&mut self.row_buf);
+        let mut tile_rows = std::mem::take(&mut self.tile_rows_buf);
 
         for row in &punit.rows {
             let bidx = row.block as usize;
             let block = &tiled.blocks()[bidx];
             let strip = &block.strips[sidx];
-            let mut tile_rows: Vec<u64> = Vec::new();
+            // Per-tile active-row counts drive the packed timing.
+            tile_rows.clear();
             let mut strip_edges = 0u64;
             for &g in &row.subgraphs {
                 let sg = &strip.subgraphs[g as usize];
                 let src0 = tiled.subgraph_src_start(block, sg);
-                // Planned means streamed — once for the whole batch.
+                // Planned means streamed — once for the whole batch, and
+                // whether or not any of its rows end up driven.
                 strip_edges += u64::from(sg.edges);
                 let stream_bytes = u64::from(sg.edges) * BYTES_PER_EDGE;
                 metrics.energy.memory += self.config.cost.memory_stream_energy(stream_bytes);
                 metrics.events.bytes_streamed += stream_bytes;
-                let active_rows: Vec<usize> = (0..c)
-                    .filter(|&r| src0 + r < n && union.get(src0 + r))
-                    .collect();
+                // Rows past the last vertex hold no lanes.
+                active_rows.clear();
+                active_rows.extend((0..c).filter_map(|r| {
+                    let lanes = active.vertex_lanes(src0 + r);
+                    (lanes != 0).then_some((r, lanes))
+                }));
                 if active_rows.is_empty() {
                     metrics.events.subgraphs_skipped_inactive += 1;
                     continue;
@@ -503,12 +437,10 @@ impl<'a> StripScanner<'a> {
                     value,
                     combine,
                     addends,
-                    active,
                     &active_rows,
                     frontiers,
                     updated,
                     &mut salu,
-                    spec,
                     &mut tile_rows,
                     metrics,
                 );
@@ -516,6 +448,8 @@ impl<'a> StripScanner<'a> {
             self.charge_addop_strip_time(&mut tile_rows, strip_edges, metrics);
             self.charge_strip_writeback(self.config.strip_width().min(n), metrics);
         }
+        self.row_buf = active_rows;
+        self.tile_rows_buf = tile_rows;
         metrics.events.salu_ops += salu.ops_performed();
         total_drives
     }
@@ -581,8 +515,13 @@ impl<'a> StripScanner<'a> {
         };
     }
 
+    /// One subgraph of [`StripScanner::scan_add_op_lanes_unit`]: one tile
+    /// programming serves every lane; row drives, sALU reductions and the
+    /// dependent energy/conversion charges are per `(row, lane)`.
+    /// `active_rows` pairs each active local row with its lane word.
+    /// Returns the per-lane row activations.
     #[allow(clippy::too_many_arguments)]
-    fn addop_subgraph(
+    fn addop_lanes_subgraph(
         &mut self,
         bidx: usize,
         sidx: usize,
@@ -590,18 +529,19 @@ impl<'a> StripScanner<'a> {
         unit: &StripUnit,
         value: &EdgeValueFn<'_>,
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-        addend: &[f64],
-        active_rows: &[usize],
-        frontier: &mut [f64],
-        updated: &mut [bool],
+        addends: &[Vec<f64>],
+        active_rows: &[(usize, u64)],
+        frontiers: &mut [f64],
+        updated: &mut [u64],
         salu: &mut SAlu,
-        spec: graphr_units::FixedSpec,
         tile_rows: &mut Vec<u64>,
         metrics: &mut Metrics,
-    ) {
+    ) -> u64 {
         let tiled = self.tiled;
         let n = tiled.num_vertices();
         let c = self.config.crossbar_size;
+        let spec = self.tile.spec();
+        let width = self.config.strip_width();
         let block = &tiled.blocks()[bidx];
         let strip = &block.strips[sidx];
         let sg = &strip.subgraphs[g];
@@ -611,8 +551,13 @@ impl<'a> StripScanner<'a> {
         let edges = u64::from(sg.edges);
         let mut active_cells: u64 = 0;
         let mut rows_driven: u64 = 0;
+        let activations: u64 = active_rows
+            .iter()
+            .map(|&(_, lanes)| u64::from(lanes.count_ones()))
+            .sum();
 
-        // --- functional compute ---
+        // --- functional compute: per tile, program once, drive each
+        // active row once per lane holding it ---
         for tile in &sg.tiles {
             self.value_buf.clear();
             for e in &tile.entries {
@@ -623,25 +568,32 @@ impl<'a> StripScanner<'a> {
             self.tile
                 .load(&tile.entries, &self.value_buf, MergeRule::Min);
             let mut this_tile_rows = 0u64;
-            for &r in active_rows {
-                let entries = self.tile.row_entries(r);
-                if entries.is_empty() {
+            for &(r, lanes) in active_rows {
+                self.tile.row_entries(r, &mut self.entry_buf);
+                if self.entry_buf.is_empty() {
                     continue; // no edge from this source in this tile
                 }
-                this_tile_rows += 1;
                 let src = src0 + r;
-                let du = addend[src];
-                for (col, w) in entries {
-                    active_cells += arrays;
-                    let dst = tiled.tile_dst(block, strip, tile, col as u8);
-                    if dst >= n {
-                        continue;
-                    }
-                    // The relaxation (e.g. dist(u) + w(u, v)), saturating
-                    // in the fixed-point datapath, then min via the sALU.
-                    let candidate = spec.quantize_value(combine(du, w));
-                    if salu.reduce_one(&mut frontier[dst - unit.dst_start], candidate) {
-                        updated[dst - unit.dst_start] = true;
+                let mut lane_bits = lanes;
+                while lane_bits != 0 {
+                    let q = lane_bits.trailing_zeros() as usize;
+                    lane_bits &= lane_bits - 1;
+                    this_tile_rows += 1;
+                    let du = addends[q][src];
+                    let frontier = &mut frontiers[q * width..(q + 1) * width];
+                    for &(col, w) in &self.entry_buf {
+                        active_cells += arrays;
+                        let dst = tiled.tile_dst(block, strip, tile, col as u8);
+                        if dst >= n {
+                            continue;
+                        }
+                        // The relaxation (e.g. dist(u) + w(u, v)),
+                        // saturating in the fixed-point datapath, then min
+                        // via the sALU.
+                        let candidate = spec.quantize_value(combine(du, w));
+                        if salu.reduce_one(&mut frontier[dst - unit.dst_start], candidate) {
+                            updated[dst - unit.dst_start] |= 1u64 << q;
+                        }
                     }
                 }
             }
@@ -651,7 +603,8 @@ impl<'a> StripScanner<'a> {
             }
         }
 
-        // --- energy & events (time is charged per strip) ---
+        // --- energy & events (time is charged per strip): programming
+        // once per subgraph, drives per (row, lane) ---
         let cost = &self.config.cost;
         let cells = edges * arrays;
         let conversions = tiles * c as u64 * arrays * rows_driven.max(1);
@@ -669,116 +622,6 @@ impl<'a> StripScanner<'a> {
         metrics.energy.registers += cost.register_energy(reg_reads + reg_writes);
         // Memory streaming is charged by the caller for every *planned*
         // subgraph, driven or not.
-
-        let ev = &mut metrics.events;
-        ev.subgraphs_processed += 1;
-        ev.tiles_loaded += tiles;
-        ev.edges_loaded += edges;
-        ev.mvm_scans += rows_driven;
-        ev.rows_activated += active_rows.len() as u64;
-        ev.adc_conversions += conversions;
-        ev.register_reads += reg_reads;
-        ev.register_writes += reg_writes;
-    }
-
-    /// The fused-lane analogue of [`StripScanner::addop_subgraph`]: one
-    /// tile programming serves every lane; row drives, sALU reductions
-    /// and the dependent energy/conversion charges are per `(row, lane)`.
-    /// Returns the per-lane row activations attempted.
-    #[allow(clippy::too_many_arguments)]
-    fn addop_lanes_subgraph(
-        &mut self,
-        bidx: usize,
-        sidx: usize,
-        g: usize,
-        unit: &StripUnit,
-        value: &EdgeValueFn<'_>,
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-        addends: &[&[f64]],
-        active: &crate::exec::lanes::LaneFrontier,
-        active_rows: &[usize],
-        frontiers: &mut [Vec<f64>],
-        updated: &mut [u64],
-        salu: &mut SAlu,
-        spec: graphr_units::FixedSpec,
-        tile_rows: &mut Vec<u64>,
-        metrics: &mut Metrics,
-    ) -> u64 {
-        let tiled = self.tiled;
-        let n = tiled.num_vertices();
-        let c = self.config.crossbar_size;
-        let block = &tiled.blocks()[bidx];
-        let strip = &block.strips[sidx];
-        let sg = &strip.subgraphs[g];
-        let src0 = tiled.subgraph_src_start(block, sg);
-        let arrays = self.config.arrays_per_tile() as u64;
-        let tiles = sg.tiles.len() as u64;
-        let edges = u64::from(sg.edges);
-        let mut active_cells: u64 = 0;
-        let mut rows_driven: u64 = 0;
-        let mut activations: u64 = 0;
-        for &r in active_rows {
-            activations += u64::from(active.vertex_lanes(src0 + r).count_ones());
-        }
-
-        // --- functional compute: per tile, program once, drive each
-        // active row once per lane holding it ---
-        for tile in &sg.tiles {
-            self.value_buf.clear();
-            for e in &tile.entries {
-                let src = (src0 + e.row as usize) as u32;
-                let dst = tiled.tile_dst(block, strip, tile, e.col) as u32;
-                self.value_buf.push(value(e.weight, src, dst));
-            }
-            self.tile
-                .load(&tile.entries, &self.value_buf, MergeRule::Min);
-            let mut this_tile_rows = 0u64;
-            for &r in active_rows {
-                let entries = self.tile.row_entries(r);
-                if entries.is_empty() {
-                    continue; // no edge from this source in this tile
-                }
-                let src = src0 + r;
-                let mut lane_bits = active.vertex_lanes(src);
-                while lane_bits != 0 {
-                    let q = lane_bits.trailing_zeros() as usize;
-                    lane_bits &= lane_bits - 1;
-                    this_tile_rows += 1;
-                    let du = addends[q][src];
-                    for &(col, w) in &entries {
-                        active_cells += arrays;
-                        let dst = tiled.tile_dst(block, strip, tile, col as u8);
-                        if dst >= n {
-                            continue;
-                        }
-                        let candidate = spec.quantize_value(combine(du, w));
-                        if salu.reduce_one(&mut frontiers[q][dst - unit.dst_start], candidate) {
-                            updated[dst - unit.dst_start] |= 1u64 << q;
-                        }
-                    }
-                }
-            }
-            if this_tile_rows > 0 {
-                tile_rows.push(this_tile_rows);
-                rows_driven += this_tile_rows;
-            }
-        }
-
-        // --- energy & events (time is charged per strip): streaming and
-        // programming once per subgraph, drives per (row, lane) ---
-        let cost = &self.config.cost;
-        let cells = edges * arrays;
-        let conversions = tiles * c as u64 * arrays * rows_driven.max(1);
-        metrics.energy.program += cost.program_energy(cells);
-        metrics.energy.mvm += cost.mvm_energy(active_cells);
-        metrics.energy.driver += cost.driver_energy(2 * arrays * rows_driven);
-        metrics.energy.adc += cost.adc_energy(conversions);
-        metrics.energy.sample_hold += cost.sample_hold_energy(conversions);
-        metrics.energy.shift_add += cost.shift_add_energy(conversions);
-        metrics.energy.salu += cost.salu_energy(c as u64 * rows_driven);
-        let reg_reads = rows_driven;
-        let reg_writes = c as u64 * rows_driven;
-        metrics.energy.registers += cost.register_energy(reg_reads + reg_writes);
 
         let ev = &mut metrics.events;
         ev.subgraphs_processed += 1;
@@ -806,6 +649,9 @@ impl<'a> StripScanner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::lanes::LaneFrontier;
+    use crate::exec::mask::FrontierMask;
+    use crate::metrics::EventCounters;
     use graphr_graph::generators::rmat::Rmat;
     use graphr_units::FixedSpec;
 
@@ -833,6 +679,125 @@ mod tests {
             assert!(u.dst_start + u.dst_len <= tiled.num_vertices() || u.dst_len == 0);
         }
         assert_eq!(covered, tiled.num_vertices());
+    }
+
+    /// A hand-built 6-vertex graph: one strip unit, two source chunks.
+    fn golden_graph() -> graphr_graph::EdgeList {
+        let mut g = graphr_graph::EdgeList::new(6);
+        for (src, dst, w) in [
+            (0, 1, 2.0),
+            (0, 4, 1.0),
+            (1, 2, 3.0),
+            (1, 5, 1.0),
+            (4, 5, 2.0),
+            (2, 3, 1.0),
+            (5, 3, 4.0),
+            (3, 0, 1.0),
+        ] {
+            g.add_edge(graphr_graph::Edge::new(src, dst, w)).unwrap();
+        }
+        g
+    }
+
+    /// One SSSP add-op scan of `active` over the dense full plan, unit by
+    /// unit: the per-lane labels, the per-vertex updated lane words, the
+    /// returned row drives and the merged metrics.
+    fn golden_scan(
+        active: &LaneFrontier,
+        labels: &[Vec<f64>],
+    ) -> (Vec<Vec<f64>>, Vec<u64>, u64, Metrics) {
+        let cfg = small_config();
+        let tiled = TiledGraph::preprocess(&golden_graph(), &cfg).unwrap();
+        let plan = crate::exec::plan::PlanSkeleton::build(&tiled).full_plan();
+        let mut scanner = StripScanner::new(&tiled, &cfg, FixedSpec::new(16, 0).unwrap());
+        let width = cfg.strip_width();
+        let (mut out, mut updated) = (labels.to_vec(), vec![0u64; 6]);
+        let (mut drives, mut merged) = (0, Metrics::new());
+        for punit in plan.units() {
+            let dst = punit.unit.dst_start..punit.unit.dst_start + punit.unit.dst_len;
+            let mut local = vec![0.0; labels.len() * width];
+            for (buf, l) in local.chunks_mut(width).zip(labels) {
+                buf[..dst.len()].copy_from_slice(&l[dst.clone()]);
+            }
+            let mut local_updated = vec![0u64; width];
+            let mut m = Metrics::new();
+            drives += scanner.scan_add_op_lanes_unit(
+                punit,
+                &|w, _, _| f64::from(w),
+                &|du, w| du + w,
+                labels,
+                active,
+                &mut local,
+                &mut local_updated,
+                &mut m,
+            );
+            merged.merge(&m);
+            for (o, buf) in out.iter_mut().zip(local.chunks(width)) {
+                o[dst.clone()].copy_from_slice(&buf[..dst.len()]);
+            }
+            updated[dst.clone()].copy_from_slice(&local_updated[..dst.len()]);
+        }
+        (out, updated, drives, merged)
+    }
+
+    /// Golden add-op accounting, pinned exactly so that any change to what
+    /// an add-op scan charges fails here: one scan from {0, 1}, and a
+    /// 2-lane scan where vertex 1 is active in both lanes, so it is driven
+    /// once per lane on every tile holding its row.
+    #[test]
+    fn add_op_scan_charges_match_golden_values() {
+        let inf = FixedSpec::new(16, 0).unwrap().max_value();
+        let mut lane0 = FrontierMask::new(6);
+        lane0.set(0);
+        lane0.set(1);
+        let labels0 = vec![0.0, 2.0, inf, inf, 1.0, inf];
+
+        let (out, updated, drives, m) = golden_scan(
+            &LaneFrontier::from_masks(std::slice::from_ref(&lane0)),
+            std::slice::from_ref(&labels0),
+        );
+        assert_eq!(out, vec![vec![0.0, 2.0, 5.0, inf, 1.0, 3.0]]);
+        assert_eq!(updated, vec![0, 0, 1, 0, 0, 1]);
+        assert_eq!(drives, 2);
+        let golden = EventCounters {
+            subgraphs_processed: 1,
+            subgraphs_skipped_inactive: 1,
+            tiles_loaded: 2,
+            edges_loaded: 6,
+            mvm_scans: 4,
+            rows_activated: 2,
+            adc_conversions: 128,
+            salu_ops: 4,
+            register_reads: 4,
+            register_writes: 22,
+            bytes_streamed: 96,
+            ..EventCounters::default()
+        };
+        assert_eq!(m.events, golden);
+        assert_eq!(m.elapsed.as_nanos(), 67.0);
+
+        let mut lane1 = FrontierMask::new(6);
+        lane1.set(1);
+        lane1.set(2);
+        let labels1 = vec![inf, 0.0, 3.0, inf, inf, 1.0];
+        let (out, updated, drives, m) = golden_scan(
+            &LaneFrontier::from_masks(&[lane0, lane1]),
+            &[labels0, labels1],
+        );
+        assert_eq!(out[1], vec![inf, 0.0, 3.0, 4.0, inf, 1.0]);
+        assert_eq!(updated, vec![0, 0, 0b01, 0b10, 0, 0b01]);
+        assert_eq!(drives, 4);
+        let golden = EventCounters {
+            mvm_scans: 7,
+            rows_activated: 4,
+            adc_conversions: 224,
+            salu_ops: 7,
+            register_reads: 7,
+            register_writes: 34,
+            ..golden
+        };
+        assert_eq!(m.events, golden);
+        assert_eq!(m.elapsed.as_nanos(), 131.0);
     }
 
     #[test]

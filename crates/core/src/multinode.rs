@@ -717,43 +717,6 @@ impl ScanEngine for ClusterExecutor<'_> {
         outputs
     }
 
-    fn scan_add_op_planned(
-        &mut self,
-        plan: &ScanPlan,
-        value: &EdgeValueFn<'_>,
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-        addend: &[f64],
-        active: &FrontierMask,
-        frontier: &mut [f64],
-        updated: &mut FrontierMask,
-    ) -> u64 {
-        // Frontier-delta exchange needs the newly set `updated` flags.
-        // Inner engines only write planned units' (disjoint) destination
-        // ranges, so counting inside those ranges is exact and costs
-        // O(planned coverage), not O(|V|) — and nothing at all on a
-        // one-node cluster, which exchanges nothing.
-        let count = self.cluster.nodes > 1;
-        let before = if count {
-            planned_updates(plan, updated)
-        } else {
-            0
-        };
-        let shards = self.shards_for(plan);
-        let mut rows = 0u64;
-        for (node, shard) in self.nodes.iter_mut().zip(shards.iter()) {
-            // Each node writes only its owned destination ranges of
-            // `frontier` / `updated`; the ranges are disjoint.
-            rows +=
-                node.scan_add_op_planned(shard, value, combine, addend, active, frontier, updated);
-        }
-        if count {
-            let after = planned_updates(plan, updated);
-            self.net.touch(after - before);
-        }
-        self.resync();
-        rows
-    }
-
     fn scan_add_op_lanes_planned(
         &mut self,
         plan: &ScanPlan,
@@ -764,11 +727,15 @@ impl ScanEngine for ClusterExecutor<'_> {
         frontiers: &mut [Vec<f64>],
         updated: &mut LaneFrontier,
     ) -> u64 {
-        // As in `scan_add_op_planned`, but every node advances all K
-        // lanes over its shard of the *union* plan. The exchange counts
-        // union-updated vertices: a vertex any lane lowered crosses the
-        // interconnect once — lanes share the property exchange exactly
-        // like they share the edge stream.
+        // Every node advances all K lanes over its shard of the *union*
+        // plan. Frontier-delta exchange needs the newly set `updated`
+        // flags: inner engines only write planned units' (disjoint)
+        // destination ranges, so counting inside those ranges is exact
+        // and costs O(planned coverage), not O(|V|) — and nothing at all
+        // on a one-node cluster, which exchanges nothing. The exchange
+        // counts union-updated vertices: a vertex any lane lowered crosses
+        // the interconnect once — lanes share the property exchange
+        // exactly like they share the edge stream.
         let count = self.cluster.nodes > 1;
         let before = if count {
             planned_updates(plan, updated.union())

@@ -423,6 +423,17 @@ impl Default for TraversalOptions {
     }
 }
 
+impl TraversalOptions {
+    /// The one-lane fused options running this single query.
+    fn one_lane(&self) -> LaneTraversalOptions {
+        LaneTraversalOptions {
+            sources: vec![self.source],
+            max_iterations: self.max_iterations,
+            spec: self.spec,
+        }
+    }
+}
+
 /// Runs BFS on GraphR (parallel add-op, §4.2, with unit edge values).
 ///
 /// # Errors
@@ -451,7 +462,8 @@ fn check_source(graph: &EdgeList, opts: &TraversalOptions) -> Result<(), SimErro
     Ok(())
 }
 
-/// Runs BFS on any [`ScanEngine`] (the generic core of [`run_bfs`]).
+/// Runs BFS on any [`ScanEngine`] (the generic core of [`run_bfs`]): the
+/// one-lane case of [`run_bfs_lanes_with`].
 ///
 /// # Errors
 ///
@@ -461,7 +473,7 @@ pub fn run_bfs_with(
     exec: &mut dyn ScanEngine,
     opts: &TraversalOptions,
 ) -> Result<TraversalRun, SimError> {
-    run_add_op_with(graph, exec, opts, &|_w, _s, _d| 1.0, &|du, w| du + w)
+    run_bfs_lanes_with(graph, exec, &opts.one_lane()).map(LaneRun::into_single)
 }
 
 /// Runs SSSP on GraphR (parallel add-op, §4.2, Figure 16c).
@@ -499,7 +511,8 @@ fn check_sssp_weights(graph: &EdgeList) -> Result<(), SimError> {
     Ok(())
 }
 
-/// Runs SSSP on any [`ScanEngine`] (the generic core of [`run_sssp`]).
+/// Runs SSSP on any [`ScanEngine`] (the generic core of [`run_sssp`]):
+/// the one-lane case of [`run_sssp_lanes_with`].
 ///
 /// # Errors
 ///
@@ -510,91 +523,7 @@ pub fn run_sssp_with(
     exec: &mut dyn ScanEngine,
     opts: &TraversalOptions,
 ) -> Result<TraversalRun, SimError> {
-    check_sssp_weights(graph)?;
-    run_add_op_with(graph, exec, opts, &|w, _s, _d| f64::from(w), &|du, w| {
-        du + w
-    })
-}
-
-fn run_add_op_with(
-    graph: &EdgeList,
-    exec: &mut dyn ScanEngine,
-    opts: &TraversalOptions,
-    value: &(dyn Fn(f32, u32, u32) -> f64 + Sync),
-    combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-) -> Result<TraversalRun, SimError> {
-    let n = graph.num_vertices();
-    if (opts.source as usize) >= n {
-        return Err(SimError::BadSource {
-            source: opts.source,
-            num_vertices: n,
-        });
-    }
-    let inf = opts.spec.max_value();
-    let mut dist = vec![inf; n];
-    dist[opts.source as usize] = 0.0;
-    let mut active = FrontierMask::new(n);
-    active.set(opts.source as usize);
-    let cap = opts.max_iterations.unwrap_or(n.max(1));
-
-    let trace = exec.trace().cloned();
-    let mut tracer = IterTracer::new();
-    let mut frontier_total = 0u64;
-    let mut frontier_peak = 0u64;
-    // The words flipped going into this round's `active` — known exactly
-    // because the driver built the mask itself, so after the first round
-    // the planner never re-scans the frontier.
-    let mut delta: Option<FrontierDelta> = None;
-    for _round in 0..cap {
-        // Re-plan from the frontier: only subgraphs holding an active
-        // source are streamed this round, so sparse iterations cost
-        // active work, not O(|E|). The first round plans from the mask;
-        // every later round hands the planner the delta recorded while
-        // advancing the frontier, so planning costs the flipped words,
-        // not a walk of the whole mask or span table.
-        let plan = match &delta {
-            Some(d) => exec.plan_with_delta(&active, d),
-            None => exec.plan(Some(&active)),
-        };
-        let mut frontier = dist.clone();
-        let mut updated = FrontierMask::new(n);
-        exec.scan_add_op_planned(
-            &plan,
-            value,
-            combine,
-            &dist,
-            &active,
-            &mut frontier,
-            &mut updated,
-        );
-        exec.end_iteration();
-        dist = frontier;
-        delta = Some(FrontierDelta::between(&active, &updated));
-        active = updated;
-        let frontier_size = active.len() as u64;
-        frontier_total += frontier_size;
-        frontier_peak = frontier_peak.max(frontier_size);
-        tracer.record(trace.as_ref(), exec.metrics(), Some(frontier_size));
-        if frontier_size == 0 {
-            break;
-        }
-    }
-    let distances: Vec<Option<f64>> = dist
-        .into_iter()
-        .map(|d| if d >= inf { None } else { Some(d) })
-        .collect();
-    let mut metrics = exec.take_metrics();
-    tracer.finish(trace.as_ref(), &metrics);
-    // One attribution row for the single query — set after the tracer so
-    // telemetry observes the same Metrics deltas as before. A fused run
-    // produces the exact same row for this query's lane.
-    metrics.lanes = vec![LaneCounters {
-        iterations: metrics.iterations as u64,
-        frontier_total,
-        frontier_peak,
-        settled: distances.iter().filter(|d| d.is_some()).count() as u64,
-    }];
-    Ok(TraversalRun { distances, metrics })
+    run_sssp_lanes_with(graph, exec, &opts.one_lane()).map(LaneRun::into_single)
 }
 
 // -------------------------------- Fused multi-source traversals (lanes)
@@ -639,6 +568,18 @@ pub struct LaneRun {
     pub distances: Vec<Vec<Option<f64>>>,
     /// Fused accounting, with per-lane attribution in [`Metrics::lanes`].
     pub metrics: Metrics,
+}
+
+impl LaneRun {
+    /// Narrows a one-lane run to the single query's result; the metrics
+    /// (one attribution row) carry over unchanged.
+    fn into_single(self) -> TraversalRun {
+        let distances = self.distances.into_iter().next().expect("one lane");
+        TraversalRun {
+            distances,
+            metrics: self.metrics,
+        }
+    }
 }
 
 /// Result of a fused connected-components run (K lanes of label
@@ -835,6 +776,8 @@ pub fn run_wcc_lanes_with(
             distinct.len()
         })
         .collect();
+    // "Settled" for label propagation = vertices relabelled below their
+    // own id.
     for (lane, l) in metrics.lanes.iter_mut().zip(&labels) {
         lane.settled = l
             .iter()
@@ -849,14 +792,17 @@ pub fn run_wcc_lanes_with(
     })
 }
 
-/// The shared fused iteration loop: plans the *union* frontier (with the
-/// same delta protocol as the single-query loops), advances every lane
-/// through one [`ScanEngine::scan_add_op_lanes_planned`] call per round,
-/// and recovers per-lane attribution from the lane masks. A lane
-/// participates in a round iff its pre-scan frontier is nonempty — the
-/// exact rounds an independent run of that query would have executed, so
-/// its [`LaneCounters`] row (and its [`TraceData::Lane`] event count)
-/// matches the independent run's.
+/// The one add-op iteration loop, for single and fused traversals alike:
+/// plans the *union* frontier, advances every lane through one
+/// [`ScanEngine::scan_add_op_lanes_planned`] call per round, and recovers
+/// per-lane attribution from the lane masks. The first round plans from
+/// the mask; every later round hands the planner the delta recorded while
+/// advancing the frontier, so planning costs the flipped words, not a
+/// walk of the whole mask or span table. A lane participates in a round
+/// iff its pre-scan frontier is nonempty — the exact rounds an
+/// independent run of that query executes, so its [`LaneCounters`] row
+/// (and its [`TraceData::Lane`] event count) matches the independent
+/// run's by construction.
 fn run_lanes_loop(
     exec: &mut dyn ScanEngine,
     value: &(dyn Fn(f32, u32, u32) -> f64 + Sync),
@@ -876,7 +822,10 @@ fn run_lanes_loop(
             Some(d) => exec.plan_with_delta(active.union(), d),
             None => exec.plan(Some(active.union())),
         };
-        let participating: Vec<bool> = (0..k).map(|q| !active.lane_is_empty(q)).collect();
+        // Bit `q` set iff lane `q` enters this round.
+        let participating = (0..k)
+            .filter(|&q| !active.lane_is_empty(q))
+            .fold(0u64, |bits, q| bits | 1 << q);
         let mut frontiers = dists.clone();
         let mut updated = LaneFrontier::new(n, k);
         exec.scan_add_op_lanes_planned(
@@ -893,9 +842,7 @@ fn run_lanes_loop(
         delta = Some(FrontierDelta::between(active.union(), updated.union()));
         active = updated;
         for (q, counter) in counters.iter_mut().enumerate() {
-            if participating[q] {
-                counter.iterations += 1;
-            }
+            counter.iterations += (participating >> q) & 1;
             let size = active.lane_len(q);
             counter.frontier_total += size;
             counter.frontier_peak = counter.frontier_peak.max(size);
@@ -903,14 +850,12 @@ fn run_lanes_loop(
         let union_size = active.union().len() as u64;
         tracer.record(trace.as_ref(), exec.metrics(), Some(union_size));
         if let Some(trace) = &trace {
-            for (q, &went) in participating.iter().enumerate() {
-                if went {
-                    trace.emit(TraceData::Lane {
-                        lane: q as u32,
-                        iteration: round as u64,
-                        frontier: active.lane_len(q),
-                    });
-                }
+            for q in (0..k).filter(|&q| (participating >> q) & 1 == 1) {
+                trace.emit(TraceData::Lane {
+                    lane: q as u32,
+                    iteration: round as u64,
+                    frontier: active.lane_len(q),
+                });
             }
         }
         if union_size == 0 {
@@ -919,8 +864,8 @@ fn run_lanes_loop(
     }
     let mut metrics = exec.take_metrics();
     tracer.finish(trace.as_ref(), &metrics);
-    // Attribution rows go in after the tracer, like the single-query
-    // drivers' — telemetry deltas never see them.
+    // Attribution rows go in after the tracer: telemetry deltas never
+    // see them.
     metrics.lanes = counters;
     (dists, metrics)
 }
@@ -970,87 +915,21 @@ pub fn symmetrised(graph: &EdgeList) -> EdgeList {
     sym
 }
 
-/// Runs WCC on any [`ScanEngine`] (the generic core of [`run_wcc`]). The
-/// engine must have been built over a preprocessing of the
-/// [`symmetrised`] graph with a Q16.0 format.
+/// Runs WCC on any [`ScanEngine`] (the generic core of [`run_wcc`]): the
+/// one-lane case of [`run_wcc_lanes_with`]. The engine must have been
+/// built over a preprocessing of the [`symmetrised`] graph with a Q16.0
+/// format.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Config`] if the graph has more vertices than the
 /// 16-bit label format can name.
 pub fn run_wcc_with(graph: &EdgeList, exec: &mut dyn ScanEngine) -> Result<WccRun, SimError> {
-    let n = graph.num_vertices();
-    let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
-    if n as f64 > spec.max_value() {
-        return Err(SimError::Config(ConfigError::new(format!(
-            "WCC labels vertices by id; {n} vertices exceed the 16-bit format"
-        ))));
-    }
-    let value = |_w: f32, _s: u32, _d: u32| 1.0; // presence marker
-    let combine = |du: f64, _w: f64| du; // forward the label unchanged
-
-    let mut labels: Vec<f64> = (0..n).map(|v| v as f64).collect();
-    let mut active = FrontierMask::full(n);
-    let trace = exec.trace().cloned();
-    let mut tracer = IterTracer::new();
-    let mut frontier_total = 0u64;
-    let mut frontier_peak = 0u64;
-    let mut delta: Option<FrontierDelta> = None;
-    for _round in 0..n.max(1) {
-        // Label propagation converges region by region: later rounds have
-        // sparse frontiers, which the per-round pruned plan turns into
-        // proportionally small scans — planned from the recorded delta
-        // after the first round, like the traversal loop.
-        let plan = match &delta {
-            Some(d) => exec.plan_with_delta(&active, d),
-            None => exec.plan(Some(&active)),
-        };
-        let mut frontier = labels.clone();
-        let mut updated = FrontierMask::new(n);
-        exec.scan_add_op_planned(
-            &plan,
-            &value,
-            &combine,
-            &labels,
-            &active,
-            &mut frontier,
-            &mut updated,
-        );
-        exec.end_iteration();
-        labels = frontier;
-        delta = Some(FrontierDelta::between(&active, &updated));
-        active = updated;
-        let frontier_size = active.len() as u64;
-        frontier_total += frontier_size;
-        frontier_peak = frontier_peak.max(frontier_size);
-        tracer.record(trace.as_ref(), exec.metrics(), Some(frontier_size));
-        if frontier_size == 0 {
-            break;
-        }
-    }
-    let labels: Vec<u32> = labels.iter().map(|&l| l as u32).collect();
-    let mut distinct = labels.clone();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let mut metrics = exec.take_metrics();
-    tracer.finish(trace.as_ref(), &metrics);
-    // One attribution row, set after the tracer (see `run_add_op_with`).
-    // "Settled" for label propagation = vertices relabelled below their
-    // own id.
-    metrics.lanes = vec![LaneCounters {
-        iterations: metrics.iterations as u64,
-        frontier_total,
-        frontier_peak,
-        settled: labels
-            .iter()
-            .enumerate()
-            .filter(|&(v, &l)| (l as usize) < v)
-            .count() as u64,
-    }];
+    let run = run_wcc_lanes_with(graph, exec, 1)?;
     Ok(WccRun {
-        num_components: distinct.len(),
-        labels,
-        metrics,
+        labels: run.labels.into_iter().next().expect("one lane"),
+        num_components: run.num_components[0],
+        metrics: run.metrics,
     })
 }
 

@@ -127,11 +127,11 @@ pub enum TraceData {
     /// carries every counter family and would otherwise dominate the
     /// size of every event in the sink).
     Iteration(Box<IterationSnapshot>),
-    /// One lane's post-iteration frontier population in a fused
-    /// multi-query traversal (see
-    /// [`LaneFrontier`](crate::exec::lanes::LaneFrontier)): emitted per
-    /// active lane per iteration by the fused drivers, so per-query
-    /// iteration counts are recoverable from the trace alone.
+    /// One lane's post-iteration frontier population in a traversal (see
+    /// [`LaneFrontier`](crate::exec::lanes::LaneFrontier); a single query
+    /// is one lane): emitted per active lane per iteration by the
+    /// traversal drivers, so per-query iteration counts are recoverable
+    /// from the trace alone.
     Lane {
         /// Lane (query) index within the fused batch.
         lane: u32,

@@ -13,8 +13,11 @@
 //!   frontier totals and peak, settled vertices — must equal the row the
 //!   independent run reports for itself.
 //!
-//! A single-lane wave is pinned harder still: K=1 fused is the unfused
-//! run, full machine [`Metrics`](graphr_repro::core::Metrics) included.
+//! A single query is a one-lane run by construction: the single-query
+//! drivers narrow a one-lane fused run, so K=1 fused and unfused agree on
+//! the full machine [`Metrics`](graphr_repro::core::Metrics). The exact
+//! charges of one add-op scan are pinned by a golden unit test next to
+//! the strip kernel.
 
 use graphr_repro::core::exec::{ScanEngine, StreamingExecutor};
 use graphr_repro::core::multinode::{ClusterExecutor, MultiNodeConfig};
@@ -172,8 +175,9 @@ proptest! {
         }
     }
 
-    /// K=1 pinned: a single-lane fused run IS the unfused run — full
-    /// machine metrics equality, not just results — on every engine.
+    /// K=1 pinned: a single query is a one-lane run by construction, so
+    /// the fused and unfused entry points agree on full machine metrics,
+    /// not just results, on every engine.
     #[test]
     fn single_lane_wave_is_the_unfused_run(
         v in 24usize..140,
