@@ -1,7 +1,9 @@
 //! Microbenchmark: the scan executor on every host thread vs. one thread
-//! on a 100 k-edge R-MAT graph, the session cache's cold-vs-warm
-//! preprocessing saving, and the plan layer's sparse-frontier win —
-//! full-scan vs. pruned-plan BFS iterations on a high-diameter grid.
+//! on a 100 k-edge R-MAT graph and on a 240×240-grid BFS whose scans are
+//! small enough to run inline at any thread count, the session cache's
+//! cold-vs-warm preprocessing saving, and the plan layer's
+//! sparse-frontier win — full-scan vs. pruned-plan BFS iterations on a
+//! high-diameter grid.
 //!
 //! On a multi-core host the strip-sharded fan-out should deliver ≥ 2×
 //! wall-clock speedup on the scan-heavy PageRank workload; on a
@@ -11,7 +13,7 @@
 
 use std::time::Instant;
 
-use graphr_bench::perf::{bfs_from_zero, bfs_full_plan_rounds};
+use graphr_bench::perf::{bench_config, bfs_from_zero, bfs_full_plan_rounds};
 use graphr_core::exec::mask::FrontierMask;
 use graphr_core::exec::{ScanEngine, StreamingExecutor};
 use graphr_core::multinode::{ClusterExecutor, MultiNodeConfig, MultiNodeEstimate};
@@ -40,16 +42,34 @@ fn main() {
     let handle = GraphHandle::new("rmat-100k", graph);
     let config = GraphRConfig::default();
 
-    for (name, spec) in [
+    // The grid BFS is the small-scan case: every round plans a thin
+    // wavefront, so its scans stay below the executor's fan-out cutoff and
+    // run inline at any thread count.
+    let grid_handle = GraphHandle::new("grid-240", grid(240, 240));
+    let grid_config = bench_config();
+    for (name, handle, config, spec) in [
         (
             "pagerank(5 iters)",
+            &handle,
+            &config,
             JobSpec::PageRank(PageRankOptions {
                 max_iterations: 5,
                 tolerance: 0.0,
                 ..PageRankOptions::default()
             }),
         ),
-        ("sssp", JobSpec::Sssp(TraversalOptions::default())),
+        (
+            "sssp",
+            &handle,
+            &config,
+            JobSpec::Sssp(TraversalOptions::default()),
+        ),
+        (
+            "bfs(240x240 grid)",
+            &grid_handle,
+            &grid_config,
+            JobSpec::Bfs(TraversalOptions::default()),
+        ),
     ] {
         // Warm one session per thread count so only scan time is measured.
         let serial = Session::new(config.clone()).with_threads(1);

@@ -10,8 +10,11 @@
 //! in task-index order, which is what makes the executor's plan-order
 //! metrics merge deterministic.
 //!
-//! The pool is scoped (`std::thread::scope`), so tasks may freely borrow
-//! from the caller's stack; no `'static` bounds, no channels, no unsafe.
+//! The calling thread is itself worker 0: a fan-out over `n` workers
+//! spawns only `n − 1` helpers and runs its own share on `states[0]`
+//! instead of sitting idle in the join. The pool is scoped
+//! (`std::thread::scope`), so tasks may freely borrow from the caller's
+//! stack; no `'static` bounds, no channels, no unsafe.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -27,14 +30,15 @@ pub fn available_threads() -> usize {
 /// results in index order.
 ///
 /// `init` builds one scratch state per worker; `step` executes one task
-/// with that state. With one worker (or at most one task) everything
-/// runs inline on the caller's thread — same closure, same order.
+/// with that state. The caller's thread is worker 0; with one worker (or
+/// at most one task) everything runs inline on it — same closure, same
+/// order.
 ///
 /// # Panics
 ///
-/// Re-raises a worker's panic with its original payload (after every
-/// worker has stopped), so a caller's `catch_unwind` sees the task's own
-/// message.
+/// Re-raises a worker's panic — the caller's own share included — with
+/// its original payload (after every worker has stopped), so a caller's
+/// `catch_unwind` sees the task's own message.
 pub fn run_indexed<S, T, I, F>(tasks: usize, threads: usize, init: I, step: F) -> Vec<T>
 where
     S: Send,
@@ -50,6 +54,8 @@ where
 /// [`run_indexed`] over caller-owned worker states: one worker per entry
 /// of `states` (at most one per task), each passing its own state to
 /// `step`, so states persist across calls for a caller that keeps them.
+/// The calling thread is worker 0 on `states[0]`; only the other workers
+/// are spawned.
 pub(crate) fn run_on<S, T, F>(states: &mut [S], tasks: usize, step: F) -> Vec<T>
 where
     S: Send,
@@ -63,25 +69,32 @@ where
         return (0..tasks).map(|i| step(state, i)).collect();
     }
     let counter = AtomicUsize::new(0);
-    let (step, counter) = (&step, &counter);
+    let claim = |state: &mut S| {
+        let mut out = Vec::new();
+        loop {
+            let idx = counter.fetch_add(1, Ordering::Relaxed);
+            if idx >= tasks {
+                break;
+            }
+            out.push((idx, step(state, idx)));
+        }
+        out
+    };
+    let (own, helpers) = states[..workers]
+        .split_first_mut()
+        .expect("workers ≥ 2 here");
     let joined: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = states[..workers]
+        let claim = &claim;
+        let handles: Vec<_> = helpers
             .iter_mut()
-            .map(|state| {
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let idx = counter.fetch_add(1, Ordering::Relaxed);
-                        if idx >= tasks {
-                            break;
-                        }
-                        out.push((idx, step(state, idx)));
-                    }
-                    out
-                })
-            })
+            .map(|state| scope.spawn(move || claim(state)))
             .collect();
-        handles.into_iter().map(|h| h.join()).collect()
+        // A panic on the caller's own share leaves the scope, which first
+        // waits for the helpers and then re-raises its payload.
+        let mine = claim(own);
+        std::iter::once(Ok(mine))
+            .chain(handles.into_iter().map(|h| h.join()))
+            .collect()
     });
     let mut indexed = Vec::with_capacity(tasks);
     for worker in joined {
@@ -97,6 +110,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::Barrier;
 
     #[test]
     fn results_come_back_in_index_order() {
@@ -147,6 +162,33 @@ mod tests {
     }
 
     #[test]
+    fn the_caller_runs_a_share_beside_its_helper() {
+        // Each task waits for the other at the barrier, so the two must run
+        // concurrently on two threads, one of them the caller.
+        let caller = std::thread::current().id();
+        let barrier = Barrier::new(2);
+        let ran_on = run_indexed(
+            2,
+            2,
+            || (),
+            |(), _| {
+                barrier.wait();
+                std::thread::current().id()
+            },
+        );
+        assert_ne!(ran_on[0], ran_on[1], "the tasks must run on two threads");
+        assert!(ran_on.contains(&caller), "one task must run on the caller");
+    }
+
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+        payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("")
+    }
+
+    #[test]
     fn worker_panics_keep_their_payload() {
         for threads in [1, 3] {
             let caught = std::panic::catch_unwind(|| {
@@ -161,12 +203,36 @@ mod tests {
                 )
             })
             .expect_err("the task panic must reach the caller");
-            let message = caught
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| caught.downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            assert_eq!(message, "unit 5 rejected its input", "{threads} threads");
+            assert_eq!(
+                panic_message(&*caught),
+                "unit 5 rejected its input",
+                "{threads} threads"
+            );
+        }
+        // One share per thread (the barrier pins the split); the panic is
+        // raised on the caller's own share, then on the helper's.
+        let caller = std::thread::current().id();
+        for (on_caller, expected) in [(true, "the caller"), (false, "a helper")] {
+            let barrier = Barrier::new(2);
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_indexed(
+                    2,
+                    2,
+                    || (),
+                    |(), i| {
+                        barrier.wait();
+                        let here = std::thread::current().id() == caller;
+                        let who = if here { "the caller" } else { "a helper" };
+                        assert!(here != on_caller, "{who} rejected its input");
+                        i
+                    },
+                )
+            }))
+            .expect_err("the share's panic must reach the caller");
+            assert_eq!(
+                panic_message(&*caught),
+                format!("{expected} rejected its input")
+            );
         }
     }
 }

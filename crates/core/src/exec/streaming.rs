@@ -20,11 +20,14 @@
 //! [`StripScanner`], then merge per-unit [`Metrics`] and results in plan
 //! order. Both scan kinds run through that one per-unit path, and each
 //! has one strip kernel. The worker count
-//! ([`StreamingExecutor::with_threads`]) only schedules it: at one thread
-//! units run inline on the calling thread with reused scratch; at more,
-//! they fan out over scoped workers that each keep their own long-lived
-//! scanner. Results and accounting are therefore bit-identical at any
-//! thread count (see [`crate::exec::strip`]).
+//! ([`StreamingExecutor::with_threads`]) only schedules it. A scan whose
+//! planned work (edges × lanes or input vectors) is small, or any scan at
+//! one worker, runs its units inline on the calling thread with reused
+//! scratch: spawning threads would cost it more than it saves. A larger
+//! scan fans out over the workers, each keeping its own long-lived
+//! scanner, and the calling thread is worker 0 (see [`crate::exec::pool`]).
+//! Results and accounting are therefore bit-identical at any thread count
+//! (see [`crate::exec::strip`]).
 //!
 //! # Timing: dense tile packing within a strip
 //!
@@ -82,6 +85,31 @@ pub struct StreamingExecutor<'a> {
     trace: Option<TraceHandle>,
     /// Where the last emitted compute span ended.
     span_mark: SpanMark,
+    /// Scans run inline (`[0]`) and fanned out (`[1]`): host scheduling
+    /// only, kept out of `metrics`.
+    scan_paths: [u64; 2],
+}
+
+/// Planned work (`edges_planned × K`, K being an add-op scan's lane count
+/// or a MAC scan's input-vector count) below which a scan runs inline on
+/// the calling thread even when the executor has more workers.
+///
+/// Fanning out spawns scoped helpers on every scan, which a small plan
+/// never earns back. Median host time per scan on a 2-vCPU host, fanned
+/// out over 2 workers vs inline: the 240×240-grid traversals' node scans
+/// (every one ≤ 1,002 edges; median 463 edges over 27 units) 122 vs
+/// 50 µs; serve scans of 1–10 K edges 257 vs 269 µs (break-even); scans of
+/// ≥ 10 K edges 2.16 vs 4.01 ms (1.86× for fanning out); 1 M-edge
+/// PageRank scans 57 vs 110 ms. Every traversal scan therefore stays
+/// inline. Sweeping the cutoff over {1,024, 4,096, 16,384} (3 runs of
+/// 10 s each) left the median of `serve_mixed` at 426 / 427 / 412
+/// queries/s and of `pagerank_rmat` at 13.4 / 13.9 / 12.4 M edges/s, all
+/// within run-to-run noise, so the cutoff sits at the middle value.
+const FAN_OUT_MIN_WORK: u64 = 4096;
+
+/// Whether a scan of `work` planned edge-lanes fans out over `workers`.
+fn fans_out(work: u64, workers: usize) -> bool {
+    workers > 1 && work >= FAN_OUT_MIN_WORK
 }
 
 impl<'a> StreamingExecutor<'a> {
@@ -131,11 +159,14 @@ impl<'a> StreamingExecutor<'a> {
             disk: None,
             trace: None,
             span_mark: SpanMark::default(),
+            scan_paths: [0; 2],
         }
     }
 
     /// Sets the worker count scans use (at least 1). Only scheduling
-    /// changes: results and metrics are bit-identical at any count.
+    /// changes: results and metrics are bit-identical at any count. The
+    /// calling thread is worker 0, and a scan whose plan is too small to
+    /// pay for the threads runs inline on it whatever the count.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         let (tiled, config, spec) = (self.tiled, self.config, self.scanners[0].spec());
@@ -156,6 +187,15 @@ impl<'a> StreamingExecutor<'a> {
     #[must_use]
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
+    }
+
+    /// How many scans so far ran inline and how many fanned out over the
+    /// workers, as `[inline, fanned_out]`. This is host scheduling, not a
+    /// simulated fact: it depends on the worker count and is never part of
+    /// [`Metrics`].
+    #[must_use]
+    pub fn scan_paths(&self) -> [u64; 2] {
+        self.scan_paths
     }
 
     /// Consumes the executor, yielding its metrics (closing any open disk
@@ -196,14 +236,17 @@ impl<'a> StreamingExecutor<'a> {
 
     /// The one per-unit path every scan kind runs through. `scan` stages
     /// one unit's slice of `out` into `scratch` and scans it; `write_back`
-    /// stores the unit's results into `out`. At one worker each unit runs
-    /// inline with a single reused scratch; otherwise units fan out over
-    /// the worker scanners with unit-local scratch. Either way unit
-    /// metrics and results merge in plan order. Returns the summed
-    /// per-unit counts.
+    /// stores the unit's results into `out`. A plan whose work —
+    /// `edges_planned × lanes`, `lanes` being the lane or input-vector
+    /// count — is below [`FAN_OUT_MIN_WORK`], or any plan at one worker,
+    /// runs inline on `scanners[0]` with a single reused scratch; a larger
+    /// one fans out over the worker scanners with unit-local scratch.
+    /// Either way unit metrics and results merge in plan order. Returns
+    /// the summed per-unit counts.
     fn run_units<O, X>(
         &mut self,
         plan: &ScanPlan,
+        lanes: usize,
         out: &mut O,
         scratch: impl Fn() -> X + Sync,
         scan: impl Fn(&mut StripScanner<'a>, &PlanUnit, &O, &mut X, &mut Metrics) -> u64 + Sync,
@@ -214,8 +257,12 @@ impl<'a> StreamingExecutor<'a> {
         X: Send,
     {
         let punits = plan.units();
+        let work = plan.stats().edges_planned.saturating_mul(lanes as u64);
+        let fan_out = fans_out(work, self.scanners.len());
+        self.scan_paths[usize::from(fan_out)] += 1;
         let mut total = 0u64;
-        if let [scanner] = self.scanners.as_mut_slice() {
+        if !fan_out {
+            let scanner = &mut self.scanners[0];
             let mut buf = scratch();
             for punit in punits {
                 let mut unit_metrics = Metrics::new();
@@ -281,6 +328,7 @@ impl<'a> StreamingExecutor<'a> {
         let mut outputs = vec![vec![0.0; n]; k];
         self.run_units(
             plan,
+            k,
             &mut outputs,
             || vec![vec![0.0; width]; k],
             |scanner, punit, _, local, metrics| {
@@ -353,6 +401,7 @@ impl<'a> StreamingExecutor<'a> {
         let width = self.config.strip_width();
         let rows = self.run_units(
             plan,
+            k,
             &mut (frontiers, updated),
             || (vec![0.0; k * width], vec![0u64; width]),
             |scanner, punit, (frontiers, _), (frontier_locals, updated_local), metrics| {
@@ -748,45 +797,63 @@ mod tests {
     /// Runs `run` three times back to back on one long-lived executor per
     /// worker count in `[1, 2, 3, 7]` and asserts every pass equals the
     /// one-thread executor's: scratch must not leak from one scan into the
-    /// next once scanners persist.
+    /// next once scanners persist. Returns the summed `[inline,
+    /// fanned_out]` scan counts of the multi-worker executors.
     fn assert_thread_sweep_identical<T: PartialEq + std::fmt::Debug>(
         tiled: &TiledGraph,
         cfg: &GraphRConfig,
         spec: FixedSpec,
         run: impl Fn(&mut StreamingExecutor<'_>) -> T,
-    ) {
+    ) -> [u64; 2] {
         let passes = |threads| {
             let mut exec = StreamingExecutor::new(tiled, cfg, spec).with_threads(threads);
-            (0..3).map(|_| run(&mut exec)).collect::<Vec<T>>()
+            let outputs = (0..3).map(|_| run(&mut exec)).collect::<Vec<T>>();
+            (outputs, exec.scan_paths())
         };
-        let reference = passes(1);
+        let (reference, [_, fanned_out]) = passes(1);
+        assert_eq!(fanned_out, 0, "one worker always runs inline");
+        let mut paths = [0; 2];
         for threads in [2, 3, 7] {
-            assert_eq!(passes(threads), reference, "{threads} threads");
+            let (outputs, [inline, fanned_out]) = passes(threads);
+            assert_eq!(outputs, reference, "{threads} threads");
+            paths[0] += inline;
+            paths[1] += fanned_out;
         }
+        paths
     }
 
     #[test]
     fn mac_is_bit_identical_at_every_thread_count() {
-        let g = Rmat::new(300, 2000).seed(3).max_weight(7).generate();
-        let cfg = small_config(Fidelity::Fast);
-        let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
-        let spec = FixedSpec::new(16, 8).unwrap();
-        let x1: Vec<f64> = (0..300).map(|i| (i % 11) as f64 * 0.125).collect();
-        let x2: Vec<f64> = (0..300).map(|i| (i % 5) as f64).collect();
-        assert_thread_sweep_identical(&tiled, &cfg, spec, |exec| {
-            let mut outputs = Vec::new();
-            for round in 0..4 {
-                outputs.push(exec.scan_mac(&weights_value, &[&x1]));
-                outputs.push(exec.scan_mac(&weights_value, &[&x1, &x2]));
-                // A one-vertex mask plans fewer units than workers.
-                let mut mask = FrontierMask::new(300);
-                mask.set(round * 70);
-                let plan = exec.plan(Some(&mask));
-                outputs.push(exec.scan_mac_planned(&plan, &weights_value, &[&x2]));
-                exec.end_iteration();
+        // The larger graph's full plans reach the fan-out cutoff; one-vertex
+        // masks and the smaller graph's plans stay below it.
+        for (n, edges, straddles) in [(300, 2000, false), (600, 6000, true)] {
+            let g = Rmat::new(n, edges).seed(3).max_weight(7).generate();
+            let cfg = small_config(Fidelity::Fast);
+            let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
+            let spec = FixedSpec::new(16, 8).unwrap();
+            let x1: Vec<f64> = (0..n).map(|i| (i % 11) as f64 * 0.125).collect();
+            let x2: Vec<f64> = (0..n).map(|i| (i % 5) as f64).collect();
+            let [inline, fanned_out] = assert_thread_sweep_identical(&tiled, &cfg, spec, |exec| {
+                let mut outputs = Vec::new();
+                for round in 0..4 {
+                    outputs.push(exec.scan_mac(&weights_value, &[&x1]));
+                    outputs.push(exec.scan_mac(&weights_value, &[&x1, &x2]));
+                    // A one-vertex mask plans fewer units than workers.
+                    let mut mask = FrontierMask::new(n);
+                    mask.set(round * 70);
+                    let plan = exec.plan(Some(&mask));
+                    outputs.push(exec.scan_mac_planned(&plan, &weights_value, &[&x2]));
+                    exec.end_iteration();
+                }
+                (outputs, exec.take_metrics())
+            });
+            if straddles {
+                assert!(
+                    inline > 0 && fanned_out > 0,
+                    "{edges} edges: both paths must run"
+                );
             }
-            (outputs, exec.take_metrics())
-        });
+        }
     }
 
     #[test]
@@ -827,14 +894,31 @@ mod tests {
     #[test]
     fn fused_lanes_are_bit_identical_at_every_thread_count() {
         use crate::sim::{run_sssp_lanes_with, LaneTraversalOptions};
-        let g = Rmat::new(200, 1200).seed(5).max_weight(9).generate();
-        let cfg = small_config(Fidelity::Fast);
-        let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
-        for sources in [vec![0u32], vec![0, 3, 50, 199]] {
-            let opts = LaneTraversalOptions::new(sources);
-            assert_thread_sweep_identical(&tiled, &cfg, opts.spec, |exec| {
-                run_sssp_lanes_with(&g, exec, &opts).unwrap()
-            });
+        // The larger graph's middle rounds plan past the fan-out cutoff;
+        // its first rounds, from a few sources, stay below it.
+        for (n, edges, straddles) in [(200u32, 1200, false), (800, 8000, true)] {
+            let g = Rmat::new(n as usize, edges)
+                .seed(5)
+                .max_weight(9)
+                .generate();
+            let cfg = small_config(Fidelity::Fast);
+            let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
+            let mut paths = [0; 2];
+            for sources in [vec![0u32], vec![0, 3, 50, n - 1]] {
+                let opts = LaneTraversalOptions::new(sources);
+                let [inline, fanned_out] =
+                    assert_thread_sweep_identical(&tiled, &cfg, opts.spec, |exec| {
+                        run_sssp_lanes_with(&g, exec, &opts).unwrap()
+                    });
+                paths[0] += inline;
+                paths[1] += fanned_out;
+            }
+            if straddles {
+                assert!(
+                    paths[0] > 0 && paths[1] > 0,
+                    "{edges} edges: both paths must run"
+                );
+            }
         }
     }
 

@@ -148,21 +148,31 @@ fn cf_serial_parallel_identical() {
 
 #[test]
 fn pruned_plans_are_bit_identical_under_the_parallel_executor() {
+    // The smaller graph's plans all stay below the executor's fan-out
+    // cutoff, so every multi-worker scan on it runs inline; the larger
+    // graph's middle rounds fan out.
+    check_pruned_sweep(260, 1600, &[0, 17, 130, 0], false);
+    check_pruned_sweep(1000, 8000, &[0, 17, 500, 0], true);
+}
+
+/// SSSP runs on an R-MAT graph of `n` vertices and `edges` edges, every
+/// iteration executing the frontier-pruned plan, must be bit-identical at
+/// every worker count. `fans_out` says whether the multi-worker executors
+/// must run both scan paths (else they must run every scan inline).
+fn check_pruned_sweep(n: usize, edges: usize, sources: &[usize], fans_out: bool) {
     use graphr_repro::core::exec::mask::FrontierMask;
     use graphr_repro::core::exec::{ScanEngine, StreamingExecutor};
     use graphr_repro::core::TiledGraph;
     use graphr_repro::units::FixedSpec;
 
-    let g = Rmat::new(260, 1600).seed(17).max_weight(9).generate();
+    let g = Rmat::new(n, edges).seed(17).max_weight(9).generate();
     let cfg = test_config();
     let tiled = TiledGraph::preprocess(&g, &cfg).expect("valid geometry");
     let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
     let inf = spec.max_value();
-    let n = 260;
 
-    // A full SSSP run where every iteration executes the frontier-pruned
-    // plan; early and late rounds plan fewer units than the widest worker
-    // count below.
+    // Early and late rounds plan fewer units than the widest worker count
+    // below.
     let run = |exec: &mut StreamingExecutor<'_>, source: usize| {
         let mut dist = vec![inf; n];
         dist[source] = 0.0;
@@ -197,7 +207,6 @@ fn pruned_plans_are_bit_identical_under_the_parallel_executor() {
     // and must match the one-thread reference traversal for traversal:
     // distances, per-round activations and full Metrics. Scratch leaking
     // from one scan into the next would break this.
-    let sources = [0, 17, 130, 0];
     let mut reference_exec = StreamingExecutor::new(&tiled, &cfg, spec);
     let reference: Vec<_> = sources
         .iter()
@@ -228,6 +237,13 @@ fn pruned_plans_are_bit_identical_under_the_parallel_executor() {
                 "metrics must be identical ({threads} threads, source {source})"
             );
         }
+        let [inline, fanned_out] = exec.scan_paths();
+        assert!(inline > 0, "{threads} threads: small plans must run inline");
+        assert_eq!(
+            fanned_out > 0,
+            fans_out && threads > 1,
+            "{threads} threads, {edges} edges: scans fanned out {fanned_out} times"
+        );
     }
 }
 
