@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the §3.4 preprocessing: global-order-ID
 //! computation and full edge-list tiling (the once-per-graph software
-//! step of Figure 9).
+//! step of Figure 9), from 10 K to 4 M edges. Prints time per call and
+//! edges/s; it asserts nothing about host time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use graphr_core::preprocess::TileOrder;
@@ -18,8 +19,16 @@ fn preprocess_benches(c: &mut Criterion) {
         });
     });
     let config = GraphRConfig::default();
-    for edges in [10_000usize, 100_000] {
-        let graph = Rmat::new(edges / 8, edges).seed(1).generate();
+    // The last two points are hostbench's `pagerank_rmat` graph and one
+    // four times larger, so the edges/s column shows whether tiling
+    // scales linearly at benchmark size.
+    for (vertices, edges) in [
+        (1_250usize, 10_000usize),
+        (12_500, 100_000),
+        (65_536, 1_000_000),
+        (262_144, 4_000_000),
+    ] {
+        let graph = Rmat::new(vertices, edges).seed(1).generate();
         group.throughput(Throughput::Elements(edges as u64));
         group.bench_with_input(BenchmarkId::new("tile_graph", edges), &graph, |b, graph| {
             b.iter(|| TiledGraph::preprocess(std::hint::black_box(graph), &config).unwrap());

@@ -358,15 +358,19 @@ impl GraphRConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if any dimension is zero, the slicer's total
-    /// bits cannot carry the spec's magnitude, `crossbars_per_ge` is not a
-    /// multiple of the arrays needed per logical tile, a configured block
-    /// size is not a multiple of the strip width, or
-    /// `program_row_serialization` exceeds the crossbar size.
+    /// Returns [`ConfigError`] if any dimension is zero, the crossbar is
+    /// larger than the 256 × 256 a byte-wide tile entry can address, the
+    /// slicer's total bits cannot carry the spec's magnitude,
+    /// `crossbars_per_ge` is not a multiple of the arrays needed per
+    /// logical tile, a configured block size is not a multiple of the strip
+    /// width, or `program_row_serialization` exceeds the crossbar size.
     pub fn build(self) -> Result<GraphRConfig, ConfigError> {
         let c = &self.config;
         if c.crossbar_size == 0 || c.crossbars_per_ge == 0 || c.num_ges == 0 {
             return Err(ConfigError::new("dimensions must be positive"));
+        }
+        if c.crossbar_size > 256 {
+            return Err(ConfigError::new("crossbar_size must be at most 256"));
         }
         if c.adcs_per_ge == 0 {
             return Err(ConfigError::new("at least one ADC per GE required"));
@@ -455,6 +459,9 @@ mod tests {
     #[test]
     fn builder_rejects_bad_shapes() {
         assert!(GraphRConfig::builder().crossbar_size(0).build().is_err());
+        // Tile entries address rows and columns in a byte.
+        assert!(GraphRConfig::builder().crossbar_size(256).build().is_ok());
+        assert!(GraphRConfig::builder().crossbar_size(257).build().is_err());
         assert!(GraphRConfig::builder().crossbars_per_ge(6).build().is_err());
         assert!(GraphRConfig::builder().block_vertices(100).build().is_err());
         assert!(GraphRConfig::builder()

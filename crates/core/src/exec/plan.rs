@@ -84,9 +84,10 @@ use crate::preprocess::tiler::TiledGraph;
 /// and which of its strip's subgraphs to stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanRow {
-    /// Column-major block index (position in [`TiledGraph::blocks`]).
+    /// Column-major block index (`0..`[`TiledGraph::num_blocks`]).
     pub block: u32,
-    /// Planned positions within the strip's `subgraphs` vector, ascending.
+    /// Planned positions among the `(block, strip)` slot's nonempty
+    /// subgraphs, ascending (see [`TiledGraph::slot_subgraphs`]).
     pub subgraphs: Vec<u32>,
 }
 
@@ -194,10 +195,10 @@ impl PlanSkeleton {
             let rows = (0..per_side)
                 .map(|bi| {
                     let block = unit.bj as usize * per_side + bi;
-                    let strip = &tiled.blocks()[block].strips[unit.strip as usize];
+                    let slot = tiled.slot_subgraphs(block, unit.strip as usize);
                     PlanRow {
                         block: block as u32,
-                        subgraphs: (0..strip.subgraphs.len() as u32).collect(),
+                        subgraphs: (0..slot.len() as u32).collect(),
                     }
                 })
                 .collect();
@@ -277,27 +278,25 @@ impl PlanSkeleton {
         let mut edges = 0u64;
         // Block rows ascending, spans within a row in streamed order, so
         // each unit accumulates its rows already sorted.
-        for row_spans in tiled.source_index().rows() {
-            for span in row_spans {
-                if !span.intersects(mask) {
-                    continue;
-                }
-                let bj = span.block as usize / per_side;
-                let unit_rows = &mut rows_by_unit[bj * strips_per_block + span.strip as usize];
-                if unit_rows.last().map(|r| r.block) != Some(span.block) {
-                    unit_rows.push(PlanRow {
-                        block: span.block,
-                        subgraphs: Vec::new(),
-                    });
-                }
-                unit_rows
-                    .last_mut()
-                    .expect("row just ensured")
-                    .subgraphs
-                    .push(span.position);
-                subgraphs += 1;
-                edges += u64::from(span.edges);
+        for span in tiled.source_index().spans() {
+            if !span.intersects(mask) {
+                continue;
             }
+            let bj = span.block as usize / per_side;
+            let unit_rows = &mut rows_by_unit[bj * strips_per_block + span.strip as usize];
+            if unit_rows.last().map(|r| r.block) != Some(span.block) {
+                unit_rows.push(PlanRow {
+                    block: span.block,
+                    subgraphs: Vec::new(),
+                });
+            }
+            unit_rows
+                .last_mut()
+                .expect("row just ensured")
+                .subgraphs
+                .push(span.position);
+            subgraphs += 1;
+            edges += u64::from(span.edges);
         }
         let mut units = Vec::new();
         for (punit, rows) in self.full.units.iter().zip(rows_by_unit) {
@@ -400,10 +399,8 @@ mod tests {
         let plan = skeleton.pruned_plan(&tiled, &mask);
         // Reconstruct the planned set and compare with a direct filter of
         // the source index.
-        let mut expected = 0u64;
-        for row in tiled.source_index().rows() {
-            expected += row.iter().filter(|s| s.intersects(&mask)).count() as u64;
-        }
+        let spans = tiled.source_index().spans();
+        let expected = spans.iter().filter(|s| s.intersects(&mask)).count() as u64;
         assert_eq!(plan.stats().subgraphs_planned, expected);
         assert_eq!(
             plan.stats().subgraphs_planned + plan.stats().subgraphs_pruned,
@@ -430,13 +427,7 @@ mod tests {
         let tiled = TiledGraph::preprocess(&g, &small_config()).unwrap();
         // Spans across all rows, sorted by edge offset, must tile
         // [0, total_edges) exactly.
-        let mut spans: Vec<_> = tiled
-            .source_index()
-            .rows()
-            .iter()
-            .flatten()
-            .copied()
-            .collect();
+        let mut spans = tiled.source_index().spans().to_vec();
         spans.sort_by_key(|s| s.edge_offset);
         let mut next = 0u64;
         for s in &spans {

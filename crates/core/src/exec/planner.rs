@@ -176,13 +176,8 @@ impl PlannerIndex {
         let units: Vec<StripUnit> = crate::exec::strip::strip_units(tiled);
         let num_units = units.len();
 
-        let mut chunks: Vec<(u32, u32)> = tiled
-            .source_index()
-            .rows()
-            .iter()
-            .flatten()
-            .map(|s| (s.src_start, s.src_len))
-            .collect();
+        let spans = tiled.source_index().spans();
+        let mut chunks: Vec<(u32, u32)> = spans.iter().map(|s| (s.src_start, s.src_len)).collect();
         chunks.sort_unstable();
         chunks.dedup();
 
@@ -191,22 +186,20 @@ impl PlannerIndex {
         // Rows ascending by block row, spans in streamed order within a
         // row: every unit accumulates its spans already in the order the
         // scratch rebuild would emit them.
-        for row_spans in tiled.source_index().rows() {
-            for span in row_spans {
-                let bj = span.block as usize / per_side;
-                let unit = (bj * strips_per_block + span.strip as usize) as u32;
-                let chunk = chunks
-                    .binary_search(&(span.src_start, span.src_len))
-                    .expect("chunk table covers every span") as u32;
-                unit_spans[unit as usize].push(UnitSpan {
-                    block: span.block,
-                    position: span.position,
-                    chunk,
-                    edges: span.edges,
-                });
-                if chunk_units[chunk as usize].last() != Some(&unit) {
-                    chunk_units[chunk as usize].push(unit);
-                }
+        for span in spans {
+            let bj = span.block as usize / per_side;
+            let unit = (bj * strips_per_block + span.strip as usize) as u32;
+            let chunk = chunks
+                .binary_search(&(span.src_start, span.src_len))
+                .expect("chunk table covers every span") as u32;
+            unit_spans[unit as usize].push(UnitSpan {
+                block: span.block,
+                position: span.position,
+                chunk,
+                edges: span.edges,
+            });
+            if chunk_units[chunk as usize].last() != Some(&unit) {
+                chunk_units[chunk as usize].push(unit);
             }
         }
         for chunk in &mut chunk_units {

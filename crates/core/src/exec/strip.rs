@@ -29,7 +29,7 @@ use crate::engine::tile::{MergeRule, TileCompute};
 use crate::exec::plan::PlanUnit;
 use crate::exec::streaming::EdgeValueFn;
 use crate::metrics::Metrics;
-use crate::preprocess::tiler::TiledGraph;
+use crate::preprocess::tiler::{SubgraphView, TiledGraph};
 
 /// Bytes per COO edge record streamed from memory ReRAM — the binary
 /// record format is owned by the graph crate.
@@ -170,7 +170,8 @@ impl<'a> StripScanner<'a> {
 
         for row in &punit.rows {
             let bidx = row.block as usize;
-            let strip = &tiled.blocks()[bidx].strips[sidx];
+            let slot = tiled.slot_subgraphs(bidx, sidx);
+            let pruned = (slot.len() - row.subgraphs.len()) as u64;
             match self.config.order {
                 StreamingOrder::ColumnMajor => {
                     // Dense tile packing: the whole strip's planned tiles
@@ -178,15 +179,13 @@ impl<'a> StripScanner<'a> {
                     let mut strip_tiles = 0u64;
                     let mut strip_edges = 0u64;
                     for &g in &row.subgraphs {
-                        let sg = &strip.subgraphs[g as usize];
-                        strip_tiles += sg.tiles.len() as u64;
-                        strip_edges += u64::from(sg.edges);
+                        let sg = tiled.subgraph(slot.start + g as usize);
+                        strip_tiles += sg.tiles().len() as u64;
+                        strip_edges += u64::from(sg.edges());
                         self.mac_subgraph(
-                            bidx, sidx, g as usize, unit, value, inputs, outputs, &mut salu,
-                            metrics,
+                            bidx, sidx, sg, unit, value, inputs, outputs, &mut salu, metrics,
                         );
                     }
-                    let pruned = (strip.subgraphs.len() - row.subgraphs.len()) as u64;
                     self.charge_strip_time(strip_tiles, strip_edges, pruned, k, metrics);
                     // Strip write-back: RegO → memory, once per strip.
                     self.charge_strip_writeback(self.config.strip_width().min(n), metrics);
@@ -198,13 +197,11 @@ impl<'a> StripScanner<'a> {
                     // Subgraphs are stored in ascending chunk order, which
                     // is exactly the source-major visit order within one
                     // strip.
-                    let pruned = (strip.subgraphs.len() - row.subgraphs.len()) as u64;
                     for &g in &row.subgraphs {
-                        let sg = &strip.subgraphs[g as usize];
-                        let (tiles, edges) = (sg.tiles.len() as u64, u64::from(sg.edges));
+                        let sg = tiled.subgraph(slot.start + g as usize);
+                        let (tiles, edges) = (sg.tiles().len() as u64, u64::from(sg.edges()));
                         self.mac_subgraph(
-                            bidx, sidx, g as usize, unit, value, inputs, outputs, &mut salu,
-                            metrics,
+                            bidx, sidx, sg, unit, value, inputs, outputs, &mut salu, metrics,
                         );
                         self.charge_strip_time(
                             tiles.min(self.tile_slots() as u64),
@@ -284,7 +281,7 @@ impl<'a> StripScanner<'a> {
         &mut self,
         bidx: usize,
         sidx: usize,
-        g: usize,
+        sg: SubgraphView<'_>,
         unit: &StripUnit,
         value: &EdgeValueFn<'_>,
         inputs: &[&[f64]],
@@ -296,24 +293,22 @@ impl<'a> StripScanner<'a> {
         let n = tiled.num_vertices();
         let c = self.config.crossbar_size;
         let k = inputs.len();
-        let block = &tiled.blocks()[bidx];
-        let strip = &block.strips[sidx];
-        let sg = &strip.subgraphs[g];
-        let src0 = tiled.subgraph_src_start(block, sg);
+        let src0 = tiled.chunk_src_start(bidx, sg.chunk());
+        let dst0 = tiled.strip_dst_start(bidx, sidx);
         let arrays = self.config.arrays_per_tile() as u64;
-        let tiles = sg.tiles.len() as u64;
-        let edges = u64::from(sg.edges);
+        let tiles = sg.tiles().len() as u64;
+        let edges = u64::from(sg.edges());
 
         // --- functional compute ---
-        for tile in &sg.tiles {
+        for (t, entries) in sg.tiles() {
+            let tile_dst0 = dst0 + t * c;
             self.value_buf.clear();
-            for e in &tile.entries {
+            for e in entries {
                 let src = (src0 + e.row as usize) as u32;
-                let dst = tiled.tile_dst(block, strip, tile, e.col) as u32;
+                let dst = (tile_dst0 + e.col as usize) as u32;
                 self.value_buf.push(value(e.weight, src, dst));
             }
-            self.tile
-                .load(&tile.entries, &self.value_buf, MergeRule::Sum);
+            self.tile.load(entries, &self.value_buf, MergeRule::Sum);
             for (ki, x) in inputs.iter().enumerate() {
                 for r in 0..c {
                     let src = src0 + r;
@@ -324,7 +319,7 @@ impl<'a> StripScanner<'a> {
                     if yv == 0.0 {
                         continue;
                     }
-                    let dst = tiled.tile_dst(block, strip, tile, col as u8);
+                    let dst = tile_dst0 + col;
                     if dst < n {
                         let slot = &mut outputs[ki][dst - unit.dst_start];
                         salu.reduce_one(slot, yv);
@@ -405,18 +400,17 @@ impl<'a> StripScanner<'a> {
 
         for row in &punit.rows {
             let bidx = row.block as usize;
-            let block = &tiled.blocks()[bidx];
-            let strip = &block.strips[sidx];
+            let slot_start = tiled.slot_subgraphs(bidx, sidx).start;
             // Per-tile active-row counts drive the packed timing.
             tile_rows.clear();
             let mut strip_edges = 0u64;
             for &g in &row.subgraphs {
-                let sg = &strip.subgraphs[g as usize];
-                let src0 = tiled.subgraph_src_start(block, sg);
+                let sg = tiled.subgraph(slot_start + g as usize);
+                let src0 = tiled.chunk_src_start(bidx, sg.chunk());
                 // Planned means streamed — once for the whole batch, and
                 // whether or not any of its rows end up driven.
-                strip_edges += u64::from(sg.edges);
-                let stream_bytes = u64::from(sg.edges) * BYTES_PER_EDGE;
+                strip_edges += u64::from(sg.edges());
+                let stream_bytes = u64::from(sg.edges()) * BYTES_PER_EDGE;
                 metrics.energy.memory += self.config.cost.memory_stream_energy(stream_bytes);
                 metrics.events.bytes_streamed += stream_bytes;
                 // Rows past the last vertex hold no lanes.
@@ -432,7 +426,7 @@ impl<'a> StripScanner<'a> {
                 total_drives += self.addop_lanes_subgraph(
                     bidx,
                     sidx,
-                    g as usize,
+                    sg,
                     unit,
                     value,
                     combine,
@@ -525,7 +519,7 @@ impl<'a> StripScanner<'a> {
         &mut self,
         bidx: usize,
         sidx: usize,
-        g: usize,
+        sg: SubgraphView<'_>,
         unit: &StripUnit,
         value: &EdgeValueFn<'_>,
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
@@ -542,13 +536,11 @@ impl<'a> StripScanner<'a> {
         let c = self.config.crossbar_size;
         let spec = self.tile.spec();
         let width = self.config.strip_width();
-        let block = &tiled.blocks()[bidx];
-        let strip = &block.strips[sidx];
-        let sg = &strip.subgraphs[g];
-        let src0 = tiled.subgraph_src_start(block, sg);
+        let src0 = tiled.chunk_src_start(bidx, sg.chunk());
+        let dst0 = tiled.strip_dst_start(bidx, sidx);
         let arrays = self.config.arrays_per_tile() as u64;
-        let tiles = sg.tiles.len() as u64;
-        let edges = u64::from(sg.edges);
+        let tiles = sg.tiles().len() as u64;
+        let edges = u64::from(sg.edges());
         let mut active_cells: u64 = 0;
         let mut rows_driven: u64 = 0;
         let activations: u64 = active_rows
@@ -558,15 +550,15 @@ impl<'a> StripScanner<'a> {
 
         // --- functional compute: per tile, program once, drive each
         // active row once per lane holding it ---
-        for tile in &sg.tiles {
+        for (t, entries) in sg.tiles() {
+            let tile_dst0 = dst0 + t * c;
             self.value_buf.clear();
-            for e in &tile.entries {
+            for e in entries {
                 let src = (src0 + e.row as usize) as u32;
-                let dst = tiled.tile_dst(block, strip, tile, e.col) as u32;
+                let dst = (tile_dst0 + e.col as usize) as u32;
                 self.value_buf.push(value(e.weight, src, dst));
             }
-            self.tile
-                .load(&tile.entries, &self.value_buf, MergeRule::Min);
+            self.tile.load(entries, &self.value_buf, MergeRule::Min);
             let mut this_tile_rows = 0u64;
             for &(r, lanes) in active_rows {
                 self.tile.row_entries(r, &mut self.entry_buf);
@@ -583,7 +575,7 @@ impl<'a> StripScanner<'a> {
                     let frontier = &mut frontiers[q * width..(q + 1) * width];
                     for &(col, w) in &self.entry_buf {
                         active_cells += arrays;
-                        let dst = tiled.tile_dst(block, strip, tile, col as u8);
+                        let dst = tile_dst0 + col;
                         if dst >= n {
                             continue;
                         }

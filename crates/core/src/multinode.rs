@@ -649,10 +649,10 @@ fn count_planned(tiled: &TiledGraph, punit: &PlanUnit) -> (u64, u64) {
     let mut subgraphs = 0u64;
     let mut edges = 0u64;
     for row in &punit.rows {
-        let strip = &tiled.blocks()[row.block as usize].strips[punit.unit.strip as usize];
+        let slot = tiled.slot_subgraphs(row.block as usize, punit.unit.strip as usize);
         for &pos in &row.subgraphs {
             subgraphs += 1;
-            edges += u64::from(strip.subgraphs[pos as usize].edges);
+            edges += u64::from(tiled.subgraph(slot.start + pos as usize).edges());
         }
     }
     (subgraphs, edges)

@@ -88,7 +88,7 @@
 //!
 //! [`ScanPlan`]: crate::exec::plan::ScanPlan
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use graphr_graph::BYTES_PER_EDGE;
@@ -254,48 +254,47 @@ pub struct IoPlan {
 }
 
 impl IoPlan {
-    /// Derives the disk plan of one scan: walks the blocks in streamed
-    /// (disk) order and classifies every nonempty subgraph as loaded (it
-    /// appears in `plan`) or seeked past. `plan` must have been built for
-    /// `tiled`.
+    /// Derives the disk plan of one scan: marks the plan's subgraphs by
+    /// streamed ordinal, then walks the blocks in disk order and
+    /// classifies every nonempty subgraph as loaded or seeked past.
+    /// `plan` must have been built for `tiled`.
     #[must_use]
     pub fn from_scan_plan(tiled: &TiledGraph, plan: &ScanPlan) -> IoPlan {
-        let mut planned: HashSet<(u32, u32, u32)> = HashSet::new();
+        let mut planned = vec![false; tiled.nonempty_subgraphs()];
         for punit in plan.units() {
             for row in &punit.rows {
+                let slot = tiled.slot_subgraphs(row.block as usize, punit.unit.strip as usize);
                 for &pos in &row.subgraphs {
-                    planned.insert((row.block, punit.unit.strip, pos));
+                    planned[slot.start + pos as usize] = true;
                 }
             }
         }
         let mut io = IoPlan::default();
-        // Subgraph spans tile the ordered edge list exactly (asserted in
-        // the plan-layer tests), so adjacency in this walk *is* byte
+        // Ordinals follow the ordered edge list exactly (asserted in the
+        // tiler's layout proptest), so adjacency in this walk *is* byte
         // contiguity on disk.
         let mut in_segment = false;
-        for (bidx, block) in tiled.blocks().iter().enumerate() {
+        for block in 0..tiled.num_blocks() {
             let mut block_loaded = false;
-            for strip in &block.strips {
-                for (pos, sg) in strip.subgraphs.iter().enumerate() {
-                    let hit = planned.contains(&(bidx as u32, strip.strip, pos as u32));
-                    let bytes = u64::from(sg.edges) * BYTES_PER_EDGE;
-                    if hit {
-                        io.bytes_loaded += bytes;
-                        if !in_segment {
-                            io.segments += 1;
-                        }
-                        block_loaded = true;
-                    } else {
-                        io.bytes_skipped += bytes;
+            for ord in tiled.block_subgraphs(block) {
+                let hit = planned[ord];
+                let bytes = u64::from(tiled.subgraph(ord).edges()) * BYTES_PER_EDGE;
+                if hit {
+                    io.bytes_loaded += bytes;
+                    if !in_segment {
+                        io.segments += 1;
                     }
-                    in_segment = hit;
+                    block_loaded = true;
+                } else {
+                    io.bytes_skipped += bytes;
                 }
+                in_segment = hit;
             }
             if block_loaded {
                 io.blocks_loaded += 1;
             }
         }
-        io.blocks_seeked = tiled.blocks().len() - io.blocks_loaded;
+        io.blocks_seeked = tiled.num_blocks() - io.blocks_loaded;
         io
     }
 
@@ -303,17 +302,15 @@ impl IoPlan {
     /// loads every iteration (every nonempty subgraph, one segment).
     #[must_use]
     pub fn full_restream(tiled: &TiledGraph) -> IoPlan {
-        let blocks_loaded = tiled
-            .blocks()
-            .iter()
-            .filter(|b| b.strips.iter().any(|s| !s.subgraphs.is_empty()))
+        let blocks_loaded = (0..tiled.num_blocks())
+            .filter(|&b| !tiled.block_subgraphs(b).is_empty())
             .count();
         IoPlan {
             bytes_loaded: tiled.total_edges() as u64 * BYTES_PER_EDGE,
             bytes_skipped: 0,
             segments: usize::from(tiled.total_edges() > 0),
             blocks_loaded,
-            blocks_seeked: tiled.blocks().len() - blocks_loaded,
+            blocks_seeked: tiled.num_blocks() - blocks_loaded,
         }
     }
 }
@@ -333,16 +330,14 @@ pub(crate) enum PlannedSet {
 }
 
 /// Once-per-graph lookup behind [`DiskAccountant`]: every nonempty
-/// subgraph's ordinal in the streamed order (adjacency of ordinals ⇔ byte
-/// contiguity on disk), its byte size, and its block — so a sparse scan's
-/// [`IoPlan`] costs `O(planned · log planned)` instead of a walk over the
-/// whole graph ([`IoPlan::from_scan_plan`]'s general path, which this is
-/// tested against).
+/// subgraph's block, by streamed ordinal (adjacency of ordinals ⇔ byte
+/// contiguity on disk; a planned `(block, strip, position)` is ordinal
+/// [`TiledGraph::slot_subgraphs`]`.start + position`, and its bytes are
+/// read off the tiled graph) — so a sparse scan's [`IoPlan`] costs
+/// `O(planned · log planned)` instead of a walk over the whole graph
+/// ([`IoPlan::from_scan_plan`]'s general path, which this is tested
+/// against).
 struct IoIndex {
-    /// `(block, strip, position)` → ordinal in streamed order.
-    ordinals: HashMap<(u32, u32, u32), u32>,
-    /// Per-ordinal byte size of the subgraph.
-    bytes: Vec<u64>,
     /// Per-ordinal owning block index (non-decreasing along ordinals).
     block_of: Vec<u32>,
     /// Total on-disk block slots.
@@ -361,23 +356,12 @@ struct IoIndex {
 
 impl IoIndex {
     fn build(tiled: &TiledGraph) -> IoIndex {
-        let mut ordinals = HashMap::new();
-        let mut bytes = Vec::new();
-        let mut block_of = Vec::new();
-        for (bidx, block) in tiled.blocks().iter().enumerate() {
-            for strip in &block.strips {
-                for (pos, sg) in strip.subgraphs.iter().enumerate() {
-                    ordinals.insert((bidx as u32, strip.strip, pos as u32), bytes.len() as u32);
-                    bytes.push(u64::from(sg.edges) * BYTES_PER_EDGE);
-                    block_of.push(bidx as u32);
-                }
-            }
-        }
+        let block_of = (0..tiled.num_blocks())
+            .flat_map(|b| std::iter::repeat_n(b as u32, tiled.block_subgraphs(b).len()))
+            .collect();
         IoIndex {
-            ordinals,
-            bytes,
             block_of,
-            total_blocks: tiled.blocks().len(),
+            total_blocks: tiled.num_blocks(),
             total_bytes: tiled.total_edges() as u64 * BYTES_PER_EDGE,
             full: IoPlan::full_restream(tiled),
             unit_cache: HashMap::new(),
@@ -387,7 +371,7 @@ impl IoIndex {
     /// One unit's planned ordinals, served from the per-unit cache when
     /// the plan carries the same `Arc` as the previous scan (untouched
     /// strips under incremental re-planning), re-derived otherwise.
-    fn unit_ordinals(&mut self, punit: &Arc<PlanUnit>) -> Arc<Vec<u32>> {
+    fn unit_ordinals(&mut self, tiled: &TiledGraph, punit: &Arc<PlanUnit>) -> Arc<Vec<u32>> {
         let key = punit.unit.index;
         if let Some((cached_unit, ordinals)) = self.unit_cache.get(&key) {
             if Arc::ptr_eq(cached_unit, punit) {
@@ -396,9 +380,8 @@ impl IoIndex {
         }
         let mut ordinals = Vec::with_capacity(punit.num_subgraphs());
         for row in &punit.rows {
-            for &pos in &row.subgraphs {
-                ordinals.push(self.ordinals[&(row.block, punit.unit.strip, pos)]);
-            }
+            let slot = tiled.slot_subgraphs(row.block as usize, punit.unit.strip as usize);
+            ordinals.extend(row.subgraphs.iter().map(|&pos| slot.start as u32 + pos));
         }
         let ordinals = Arc::new(ordinals);
         self.unit_cache
@@ -412,25 +395,25 @@ impl IoIndex {
     /// of consecutive ordinals are the sequential segments, block
     /// transitions count the loaded blocks.
     #[cfg(test)]
-    fn io_plan(&mut self, plan: &ScanPlan) -> IoPlan {
-        let planned = self.planned_set(plan);
-        self.io_for(&planned)
+    fn io_plan(&mut self, tiled: &TiledGraph, plan: &ScanPlan) -> IoPlan {
+        let planned = self.planned_set(tiled, plan);
+        self.io_for(tiled, &planned)
     }
 
     /// Gathers `plan`'s ordinals into a [`PlannedSet`] (cached per unit
     /// for strips an incremental plan left untouched, sorted once).
-    fn planned_set(&mut self, plan: &ScanPlan) -> PlannedSet {
+    fn planned_set(&mut self, tiled: &TiledGraph, plan: &ScanPlan) -> PlannedSet {
         // Full-restream short-circuit. Deliberately *not* `plan.is_full()`:
         // a cluster shard's stats are measured against its node's share,
         // so a shard of a dense plan reports zero pruned while covering
         // only a fraction of the streamed order — compare the planned
         // count against the graph's nonempty subgraphs instead.
-        if plan.stats().subgraphs_planned as usize == self.bytes.len() {
+        if plan.stats().subgraphs_planned as usize == self.block_of.len() {
             return PlannedSet::Full;
         }
         let mut planned: Vec<u32> = Vec::with_capacity(plan.stats().subgraphs_planned as usize);
         for punit in plan.units() {
-            planned.extend(self.unit_ordinals(punit).iter());
+            planned.extend(self.unit_ordinals(tiled, punit).iter());
         }
         planned.sort_unstable();
         PlannedSet::Sparse(planned)
@@ -438,7 +421,7 @@ impl IoIndex {
 
     /// Prices a [`PlannedSet`]: runs of consecutive ordinals are the
     /// sequential segments, block transitions count the loaded blocks.
-    fn io_for(&self, planned: &PlannedSet) -> IoPlan {
+    fn io_for(&self, tiled: &TiledGraph, planned: &PlannedSet) -> IoPlan {
         let ordinals = match planned {
             PlannedSet::Full => return self.full,
             PlannedSet::Sparse(v) => v,
@@ -446,7 +429,7 @@ impl IoIndex {
         let mut io = IoPlan::default();
         let mut prev: Option<u32> = None;
         for &ord in ordinals {
-            io.bytes_loaded += self.bytes[ord as usize];
+            io.bytes_loaded += subgraph_bytes(tiled, ord);
             if prev != Some(ord.wrapping_sub(1)) {
                 io.segments += 1;
             }
@@ -459,6 +442,11 @@ impl IoIndex {
         io.blocks_seeked = self.total_blocks - io.blocks_loaded;
         io
     }
+}
+
+/// Bytes of the subgraph at streamed `ordinal`.
+fn subgraph_bytes(tiled: &TiledGraph, ordinal: u32) -> u64 {
+    u64::from(tiled.subgraph(ordinal as usize).edges()) * BYTES_PER_EDGE
 }
 
 /// Per-iteration disk accounting for an executor: charges every executed
@@ -580,8 +568,8 @@ impl DiskAccountant {
     /// ever sees its own graph).
     pub fn charge_scan(&mut self, tiled: &TiledGraph, plan: &ScanPlan, metrics: &mut Metrics) {
         let index = self.index.get_or_insert_with(|| IoIndex::build(tiled));
-        let planned = index.planned_set(plan);
-        let io = index.io_for(&planned);
+        let planned = index.planned_set(tiled, plan);
+        let io = index.io_for(tiled, &planned);
         let d = &mut metrics.disk;
         d.bytes_loaded += io.bytes_loaded;
         d.blocks_loaded += io.blocks_loaded as u64;
@@ -604,7 +592,7 @@ impl DiskAccountant {
                 let demand_io = driver.serve(
                     &planned,
                     &io,
-                    &index.bytes,
+                    |ord| subgraph_bytes(tiled, ord),
                     &index.block_of,
                     index.total_blocks,
                     index.total_bytes,
@@ -643,8 +631,7 @@ impl DiskAccountant {
             ..self.window
         };
         if let Some(driver) = &mut self.driver {
-            let bytes = self.index.as_ref().map_or(&[][..], |i| &i.bytes);
-            let c = driver.commit_window(bytes, self.window_start, self.pending_demand, duration);
+            let c = driver.commit_window(self.window_start, self.pending_demand, duration);
             metrics.disk.bytes_prefetched += c.bytes_prefetched;
             metrics.disk.prefetch_hits += c.hits;
             metrics.disk.prefetch_wasted += c.wasted;
@@ -719,7 +706,7 @@ pub fn estimate_out_of_core(
     metrics: &Metrics,
     disk: &DiskModel,
 ) -> OutOfCoreEstimate {
-    let blocks = tiled.blocks().len();
+    let blocks = tiled.num_blocks();
     let bytes_per_iteration = tiled.total_edges() as u64 * BYTES_PER_EDGE;
     let iterations = metrics.iterations.max(1) as f64;
     let per_iteration = Nanos::new(bytes_per_iteration as f64 / disk.sequential_gbps)
@@ -823,12 +810,12 @@ mod tests {
         assert_eq!(dense.segments, 1, "dense restream is one sequential run");
         assert_eq!(
             dense.blocks_loaded + dense.blocks_seeked,
-            tiled.blocks().len()
+            tiled.num_blocks()
         );
         // One dense iteration prices exactly like the legacy formula.
         let disk = DiskModel::sata_ssd();
         let legacy = Nanos::new(dense.bytes_loaded as f64 / disk.sequential_gbps)
-            + disk.per_block_latency * tiled.blocks().len() as f64;
+            + disk.per_block_latency * tiled.num_blocks() as f64;
         assert_eq!(disk.plan_time(&dense), legacy);
     }
 
@@ -850,7 +837,7 @@ mod tests {
         assert!(pruned.bytes_loaded < dense.bytes_loaded);
         assert_eq!(
             pruned.blocks_loaded + pruned.blocks_seeked,
-            tiled.blocks().len()
+            tiled.num_blocks()
         );
         let disk = DiskModel::nvme();
         assert!(disk.plan_time(&pruned) < disk.plan_time(&dense));
@@ -868,13 +855,13 @@ mod tests {
         assert_eq!(io.bytes_loaded, 0);
         assert_eq!(io.segments, 0);
         assert_eq!(io.blocks_loaded, 0);
-        assert_eq!(io.blocks_seeked, tiled.blocks().len());
+        assert_eq!(io.blocks_seeked, tiled.num_blocks());
         assert_eq!(io.bytes_skipped, 400 * BYTES_PER_EDGE);
         // Seeking past everything still pays the per-block request issue.
         let disk = DiskModel::sata_ssd();
         assert_eq!(
             disk.plan_time(&io),
-            disk.per_block_latency * tiled.blocks().len() as f64
+            disk.per_block_latency * tiled.num_blocks() as f64
         );
     }
 
@@ -887,7 +874,7 @@ mod tests {
         let skeleton = PlanSkeleton::build(&tiled);
         let mut index = IoIndex::build(&tiled);
         assert_eq!(
-            index.io_plan(&skeleton.full_plan()),
+            index.io_plan(&tiled, &skeleton.full_plan()),
             IoPlan::from_scan_plan(&tiled, &skeleton.full_plan())
         );
         for seed in 0u64..12 {
@@ -902,14 +889,14 @@ mod tests {
                 .collect();
             let plan = skeleton.pruned_plan(&tiled, &FrontierMask::from_slice(&dense));
             assert_eq!(
-                index.io_plan(&plan),
+                index.io_plan(&tiled, &plan),
                 IoPlan::from_scan_plan(&tiled, &plan),
                 "indexed and walked IoPlans diverged (seed {seed})"
             );
         }
         let empty = skeleton.pruned_plan(&tiled, &FrontierMask::new(140));
         assert_eq!(
-            index.io_plan(&empty),
+            index.io_plan(&tiled, &empty),
             IoPlan::from_scan_plan(&tiled, &empty)
         );
     }
@@ -926,7 +913,7 @@ mod tests {
         let block = DiskModel::by_name("sata").unwrap();
         assert_eq!(block.granularity, RequestGranularity::Block);
         let legacy = Nanos::new(dense.bytes_loaded as f64 / block.sequential_gbps)
-            + block.per_block_latency * tiled.blocks().len() as f64;
+            + block.per_block_latency * tiled.num_blocks() as f64;
         assert_eq!(block.plan_time(&dense), legacy);
 
         // Segment granularity: the dense restream is one contiguous run,
@@ -977,7 +964,7 @@ mod tests {
         for mask in [&mask1, &mask2, &mask1] {
             let plan = planner.plan_for(&cfg, Some(mask), &mut counters);
             assert_eq!(
-                index.io_plan(&plan),
+                index.io_plan(&tiled, &plan),
                 IoPlan::from_scan_plan(&tiled, &plan),
                 "cached per-unit ordinals must not change the IoPlan"
             );

@@ -95,6 +95,8 @@ struct Buffer {
     hot: HashMap<u32, u32>,
     /// Per issued run: has any of its ordinals been served yet?
     consumed: Vec<bool>,
+    /// Bytes of the resident ordinals: issued, not yet served.
+    resident: u64,
 }
 
 /// One node's simulated I/O lane: candidate export at window commit,
@@ -142,13 +144,13 @@ impl ScanDriver {
     /// scan hasn't already: a greedy prefix of the candidate runs, in
     /// disk order, while the previous window's idle time still funds
     /// the next run in full.
-    fn maybe_issue(&mut self, bytes: &[u64], block_of: &[u32], model: &DiskModel) {
+    fn maybe_issue(&mut self, bytes: &impl Fn(u32) -> u64, block_of: &[u32], model: &DiskModel) {
         if self.buffer.is_some() {
             return;
         }
         let ordinals: Vec<u32> = match std::mem::replace(&mut self.candidates, Candidates::None) {
             Candidates::None => Vec::new(),
-            Candidates::Full => (0..bytes.len() as u32).collect(),
+            Candidates::Full => (0..block_of.len() as u32).collect(),
             Candidates::Sparse(mut v) => {
                 v.sort_unstable();
                 v.dedup();
@@ -158,6 +160,7 @@ impl ScanDriver {
         let mut buffer = Buffer {
             hot: HashMap::new(),
             consumed: Vec::new(),
+            resident: 0,
         };
         let mut spent = Nanos::ZERO;
         let mut i = 0usize;
@@ -170,10 +173,10 @@ impl ScanDriver {
         while i < ordinals.len() {
             // One candidate run: maximal range of consecutive ordinals.
             let mut j = i + 1;
-            let mut run_bytes = bytes[ordinals[i] as usize];
+            let mut run_bytes = bytes(ordinals[i]);
             let mut run_blocks = u64::from(last_block != Some(block_of[ordinals[i] as usize]));
             while j < ordinals.len() && ordinals[j] == ordinals[j - 1] + 1 {
-                run_bytes += bytes[ordinals[j] as usize];
+                run_bytes += bytes(ordinals[j]);
                 if block_of[ordinals[j] as usize] != block_of[ordinals[j - 1] as usize] {
                     run_blocks += 1;
                 }
@@ -194,6 +197,7 @@ impl ScanDriver {
                 buffer.hot.insert(ord, run);
             }
             buffer.consumed.push(false);
+            buffer.resident += run_bytes;
             spent += cost;
             self.issued_bytes += run_bytes;
             i = j;
@@ -210,20 +214,21 @@ impl ScanDriver {
     /// the demand-side [`IoPlan`]; `io` is the scan's full plan,
     /// returned unchanged when nothing is resident.
     ///
-    /// The slices are the accountant's streamed-order index: per-ordinal
-    /// byte sizes and owning blocks (non-decreasing along ordinals).
+    /// `bytes` sizes each ordinal's subgraph; `block_of` is the
+    /// accountant's streamed-order index of owning blocks (one per
+    /// ordinal, non-decreasing).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn serve(
         &mut self,
         planned: &PlannedSet,
         io: &IoPlan,
-        bytes: &[u64],
+        bytes: impl Fn(u32) -> u64,
         block_of: &[u32],
         total_blocks: usize,
         total_bytes: u64,
         model: &DiskModel,
     ) -> IoPlan {
-        self.maybe_issue(bytes, block_of, model);
+        self.maybe_issue(&bytes, block_of, model);
         let mut buffer = self.buffer.take().expect("issued above");
         if buffer.hot.is_empty() {
             self.buffer = Some(buffer);
@@ -247,14 +252,14 @@ impl ScanDriver {
                 cur_block_has_demand = false;
             }
             if let Some(run) = buffer.hot.remove(&ord) {
-                hot_bytes += bytes[ord as usize];
+                hot_bytes += bytes(ord);
                 if !buffer.consumed[run as usize] {
                     buffer.consumed[run as usize] = true;
                     new_hits += 1;
                 }
             } else {
                 cur_block_has_demand = true;
-                demand.bytes_loaded += bytes[ord as usize];
+                demand.bytes_loaded += bytes(ord);
                 if prev_demand != Some(ord.wrapping_sub(1)) {
                     demand.segments += 1;
                 }
@@ -267,7 +272,7 @@ impl ScanDriver {
         };
         match planned {
             PlannedSet::Full => {
-                for ord in 0..bytes.len() as u32 {
+                for ord in 0..block_of.len() as u32 {
                     walk(ord);
                 }
             }
@@ -281,6 +286,7 @@ impl ScanDriver {
             fully_hot_blocks += 1;
         }
         self.hits += new_hits;
+        buffer.resident -= hot_bytes;
         self.buffer = Some(buffer);
         // Every planned byte resident: no demand stream is issued at
         // all, so there is no sweep to charge seeks against either.
@@ -311,16 +317,11 @@ impl ScanDriver {
     /// on the simulated clock — as the next issue's budget.
     pub(crate) fn commit_window(
         &mut self,
-        bytes: &[u64],
         window_start: Nanos,
         demand: Nanos,
         duration: Nanos,
     ) -> DriverCommit {
-        let wasted = self
-            .buffer
-            .take()
-            .map(|b| b.hot.keys().map(|&ord| bytes[ord as usize]).sum())
-            .unwrap_or(0);
+        let wasted = self.buffer.take().map_or(0, |b| b.resident);
         let commit = DriverCommit {
             issued_time: self.issued_time,
             issued_start: self.issued_start,
@@ -350,10 +351,11 @@ impl ScanDriver {
 mod tests {
     use super::*;
 
-    /// Four single-ordinal candidates in two runs ({0,1} and {3}),
-    /// blocks [0,0,1,1], 10 bytes each.
-    fn fixture() -> (Vec<u64>, Vec<u32>) {
-        (vec![10, 10, 10, 10], vec![0, 0, 1, 1])
+    /// Four ordinals in blocks [0,0,1,1], 10 bytes each.
+    const BLOCK_OF: [u32; 4] = [0, 0, 1, 1];
+
+    fn ten_bytes(_: u32) -> u64 {
+        10
     }
 
     fn model(gbps: f64, lat: f64) -> DiskModel {
@@ -367,14 +369,13 @@ mod tests {
 
     #[test]
     fn greedy_prefix_respects_the_budget_and_serving_clears_waste() {
-        let (bytes, block_of) = fixture();
         let m = model(1.0, 1.0);
         let mut driver = ScanDriver::new();
         // Window 1 charged ordinals {0, 1, 3}; commit exports them with
         // a budget that funds the first run (20 bytes @1B/ns + 1 block
         // latency = 21 ns) but not the second (11 ns more).
         driver.note_candidates(PlannedSet::Sparse(vec![0, 1, 3]));
-        driver.commit_window(&bytes, Nanos::ZERO, Nanos::new(4.0), Nanos::new(29.0));
+        driver.commit_window(Nanos::ZERO, Nanos::new(4.0), Nanos::new(29.0));
         // Window 2 plans the same set: run {0,1} is hot, 3 is demand.
         let io = IoPlan {
             bytes_loaded: 30,
@@ -386,8 +387,8 @@ mod tests {
         let demand = driver.serve(
             &PlannedSet::Sparse(vec![0, 1, 3]),
             &io,
-            &bytes,
-            &block_of,
+            ten_bytes,
+            &BLOCK_OF,
             2,
             40,
             &m,
@@ -397,7 +398,7 @@ mod tests {
         // Block 0 is fully hot → seeked past for free; block 1 loads.
         assert_eq!(demand.blocks_loaded, 1);
         assert_eq!(demand.blocks_seeked, 0);
-        let c = driver.commit_window(&bytes, Nanos::new(29.0), Nanos::new(11.0), Nanos::new(11.0));
+        let c = driver.commit_window(Nanos::new(29.0), Nanos::new(11.0), Nanos::new(11.0));
         assert_eq!(c.bytes_prefetched, 20);
         assert_eq!(c.hits, 1, "one issued run, consumed once");
         assert_eq!(c.wasted, 0, "everything prefetched was served");
@@ -407,11 +408,10 @@ mod tests {
 
     #[test]
     fn unconsumed_prefetch_counts_as_waste() {
-        let (bytes, block_of) = fixture();
         let m = model(1.0, 0.0);
         let mut driver = ScanDriver::new();
         driver.note_candidates(PlannedSet::Sparse(vec![0, 1]));
-        driver.commit_window(&bytes, Nanos::ZERO, Nanos::ZERO, Nanos::new(100.0));
+        driver.commit_window(Nanos::ZERO, Nanos::ZERO, Nanos::new(100.0));
         let io = IoPlan {
             bytes_loaded: 10,
             segments: 1,
@@ -423,14 +423,14 @@ mod tests {
         let demand = driver.serve(
             &PlannedSet::Sparse(vec![1]),
             &io,
-            &bytes,
-            &block_of,
+            ten_bytes,
+            &BLOCK_OF,
             2,
             40,
             &m,
         );
         assert_eq!(demand.bytes_loaded, 0);
-        let c = driver.commit_window(&bytes, Nanos::ZERO, Nanos::ZERO, Nanos::ZERO);
+        let c = driver.commit_window(Nanos::ZERO, Nanos::ZERO, Nanos::ZERO);
         assert_eq!(c.bytes_prefetched, 20);
         assert_eq!(c.hits, 1);
         assert_eq!(c.wasted, 10, "ordinal 0 was never asked for");
@@ -438,12 +438,11 @@ mod tests {
 
     #[test]
     fn zero_budget_issues_nothing() {
-        let (bytes, block_of) = fixture();
         let m = model(1.0, 1.0);
         let mut driver = ScanDriver::new();
         driver.note_candidates(PlannedSet::Sparse(vec![0, 1, 2, 3]));
         // Disk-bound window: duration == demand, no idle tail.
-        driver.commit_window(&bytes, Nanos::ZERO, Nanos::new(50.0), Nanos::new(50.0));
+        driver.commit_window(Nanos::ZERO, Nanos::new(50.0), Nanos::new(50.0));
         let io = IoPlan {
             bytes_loaded: 40,
             segments: 1,
@@ -453,14 +452,14 @@ mod tests {
         let demand = driver.serve(
             &PlannedSet::Sparse(vec![0, 1, 2, 3]),
             &io,
-            &bytes,
-            &block_of,
+            ten_bytes,
+            &BLOCK_OF,
             2,
             40,
             &m,
         );
         assert_eq!(demand, io, "no budget → the full plan is all demand");
-        let c = driver.commit_window(&bytes, Nanos::ZERO, Nanos::ZERO, Nanos::ZERO);
+        let c = driver.commit_window(Nanos::ZERO, Nanos::ZERO, Nanos::ZERO);
         assert_eq!(c.bytes_prefetched, 0);
         assert_eq!(c.hits + c.wasted, 0);
     }

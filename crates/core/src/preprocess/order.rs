@@ -227,6 +227,24 @@ impl TileOrder {
         let sub_index = c.sub_row + c.sub_col * self.crossbar_size as u64;
         self.subgraph_index(i, j) * self.positions_per_subgraph() + sub_index
     }
+
+    /// Coordinates of the position whose global order ID is `id` — the
+    /// inverse of [`TileOrder::global_id`], unwinding equations (9), (8)
+    /// and (6).
+    #[must_use]
+    pub(crate) fn coords_of(&self, id: u64) -> PositionCoords {
+        let (c, chunks) = (self.crossbar_size as u64, self.chunks_per_block() as u64);
+        let per_subgraph = self.positions_per_subgraph();
+        let (subgraph, within) = (id / per_subgraph, id % per_subgraph);
+        let per_block = self.subgraphs_per_block() as u64;
+        PositionCoords {
+            block: subgraph / per_block,
+            strip: subgraph % per_block / chunks,
+            chunk: subgraph % per_block % chunks,
+            sub_col: within / c,
+            sub_row: within % c,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -326,6 +344,9 @@ mod tests {
                 .map(|&(i, j)| (i % v, j % v))
                 .collect();
             let mut by_tuple = by_id.clone();
+            for &(i, j) in &by_id {
+                prop_assert_eq!(order.coords_of(order.global_id(i, j)), order.coords(i, j));
+            }
             by_id.sort_by_key(|&(i, j)| (order.global_id(i, j), i, j));
             by_tuple.sort_by_key(|&(i, j)| {
                 let co = order.coords(i, j);

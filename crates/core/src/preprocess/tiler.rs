@@ -1,11 +1,19 @@
 //! The tiler: applies [`TileOrder`] to a concrete edge list, producing the
-//! hierarchical structure the streaming-apply executor walks.
+//! flat streamed-order layout the streaming-apply executor walks.
 //!
-//! The structure is exactly the §3.4 ordered edge list, materialised:
-//! blocks in column-major order, destination strips within a block, source
-//! chunks (subgraphs) within a strip — keeping only *nonempty* subgraphs,
-//! which is what lets GraphR skip work (§3.3) — and within a subgraph the
-//! edges grouped by the logical crossbar tile that will hold them.
+//! The layout is exactly the §3.4 ordered edge list, materialised once:
+//! every edge sits in one array in global-order-ID order — blocks in
+//! column-major order, destination strips within a block, source chunks
+//! (subgraphs) within a strip, and within a subgraph the logical crossbar
+//! tiles in ascending index. Three offset tables cut that array into
+//! nonempty tiles, nonempty subgraphs — keeping only those is what lets
+//! GraphR skip work (§3.3) — and `(block, strip)` slots. A subgraph's
+//! *ordinal*, its position among the nonempty subgraphs, is therefore also
+//! its place on disk: adjacent ordinals are adjacent bytes, and the
+//! subgraph at `position` within a slot is ordinal
+//! `slot start + position`.
+
+use std::ops::Range;
 
 use graphr_graph::EdgeList;
 use serde::{Deserialize, Serialize};
@@ -14,7 +22,7 @@ use crate::config::{ConfigError, GraphRConfig};
 use crate::preprocess::order::TileOrder;
 
 /// One edge placed inside a crossbar tile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TileEntry {
     /// Wordline within the tile (`0..C`).
     pub row: u8,
@@ -22,47 +30,6 @@ pub struct TileEntry {
     pub col: u8,
     /// Edge weight.
     pub weight: f32,
-}
-
-/// One nonempty logical crossbar tile of a subgraph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Tile {
-    /// Graph engine owning the tile.
-    pub ge: u32,
-    /// Tile slot within the GE (`0..tiles_per_ge`).
-    pub slot: u32,
-    /// The edges in the tile.
-    pub entries: Vec<TileEntry>,
-}
-
-/// One nonempty subgraph: a `C × strip_width` window of the adjacency
-/// matrix, split across GEs/tiles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Subgraph {
-    /// Source chunk index within the block.
-    pub chunk: u32,
-    /// Nonempty tiles, ordered by `(ge, slot)`.
-    pub tiles: Vec<Tile>,
-    /// Total edges in the subgraph.
-    pub edges: u32,
-}
-
-impl Subgraph {
-    /// First source vertex of the subgraph (given its block's row origin).
-    #[must_use]
-    pub fn src_start(&self, block_row_origin: usize, crossbar_size: usize) -> usize {
-        block_row_origin + self.chunk as usize * crossbar_size
-    }
-}
-
-/// One destination strip of a block, holding its nonempty subgraphs in
-/// chunk order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Strip {
-    /// Strip index within the block.
-    pub strip: u32,
-    /// Nonempty subgraphs, in ascending chunk order.
-    pub subgraphs: Vec<Subgraph>,
 }
 
 /// One nonempty subgraph's place in the §3.4 streamed order, seen from the
@@ -74,11 +41,13 @@ pub struct Strip {
 /// which subgraphs a scan must stream at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SubgraphSpan {
-    /// Column-major block index (position in [`TiledGraph::blocks`]).
+    /// Column-major block index (`0..`[`TiledGraph::num_blocks`]).
     pub block: u32,
     /// Strip index within the block.
     pub strip: u32,
-    /// Position within the strip's `subgraphs` vector.
+    /// Position among the `(block, strip)` slot's nonempty subgraphs: the
+    /// subgraph's streamed ordinal is
+    /// [`TiledGraph::slot_subgraphs`]`(block, strip).start + position`.
     pub position: u32,
     /// First source vertex the subgraph covers.
     pub src_start: u32,
@@ -101,47 +70,27 @@ impl SubgraphSpan {
     }
 }
 
-/// Per-block-row index of which source ranges hold edges — built once at
-/// tiling time, alongside the blocks themselves.
+/// Source-side index of which source ranges hold edges — built once at
+/// tiling time, in the same pass that lays out the edges.
 ///
-/// `rows()[bi]` lists block row `bi`'s nonempty subgraphs as
-/// [`SubgraphSpan`]s in streamed order, each carrying its source-vertex
-/// range and its edge offset into the ordered edge list. This is what lets
-/// a scan plan restrict the walk to block rows that contain at least one
-/// active source *before* streaming anything: the controller seeks straight
-/// to the planned spans' offsets instead of scanning edges past the GEs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Every nonempty subgraph appears once as a [`SubgraphSpan`] carrying its
+/// source-vertex range and its edge offset into the ordered edge list,
+/// grouped by block row (ascending) and in streamed order within a row.
+/// This is what lets a scan plan restrict the walk to block rows that
+/// contain at least one active source *before* streaming anything: the
+/// controller seeks straight to the planned spans' offsets instead of
+/// scanning edges past the GEs.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceRangeIndex {
-    rows: Vec<Vec<SubgraphSpan>>,
+    spans: Vec<SubgraphSpan>,
 }
 
 impl SourceRangeIndex {
-    /// The spans of each block row, outer-indexed by `bi`.
+    /// Every span: block rows ascending, streamed order within a row.
     #[must_use]
-    pub fn rows(&self) -> &[Vec<SubgraphSpan>] {
-        &self.rows
+    pub fn spans(&self) -> &[SubgraphSpan] {
+        &self.spans
     }
-
-    /// Spans of one block row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bi` is not a valid block-row index.
-    #[must_use]
-    pub fn row(&self, bi: usize) -> &[SubgraphSpan] {
-        &self.rows[bi]
-    }
-}
-
-/// One out-of-core block of the adjacency matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Block {
-    /// Block row coordinate (source side).
-    pub bi: u32,
-    /// Block column coordinate (destination side).
-    pub bj: u32,
-    /// All strips of the block (possibly with zero subgraphs), in order.
-    pub strips: Vec<Strip>,
 }
 
 /// A graph preprocessed into GraphR's streaming order.
@@ -163,21 +112,66 @@ pub struct Block {
 /// assert_eq!(tiled.total_edges(), 25);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TiledGraph {
     order: TileOrder,
     num_vertices: usize,
-    crossbar_size: usize,
-    tiles_per_ge: usize,
-    num_ges: usize,
-    /// Blocks in column-major order; empty blocks keep their slot so the
-    /// executor's disk-order walk stays trivial.
-    blocks: Vec<Block>,
-    /// Source-side index over the blocks, built once here.
+    /// Every edge, in §3.4 streamed order.
+    entries: Vec<TileEntry>,
+    /// Per nonempty tile: its first entry, plus a trailing entry count.
+    tile_starts: Vec<u32>,
+    /// Per nonempty tile: its index `ge · tiles_per_ge + slot` within its
+    /// subgraph.
+    tile_index: Vec<u32>,
+    /// Per nonempty subgraph (by ordinal): its first tile, plus a trailing
+    /// tile count.
+    subgraph_starts: Vec<u32>,
+    /// Per nonempty subgraph: its source chunk within the block.
+    chunks: Vec<u32>,
+    /// Per `(block, strip)` slot, `block · strips_per_block + strip`: its
+    /// first subgraph ordinal, plus a trailing subgraph count. Empty slots
+    /// keep their place, so the disk-order walk stays arithmetic.
+    slot_starts: Vec<u32>,
+    /// Source-side index over the subgraphs, built in the same pass.
     source_index: SourceRangeIndex,
-    total_edges: usize,
-    nonempty_subgraphs: usize,
-    nonempty_tiles: usize,
+}
+
+/// One nonempty subgraph of a [`TiledGraph`]: a `C × strip_width` window
+/// of the adjacency matrix, read in place from the flat layout.
+#[derive(Debug, Clone, Copy)]
+pub struct SubgraphView<'a> {
+    graph: &'a TiledGraph,
+    ordinal: usize,
+}
+
+impl<'a> SubgraphView<'a> {
+    /// Source chunk index within the block.
+    #[must_use]
+    pub fn chunk(&self) -> u32 {
+        self.graph.chunks[self.ordinal]
+    }
+
+    /// Total edges in the subgraph.
+    #[must_use]
+    pub fn edges(&self) -> u32 {
+        let tiles = self.tile_range();
+        self.graph.tile_starts[tiles.end] - self.graph.tile_starts[tiles.start]
+    }
+
+    /// The nonempty tiles in ascending tile index
+    /// (`ge · tiles_per_ge + slot`), each with its edges in streamed order.
+    pub fn tiles(&self) -> impl ExactSizeIterator<Item = (usize, &'a [TileEntry])> + 'a {
+        let g = self.graph;
+        self.tile_range().map(move |t| {
+            let entries = g.tile_starts[t] as usize..g.tile_starts[t + 1] as usize;
+            (g.tile_index[t] as usize, &g.entries[entries])
+        })
+    }
+
+    fn tile_range(&self) -> Range<usize> {
+        let starts = &self.graph.subgraph_starts;
+        starts[self.ordinal] as usize..starts[self.ordinal + 1] as usize
+    }
 }
 
 impl TiledGraph {
@@ -187,99 +181,95 @@ impl TiledGraph {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the configuration's geometry is
-    /// inconsistent (see [`TileOrder::new`]).
+    /// inconsistent (see [`TileOrder::new`]), or if the graph has more
+    /// edges than the `u32` offset tables address.
     pub fn preprocess(graph: &EdgeList, config: &GraphRConfig) -> Result<Self, ConfigError> {
         let c = config.crossbar_size;
-        let strip_width = config.strip_width();
-        let block_size = config.effective_block_vertices(graph.num_vertices());
-        let order = TileOrder::new(graph.num_vertices().max(1), c, strip_width, block_size)?;
+        let n = graph.num_vertices();
+        let block_size = config.effective_block_vertices(n);
+        let order = TileOrder::new(n.max(1), c, config.strip_width(), block_size)?;
 
-        // Sort edge indices by global order ID — the §3.4 preprocessing.
-        let mut sorted: Vec<u32> = (0..graph.num_edges() as u32).collect();
         let edges = graph.edges();
-        sorted.sort_by_key(|&idx| {
-            let e = &edges[idx as usize];
-            order.global_id(e.src as usize, e.dst as usize)
-        });
+        u32::try_from(edges.len()).map_err(|_| ConfigError::new("more than u32::MAX edges"))?;
 
-        let per_side = order.blocks_per_side();
-        let strips_per_block = order.strips_per_block();
-        let mut blocks: Vec<Block> = (0..order.num_blocks())
-            .map(|bidx| Block {
-                bi: (bidx % per_side) as u32,
-                bj: (bidx / per_side) as u32,
-                strips: (0..strips_per_block)
-                    .map(|s| Strip {
-                        strip: s as u32,
-                        subgraphs: Vec::new(),
-                    })
-                    .collect(),
+        // Sort (global order ID, edge index) keys — the §3.4
+        // preprocessing, each ID computed once; the index keeps parallel
+        // edges in input order, and the weight rides along so the pass
+        // below never revisits the edge list.
+        let mut keys: Vec<(u64, u32, f32)> = edges
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let id = order.global_id(e.src as usize, e.dst as usize);
+                (id, i as u32, e.weight)
             })
             .collect();
+        keys.sort_unstable_by_key(|&(id, i, _)| (id, i));
 
-        let tiles_per_ge = config.tiles_per_ge();
-        let mut nonempty_subgraphs = 0usize;
-        let mut nonempty_tiles = 0usize;
-        for &idx in &sorted {
-            let e = &edges[idx as usize];
-            let co = order.coords(e.src as usize, e.dst as usize);
-            let block = &mut blocks[co.block as usize];
-            let strip = &mut block.strips[co.strip as usize];
-            // Edges arrive sorted, so the current subgraph is the last one.
-            let need_new = strip
-                .subgraphs
-                .last()
-                .is_none_or(|sg| u64::from(sg.chunk) != co.chunk);
-            if need_new {
-                strip.subgraphs.push(Subgraph {
-                    chunk: co.chunk as u32,
-                    tiles: Vec::new(),
+        // One linear pass. A subgraph covers `C × strip_width` consecutive
+        // IDs and a tile `C × C` of them (column-major within the
+        // subgraph), so ID quotients mark where each one opens; sorted IDs
+        // therefore also visit a subgraph's tiles in ascending index.
+        let per_subgraph = order.positions_per_subgraph();
+        let per_tile = (c * c) as u64;
+        let strips_per_block = order.strips_per_block();
+        let per_side = order.blocks_per_side();
+        let mut entries = Vec::with_capacity(edges.len());
+        let mut tile_starts = Vec::new();
+        let mut tile_index = Vec::new();
+        let mut subgraph_starts = Vec::new();
+        let mut chunks: Vec<u32> = Vec::new();
+        let num_slots = order.num_blocks() * strips_per_block;
+        let mut slot_starts = Vec::with_capacity(num_slots + 1);
+        let mut spans = Vec::new();
+        let (mut open_subgraph, mut open_tile) = (None, None);
+        for &(id, _, weight) in &keys {
+            let co = order.coords_of(id);
+            if open_subgraph != Some(id / per_subgraph) {
+                open_subgraph = Some(id / per_subgraph);
+                let slot = co.block as usize * strips_per_block + co.strip as usize;
+                slot_starts.resize(slot + 1, chunks.len() as u32);
+                let bi = co.block as usize % per_side;
+                let src_start = bi * block_size + co.chunk as usize * c;
+                spans.push(SubgraphSpan {
+                    block: co.block as u32,
+                    strip: co.strip as u32,
+                    position: chunks.len() as u32 - slot_starts[slot],
+                    src_start: src_start as u32,
+                    src_len: c.min(n.saturating_sub(src_start)) as u32,
+                    edge_offset: entries.len() as u64,
                     edges: 0,
                 });
-                nonempty_subgraphs += 1;
+                subgraph_starts.push(tile_index.len() as u32);
+                chunks.push(co.chunk as u32);
             }
-            let sg = strip.subgraphs.last_mut().expect("just pushed");
-            sg.edges += 1;
-            let tile_index = (co.sub_col as usize) / c;
-            let ge = (tile_index / tiles_per_ge) as u32;
-            let slot = (tile_index % tiles_per_ge) as u32;
-            let entry = TileEntry {
+            if open_tile != Some(id / per_tile) {
+                open_tile = Some(id / per_tile);
+                tile_starts.push(entries.len() as u32);
+                tile_index.push((co.sub_col as usize / c) as u32);
+            }
+            spans.last_mut().expect("span just opened").edges += 1;
+            entries.push(TileEntry {
                 row: co.sub_row as u8,
                 col: (co.sub_col as usize % c) as u8,
-                weight: e.weight,
-            };
-            match sg.tiles.iter_mut().find(|t| t.ge == ge && t.slot == slot) {
-                Some(t) => t.entries.push(entry),
-                None => {
-                    sg.tiles.push(Tile {
-                        ge,
-                        slot,
-                        entries: vec![entry],
-                    });
-                    nonempty_tiles += 1;
-                }
-            }
+                weight,
+            });
         }
-        // Keep tiles ordered by (ge, slot) for deterministic execution.
-        for block in &mut blocks {
-            for strip in &mut block.strips {
-                for sg in &mut strip.subgraphs {
-                    sg.tiles.sort_by_key(|t| (t.ge, t.slot));
-                }
-            }
-        }
-        let source_index = build_source_index(&blocks, &order, c, per_side, graph.num_vertices());
+        slot_starts.resize(num_slots + 1, chunks.len() as u32);
+        // Group by block row; the stable sort keeps streamed order within.
+        spans.sort_by_key(|s| s.block as usize % per_side);
+        subgraph_starts.push(tile_index.len() as u32);
+        tile_starts.push(entries.len() as u32);
         Ok(TiledGraph {
             order,
-            num_vertices: graph.num_vertices(),
-            crossbar_size: c,
-            tiles_per_ge,
-            num_ges: config.num_ges,
-            blocks,
-            source_index,
-            total_edges: graph.num_edges(),
-            nonempty_subgraphs,
-            nonempty_tiles,
+            num_vertices: n,
+            entries,
+            tile_starts,
+            tile_index,
+            subgraph_starts,
+            chunks,
+            slot_starts,
+            source_index: SourceRangeIndex { spans },
         })
     }
 
@@ -301,28 +291,53 @@ impl TiledGraph {
         self.num_vertices
     }
 
-    /// The blocks in column-major (disk) order.
+    /// Block slots in column-major (disk) order, empty blocks included.
     #[must_use]
-    pub fn blocks(&self) -> &[Block] {
-        &self.blocks
+    pub fn num_blocks(&self) -> usize {
+        self.order.num_blocks()
+    }
+
+    /// Streamed ordinals of the nonempty subgraphs in `(block, strip)`,
+    /// in ascending chunk order.
+    #[must_use]
+    pub fn slot_subgraphs(&self, block: usize, strip: usize) -> Range<usize> {
+        let slot = block * self.order.strips_per_block() + strip;
+        self.slot_starts[slot] as usize..self.slot_starts[slot + 1] as usize
+    }
+
+    /// Streamed ordinals of every nonempty subgraph in `block`.
+    #[must_use]
+    pub(crate) fn block_subgraphs(&self, block: usize) -> Range<usize> {
+        let strips = self.order.strips_per_block();
+        self.slot_starts[block * strips] as usize..self.slot_starts[(block + 1) * strips] as usize
+    }
+
+    /// The nonempty subgraph at streamed `ordinal`; the view's methods
+    /// panic unless `ordinal` is below [`TiledGraph::nonempty_subgraphs`].
+    #[must_use]
+    pub fn subgraph(&self, ordinal: usize) -> SubgraphView<'_> {
+        SubgraphView {
+            graph: self,
+            ordinal,
+        }
     }
 
     /// Total edges across all tiles.
     #[must_use]
     pub fn total_edges(&self) -> usize {
-        self.total_edges
+        self.entries.len()
     }
 
     /// Number of subgraphs containing at least one edge.
     #[must_use]
     pub fn nonempty_subgraphs(&self) -> usize {
-        self.nonempty_subgraphs
+        self.chunks.len()
     }
 
     /// Number of logical crossbar tiles containing at least one edge.
     #[must_use]
     pub fn nonempty_tiles(&self) -> usize {
-        self.nonempty_tiles
+        self.tile_index.len()
     }
 
     /// Total subgraph slots (empty included) — the denominator of the
@@ -334,57 +349,17 @@ impl TiledGraph {
 
     /// First destination vertex of `strip` in `block`.
     #[must_use]
-    pub fn strip_dst_start(&self, block: &Block, strip: &Strip) -> usize {
-        block.bj as usize * self.order.block_size()
-            + strip.strip as usize * self.order.strip_width()
+    pub fn strip_dst_start(&self, block: usize, strip: usize) -> usize {
+        let bj = block / self.order.blocks_per_side();
+        bj * self.order.block_size() + strip * self.order.strip_width()
     }
 
-    /// First source vertex of `subgraph` in `block`.
+    /// First source vertex of source `chunk` in `block`.
     #[must_use]
-    pub fn subgraph_src_start(&self, block: &Block, subgraph: &Subgraph) -> usize {
-        block.bi as usize * self.order.block_size() + subgraph.chunk as usize * self.crossbar_size
+    pub fn chunk_src_start(&self, block: usize, chunk: u32) -> usize {
+        let bi = block % self.order.blocks_per_side();
+        bi * self.order.block_size() + chunk as usize * self.order.crossbar_size()
     }
-
-    /// Global destination vertex of a tile-local column.
-    #[must_use]
-    pub fn tile_dst(&self, block: &Block, strip: &Strip, tile: &Tile, col: u8) -> usize {
-        self.strip_dst_start(block, strip)
-            + (tile.ge as usize * self.tiles_per_ge + tile.slot as usize) * self.crossbar_size
-            + col as usize
-    }
-}
-
-/// Walks the blocks in streamed (disk) order, recording every nonempty
-/// subgraph's source range and edge offset under its block row.
-fn build_source_index(
-    blocks: &[Block],
-    order: &TileOrder,
-    crossbar_size: usize,
-    per_side: usize,
-    num_vertices: usize,
-) -> SourceRangeIndex {
-    let mut rows: Vec<Vec<SubgraphSpan>> = vec![Vec::new(); per_side];
-    let mut edge_offset = 0u64;
-    for (bidx, block) in blocks.iter().enumerate() {
-        let row_origin = block.bi as usize * order.block_size();
-        for strip in &block.strips {
-            for (position, sg) in strip.subgraphs.iter().enumerate() {
-                let src_start = sg.src_start(row_origin, crossbar_size);
-                let src_len = crossbar_size.min(num_vertices.saturating_sub(src_start));
-                rows[block.bi as usize].push(SubgraphSpan {
-                    block: bidx as u32,
-                    strip: strip.strip,
-                    position: position as u32,
-                    src_start: src_start as u32,
-                    src_len: src_len as u32,
-                    edge_offset,
-                    edges: sg.edges,
-                });
-                edge_offset += u64::from(sg.edges);
-            }
-        }
-    }
-    SourceRangeIndex { rows }
 }
 
 #[cfg(test)]
@@ -408,41 +383,66 @@ mod tests {
             .unwrap()
     }
 
+    /// Every `(src, dst, weight)` the layout holds, walked slot by slot.
+    fn reconstruct(tiled: &TiledGraph) -> Vec<(u32, u32, f32)> {
+        let c = tiled.order().crossbar_size();
+        let mut out = Vec::new();
+        for block in 0..tiled.num_blocks() {
+            for strip in 0..tiled.order().strips_per_block() {
+                let dst0 = tiled.strip_dst_start(block, strip);
+                for ord in tiled.slot_subgraphs(block, strip) {
+                    let sg = tiled.subgraph(ord);
+                    let src0 = tiled.chunk_src_start(block, sg.chunk());
+                    for (t, entries) in sg.tiles() {
+                        for e in entries {
+                            let src = src0 + e.row as usize;
+                            let dst = dst0 + t * c + e.col as usize;
+                            out.push((src as u32, dst as u32, e.weight));
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The exact §3.4 layout of Figure 5's graph, pinned: the streamed
+    /// `(tile, row, col, weight)` sequence, each subgraph's
+    /// `(chunk, edges)`, and the nonempty counts.
     #[test]
-    fn figure5_graph_tiles_completely() {
-        let g = figure5();
-        let tiled = TiledGraph::preprocess(&g, &small_config()).unwrap();
-        assert_eq!(tiled.total_edges(), 25);
+    fn figure5_layout_is_pinned() {
+        let tiled = TiledGraph::preprocess(&figure5(), &small_config()).unwrap();
         // 8 vertices < one 32-vertex block → single block.
-        assert_eq!(tiled.blocks().len(), 1);
-        let edges_seen: u32 = tiled.blocks()[0]
-            .strips
-            .iter()
-            .flat_map(|s| &s.subgraphs)
-            .map(|sg| sg.edges)
-            .sum();
-        assert_eq!(edges_seen, 25);
+        assert_eq!((tiled.num_blocks(), tiled.total_edges()), (1, 25));
+        let mut streamed = Vec::new();
+        let mut subgraphs = Vec::new();
+        for ord in 0..tiled.nonempty_subgraphs() {
+            let sg = tiled.subgraph(ord);
+            subgraphs.push((sg.chunk(), sg.edges()));
+            for (t, entries) in sg.tiles() {
+                streamed.extend(entries.iter().map(|e| (t, e.row, e.col, e.weight)));
+            }
+        }
+        #[rustfmt::skip]
+        let expected = [
+            (0, 2, 0), (0, 3, 0), (0, 3, 1), (0, 0, 2), (0, 1, 2), (0, 0, 3), (0, 1, 3),
+            (0, 1, 0), (0, 2, 0), (0, 0, 1), (0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 2, 2),
+            (0, 3, 2), (0, 2, 3),
+            (1, 2, 0), (1, 3, 0), (1, 2, 1), (1, 0, 2), (1, 1, 2), (1, 3, 2), (1, 0, 3),
+            (1, 1, 3), (1, 3, 3),
+        ];
+        let expected: Vec<(usize, u8, u8, f32)> =
+            expected.iter().map(|&(t, r, c)| (t, r, c, 1.0)).collect();
+        assert_eq!(streamed, expected);
+        assert_eq!(subgraphs, [(0, 7), (1, 18)]);
+        assert_eq!((tiled.nonempty_tiles(), tiled.nonempty_subgraphs()), (3, 2));
     }
 
     #[test]
     fn tile_coordinates_reconstruct_original_edges() {
         let g = Rmat::new(60, 300).seed(7).max_weight(9).generate();
         let tiled = TiledGraph::preprocess(&g, &small_config()).unwrap();
-        let mut reconstructed: Vec<(u32, u32, f32)> = Vec::new();
-        for block in tiled.blocks() {
-            for strip in &block.strips {
-                for sg in &strip.subgraphs {
-                    let src0 = tiled.subgraph_src_start(block, sg);
-                    for tile in &sg.tiles {
-                        for e in &tile.entries {
-                            let src = src0 + e.row as usize;
-                            let dst = tiled.tile_dst(block, strip, tile, e.col);
-                            reconstructed.push((src as u32, dst as u32, e.weight));
-                        }
-                    }
-                }
-            }
-        }
+        let mut reconstructed = reconstruct(&tiled);
         let mut expected: Vec<(u32, u32, f32)> =
             g.iter().map(|e| (e.src, e.dst, e.weight)).collect();
         reconstructed.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -454,19 +454,16 @@ mod tests {
     fn subgraphs_are_in_chunk_order_and_nonempty() {
         let g = Rmat::new(64, 400).seed(3).generate();
         let tiled = TiledGraph::preprocess(&g, &small_config()).unwrap();
-        for block in tiled.blocks() {
-            for strip in &block.strips {
-                let chunks: Vec<u32> = strip.subgraphs.iter().map(|s| s.chunk).collect();
-                let mut sorted = chunks.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                assert_eq!(chunks, sorted, "chunks must be ascending and unique");
-                for sg in &strip.subgraphs {
-                    assert!(sg.edges > 0);
-                    assert!(!sg.tiles.is_empty());
-                    for t in &sg.tiles {
-                        assert!(!t.entries.is_empty());
-                    }
+        for block in 0..tiled.num_blocks() {
+            for strip in 0..tiled.order().strips_per_block() {
+                let slot = tiled.slot_subgraphs(block, strip);
+                let chunks: Vec<u32> = slot.clone().map(|o| tiled.subgraph(o).chunk()).collect();
+                assert!(chunks.windows(2).all(|w| w[0] < w[1]), "chunks must ascend");
+                for ord in slot {
+                    let sg = tiled.subgraph(ord);
+                    assert!(sg.edges() > 0);
+                    assert_ne!(sg.tiles().len(), 0);
+                    assert!(sg.tiles().all(|(_, entries)| !entries.is_empty()));
                 }
             }
         }
@@ -489,7 +486,7 @@ mod tests {
         let cfg = GraphRConfig::default();
         let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
         // 500 vertices pad to one 4096-strip-width block.
-        assert_eq!(tiled.blocks().len(), 1);
+        assert_eq!(tiled.num_blocks(), 1);
         assert_eq!(tiled.order().padded_vertices(), 4096);
         assert_eq!(tiled.total_edges(), 2000);
     }
@@ -511,23 +508,25 @@ mod tests {
         ) {
             let g = Rmat::new(n, m).seed(seed).generate();
             let tiled = TiledGraph::preprocess(&g, &small_config()).unwrap();
-            let total: usize = tiled
-                .blocks()
-                .iter()
-                .flat_map(|b| &b.strips)
-                .flat_map(|s| &s.subgraphs)
-                .flat_map(|sg| &sg.tiles)
-                .map(|t| t.entries.len())
-                .sum();
-            prop_assert_eq!(total, m);
-            let by_counter: u32 = tiled
-                .blocks()
-                .iter()
-                .flat_map(|b| &b.strips)
-                .flat_map(|s| &s.subgraphs)
-                .map(|sg| sg.edges)
+            prop_assert_eq!(reconstruct(&tiled).len(), m);
+            let by_counter: u32 = (0..tiled.nonempty_subgraphs())
+                .map(|ord| tiled.subgraph(ord).edges())
                 .sum();
             prop_assert_eq!(by_counter as usize, m);
+            // Every span's byte range of the streamed order is exactly its
+            // subgraph's entries, tiles strictly ascending: the in-memory
+            // layout is the byte order the disk model prices.
+            for span in tiled.source_index().spans() {
+                let slot = tiled.slot_subgraphs(span.block as usize, span.strip as usize);
+                let sg = tiled.subgraph(slot.start + span.position as usize);
+                prop_assert_eq!(sg.edges(), span.edges);
+                let held: Vec<TileEntry> =
+                    sg.tiles().flat_map(|(_, entries)| entries.iter().copied()).collect();
+                let lo = span.edge_offset as usize;
+                prop_assert_eq!(&tiled.entries[lo..lo + span.edges as usize], &held[..]);
+                let tiles: Vec<usize> = sg.tiles().map(|(t, _)| t).collect();
+                prop_assert!(tiles.windows(2).all(|w| w[0] < w[1]), "tiles {:?}", tiles);
+            }
         }
     }
 }

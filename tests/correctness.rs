@@ -262,7 +262,7 @@ fn multi_block_out_of_core_execution_is_correct() {
         .build()
         .expect("valid");
     let tiled = graphr_repro::core::TiledGraph::preprocess(&g, &small_node).expect("tile");
-    assert!(tiled.blocks().len() >= 25, "must exercise many blocks");
+    assert!(tiled.num_blocks() >= 25, "must exercise many blocks");
 
     // BFS and SSSP stay exact across the block boundary handling.
     let gold = dijkstra(&g.to_csr(), 0);

@@ -57,7 +57,7 @@ proptest! {
         let io = IoPlan::from_scan_plan(&tiled, &skeleton.pruned_plan(&tiled, &mask));
         prop_assert!(io.bytes_loaded <= full.bytes_loaded);
         prop_assert_eq!(io.bytes_loaded + io.bytes_skipped, full.bytes_loaded);
-        prop_assert_eq!(io.blocks_loaded + io.blocks_seeked, tiled.blocks().len());
+        prop_assert_eq!(io.blocks_loaded + io.blocks_seeked, tiled.num_blocks());
         // Segments never exceed planned subgraph visits, and a plan with
         // bytes has at least one.
         if io.bytes_loaded > 0 {

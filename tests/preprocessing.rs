@@ -22,6 +22,29 @@ fn figure12_config() -> GraphRConfig {
         .expect("figure-12 geometry is valid")
 }
 
+/// Every subgraph's `(src, dst)` edges, subgraphs in streamed order,
+/// rebuilt from slot, chunk and tile coordinates.
+fn subgraph_edges(tiled: &TiledGraph) -> Vec<Vec<(usize, usize)>> {
+    let c = tiled.order().crossbar_size();
+    let mut out = Vec::new();
+    for block in 0..tiled.num_blocks() {
+        for strip in 0..tiled.order().strips_per_block() {
+            let dst0 = tiled.strip_dst_start(block, strip);
+            for ord in tiled.slot_subgraphs(block, strip) {
+                let sg = tiled.subgraph(ord);
+                let src0 = tiled.chunk_src_start(block, sg.chunk());
+                let edges = sg.tiles().flat_map(|(t, entries)| {
+                    entries
+                        .iter()
+                        .map(move |e| (src0 + e.row as usize, dst0 + t * c + e.col as usize))
+                });
+                out.push(edges.collect());
+            }
+        }
+    }
+    out
+}
+
 #[test]
 fn figure12_worked_example_counts() {
     // 64 vertices → 2×2 blocks; each block: 2 strips × 8 chunks = 16
@@ -42,22 +65,11 @@ fn figure5_graph_preprocesses_losslessly() {
     let tiled = TiledGraph::preprocess(&g, &figure12_config()).expect("valid geometry");
     assert_eq!(tiled.total_edges(), 25);
     // Reconstruct every edge from tile coordinates.
-    let mut rebuilt = Vec::new();
-    for block in tiled.blocks() {
-        for strip in &block.strips {
-            for sg in &strip.subgraphs {
-                let src0 = tiled.subgraph_src_start(block, sg);
-                for tile in &sg.tiles {
-                    for e in &tile.entries {
-                        rebuilt.push((
-                            (src0 + e.row as usize) as u32,
-                            tiled.tile_dst(block, strip, tile, e.col) as u32,
-                        ));
-                    }
-                }
-            }
-        }
-    }
+    let mut rebuilt: Vec<(u32, u32)> = subgraph_edges(&tiled)
+        .into_iter()
+        .flatten()
+        .map(|(src, dst)| (src as u32, dst as u32))
+        .collect();
     rebuilt.sort_unstable();
     let mut expected: Vec<(u32, u32)> = g.iter().map(|e| (e.src, e.dst)).collect();
     expected.sort_unstable();
@@ -86,29 +98,16 @@ fn ordering_is_disk_sequential() {
     let tiled = TiledGraph::preprocess(&g, &config).expect("valid geometry");
     let order = *tiled.order();
     let mut last = 0u64;
-    for block in tiled.blocks() {
-        for strip in &block.strips {
-            for sg in &strip.subgraphs {
-                let src0 = tiled.subgraph_src_start(block, sg);
-                // Per subgraph, take the smallest-ID edge; across the walk
-                // those must be nondecreasing.
-                let min_id = sg
-                    .tiles
-                    .iter()
-                    .flat_map(|t| {
-                        t.entries.iter().map(|e| {
-                            order.global_id(
-                                src0 + e.row as usize,
-                                tiled.tile_dst(block, strip, t, e.col),
-                            )
-                        })
-                    })
-                    .min()
-                    .expect("nonempty subgraph");
-                assert!(min_id >= last, "subgraph order regressed");
-                last = min_id;
-            }
-        }
+    for edges in subgraph_edges(&tiled) {
+        // Per subgraph, take the smallest-ID edge; across the walk those
+        // must be nondecreasing.
+        let min_id = edges
+            .iter()
+            .map(|&(src, dst)| order.global_id(src, dst))
+            .min()
+            .expect("nonempty subgraph");
+        assert!(min_id >= last, "subgraph order regressed");
+        last = min_id;
     }
 }
 
@@ -203,13 +202,9 @@ proptest! {
     ) {
         let g = Rmat::new(n, m).seed(seed).generate();
         let tiled = TiledGraph::preprocess(&g, &figure12_config()).unwrap();
-        let total: usize = tiled
-            .blocks()
-            .iter()
-            .flat_map(|b| &b.strips)
-            .flat_map(|s| &s.subgraphs)
-            .flat_map(|sg| &sg.tiles)
-            .map(|t| t.entries.len())
+        let total: usize = (0..tiled.nonempty_subgraphs())
+            .flat_map(|ord| tiled.subgraph(ord).tiles())
+            .map(|(_, entries)| entries.len())
             .sum();
         prop_assert_eq!(total, m);
     }
