@@ -188,6 +188,42 @@ impl GraphRConfig {
         self.cost.program_latency(self.program_row_serialization)
     }
 
+    /// Checks the tiling geometry: positive dimensions and strip width, a
+    /// crossbar of at most the 256 × 256 a byte-wide tile entry can
+    /// address, and a configured block size that is a positive multiple
+    /// of the strip width. [`GraphRConfigBuilder::build`] runs it, and so
+    /// does [`TiledGraph::preprocess`](crate::TiledGraph::preprocess),
+    /// because the fields are public and a struct-literal configuration
+    /// skips the builder.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] naming the first violated rule.
+    pub fn check_geometry(&self) -> Result<(), ConfigError> {
+        if self.crossbar_size == 0 || self.crossbars_per_ge == 0 || self.num_ges == 0 {
+            return Err(ConfigError::new("dimensions must be positive"));
+        }
+        if self.crossbar_size > 256 {
+            return Err(ConfigError::new("crossbar_size must be at most 256"));
+        }
+        if self.tiles_per_ge() == 0 {
+            return Err(ConfigError::new(format!(
+                "crossbars_per_ge ({}) holds no logical tile of {} arrays",
+                self.crossbars_per_ge,
+                self.arrays_per_tile()
+            )));
+        }
+        if let Some(b) = self.block_vertices {
+            if b == 0 || b % self.strip_width() != 0 {
+                return Err(ConfigError::new(format!(
+                    "block_vertices ({b}) must be a positive multiple of the strip width ({})",
+                    self.strip_width()
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// The effective block size: configured `block_vertices`, or the whole
     /// graph padded up to a multiple of the strip width.
     #[must_use]
@@ -366,12 +402,7 @@ impl GraphRConfigBuilder {
     /// width, or `program_row_serialization` exceeds the crossbar size.
     pub fn build(self) -> Result<GraphRConfig, ConfigError> {
         let c = &self.config;
-        if c.crossbar_size == 0 || c.crossbars_per_ge == 0 || c.num_ges == 0 {
-            return Err(ConfigError::new("dimensions must be positive"));
-        }
-        if c.crossbar_size > 256 {
-            return Err(ConfigError::new("crossbar_size must be at most 256"));
-        }
+        c.check_geometry()?;
         if c.adcs_per_ge == 0 {
             return Err(ConfigError::new("at least one ADC per GE required"));
         }
@@ -395,14 +426,6 @@ impl GraphRConfigBuilder {
                 "crossbars_per_ge ({}) must be a multiple of arrays per logical tile ({arrays})",
                 c.crossbars_per_ge
             )));
-        }
-        if let Some(b) = c.block_vertices {
-            if b == 0 || b % c.strip_width() != 0 {
-                return Err(ConfigError::new(format!(
-                    "block_vertices ({b}) must be a positive multiple of the strip width ({})",
-                    c.strip_width()
-                )));
-            }
         }
         Ok(self.config)
     }
@@ -472,6 +495,13 @@ mod tests {
         // 2 slices × 4 bits carry only 8 magnitude bits < 15 needed.
         let thin = BitSlicer::new(4, 2).unwrap();
         assert!(GraphRConfig::builder().slicer(thin).build().is_err());
+        // A struct literal skips the builder; the geometry check still
+        // rejects a GE too small for one logical tile (zero strip width).
+        let no_tile = GraphRConfig {
+            crossbars_per_ge: 2,
+            ..GraphRConfig::default()
+        };
+        assert!(no_tile.check_geometry().is_err());
     }
 
     #[test]

@@ -166,13 +166,6 @@ impl FrontierMask {
         true
     }
 
-    /// Deactivates every vertex (words and summaries zeroed, count reset).
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-        self.summary.fill(0);
-        self.count = 0;
-    }
-
     /// The packed words (read-only; little-endian bits within a word).
     #[must_use]
     pub fn words(&self) -> &[u64] {

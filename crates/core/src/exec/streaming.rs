@@ -49,7 +49,7 @@
 
 use std::sync::Arc;
 
-use crate::config::{Fidelity, GraphRConfig};
+use crate::config::GraphRConfig;
 use crate::exec::lanes::LaneFrontier;
 use crate::exec::mask::{FrontierDelta, FrontierMask};
 use crate::exec::plan::{PlanSkeleton, PlanUnit, ScanPlan};
@@ -122,21 +122,7 @@ impl<'a> StreamingExecutor<'a> {
         config: &'a GraphRConfig,
         spec: graphr_units::FixedSpec,
     ) -> Self {
-        Self::with_skeleton(tiled, config, spec, Arc::new(PlanSkeleton::build(tiled)))
-    }
-
-    /// Creates an executor reusing an already-built plan skeleton (a
-    /// session's cached one; it must have been built from this `tiled`).
-    /// Builds a fresh planner index — reuse a cached one via
-    /// [`StreamingExecutor::with_planner`] where available.
-    #[must_use]
-    pub fn with_skeleton(
-        tiled: &'a TiledGraph,
-        config: &'a GraphRConfig,
-        spec: graphr_units::FixedSpec,
-        skeleton: Arc<PlanSkeleton>,
-    ) -> Self {
-        let planner = Planner::new(tiled, skeleton);
+        let planner = Planner::new(tiled, Arc::new(PlanSkeleton::build(tiled)));
         Self::with_planner(tiled, config, spec, planner)
     }
 
@@ -440,12 +426,6 @@ impl<'a> StreamingExecutor<'a> {
         self.finish_scan(plan, (k * width) as u64);
         rows
     }
-
-    /// Whether the executor runs full analog emulation.
-    #[must_use]
-    pub fn is_analog(&self) -> bool {
-        matches!(self.config.fidelity, Fidelity::Analog)
-    }
 }
 
 /// A unit's destination vertices; empty for a padding-only strip, whose
@@ -546,7 +526,7 @@ impl ScanEngine for StreamingExecutor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{GraphRConfig, StreamingOrder};
+    use crate::config::{Fidelity, GraphRConfig, StreamingOrder};
     use graphr_graph::algorithms::spmv::spmv;
     use graphr_graph::generators::rmat::Rmat;
     use graphr_graph::EdgeList;

@@ -441,12 +441,6 @@ impl<'a> ClusterExecutor<'a> {
         &self.cluster
     }
 
-    /// Number of simulated nodes.
-    #[must_use]
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Builder form of [`ScanEngine::set_disk`]: attaches `disk` to every
     /// node (each node loads its owned planned spans and seeks past the
     /// rest of its replicated on-disk image).

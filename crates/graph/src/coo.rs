@@ -167,12 +167,6 @@ impl EdgeList {
         self.edges.iter()
     }
 
-    /// Consumes the list, returning the raw edge vector.
-    #[must_use]
-    pub fn into_edges(self) -> Vec<Edge> {
-        self.edges
-    }
-
     /// Graph density `|E| / |V|²` — the x-axis of the paper's Figure 21.
     #[must_use]
     pub fn density(&self) -> f64 {

@@ -34,13 +34,19 @@
 //!   [`Job::with_trace`](job::Job::with_trace)) collecting every run's
 //!   per-iteration trace events on the simulated clock, exportable as
 //!   JSONL or a Chrome/Perfetto timeline (see `graphr_core::trace`).
+//!   Every submission reaches one job runner that executes a *wave*:
+//!   [`Session::submit`](session::Session::submit) is a one-job wave,
+//!   so a lone BFS/SSSP/WCC query is the one-lane case of the fused
+//!   traversal loop.
 //! * [`serve`] — the `graphr-serve` scheduler on top of the session: a
 //!   bounded FIFO query queue with admission control whose
 //!   [`Server::drain`](serve::Server::drain) coalesces compatible queued
 //!   traversal queries into **fused waves** — one frontier lane per
 //!   query, one scan of each iteration's union plan for all of them
 //!   ([`Session::submit_fused`](session::Session::submit_fused)), with
-//!   per-query attribution and answers bit-identical to solo runs.
+//!   per-query attribution and answers bit-identical to solo runs;
+//!   [`ServeConfig::max_lanes`](serve::ServeConfig::max_lanes) caps a
+//!   wave's width (`1` runs every query alone).
 //! * [`pool`] — the scoped worker pool (re-exported from
 //!   `graphr_core::exec::pool`), and [`ParallelExecutor`], a
 //!   constructor kept only for source compatibility.

@@ -12,12 +12,14 @@
 //! frontier lane per query, one scan of each iteration's union plan for
 //! all of them. Queries that cannot fuse (PageRank/SpMV/CF, or a
 //! traversal with no compatible neighbour) run alone through
-//! [`Session::submit`].
+//! [`Session::submit`] — for a traversal, the one-lane case of the same
+//! fused loop.
 //!
 //! Scheduling is FIFO-fair: waves execute in the order of their earliest
 //! member, a wave never takes more than [`ServeConfig::max_lanes`]
 //! queries (more than [`MAX_LANES`] compatible queries split into
-//! successive waves), and results always come back in submission order.
+//! successive waves; `max_lanes: 1` runs every query alone), and results
+//! always come back in submission order.
 //! Fusion never changes answers — each query's results and per-lane
 //! attribution are bit-identical to a solo submission (the determinism
 //! contract extended; see `tests/lane_fusion.rs`).
@@ -37,10 +39,11 @@
 //!
 //! carried on every [`QueryResult`] and recorded into the server's
 //! [`ServeLatency`] histograms (latency, wait, service, plus wave lane
-//! occupancy). Because the clock is driven purely by simulated run time,
-//! every latency statistic inherits the determinism contract: sessions
-//! at any thread count, one-node-cluster sessions — and reruns — produce
-//! bit-identical histograms. [`Server::collect_stats`] snapshots the
+//! occupancy) by one helper for solo and fused runs alike. Because the
+//! clock is driven purely by simulated run time, every latency statistic
+//! inherits the determinism contract: sessions at any thread count,
+//! one-node-cluster sessions — and reruns — produce bit-identical
+//! histograms. [`Server::collect_stats`] snapshots the
 //! counters and histograms into a
 //! [`graphr_core::stats::StatsRegistry`] for exposition (the CLI's
 //! `--stats`).
@@ -69,11 +72,9 @@ pub struct ServeConfig {
     /// Admission control: queries beyond this many queued are rejected.
     pub queue_capacity: usize,
     /// Widest fused wave the scheduler builds (clamped to
-    /// `1..=`[`MAX_LANES`]).
+    /// `1..=`[`MAX_LANES`]); `1` runs every query alone (the ablation /
+    /// debugging mode).
     pub max_lanes: usize,
-    /// Whether to coalesce compatible queries at all; `false` runs every
-    /// query alone (the ablation / debugging mode).
-    pub coalesce: bool,
 }
 
 impl Default for ServeConfig {
@@ -81,7 +82,6 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_capacity: 1024,
             max_lanes: MAX_LANES,
-            coalesce: true,
         }
     }
 }
@@ -318,13 +318,13 @@ impl Server {
     /// submission order.
     ///
     /// The scheduler walks the queue front to back. Each unclaimed query
-    /// starts a wave; when coalescing is on and the query is fusable, the
-    /// rest of the queue is scanned (in order) for compatible queries
-    /// until the wave is [`ServeConfig::max_lanes`] wide — later
-    /// compatible queries are pulled *forward into the wave's execution*
-    /// but never reordered in the returned results. A wave that fails as
-    /// a whole (e.g. one lane's source is out of range) is retried one
-    /// query at a time, so a poisoned query only fails itself.
+    /// starts a wave; when the query is fusable, the rest of the queue is
+    /// scanned (in order) for compatible queries until the wave is
+    /// [`ServeConfig::max_lanes`] wide — later compatible queries are
+    /// pulled *forward into the wave's execution* but never reordered in
+    /// the returned results. A wave that fails as a whole (e.g. one
+    /// lane's source is out of range) is retried one query at a time, so
+    /// a poisoned query only fails itself.
     pub fn drain(&mut self, session: &Session) -> Vec<QueryResult> {
         let pending: Vec<Pending> = self.queue.drain(..).collect();
         let mut claimed = vec![false; pending.len()];
@@ -338,7 +338,7 @@ impl Server {
             }
             claimed[head] = true;
             let mut members = vec![head];
-            if self.config.coalesce && pending[head].job.is_fusable() {
+            if pending[head].job.is_fusable() {
                 for cand in head + 1..pending.len() {
                     if members.len() >= max_lanes {
                         break;
@@ -355,42 +355,19 @@ impl Server {
                     Ok(reports) => {
                         self.stats.waves += 1;
                         self.stats.fused += members.len() as u64;
-                        // One machine execution serves the whole wave: it
-                        // starts at the current clock and every member
-                        // shares its simulated service time (the wave's
-                        // machine totals).
-                        let start_ns = self.clock_ns;
-                        let service_ns = sim_ns(reports[0].output.metrics().total_time());
-                        self.clock_ns += service_ns;
-                        self.latency.occupancy.record(members.len() as u64);
-                        for (&i, report) in members.iter().zip(reports) {
-                            let wait_ns = start_ns - pending[i].arrival_ns;
-                            let latency_ns = wait_ns + service_ns;
-                            self.latency.wait.record(wait_ns);
-                            self.latency.service.record(service_ns);
-                            self.latency.latency.record(latency_ns);
-                            results[i] = Some(QueryResult {
-                                id: pending[i].id,
-                                wave,
-                                lanes: members.len(),
-                                arrival_ns: pending[i].arrival_ns,
-                                wait_ns,
-                                service_ns,
-                                latency_ns,
-                                report: Ok(report),
-                            });
-                        }
+                        let reports = reports.into_iter().map(Ok).collect();
+                        self.record_run(&pending, &members, wave, reports, &mut results);
                     }
                     Err(_) => {
                         // One lane poisoned the wave; isolate the failure
                         // by retrying each member alone.
                         for &i in &members {
-                            results[i] = Some(self.run_solo(session, &pending[i], wave));
+                            self.run_solo(session, &pending, i, wave, &mut results);
                         }
                     }
                 }
             } else {
-                results[head] = Some(self.run_solo(session, &pending[head], wave));
+                self.run_solo(session, &pending, head, wave, &mut results);
             }
             wave += 1;
         }
@@ -400,38 +377,62 @@ impl Server {
             .collect()
     }
 
-    /// Executes one query alone on the simulated clock: the run starts
-    /// now, the clock advances by its simulated time, and (for
-    /// successful runs) the latency histograms record it. A failed run
-    /// consumed no simulated time — admission-style validation errors
-    /// happen before any scan — so it leaves the clock untouched and
-    /// stays out of the completed-query distributions.
-    fn run_solo(&mut self, session: &Session, pending: &Pending, wave: u64) -> QueryResult {
+    /// Executes query `i` alone and records it on the simulated clock.
+    fn run_solo(
+        &mut self,
+        session: &Session,
+        pending: &[Pending],
+        i: usize,
+        wave: u64,
+        results: &mut [Option<QueryResult>],
+    ) {
         self.stats.solo += 1;
+        let report = session.submit(&pending[i].job);
+        self.record_run(pending, &[i], wave, vec![report], results);
+    }
+
+    /// Records one machine run — a lone query or a fused wave, one report
+    /// per member — on the simulated clock and files its results. The run
+    /// starts now, the clock advances by its simulated time, and every
+    /// member shares that service time. A failed run consumed no
+    /// simulated time — admission-style validation errors happen before
+    /// any scan — so it leaves the clock untouched and stays out of the
+    /// completed-query distributions.
+    fn record_run(
+        &mut self,
+        pending: &[Pending],
+        members: &[usize],
+        wave: u64,
+        reports: Vec<Result<JobReport, RuntimeError>>,
+        results: &mut [Option<QueryResult>],
+    ) {
         let start_ns = self.clock_ns;
-        let report = session.submit(&pending.job);
-        let service_ns = match &report {
-            Ok(r) => sim_ns(r.output.metrics().total_time()),
-            Err(_) => 0,
-        };
+        let service_ns = reports
+            .iter()
+            .find_map(|r| r.as_ref().ok())
+            .map_or(0, |r| sim_ns(r.output.metrics().total_time()));
         self.clock_ns += service_ns;
-        let wait_ns = start_ns - pending.arrival_ns;
-        let latency_ns = wait_ns + service_ns;
-        if report.is_ok() {
-            self.latency.occupancy.record(1);
-            self.latency.wait.record(wait_ns);
-            self.latency.service.record(service_ns);
-            self.latency.latency.record(latency_ns);
+        if reports.iter().any(Result::is_ok) {
+            self.latency.occupancy.record(members.len() as u64);
         }
-        QueryResult {
-            id: pending.id,
-            wave,
-            lanes: 1,
-            arrival_ns: pending.arrival_ns,
-            wait_ns,
-            service_ns,
-            latency_ns,
-            report,
+        for (&i, report) in members.iter().zip(reports) {
+            let wait_ns = start_ns - pending[i].arrival_ns;
+            let latency_ns = wait_ns + service_ns;
+            if report.is_ok() {
+                self.latency.wait.record(wait_ns);
+                self.latency.service.record(service_ns);
+                self.latency.latency.record(latency_ns);
+            }
+            results[i] = Some(QueryResult {
+                id: pending[i].id,
+                wave,
+                lanes: members.len(),
+                arrival_ns: pending[i].arrival_ns,
+                wait_ns,
+                service_ns,
+                latency_ns,
+                report,
+            });
         }
     }
 }
@@ -518,11 +519,11 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_off_runs_every_query_alone() {
+    fn one_lane_budget_runs_every_query_alone() {
         let handle = GraphHandle::new("solo", Rmat::new(80, 400).seed(3).generate());
         let session = Session::new(small_config());
         let mut server = Server::new(ServeConfig {
-            coalesce: false,
+            max_lanes: 1,
             ..ServeConfig::default()
         });
         server.enqueue(bfs(&handle, 0)).unwrap();
@@ -538,7 +539,7 @@ mod tests {
         let handle = GraphHandle::new("clock", Rmat::new(100, 600).seed(5).generate());
         let session = Session::new(small_config());
         let mut server = Server::new(ServeConfig {
-            coalesce: false,
+            max_lanes: 1,
             ..ServeConfig::default()
         });
         for source in [0, 1, 2] {

@@ -14,6 +14,15 @@
 //! [`ScanPlan`](graphr_core::exec::ScanPlan)s — without re-enumerating
 //! units or re-walking the span table. Hits and misses are counted, and
 //! the cache is safe to use from concurrent batch jobs.
+//!
+//! Every submission reaches one private job runner, which executes a
+//! *wave*: [`Session::submit`] is a one-job wave, [`Session::submit_fused`]
+//! a checked wave of up to [`MAX_LANES`] compatible traversals, and
+//! [`Session::submit_batch`] one wave per job on a share of the thread
+//! budget. A traversal wave runs one frontier lane per job, so a lone
+//! BFS/SSSP/WCC query is the one-lane case of the fused loop; its report
+//! and trace are those of an unfused run, under the trace job name
+//! `"<app> on <graph>"` (`"<app>[xK] on <graph>"` for K ≥ 2 lanes).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -28,9 +37,9 @@ use graphr_core::exec::{ScanEngine, StreamingExecutor, MAX_LANES};
 use graphr_core::multinode::{ClusterExecutor, MultiNodeConfig};
 use graphr_core::outofcore::DiskModel;
 use graphr_core::sim::{
-    self, cf_config_for, run_bfs_lanes_with, run_bfs_with, run_cf_with, run_pagerank_with,
-    run_spmv_with, run_sssp_lanes_with, run_sssp_with, run_wcc_lanes_with, run_wcc_with, CfMatrix,
-    LaneRun, LaneTraversalOptions, SimError, TraversalRun, WccLaneRun, WccRun,
+    self, cf_config_for, run_bfs_lanes_with, run_cf_with, run_pagerank_with, run_spmv_with,
+    run_sssp_lanes_with, run_wcc_lanes_with, CfMatrix, LaneTraversalOptions, SimError,
+    TraversalRun, WccRun,
 };
 use graphr_core::trace::{TraceHandle, TraceSink};
 use graphr_core::{GraphRConfig, Metrics, TiledGraph};
@@ -231,9 +240,10 @@ impl Session {
     }
 
     /// Collects every job's telemetry into `sink` by default: each
-    /// submission opens one job in the sink (named `"<app> on <graph>"`)
-    /// and the drivers' per-iteration snapshots plus the engines' span
-    /// events land there (see [`graphr_core::trace`]). A job's own
+    /// submission opens one job in the sink (named `"<app> on <graph>"`,
+    /// or `"<app>[xK] on <graph>"` for a fused wave of K ≥ 2) and the
+    /// drivers' per-iteration snapshots plus the engines' span events
+    /// land there (see [`graphr_core::trace`]). A job's own
     /// [`Job::with_trace`] / [`Job::untraced`] still overrides this
     /// session default. Tracing only observes the runs — results and
     /// [`Metrics`] stay bit-identical to an
@@ -272,11 +282,6 @@ impl Session {
         }
     }
 
-    /// Drops all cached preprocessings.
-    pub fn clear_cache(&self) {
-        self.tilings.lock().clear();
-    }
-
     /// The preprocessed form of a graph variant under `config`, served
     /// from the cache when warm.
     ///
@@ -293,24 +298,6 @@ impl Session {
         Ok(self
             .tiling_counted(handle, variant, config, &mut 0, &mut 0)?
             .tiled)
-    }
-
-    /// The plan skeleton cached for a graph variant under `config` (built
-    /// on first touch, alongside the tiling).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] when the configuration's geometry is
-    /// inconsistent.
-    pub fn plan_skeleton(
-        &self,
-        handle: &GraphHandle,
-        variant: GraphVariant,
-        config: &GraphRConfig,
-    ) -> Result<Arc<PlanSkeleton>, SimError> {
-        Ok(self
-            .tiling_counted(handle, variant, config, &mut 0, &mut 0)?
-            .skeleton)
     }
 
     /// [`Session::tiled`] with per-caller hit/miss counters, so concurrent
@@ -403,12 +390,14 @@ impl Session {
         engine
     }
 
-    /// Executes one job to completion.
+    /// Executes one job to completion: a one-job wave of the session's
+    /// one job runner.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::NotBipartite`] for CF on a non-bipartite
-    /// handle and [`RuntimeError::Sim`] for simulation-level failures.
+    /// handle and [`RuntimeError::Sim`] for simulation-level failures
+    /// (including a per-job configuration with an invalid geometry).
     pub fn submit(&self, job: &Job) -> Result<JobReport, RuntimeError> {
         self.submit_with_budget(job, self.threads)
     }
@@ -420,166 +409,8 @@ impl Session {
         job: &Job,
         scan_threads: usize,
     ) -> Result<JobReport, RuntimeError> {
-        let start = Instant::now();
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-        let config = job.config.as_ref().unwrap_or(&self.config);
-        let disk = job.disk.resolve(self.disk);
-        let cluster = job.cluster.resolve(self.cluster);
-        // One sink job per submission: every event this run emits is
-        // tagged with the index `begin_job` hands out, so batch jobs
-        // sharing a sink stay separable.
-        let trace = job.trace.resolve(self.trace.as_ref()).map(|sink| {
-            let index =
-                sink.begin_job(&format!("{} on {}", job.spec.name(), job.graph.id().name()));
-            TraceHandle::for_job(sink, index)
-        });
-        let graph = job.graph.graph();
-        let output = match &job.spec {
-            JobSpec::PageRank(opts) => {
-                let tiling = self.tiling_counted(
-                    &job.graph,
-                    GraphVariant::Forward,
-                    config,
-                    &mut cache_hits,
-                    &mut cache_misses,
-                )?;
-                let mut exec = self.engine(
-                    &tiling,
-                    config,
-                    opts.matrix_spec,
-                    scan_threads,
-                    disk,
-                    cluster,
-                    trace.clone(),
-                );
-                JobOutput::Scalar(run_pagerank_with(graph, exec.as_mut(), opts)?)
-            }
-            JobSpec::Spmv(opts) => {
-                let tiling = self.tiling_counted(
-                    &job.graph,
-                    GraphVariant::Forward,
-                    config,
-                    &mut cache_hits,
-                    &mut cache_misses,
-                )?;
-                let mut exec = self.engine(
-                    &tiling,
-                    config,
-                    opts.matrix_spec,
-                    scan_threads,
-                    disk,
-                    cluster,
-                    trace.clone(),
-                );
-                JobOutput::Scalar(run_spmv_with(graph, exec.as_mut(), opts)?)
-            }
-            JobSpec::Bfs(opts) => {
-                let tiling = self.tiling_counted(
-                    &job.graph,
-                    GraphVariant::Forward,
-                    config,
-                    &mut cache_hits,
-                    &mut cache_misses,
-                )?;
-                let mut exec = self.engine(
-                    &tiling,
-                    config,
-                    opts.spec,
-                    scan_threads,
-                    disk,
-                    cluster,
-                    trace.clone(),
-                );
-                JobOutput::Traversal(run_bfs_with(graph, exec.as_mut(), opts)?)
-            }
-            JobSpec::Sssp(opts) => {
-                let tiling = self.tiling_counted(
-                    &job.graph,
-                    GraphVariant::Forward,
-                    config,
-                    &mut cache_hits,
-                    &mut cache_misses,
-                )?;
-                let mut exec = self.engine(
-                    &tiling,
-                    config,
-                    opts.spec,
-                    scan_threads,
-                    disk,
-                    cluster,
-                    trace.clone(),
-                );
-                JobOutput::Traversal(run_sssp_with(graph, exec.as_mut(), opts)?)
-            }
-            JobSpec::Wcc => {
-                let tiling = self.tiling_counted(
-                    &job.graph,
-                    GraphVariant::Symmetrised,
-                    config,
-                    &mut cache_hits,
-                    &mut cache_misses,
-                )?;
-                let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
-                let mut exec = self.engine(
-                    &tiling,
-                    config,
-                    spec,
-                    scan_threads,
-                    disk,
-                    cluster,
-                    trace.clone(),
-                );
-                JobOutput::Wcc(run_wcc_with(graph, exec.as_mut())?)
-            }
-            JobSpec::Cf(opts) => {
-                let (users, items) =
-                    job.graph
-                        .bipartite_dims()
-                        .ok_or_else(|| RuntimeError::NotBipartite {
-                            graph: job.graph.id().name().to_owned(),
-                        })?;
-                let cf_config = cf_config_for(config)?;
-                let tiling_r = self.tiling_counted(
-                    &job.graph,
-                    GraphVariant::Forward,
-                    &cf_config,
-                    &mut cache_hits,
-                    &mut cache_misses,
-                )?;
-                let tiling_t = self.tiling_counted(
-                    &job.graph,
-                    GraphVariant::Transposed,
-                    &cf_config,
-                    &mut cache_hits,
-                    &mut cache_misses,
-                )?;
-                let run = run_cf_with(graph, users, items, &cf_config, opts, &mut |matrix| {
-                    let tiling = match matrix {
-                        CfMatrix::Ratings => &tiling_r,
-                        CfMatrix::Transposed => &tiling_t,
-                    };
-                    self.engine(
-                        tiling,
-                        &cf_config,
-                        opts.spec,
-                        scan_threads,
-                        disk,
-                        cluster,
-                        trace.clone(),
-                    )
-                })?;
-                JobOutput::Cf(run)
-            }
-        };
-        Ok(JobReport {
-            app: job.spec.name(),
-            graph: job.graph.id().name().to_owned(),
-            output,
-            wall: start.elapsed(),
-            cache_hits,
-            cache_misses,
-        })
+        let mut reports = self.run_wave(std::slice::from_ref(job), scan_threads)?;
+        Ok(reports.remove(0))
     }
 
     /// Executes a wave of compatible traversal jobs as **one fused run**:
@@ -597,7 +428,8 @@ impl Session {
     /// [`Metrics::lanes`](graphr_core::metrics::LaneCounters) row is the
     /// query's own attribution: its iterations, frontier population, and
     /// settled-vertex count, equal to what an independent run would
-    /// report. Wall time and cache counters are likewise the wave's.
+    /// report. Wall time and cache counters are likewise the wave's. A
+    /// one-job wave *is* [`Session::submit`]: same report, same trace.
     ///
     /// # Errors
     ///
@@ -637,110 +469,7 @@ impl Session {
                 ),
             });
         }
-
-        let start = Instant::now();
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-        let k = jobs.len();
-        let config = template.config.as_ref().unwrap_or(&self.config);
-        let disk = template.disk.resolve(self.disk);
-        let cluster = template.cluster.resolve(self.cluster);
-        // One sink job for the whole wave: the fused run is one machine
-        // execution, so its spans and per-lane events share one timeline.
-        let trace = template.trace.resolve(self.trace.as_ref()).map(|sink| {
-            let index = sink.begin_job(&format!(
-                "{}[x{k}] on {}",
-                template.spec.name(),
-                template.graph.id().name()
-            ));
-            TraceHandle::for_job(sink, index)
-        });
-        let graph = template.graph.graph();
-        let (variant, spec) = match &template.spec {
-            JobSpec::Bfs(opts) | JobSpec::Sssp(opts) => (GraphVariant::Forward, opts.spec),
-            JobSpec::Wcc => (
-                GraphVariant::Symmetrised,
-                FixedSpec::new(16, 0).expect("Q16.0 is valid"),
-            ),
-            _ => unreachable!("is_fusable admits only traversals"),
-        };
-        let tiling = self.tiling_counted(
-            &template.graph,
-            variant,
-            config,
-            &mut cache_hits,
-            &mut cache_misses,
-        )?;
-        let mut exec = self.engine(&tiling, config, spec, self.threads, disk, cluster, trace);
-        enum FusedOut {
-            Traversal(LaneRun),
-            Wcc(WccLaneRun),
-        }
-        let out = match &template.spec {
-            JobSpec::Bfs(opts) | JobSpec::Sssp(opts) => {
-                let lane_opts = LaneTraversalOptions {
-                    sources: jobs
-                        .iter()
-                        .map(|job| match &job.spec {
-                            JobSpec::Bfs(o) | JobSpec::Sssp(o) => o.source,
-                            _ => unreachable!("wave verified homogeneous"),
-                        })
-                        .collect(),
-                    max_iterations: opts.max_iterations,
-                    spec: opts.spec,
-                };
-                let run = if matches!(template.spec, JobSpec::Bfs(_)) {
-                    run_bfs_lanes_with(graph, exec.as_mut(), &lane_opts)?
-                } else {
-                    run_sssp_lanes_with(graph, exec.as_mut(), &lane_opts)?
-                };
-                FusedOut::Traversal(run)
-            }
-            JobSpec::Wcc => FusedOut::Wcc(run_wcc_lanes_with(graph, exec.as_mut(), k)?),
-            _ => unreachable!("is_fusable admits only traversals"),
-        };
-        drop(exec);
-        let wall = start.elapsed();
-        // One report per lane: shared fused metrics, narrowed to the
-        // lane's own attribution row.
-        let lane_metrics = |shared: &Metrics, q: usize| {
-            let mut metrics = shared.clone();
-            metrics.lanes = vec![shared.lanes[q]];
-            metrics
-        };
-        let report = |output: JobOutput| JobReport {
-            app: template.spec.name(),
-            graph: template.graph.id().name().to_owned(),
-            output,
-            wall,
-            cache_hits,
-            cache_misses,
-        };
-        Ok(match out {
-            FusedOut::Traversal(run) => run
-                .distances
-                .iter()
-                .enumerate()
-                .map(|(q, distances)| {
-                    report(JobOutput::Traversal(TraversalRun {
-                        distances: distances.clone(),
-                        metrics: lane_metrics(&run.metrics, q),
-                    }))
-                })
-                .collect(),
-            FusedOut::Wcc(run) => run
-                .labels
-                .iter()
-                .enumerate()
-                .map(|(q, labels)| {
-                    report(JobOutput::Wcc(WccRun {
-                        labels: labels.clone(),
-                        num_components: run.num_components[q],
-                        metrics: lane_metrics(&run.metrics, q),
-                    }))
-                })
-                .collect(),
-        })
+        self.run_wave(jobs, self.threads)
     }
 
     /// Executes a batch of jobs, fanning independent jobs out across the
@@ -757,6 +486,164 @@ impl Session {
             |(), idx| self.submit_with_budget(&jobs[idx], scan_threads),
         )
     }
+
+    /// The session's one job runner: executes a wave of jobs as one
+    /// machine run and returns one report per job, in wave order. A wave
+    /// is either a single job of any application or K ≥ 2 jobs that
+    /// [`Session::submit_fused`] has checked fuse; a traversal wave runs
+    /// one frontier lane per job, so a lone BFS/SSSP/WCC query is the
+    /// one-lane case of the same loop.
+    fn run_wave(&self, jobs: &[Job], scan_threads: usize) -> Result<Vec<JobReport>, RuntimeError> {
+        let template = &jobs[0];
+        let start = Instant::now();
+        let mut cache_hits = 0u64;
+        let mut cache_misses = 0u64;
+        let config = template.config.as_ref().unwrap_or(&self.config);
+        let disk = template.disk.resolve(self.disk);
+        let cluster = template.cluster.resolve(self.cluster);
+        // One sink job per wave: the run is one machine execution, so its
+        // spans and per-lane events share one timeline, tagged with the
+        // index `begin_job` hands out so batch jobs sharing a sink stay
+        // separable.
+        let trace = template.trace.resolve(self.trace.as_ref()).map(|sink| {
+            let (app, graph) = (template.spec.name(), template.graph.id().name());
+            let index = sink.begin_job(&match jobs.len() {
+                1 => format!("{app} on {graph}"),
+                k => format!("{app}[x{k}] on {graph}"),
+            });
+            TraceHandle::for_job(sink, index)
+        });
+        let mut tiling = |variant, config: &GraphRConfig| {
+            self.tiling_counted(
+                &template.graph,
+                variant,
+                config,
+                &mut cache_hits,
+                &mut cache_misses,
+            )
+        };
+        let graph = template.graph.graph();
+        let (variant, spec) = engine_setup(&template.spec);
+        let outputs = if let JobSpec::Cf(opts) = &template.spec {
+            let (users, items) =
+                template
+                    .graph
+                    .bipartite_dims()
+                    .ok_or_else(|| RuntimeError::NotBipartite {
+                        graph: template.graph.id().name().to_owned(),
+                    })?;
+            let cf_config = cf_config_for(config)?;
+            let tiling_r = tiling(variant, &cf_config)?;
+            let tiling_t = tiling(GraphVariant::Transposed, &cf_config)?;
+            let run = run_cf_with(graph, users, items, &cf_config, opts, &mut |matrix| {
+                let tiling = match matrix {
+                    CfMatrix::Ratings => &tiling_r,
+                    CfMatrix::Transposed => &tiling_t,
+                };
+                self.engine(
+                    tiling,
+                    &cf_config,
+                    spec,
+                    scan_threads,
+                    disk,
+                    cluster,
+                    trace.clone(),
+                )
+            })?;
+            vec![JobOutput::Cf(run)]
+        } else {
+            let tiling = tiling(variant, config)?;
+            let mut exec = self.engine(&tiling, config, spec, scan_threads, disk, cluster, trace);
+            let exec = exec.as_mut();
+            match &template.spec {
+                JobSpec::PageRank(opts) => {
+                    vec![JobOutput::Scalar(run_pagerank_with(graph, exec, opts)?)]
+                }
+                JobSpec::Spmv(opts) => vec![JobOutput::Scalar(run_spmv_with(graph, exec, opts)?)],
+                JobSpec::Bfs(opts) | JobSpec::Sssp(opts) => {
+                    let lane_opts = LaneTraversalOptions {
+                        sources: jobs
+                            .iter()
+                            .map(|job| match &job.spec {
+                                JobSpec::Bfs(o) | JobSpec::Sssp(o) => o.source,
+                                _ => unreachable!("wave verified homogeneous"),
+                            })
+                            .collect(),
+                        max_iterations: opts.max_iterations,
+                        spec: opts.spec,
+                    };
+                    let run = if matches!(template.spec, JobSpec::Bfs(_)) {
+                        run_bfs_lanes_with(graph, exec, &lane_opts)?
+                    } else {
+                        run_sssp_lanes_with(graph, exec, &lane_opts)?
+                    };
+                    let metrics = run.metrics;
+                    run.distances
+                        .into_iter()
+                        .enumerate()
+                        .map(|(q, distances)| {
+                            JobOutput::Traversal(TraversalRun {
+                                distances,
+                                metrics: lane_metrics(&metrics, q),
+                            })
+                        })
+                        .collect()
+                }
+                JobSpec::Wcc => {
+                    let run = run_wcc_lanes_with(graph, exec, jobs.len())?;
+                    let metrics = run.metrics;
+                    run.labels
+                        .into_iter()
+                        .zip(run.num_components)
+                        .enumerate()
+                        .map(|(q, (labels, num_components))| {
+                            JobOutput::Wcc(WccRun {
+                                labels,
+                                num_components,
+                                metrics: lane_metrics(&metrics, q),
+                            })
+                        })
+                        .collect()
+                }
+                JobSpec::Cf(_) => unreachable!("CF runs above"),
+            }
+        };
+        let wall = start.elapsed();
+        Ok(outputs
+            .into_iter()
+            .map(|output| JobReport {
+                app: template.spec.name(),
+                graph: template.graph.id().name().to_owned(),
+                output,
+                wall,
+                cache_hits,
+                cache_misses,
+            })
+            .collect())
+    }
+}
+
+/// The graph variant a job tiles and the value format its engines
+/// quantise to (CF tiles the ratings `R` here, plus `Rᵀ`).
+fn engine_setup(spec: &JobSpec) -> (GraphVariant, FixedSpec) {
+    match spec {
+        JobSpec::PageRank(opts) => (GraphVariant::Forward, opts.matrix_spec),
+        JobSpec::Spmv(opts) => (GraphVariant::Forward, opts.matrix_spec),
+        JobSpec::Bfs(opts) | JobSpec::Sssp(opts) => (GraphVariant::Forward, opts.spec),
+        JobSpec::Wcc => (
+            GraphVariant::Symmetrised,
+            FixedSpec::new(16, 0).expect("Q16.0 is valid"),
+        ),
+        JobSpec::Cf(opts) => (GraphVariant::Forward, opts.spec),
+    }
+}
+
+/// One lane's report metrics: the wave's shared machine totals, narrowed
+/// to the lane's own attribution row.
+fn lane_metrics(shared: &Metrics, q: usize) -> Metrics {
+    let mut metrics = shared.clone();
+    metrics.lanes = vec![shared.lanes[q]];
+    metrics
 }
 
 impl fmt::Debug for Session {

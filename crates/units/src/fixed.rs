@@ -176,13 +176,6 @@ impl FixedSpec {
     pub fn quantize_value(self, x: f64) -> f64 {
         self.dequantize(self.quantize(x))
     }
-
-    /// The absolute quantisation error for `x` (zero for exactly
-    /// representable in-range values).
-    #[must_use]
-    pub fn quantization_error(self, x: f64) -> f64 {
-        (self.quantize_value(x) - x).abs()
-    }
 }
 
 impl Default for FixedSpec {

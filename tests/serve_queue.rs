@@ -2,16 +2,17 @@
 //! control, queue-order fairness, the coalescing rule (only queries that
 //! agree on graph, application, options, and execution settings share a
 //! fused wave), overflow splitting past
-//! [`MAX_LANES`](graphr_repro::core::exec::MAX_LANES), and degenerate
-//! query streams (empty drains, duplicated sources).
+//! [`MAX_LANES`](graphr_repro::core::exec::MAX_LANES), degenerate
+//! query streams (empty drains, duplicated sources), and per-job
+//! configurations that skip the builder's checks.
 
 use graphr_repro::core::exec::MAX_LANES;
-use graphr_repro::core::sim::TraversalOptions;
+use graphr_repro::core::sim::{SimError, TraversalOptions};
 use graphr_repro::core::GraphRConfig;
 use graphr_repro::graph::generators::rmat::Rmat;
 use graphr_repro::graph::GraphHandle;
 use graphr_repro::runtime::{
-    AdmissionError, Job, JobOutput, JobSpec, ServeConfig, Server, Session,
+    AdmissionError, Job, JobOutput, JobSpec, RuntimeError, ServeConfig, Server, Session,
 };
 
 fn small_config() -> GraphRConfig {
@@ -232,4 +233,43 @@ fn admission_control_rejects_and_recovers() {
     let stats = server.stats();
     assert_eq!(stats.admitted, 4);
     assert_eq!(stats.rejected, 1);
+}
+
+/// `GraphRConfig`'s fields are public, so a per-job configuration written
+/// as a struct literal skips the builder's checks. The tiler checks the
+/// geometry again: a crossbar wider than the byte-wide tile coordinates
+/// can address (they would wrap and corrupt distances) or of zero width
+/// (a division by zero) fails its job with a configuration error, and in
+/// a drain such a job fails only itself.
+#[test]
+fn invalid_per_job_geometry_fails_only_its_job() {
+    let handle = GraphHandle::new("geometry", Rmat::new(1000, 3000).seed(7).generate());
+    let session = Session::new(small_config());
+    let bad = |crossbar_size| {
+        bfs(&handle, 0).with_config(GraphRConfig {
+            crossbar_size,
+            ..small_config()
+        })
+    };
+    for crossbar_size in [512, 0] {
+        let err = session.submit(&bad(crossbar_size)).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::Sim(SimError::Config(_))),
+            "crossbar {crossbar_size}: {err}"
+        );
+    }
+
+    let mut server = Server::new(ServeConfig::default());
+    for job in [bfs(&handle, 0), bad(0), bfs(&handle, 5), bad(512)] {
+        server.enqueue(job).unwrap();
+    }
+    let results = server.drain(&session);
+    let ok: Vec<bool> = results.iter().map(|r| r.report.is_ok()).collect();
+    assert_eq!(ok, [true, false, true, false]);
+    assert_eq!(
+        (results[0].lanes, results[2].lanes),
+        (2, 2),
+        "good queries fuse"
+    );
+    assert_eq!(server.stats().solo, 2);
 }

@@ -108,7 +108,7 @@ proptest! {
 
 // ------------------------------------------------- simulated service clock
 
-/// With coalescing off every query runs as its own wave, so the service
+/// With a one-lane budget every query runs as its own wave, so the service
 /// clock is a plain FIFO: query *i*'s wait is exactly the sum of the
 /// service times before it, waves start in non-decreasing simulated
 /// order, and the latency identity holds to the nanosecond.
@@ -117,7 +117,7 @@ fn fifo_waves_price_wait_as_prior_service() {
     let handle = rmat_handle();
     let session = Session::new(small_config());
     let mut server = Server::new(ServeConfig {
-        coalesce: false,
+        max_lanes: 1,
         ..ServeConfig::default()
     });
     for i in 0..5u32 {
@@ -197,16 +197,17 @@ fn failed_queries_leave_the_clock_and_histograms_alone() {
 
 // --------------------------------------------- engine-identity contract
 
-/// Runs the same five-query batch on one engine configuration and
-/// returns the collected registry's Prometheus rendering.
-fn rendered_registry(threads: usize, cluster: Option<usize>, coalesce: bool) -> String {
+/// Runs the same five-query batch on one engine configuration, in waves
+/// of at most `max_lanes`, and returns the collected registry's
+/// Prometheus rendering.
+fn rendered_registry(threads: usize, cluster: Option<usize>, max_lanes: usize) -> String {
     let handle = rmat_handle();
     let mut session = Session::new(small_config()).with_threads(threads);
     if let Some(nodes) = cluster {
         session = session.with_cluster(MultiNodeConfig::pcie_cluster(nodes));
     }
     let mut server = Server::new(ServeConfig {
-        coalesce,
+        max_lanes,
         ..ServeConfig::default()
     });
     for i in 0..5u32 {
@@ -228,24 +229,25 @@ fn rendered_registry(threads: usize, cluster: Option<usize>, coalesce: bool) -> 
 /// are coalesced or run solo.
 #[test]
 fn serve_registry_bit_identical_across_engines() {
-    for coalesce in [true, false] {
-        let serial = rendered_registry(1, None, coalesce);
-        let parallel = rendered_registry(4, None, coalesce);
-        let one_node = rendered_registry(4, Some(1), coalesce);
+    let fused = ServeConfig::default().max_lanes;
+    for max_lanes in [fused, 1] {
+        let serial = rendered_registry(1, None, max_lanes);
+        let parallel = rendered_registry(4, None, max_lanes);
+        let one_node = rendered_registry(4, Some(1), max_lanes);
         assert_eq!(
             serial, parallel,
-            "serial and parallel registries must render byte-identically (coalesce={coalesce})"
+            "serial and parallel registries must render byte-identically (max_lanes={max_lanes})"
         );
         assert_eq!(
             serial, one_node,
-            "a one-node cluster's registry must render byte-identically (coalesce={coalesce})"
+            "a one-node cluster's registry must render byte-identically (max_lanes={max_lanes})"
         );
     }
     // And the two scheduling modes genuinely differ — the contract is
     // not vacuous.
     assert_ne!(
-        rendered_registry(1, None, true),
-        rendered_registry(1, None, false),
+        rendered_registry(1, None, fused),
+        rendered_registry(1, None, 1),
         "coalesced and solo schedules have different wave accounting"
     );
 }

@@ -149,6 +149,48 @@ fn per_job_trace_choice_overrides_the_session_default() {
     assert_eq!(job_sink.job_names().len(), 1);
 }
 
+/// A solo submission is a one-job wave of the session's one job runner:
+/// for every traversal, `submit(&job)` and `submit_fused(&[job])` return
+/// equal outputs (full `Metrics` included) and byte-identical Chrome
+/// traces under the plain `"<app> on <graph>"` job name, while a wave of
+/// two jobs keeps its `[x2]` name.
+#[test]
+fn solo_submit_is_a_one_job_wave() {
+    let handle = rmat_handle();
+    let traced = |sink: &Arc<TraceSink>| Session::new(test_config()).with_trace(Arc::clone(sink));
+    let source = |source| TraversalOptions {
+        source,
+        ..TraversalOptions::default()
+    };
+    for spec in [
+        JobSpec::Bfs(source(3)),
+        JobSpec::Sssp(source(3)),
+        JobSpec::Wcc,
+    ] {
+        let job = Job::new(handle.clone(), spec);
+        let (solo_sink, wave_sink) = (TraceSink::shared(), TraceSink::shared());
+        let solo = traced(&solo_sink).submit(&job).expect("solo run");
+        let wave = traced(&wave_sink)
+            .submit_fused(std::slice::from_ref(&job))
+            .expect("one-job wave");
+        let app = job.spec.name();
+        assert_eq!(wave.len(), 1);
+        assert_eq!(solo.output, wave[0].output, "{app}: outputs differ");
+        assert_eq!(
+            solo_sink.to_chrome_trace(),
+            wave_sink.to_chrome_trace(),
+            "{app}: Chrome traces differ"
+        );
+        assert_eq!(wave_sink.job_names(), [format!("{app} on rmat-250")]);
+    }
+    let sink = TraceSink::shared();
+    let bfs = |s| Job::new(handle.clone(), JobSpec::Bfs(source(s)));
+    traced(&sink)
+        .submit_fused(&[bfs(0), bfs(7)])
+        .expect("two-job wave");
+    assert_eq!(sink.job_names(), ["bfs[x2] on rmat-250"]);
+}
+
 /// The determinism contract, extended to telemetry: the simulated-clock
 /// event stream — and therefore the exported Chrome trace, byte for byte
 /// — is identical across one worker, four workers, and a one-node
