@@ -15,6 +15,7 @@
 use graphr_core::analyze::BottleneckReport;
 use graphr_core::exec::mask::FrontierMask;
 use graphr_core::exec::{ScanEngine, StreamingExecutor};
+use graphr_core::json::JsonObject;
 use graphr_core::multinode::{ClusterExecutor, MultiNodeConfig};
 use graphr_core::outofcore::DiskModel;
 use graphr_core::sim::{run_bfs_lanes_with, run_bfs_with, LaneTraversalOptions, TraversalOptions};
@@ -127,17 +128,20 @@ impl ServeLatencySummary {
     }
 
     fn to_json(&self) -> String {
-        format!(
-            "{{\"admitted\":{},\"rejected\":{},\"waves\":{},\"latency_ns\":{{\
-             \"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}}}",
-            self.admitted,
-            self.rejected,
-            self.waves,
-            self.p50_ns,
-            self.p95_ns,
-            self.p99_ns,
-            self.max_ns
-        )
+        let mut out = String::new();
+        let mut obj = JsonObject::open(&mut out);
+        obj.raw("admitted", self.admitted)
+            .raw("rejected", self.rejected)
+            .raw("waves", self.waves);
+        let mut latency = JsonObject::open(obj.key("latency_ns"));
+        latency
+            .raw("p50", self.p50_ns)
+            .raw("p95", self.p95_ns)
+            .raw("p99", self.p99_ns)
+            .raw("max", self.max_ns);
+        latency.close();
+        obj.close();
+        out
     }
 }
 
@@ -199,31 +203,27 @@ impl ScenarioRow {
         }
     }
 
-    /// Renders the row as one JSON object (hand-rolled; the vendored
-    /// serde is a stub).
+    /// Renders the row as one JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let serve = match &self.serve {
-            Some(s) => format!(",\"serve\":{}", s.to_json()),
-            None => String::new(),
-        };
-        format!(
-            "{{\"name\":\"{}\",\"iterations\":{},\"bytes_streamed\":{},\
-             \"bytes_loaded\":{},\"bytes_exchanged\":{},\"plan_time_ms\":{},\
-             \"sim_time_ns\":{},\"wall_ns\":{},\"demand_io_ns\":{},\
-             \"bytes_prefetched\":{},\"bound\":\"{}\"{serve}}}",
-            self.name,
-            self.iterations,
-            self.bytes_streamed,
-            self.bytes_loaded,
-            self.bytes_exchanged,
-            self.plan_time_ms,
-            self.sim_time_ns,
-            self.wall_ns,
-            self.demand_io_ns,
-            self.bytes_prefetched,
-            self.bound
-        )
+        let mut out = String::new();
+        let mut obj = JsonObject::open(&mut out);
+        obj.str("name", self.name)
+            .raw("iterations", self.iterations)
+            .raw("bytes_streamed", self.bytes_streamed)
+            .raw("bytes_loaded", self.bytes_loaded)
+            .raw("bytes_exchanged", self.bytes_exchanged)
+            .raw("plan_time_ms", self.plan_time_ms)
+            .raw("sim_time_ns", self.sim_time_ns)
+            .raw("wall_ns", self.wall_ns)
+            .raw("demand_io_ns", self.demand_io_ns)
+            .raw("bytes_prefetched", self.bytes_prefetched)
+            .str("bound", self.bound);
+        if let Some(serve) = &self.serve {
+            obj.raw("serve", serve.to_json());
+        }
+        obj.close();
+        out
     }
 }
 
@@ -231,10 +231,13 @@ impl ScenarioRow {
 #[must_use]
 pub fn render_json(rows: &[ScenarioRow]) -> String {
     let body: Vec<String> = rows.iter().map(ScenarioRow::to_json).collect();
-    format!(
-        "{{\"schema\":\"graphr-bench-micro/v2\",\"scenarios\":[{}]}}\n",
-        body.join(",")
-    )
+    let mut out = String::new();
+    let mut doc = JsonObject::open(&mut out);
+    doc.str("schema", "graphr-bench-micro/v2")
+        .raw("scenarios", format!("[{}]", body.join(",")));
+    doc.close();
+    out.push('\n');
+    out
 }
 
 /// Pruned-plan BFS on the 120×120 grid (the sparse-frontier win).

@@ -27,6 +27,7 @@ use std::fmt;
 
 use graphr_units::Nanos;
 
+use crate::json::JsonObject;
 use crate::metrics::Metrics;
 
 /// The resource that bounds a run.
@@ -205,25 +206,22 @@ impl BottleneckReport {
         out
     }
 
-    /// The JSON object form, hand-written in the same idiom as
-    /// [`Metrics::to_json`](crate::metrics::Metrics::to_json).
+    /// The JSON object form.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"bound\":\"{}\",\"wall_ns\":{},\"compute_ns\":{},\
-             \"disk_ns\":{},\"net_ns\":{},\"compute_utilization\":{},\
-             \"disk_utilization\":{},\"net_utilization\":{},\
-             \"overlap_efficiency\":{}}}",
-            self.bound,
-            self.wall.as_nanos(),
-            self.compute.as_nanos(),
-            self.disk.as_nanos(),
-            self.net.as_nanos(),
-            self.compute_utilization,
-            self.disk_utilization,
-            self.net_utilization,
-            self.overlap_efficiency
-        )
+        let mut out = String::new();
+        let mut obj = JsonObject::open(&mut out);
+        obj.str("bound", self.bound.name())
+            .raw("wall_ns", self.wall.as_nanos())
+            .raw("compute_ns", self.compute.as_nanos())
+            .raw("disk_ns", self.disk.as_nanos())
+            .raw("net_ns", self.net.as_nanos())
+            .raw("compute_utilization", self.compute_utilization)
+            .raw("disk_utilization", self.disk_utilization)
+            .raw("net_utilization", self.net_utilization)
+            .raw("overlap_efficiency", self.overlap_efficiency);
+        obj.close();
+        out
     }
 }
 

@@ -38,9 +38,9 @@
 //!   the simulated clock, collected by a [`trace::TraceSink`] any engine
 //!   or driver emits into, exportable as JSONL or a Chrome/Perfetto
 //!   trace-event timeline,
-//! * [`stats`] — deterministic service-level statistics: [`stats::Counter`],
-//!   [`stats::Gauge`], and the integer-state log₂ [`stats::Histogram`]
-//!   (exact p50/p95/p99/max), collected into a [`stats::StatsRegistry`]
+//! * [`stats`] — deterministic service-level statistics: the
+//!   integer-state log₂ [`stats::Histogram`] (exact p50/p95/p99/max) and
+//!   counter/gauge values, collected into a [`stats::StatsRegistry`]
 //!   with Prometheus text and JSON expositions,
 //! * [`analyze`] — bottleneck attribution:
 //!   [`analyze::BottleneckReport::classify`] names the resource that
@@ -69,6 +69,7 @@ pub mod analyze;
 pub mod config;
 pub mod engine;
 pub mod exec;
+pub mod json;
 pub mod metrics;
 pub mod multinode;
 pub mod outofcore;

@@ -9,178 +9,328 @@
 //!
 //! [`CostModel`]: graphr_reram::CostModel
 
+use std::fmt;
+
 use graphr_reram::CostBreakdown;
 use graphr_units::{Joules, Nanos};
 use serde::{Deserialize, Serialize};
 
-/// Raw architectural event counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct EventCounters {
-    /// Subgraphs actually streamed through the GEs.
-    pub subgraphs_processed: u64,
-    /// Subgraph slots skipped because they contain no edges (§3.3).
-    pub subgraphs_skipped_empty: u64,
-    /// Subgraph slots with edges but no active source (add-op only).
-    pub subgraphs_skipped_inactive: u64,
-    /// Nonempty subgraphs a pruned [`ScanPlan`] excluded before any
-    /// streaming happened — the source-range index let the controller seek
-    /// past them entirely (§4.2 taken to its logical end).
+use crate::json::JsonObject;
+
+/// How a counter composes when two runs' metrics merge, and what its
+/// per-iteration delta means.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MergeRule {
+    /// Counts add; a delta is the plain difference.
+    Sum,
+    /// A running maximum; a delta carries the maximum observed so far.
+    Max,
+    /// Host-measured wall-clock: adds like [`MergeRule::Sum`], but is
+    /// left out of equality (the determinism contract covers simulated
+    /// values only) and its JSON key carries a `host_` prefix.
+    Host,
+}
+
+/// One counter's value, tagged with its unit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CounterValue {
+    /// An event count.
+    Count(u64),
+    /// A duration.
+    Time(Nanos),
+    /// An energy.
+    Energy(Joules),
+}
+
+impl From<u64> for CounterValue {
+    fn from(n: u64) -> Self {
+        CounterValue::Count(n)
+    }
+}
+
+impl From<Nanos> for CounterValue {
+    fn from(t: Nanos) -> Self {
+        CounterValue::Time(t)
+    }
+}
+
+impl From<Joules> for CounterValue {
+    fn from(e: Joules) -> Self {
+        CounterValue::Energy(e)
+    }
+}
+
+/// The JSON number: the count, nanoseconds, or joules.
+impl fmt::Display for CounterValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CounterValue::Count(n) => write!(f, "{n}"),
+            CounterValue::Time(t) => write!(f, "{}", t.as_nanos()),
+            CounterValue::Energy(e) => write!(f, "{}", e.as_joules()),
+        }
+    }
+}
+
+/// One field of a counter family, as the family's `fields()` visitor
+/// yields it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CounterField {
+    /// The Rust field name.
+    pub name: &'static str,
+    /// How the field merges.
+    pub rule: MergeRule,
+    /// The field's value.
+    pub value: CounterValue,
+}
+
+impl CounterField {
+    /// The field's JSON key: the field name, plus `_ns` for a time and
+    /// `_j` for an energy, with a `host_` prefix on a host-measured
+    /// field.
+    #[must_use]
+    pub fn json_key(&self) -> String {
+        let host = if self.rule == MergeRule::Host {
+            "host_"
+        } else {
+            ""
+        };
+        let unit = match self.value {
+            CounterValue::Count(_) => "",
+            CounterValue::Time(_) => "_ns",
+            CounterValue::Energy(_) => "_j",
+        };
+        format!("{host}{}{unit}", self.name)
+    }
+}
+
+/// Writes one counter family as a JSON object keyed by
+/// [`CounterField::json_key`], in declaration order.
+pub(crate) fn write_counters(out: &mut String, fields: impl IntoIterator<Item = CounterField>) {
+    let mut obj = JsonObject::open(out);
+    for field in fields {
+        obj.raw(&field.json_key(), field.value);
+    }
+    obj.close();
+}
+
+/// Test-only values for a counter of each unit: `n` for a count, `n / 4`
+/// for a time or an energy (exact in `f64`, and not all integers).
+#[cfg(test)]
+pub(crate) trait TestValue {
+    fn test_value(n: u64) -> Self;
+}
+
+#[cfg(test)]
+impl TestValue for u64 {
+    fn test_value(n: u64) -> Self {
+        n
+    }
+}
+
+#[cfg(test)]
+impl TestValue for Nanos {
+    fn test_value(n: u64) -> Self {
+        Nanos::new(n as f64 / 4.0)
+    }
+}
+
+#[cfg(test)]
+impl TestValue for Joules {
+    fn test_value(n: u64) -> Self {
+        Joules::new(n as f64 / 4.0)
+    }
+}
+
+/// Declares a counter family once: the struct exactly as written (minus
+/// each field's `=> Rule`), plus `merge`, `delta_since` and the `fields()`
+/// visitor, all generated from the one field list. Each field names its
+/// [`MergeRule`]. The generated `merge` is straight-line field
+/// arithmetic: the executors call it once per planned unit.
+macro_rules! counter_family {
+    (
+        $(#[$attr:meta])*
+        pub struct $family:ident {
+            $(
+                $(#[$doc:meta])*
+                pub $field:ident: $ty:ty => $rule:ident,
+            )*
+        }
+    ) => {
+        $(#[$attr])*
+        pub struct $family {
+            $(
+                $(#[$doc])*
+                pub $field: $ty,
+            )*
+        }
+
+        impl $family {
+            /// Folds `other` into `self`: `Sum` and `Host` fields add, a
+            /// `Max` field keeps the larger value.
+            #[inline]
+            pub fn merge(&mut self, other: &$family) {
+                $( counter_family!(@merge $rule, self.$field, other.$field); )*
+            }
+
+            /// What accumulated on top of `prev`, an earlier snapshot of
+            /// the same run — the inverse of [`merge`](Self::merge):
+            /// `Sum` and `Host` fields are plain differences, a `Max`
+            /// field carries the maximum observed so far.
+            #[must_use]
+            pub fn delta_since(&self, prev: &$family) -> $family {
+                $family {
+                    $( $field: counter_family!(@delta $rule, self.$field, prev.$field), )*
+                }
+            }
+
+            /// Every field in declaration order, with its merge rule.
+            pub fn fields(&self) -> impl Iterator<Item = CounterField> {
+                [$(
+                    CounterField {
+                        name: stringify!($field),
+                        rule: MergeRule::$rule,
+                        value: self.$field.into(),
+                    },
+                )*]
+                .into_iter()
+            }
+
+            /// A value with field `i` (in declaration order) set from the
+            /// `i`-th call of `next`, through [`TestValue`].
+            #[cfg(test)]
+            pub(crate) fn from_counts(mut next: impl FnMut() -> u64) -> $family {
+                $family {
+                    $( $field: TestValue::test_value(next()), )*
+                }
+            }
+        }
+    };
+    (@merge Max, $mine:expr, $theirs:expr) => { $mine = $mine.max($theirs) };
+    (@merge $rule:ident, $mine:expr, $theirs:expr) => { $mine += $theirs };
+    (@delta Max, $now:expr, $prev:expr) => { $now };
+    (@delta $rule:ident, $now:expr, $prev:expr) => { $now - $prev };
+}
+
+counter_family! {
+    /// Raw architectural event counts.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+    pub struct EventCounters {
+        /// Subgraphs actually streamed through the GEs.
+        pub subgraphs_processed: u64 => Sum,
+        /// Subgraph slots skipped because they contain no edges (§3.3).
+        pub subgraphs_skipped_empty: u64 => Sum,
+        /// Subgraph slots with edges but no active source (add-op only).
+        pub subgraphs_skipped_inactive: u64 => Sum,
+        /// Nonempty subgraphs a pruned [`ScanPlan`] excluded before any
+        /// streaming happened — the source-range index let the controller seek
+        /// past them entirely (§4.2 taken to its logical end).
+        ///
+        /// [`ScanPlan`]: crate::exec::plan::ScanPlan
+        pub subgraphs_pruned: u64 => Sum,
+        /// Edges inside pruned subgraphs: never streamed, never charged.
+        pub edges_pruned: u64 => Sum,
+        /// Logical tiles programmed.
+        pub tiles_loaded: u64 => Sum,
+        /// Edge values programmed into tiles (one per edge per programming
+        /// pass).
+        pub edges_loaded: u64 => Sum,
+        /// Tile-level MVM evaluations.
+        pub mvm_scans: u64 => Sum,
+        /// Serial wordline activations (add-op pattern).
+        pub rows_activated: u64 => Sum,
+        /// ADC conversions.
+        pub adc_conversions: u64 => Sum,
+        /// sALU operations.
+        pub salu_ops: u64 => Sum,
+        /// RegI/RegO reads.
+        pub register_reads: u64 => Sum,
+        /// RegI/RegO writes.
+        pub register_writes: u64 => Sum,
+        /// Bytes streamed from memory ReRAM into GEs.
+        pub bytes_streamed: u64 => Sum,
+        /// RegO capacity the run required, in entries (the §3.3 column- vs
+        /// row-major argument).
+        pub rego_capacity_required: u64 => Max,
+    }
+}
+
+counter_family! {
+    /// Incremental-planner accounting: how each iteration's [`ScanPlan`] was
+    /// obtained, filled in by the engines'
+    /// [`Planner`](crate::exec::planner::Planner) (all-zero for runs that
+    /// never plan from a mask).
+    ///
+    /// A *full rebuild* walks the whole span table (`O(units)`); a *delta
+    /// patch* re-derives only the strip units the frontier delta touched,
+    /// carrying the rest into the new plan as shared `Arc`s
+    /// (`units_reused`). The two paths produce bit-identical plans — these
+    /// counters report the planning *cost*, not the plan.
+    ///
+    /// `time` is **host** wall-clock spent planning (the quantity the delta
+    /// path exists to shrink), measured on whatever machine ran the
+    /// simulation. It is deliberately excluded from equality: the
+    /// determinism contract covers simulated results and accounting, which
+    /// must not depend on host timing jitter. It is the **only** host-measured
+    /// field inside the otherwise fully simulated [`Metrics`]; the trace
+    /// subsystem mirrors the same split — host-side timestamps live in
+    /// [`HostTimes`](crate::trace::HostTimes) and are likewise excluded from
+    /// [`TraceEvent`](crate::trace::TraceEvent) equality.
     ///
     /// [`ScanPlan`]: crate::exec::plan::ScanPlan
-    pub subgraphs_pruned: u64,
-    /// Edges inside pruned subgraphs: never streamed, never charged.
-    pub edges_pruned: u64,
-    /// Logical tiles programmed.
-    pub tiles_loaded: u64,
-    /// Edge values programmed into tiles (one per edge per programming
-    /// pass).
-    pub edges_loaded: u64,
-    /// Tile-level MVM evaluations.
-    pub mvm_scans: u64,
-    /// Serial wordline activations (add-op pattern).
-    pub rows_activated: u64,
-    /// ADC conversions.
-    pub adc_conversions: u64,
-    /// sALU operations.
-    pub salu_ops: u64,
-    /// RegI/RegO reads.
-    pub register_reads: u64,
-    /// RegI/RegO writes.
-    pub register_writes: u64,
-    /// Bytes streamed from memory ReRAM into GEs.
-    pub bytes_streamed: u64,
-    /// RegO capacity the run required, in entries (the §3.3 column- vs
-    /// row-major argument).
-    pub rego_capacity_required: u64,
-}
-
-impl EventCounters {
-    /// What one iteration added on top of `prev` (a snapshot of the same
-    /// run taken earlier): every counter is the plain difference except
-    /// `rego_capacity_required`, which is a running **maximum** — the
-    /// delta carries the maximum observed so far, mirroring how
-    /// [`Metrics::merge`] composes it.
-    #[must_use]
-    pub fn delta_since(&self, prev: &EventCounters) -> EventCounters {
-        EventCounters {
-            subgraphs_processed: self.subgraphs_processed - prev.subgraphs_processed,
-            subgraphs_skipped_empty: self.subgraphs_skipped_empty - prev.subgraphs_skipped_empty,
-            subgraphs_skipped_inactive: self.subgraphs_skipped_inactive
-                - prev.subgraphs_skipped_inactive,
-            subgraphs_pruned: self.subgraphs_pruned - prev.subgraphs_pruned,
-            edges_pruned: self.edges_pruned - prev.edges_pruned,
-            tiles_loaded: self.tiles_loaded - prev.tiles_loaded,
-            edges_loaded: self.edges_loaded - prev.edges_loaded,
-            mvm_scans: self.mvm_scans - prev.mvm_scans,
-            rows_activated: self.rows_activated - prev.rows_activated,
-            adc_conversions: self.adc_conversions - prev.adc_conversions,
-            salu_ops: self.salu_ops - prev.salu_ops,
-            register_reads: self.register_reads - prev.register_reads,
-            register_writes: self.register_writes - prev.register_writes,
-            bytes_streamed: self.bytes_streamed - prev.bytes_streamed,
-            rego_capacity_required: self.rego_capacity_required,
-        }
+    #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+    pub struct PlanCounters {
+        /// Plans built by walking the whole span table (first mask, or a
+        /// delta too dense to be worth patching).
+        pub full_rebuilds: u64 => Sum,
+        /// Plans produced by patching the previous plan with the frontier
+        /// delta.
+        pub delta_patches: u64 => Sum,
+        /// Planned units carried between consecutive plans as shared `Arc`s
+        /// (cumulative over delta patches).
+        pub units_reused: u64 => Sum,
+        /// Units re-derived by delta patches (cumulative).
+        pub units_patched: u64 => Sum,
+        /// Frontier-mask words examined while deriving per-chunk activity
+        /// (full derivations and delta re-checks alike).
+        pub mask_words: u64 => Sum,
+        /// Word spans proven inactive wholesale through the mask's summary
+        /// level — regions whose chunks were settled without reading a
+        /// single dense word.
+        pub summary_skips: u64 => Sum,
+        /// Driver-supplied [`FrontierDelta`](crate::exec::mask::FrontierDelta)
+        /// word entries consumed by `plan_with_delta` — the planner's input
+        /// size on the incremental path.
+        pub delta_words: u64 => Sum,
+        /// Host wall-clock spent planning (excluded from equality; see the
+        /// type docs).
+        pub time: Nanos => Host,
     }
 }
 
-/// Incremental-planner accounting: how each iteration's [`ScanPlan`] was
-/// obtained, filled in by the engines'
-/// [`Planner`](crate::exec::planner::Planner) (all-zero for runs that
-/// never plan from a mask).
-///
-/// A *full rebuild* walks the whole span table (`O(units)`); a *delta
-/// patch* re-derives only the strip units the frontier delta touched,
-/// carrying the rest into the new plan as shared `Arc`s
-/// (`units_reused`). The two paths produce bit-identical plans — these
-/// counters report the planning *cost*, not the plan.
-///
-/// `time` is **host** wall-clock spent planning (the quantity the delta
-/// path exists to shrink), measured on whatever machine ran the
-/// simulation. It is deliberately excluded from equality: the
-/// determinism contract covers simulated results and accounting, which
-/// must not depend on host timing jitter. It is the **only** host-measured
-/// field inside the otherwise fully simulated [`Metrics`]; the trace
-/// subsystem mirrors the same split — host-side timestamps live in
-/// [`HostTimes`](crate::trace::HostTimes) and are likewise excluded from
-/// [`TraceEvent`](crate::trace::TraceEvent) equality.
-///
-/// [`ScanPlan`]: crate::exec::plan::ScanPlan
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct PlanCounters {
-    /// Plans built by walking the whole span table (first mask, or a
-    /// delta too dense to be worth patching).
-    pub full_rebuilds: u64,
-    /// Plans produced by patching the previous plan with the frontier
-    /// delta.
-    pub delta_patches: u64,
-    /// Planned units carried between consecutive plans as shared `Arc`s
-    /// (cumulative over delta patches).
-    pub units_reused: u64,
-    /// Units re-derived by delta patches (cumulative).
-    pub units_patched: u64,
-    /// Frontier-mask words examined while deriving per-chunk activity
-    /// (full derivations and delta re-checks alike).
-    pub mask_words: u64,
-    /// Word spans proven inactive wholesale through the mask's summary
-    /// level — regions whose chunks were settled without reading a
-    /// single dense word.
-    pub summary_skips: u64,
-    /// Driver-supplied [`FrontierDelta`](crate::exec::mask::FrontierDelta)
-    /// word entries consumed by `plan_with_delta` — the planner's input
-    /// size on the incremental path.
-    pub delta_words: u64,
-    /// Host wall-clock spent planning (excluded from equality; see the
-    /// type docs).
-    pub time: Nanos,
-}
-
+/// Compares every simulated field: [`MergeRule::Host`] fields are host
+/// jitter, so two runs that planned identically are equal.
 impl PartialEq for PlanCounters {
     fn eq(&self, other: &Self) -> bool {
-        // `time` is host-measured and intentionally ignored: two runs
-        // that planned identically are equal regardless of host jitter.
-        // The mask/delta statistics are deterministic functions of the
-        // planned mask sequence and *are* compared.
-        self.full_rebuilds == other.full_rebuilds
-            && self.delta_patches == other.delta_patches
-            && self.units_reused == other.units_reused
-            && self.units_patched == other.units_patched
-            && self.mask_words == other.mask_words
-            && self.summary_skips == other.summary_skips
-            && self.delta_words == other.delta_words
+        self.fields()
+            .zip(other.fields())
+            .all(|(a, b)| a.rule == MergeRule::Host || a.value == b.value)
     }
 }
 
-impl PlanCounters {
-    /// What one iteration added on top of `prev` (plain differences;
-    /// `time` is the host-clock difference and inherits the
-    /// excluded-from-equality treatment).
-    #[must_use]
-    pub fn delta_since(&self, prev: &PlanCounters) -> PlanCounters {
-        PlanCounters {
-            full_rebuilds: self.full_rebuilds - prev.full_rebuilds,
-            delta_patches: self.delta_patches - prev.delta_patches,
-            units_reused: self.units_reused - prev.units_reused,
-            units_patched: self.units_patched - prev.units_patched,
-            mask_words: self.mask_words - prev.mask_words,
-            summary_skips: self.summary_skips - prev.summary_skips,
-            delta_words: self.delta_words - prev.delta_words,
-            time: self.time - prev.time,
-        }
+counter_family! {
+    /// Wall-clock decomposition (raw per-phase sums; with pipelining the
+    /// effective total is less than the sum of parts).
+    #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+    pub struct TimeBreakdown {
+        /// Tile programming (edge loading through drivers).
+        pub program: Nanos => Sum,
+        /// MVM + ADC drain (GE cycles).
+        pub compute: Nanos => Sum,
+        /// Memory-ReRAM streaming of edge data.
+        pub memory: Nanos => Sum,
+        /// Strip write-back / apply.
+        pub apply: Nanos => Sum,
     }
-}
-
-/// Wall-clock decomposition (raw per-phase sums; with pipelining the
-/// effective total is less than the sum of parts).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct TimeBreakdown {
-    /// Tile programming (edge loading through drivers).
-    pub program: Nanos,
-    /// MVM + ADC drain (GE cycles).
-    pub compute: Nanos,
-    /// Memory-ReRAM streaming of edge data.
-    pub memory: Nanos,
-    /// Strip write-back / apply.
-    pub apply: Nanos,
 }
 
 impl TimeBreakdown {
@@ -189,77 +339,67 @@ impl TimeBreakdown {
     pub fn serial_total(&self) -> Nanos {
         self.program + self.compute + self.memory + self.apply
     }
-
-    /// What one iteration added on top of `prev` (plain per-phase
-    /// differences).
-    #[must_use]
-    pub fn delta_since(&self, prev: &TimeBreakdown) -> TimeBreakdown {
-        TimeBreakdown {
-            program: self.program - prev.program,
-            compute: self.compute - prev.compute,
-            memory: self.memory - prev.memory,
-            apply: self.apply - prev.apply,
-        }
-    }
 }
 
-/// Plan-aware out-of-core disk accounting, filled in only when a run
-/// executes under a [`DiskModel`] (all-zero otherwise).
-///
-/// Every executed [`ScanPlan`] contributes its
-/// [`IoPlan`](crate::outofcore::IoPlan) — planned bytes loaded
-/// sequentially, pruned blocks seeked past — and each iteration's loads
-/// are overlapped against that iteration's compute. Under a prefetching
-/// model ([`DiskModel::prefetch`]) the
-/// [`ScanDriver`](crate::outofcore::driver::ScanDriver) additionally
-/// reads ahead during compute-bound iterations' idle I/O-lane time:
-/// `bytes_loaded`, `blocks_*`, `io_segments`, and `time` still describe
-/// the *full* per-scan [`IoPlan`](crate::outofcore::IoPlan)s
-/// (bit-identical with prefetch off),
-/// while `demand_time` and `overlapped` describe what the compute lane
-/// actually waited on after prefetched segments were served from the
-/// read-ahead buffer. See
-/// [`DiskAccountant`](crate::outofcore::DiskAccountant).
-///
-/// [`DiskModel`]: crate::outofcore::DiskModel
-/// [`DiskModel::prefetch`]: crate::outofcore::DiskModel::prefetch
-/// [`ScanPlan`]: crate::exec::plan::ScanPlan
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct DiskCounters {
-    /// Bytes of edge data loaded from disk (planned subgraphs only).
-    pub bytes_loaded: u64,
-    /// On-disk blocks loaded (cumulative across iterations).
-    pub blocks_loaded: u64,
-    /// On-disk blocks seeked past — pruned or empty, charged only the
-    /// per-block latency (cumulative across iterations).
-    pub blocks_seeked: u64,
-    /// Sequential-read segments issued (cumulative across iterations).
-    pub io_segments: u64,
-    /// Total disk-load time across all iterations, priced from the full
-    /// per-scan [`IoPlan`]s (what a driver without read-ahead services;
-    /// unchanged by prefetch).
+counter_family! {
+    /// Plan-aware out-of-core disk accounting, filled in only when a run
+    /// executes under a [`DiskModel`] (all-zero otherwise).
     ///
-    /// [`IoPlan`]: crate::outofcore::IoPlan
-    pub time: Nanos,
-    /// Disk time the compute lane actually waited on: the synchronous
-    /// *demand* fetches after prefetched segments were served at zero
-    /// marginal latency. Equal to [`DiskCounters::time`] whenever
-    /// nothing was prefetched; never above it (the driver falls back to
-    /// the full sequential walk when targeted fetching would cost more).
-    pub demand_time: Nanos,
-    /// Out-of-core total with per-iteration double buffering:
-    /// `Σ_iterations max(compute, demand disk)`.
-    pub overlapped: Nanos,
-    /// Bytes read ahead by the I/O lane during idle windows (speculative
-    /// loads of previously-planned segments; a subset of `bytes_loaded`
-    /// byte-ranges, so never above it).
-    pub bytes_prefetched: u64,
-    /// Prefetched segments at least partly consumed by a later scan
-    /// (each counts once, when first served).
-    pub prefetch_hits: u64,
-    /// Prefetched bytes the consuming iteration never asked for
-    /// (discarded when its window closed).
-    pub prefetch_wasted: u64,
+    /// Every executed [`ScanPlan`] contributes its
+    /// [`IoPlan`](crate::outofcore::IoPlan) — planned bytes loaded
+    /// sequentially, pruned blocks seeked past — and each iteration's loads
+    /// are overlapped against that iteration's compute. Under a prefetching
+    /// model ([`DiskModel::prefetch`]) the
+    /// [`ScanDriver`](crate::outofcore::driver::ScanDriver) additionally
+    /// reads ahead during compute-bound iterations' idle I/O-lane time:
+    /// `bytes_loaded`, `blocks_*`, `io_segments`, and `time` still describe
+    /// the *full* per-scan [`IoPlan`](crate::outofcore::IoPlan)s
+    /// (bit-identical with prefetch off),
+    /// while `demand_time` and `overlapped` describe what the compute lane
+    /// actually waited on after prefetched segments were served from the
+    /// read-ahead buffer. See
+    /// [`DiskAccountant`](crate::outofcore::DiskAccountant).
+    ///
+    /// [`DiskModel`]: crate::outofcore::DiskModel
+    /// [`DiskModel::prefetch`]: crate::outofcore::DiskModel::prefetch
+    /// [`ScanPlan`]: crate::exec::plan::ScanPlan
+    #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+    pub struct DiskCounters {
+        /// Bytes of edge data loaded from disk (planned subgraphs only).
+        pub bytes_loaded: u64 => Sum,
+        /// On-disk blocks loaded (cumulative across iterations).
+        pub blocks_loaded: u64 => Sum,
+        /// On-disk blocks seeked past — pruned or empty, charged only the
+        /// per-block latency (cumulative across iterations).
+        pub blocks_seeked: u64 => Sum,
+        /// Sequential-read segments issued (cumulative across iterations).
+        pub io_segments: u64 => Sum,
+        /// Total disk-load time across all iterations, priced from the full
+        /// per-scan [`IoPlan`]s (what a driver without read-ahead services;
+        /// unchanged by prefetch).
+        ///
+        /// [`IoPlan`]: crate::outofcore::IoPlan
+        pub time: Nanos => Sum,
+        /// Disk time the compute lane actually waited on: the synchronous
+        /// *demand* fetches after prefetched segments were served at zero
+        /// marginal latency. Equal to [`DiskCounters::time`] whenever
+        /// nothing was prefetched; never above it (the driver falls back to
+        /// the full sequential walk when targeted fetching would cost more).
+        pub demand_time: Nanos => Sum,
+        /// Out-of-core total with per-iteration double buffering:
+        /// `Σ_iterations max(compute, demand disk)`.
+        pub overlapped: Nanos => Sum,
+        /// Bytes read ahead by the I/O lane during idle windows (speculative
+        /// loads of previously-planned segments; a subset of `bytes_loaded`
+        /// byte-ranges, so never above it).
+        pub bytes_prefetched: u64 => Sum,
+        /// Prefetched segments at least partly consumed by a later scan
+        /// (each counts once, when first served).
+        pub prefetch_hits: u64 => Sum,
+        /// Prefetched bytes the consuming iteration never asked for
+        /// (discarded when its window closed).
+        pub prefetch_wasted: u64 => Sum,
+    }
 }
 
 impl DiskCounters {
@@ -295,23 +435,6 @@ impl DiskCounters {
         self.demand_pressure() > compute
     }
 
-    /// What one iteration added on top of `prev` (plain differences).
-    #[must_use]
-    pub fn delta_since(&self, prev: &DiskCounters) -> DiskCounters {
-        DiskCounters {
-            bytes_loaded: self.bytes_loaded - prev.bytes_loaded,
-            blocks_loaded: self.blocks_loaded - prev.blocks_loaded,
-            blocks_seeked: self.blocks_seeked - prev.blocks_seeked,
-            io_segments: self.io_segments - prev.io_segments,
-            time: self.time - prev.time,
-            demand_time: self.demand_time - prev.demand_time,
-            overlapped: self.overlapped - prev.overlapped,
-            bytes_prefetched: self.bytes_prefetched - prev.bytes_prefetched,
-            prefetch_hits: self.prefetch_hits - prev.prefetch_hits,
-            prefetch_wasted: self.prefetch_wasted - prev.prefetch_wasted,
-        }
-    }
-
     /// These counters with every prefetch-dependent field normalized
     /// away: the read-ahead counters zeroed, `demand_time` collapsed to
     /// the full load time, and `overlapped` (a function of demand)
@@ -333,33 +456,35 @@ impl DiskCounters {
     }
 }
 
-/// Plan-aware multi-node interconnect accounting, filled in only when a
-/// run executes on a [`ClusterExecutor`](crate::multinode::ClusterExecutor)
-/// with more than one node (all-zero otherwise — a one-node cluster has no
-/// interconnect, which is what keeps it bit-identical to the single-node
-/// engine).
-///
-/// Each iteration's property exchange is charged only for the vertices the
-/// iteration's planned subgraphs actually touched: the `updated` frontier
-/// delta for the add-op applications (BFS, SSSP, WCC), the planned units'
-/// destination coverage for the MAC applications (PageRank, SpMV, CF).
-/// The dense `|V| × 2`-byte all-gather of
-/// [`estimate_pagerank_scaling`](crate::multinode::estimate_pagerank_scaling)
-/// is the documented upper bound these counters never exceed.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct NetCounters {
-    /// Property bytes exchanged between nodes (16-bit properties of
-    /// touched vertices, cumulative across iterations).
-    pub bytes_exchanged: u64,
-    /// Property exchanges performed (iterations that updated anything).
-    pub exchanges: u64,
-    /// Total exchange time across all iterations (latency + transfer).
-    pub time: Nanos,
-    /// Composed cluster total: `Σ_iterations max(per-node scan [+ disk
-    /// overlap]) + exchange` — the cluster's effective wall-clock.
-    pub overlapped: Nanos,
-    /// Interconnect energy (per-byte link crossings over all nodes).
-    pub energy: Joules,
+counter_family! {
+    /// Plan-aware multi-node interconnect accounting, filled in only when a
+    /// run executes on a [`ClusterExecutor`](crate::multinode::ClusterExecutor)
+    /// with more than one node (all-zero otherwise — a one-node cluster has no
+    /// interconnect, which is what keeps it bit-identical to the single-node
+    /// engine).
+    ///
+    /// Each iteration's property exchange is charged only for the vertices the
+    /// iteration's planned subgraphs actually touched: the `updated` frontier
+    /// delta for the add-op applications (BFS, SSSP, WCC), the planned units'
+    /// destination coverage for the MAC applications (PageRank, SpMV, CF).
+    /// The dense `|V| × 2`-byte all-gather of
+    /// [`estimate_pagerank_scaling`](crate::multinode::estimate_pagerank_scaling)
+    /// is the documented upper bound these counters never exceed.
+    #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+    pub struct NetCounters {
+        /// Property bytes exchanged between nodes (16-bit properties of
+        /// touched vertices, cumulative across iterations).
+        pub bytes_exchanged: u64 => Sum,
+        /// Property exchanges performed (iterations that updated anything).
+        pub exchanges: u64 => Sum,
+        /// Total exchange time across all iterations (latency + transfer).
+        pub time: Nanos => Sum,
+        /// Composed cluster total: `Σ_iterations max(per-node scan [+ disk
+        /// overlap]) + exchange` — the cluster's effective wall-clock.
+        pub overlapped: Nanos => Sum,
+        /// Interconnect energy (per-byte link crossings over all nodes).
+        pub energy: Joules => Sum,
+    }
 }
 
 impl NetCounters {
@@ -379,54 +504,33 @@ impl NetCounters {
     pub fn is_network_bound(&self, compute: Nanos) -> bool {
         self.time > compute
     }
-
-    /// What one iteration added on top of `prev` (plain differences).
-    #[must_use]
-    pub fn delta_since(&self, prev: &NetCounters) -> NetCounters {
-        NetCounters {
-            bytes_exchanged: self.bytes_exchanged - prev.bytes_exchanged,
-            exchanges: self.exchanges - prev.exchanges,
-            time: self.time - prev.time,
-            overlapped: self.overlapped - prev.overlapped,
-            energy: self.energy - prev.energy,
-        }
-    }
 }
 
-/// Per-query attribution of a traversal run: one row per frontier lane,
-/// recovered from the lane masks by the `sim` drivers (see
-/// [`LaneFrontier`](crate::exec::lanes::LaneFrontier)).
-///
-/// A fused K-query run carries K rows; the single-query traversal
-/// drivers fill exactly one, so a fused run's attribution is comparable
-/// row-for-row against K independent runs — that equality is part of the
-/// fusion determinism contract. Machine-level accounting (time, energy,
-/// events) stays *fused*: the point of lane fusion is that one scan of
-/// the edge stream serves every query, so those costs are charged once
-/// and only the per-query frontier statistics are attributed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct LaneCounters {
-    /// Iterations in which this lane's frontier was active going in (for
-    /// a single-query run this equals [`Metrics::iterations`]; a fused
-    /// lane may settle earlier than the batch).
-    pub iterations: u64,
-    /// Sum of the lane's post-iteration frontier populations.
-    pub frontier_total: u64,
-    /// Largest post-iteration frontier population the lane reached.
-    pub frontier_peak: u64,
-    /// Vertices settled by the query: reached for BFS/SSSP (labelled
-    /// below the format maximum), relabelled below their own id for WCC.
-    pub settled: u64,
-}
-
-impl LaneCounters {
-    /// Merges another lane's row into this one (used when metrics of
-    /// multi-scan runs are composed): counts add, the peak is maxed.
-    pub fn merge(&mut self, other: &LaneCounters) {
-        self.iterations += other.iterations;
-        self.frontier_total += other.frontier_total;
-        self.frontier_peak = self.frontier_peak.max(other.frontier_peak);
-        self.settled += other.settled;
+counter_family! {
+    /// Per-query attribution of a traversal run: one row per frontier lane,
+    /// recovered from the lane masks by the `sim` drivers (see
+    /// [`LaneFrontier`](crate::exec::lanes::LaneFrontier)).
+    ///
+    /// A fused K-query run carries K rows; the single-query traversal
+    /// drivers fill exactly one, so a fused run's attribution is comparable
+    /// row-for-row against K independent runs — that equality is part of the
+    /// fusion determinism contract. Machine-level accounting (time, energy,
+    /// events) stays *fused*: the point of lane fusion is that one scan of
+    /// the edge stream serves every query, so those costs are charged once
+    /// and only the per-query frontier statistics are attributed.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+    pub struct LaneCounters {
+        /// Iterations in which this lane's frontier was active going in (for
+        /// a single-query run this equals [`Metrics::iterations`]; a fused
+        /// lane may settle earlier than the batch).
+        pub iterations: u64 => Sum,
+        /// Sum of the lane's post-iteration frontier populations.
+        pub frontier_total: u64 => Sum,
+        /// Largest post-iteration frontier population the lane reached.
+        pub frontier_peak: u64 => Max,
+        /// Vertices settled by the query: reached for BFS/SSSP (labelled
+        /// below the format maximum), relabelled below their own id for WCC.
+        pub settled: u64 => Sum,
     }
 }
 
@@ -691,57 +795,12 @@ impl Metrics {
     pub fn merge(&mut self, other: &Metrics) {
         self.iterations += other.iterations;
         self.elapsed += other.elapsed;
-        self.time_breakdown.program += other.time_breakdown.program;
-        self.time_breakdown.compute += other.time_breakdown.compute;
-        self.time_breakdown.memory += other.time_breakdown.memory;
-        self.time_breakdown.apply += other.time_breakdown.apply;
+        self.time_breakdown.merge(&other.time_breakdown);
         self.energy += other.energy;
-        let a = &mut self.events;
-        let b = &other.events;
-        a.subgraphs_processed += b.subgraphs_processed;
-        a.subgraphs_skipped_empty += b.subgraphs_skipped_empty;
-        a.subgraphs_skipped_inactive += b.subgraphs_skipped_inactive;
-        a.subgraphs_pruned += b.subgraphs_pruned;
-        a.edges_pruned += b.edges_pruned;
-        a.tiles_loaded += b.tiles_loaded;
-        a.edges_loaded += b.edges_loaded;
-        a.mvm_scans += b.mvm_scans;
-        a.rows_activated += b.rows_activated;
-        a.adc_conversions += b.adc_conversions;
-        a.salu_ops += b.salu_ops;
-        a.register_reads += b.register_reads;
-        a.register_writes += b.register_writes;
-        a.bytes_streamed += b.bytes_streamed;
-        a.rego_capacity_required = a.rego_capacity_required.max(b.rego_capacity_required);
-        let d = &mut self.disk;
-        let e = &other.disk;
-        d.bytes_loaded += e.bytes_loaded;
-        d.blocks_loaded += e.blocks_loaded;
-        d.blocks_seeked += e.blocks_seeked;
-        d.io_segments += e.io_segments;
-        d.time += e.time;
-        d.demand_time += e.demand_time;
-        d.overlapped += e.overlapped;
-        d.bytes_prefetched += e.bytes_prefetched;
-        d.prefetch_hits += e.prefetch_hits;
-        d.prefetch_wasted += e.prefetch_wasted;
-        let n = &mut self.net;
-        let o = &other.net;
-        n.bytes_exchanged += o.bytes_exchanged;
-        n.exchanges += o.exchanges;
-        n.time += o.time;
-        n.overlapped += o.overlapped;
-        n.energy += o.energy;
-        let p = &mut self.plan;
-        let q = &other.plan;
-        p.full_rebuilds += q.full_rebuilds;
-        p.delta_patches += q.delta_patches;
-        p.units_reused += q.units_reused;
-        p.units_patched += q.units_patched;
-        p.mask_words += q.mask_words;
-        p.summary_skips += q.summary_skips;
-        p.delta_words += q.delta_words;
-        p.time += q.time;
+        self.events.merge(&other.events);
+        self.disk.merge(&other.disk);
+        self.net.merge(&other.net);
+        self.plan.merge(&other.plan);
         if self.lanes.len() < other.lanes.len() {
             self.lanes
                 .resize(other.lanes.len(), LaneCounters::default());
@@ -750,12 +809,87 @@ impl Metrics {
             mine.merge(theirs);
         }
     }
+
+    /// Serialises the full aggregate as one JSON object. Each counter
+    /// family is an object keyed by [`CounterField::json_key`] — the
+    /// trace JSONL exporter writes its per-iteration deltas the same
+    /// way. `plan.host_time_ns` is the only host-measured field.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        let mut obj = JsonObject::open(&mut out);
+        obj.raw("iterations", self.iterations)
+            .raw("elapsed_ns", self.elapsed.as_nanos())
+            .raw("total_time_ns", self.total_time().as_nanos())
+            .raw("total_energy_j", self.total_energy().as_joules())
+            .raw("skip_fraction", self.skip_fraction());
+        write_counters(obj.key("time"), self.time_breakdown.fields());
+        let mut energy = JsonObject::open(obj.key("energy"));
+        for (name, joules) in self.energy.components() {
+            energy.raw(&format!("{name}_j"), joules.as_joules());
+        }
+        energy.close();
+        write_counters(obj.key("events"), self.events.fields());
+        write_counters(obj.key("disk"), self.disk.fields());
+        write_counters(obj.key("net"), self.net.fields());
+        write_counters(obj.key("plan"), self.plan.fields());
+        let lanes = obj.key("lanes");
+        lanes.push('[');
+        for (q, lane) in self.lanes.iter().enumerate() {
+            if q > 0 {
+                lanes.push(',');
+            }
+            write_counters(lanes, lane.fields());
+        }
+        lanes.push(']');
+        obj.close();
+        out
+    }
+}
+
+/// A [`Metrics`] whose every counter-family field holds a distinct nonzero
+/// value (`n` counts up in declaration order, through [`TestValue`]), with
+/// two lane rows — the fixture the exact-bytes JSON tests pin.
+#[cfg(test)]
+pub(crate) fn distinct_fixture() -> Metrics {
+    let mut n = 0;
+    let mut next = || {
+        n += 1;
+        n
+    };
+    let time_breakdown = TimeBreakdown::from_counts(&mut next);
+    let mut j = || Joules::test_value(next());
+    let energy = CostBreakdown {
+        program: j(),
+        mvm: j(),
+        driver: j(),
+        adc: j(),
+        sample_hold: j(),
+        shift_add: j(),
+        salu: j(),
+        registers: j(),
+        memory: j(),
+    };
+    Metrics {
+        iterations: 3,
+        elapsed: Nanos::test_value(1000),
+        time_breakdown,
+        energy,
+        events: EventCounters::from_counts(&mut next),
+        disk: DiskCounters::from_counts(&mut next),
+        net: NetCounters::from_counts(&mut next),
+        plan: PlanCounters::from_counts(&mut next),
+        lanes: vec![
+            LaneCounters::from_counts(&mut next),
+            LaneCounters::from_counts(&mut next),
+        ],
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphr_units::Joules;
+    use proptest::prelude::*;
 
     #[test]
     fn zeroed_by_default() {
@@ -1075,6 +1209,80 @@ mod tests {
             m.validate().is_err(),
             "settled must be within frontier_total + 1"
         );
+    }
+
+    #[test]
+    fn to_json_bytes_are_pinned() {
+        // Recorded from the hand-written per-family writers this JSON
+        // layout started with; every key and number must stay put.
+        let expected = concat!(
+            r#"{"iterations":3,"elapsed_ns":250,"total_time_ns":250,"total_energy_j":31"#,
+            r#","skip_fraction":0.7741935483870968,"time":{"program_ns":0.25"#,
+            r#","compute_ns":0.5,"memory_ns":0.75,"apply_ns":1}"#,
+            r#","energy":{"program_j":1.25,"mvm_j":1.5,"driver_j":1.75,"adc_j":2"#,
+            r#","sample_hold_j":2.25,"shift_add_j":2.5,"salu_j":2.75,"registers_j":3"#,
+            r#","memory_j":3.25},"events":{"subgraphs_processed":14"#,
+            r#","subgraphs_skipped_empty":15,"subgraphs_skipped_inactive":16"#,
+            r#","subgraphs_pruned":17,"edges_pruned":18,"tiles_loaded":19"#,
+            r#","edges_loaded":20,"mvm_scans":21,"rows_activated":22"#,
+            r#","adc_conversions":23,"salu_ops":24,"register_reads":25"#,
+            r#","register_writes":26,"bytes_streamed":27,"rego_capacity_required":28}"#,
+            r#","disk":{"bytes_loaded":29,"blocks_loaded":30,"blocks_seeked":31"#,
+            r#","io_segments":32,"time_ns":8.25,"demand_time_ns":8.5"#,
+            r#","overlapped_ns":8.75,"bytes_prefetched":36,"prefetch_hits":37"#,
+            r#","prefetch_wasted":38},"net":{"bytes_exchanged":39,"exchanges":40"#,
+            r#","time_ns":10.25,"overlapped_ns":10.5,"energy_j":10.75}"#,
+            r#","plan":{"full_rebuilds":44,"delta_patches":45,"units_reused":46"#,
+            r#","units_patched":47,"mask_words":48,"summary_skips":49,"delta_words":50"#,
+            r#","host_time_ns":12.75},"lanes":[{"iterations":52,"frontier_total":53"#,
+            r#","frontier_peak":54,"settled":55},{"iterations":56,"frontier_total":57"#,
+            r#","frontier_peak":58,"settled":59}]}"#
+        );
+        assert_eq!(distinct_fixture().to_json(), expected);
+    }
+
+    /// For each family: after `a.merge(&b)`, `a.delta_since(&a0)` gives
+    /// back `b` field by field (host fields included), except that a `Max`
+    /// field's delta carries the running maximum `max(a0, b)`. Times and
+    /// energies are multiples of 1/4 below 2^38, so the f64 round trip is
+    /// exact.
+    macro_rules! merge_then_delta_is_identity {
+        ($($test:ident: $family:ident),* $(,)?) => {
+            proptest! {
+                $(
+                    #[test]
+                    fn $test(
+                        a0 in proptest::collection::vec(0u64..1 << 40, 16),
+                        b in proptest::collection::vec(0u64..1 << 40, 16),
+                    ) {
+                        let (mut a0, mut b) = (a0.into_iter(), b.into_iter());
+                        let a0 = $family::from_counts(|| a0.next().unwrap());
+                        let b = $family::from_counts(|| b.next().unwrap());
+                        let mut a = a0;
+                        a.merge(&b);
+                        let delta = a.delta_since(&a0);
+                        for ((d, b), a0) in delta.fields().zip(b.fields()).zip(a0.fields()) {
+                            let expected = match (d.rule, b.value, a0.value) {
+                                (MergeRule::Max, CounterValue::Count(b), CounterValue::Count(a0)) => {
+                                    CounterValue::Count(b.max(a0))
+                                }
+                                _ => b.value,
+                            };
+                            prop_assert_eq!(d.value, expected, "{}", d.name);
+                        }
+                    }
+                )*
+            }
+        };
+    }
+
+    merge_then_delta_is_identity! {
+        event_merge_then_delta: EventCounters,
+        plan_merge_then_delta: PlanCounters,
+        time_merge_then_delta: TimeBreakdown,
+        disk_merge_then_delta: DiskCounters,
+        net_merge_then_delta: NetCounters,
+        lane_merge_then_delta: LaneCounters,
     }
 
     #[test]

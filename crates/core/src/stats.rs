@@ -1,5 +1,5 @@
-//! Deterministic service-level statistics: counters, gauges, and
-//! fixed-bucket log₂ histograms collected in a [`StatsRegistry`].
+//! Deterministic service-level statistics: counter, gauge and
+//! fixed-bucket log₂ histogram values collected in a [`StatsRegistry`].
 //!
 //! Everything here is **simulated-clock observability**: instruments are
 //! fed integer quantities derived from the deterministic simulation (a
@@ -21,74 +21,12 @@
 //! * [`StatsRegistry::render_prometheus`] — the Prometheus text format
 //!   (`# HELP` / `# TYPE` headers, `_bucket{le="…"}` cumulative buckets,
 //!   `_sum` / `_count`, quantile gauges), and
-//! * [`StatsRegistry::to_json`] — one JSON object per metric, using the
-//!   same hand-rolled emitter idiom as
-//!   [`Metrics::to_json`](crate::metrics::Metrics::to_json).
+//! * [`StatsRegistry::to_json`] — one JSON object per metric, written
+//!   through the shared [`JsonObject`] writer.
 
 use graphr_units::Nanos;
 
-use crate::trace::json_escape;
-
-/// A monotonically increasing event count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// A zeroed counter.
-    #[must_use]
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds one.
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// The current count.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
-
-/// An instantaneous level that can move both ways (queue depth, entries
-/// resident in a cache).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Gauge {
-    value: i64,
-}
-
-impl Gauge {
-    /// A zeroed gauge.
-    #[must_use]
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Sets the level.
-    pub fn set(&mut self, value: i64) {
-        self.value = value;
-    }
-
-    /// Moves the level by `delta` (either sign).
-    pub fn add(&mut self, delta: i64) {
-        self.value += delta;
-    }
-
-    /// The current level.
-    #[must_use]
-    pub fn get(&self) -> i64 {
-        self.value
-    }
-}
+use crate::json::{json_escape, JsonObject};
 
 /// Bucket count of a [`Histogram`]: one per power-of-two value range.
 ///
@@ -389,52 +327,47 @@ impl StatsRegistry {
     }
 
     /// Renders the registry as one JSON object: metric name → value
-    /// object. Hand-written, same idiom as
-    /// [`Metrics::to_json`](crate::metrics::Metrics::to_json).
+    /// object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, metric) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":", json_escape(&metric.name)));
+        let mut out = String::new();
+        let mut doc = JsonObject::open(&mut out);
+        for metric in &self.metrics {
+            let mut obj = JsonObject::open(doc.key(&json_escape(&metric.name)));
             match &metric.value {
                 MetricValue::Counter(v) => {
-                    out.push_str(&format!("{{\"type\":\"counter\",\"value\":{v}}}"));
+                    obj.str("type", "counter").raw("value", v);
                 }
                 MetricValue::Gauge(v) => {
-                    out.push_str(&format!("{{\"type\":\"gauge\",\"value\":{v}}}"));
+                    obj.str("type", "gauge").raw("value", v);
                 }
                 MetricValue::Histogram(h) => {
-                    out.push_str(&format!(
-                        "{{\"type\":\"histogram\",\"count\":{},\"sum\":{},\
-                         \"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{},\
-                         \"buckets\":[",
-                        h.count(),
-                        h.sum(),
-                        h.min(),
-                        h.max(),
-                        h.percentile(50),
-                        h.percentile(95),
-                        h.percentile(99),
-                    ));
-                    let top = bucket_index(h.max());
-                    for index in 0..=top {
+                    obj.str("type", "histogram")
+                        .raw("count", h.count())
+                        .raw("sum", h.sum())
+                        .raw("min", h.min())
+                        .raw("max", h.max())
+                        .raw("p50", h.percentile(50))
+                        .raw("p95", h.percentile(95))
+                        .raw("p99", h.percentile(99));
+                    let buckets = obj.key("buckets");
+                    buckets.push('[');
+                    for index in 0..=bucket_index(h.max()) {
                         if index > 0 {
-                            out.push(',');
+                            buckets.push(',');
                         }
-                        out.push_str(&format!(
-                            "{{\"le\":{},\"count\":{}}}",
-                            bucket_bound(index),
-                            h.buckets()[index]
-                        ));
+                        let mut bucket = JsonObject::open(buckets);
+                        bucket
+                            .raw("le", bucket_bound(index))
+                            .raw("count", h.buckets()[index]);
+                        bucket.close();
                     }
-                    out.push_str("]}");
+                    buckets.push(']');
                 }
             }
+            obj.close();
         }
-        out.push('}');
+        doc.close();
         out
     }
 }
@@ -442,18 +375,6 @@ impl StatsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_and_gauge_basics() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let mut g = Gauge::new();
-        g.set(7);
-        g.add(-3);
-        assert_eq!(g.get(), 4);
-    }
 
     #[test]
     fn bucket_scheme_is_log2() {

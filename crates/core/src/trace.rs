@@ -45,8 +45,9 @@ use std::sync::{Arc, Mutex};
 use graphr_units::Nanos;
 use serde::{Deserialize, Serialize};
 
+use crate::json::JsonObject;
 use crate::metrics::{
-    DiskCounters, EventCounters, Metrics, NetCounters, PlanCounters, TimeBreakdown,
+    write_counters, DiskCounters, EventCounters, Metrics, NetCounters, PlanCounters, TimeBreakdown,
 };
 use crate::outofcore::DiskWindow;
 
@@ -201,6 +202,15 @@ fn disk_lane(node: u32) -> u32 {
 /// Chrome-trace lane (`tid`) carrying the cluster interconnect.
 const NET_LANE: u32 = 1_000_000;
 
+/// Opens the next event object of a Chrome `traceEvents` array.
+fn next_event<'a>(out: &'a mut String, first: &mut bool) -> JsonObject<'a> {
+    if !*first {
+        out.push(',');
+    }
+    *first = false;
+    JsonObject::open(out)
+}
+
 impl TraceSink {
     /// Creates an empty sink behind an [`Arc`], ready to hand to a
     /// session or to [`TraceHandle::new`].
@@ -263,10 +273,10 @@ impl TraceSink {
         let inner = self.inner.lock().expect("trace sink poisoned");
         let mut out = String::new();
         for (index, name) in inner.jobs.iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"type\":\"job\",\"job\":{index},\"name\":\"{}\"}}\n",
-                json_escape(name)
-            ));
+            let mut obj = JsonObject::open(&mut out);
+            obj.str("type", "job").raw("job", index).str("name", name);
+            obj.close();
+            out.push('\n');
         }
         for ev in &inner.events {
             write_jsonl_event(&mut out, ev);
@@ -288,23 +298,16 @@ impl TraceSink {
         let inner = self.inner.lock().expect("trace sink poisoned");
         let mut out = String::from("{\"traceEvents\":[");
         let mut first = true;
-        let mut emit = |s: String, first: &mut bool| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push_str(&s);
-        };
         // Process metadata: one simulated process per job.
         for (index, name) in inner.jobs.iter().enumerate() {
-            emit(
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":{index},\"name\":\"process_name\",\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    json_escape(name)
-                ),
-                &mut first,
-            );
+            let mut e = next_event(&mut out, &mut first);
+            e.str("ph", "M")
+                .raw("pid", index)
+                .str("name", "process_name");
+            let mut args = JsonObject::open(e.key("args"));
+            args.str("name", name);
+            args.close();
+            e.close();
         }
         // Thread metadata: name every lane that carries at least one span.
         let mut lanes: Vec<(u32, u32, String)> = Vec::new();
@@ -325,16 +328,26 @@ impl TraceSink {
         }
         lanes.sort_by_key(|&(job, tid, _)| (job, tid));
         for (job, tid, name) in &lanes {
-            emit(
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":{job},\"tid\":{tid},\
-                     \"name\":\"thread_name\",\"args\":{{\"name\":\"{name}\"}}}}"
-                ),
-                &mut first,
-            );
+            let mut e = next_event(&mut out, &mut first);
+            e.str("ph", "M")
+                .raw("pid", job)
+                .raw("tid", tid)
+                .str("name", "thread_name");
+            let mut args = JsonObject::open(e.key("args"));
+            args.str("name", name);
+            args.close();
+            e.close();
         }
         // Spans and counters on the simulated clock (ts/dur in µs).
         let us = |t: Nanos| t.as_nanos() / 1000.0;
+        // One `X` (complete) span; the caller writes its `args`.
+        let span = |e: &mut JsonObject, pid: u32, tid: u32, name: &str, cat: &str| {
+            e.str("ph", "X")
+                .raw("pid", pid)
+                .raw("tid", tid)
+                .str("name", name)
+                .str("cat", cat);
+        };
         // Cumulative simulated elapsed per job, for the frontier counter
         // track (iteration events carry deltas). Grown on demand: handles
         // built without `begin_job` default to job 0.
@@ -347,72 +360,56 @@ impl TraceSink {
                     end,
                     edges,
                     subgraphs,
-                } => emit(
-                    format!(
-                        "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"name\":\"compute\",\
-                         \"cat\":\"compute\",\"ts\":{},\"dur\":{},\
-                         \"args\":{{\"edges\":{edges},\"subgraphs\":{subgraphs}}}}}",
-                        compute_lane(ev.node),
-                        us(*start),
-                        us(*end - *start),
-                    ),
-                    &mut first,
-                ),
+                } => {
+                    let mut e = next_event(&mut out, &mut first);
+                    span(&mut e, pid, compute_lane(ev.node), "compute", "compute");
+                    e.raw("ts", us(*start)).raw("dur", us(*end - *start));
+                    let mut args = JsonObject::open(e.key("args"));
+                    args.raw("edges", edges).raw("subgraphs", subgraphs);
+                    args.close();
+                    e.close();
+                }
                 TraceData::Disk(w) => {
                     // The window slice spans what the compute lane
                     // actually waited on (`demand == disk` when nothing
                     // was prefetched, so legacy traces are unchanged);
                     // speculative reads get their own slice back in the
                     // previous window's idle tail.
-                    emit(
-                        format!(
-                            "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"name\":\"disk\",\
-                             \"cat\":\"disk\",\"ts\":{},\"dur\":{},\
-                             \"args\":{{\"bytes_loaded\":{},\"blocks_loaded\":{},\
-                             \"blocks_seeked\":{},\"segments\":{}}}}}",
-                            disk_lane(ev.node),
-                            us(w.start),
-                            us(w.demand),
-                            w.bytes_loaded,
-                            w.blocks_loaded,
-                            w.blocks_seeked,
-                            w.segments,
-                        ),
-                        &mut first,
-                    );
+                    let mut e = next_event(&mut out, &mut first);
+                    span(&mut e, pid, disk_lane(ev.node), "disk", "disk");
+                    e.raw("ts", us(w.start)).raw("dur", us(w.demand));
+                    let mut args = JsonObject::open(e.key("args"));
+                    args.raw("bytes_loaded", w.bytes_loaded)
+                        .raw("blocks_loaded", w.blocks_loaded)
+                        .raw("blocks_seeked", w.blocks_seeked)
+                        .raw("segments", w.segments);
+                    args.close();
+                    e.close();
                     if w.prefetch > Nanos::ZERO {
-                        emit(
-                            format!(
-                                "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\
-                                 \"name\":\"prefetch\",\"cat\":\"disk\",\
-                                 \"ts\":{},\"dur\":{},\
-                                 \"args\":{{\"bytes_prefetched\":{},\
-                                 \"prefetch_hits\":{},\"prefetch_wasted\":{}}}}}",
-                                disk_lane(ev.node),
-                                us(w.prefetch_start),
-                                us(w.prefetch),
-                                w.bytes_prefetched,
-                                w.prefetch_hits,
-                                w.prefetch_wasted,
-                            ),
-                            &mut first,
-                        );
+                        let mut e = next_event(&mut out, &mut first);
+                        span(&mut e, pid, disk_lane(ev.node), "prefetch", "disk");
+                        e.raw("ts", us(w.prefetch_start)).raw("dur", us(w.prefetch));
+                        let mut args = JsonObject::open(e.key("args"));
+                        args.raw("bytes_prefetched", w.bytes_prefetched)
+                            .raw("prefetch_hits", w.prefetch_hits)
+                            .raw("prefetch_wasted", w.prefetch_wasted);
+                        args.close();
+                        e.close();
                     }
                 }
                 TraceData::Exchange {
                     start,
                     duration,
                     bytes,
-                } => emit(
-                    format!(
-                        "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{NET_LANE},\
-                         \"name\":\"exchange\",\"cat\":\"net\",\"ts\":{},\"dur\":{},\
-                         \"args\":{{\"bytes\":{bytes}}}}}",
-                        us(*start),
-                        us(*duration),
-                    ),
-                    &mut first,
-                ),
+                } => {
+                    let mut e = next_event(&mut out, &mut first);
+                    span(&mut e, pid, NET_LANE, "exchange", "net");
+                    e.raw("ts", us(*start)).raw("dur", us(*duration));
+                    let mut args = JsonObject::open(e.key("args"));
+                    args.raw("bytes", bytes);
+                    args.close();
+                    e.close();
+                }
                 TraceData::Iteration(snap) => {
                     if elapsed_by_job.len() <= pid as usize {
                         elapsed_by_job.resize(pid as usize + 1, 0.0);
@@ -420,15 +417,16 @@ impl TraceSink {
                     let at = &mut elapsed_by_job[pid as usize];
                     *at += snap.elapsed.as_nanos();
                     if let Some(n) = snap.frontier {
-                        emit(
-                            format!(
-                                "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":0,\
-                                 \"name\":\"frontier\",\"ts\":{},\
-                                 \"args\":{{\"active\":{n}}}}}",
-                                *at / 1000.0,
-                            ),
-                            &mut first,
-                        );
+                        let mut e = next_event(&mut out, &mut first);
+                        e.str("ph", "C")
+                            .raw("pid", pid)
+                            .raw("tid", 0)
+                            .str("name", "frontier")
+                            .raw("ts", *at / 1000.0);
+                        let mut args = JsonObject::open(e.key("args"));
+                        args.raw("active", n);
+                        args.close();
+                        e.close();
                     }
                 }
                 // Plan events cost host time only, and lane events are
@@ -655,267 +653,85 @@ impl IterTracer {
     }
 }
 
-// ----------------------------------------------------------- serialisation
-//
-// The vendored `serde` is an offline marker stub (no serde_json), so the
-// exporters write JSON by hand. Rust's `f64` `Display` never produces
-// scientific notation, so bare `{}` interpolation of finite floats is
-// valid JSON.
-
-/// Escapes a string for embedding in a JSON string literal (shared by
-/// every hand-written JSON emitter in the workspace — the vendored
-/// `serde` is an offline marker stub with no `serde_json`).
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-impl Metrics {
-    /// Serialises the full aggregate as one JSON object, hand-written
-    /// (the vendored `serde` is an offline marker stub) with the same
-    /// field names the trace JSONL exporter uses for per-iteration
-    /// deltas. `plan.host_time_ns` is the only host-measured field, as
-    /// everywhere else.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"iterations\":{},\"elapsed_ns\":{},\"total_time_ns\":{},\
-             \"total_energy_j\":{},\"skip_fraction\":{},\"time\":",
-            self.iterations,
-            self.elapsed.as_nanos(),
-            self.total_time().as_nanos(),
-            self.total_energy().as_joules(),
-            self.skip_fraction(),
-        ));
-        write_time_breakdown(&mut out, &self.time_breakdown);
-        out.push_str(",\"energy\":");
-        write_cost_breakdown(&mut out, &self.energy);
-        out.push_str(",\"events\":");
-        write_event_counters(&mut out, &self.events);
-        out.push_str(",\"disk\":");
-        write_disk_counters(&mut out, &self.disk);
-        out.push_str(",\"net\":");
-        write_net_counters(&mut out, &self.net);
-        out.push_str(",\"plan\":");
-        write_plan_counters(&mut out, &self.plan);
-        out.push_str(",\"lanes\":[");
-        for (q, lane) in self.lanes.iter().enumerate() {
-            if q > 0 {
-                out.push(',');
-            }
-            write_lane_counters(&mut out, lane);
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-fn write_lane_counters(out: &mut String, l: &crate::metrics::LaneCounters) {
-    out.push_str(&format!(
-        "{{\"iterations\":{},\"frontier_total\":{},\"frontier_peak\":{},\
-         \"settled\":{}}}",
-        l.iterations, l.frontier_total, l.frontier_peak, l.settled
-    ));
-}
-
-fn write_cost_breakdown(out: &mut String, c: &graphr_reram::CostBreakdown) {
-    out.push_str(&format!(
-        "{{\"program_j\":{},\"mvm_j\":{},\"driver_j\":{},\"adc_j\":{},\
-         \"sample_hold_j\":{},\"shift_add_j\":{},\"salu_j\":{},\
-         \"registers_j\":{},\"memory_j\":{}}}",
-        c.program.as_joules(),
-        c.mvm.as_joules(),
-        c.driver.as_joules(),
-        c.adc.as_joules(),
-        c.sample_hold.as_joules(),
-        c.shift_add.as_joules(),
-        c.salu.as_joules(),
-        c.registers.as_joules(),
-        c.memory.as_joules()
-    ));
-}
-
-fn write_time_breakdown(out: &mut String, t: &TimeBreakdown) {
-    out.push_str(&format!(
-        "{{\"program_ns\":{},\"compute_ns\":{},\"memory_ns\":{},\"apply_ns\":{}}}",
-        t.program.as_nanos(),
-        t.compute.as_nanos(),
-        t.memory.as_nanos(),
-        t.apply.as_nanos()
-    ));
-}
-
-fn write_event_counters(out: &mut String, e: &EventCounters) {
-    out.push_str(&format!(
-        "{{\"subgraphs_processed\":{},\"subgraphs_skipped_empty\":{},\
-         \"subgraphs_skipped_inactive\":{},\"subgraphs_pruned\":{},\
-         \"edges_pruned\":{},\"tiles_loaded\":{},\"edges_loaded\":{},\
-         \"mvm_scans\":{},\"rows_activated\":{},\"adc_conversions\":{},\
-         \"salu_ops\":{},\"register_reads\":{},\"register_writes\":{},\
-         \"bytes_streamed\":{},\"rego_capacity_required\":{}}}",
-        e.subgraphs_processed,
-        e.subgraphs_skipped_empty,
-        e.subgraphs_skipped_inactive,
-        e.subgraphs_pruned,
-        e.edges_pruned,
-        e.tiles_loaded,
-        e.edges_loaded,
-        e.mvm_scans,
-        e.rows_activated,
-        e.adc_conversions,
-        e.salu_ops,
-        e.register_reads,
-        e.register_writes,
-        e.bytes_streamed,
-        e.rego_capacity_required
-    ));
-}
-
-fn write_disk_counters(out: &mut String, d: &DiskCounters) {
-    out.push_str(&format!(
-        "{{\"bytes_loaded\":{},\"blocks_loaded\":{},\"blocks_seeked\":{},\
-         \"io_segments\":{},\"time_ns\":{},\"demand_time_ns\":{},\
-         \"overlapped_ns\":{},\"bytes_prefetched\":{},\
-         \"prefetch_hits\":{},\"prefetch_wasted\":{}}}",
-        d.bytes_loaded,
-        d.blocks_loaded,
-        d.blocks_seeked,
-        d.io_segments,
-        d.time.as_nanos(),
-        d.demand_time.as_nanos(),
-        d.overlapped.as_nanos(),
-        d.bytes_prefetched,
-        d.prefetch_hits,
-        d.prefetch_wasted
-    ));
-}
-
-fn write_net_counters(out: &mut String, n: &NetCounters) {
-    out.push_str(&format!(
-        "{{\"bytes_exchanged\":{},\"exchanges\":{},\"time_ns\":{},\
-         \"overlapped_ns\":{},\"energy_j\":{}}}",
-        n.bytes_exchanged,
-        n.exchanges,
-        n.time.as_nanos(),
-        n.overlapped.as_nanos(),
-        n.energy.as_joules()
-    ));
-}
-
-fn write_plan_counters(out: &mut String, p: &PlanCounters) {
-    out.push_str(&format!(
-        "{{\"full_rebuilds\":{},\"delta_patches\":{},\"units_reused\":{},\
-         \"units_patched\":{},\"mask_words\":{},\"summary_skips\":{},\
-         \"delta_words\":{},\"host_time_ns\":{}}}",
-        p.full_rebuilds,
-        p.delta_patches,
-        p.units_reused,
-        p.units_patched,
-        p.mask_words,
-        p.summary_skips,
-        p.delta_words,
-        p.time.as_nanos()
-    ));
-}
-
 /// Writes one event as a single JSONL object (no trailing newline).
 fn write_jsonl_event(out: &mut String, ev: &TraceEvent) {
-    out.push_str(&format!("{{\"job\":{},\"node\":{},", ev.job, ev.node));
+    let mut obj = JsonObject::open(out);
+    obj.raw("job", ev.job).raw("node", ev.node);
     match &ev.data {
         TraceData::Plan {
             rebuild,
             units_patched,
             units_reused,
-        } => out.push_str(&format!(
-            "\"type\":\"plan\",\"rebuild\":{rebuild},\"units_patched\":{units_patched},\
-             \"units_reused\":{units_reused},\"host_plan_ns\":{}",
-            ev.host.plan.as_nanos()
-        )),
+        } => {
+            obj.str("type", "plan")
+                .raw("rebuild", rebuild)
+                .raw("units_patched", units_patched)
+                .raw("units_reused", units_reused)
+                .raw("host_plan_ns", ev.host.plan.as_nanos());
+        }
         TraceData::Compute {
             start,
             end,
             edges,
             subgraphs,
-        } => out.push_str(&format!(
-            "\"type\":\"compute\",\"start_ns\":{},\"end_ns\":{},\
-             \"edges\":{edges},\"subgraphs\":{subgraphs}",
-            start.as_nanos(),
-            end.as_nanos()
-        )),
-        TraceData::Disk(w) => out.push_str(&format!(
-            "\"type\":\"disk\",\"start_ns\":{},\"compute_ns\":{},\"disk_ns\":{},\
-             \"demand_ns\":{},\"bytes_loaded\":{},\"blocks_loaded\":{},\
-             \"blocks_seeked\":{},\"segments\":{},\"prefetch_ns\":{},\
-             \"prefetch_start_ns\":{},\"bytes_prefetched\":{},\
-             \"prefetch_hits\":{},\"prefetch_wasted\":{}",
-            w.start.as_nanos(),
-            w.compute.as_nanos(),
-            w.disk.as_nanos(),
-            w.demand.as_nanos(),
-            w.bytes_loaded,
-            w.blocks_loaded,
-            w.blocks_seeked,
-            w.segments,
-            w.prefetch.as_nanos(),
-            w.prefetch_start.as_nanos(),
-            w.bytes_prefetched,
-            w.prefetch_hits,
-            w.prefetch_wasted
-        )),
+        } => {
+            obj.str("type", "compute")
+                .raw("start_ns", start.as_nanos())
+                .raw("end_ns", end.as_nanos())
+                .raw("edges", edges)
+                .raw("subgraphs", subgraphs);
+        }
+        TraceData::Disk(w) => {
+            obj.str("type", "disk")
+                .raw("start_ns", w.start.as_nanos())
+                .raw("compute_ns", w.compute.as_nanos())
+                .raw("disk_ns", w.disk.as_nanos())
+                .raw("demand_ns", w.demand.as_nanos())
+                .raw("bytes_loaded", w.bytes_loaded)
+                .raw("blocks_loaded", w.blocks_loaded)
+                .raw("blocks_seeked", w.blocks_seeked)
+                .raw("segments", w.segments)
+                .raw("prefetch_ns", w.prefetch.as_nanos())
+                .raw("prefetch_start_ns", w.prefetch_start.as_nanos())
+                .raw("bytes_prefetched", w.bytes_prefetched)
+                .raw("prefetch_hits", w.prefetch_hits)
+                .raw("prefetch_wasted", w.prefetch_wasted);
+        }
         TraceData::Exchange {
             start,
             duration,
             bytes,
-        } => out.push_str(&format!(
-            "\"type\":\"exchange\",\"start_ns\":{},\"duration_ns\":{},\"bytes\":{bytes}",
-            start.as_nanos(),
-            duration.as_nanos()
-        )),
+        } => {
+            obj.str("type", "exchange")
+                .raw("start_ns", start.as_nanos())
+                .raw("duration_ns", duration.as_nanos())
+                .raw("bytes", bytes);
+        }
         TraceData::Lane {
             lane,
             iteration,
             frontier,
-        } => out.push_str(&format!(
-            "\"type\":\"lane\",\"lane\":{lane},\"iteration\":{iteration},\"frontier\":{frontier}"
-        )),
+        } => {
+            obj.str("type", "lane")
+                .raw("lane", lane)
+                .raw("iteration", iteration)
+                .raw("frontier", frontier);
+        }
         TraceData::Iteration(snap) => {
-            out.push_str(&format!(
-                "\"type\":\"iteration\",\"index\":{},\"frontier\":",
-                snap.index
-            ));
+            obj.str("type", "iteration").raw("index", snap.index);
             match snap.frontier {
-                Some(n) => out.push_str(&n.to_string()),
-                None => out.push_str("null"),
-            }
-            out.push_str(&format!(
-                ",\"elapsed_ns\":{},\"time\":",
-                snap.elapsed.as_nanos()
-            ));
-            write_time_breakdown(out, &snap.time);
-            out.push_str(",\"events\":");
-            write_event_counters(out, &snap.events);
-            out.push_str(",\"disk\":");
-            write_disk_counters(out, &snap.disk);
-            out.push_str(",\"net\":");
-            write_net_counters(out, &snap.net);
-            out.push_str(",\"plan\":");
-            write_plan_counters(out, &snap.plan);
+                Some(n) => obj.raw("frontier", n),
+                None => obj.raw("frontier", "null"),
+            };
+            obj.raw("elapsed_ns", snap.elapsed.as_nanos());
+            write_counters(obj.key("time"), snap.time.fields());
+            write_counters(obj.key("events"), snap.events.fields());
+            write_counters(obj.key("disk"), snap.disk.fields());
+            write_counters(obj.key("net"), snap.net.fields());
+            write_counters(obj.key("plan"), snap.plan.fields());
         }
     }
-    out.push('}');
+    obj.close();
 }
 
 #[cfg(test)]
@@ -1016,6 +832,117 @@ mod tests {
         tracer.record(Some(&handle), &m, None);
         tracer.finish(Some(&handle), &m);
         assert_eq!(sink.len(), 1, "finish must not emit an empty tail");
+    }
+
+    #[test]
+    fn jsonl_iteration_line_bytes_are_pinned() {
+        let m = crate::metrics::distinct_fixture();
+        let sink = TraceSink::shared();
+        TraceHandle::new(Arc::clone(&sink)).emit(TraceData::Iteration(Box::new(
+            IterationSnapshot {
+                index: 60,
+                frontier: Some(61),
+                elapsed: m.elapsed,
+                time: m.time_breakdown,
+                events: m.events,
+                disk: m.disk,
+                net: m.net,
+                plan: m.plan,
+            },
+        )));
+        let expected = concat!(
+            r#"{"job":0,"node":0,"type":"iteration","index":60,"frontier":61"#,
+            r#","elapsed_ns":250,"time":{"program_ns":0.25,"compute_ns":0.5"#,
+            r#","memory_ns":0.75,"apply_ns":1},"events":{"subgraphs_processed":14"#,
+            r#","subgraphs_skipped_empty":15,"subgraphs_skipped_inactive":16"#,
+            r#","subgraphs_pruned":17,"edges_pruned":18,"tiles_loaded":19"#,
+            r#","edges_loaded":20,"mvm_scans":21,"rows_activated":22"#,
+            r#","adc_conversions":23,"salu_ops":24,"register_reads":25"#,
+            r#","register_writes":26,"bytes_streamed":27,"rego_capacity_required":28}"#,
+            r#","disk":{"bytes_loaded":29,"blocks_loaded":30,"blocks_seeked":31"#,
+            r#","io_segments":32,"time_ns":8.25,"demand_time_ns":8.5"#,
+            r#","overlapped_ns":8.75,"bytes_prefetched":36,"prefetch_hits":37"#,
+            r#","prefetch_wasted":38},"net":{"bytes_exchanged":39,"exchanges":40"#,
+            r#","time_ns":10.25,"overlapped_ns":10.5,"energy_j":10.75}"#,
+            r#","plan":{"full_rebuilds":44,"delta_patches":45,"units_reused":46"#,
+            r#","units_patched":47,"mask_words":48,"summary_skips":49,"delta_words":50"#,
+            r#","host_time_ns":12.75}}"#,
+            "\n",
+        );
+        assert_eq!(sink.to_jsonl(), expected);
+    }
+
+    #[test]
+    fn chrome_trace_bytes_are_pinned() {
+        let sink = TraceSink::shared();
+        let job = sink.begin_job("bfs on \"g\"");
+        let handle = TraceHandle::for_job(Arc::clone(&sink), job);
+        handle.emit(TraceData::Compute {
+            start: Nanos::new(250.0),
+            end: Nanos::new(1750.5),
+            edges: 10,
+            subgraphs: 2,
+        });
+        handle.for_node(1).record_disk(&DiskWindow {
+            start: Nanos::new(100.0),
+            compute: Nanos::new(1500.0),
+            disk: Nanos::new(2000.0),
+            demand: Nanos::new(1200.0),
+            bytes_loaded: 64,
+            blocks_loaded: 1,
+            blocks_seeked: 3,
+            segments: 2,
+            prefetch: Nanos::new(800.0),
+            prefetch_start: Nanos::new(40.0),
+            bytes_prefetched: 32,
+            prefetch_hits: 1,
+            prefetch_wasted: 8,
+        });
+        handle.record_exchange(Nanos::new(2000.0), Nanos::new(500.0), 12);
+        handle.emit(TraceData::Lane {
+            lane: 0,
+            iteration: 0,
+            frontier: 4,
+        });
+        let mut tracer = IterTracer::new();
+        let mut m = Metrics::new();
+        m.elapsed = Nanos::new(1500.0);
+        tracer.record(Some(&handle), &m, Some(5));
+        m.elapsed = Nanos::new(2100.0);
+        tracer.record(Some(&handle), &m, None);
+        let other = TraceHandle::for_job(Arc::clone(&sink), sink.begin_job("wcc"));
+        other.emit(TraceData::Compute {
+            start: Nanos::ZERO,
+            end: Nanos::new(3.0),
+            edges: 1,
+            subgraphs: 1,
+        });
+        // Recorded from the `format!`-based exporter this layout started
+        // with: every event kind, a prefetch slice, and two jobs.
+        let expected = concat!(
+            r#"{"traceEvents":[{"ph":"M","pid":0,"name":"process_name""#,
+            r#","args":{"name":"bfs on \"g\""}},{"ph":"M","pid":1"#,
+            r#","name":"process_name","args":{"name":"wcc"}},{"ph":"M","pid":0"#,
+            r#","tid":0,"name":"thread_name","args":{"name":"node 0 compute"}}"#,
+            r#",{"ph":"M","pid":0,"tid":4,"name":"thread_name""#,
+            r#","args":{"name":"node 1 disk"}},{"ph":"M","pid":0,"tid":1000000"#,
+            r#","name":"thread_name","args":{"name":"interconnect"}},{"ph":"M""#,
+            r#","pid":1,"tid":0,"name":"thread_name""#,
+            r#","args":{"name":"node 0 compute"}},{"ph":"X","pid":0,"tid":0"#,
+            r#","name":"compute","cat":"compute","ts":0.25,"dur":1.5005"#,
+            r#","args":{"edges":10,"subgraphs":2}},{"ph":"X","pid":0,"tid":4"#,
+            r#","name":"disk","cat":"disk","ts":0.1,"dur":1.2"#,
+            r#","args":{"bytes_loaded":64,"blocks_loaded":1,"blocks_seeked":3"#,
+            r#","segments":2}},{"ph":"X","pid":0,"tid":4,"name":"prefetch""#,
+            r#","cat":"disk","ts":0.04,"dur":0.8,"args":{"bytes_prefetched":32"#,
+            r#","prefetch_hits":1,"prefetch_wasted":8}},{"ph":"X","pid":0"#,
+            r#","tid":1000000,"name":"exchange","cat":"net","ts":2,"dur":0.5"#,
+            r#","args":{"bytes":12}},{"ph":"C","pid":0,"tid":0,"name":"frontier""#,
+            r#","ts":1.5,"args":{"active":5}},{"ph":"X","pid":1,"tid":0"#,
+            r#","name":"compute","cat":"compute","ts":0,"dur":0.003,"args":{"edges":1"#,
+            r#","subgraphs":1}}]}"#
+        );
+        assert_eq!(sink.to_chrome_trace(), expected);
     }
 
     #[test]

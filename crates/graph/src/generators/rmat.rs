@@ -98,12 +98,18 @@ impl Rmat {
     ///
     /// # Panics
     ///
-    /// Panics if `num_vertices` is zero while `num_edges` is not.
+    /// Panics if `num_vertices` is zero while `num_edges` is not, or if
+    /// self-loops are off and `num_vertices` is one while `num_edges` is
+    /// not zero: the only cell is a self-loop, so no edge can be drawn.
     #[must_use]
     pub fn generate(&self) -> EdgeList {
         assert!(
             self.num_vertices > 0 || self.num_edges == 0,
             "cannot place edges in an empty vertex set"
+        );
+        assert!(
+            self.allow_self_loops || self.num_vertices > 1 || self.num_edges == 0,
+            "cannot place edges on one vertex without self-loops"
         );
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let levels = usize::BITS - self.num_vertices.next_power_of_two().leading_zeros() - 1;
@@ -220,6 +226,12 @@ mod tests {
     fn empty_graph_is_fine() {
         let g = Rmat::new(10, 0).generate();
         assert_eq!(g.num_edges(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "one vertex without self-loops")]
+    fn one_vertex_without_self_loops_panics() {
+        let _ = Rmat::new(1, 5).self_loops(false).generate();
     }
 
     #[test]

@@ -76,11 +76,12 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use graphr_core::json::JsonObject;
 use graphr_core::multinode::{MultiNodeConfig, OwnerPolicy};
 use graphr_core::outofcore::DiskModel;
 use graphr_core::sim::{CfOptions, PageRankOptions, SpmvOptions, TraversalOptions};
 use graphr_core::stats::StatsRegistry;
-use graphr_core::trace::{json_escape, TraceSink};
+use graphr_core::trace::TraceSink;
 use graphr_core::GraphRConfig;
 use graphr_graph::generators::bipartite::RatingMatrix;
 use graphr_graph::generators::rmat::Rmat;
@@ -253,11 +254,10 @@ fn run(args: &[String]) -> Result<(), String> {
                         tally_prefetch(report.output.metrics());
                     }
                     if report_json {
-                        jobs_json.push(format!(
-                            "{{\"wave\":{},\"lanes\":{},\"report\":{}}}",
+                        jobs_json.push(wave_entry_json(
                             result.wave,
                             result.lanes,
-                            report.to_json()
+                            report.to_json(),
                         ));
                     } else {
                         println!(
@@ -272,15 +272,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 Err(e) => {
                     failures += 1;
                     if report_json {
-                        jobs_json.push(format!(
-                            "{{\"wave\":{},\"lanes\":{},\"report\":{{\"app\":\"{}\",\
-                             \"graph\":\"{}\",\"error\":\"{}\"}}}}",
-                            result.wave,
-                            result.lanes,
-                            json_escape(job.spec.name()),
-                            json_escape(&job.graph.id().to_string()),
-                            json_escape(&e.to_string())
-                        ));
+                        let error = failed_job_json(job, e);
+                        jobs_json.push(wave_entry_json(result.wave, result.lanes, error));
                     } else {
                         println!(
                             "\n[{}] wave {} {} on {} FAILED: {e}",
@@ -310,12 +303,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 Err(e) => {
                     failures += 1;
                     if report_json {
-                        jobs_json.push(format!(
-                            "{{\"app\":\"{}\",\"graph\":\"{}\",\"error\":\"{}\"}}",
-                            json_escape(job.spec.name()),
-                            json_escape(&job.graph.id().to_string()),
-                            json_escape(&e.to_string())
-                        ));
+                        jobs_json.push(failed_job_json(job, &e));
                     } else {
                         println!(
                             "\n[{}] {} on {} FAILED: {e}",
@@ -391,32 +379,36 @@ fn run(args: &[String]) -> Result<(), String> {
         failures as u64,
     );
     if report_json {
-        let serve_json = match (&serve_stats, &serve_latency) {
-            (Some(s), Some(l)) => format!(
-                ",\"serve\":{{\"waves\":{},\"fused\":{},\"solo\":{},\
-                 \"admitted\":{},\"rejected\":{},\"latency_ns\":{{\
-                 \"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}}}",
-                s.waves,
-                s.fused,
-                s.solo,
-                s.admitted,
-                s.rejected,
-                l.latency.percentile(50),
-                l.latency.percentile(95),
-                l.latency.percentile(99),
-                l.latency.max()
-            ),
-            _ => String::new(),
-        };
-        println!(
-            "{{\"jobs\":[{}],\"failures\":{failures},\"host_wall_s\":{},\
-             \"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{}}}{serve_json}}}",
-            jobs_json.join(","),
-            elapsed.as_secs_f64(),
-            stats.hits,
-            stats.misses,
-            stats.entries
-        );
+        let mut out = String::new();
+        let mut doc = JsonObject::open(&mut out);
+        doc.raw("jobs", format!("[{}]", jobs_json.join(",")))
+            .raw("failures", failures)
+            .raw("host_wall_s", elapsed.as_secs_f64());
+        let mut cache = JsonObject::open(doc.key("cache"));
+        cache
+            .raw("hits", stats.hits)
+            .raw("misses", stats.misses)
+            .raw("entries", stats.entries);
+        cache.close();
+        if let (Some(s), Some(l)) = (&serve_stats, &serve_latency) {
+            let mut serve = JsonObject::open(doc.key("serve"));
+            serve
+                .raw("waves", s.waves)
+                .raw("fused", s.fused)
+                .raw("solo", s.solo)
+                .raw("admitted", s.admitted)
+                .raw("rejected", s.rejected);
+            let mut latency = JsonObject::open(serve.key("latency_ns"));
+            latency
+                .raw("p50", l.latency.percentile(50))
+                .raw("p95", l.latency.percentile(95))
+                .raw("p99", l.latency.percentile(99))
+                .raw("max", l.latency.max());
+            latency.close();
+            serve.close();
+        }
+        doc.close();
+        println!("{out}");
     } else {
         if let (Some(s), Some(l)) = (&serve_stats, &serve_latency) {
             println!(
@@ -535,6 +527,29 @@ fn parse_prefetch(value: &str) -> Result<bool, String> {
     }
 }
 
+/// The `--report json` entry of a job that failed.
+fn failed_job_json(job: &Job, error: &impl std::fmt::Display) -> String {
+    let mut out = String::new();
+    let mut obj = JsonObject::open(&mut out);
+    obj.str("app", job.spec.name())
+        .str("graph", &job.graph.id().to_string())
+        .str("error", &error.to_string());
+    obj.close();
+    out
+}
+
+/// A batch-mode `--report json` entry: the query's wave, how many lanes
+/// the wave fused, and the query's report (already JSON).
+fn wave_entry_json(wave: u64, lanes: usize, report: String) -> String {
+    let mut out = String::new();
+    let mut obj = JsonObject::open(&mut out);
+    obj.raw("wave", wave)
+        .raw("lanes", lanes)
+        .raw("report", report);
+    obj.close();
+    out
+}
+
 /// Parses a strip-ownership policy as used by `--owner` and the `owner`
 /// directive.
 fn parse_owner(name: &str) -> Result<OwnerPolicy, String> {
@@ -623,35 +638,63 @@ fn parse_job_file(text: &str) -> Result<Plan, String> {
 fn parse_dataset(fields: &[&str]) -> Result<(String, GraphHandle), String> {
     let name = fields.get(1).ok_or("dataset needs a name")?.to_string();
     let kind = fields.get(2).copied().ok_or("dataset needs a kind")?;
-    let num = |i: usize, what: &str| -> Result<usize, String> {
+    fn parse<T: std::str::FromStr>(
+        fields: &[&str],
+        i: usize,
+        name: &str,
+        what: &str,
+    ) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
         fields
             .get(i)
             .ok_or(format!("dataset {name}: missing {what}"))?
-            .parse::<usize>()
+            .parse::<T>()
             .map_err(|e| format!("dataset {name}: bad {what}: {e}"))
-    };
+    }
+    // Vertex ids are `u32`, so every count and the weight bound parse as
+    // one: an out-of-range number is an error, never a silent wrap.
+    let num = |i: usize, what: &str| parse::<u32>(fields, i, &name, what);
+    let seed = |i: usize| parse::<u64>(fields, i, &name, "seed");
     let handle = match kind {
         "rmat" => {
-            let (v, e, seed) = (num(3, "vertices")?, num(4, "edges")?, num(5, "seed")?);
+            let (v, e, seed) = (num(3, "vertices")?, num(4, "edges")?, seed(5)?);
             let max_weight = if fields.len() > 6 {
                 num(6, "max_weight")?
             } else {
                 16
             };
-            let graph = Rmat::new(v, e)
-                .seed(seed as u64)
-                .max_weight(max_weight as u32)
+            // Self-loops are off, so an edge needs two distinct vertices.
+            if e > 0 && v < 2 {
+                return Err(format!(
+                    "dataset {name}: {e} edges need at least 2 vertices (self-loops are off)"
+                ));
+            }
+            let graph = Rmat::new(v as usize, e as usize)
+                .seed(seed)
+                .max_weight(max_weight)
                 .self_loops(false)
                 .generate();
             GraphHandle::new(name.clone(), graph)
         }
         "bipartite" => {
             let (users, items) = (num(3, "users")?, num(4, "items")?);
-            let (ratings, seed) = (num(5, "ratings")?, num(6, "seed")?);
-            let m = RatingMatrix::new(users, items, ratings)
-                .seed(seed as u64)
+            let (ratings, seed) = (num(5, "ratings")?, seed(6)?);
+            if ratings > 0 && (users == 0 || items == 0) {
+                return Err(format!(
+                    "dataset {name}: {ratings} ratings need at least 1 user and 1 item"
+                ));
+            }
+            let m = RatingMatrix::new(users as usize, items as usize, ratings as usize)
+                .seed(seed)
                 .generate();
-            GraphHandle::bipartite(name.clone(), m.graph().clone(), users, items)
+            GraphHandle::bipartite(
+                name.clone(),
+                m.graph().clone(),
+                users as usize,
+                items as usize,
+            )
         }
         "table3" => {
             let tag = fields.get(3).ok_or("table3 needs a tag")?;
@@ -720,7 +763,9 @@ fn parse_job(fields: &[&str], datasets: &HashMap<String, GraphHandle>) -> Result
                     .split(',')
                     .map(|v| v.parse().map_err(|e| format!("sources: '{v}': {e}")))
                     .collect::<Result<_, String>>()?,
-                None => vec![usize_opt("source", defaults.source as usize)? as u32],
+                None => vec![opts.get("source").map_or(Ok(defaults.source), |v| {
+                    v.parse().map_err(|e| format!("source: '{v}': {e}"))
+                })?],
             };
             if sources.is_empty() {
                 return Err("sources= names no source".into());
@@ -773,4 +818,60 @@ fn parse_job(fields: &[&str], datasets: &HashMap<String, GraphHandle>) -> Result
         .into_iter()
         .map(|spec| Job::new(handle.clone(), spec))
         .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The error `parse_job_file` reports for `text`.
+    fn parse_error(text: &str) -> String {
+        match parse_job_file(text) {
+            Ok(_) => panic!("accepted {text:?}"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn rmat_edges_without_vertices_are_a_line_error() {
+        let e = parse_error("dataset g rmat 0 10 1\njob bfs g\n");
+        assert!(
+            e.starts_with("line 1: ") && e.contains("at least 2 vertices"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn rmat_edges_on_one_vertex_are_a_line_error() {
+        // With self-loops off the generator could never place an edge.
+        let e = parse_error("dataset g rmat 1 5 1\njob bfs g\n");
+        assert!(
+            e.starts_with("line 1: ") && e.contains("at least 2 vertices"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn bipartite_ratings_without_users_are_a_line_error() {
+        let e = parse_error("dataset g bipartite 0 5 10 1\njob cf g\n");
+        assert!(
+            e.starts_with("line 1: ") && e.contains("at least 1 user"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn source_beyond_u32_is_a_line_error_not_a_wrap() {
+        let e = parse_error("dataset g rmat 64 256 1\njob bfs g source=4294967296\n");
+        assert!(e.starts_with("line 2: source: "), "{e}");
+        let e = parse_error("dataset g rmat 64 256 1\njob sssp g sources=1,4294967296\n");
+        assert!(e.starts_with("line 2: sources: "), "{e}");
+    }
+
+    #[test]
+    fn in_range_lines_still_parse() {
+        let plan = parse_job_file("dataset g rmat 2 1 1\njob bfs g source=1\n").expect("valid");
+        assert_eq!(plan.jobs.len(), 1);
+        assert!(matches!(plan.jobs[0].spec, JobSpec::Bfs(t) if t.source == 1));
+    }
 }

@@ -5,13 +5,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use graphr_core::analyze::BottleneckReport;
+use graphr_core::json::JsonObject;
 use graphr_core::multinode::MultiNodeConfig;
 use graphr_core::outofcore::DiskModel;
 use graphr_core::sim::{
     CfOptions, CfRun, PageRankOptions, ScalarRun, SpmvOptions, TraversalOptions, TraversalRun,
     WccRun,
 };
-use graphr_core::trace::{json_escape, TraceSink};
+use graphr_core::trace::TraceSink;
 use graphr_core::{GraphRConfig, Metrics};
 use graphr_graph::GraphHandle;
 
@@ -548,38 +549,33 @@ impl JobReport {
     /// [`Metrics`] (via [`Metrics::to_json`]), the derived planning/IO
     /// quantities, and the service-level accounting. `host_wall_ms` and
     /// the metrics' `plan.host_time_ns` are the only host-measured
-    /// fields. Hand-written (the vendored `serde` is an offline marker
-    /// stub).
+    /// fields.
     #[must_use]
     pub fn to_json(&self) -> String {
         let d = self.derived();
-        let opt_bool = |b: Option<bool>| match b {
-            Some(v) => v.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"app\":\"{}\",\"graph\":\"{}\",\"result\":\"{}\",\
-             \"subgraphs_planned\":{},\"edges_streamed\":{},\
-             \"frontier\":{{\"mask_words\":{},\"summary_skips\":{},\"delta_words\":{}}},\
-             \"disk_bound\":{},\"network_bound\":{},\"bottleneck\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\"host_wall_ms\":{},\
-             \"metrics\":{}}}",
-            json_escape(self.app),
-            json_escape(&self.graph),
-            json_escape(&self.output.summary()),
-            d.subgraphs_planned,
-            d.edges_streamed,
-            d.mask_words,
-            d.summary_skips,
-            d.delta_words,
-            opt_bool(d.disk_bound),
-            opt_bool(d.network_bound),
-            d.bottleneck.to_json(),
-            self.cache_hits,
-            self.cache_misses,
-            self.wall.as_secs_f64() * 1e3,
-            self.output.metrics().to_json(),
-        )
+        let opt_bool = |b: Option<bool>| b.map_or("null".to_string(), |v| v.to_string());
+        let mut out = String::new();
+        let mut obj = JsonObject::open(&mut out);
+        obj.str("app", self.app)
+            .str("graph", &self.graph)
+            .str("result", &self.output.summary())
+            .raw("subgraphs_planned", d.subgraphs_planned)
+            .raw("edges_streamed", d.edges_streamed);
+        let mut frontier = JsonObject::open(obj.key("frontier"));
+        frontier
+            .raw("mask_words", d.mask_words)
+            .raw("summary_skips", d.summary_skips)
+            .raw("delta_words", d.delta_words);
+        frontier.close();
+        obj.raw("disk_bound", opt_bool(d.disk_bound))
+            .raw("network_bound", opt_bool(d.network_bound))
+            .raw("bottleneck", d.bottleneck.to_json())
+            .raw("cache_hits", self.cache_hits)
+            .raw("cache_misses", self.cache_misses)
+            .raw("host_wall_ms", self.wall.as_secs_f64() * 1e3)
+            .raw("metrics", self.output.metrics().to_json());
+        obj.close();
+        out
     }
 }
 

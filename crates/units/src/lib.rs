@@ -11,8 +11,7 @@
 //!   ([`BitSlicer`]) used by the crossbar model,
 //! * [`time`] / [`energy`] — strongly-typed [`Nanos`], [`Joules`] and
 //!   [`Watts`] so a latency is never accidentally added to an energy,
-//! * [`stats`] — counters, running summaries and geometric means used by the
-//!   evaluation harness.
+//! * [`stats`] — the geometric mean used by the evaluation harness.
 //!
 //! # Examples
 //!
@@ -40,5 +39,5 @@ pub mod time;
 
 pub use energy::{Joules, Watts};
 pub use fixed::{BitSlicer, FixedSpec, FixedSpecError};
-pub use stats::{Counter, GeoMean, Summary};
+pub use stats::GeoMean;
 pub use time::Nanos;

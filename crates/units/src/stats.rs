@@ -1,155 +1,9 @@
 //! Statistics primitives for the evaluation harness.
 //!
 //! The paper reports geometric-mean speedups across application × dataset
-//! grids; the simulators count events (tile loads, ADC conversions, bytes
-//! streamed). [`Counter`], [`Summary`] and [`GeoMean`] cover those needs
-//! without pulling in a stats dependency.
-
-use std::fmt;
+//! grids; [`GeoMean`] computes them without pulling in a stats dependency.
 
 use serde::{Deserialize, Serialize};
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use graphr_units::Counter;
-///
-/// let mut adc_conversions = Counter::new();
-/// adc_conversions.add(64);
-/// adc_conversions.incr();
-/// assert_eq!(adc_conversions.get(), 65);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n` events.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one event.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current count.
-    #[must_use]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Current count as `f64`, for rate computations.
-    #[must_use]
-    pub fn as_f64(self) -> f64 {
-        self.0 as f64
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// Running min / max / mean / count over a stream of `f64` observations.
-///
-/// # Examples
-///
-/// ```
-/// use graphr_units::Summary;
-///
-/// let mut s = Summary::new();
-/// for x in [2.0, 4.0, 6.0] {
-///     s.observe(x);
-/// }
-/// assert_eq!(s.min(), Some(2.0));
-/// assert_eq!(s.max(), Some(6.0));
-/// assert_eq!(s.mean(), Some(4.0));
-/// assert_eq!(s.count(), 3);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    #[must_use]
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    #[must_use]
-    pub fn count(self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    #[must_use]
-    pub fn sum(self) -> f64 {
-        self.sum
-    }
-
-    /// Smallest observation, or `None` if empty.
-    #[must_use]
-    pub fn min(self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation, or `None` if empty.
-    #[must_use]
-    pub fn max(self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Arithmetic mean, or `None` if empty.
-    #[must_use]
-    pub fn mean(self) -> Option<f64> {
-        (self.count > 0).then_some(self.sum / self.count as f64)
-    }
-}
-
-impl Extend<f64> for Summary {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for x in iter {
-            self.observe(x);
-        }
-    }
-}
-
-impl FromIterator<f64> for Summary {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut s = Summary::new();
-        s.extend(iter);
-        s
-    }
-}
 
 /// Accumulates a geometric mean in log space — the aggregation the paper
 /// uses for its headline 16.01× / 33.82× numbers.
@@ -226,41 +80,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        assert_eq!(c.get(), 0);
-        c.incr();
-        c.add(10);
-        assert_eq!(c.get(), 11);
-        assert_eq!(c.as_f64(), 11.0);
-        assert_eq!(c.to_string(), "11");
-    }
-
-    #[test]
-    fn empty_summary_returns_none() {
-        let s = Summary::new();
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn summary_from_iterator() {
-        let s: Summary = [1.0, 2.0, 3.0, 4.0].into_iter().collect();
-        assert_eq!(s.mean(), Some(2.5));
-        assert_eq!(s.sum(), 10.0);
-    }
-
-    #[test]
-    fn summary_tracks_extremes_with_negatives() {
-        let s: Summary = [-5.0, 0.0, 5.0].into_iter().collect();
-        assert_eq!(s.min(), Some(-5.0));
-        assert_eq!(s.max(), Some(5.0));
-        assert_eq!(s.mean(), Some(0.0));
-    }
-
-    #[test]
     fn geomean_of_identical_values_is_that_value() {
         let g: GeoMean = std::iter::repeat_n(7.0, 5).collect();
         let v = g.value().unwrap();
@@ -286,14 +105,6 @@ mod tests {
             let min = values.iter().copied().fold(f64::INFINITY, f64::min);
             let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             prop_assert!(v >= min - 1e-9 && v <= max + 1e-9);
-        }
-
-        #[test]
-        fn summary_mean_between_min_and_max(values in proptest::collection::vec(-1e6f64..1e6, 1..50)) {
-            let s: Summary = values.iter().copied().collect();
-            let mean = s.mean().unwrap();
-            prop_assert!(mean >= s.min().unwrap() - 1e-9);
-            prop_assert!(mean <= s.max().unwrap() + 1e-9);
         }
     }
 }

@@ -10,7 +10,10 @@
 use std::sync::Arc;
 
 use graphr_repro::core::exec::{PlanSkeleton, ScanEngine, StreamingExecutor};
-use graphr_repro::core::metrics::EventCounters;
+use graphr_repro::core::metrics::{
+    CounterField, CounterValue, DiskCounters, EventCounters, MergeRule, NetCounters, PlanCounters,
+    TimeBreakdown,
+};
 use graphr_repro::core::multinode::MultiNodeConfig;
 use graphr_repro::core::outofcore::DiskModel;
 use graphr_repro::core::sim::{CfOptions, PageRankOptions, SpmvOptions, TraversalOptions};
@@ -64,6 +67,7 @@ fn traced_submit(
     spec: &JobSpec,
     threads: usize,
     cluster_nodes: Option<usize>,
+    disk: Option<DiskModel>,
 ) -> (Arc<TraceSink>, JobReport) {
     let sink = TraceSink::shared();
     let mut session = Session::new(test_config())
@@ -71,6 +75,9 @@ fn traced_submit(
         .with_trace(Arc::clone(&sink));
     if let Some(nodes) = cluster_nodes {
         session = session.with_cluster(MultiNodeConfig::pcie_cluster(nodes));
+    }
+    if let Some(disk) = disk {
+        session = session.with_disk(disk);
     }
     let report = session
         .submit(&Job::new(handle.clone(), spec.clone()))
@@ -99,7 +106,7 @@ fn tracing_never_changes_results_or_metrics() {
         let plain = Session::new(test_config())
             .submit(&Job::new(h.clone(), spec.clone()))
             .expect("untraced run");
-        let (sink, traced) = traced_submit(&h, &spec, 1, None);
+        let (sink, traced) = traced_submit(&h, &spec, 1, None, None);
         assert_eq!(
             plain.output,
             traced.output,
@@ -199,9 +206,9 @@ fn solo_submit_is_a_one_job_wave() {
 fn event_streams_identical_across_serial_parallel_and_one_node_cluster() {
     let handle = rmat_handle();
     for spec in graph_specs() {
-        let (serial, _) = traced_submit(&handle, &spec, 1, None);
-        let (parallel, _) = traced_submit(&handle, &spec, 4, None);
-        let (cluster, _) = traced_submit(&handle, &spec, 1, Some(1));
+        let (serial, _) = traced_submit(&handle, &spec, 1, None, None);
+        let (parallel, _) = traced_submit(&handle, &spec, 4, None, None);
+        let (cluster, _) = traced_submit(&handle, &spec, 1, Some(1), None);
         let evs = serial.events();
         assert!(
             evs.iter()
@@ -361,32 +368,43 @@ fn patched_and_scratch_planned_streams_agree_modulo_plan_events() {
     );
 }
 
-/// The fourteen pure-sum `EventCounters` fields in declaration order
-/// (`rego_capacity_required` is a running maximum, handled separately).
-fn event_fields(e: &EventCounters) -> [u64; 14] {
-    [
-        e.subgraphs_processed,
-        e.subgraphs_skipped_empty,
-        e.subgraphs_skipped_inactive,
-        e.subgraphs_pruned,
-        e.edges_pruned,
-        e.tiles_loaded,
-        e.edges_loaded,
-        e.mvm_scans,
-        e.rows_activated,
-        e.adc_conversions,
-        e.salu_ops,
-        e.register_reads,
-        e.register_writes,
-        e.bytes_streamed,
-    ]
+/// Every counter-family field an `Iteration` snapshot carries, tagged
+/// with its family, through the families' `fields()` visitor.
+fn snapshot_fields(
+    time: &TimeBreakdown,
+    events: &EventCounters,
+    disk: &DiskCounters,
+    net: &NetCounters,
+    plan: &PlanCounters,
+) -> Vec<(&'static str, CounterField)> {
+    let tagged = |family, fields: Vec<CounterField>| fields.into_iter().map(move |f| (family, f));
+    tagged("time", time.fields().collect())
+        .chain(tagged("events", events.fields().collect()))
+        .chain(tagged("disk", disk.fields().collect()))
+        .chain(tagged("net", net.fields().collect()))
+        .chain(tagged("plan", plan.fields().collect()))
+        .collect()
 }
 
-/// Asserts that the `Iteration` deltas in `events` sum back to the final
-/// aggregate: u64 counters exactly (rego capacity via max), simulated
-/// `Nanos`/`Joules` to f64 telescoping precision. Host-measured
-/// `plan.time` is exempt — `Metrics`' own equality excludes it, so the
-/// tail snapshot legitimately may not cover it.
+/// Folds one delta into a running total by the field's merge rule.
+fn fold(rule: MergeRule, total: CounterValue, delta: CounterValue) -> CounterValue {
+    match (total, delta) {
+        (CounterValue::Count(t), CounterValue::Count(d)) if rule == MergeRule::Max => {
+            CounterValue::Count(t.max(d))
+        }
+        (CounterValue::Count(t), CounterValue::Count(d)) => CounterValue::Count(t + d),
+        (CounterValue::Time(t), CounterValue::Time(d)) => CounterValue::Time(t + d),
+        (CounterValue::Energy(t), CounterValue::Energy(d)) => CounterValue::Energy(t + d),
+        other => panic!("a field changed unit between snapshots: {other:?}"),
+    }
+}
+
+/// Asserts that the `Iteration` deltas in `events` fold back to the final
+/// aggregate, field by field through every family's visitor: counts
+/// exactly (a `Max` field through the running maximum), simulated
+/// `Nanos`/`Joules` to f64 telescoping precision. `Host` fields
+/// (`plan.time`) are exempt — `Metrics`' own equality excludes them, so
+/// the tail snapshot legitimately may not cover them.
 fn assert_deltas_sum_to(events: &[TraceEvent], m: &Metrics, label: &str) {
     let approx = |sum: f64, total: f64, what: &str| {
         let tol = 1e-9 * sum.abs().max(total.abs()).max(1.0);
@@ -395,63 +413,25 @@ fn assert_deltas_sum_to(events: &[TraceEvent], m: &Metrics, label: &str) {
             "{label}: {what} deltas sum to {sum}, final metrics say {total}"
         );
     };
+    let zero = Metrics::default();
+    let mut totals = snapshot_fields(
+        &zero.time_breakdown,
+        &zero.events,
+        &zero.disk,
+        &zero.net,
+        &zero.plan,
+    );
     let mut count = 0usize;
     let mut elapsed = 0.0f64;
-    let mut times = [0.0f64; 4];
-    let mut event_sums = [0u64; 14];
-    let mut rego_max = 0u64;
-    let mut disk_sums = [0u64; 4];
-    let mut disk_times = [0.0f64; 2];
-    let mut net_sums = [0u64; 2];
-    let mut net_times = [0.0f64; 3];
-    let mut plan_sums = [0u64; 4];
     for ev in events {
         let TraceData::Iteration(snap) = &ev.data else {
             continue;
         };
-        let (de, time, e, d, nc, p) = (
-            &snap.elapsed,
-            &snap.time,
-            &snap.events,
-            &snap.disk,
-            &snap.net,
-            &snap.plan,
-        );
         count += 1;
-        elapsed += de.as_nanos();
-        for (acc, v) in times
-            .iter_mut()
-            .zip([time.program, time.compute, time.memory, time.apply])
-        {
-            *acc += v.as_nanos();
-        }
-        for (acc, v) in event_sums.iter_mut().zip(event_fields(e)) {
-            *acc += v;
-        }
-        rego_max = rego_max.max(e.rego_capacity_required);
-        for (acc, v) in disk_sums.iter_mut().zip([
-            d.bytes_loaded,
-            d.blocks_loaded,
-            d.blocks_seeked,
-            d.io_segments,
-        ]) {
-            *acc += v;
-        }
-        disk_times[0] += d.time.as_nanos();
-        disk_times[1] += d.overlapped.as_nanos();
-        for (acc, v) in net_sums.iter_mut().zip([nc.bytes_exchanged, nc.exchanges]) {
-            *acc += v;
-        }
-        net_times[0] += nc.time.as_nanos();
-        net_times[1] += nc.overlapped.as_nanos();
-        net_times[2] += nc.energy.as_joules();
-        for (acc, v) in plan_sums.iter_mut().zip([
-            p.full_rebuilds,
-            p.delta_patches,
-            p.units_reused,
-            p.units_patched,
-        ]) {
-            *acc += v;
+        elapsed += snap.elapsed.as_nanos();
+        let deltas = snapshot_fields(&snap.time, &snap.events, &snap.disk, &snap.net, &snap.plan);
+        for ((_, total), (_, delta)) in totals.iter_mut().zip(deltas) {
+            total.value = fold(total.rule, total.value, delta.value);
         }
     }
     // One snapshot per end_iteration, plus at most one tail for post-loop
@@ -461,62 +441,25 @@ fn assert_deltas_sum_to(events: &[TraceEvent], m: &Metrics, label: &str) {
         "{label}: {count} iteration events for {} iterations",
         m.iterations
     );
-    assert_eq!(
-        event_sums,
-        event_fields(&m.events),
-        "{label}: event-counter deltas must sum exactly"
-    );
-    assert_eq!(
-        rego_max, m.events.rego_capacity_required,
-        "{label}: rego max"
-    );
-    assert_eq!(
-        disk_sums,
-        [
-            m.disk.bytes_loaded,
-            m.disk.blocks_loaded,
-            m.disk.blocks_seeked,
-            m.disk.io_segments
-        ],
-        "{label}: disk-counter deltas must sum exactly"
-    );
-    assert_eq!(
-        net_sums,
-        [m.net.bytes_exchanged, m.net.exchanges],
-        "{label}: net-counter deltas must sum exactly"
-    );
-    assert_eq!(
-        plan_sums,
-        [
-            m.plan.full_rebuilds,
-            m.plan.delta_patches,
-            m.plan.units_reused,
-            m.plan.units_patched
-        ],
-        "{label}: planner-counter deltas must sum exactly"
-    );
     approx(elapsed, m.elapsed.as_nanos(), "elapsed");
-    approx(
-        times[0],
-        m.time_breakdown.program.as_nanos(),
-        "time.program",
-    );
-    approx(
-        times[1],
-        m.time_breakdown.compute.as_nanos(),
-        "time.compute",
-    );
-    approx(times[2], m.time_breakdown.memory.as_nanos(), "time.memory");
-    approx(times[3], m.time_breakdown.apply.as_nanos(), "time.apply");
-    approx(disk_times[0], m.disk.time.as_nanos(), "disk.time");
-    approx(
-        disk_times[1],
-        m.disk.overlapped.as_nanos(),
-        "disk.overlapped",
-    );
-    approx(net_times[0], m.net.time.as_nanos(), "net.time");
-    approx(net_times[1], m.net.overlapped.as_nanos(), "net.overlapped");
-    approx(net_times[2], m.net.energy.as_joules(), "net.energy");
+    let finals = snapshot_fields(&m.time_breakdown, &m.events, &m.disk, &m.net, &m.plan);
+    assert_eq!(totals.len(), finals.len());
+    for ((family, sum), (_, fin)) in totals.iter().zip(&finals) {
+        let what = format!("{family}.{}", sum.name);
+        match (sum.value, fin.value) {
+            _ if sum.rule == MergeRule::Host => {}
+            (CounterValue::Count(s), CounterValue::Count(f)) => {
+                assert_eq!(s, f, "{label}: {what} deltas must sum exactly");
+            }
+            (CounterValue::Time(s), CounterValue::Time(f)) => {
+                approx(s.as_nanos(), f.as_nanos(), &what);
+            }
+            (CounterValue::Energy(s), CounterValue::Energy(f)) => {
+                approx(s.as_joules(), f.as_joules(), &what);
+            }
+            other => panic!("{label}: {what} changed unit: {other:?}"),
+        }
+    }
 }
 
 proptest! {
@@ -524,7 +467,8 @@ proptest! {
 
     /// Satellite 3: for any graph, every application's per-iteration
     /// trace deltas sum back to its final aggregate `Metrics` — on the
-    /// serial engine, the parallel engine, and a 4-node cluster.
+    /// serial engine, the parallel engine, a 4-node cluster, and out of
+    /// core under a prefetching disk model.
     #[test]
     fn iteration_deltas_sum_to_final_metrics(
         n in 8usize..80,
@@ -554,13 +498,17 @@ proptest! {
             } else {
                 handle.clone()
             };
+            // The prefetching out-of-core shape fills every disk counter,
+            // demand and read-ahead included.
+            let prefetch = Some(DiskModel::nvme().with_prefetch());
             let shapes = [
-                ("serial", 1, None),
-                ("parallel", 4, None),
-                ("cluster-4", 1, Some(4)),
+                ("serial", 1, None, None),
+                ("parallel", 4, None, None),
+                ("cluster-4", 1, Some(4), None),
+                ("out-of-core", 1, None, prefetch),
             ];
-            for (shape, threads, nodes) in shapes {
-                let (sink, report) = traced_submit(&h, &spec, threads, nodes);
+            for (shape, threads, nodes, disk) in shapes {
+                let (sink, report) = traced_submit(&h, &spec, threads, nodes, disk);
                 let metrics = report.output.metrics();
                 metrics
                     .validate()
