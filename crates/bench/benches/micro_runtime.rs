@@ -1,6 +1,7 @@
 //! Microbenchmark: the scan executor on every host thread vs. one thread
 //! on a 100 k-edge R-MAT graph and on a 240×240-grid BFS whose scans are
-//! small enough to run inline at any thread count, the session cache's
+//! small enough to run inline at any thread count, the Fast-fidelity scan
+//! kernels' host ns per edge on a 1 M-edge R-MAT graph, the session cache's
 //! cold-vs-warm preprocessing saving, and the plan layer's
 //! sparse-frontier win — full-scan vs. pruned-plan BFS iterations on a
 //! high-diameter grid.
@@ -125,6 +126,7 @@ fn main() {
         t_cold / t_warm
     );
 
+    scan_kernel_case();
     sparse_frontier_case();
     incremental_planner_case();
     fused_wave_case();
@@ -133,6 +135,56 @@ fn main() {
     pipelined_prefetch_case(threads);
     cluster_sparse_frontier_case();
     tracing_overhead_case();
+}
+
+/// The Fast-fidelity scan kernels in host ns per stored edge, at one
+/// thread, on the `pagerank_rmat`-shaped R-MAT graph (65,536 vertices,
+/// 1 M edges): one PageRank-valued MAC scan of one input, and one
+/// one-lane SSSP add-op scan with every vertex active. Best of 3 scans;
+/// printed, not asserted (host time is too noisy to gate on).
+fn scan_kernel_case() {
+    use graphr_core::exec::LaneFrontier;
+
+    let graph = Rmat::new(65_536, 1_000_000).seed(3).generate();
+    let n = graph.num_vertices();
+    let edges = graph.num_edges() as f64;
+    let config = bench_config();
+    let tiled = TiledGraph::preprocess(&graph, &config).expect("tile the R-MAT graph");
+    let degrees = graph.out_degrees();
+    let pagerank = |_w: f32, src: u32, _dst: u32| 0.85 / f64::from(degrees[src as usize]);
+    let x = vec![1.0; n];
+    let mut mac = StreamingExecutor::new(&tiled, &config, PageRankOptions::default().matrix_spec);
+    let t_mac = best_of(3, || {
+        let start = Instant::now();
+        mac.scan_mac(&pagerank, &[&x]);
+        start.elapsed()
+    });
+
+    let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
+    let mut addop = StreamingExecutor::new(&tiled, &config, spec);
+    let plan = ScanEngine::plan(&mut addop, None);
+    let active = LaneFrontier::full(n, 1);
+    let addends = vec![vec![1.0; n]];
+    let t_addop = best_of(3, || {
+        let mut frontiers = vec![vec![spec.max_value(); n]];
+        let mut updated = LaneFrontier::new(n, 1);
+        let start = Instant::now();
+        addop.scan_add_op_lanes_planned(
+            &plan,
+            &|w, _, _| f64::from(w),
+            &|du, w| du + w,
+            &addends,
+            &active,
+            &mut frontiers,
+            &mut updated,
+        );
+        start.elapsed()
+    });
+    println!(
+        "  scan kernels (Fast, 1 thread, R-MAT 65,536 V / 1 M E): MAC {:.1} ns/edge, add-op {:.1} ns/edge",
+        t_mac * 1e9 / edges,
+        t_addop * 1e9 / edges,
+    );
 }
 
 /// Observability is passive: draining the same serve batch with and

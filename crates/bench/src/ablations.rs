@@ -140,13 +140,15 @@ pub fn precision(ctx: &ExperimentContext) -> String {
         (16, 4, 15, 6),
         (24, 6, 23, 10),
     ] {
-        let mut config = ctx.config_clone();
-        config.slicer = BitSlicer::new(cell_bits, 4).expect("valid slicer");
         let opts = PageRankOptions {
             matrix_spec: FixedSpec::new(bits, frac_matrix).expect("valid spec"),
             register_spec: FixedSpec::new(bits, frac_reg).expect("valid spec"),
             ..pr_opts(20)
         };
+        // The slicer must carry the configured format's magnitude bits.
+        let mut config = ctx.config_clone();
+        config.slicer = BitSlicer::new(cell_bits, 4).expect("valid slicer");
+        config.spec = opts.matrix_spec;
         let run = run_pagerank(&graph, &config, &opts).expect("valid config");
         let l1: f64 = run
             .values

@@ -188,18 +188,22 @@ impl GraphRConfig {
         self.cost.program_latency(self.program_row_serialization)
     }
 
-    /// Checks the tiling geometry: positive dimensions and strip width, a
-    /// crossbar of at most the 256 × 256 a byte-wide tile entry can
-    /// address, and a configured block size that is a positive multiple
-    /// of the strip width. [`GraphRConfigBuilder::build`] runs it, and so
-    /// does [`TiledGraph::preprocess`](crate::TiledGraph::preprocess),
-    /// because the fields are public and a struct-literal configuration
-    /// skips the builder.
+    /// Checks every rule a configuration must satisfy: positive
+    /// dimensions; a crossbar of at most the 256 × 256 a byte-wide tile
+    /// entry can address; `crossbars_per_ge` a nonzero multiple of the
+    /// arrays per logical tile; a configured block size that is a positive
+    /// multiple of the strip width; at least one ADC per GE;
+    /// `program_row_serialization` in `1..=crossbar_size`; and a slicer
+    /// that carries the spec's magnitude bits.
+    /// [`GraphRConfigBuilder::build`] runs it, and so does
+    /// [`TiledGraph::preprocess`](crate::TiledGraph::preprocess), because
+    /// the fields are public and a struct-literal configuration skips the
+    /// builder.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] naming the first violated rule.
-    pub fn check_geometry(&self) -> Result<(), ConfigError> {
+    pub fn check(&self) -> Result<(), ConfigError> {
         if self.crossbar_size == 0 || self.crossbars_per_ge == 0 || self.num_ges == 0 {
             return Err(ConfigError::new("dimensions must be positive"));
         }
@@ -220,6 +224,32 @@ impl GraphRConfig {
                     self.strip_width()
                 )));
             }
+        }
+        if self.adcs_per_ge == 0 {
+            return Err(ConfigError::new("at least one ADC per GE required"));
+        }
+        if self.program_row_serialization == 0
+            || self.program_row_serialization > self.crossbar_size
+        {
+            return Err(ConfigError::new(format!(
+                "program_row_serialization must be in 1..={}",
+                self.crossbar_size
+            )));
+        }
+        let magnitude_bits = self.spec.total_bits() - 1; // sign carried separately
+        if self.slicer.total_bits() < magnitude_bits {
+            return Err(ConfigError::new(format!(
+                "slicer carries {} bits but the spec needs {} magnitude bits",
+                self.slicer.total_bits(),
+                magnitude_bits
+            )));
+        }
+        let arrays = self.arrays_per_tile();
+        if !self.crossbars_per_ge.is_multiple_of(arrays) {
+            return Err(ConfigError::new(format!(
+                "crossbars_per_ge ({}) must be a multiple of arrays per logical tile ({arrays})",
+                self.crossbars_per_ge
+            )));
         }
         Ok(())
     }
@@ -394,39 +424,10 @@ impl GraphRConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if any dimension is zero, the crossbar is
-    /// larger than the 256 × 256 a byte-wide tile entry can address, the
-    /// slicer's total bits cannot carry the spec's magnitude,
-    /// `crossbars_per_ge` is not a multiple of the arrays needed per
-    /// logical tile, a configured block size is not a multiple of the strip
-    /// width, or `program_row_serialization` exceeds the crossbar size.
+    /// Returns [`ConfigError`] naming the first rule of
+    /// [`GraphRConfig::check`] the configuration violates.
     pub fn build(self) -> Result<GraphRConfig, ConfigError> {
-        let c = &self.config;
-        c.check_geometry()?;
-        if c.adcs_per_ge == 0 {
-            return Err(ConfigError::new("at least one ADC per GE required"));
-        }
-        if c.program_row_serialization == 0 || c.program_row_serialization > c.crossbar_size {
-            return Err(ConfigError::new(format!(
-                "program_row_serialization must be in 1..={}",
-                c.crossbar_size
-            )));
-        }
-        let magnitude_bits = c.spec.total_bits() - 1; // sign carried separately
-        if c.slicer.total_bits() < magnitude_bits {
-            return Err(ConfigError::new(format!(
-                "slicer carries {} bits but the spec needs {} magnitude bits",
-                c.slicer.total_bits(),
-                magnitude_bits
-            )));
-        }
-        let arrays = c.arrays_per_tile();
-        if !c.crossbars_per_ge.is_multiple_of(arrays) {
-            return Err(ConfigError::new(format!(
-                "crossbars_per_ge ({}) must be a multiple of arrays per logical tile ({arrays})",
-                c.crossbars_per_ge
-            )));
-        }
+        self.config.check()?;
         Ok(self.config)
     }
 }
@@ -495,13 +496,18 @@ mod tests {
         // 2 slices × 4 bits carry only 8 magnitude bits < 15 needed.
         let thin = BitSlicer::new(4, 2).unwrap();
         assert!(GraphRConfig::builder().slicer(thin).build().is_err());
-        // A struct literal skips the builder; the geometry check still
-        // rejects a GE too small for one logical tile (zero strip width).
+        // A struct literal skips the builder; the same check still
+        // rejects it.
         let no_tile = GraphRConfig {
             crossbars_per_ge: 2,
             ..GraphRConfig::default()
         };
-        assert!(no_tile.check_geometry().is_err());
+        assert!(no_tile.check().is_err());
+        let no_adc = GraphRConfig {
+            adcs_per_ge: 0,
+            ..GraphRConfig::default()
+        };
+        assert!(no_adc.check().is_err());
     }
 
     #[test]

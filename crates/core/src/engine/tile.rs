@@ -1,13 +1,19 @@
 //! Functional model of one logical crossbar tile, in both fidelities.
 //!
-//! [`TileCompute`] is a scratch tile the executor reuses for every tile of
+//! [`TileCompute`] is a scratch tile a scanner reuses for every tile of
 //! every subgraph (hardware parallelism affects *timing*, which the
 //! executor accounts separately; functionally the tiles are independent).
 //! In [`Fidelity::Analog`] values flow through the full `graphr-reram`
 //! datapath (per-slice bitline sums, ADC, shift-and-add, programming
-//! noise); in [`Fidelity::Fast`] the same fixed-point arithmetic happens
-//! directly. With ideal ADC and ideal programming the two are bit-identical
-//! — a property the test suite pins down.
+//! noise): this is the Analog scan datapath. In [`Fidelity::Fast`] the same
+//! fixed-point arithmetic happens directly on a dense image. With ideal
+//! ADC and ideal programming the two are bit-identical — a property the
+//! test suite pins down.
+//!
+//! Fast-fidelity scans do not program tiles at all: their kernels walk
+//! each tile's stored cells (see [`crate::exec::strip`]). The Fast
+//! `TileCompute` is the oracle those kernels are tested against, bit for
+//! bit.
 
 use graphr_reram::{ArrayConfig, MatrixArray};
 use graphr_units::FixedSpec;

@@ -155,9 +155,25 @@ impl<'a> StreamingExecutor<'a> {
     /// pay for the threads runs inline on it whatever the count.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        let (tiled, config, spec) = (self.tiled, self.config, self.scanners[0].spec());
-        self.scanners
-            .resize_with(threads.max(1), || StripScanner::new(tiled, config, spec));
+        let threads = threads.max(1);
+        self.scanners.truncate(threads);
+        while self.scanners.len() < threads {
+            let scanner = self.scanners[0].sibling();
+            self.scanners.push(scanner);
+        }
+        self
+    }
+
+    /// Runs every tile through [`TileCompute`](crate::engine::TileCompute)
+    /// on every worker: see [`StripScanner::tile_reference`]. Results and
+    /// metrics are bit-identical to the default kernels.
+    #[must_use]
+    pub fn with_tile_reference(mut self) -> Self {
+        self.scanners = self
+            .scanners
+            .into_iter()
+            .map(StripScanner::tile_reference)
+            .collect();
         self
     }
 

@@ -8,9 +8,26 @@
 //! natural unit of host-side parallelism, mirroring the accelerator's own
 //! inter-subgraph GE parallelism. A [`StripUnit`] names one such unit;
 //! [`StripScanner`] executes one unit with private engine state
-//! ([`TileCompute`], [`SAlu`], scratch buffers), writing functional
-//! results into unit-local buffers and charging time/energy into a
-//! unit-local [`Metrics`].
+//! ([`SAlu`], scratch buffers), writing functional results into
+//! unit-local buffers and charging time/energy into a unit-local
+//! [`Metrics`].
+//!
+//! # Kernels
+//!
+//! In [`Fidelity::Fast`] the MAC and add-op kernels walk each tile's
+//! stored cells once, in the tiler's streamed `(col, row, edge index)`
+//! order (§3.4, equation (8)), so host work follows the stored edges, not
+//! the `C × C` crossbar; the simulated cost of the empty cells is still
+//! charged from counts. That order keeps parallel edges adjacent, so each
+//! cell's value is merged on the fly (`Sum` for MAC, `Min` for add-op)
+//! and quantised once. MAC sums each column's rows in ascending order per
+//! input vector, skipping zero inputs, and reduces a nonzero sum into
+//! RegO; add-op drives each cell for every lane in its row's lane word.
+//! That is the arithmetic and the per-output reduction order of
+//! [`TileCompute`]'s `load` then `mac` / `row_entries`, so results and
+//! metrics are bit-identical to it. [`TileCompute`] remains the datapath
+//! in [`Fidelity::Analog`], and in Fast fidelity it is the oracle:
+//! [`StripScanner::tile_reference`] runs every tile through it.
 //!
 //! Determinism contract: a scan is the [`PlanUnit`]s of a
 //! [`ScanPlan`](crate::exec::plan::ScanPlan), each executed by one
@@ -23,13 +40,13 @@
 //!
 //! [`StreamingExecutor`]: crate::exec::streaming::StreamingExecutor
 
-use crate::config::{GraphRConfig, StreamingOrder};
+use crate::config::{Fidelity, GraphRConfig, StreamingOrder};
 use crate::engine::salu::{ReduceOp, SAlu};
 use crate::engine::tile::{MergeRule, TileCompute};
 use crate::exec::plan::PlanUnit;
 use crate::exec::streaming::EdgeValueFn;
 use crate::metrics::Metrics;
-use crate::preprocess::tiler::{SubgraphView, TiledGraph};
+use crate::preprocess::tiler::{SubgraphView, TileEntry, TiledGraph};
 
 /// Bytes per COO edge record streamed from memory ReRAM — the binary
 /// record format is owned by the graph crate.
@@ -95,23 +112,66 @@ pub fn mac_rego_capacity(config: &GraphRConfig, tiled: &TiledGraph) -> u64 {
 
 /// Executes scan units with private engine state.
 ///
-/// One scanner per worker thread: [`TileCompute`] (the scratch crossbar
-/// tile), the [`SAlu`], and the value/input staging buffers are all owned,
-/// so scanners on different units never share mutable state.
+/// One scanner per worker thread: the [`SAlu`] and the staging buffers
+/// are all owned, so scanners on different units never share mutable
+/// state.
 pub struct StripScanner<'a> {
     tiled: &'a TiledGraph,
     config: &'a GraphRConfig,
-    tile: TileCompute,
-    /// Scratch: per-tile programmed values, reused across tiles.
-    value_buf: Vec<f64>,
-    /// Scratch: chunk-local input slice.
-    input_buf: Vec<f64>,
-    /// Scratch: one subgraph's active rows with their lane words.
-    row_buf: Vec<(usize, u64)>,
-    /// Scratch: one tile row's stored `(col, value)` entries.
-    entry_buf: Vec<(usize, f64)>,
+    spec: graphr_units::FixedSpec,
+    /// `spec`'s quantisation with its scale factors computed once.
+    quant: graphr_units::Quantizer,
+    /// The tile datapath: present in Analog fidelity, or in Fast fidelity
+    /// when the scanner is the [`StripScanner::tile_reference`].
+    tile: Option<TileKernel>,
+    /// Scratch: one subgraph's lane word per source row (add-op).
+    row_lanes: Vec<u64>,
+    /// Scratch: one tile column's stored cells as `(src, quantised value)`.
+    col_cells: Vec<(usize, f64)>,
     /// Scratch: one strip visit's per-tile driven-row counts.
     tile_rows_buf: Vec<u64>,
+}
+
+/// The [`TileCompute`] kernels and their per-tile staging buffers.
+struct TileKernel {
+    tile: TileCompute,
+    /// Per-tile programmed values, reused across tiles.
+    value_buf: Vec<f64>,
+    /// Chunk-local input slice.
+    input_buf: Vec<f64>,
+    /// One tile row's stored `(col, value)` entries.
+    entry_buf: Vec<(usize, f64)>,
+}
+
+impl TileKernel {
+    fn new(config: &GraphRConfig, spec: graphr_units::FixedSpec) -> Self {
+        let c = config.crossbar_size;
+        TileKernel {
+            tile: TileCompute::new(config, spec),
+            value_buf: Vec::with_capacity(c * c),
+            input_buf: vec![0.0; c],
+            entry_buf: Vec::with_capacity(c),
+        }
+    }
+
+    /// Programs the tile holding `entries`, whose row `r` is source
+    /// vertex `src0 + r` and column `col` destination `dst0 + col`.
+    fn load(
+        &mut self,
+        entries: &[TileEntry],
+        src0: usize,
+        dst0: usize,
+        value: &EdgeValueFn<'_>,
+        merge: MergeRule,
+    ) {
+        self.value_buf.clear();
+        self.value_buf.extend(entries.iter().map(|e| {
+            let src = (src0 + e.row as usize) as u32;
+            let dst = (dst0 + e.col as usize) as u32;
+            value(e.weight, src, dst)
+        }));
+        self.tile.load(entries, &self.value_buf, merge);
+    }
 }
 
 impl<'a> StripScanner<'a> {
@@ -123,23 +183,47 @@ impl<'a> StripScanner<'a> {
         config: &'a GraphRConfig,
         spec: graphr_units::FixedSpec,
     ) -> Self {
-        let c = config.crossbar_size;
         StripScanner {
             tiled,
             config,
-            tile: TileCompute::new(config, spec),
-            value_buf: Vec::with_capacity(c * c),
-            input_buf: vec![0.0; c],
-            row_buf: Vec::with_capacity(c),
-            entry_buf: Vec::with_capacity(c),
+            spec,
+            quant: spec.quantizer(),
+            tile: (config.fidelity == Fidelity::Analog).then(|| TileKernel::new(config, spec)),
+            row_lanes: vec![0; config.crossbar_size],
+            col_cells: Vec::new(),
             tile_rows_buf: Vec::new(),
+        }
+    }
+
+    /// Turns this scanner into the tile reference: every tile goes
+    /// through [`TileCompute`] (`load`, then `mac` or `row_entries`) in
+    /// either fidelity. In Fast fidelity this is the oracle the
+    /// stored-cell kernels are tested against: results and metrics are
+    /// bit-identical, only host time grows.
+    #[must_use]
+    pub fn tile_reference(mut self) -> Self {
+        if self.tile.is_none() {
+            self.tile = Some(TileKernel::new(self.config, self.spec));
+        }
+        self
+    }
+
+    /// A fresh scanner over the same graph, configuration, format and
+    /// kernels.
+    #[must_use]
+    pub(crate) fn sibling(&self) -> Self {
+        let fresh = StripScanner::new(self.tiled, self.config, self.spec);
+        if self.tile.is_some() {
+            fresh.tile_reference()
+        } else {
+            fresh
         }
     }
 
     /// The fixed-point format in use.
     #[must_use]
     pub fn spec(&self) -> graphr_units::FixedSpec {
-        self.tile.spec()
+        self.spec
     }
 
     /// Total crossbar tile slots across the node.
@@ -300,29 +384,56 @@ impl<'a> StripScanner<'a> {
         let edges = u64::from(sg.edges());
 
         // --- functional compute ---
-        for (t, entries) in sg.tiles() {
-            let tile_dst0 = dst0 + t * c;
-            self.value_buf.clear();
-            for e in entries {
-                let src = (src0 + e.row as usize) as u32;
-                let dst = (tile_dst0 + e.col as usize) as u32;
-                self.value_buf.push(value(e.weight, src, dst));
-            }
-            self.tile.load(entries, &self.value_buf, MergeRule::Sum);
-            for (ki, x) in inputs.iter().enumerate() {
-                for r in 0..c {
-                    let src = src0 + r;
-                    self.input_buf[r] = if src < n { x[src] } else { 0.0 };
-                }
-                let y = self.tile.mac(&self.input_buf);
-                for (col, &yv) in y.iter().enumerate() {
-                    if yv == 0.0 {
-                        continue;
+        let unit_dst0 = unit.dst_start;
+        match &mut self.tile {
+            Some(kernel) => {
+                for (t, entries) in sg.tiles() {
+                    let tile_dst0 = dst0 + t * c;
+                    kernel.load(entries, src0, tile_dst0, value, MergeRule::Sum);
+                    for (ki, x) in inputs.iter().enumerate() {
+                        for r in 0..c {
+                            let src = src0 + r;
+                            kernel.input_buf[r] = if src < n { x[src] } else { 0.0 };
+                        }
+                        let y = kernel.tile.mac(&kernel.input_buf);
+                        for (col, &yv) in y.iter().enumerate() {
+                            if yv == 0.0 {
+                                continue;
+                            }
+                            let dst = tile_dst0 + col;
+                            if dst < n {
+                                salu.reduce_one(&mut outputs[ki][dst - unit_dst0], yv);
+                            }
+                        }
                     }
-                    let dst = tile_dst0 + col;
-                    if dst < n {
-                        let slot = &mut outputs[ki][dst - unit.dst_start];
-                        salu.reduce_one(slot, yv);
+                }
+            }
+            None => {
+                // Stored cells hold real edges, so every source and
+                // destination below is a real vertex.
+                let cells = &mut self.col_cells;
+                for (t, entries) in sg.tiles() {
+                    let tile_dst0 = dst0 + t * c;
+                    for column in entries.chunk_by(|a, b| a.col == b.col) {
+                        let dst = tile_dst0 + column[0].col as usize;
+                        cells.clear();
+                        cells.extend(column.chunk_by(|a, b| a.row == b.row).map(|cell| {
+                            let src = src0 + cell[0].row as usize;
+                            let v = cell_value(cell, src, dst, value, MergeRule::Sum);
+                            (src, self.quant.quantize_value(v))
+                        }));
+                        for (x, out) in inputs.iter().zip(outputs.iter_mut()) {
+                            let mut sum = 0.0;
+                            for &(src, q) in cells.iter() {
+                                let xv = x[src];
+                                if xv != 0.0 {
+                                    sum += q * xv;
+                                }
+                            }
+                            if sum != 0.0 {
+                                salu.reduce_one(&mut out[dst - unit_dst0], sum);
+                            }
+                        }
                     }
                 }
             }
@@ -390,12 +501,11 @@ impl<'a> StripScanner<'a> {
     ) -> u64 {
         let tiled = self.tiled;
         let n = tiled.num_vertices();
-        let c = self.config.crossbar_size;
         let unit = &punit.unit;
         let sidx = unit.strip as usize;
         let mut salu = SAlu::new(ReduceOp::Min);
         let mut total_drives: u64 = 0;
-        let mut active_rows = std::mem::take(&mut self.row_buf);
+        let mut row_lanes = std::mem::take(&mut self.row_lanes);
         let mut tile_rows = std::mem::take(&mut self.tile_rows_buf);
 
         for row in &punit.rows {
@@ -414,12 +524,12 @@ impl<'a> StripScanner<'a> {
                 metrics.energy.memory += self.config.cost.memory_stream_energy(stream_bytes);
                 metrics.events.bytes_streamed += stream_bytes;
                 // Rows past the last vertex hold no lanes.
-                active_rows.clear();
-                active_rows.extend((0..c).filter_map(|r| {
-                    let lanes = active.vertex_lanes(src0 + r);
-                    (lanes != 0).then_some((r, lanes))
-                }));
-                if active_rows.is_empty() {
+                let mut any_active = 0u64;
+                for (r, lanes) in row_lanes.iter_mut().enumerate() {
+                    *lanes = active.vertex_lanes(src0 + r);
+                    any_active |= *lanes;
+                }
+                if any_active == 0 {
                     metrics.events.subgraphs_skipped_inactive += 1;
                     continue;
                 }
@@ -431,7 +541,7 @@ impl<'a> StripScanner<'a> {
                     value,
                     combine,
                     addends,
-                    &active_rows,
+                    &row_lanes,
                     frontiers,
                     updated,
                     &mut salu,
@@ -442,7 +552,7 @@ impl<'a> StripScanner<'a> {
             self.charge_addop_strip_time(&mut tile_rows, strip_edges, metrics);
             self.charge_strip_writeback(self.config.strip_width().min(n), metrics);
         }
-        self.row_buf = active_rows;
+        self.row_lanes = row_lanes;
         self.tile_rows_buf = tile_rows;
         metrics.events.salu_ops += salu.ops_performed();
         total_drives
@@ -512,8 +622,8 @@ impl<'a> StripScanner<'a> {
     /// One subgraph of [`StripScanner::scan_add_op_lanes_unit`]: one tile
     /// programming serves every lane; row drives, sALU reductions and the
     /// dependent energy/conversion charges are per `(row, lane)`.
-    /// `active_rows` pairs each active local row with its lane word.
-    /// Returns the per-lane row activations.
+    /// `row_lanes` holds each local source row's lane word, zero for an
+    /// inactive row. Returns the per-lane row activations.
     #[allow(clippy::too_many_arguments)]
     fn addop_lanes_subgraph(
         &mut self,
@@ -524,7 +634,7 @@ impl<'a> StripScanner<'a> {
         value: &EdgeValueFn<'_>,
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
         addends: &[Vec<f64>],
-        active_rows: &[(usize, u64)],
+        row_lanes: &[u64],
         frontiers: &mut [f64],
         updated: &mut [u64],
         salu: &mut SAlu,
@@ -534,57 +644,91 @@ impl<'a> StripScanner<'a> {
         let tiled = self.tiled;
         let n = tiled.num_vertices();
         let c = self.config.crossbar_size;
-        let spec = self.tile.spec();
+        let quant = self.quant;
         let width = self.config.strip_width();
         let src0 = tiled.chunk_src_start(bidx, sg.chunk());
         let dst0 = tiled.strip_dst_start(bidx, sidx);
+        let unit_dst0 = unit.dst_start;
         let arrays = self.config.arrays_per_tile() as u64;
         let tiles = sg.tiles().len() as u64;
         let edges = u64::from(sg.edges());
         let mut active_cells: u64 = 0;
         let mut rows_driven: u64 = 0;
-        let activations: u64 = active_rows
-            .iter()
-            .map(|&(_, lanes)| u64::from(lanes.count_ones()))
-            .sum();
+        let activations: u64 = row_lanes.iter().map(|l| u64::from(l.count_ones())).sum();
 
         // --- functional compute: per tile, program once, drive each
         // active row once per lane holding it ---
         for (t, entries) in sg.tiles() {
             let tile_dst0 = dst0 + t * c;
-            self.value_buf.clear();
-            for e in entries {
-                let src = (src0 + e.row as usize) as u32;
-                let dst = (tile_dst0 + e.col as usize) as u32;
-                self.value_buf.push(value(e.weight, src, dst));
-            }
-            self.tile.load(entries, &self.value_buf, MergeRule::Min);
             let mut this_tile_rows = 0u64;
-            for &(r, lanes) in active_rows {
-                self.tile.row_entries(r, &mut self.entry_buf);
-                if self.entry_buf.is_empty() {
-                    continue; // no edge from this source in this tile
-                }
-                let src = src0 + r;
-                let mut lane_bits = lanes;
-                while lane_bits != 0 {
-                    let q = lane_bits.trailing_zeros() as usize;
-                    lane_bits &= lane_bits - 1;
-                    this_tile_rows += 1;
-                    let du = addends[q][src];
-                    let frontier = &mut frontiers[q * width..(q + 1) * width];
-                    for &(col, w) in &self.entry_buf {
-                        active_cells += arrays;
-                        let dst = tile_dst0 + col;
-                        if dst >= n {
+            match &mut self.tile {
+                Some(kernel) => {
+                    kernel.load(entries, src0, tile_dst0, value, MergeRule::Min);
+                    for (r, &lanes) in row_lanes.iter().enumerate() {
+                        if lanes == 0 {
                             continue;
                         }
-                        // The relaxation (e.g. dist(u) + w(u, v)),
-                        // saturating in the fixed-point datapath, then min
-                        // via the sALU.
-                        let candidate = spec.quantize_value(combine(du, w));
-                        if salu.reduce_one(&mut frontier[dst - unit.dst_start], candidate) {
-                            updated[dst - unit.dst_start] |= 1u64 << q;
+                        kernel.tile.row_entries(r, &mut kernel.entry_buf);
+                        if kernel.entry_buf.is_empty() {
+                            continue; // no edge from this source in this tile
+                        }
+                        let src = src0 + r;
+                        let mut lane_bits = lanes;
+                        while lane_bits != 0 {
+                            let q = lane_bits.trailing_zeros() as usize;
+                            lane_bits &= lane_bits - 1;
+                            this_tile_rows += 1;
+                            let du = addends[q][src];
+                            let frontier = &mut frontiers[q * width..(q + 1) * width];
+                            for &(col, w) in &kernel.entry_buf {
+                                active_cells += arrays;
+                                let dst = tile_dst0 + col;
+                                if dst >= n {
+                                    continue;
+                                }
+                                // The relaxation (e.g. dist(u) + w(u, v)),
+                                // saturating in the fixed-point datapath,
+                                // then min via the sALU.
+                                let candidate = quant.quantize_value(combine(du, w));
+                                if salu.reduce_one(&mut frontier[dst - unit_dst0], candidate) {
+                                    updated[dst - unit_dst0] |= 1u64 << q;
+                                }
+                            }
+                        }
+                    }
+                }
+                None => {
+                    // A row counts once per tile, however many of its
+                    // cells the walk meets; a `u8` row fits 256 bits.
+                    let mut seen = [0u64; 4];
+                    for column in entries.chunk_by(|a, b| a.col == b.col) {
+                        let dst = tile_dst0 + column[0].col as usize;
+                        let local = dst - unit_dst0;
+                        for cell in column.chunk_by(|a, b| a.row == b.row) {
+                            let r = cell[0].row as usize;
+                            let lanes = row_lanes[r];
+                            if lanes == 0 {
+                                continue;
+                            }
+                            let drives = u64::from(lanes.count_ones());
+                            let bit = 1u64 << (r % 64);
+                            if seen[r / 64] & bit == 0 {
+                                seen[r / 64] |= bit;
+                                this_tile_rows += drives;
+                            }
+                            active_cells += arrays * drives;
+                            let src = src0 + r;
+                            let w = cell_value(cell, src, dst, value, MergeRule::Min);
+                            let w = quant.quantize_value(w);
+                            let mut lane_bits = lanes;
+                            while lane_bits != 0 {
+                                let q = lane_bits.trailing_zeros() as usize;
+                                lane_bits &= lane_bits - 1;
+                                let candidate = quant.quantize_value(combine(addends[q][src], w));
+                                if salu.reduce_one(&mut frontiers[q * width + local], candidate) {
+                                    updated[local] |= 1u64 << q;
+                                }
+                            }
                         }
                     }
                 }
@@ -636,6 +780,23 @@ impl<'a> StripScanner<'a> {
         metrics.time_breakdown.apply += t;
         metrics.elapsed += t;
     }
+}
+
+/// One crossbar cell's programmed value before quantisation: the values
+/// of its parallel edges merged under `merge` in streamed (edge) order,
+/// exactly as [`TileCompute::load`] merges them. `cell` is never empty.
+fn cell_value(
+    cell: &[TileEntry],
+    src: usize,
+    dst: usize,
+    value: &EdgeValueFn<'_>,
+    merge: MergeRule,
+) -> f64 {
+    let (src, dst) = (src as u32, dst as u32);
+    let first = value(cell[0].weight, src, dst);
+    cell[1..]
+        .iter()
+        .fold(first, |v, e| merge.combine(v, value(e.weight, src, dst)))
 }
 
 #[cfg(test)]

@@ -181,11 +181,11 @@ impl TiledGraph {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the configuration's geometry is
-    /// inconsistent (see [`GraphRConfig::check_geometry`] and
+    /// inconsistent (see [`GraphRConfig::check`] and
     /// [`TileOrder::new`]), or if the graph has more edges than the `u32`
     /// offset tables address.
     pub fn preprocess(graph: &EdgeList, config: &GraphRConfig) -> Result<Self, ConfigError> {
-        config.check_geometry()?;
+        config.check()?;
         let c = config.crossbar_size;
         let n = graph.num_vertices();
         let block_size = config.effective_block_vertices(n);

@@ -287,8 +287,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Config`] when the configuration's geometry is
-    /// inconsistent.
+    /// Returns [`SimError::Config`] when the configuration fails
+    /// [`GraphRConfig::check`].
     pub fn tiled(
         &self,
         handle: &GraphHandle,
@@ -311,6 +311,9 @@ impl Session {
         local_hits: &mut u64,
         local_misses: &mut u64,
     ) -> Result<CachedTiling, SimError> {
+        // The key covers only the tiling geometry, so a warm hit would
+        // skip the tiler's check of the rest of the configuration.
+        config.check()?;
         let key = TileKey::new(handle.id().clone(), variant, config);
         if let Some(hit) = self.tilings.lock().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);

@@ -150,28 +150,75 @@ impl FixedSpec {
     /// NaN; callers are expected to keep NaN out of the datapath).
     #[must_use]
     pub fn quantize(self, x: f64) -> i32 {
+        self.quantizer().quantize(x)
+    }
+
+    /// Converts a raw integer back to its real value.
+    #[must_use]
+    pub fn dequantize(self, q: i32) -> f64 {
+        self.quantizer().dequantize(q)
+    }
+
+    /// Quantises and immediately dequantises: the value the hardware would
+    /// actually compute with.
+    #[must_use]
+    pub fn quantize_value(self, x: f64) -> f64 {
+        self.quantizer().quantize_value(x)
+    }
+
+    /// This format with its scale factors computed once, for loops that
+    /// quantise many values.
+    #[must_use]
+    pub fn quantizer(self) -> Quantizer {
+        let scale = f64::from(self.frac_bits).exp2();
+        Quantizer {
+            scale,
+            resolution: scale.recip(),
+            max_raw: self.max_raw(),
+            min_raw: self.min_raw(),
+        }
+    }
+}
+
+/// A [`FixedSpec`]'s quantisation with its scale factors precomputed: the
+/// same arithmetic as the spec's own methods, so results are identical
+/// to the last bit.
+#[derive(Debug, Clone, Copy)]
+pub struct Quantizer {
+    scale: f64,
+    resolution: f64,
+    max_raw: i32,
+    min_raw: i32,
+}
+
+impl Quantizer {
+    /// See [`FixedSpec::quantize`].
+    #[inline]
+    #[must_use]
+    pub fn quantize(self, x: f64) -> i32 {
         if x.is_nan() {
             return 0;
         }
-        let scaled = (x * f64::from(self.frac_bits).exp2()).round();
-        if scaled >= f64::from(self.max_raw()) {
-            self.max_raw()
-        } else if scaled <= f64::from(self.min_raw()) {
-            self.min_raw()
+        let scaled = (x * self.scale).round();
+        if scaled >= f64::from(self.max_raw) {
+            self.max_raw
+        } else if scaled <= f64::from(self.min_raw) {
+            self.min_raw
         } else {
             // Safety of cast: bounds checked above and max_raw fits in i32.
             scaled as i32
         }
     }
 
-    /// Converts a raw integer back to its real value.
+    /// See [`FixedSpec::dequantize`].
+    #[inline]
     #[must_use]
     pub fn dequantize(self, q: i32) -> f64 {
-        f64::from(q) * self.resolution()
+        f64::from(q) * self.resolution
     }
 
-    /// Quantises and immediately dequantises: the value the hardware would
-    /// actually compute with.
+    /// See [`FixedSpec::quantize_value`].
+    #[inline]
     #[must_use]
     pub fn quantize_value(self, x: f64) -> f64 {
         self.dequantize(self.quantize(x))

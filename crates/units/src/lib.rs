@@ -38,6 +38,6 @@ pub mod stats;
 pub mod time;
 
 pub use energy::{Joules, Watts};
-pub use fixed::{BitSlicer, FixedSpec, FixedSpecError};
+pub use fixed::{BitSlicer, FixedSpec, FixedSpecError, Quantizer};
 pub use stats::GeoMean;
 pub use time::Nanos;

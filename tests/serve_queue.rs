@@ -14,6 +14,7 @@ use graphr_repro::graph::GraphHandle;
 use graphr_repro::runtime::{
     AdmissionError, Job, JobOutput, JobSpec, RuntimeError, ServeConfig, Server, Session,
 };
+use graphr_repro::units::BitSlicer;
 
 fn small_config() -> GraphRConfig {
     GraphRConfig::builder()
@@ -236,11 +237,13 @@ fn admission_control_rejects_and_recovers() {
 }
 
 /// `GraphRConfig`'s fields are public, so a per-job configuration written
-/// as a struct literal skips the builder's checks. The tiler checks the
-/// geometry again: a crossbar wider than the byte-wide tile coordinates
-/// can address (they would wrap and corrupt distances) or of zero width
-/// (a division by zero) fails its job with a configuration error, and in
-/// a drain such a job fails only itself.
+/// as a struct literal skips the builder's checks. The session checks it
+/// again, on a warm cache too: a crossbar wider than the byte-wide tile
+/// coordinates can address (they would wrap and corrupt distances) or of
+/// zero width (a division by zero), no ADC (a panic in the cost model),
+/// an out-of-range programming serialisation or a slicer too narrow for
+/// the spec fails its job with a configuration error, and the next job
+/// still runs; in a drain such a job fails only itself.
 #[test]
 fn invalid_per_job_geometry_fails_only_its_job() {
     let handle = GraphHandle::new("geometry", Rmat::new(1000, 3000).seed(7).generate());
@@ -251,12 +254,41 @@ fn invalid_per_job_geometry_fails_only_its_job() {
             ..small_config()
         })
     };
-    for crossbar_size in [512, 0] {
-        let err = session.submit(&bad(crossbar_size)).unwrap_err();
+    let literals = [
+        GraphRConfig {
+            crossbar_size: 512,
+            ..small_config()
+        },
+        GraphRConfig {
+            crossbar_size: 0,
+            ..small_config()
+        },
+        GraphRConfig {
+            adcs_per_ge: 0,
+            ..small_config()
+        },
+        GraphRConfig {
+            program_row_serialization: 0,
+            ..small_config()
+        },
+        GraphRConfig {
+            program_row_serialization: 5,
+            ..small_config()
+        },
+        GraphRConfig {
+            slicer: BitSlicer::new(4, 2).unwrap(),
+            ..small_config()
+        },
+    ];
+    for config in literals {
+        let err = session
+            .submit(&bfs(&handle, 0).with_config(config.clone()))
+            .unwrap_err();
         assert!(
             matches!(err, RuntimeError::Sim(SimError::Config(_))),
-            "crossbar {crossbar_size}: {err}"
+            "{config:?}: {err}"
         );
+        session.submit(&bfs(&handle, 0)).expect("the next job runs");
     }
 
     let mut server = Server::new(ServeConfig::default());
