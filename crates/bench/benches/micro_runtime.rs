@@ -306,6 +306,24 @@ fn sparse_frontier_case() {
         m_full.total_time().as_nanos() / m_pruned.total_time().as_nanos(),
         m_full.events.bytes_streamed as f64 / m_pruned.events.bytes_streamed.max(1) as f64,
     );
+
+    // Host cost per pruned traversal round at one and two workers: every
+    // round's scan is below the fan-out cutoff, so the ratio shows what a
+    // second worker costs a frontier-sized round. Printed, not asserted.
+    let per_round_us = |threads: usize| {
+        let t = best_of(3, || {
+            let mut exec = StreamingExecutor::new(&tiled, &config, spec).with_threads(threads);
+            let start = Instant::now();
+            let _ = bfs_from_zero(&g, &mut exec);
+            start.elapsed()
+        });
+        t * 1e6 / m_pruned.iterations as f64
+    };
+    let (one, two) = (per_round_us(1), per_round_us(2));
+    println!(
+        "  sparse-frontier bfs host per round: {one:.1} µs at 1 thread, {two:.1} µs at 2 threads ({:.2}x)",
+        two / one,
+    );
 }
 
 /// The incremental planner on the same sparse-frontier BFS: consecutive

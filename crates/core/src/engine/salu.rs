@@ -81,12 +81,16 @@ impl SAlu {
     }
 
     /// Reduces one scalar into one register slot, returning whether the
-    /// register changed (drives SSSP's active-vertex marking).
+    /// register changed (drives SSSP's active-vertex marking). The slot is
+    /// written only when it changes, so a caller that tracks the reported
+    /// changes knows every slot the reduction touched.
     pub fn reduce_one(&mut self, register: &mut f64, incoming: f64) -> bool {
         self.ops_performed += 1;
         let updated = self.op.apply(*register, incoming);
         let changed = updated != *register;
-        *register = updated;
+        if changed {
+            *register = updated;
+        }
         changed
     }
 

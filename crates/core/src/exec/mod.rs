@@ -120,7 +120,9 @@ pub trait ScanEngine {
     /// serves every query; see
     /// [`StreamingExecutor::scan_add_op_lanes_planned`]. `addends` and
     /// `frontiers` carry one buffer per lane; lowered destinations are
-    /// recorded per lane in `updated`. Returns the per-lane row drives.
+    /// recorded per lane in `updated`, and a lane's label changes only
+    /// where the scan sets that lane's bit, so a caller may copy back just
+    /// those. Returns the per-lane row drives.
     /// This is the only add-op primitive: a single query is a one-lane
     /// run.
     #[allow(clippy::too_many_arguments)]

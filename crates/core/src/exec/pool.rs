@@ -1,14 +1,16 @@
-//! A small scoped worker pool: dynamic self-scheduling over an indexed
-//! task range, with deterministic result ordering.
+//! A small scoped worker pool: dynamic self-scheduling over a list of
+//! tasks, with deterministic result ordering.
 //!
-//! Workers claim task indices from a shared atomic counter — the classic
+//! Workers claim tasks one at a time from a shared queue — the classic
 //! self-scheduling loop, which load-balances skewed per-strip work the
 //! same way rayon's work stealing would for this flat fan-out shape —
 //! and each worker owns one per-thread state (the executor passes its
 //! long-lived [`StripScanner`](crate::exec::strip::StripScanner)s, so
-//! crossbar scratch and sALUs are never shared). Results are reassembled
-//! in task-index order, which is what makes the executor's plan-order
-//! metrics merge deterministic.
+//! crossbar scratch and sALUs are never shared). A task is a value moved
+//! to whichever worker claims it, so it may carry exclusive borrows: the
+//! executor hands each plan unit its own disjoint output windows this
+//! way. Results are reassembled in task order, which is what makes the
+//! executor's plan-order metrics merge deterministic.
 //!
 //! The calling thread is itself worker 0: a fan-out over `n` workers
 //! spawns only `n − 1` helpers and runs its own share on `states[0]`
@@ -16,7 +18,7 @@
 //! (`std::thread::scope`), so tasks may freely borrow from the caller's
 //! stack; no `'static` bounds, no channels, no unsafe.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Host parallelism available to the process (at least 1).
 #[must_use]
@@ -48,35 +50,39 @@ where
 {
     let workers = threads.max(1).min(tasks.max(1));
     let mut states: Vec<S> = (0..workers).map(|_| init()).collect();
-    run_on(&mut states, tasks, step)
+    run_on(&mut states, 0..tasks, step)
 }
 
-/// [`run_indexed`] over caller-owned worker states: one worker per entry
-/// of `states` (at most one per task), each passing its own state to
-/// `step`, so states persist across calls for a caller that keeps them.
-/// The calling thread is worker 0 on `states[0]`; only the other workers
-/// are spawned.
-pub(crate) fn run_on<S, T, F>(states: &mut [S], tasks: usize, step: F) -> Vec<T>
+/// [`run_indexed`] over caller-owned worker states and task values: one
+/// worker per entry of `states` (at most one per task), each passing its
+/// own state and the task it claimed to `step`, so states persist across
+/// calls for a caller that keeps them. The calling thread is worker 0 on
+/// `states[0]`; only the other workers are spawned.
+pub(crate) fn run_on<S, I, T, F>(states: &mut [S], tasks: I, step: F) -> Vec<T>
 where
     S: Send,
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
     T: Send,
-    F: Fn(&mut S, usize) -> T + Sync,
+    F: Fn(&mut S, I::Item) -> T + Sync,
 {
     assert!(!states.is_empty(), "at least one worker state required");
-    let workers = states.len().min(tasks.max(1));
+    let tasks = tasks.into_iter();
+    let len = tasks.len();
+    let workers = states.len().min(len.max(1));
     if workers == 1 {
         let state = &mut states[0];
-        return (0..tasks).map(|i| step(state, i)).collect();
+        return tasks.map(|task| step(state, task)).collect();
     }
-    let counter = AtomicUsize::new(0);
+    let queue = Mutex::new(tasks.enumerate());
     let claim = |state: &mut S| {
         let mut out = Vec::new();
         loop {
-            let idx = counter.fetch_add(1, Ordering::Relaxed);
-            if idx >= tasks {
-                break;
-            }
-            out.push((idx, step(state, idx)));
+            // The guard drops at the end of this statement, before the
+            // task runs, so a panicking task never poisons the queue.
+            let claimed = queue.lock().expect("queue lock").next();
+            let Some((idx, task)) = claimed else { break };
+            out.push((idx, step(state, task)));
         }
         out
     };
@@ -96,7 +102,7 @@ where
             .chain(handles.into_iter().map(|h| h.join()))
             .collect()
     });
-    let mut indexed = Vec::with_capacity(tasks);
+    let mut indexed = Vec::with_capacity(len);
     for worker in joined {
         match worker {
             Ok(out) => indexed.extend(out),
@@ -156,7 +162,7 @@ mod tests {
     fn states_persist_across_calls() {
         let mut states = vec![0usize; 3];
         for _ in 0..4 {
-            run_on(&mut states, 10, |count, _| *count += 1);
+            run_on(&mut states, 0..10, |count, _| *count += 1);
         }
         assert_eq!(states.iter().sum::<usize>(), 40);
     }

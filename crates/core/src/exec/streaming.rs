@@ -17,17 +17,25 @@
 //! Both primitives execute a [`ScanPlan`] — the ordered
 //! [`PlanUnit`]s of either the dense full plan or a frontier-pruned plan
 //! (see [`crate::exec::plan`]) — one unit at a time through a
-//! [`StripScanner`], then merge per-unit [`Metrics`] and results in plan
-//! order. Both scan kinds run through that one per-unit path, and each
-//! has one strip kernel. The worker count
-//! ([`StreamingExecutor::with_threads`]) only schedules it. A scan whose
-//! planned work (edges × lanes or input vectors) is small, or any scan at
-//! one worker, runs its units inline on the calling thread with reused
-//! scratch: spawning threads would cost it more than it saves. A larger
-//! scan fans out over the workers, each keeping its own long-lived
-//! scanner, and the calling thread is worker 0 (see [`crate::exec::pool`]).
-//! Results and accounting are therefore bit-identical at any thread count
-//! (see [`crate::exec::strip`]).
+//! [`StripScanner`], then merge per-unit [`Metrics`] in plan order. A
+//! plan's units cover ascending, disjoint destination ranges, so before a
+//! scan one forward `split_at_mut` pass per output vector cuts each unit
+//! its own window of every lane's labels (or every input's outputs), and
+//! the unit reduces into those windows in place: nothing is staged or
+//! copied back. An add-op unit also lists the destinations it lowered, and
+//! only those reach `updated`, so a round's host cost follows the planned
+//! edges and the lowered vertices, not the strip widths or `|V|`.
+//!
+//! Both scan kinds run through that one per-unit path, and each has one
+//! strip kernel. The worker count ([`StreamingExecutor::with_threads`])
+//! only schedules it. A scan whose planned work (edges × lanes or input
+//! vectors) is small, or any scan at one worker, runs its units inline on
+//! the calling thread: spawning threads would cost it more than it saves.
+//! A larger scan fans out over the workers, each keeping its own
+//! long-lived scanner, and the calling thread is worker 0 (see
+//! [`crate::exec::pool`]); each unit moves to the worker that claims it
+//! together with its windows. Results and accounting are therefore
+//! bit-identical at any thread count (see [`crate::exec::strip`]).
 //!
 //! # Timing: dense tile packing within a strip
 //!
@@ -88,6 +96,8 @@ pub struct StreamingExecutor<'a> {
     /// Scans run inline (`[0]`) and fanned out (`[1]`): host scheduling
     /// only, kept out of `metrics`.
     scan_paths: [u64; 2],
+    /// Scratch: the current unit's lowered destinations, for inline scans.
+    lowered: Vec<(usize, u64)>,
 }
 
 /// Planned work (`edges_planned × K`, K being an add-op scan's lane count
@@ -95,16 +105,18 @@ pub struct StreamingExecutor<'a> {
 /// the calling thread even when the executor has more workers.
 ///
 /// Fanning out spawns scoped helpers on every scan, which a small plan
-/// never earns back. Median host time per scan on a 2-vCPU host, fanned
-/// out over 2 workers vs inline: the 240×240-grid traversals' node scans
-/// (every one ≤ 1,002 edges; median 463 edges over 27 units) 122 vs
-/// 50 µs; serve scans of 1–10 K edges 257 vs 269 µs (break-even); scans of
-/// ≥ 10 K edges 2.16 vs 4.01 ms (1.86× for fanning out); 1 M-edge
-/// PageRank scans 57 vs 110 ms. Every traversal scan therefore stays
-/// inline. Sweeping the cutoff over {1,024, 4,096, 16,384} (3 runs of
-/// 10 s each) left the median of `serve_mixed` at 426 / 427 / 412
-/// queries/s and of `pagerank_rmat` at 13.4 / 13.9 / 12.4 M edges/s, all
-/// within run-to-run noise, so the cutoff sits at the middle value.
+/// never earns back. Median host time per scan on a 2-vCPU host, every
+/// scan of a `hostbench` workload fanned out over 2 workers vs every scan
+/// inline, by planned work: the 240×240-grid traversals' node scans (all
+/// below 1,024) 42.5 vs 10.3 µs; `serve_mixed` scans of 1,024–4,096
+/// 81 vs 38 µs, 4,096–16,384 104 vs 46 µs, 16,384–100 K 754 vs 1,120 µs
+/// and above 100 K 1.04 vs 1.46 ms; 1 M-edge PageRank scans 16.7 vs
+/// 28.8 ms. Every traversal scan therefore stays inline. Per scan the
+/// break-even now sits between 16 K and 32 K, but sweeping the cutoff
+/// over {1,024, 4,096, 16,384} (3 runs of 10 s each) left the median of
+/// `serve_mixed` at 927 / 947 / 904 queries/s and of `pagerank_rmat` at
+/// 57.7 / 53.5 / 55.8 M edges/s, all within run-to-run noise, so the
+/// cutoff stays at the middle value.
 const FAN_OUT_MIN_WORK: u64 = 4096;
 
 /// Whether a scan of `work` planned edge-lanes fans out over `workers`.
@@ -146,6 +158,7 @@ impl<'a> StreamingExecutor<'a> {
             trace: None,
             span_mark: SpanMark::default(),
             scan_paths: [0; 2],
+            lowered: Vec::new(),
         }
     }
 
@@ -236,55 +249,67 @@ impl<'a> StreamingExecutor<'a> {
         }
     }
 
-    /// The one per-unit path every scan kind runs through. `scan` stages
-    /// one unit's slice of `out` into `scratch` and scans it; `write_back`
-    /// stores the unit's results into `out`. A plan whose work —
-    /// `edges_planned × lanes`, `lanes` being the lane or input-vector
-    /// count — is below [`FAN_OUT_MIN_WORK`], or any plan at one worker,
-    /// runs inline on `scanners[0]` with a single reused scratch; a larger
-    /// one fans out over the worker scanners with unit-local scratch.
-    /// Either way unit metrics and results merge in plan order. Returns
-    /// the summed per-unit counts.
-    fn run_units<O, X>(
+    /// The one per-unit path every scan kind runs through. `out` holds
+    /// one vector per lane or input vector; `scan` runs one unit in place
+    /// on its own windows of them (see [`unit_windows`]), appending the
+    /// destinations it lowered to its `lowered` list. A plan whose work —
+    /// `edges_planned × out.len()` — is below [`FAN_OUT_MIN_WORK`], or any
+    /// plan at one worker, runs inline on `scanners[0]`; a larger one fans
+    /// out over the worker scanners, each unit moving to its worker with
+    /// its windows. Either way unit metrics merge, and `on_lowered` sees
+    /// each unit's lowered list, in plan order. Returns the summed
+    /// per-unit counts.
+    fn run_units(
         &mut self,
         plan: &ScanPlan,
-        lanes: usize,
-        out: &mut O,
-        scratch: impl Fn() -> X + Sync,
-        scan: impl Fn(&mut StripScanner<'a>, &PlanUnit, &O, &mut X, &mut Metrics) -> u64 + Sync,
-        write_back: impl Fn(&PlanUnit, &X, &mut O),
-    ) -> u64
-    where
-        O: Sync + ?Sized,
-        X: Send,
-    {
-        let punits = plan.units();
+        out: &mut [Vec<f64>],
+        scan: impl Fn(
+                &mut StripScanner<'a>,
+                &PlanUnit,
+                &mut [&mut [f64]],
+                &mut Vec<(usize, u64)>,
+                &mut Metrics,
+            ) -> u64
+            + Sync,
+        mut on_lowered: impl FnMut(&[(usize, u64)]),
+    ) -> u64 {
+        let lanes = out.len();
         let work = plan.stats().edges_planned.saturating_mul(lanes as u64);
         let fan_out = fans_out(work, self.scanners.len());
         self.scan_paths[usize::from(fan_out)] += 1;
+        let mut windows = unit_windows(plan, out);
+        let units = plan.units().iter().zip(windows.chunks_mut(lanes));
         let mut total = 0u64;
         if !fan_out {
-            let scanner = &mut self.scanners[0];
-            let mut buf = scratch();
-            for punit in punits {
+            let (scanner, lowered) = (&mut self.scanners[0], &mut self.lowered);
+            for (punit, unit_windows) in units {
                 let mut unit_metrics = Metrics::new();
-                total += scan(scanner, punit, out, &mut buf, &mut unit_metrics);
+                lowered.clear();
+                total += scan(scanner, punit, unit_windows, lowered, &mut unit_metrics);
                 self.metrics.merge(&unit_metrics);
-                write_back(punit, &buf, out);
+                on_lowered(lowered);
             }
             return total;
         }
-        let shared: &O = out;
-        let per_unit = pool::run_on(&mut self.scanners, punits.len(), |scanner, idx| {
-            let mut buf = scratch();
-            let mut unit_metrics = Metrics::new();
-            let count = scan(scanner, &punits[idx], shared, &mut buf, &mut unit_metrics);
-            (buf, unit_metrics, count)
-        });
-        for (punit, (buf, unit_metrics, count)) in punits.iter().zip(&per_unit) {
+        let per_unit = pool::run_on(
+            &mut self.scanners,
+            units,
+            |scanner, (punit, unit_windows)| {
+                let (mut lowered, mut unit_metrics) = (Vec::new(), Metrics::new());
+                let count = scan(
+                    scanner,
+                    punit,
+                    unit_windows,
+                    &mut lowered,
+                    &mut unit_metrics,
+                );
+                (unit_metrics, count, lowered)
+            },
+        );
+        for (unit_metrics, count, lowered) in &per_unit {
             total += count;
             self.metrics.merge(unit_metrics);
-            write_back(punit, buf, out);
+            on_lowered(lowered);
         }
         total
     }
@@ -326,26 +351,15 @@ impl<'a> StreamingExecutor<'a> {
         for x in inputs {
             assert_eq!(x.len(), n, "input vectors must have one entry per vertex");
         }
-        let width = self.config.strip_width();
         let mut outputs = vec![vec![0.0; n]; k];
         self.run_units(
             plan,
-            k,
             &mut outputs,
-            || vec![vec![0.0; width]; k],
-            |scanner, punit, _, local, metrics| {
-                for buf in local.iter_mut() {
-                    buf.fill(0.0);
-                }
-                scanner.scan_mac_unit(punit, value, inputs, local, metrics);
+            |scanner, punit, outputs, _, metrics| {
+                scanner.scan_mac_unit(punit, value, inputs, outputs, metrics);
                 0
             },
-            |punit, local, outputs| {
-                let dst = dst_range(punit);
-                for (out, buf) in outputs.iter_mut().zip(local) {
-                    out[dst.clone()].copy_from_slice(&buf[..dst.len()]);
-                }
-            },
+            |_| {},
         );
         self.finish_scan(plan, mac_rego_capacity(self.config, self.tiled));
         outputs
@@ -359,7 +373,8 @@ impl<'a> StreamingExecutor<'a> {
     /// serialise on the wordline), and each lane min-reduces the candidate
     /// `combine(addends[q][src], stored_weight)` into its own
     /// `frontiers[q]` buffer. Lowered destinations are recorded per lane
-    /// in `updated`. Returns the per-lane row drives.
+    /// in `updated`, and `frontiers[q][v]` changes only where lane `q`'s
+    /// bit at `v` gets set. Returns the per-lane row drives.
     ///
     /// `combine` is the relaxation arithmetic — `du + w` for SSSP (the
     /// crossbar row plus the constant line of Figure 16), `du + 1` for BFS,
@@ -400,59 +415,62 @@ impl<'a> StreamingExecutor<'a> {
                 "lane {q} frontier must have one entry per vertex"
             );
         }
-        let width = self.config.strip_width();
         let rows = self.run_units(
             plan,
-            k,
-            &mut (frontiers, updated),
-            || (vec![0.0; k * width], vec![0u64; width]),
-            |scanner, punit, (frontiers, _), (frontier_locals, updated_local), metrics| {
-                let dst = dst_range(punit);
-                for (buf, frontier) in frontier_locals.chunks_mut(width).zip(frontiers.iter()) {
-                    buf[..dst.len()].copy_from_slice(&frontier[dst.clone()]);
-                }
-                updated_local[..dst.len()].fill(0);
+            frontiers,
+            |scanner, punit, frontiers, lowered, metrics| {
                 scanner.scan_add_op_lanes_unit(
-                    punit,
-                    value,
-                    combine,
-                    addends,
-                    active,
-                    frontier_locals,
-                    updated_local,
-                    metrics,
+                    punit, value, combine, addends, active, frontiers, lowered, metrics,
                 )
             },
-            |punit, (frontier_locals, updated_local), (frontiers, updated)| {
-                let dst = dst_range(punit);
-                for (buf, frontier) in frontier_locals.chunks(width).zip(frontiers.iter_mut()) {
-                    frontier[dst.clone()].copy_from_slice(&buf[..dst.len()]);
-                }
-                // Units tile the destination axis disjointly and the scan
-                // only ever *sets* lane bits, so OR-only write-back
-                // preserves whatever the caller seeded.
-                for (i, &word) in updated_local[..dst.len()].iter().enumerate() {
-                    if word != 0 {
-                        updated.or_lanes(dst.start + i, word);
-                    }
+            // The scan only ever *sets* lane bits, so OR-ing each unit's
+            // lowered destinations preserves whatever the caller seeded.
+            |lowered| {
+                for &(v, word) in lowered {
+                    updated.or_lanes(v, word);
                 }
             },
         );
         // Every lane keeps its own strip window open in RegO.
-        self.finish_scan(plan, (k * width) as u64);
+        self.finish_scan(plan, (k * self.config.strip_width()) as u64);
         rows
     }
 }
 
-/// A unit's destination vertices; empty for a padding-only strip, whose
-/// `dst_start` may lie past the last vertex.
-fn dst_range(punit: &PlanUnit) -> std::ops::Range<usize> {
-    let unit = &punit.unit;
-    if unit.dst_len == 0 {
-        0..0
-    } else {
-        unit.dst_start..unit.dst_start + unit.dst_len
+/// Cuts every plan unit's window out of each vector in `lanes`: entry
+/// `u × K + q` of the result is lane `q`'s slice over exactly unit `u`'s
+/// destinations (empty for a padding-only strip, whose `dst_start` may lie
+/// past the last vertex). A plan's units run in ascending, disjoint
+/// destination order, so one forward `split_at_mut` pass per lane yields
+/// them all and the windows never alias.
+///
+/// # Panics
+///
+/// Panics if the plan's units are out of destination order or run past
+/// the vectors' ends.
+fn unit_windows<'v>(plan: &ScanPlan, lanes: &'v mut [Vec<f64>]) -> Vec<&'v mut [f64]> {
+    let mut rest: Vec<&'v mut [f64]> = lanes.iter_mut().map(Vec::as_mut_slice).collect();
+    let mut windows = Vec::with_capacity(plan.units().len() * rest.len());
+    let mut pos = 0;
+    for punit in plan.units() {
+        let unit = &punit.unit;
+        if unit.dst_len == 0 {
+            windows.extend(rest.iter().map(|_| <&mut [f64]>::default()));
+            continue;
+        }
+        assert!(
+            unit.dst_start >= pos,
+            "plan units must run in ascending, disjoint destination order"
+        );
+        for lane in &mut rest {
+            let tail = std::mem::take(lane).split_at_mut(unit.dst_start - pos).1;
+            let (window, next) = tail.split_at_mut(unit.dst_len);
+            windows.push(window);
+            *lane = next;
+        }
+        pos = unit.dst_start + unit.dst_len;
     }
+    windows
 }
 
 impl ScanEngine for StreamingExecutor<'_> {
@@ -914,6 +932,142 @@ mod tests {
                     paths[0] > 0 && paths[1] > 0,
                     "{edges} edges: both paths must run"
                 );
+            }
+        }
+    }
+
+    /// A graph of four disjoint R-MAT quarters: sources in one quarter
+    /// reach no other quarter's strips, so their plans prune those units.
+    fn quarters(n: usize, edges_per_quarter: usize) -> EdgeList {
+        let quarter = Rmat::new(n / 4, edges_per_quarter)
+            .seed(7)
+            .max_weight(9)
+            .generate();
+        let edges = (0..4u32)
+            .flat_map(|i| {
+                let shift = i * (n / 4) as u32;
+                quarter
+                    .edges()
+                    .iter()
+                    .map(move |e| graphr_graph::Edge::new(e.src + shift, e.dst + shift, e.weight))
+            })
+            .collect();
+        EdgeList::from_edges(n, edges).unwrap()
+    }
+
+    /// Units write only inside their own destination windows: labels and
+    /// `updated` lane words seeded outside every planned unit's window
+    /// leave a scan untouched, and everything inside matches the
+    /// one-thread scan, at 1, 2, 3 and 7 threads, on plans below and above
+    /// [`FAN_OUT_MIN_WORK`]. Sources sit in the second and fourth quarter,
+    /// so pruned units lie before, between and after the planned ones.
+    #[test]
+    fn add_op_scans_write_only_inside_planned_windows() {
+        // Above any label the scan can produce, so a stray write lowers it.
+        const SENTINEL: f64 = 1e12;
+        // Quarters are whole source chunks and strips, so no planned
+        // subgraph holds a source from an inactive quarter.
+        for (n, edges, k, fan_out) in [(256, 150, 1, false), (1600, 4000, 3, true)] {
+            let g = quarters(n, edges);
+            let cfg = small_config(Fidelity::Fast);
+            let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
+            let spec = FixedSpec::new(16, 0).unwrap();
+            let masks: Vec<FrontierMask> = (0..k)
+                .map(|q| {
+                    let mut mask = FrontierMask::new(n);
+                    for quarter in [1, 3] {
+                        let sources = quarter * n / 4 + q..(quarter + 1) * n / 4;
+                        for v in sources.step_by(if fan_out { 2 + q } else { 19 }) {
+                            mask.set(v);
+                        }
+                    }
+                    mask
+                })
+                .collect();
+            let active = LaneFrontier::from_masks(&masks);
+            // Sources at 0 and the rest spread over 1..50, so scans lower.
+            let addends: Vec<Vec<f64>> = (0..k)
+                .map(|q| {
+                    let label = |v| {
+                        if masks[q].get(v) {
+                            0.0
+                        } else {
+                            (1 + (v * 7 + q) % 49) as f64
+                        }
+                    };
+                    (0..n).map(label).collect()
+                })
+                .collect();
+            let scan = |threads: usize| {
+                let mut exec = StreamingExecutor::new(&tiled, &cfg, spec).with_threads(threads);
+                let plan = exec.plan(Some(active.union()));
+                let mut inside = vec![false; n];
+                for punit in plan.units() {
+                    let unit = &punit.unit;
+                    inside[unit.dst_start..unit.dst_start + unit.dst_len].fill(true);
+                }
+                let mut frontiers = addends.clone();
+                let mut updated = LaneFrontier::new(n, k);
+                for v in (0..n).filter(|&v| !inside[v]) {
+                    for frontier in &mut frontiers {
+                        frontier[v] = SENTINEL;
+                    }
+                    updated.set(v % k, v);
+                }
+                let seeded = updated.clone();
+                exec.scan_add_op_lanes_planned(
+                    &plan,
+                    &weights_value,
+                    &|du, w| du + w,
+                    &addends,
+                    &active,
+                    &mut frontiers,
+                    &mut updated,
+                );
+                // Inside, a label drops exactly where its lane's bit is set.
+                for v in (0..n).filter(|&v| inside[v]) {
+                    for (q, frontier) in frontiers.iter().enumerate() {
+                        let lowered = frontier[v] < addends[q][v];
+                        assert_eq!(
+                            lowered,
+                            updated.get(q, v),
+                            "{threads} threads: lane {q} at {v}"
+                        );
+                    }
+                }
+                for v in (0..n).filter(|&v| !inside[v]) {
+                    for (q, frontier) in frontiers.iter().enumerate() {
+                        assert_eq!(frontier[v], SENTINEL, "{threads} threads: lane {q} at {v}");
+                    }
+                    assert_eq!(
+                        updated.vertex_lanes(v),
+                        seeded.vertex_lanes(v),
+                        "{threads} threads: updated at {v}"
+                    );
+                }
+                let first = inside.iter().position(|&i| i);
+                let last = inside.iter().rposition(|&i| i);
+                assert!(first > Some(0), "the plan must prune a leading unit");
+                let gap = (first.unwrap()..last.unwrap()).any(|v| !inside[v]);
+                assert!(gap, "the plan must prune a unit between planned ones");
+                (frontiers, updated, exec.take_metrics(), exec.scan_paths())
+            };
+            let (frontiers, updated, metrics, _) = scan(1);
+            let lowered = frontiers.iter().zip(&addends);
+            assert!(
+                lowered
+                    .flat_map(|(f, a)| f.iter().zip(a))
+                    .any(|(f, a)| f < a),
+                "the scan must lower labels"
+            );
+            for threads in [2, 3, 7] {
+                let (f, u, m, [inline, fanned_out]) = scan(threads);
+                assert_eq!(
+                    (&f, &u, &m),
+                    (&frontiers, &updated, &metrics),
+                    "{threads} threads"
+                );
+                assert_eq!((inline, fanned_out), if fan_out { (0, 1) } else { (1, 0) });
             }
         }
     }

@@ -8,9 +8,12 @@
 //! natural unit of host-side parallelism, mirroring the accelerator's own
 //! inter-subgraph GE parallelism. A [`StripUnit`] names one such unit;
 //! [`StripScanner`] executes one unit with private engine state
-//! ([`SAlu`], scratch buffers), writing functional results into
-//! unit-local buffers and charging time/energy into a unit-local
-//! [`Metrics`].
+//! ([`SAlu`], scratch buffers), writing functional results in place into
+//! the unit's own windows of the caller's output vectors — one slice per
+//! lane or input vector, covering exactly the unit's destinations — and
+//! charging time/energy into a unit-local [`Metrics`]. An add-op scan
+//! also lists the destinations it lowered, one `(vertex, lane word)`
+//! entry each, so its caller touches only those.
 //!
 //! # Kernels
 //!
@@ -130,6 +133,48 @@ pub struct StripScanner<'a> {
     col_cells: Vec<(usize, f64)>,
     /// Scratch: one strip visit's per-tile driven-row counts.
     tile_rows_buf: Vec<u64>,
+    /// Scratch: one add-op unit's lowered lanes per local destination.
+    marks: LaneMarks,
+}
+
+/// The lanes one add-op unit lowered at each of its destinations, kept
+/// sparse: `words` is all zero between units, and `touched` lists the
+/// local destinations whose word is nonzero, in first-lowered order.
+#[derive(Default)]
+struct LaneMarks {
+    words: Vec<u64>,
+    touched: Vec<u32>,
+}
+
+impl LaneMarks {
+    fn new(width: usize) -> Self {
+        LaneMarks {
+            words: vec![0; width],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Records that lane `q` lowered local destination `local`.
+    #[inline]
+    fn mark(&mut self, local: usize, q: usize) {
+        let word = &mut self.words[local];
+        if *word == 0 {
+            self.touched.push(local as u32);
+        }
+        *word |= 1u64 << q;
+    }
+
+    /// Appends one `(dst_start + local, lane word)` entry per marked
+    /// destination to `lowered` and clears the marks.
+    fn drain_into(&mut self, dst_start: usize, lowered: &mut Vec<(usize, u64)>) {
+        let words = &mut self.words;
+        lowered.extend(self.touched.drain(..).map(|local| {
+            (
+                dst_start + local as usize,
+                std::mem::take(&mut words[local as usize]),
+            )
+        }));
+    }
 }
 
 /// The [`TileCompute`] kernels and their per-tile staging buffers.
@@ -192,6 +237,7 @@ impl<'a> StripScanner<'a> {
             row_lanes: vec![0; config.crossbar_size],
             col_cells: Vec::new(),
             tile_rows_buf: Vec::new(),
+            marks: LaneMarks::new(config.strip_width()),
         }
     }
 
@@ -233,16 +279,17 @@ impl<'a> StripScanner<'a> {
 
     /// One parallel-MAC pass over a single planned unit: for each input
     /// vector in `inputs`, accumulates `y[dst - dst_start] += value(w, src,
-    /// dst) · x[src]` into the unit-local `outputs` (one buffer of at least
-    /// `strip_width` entries per input, pre-zeroed by the caller), charging
-    /// the planned work's share of time and energy into `metrics`. Only the
-    /// block rows and subgraphs the plan lists are visited.
+    /// dst) · x[src]` into the unit's window of that input's output
+    /// (`outputs[i]` covers exactly the unit's destinations and is
+    /// pre-zeroed by the caller), charging the planned work's share of time
+    /// and energy into `metrics`. Only the block rows and subgraphs the
+    /// plan lists are visited.
     pub fn scan_mac_unit(
         &mut self,
         punit: &PlanUnit,
         value: &EdgeValueFn<'_>,
         inputs: &[&[f64]],
-        outputs: &mut [Vec<f64>],
+        outputs: &mut [&mut [f64]],
         metrics: &mut Metrics,
     ) {
         let tiled = self.tiled;
@@ -369,7 +416,7 @@ impl<'a> StripScanner<'a> {
         unit: &StripUnit,
         value: &EdgeValueFn<'_>,
         inputs: &[&[f64]],
-        outputs: &mut [Vec<f64>],
+        outputs: &mut [&mut [f64]],
         salu: &mut SAlu,
         metrics: &mut Metrics,
     ) {
@@ -482,11 +529,12 @@ impl<'a> StripScanner<'a> {
     /// al., VLDB 2015).
     ///
     /// Candidates `combine(addends[q][src], stored_weight)` are
-    /// min-reduced into lane `q`'s unit-local labels: `frontiers` holds K
-    /// buffers of `strip_width` entries back to back, pre-seeded with each
-    /// lane's strip labels by the caller. `updated` holds one lane word
-    /// per local destination, pre-zeroed, and gains bit `q` wherever lane
-    /// `q` lowered a label. Returns the per-lane row activations executed.
+    /// min-reduced in place into lane `q`'s labels: `frontiers[q]` is lane
+    /// `q`'s window over exactly the unit's destinations. Each destination
+    /// some lane lowered is appended to `lowered` once, as `(vertex, lane
+    /// word)` with bit `q` set for every lane `q` that lowered it; a label
+    /// changes only where its lane's bit is reported. Returns the per-lane
+    /// row activations executed.
     #[allow(clippy::too_many_arguments)]
     pub fn scan_add_op_lanes_unit(
         &mut self,
@@ -495,8 +543,8 @@ impl<'a> StripScanner<'a> {
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
         addends: &[Vec<f64>],
         active: &crate::exec::lanes::LaneFrontier,
-        frontiers: &mut [f64],
-        updated: &mut [u64],
+        frontiers: &mut [&mut [f64]],
+        lowered: &mut Vec<(usize, u64)>,
         metrics: &mut Metrics,
     ) -> u64 {
         let tiled = self.tiled;
@@ -507,6 +555,7 @@ impl<'a> StripScanner<'a> {
         let mut total_drives: u64 = 0;
         let mut row_lanes = std::mem::take(&mut self.row_lanes);
         let mut tile_rows = std::mem::take(&mut self.tile_rows_buf);
+        let mut marks = std::mem::take(&mut self.marks);
 
         for row in &punit.rows {
             let bidx = row.block as usize;
@@ -543,7 +592,7 @@ impl<'a> StripScanner<'a> {
                     addends,
                     &row_lanes,
                     frontiers,
-                    updated,
+                    &mut marks,
                     &mut salu,
                     &mut tile_rows,
                     metrics,
@@ -552,8 +601,10 @@ impl<'a> StripScanner<'a> {
             self.charge_addop_strip_time(&mut tile_rows, strip_edges, metrics);
             self.charge_strip_writeback(self.config.strip_width().min(n), metrics);
         }
+        marks.drain_into(unit.dst_start, lowered);
         self.row_lanes = row_lanes;
         self.tile_rows_buf = tile_rows;
+        self.marks = marks;
         metrics.events.salu_ops += salu.ops_performed();
         total_drives
     }
@@ -623,7 +674,8 @@ impl<'a> StripScanner<'a> {
     /// programming serves every lane; row drives, sALU reductions and the
     /// dependent energy/conversion charges are per `(row, lane)`.
     /// `row_lanes` holds each local source row's lane word, zero for an
-    /// inactive row. Returns the per-lane row activations.
+    /// inactive row; every lowered label is recorded in `marks`. Returns
+    /// the per-lane row activations.
     #[allow(clippy::too_many_arguments)]
     fn addop_lanes_subgraph(
         &mut self,
@@ -635,8 +687,8 @@ impl<'a> StripScanner<'a> {
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
         addends: &[Vec<f64>],
         row_lanes: &[u64],
-        frontiers: &mut [f64],
-        updated: &mut [u64],
+        frontiers: &mut [&mut [f64]],
+        marks: &mut LaneMarks,
         salu: &mut SAlu,
         tile_rows: &mut Vec<u64>,
         metrics: &mut Metrics,
@@ -645,7 +697,6 @@ impl<'a> StripScanner<'a> {
         let n = tiled.num_vertices();
         let c = self.config.crossbar_size;
         let quant = self.quant;
-        let width = self.config.strip_width();
         let src0 = tiled.chunk_src_start(bidx, sg.chunk());
         let dst0 = tiled.strip_dst_start(bidx, sidx);
         let unit_dst0 = unit.dst_start;
@@ -679,7 +730,7 @@ impl<'a> StripScanner<'a> {
                             lane_bits &= lane_bits - 1;
                             this_tile_rows += 1;
                             let du = addends[q][src];
-                            let frontier = &mut frontiers[q * width..(q + 1) * width];
+                            let frontier = &mut *frontiers[q];
                             for &(col, w) in &kernel.entry_buf {
                                 active_cells += arrays;
                                 let dst = tile_dst0 + col;
@@ -691,7 +742,7 @@ impl<'a> StripScanner<'a> {
                                 // then min via the sALU.
                                 let candidate = quant.quantize_value(combine(du, w));
                                 if salu.reduce_one(&mut frontier[dst - unit_dst0], candidate) {
-                                    updated[dst - unit_dst0] |= 1u64 << q;
+                                    marks.mark(dst - unit_dst0, q);
                                 }
                             }
                         }
@@ -725,8 +776,8 @@ impl<'a> StripScanner<'a> {
                                 let q = lane_bits.trailing_zeros() as usize;
                                 lane_bits &= lane_bits - 1;
                                 let candidate = quant.quantize_value(combine(addends[q][src], w));
-                                if salu.reduce_one(&mut frontiers[q * width + local], candidate) {
-                                    updated[local] |= 1u64 << q;
+                                if salu.reduce_one(&mut frontiers[q][local], candidate) {
+                                    marks.mark(local, q);
                                 }
                             }
                         }
@@ -853,8 +904,10 @@ mod tests {
     }
 
     /// One SSSP add-op scan of `active` over the dense full plan, unit by
-    /// unit: the per-lane labels, the per-vertex updated lane words, the
-    /// returned row drives and the merged metrics.
+    /// unit, each scanning in place into its windows of a copy of
+    /// `labels`: the per-lane labels, the per-vertex updated lane words
+    /// (ORed from the units' lowered lists), the returned row drives and
+    /// the merged metrics.
     fn golden_scan(
         active: &LaneFrontier,
         labels: &[Vec<f64>],
@@ -863,32 +916,29 @@ mod tests {
         let tiled = TiledGraph::preprocess(&golden_graph(), &cfg).unwrap();
         let plan = crate::exec::plan::PlanSkeleton::build(&tiled).full_plan();
         let mut scanner = StripScanner::new(&tiled, &cfg, FixedSpec::new(16, 0).unwrap());
-        let width = cfg.strip_width();
         let (mut out, mut updated) = (labels.to_vec(), vec![0u64; 6]);
-        let (mut drives, mut merged) = (0, Metrics::new());
+        let (mut drives, mut merged, mut lowered) = (0, Metrics::new(), Vec::new());
         for punit in plan.units() {
             let dst = punit.unit.dst_start..punit.unit.dst_start + punit.unit.dst_len;
-            let mut local = vec![0.0; labels.len() * width];
-            for (buf, l) in local.chunks_mut(width).zip(labels) {
-                buf[..dst.len()].copy_from_slice(&l[dst.clone()]);
-            }
-            let mut local_updated = vec![0u64; width];
+            let mut windows: Vec<&mut [f64]> =
+                out.iter_mut().map(|o| &mut o[dst.clone()]).collect();
             let mut m = Metrics::new();
+            lowered.clear();
             drives += scanner.scan_add_op_lanes_unit(
                 punit,
                 &|w, _, _| f64::from(w),
                 &|du, w| du + w,
                 labels,
                 active,
-                &mut local,
-                &mut local_updated,
+                &mut windows,
+                &mut lowered,
                 &mut m,
             );
             merged.merge(&m);
-            for (o, buf) in out.iter_mut().zip(local.chunks(width)) {
-                o[dst.clone()].copy_from_slice(&buf[..dst.len()]);
+            for &(v, word) in &lowered {
+                assert!(dst.contains(&v), "unit lowered {v} outside its window");
+                updated[v] |= word;
             }
-            updated[dst.clone()].copy_from_slice(&local_updated[..dst.len()]);
         }
         (out, updated, drives, merged)
     }
@@ -972,15 +1022,12 @@ mod tests {
         let mut scanner = StripScanner::new(&tiled, &cfg, spec);
         let mut merged = Metrics::new();
         let mut out = vec![0.0; 120];
-        let w = cfg.strip_width();
         for punit in plan.units() {
-            let mut local = vec![vec![0.0; w]];
-            let mut m = Metrics::new();
-            scanner.scan_mac_unit(punit, &|w, _, _| f64::from(w), &[&x], &mut local, &mut m);
-            merged.merge(&m);
             let unit = &punit.unit;
-            out[unit.dst_start..unit.dst_start + unit.dst_len]
-                .copy_from_slice(&local[0][..unit.dst_len]);
+            let window = &mut out[unit.dst_start..unit.dst_start + unit.dst_len];
+            let mut m = Metrics::new();
+            scanner.scan_mac_unit(punit, &|w, _, _| f64::from(w), &[&x], &mut [window], &mut m);
+            merged.merge(&m);
         }
         merged.events.rego_capacity_required = merged
             .events

@@ -222,11 +222,13 @@ pub fn run_pagerank_with(
     }
     let degrees = graph.out_degrees();
     let r = opts.damping;
-    let value = move |_w: f32, src: u32, _dst: u32| r / f64::from(degrees[src as usize]);
-    let degrees2 = graph.out_degrees();
+    // Each source's programmed conductance r / outdeg, once per run; a
+    // source without out-edges is never read.
+    let conductance: Vec<f64> = degrees.iter().map(|&d| r / f64::from(d)).collect();
+    let value = |_w: f32, src: u32, _dst: u32| conductance[src as usize];
 
     // Ranks scaled by n: uniform start is exactly 1.0.
-    let qr = opts.register_spec;
+    let qr = opts.register_spec.quantizer();
     let mut s = vec![qr.quantize_value(1.0); n];
     let base = 1.0 - r;
     let mut converged = false;
@@ -235,7 +237,7 @@ pub fn run_pagerank_with(
     while exec.metrics().iterations < opts.max_iterations {
         let y = exec.scan_mac(&value, &[&s]);
         let dangling: f64 = if opts.redistribute_dangling {
-            degrees2
+            degrees
                 .iter()
                 .zip(&s)
                 .filter(|&(&d, _)| d == 0)
@@ -373,12 +375,13 @@ pub fn run_spmv_with(
             ))));
         }
     }
+    // The conductance w / outdeg depends on each edge's weight, so unlike
+    // PageRank's it has no per-source table: w · (1 / outdeg) would round
+    // differently.
     let degrees = graph.out_degrees();
     let value = move |w: f32, src: u32, _dst: u32| f64::from(w) / f64::from(degrees[src as usize]);
-    let qx: Vec<f64> = x
-        .iter()
-        .map(|&v| opts.register_spec.quantize_value(v))
-        .collect();
+    let qreg = opts.register_spec.quantizer();
+    let qx: Vec<f64> = x.iter().map(|&v| qreg.quantize_value(v)).collect();
     let trace = exec.trace().cloned();
     let mut tracer = IterTracer::new();
     let plan = exec.plan(opts.source_mask.as_ref());
@@ -386,10 +389,7 @@ pub fn run_spmv_with(
     exec.end_iteration();
     let frontier = opts.source_mask.as_ref().map(|m| m.len() as u64);
     tracer.record(trace.as_ref(), exec.metrics(), frontier);
-    let values = y[0]
-        .iter()
-        .map(|&v| opts.register_spec.quantize_value(v))
-        .collect();
+    let values = y[0].iter().map(|&v| qreg.quantize_value(v)).collect();
     let metrics = exec.take_metrics();
     tracer.finish(trace.as_ref(), &metrics);
     Ok(ScalarRun {
@@ -795,7 +795,11 @@ pub fn run_wcc_lanes_with(
 /// The one add-op iteration loop, for single and fused traversals alike:
 /// plans the *union* frontier, advances every lane through one
 /// [`ScanEngine::scan_add_op_lanes_planned`] call per round, and recovers
-/// per-lane attribution from the lane masks. The first round plans from
+/// per-lane attribution from the lane masks. One next-label buffer per
+/// lane lives across rounds: a scan lowers a label only where it sets
+/// that lane's `updated` bit, so copying back exactly those labels keeps
+/// it equal to `dists` between rounds, and a round costs what its frontier
+/// touches rather than `O(|V| · K)`. The first round plans from
 /// the mask; every later round hands the planner the delta recorded while
 /// advancing the frontier, so planning costs the flipped words, not a
 /// walk of the whole mask or span table. A lane participates in a round
@@ -817,6 +821,7 @@ fn run_lanes_loop(
     let mut tracer = IterTracer::new();
     let mut counters = vec![LaneCounters::default(); k];
     let mut delta: Option<FrontierDelta> = None;
+    let mut frontiers = dists.clone();
     for round in 0..cap {
         let plan = match &delta {
             Some(d) => exec.plan_with_delta(active.union(), d),
@@ -826,7 +831,6 @@ fn run_lanes_loop(
         let participating = (0..k)
             .filter(|&q| !active.lane_is_empty(q))
             .fold(0u64, |bits, q| bits | 1 << q);
-        let mut frontiers = dists.clone();
         let mut updated = LaneFrontier::new(n, k);
         exec.scan_add_op_lanes_planned(
             &plan,
@@ -838,7 +842,14 @@ fn run_lanes_loop(
             &mut updated,
         );
         exec.end_iteration();
-        dists = frontiers;
+        for v in updated.union().iter() {
+            let mut lanes = updated.vertex_lanes(v);
+            while lanes != 0 {
+                let q = lanes.trailing_zeros() as usize;
+                lanes &= lanes - 1;
+                dists[q][v] = frontiers[q][v];
+            }
+        }
         delta = Some(FrontierDelta::between(active.union(), updated.union()));
         active = updated;
         for (q, counter) in counters.iter_mut().enumerate() {
@@ -1063,7 +1074,7 @@ pub fn run_cf_with<'e>(
     let cf_config = config;
     let n = users + items;
     let f = opts.features.max(1);
-    let q = opts.spec;
+    let q = opts.spec.quantizer();
 
     // Deterministic small positive init (splitmix64), quantised.
     let mut state = opts.seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -1513,4 +1524,119 @@ mod tests {
     }
 
     use graphr_graph::EdgeList;
+
+    /// The add-op driver loop as it was before label buffers persisted:
+    /// every round clones every lane's labels into fresh next-label
+    /// buffers and adopts them wholesale after the scan. The oracle for
+    /// [`run_lanes_loop`]'s copy-back of lowered labels only.
+    fn clone_every_round_oracle(
+        exec: &mut dyn ScanEngine,
+        value: &(dyn Fn(f32, u32, u32) -> f64 + Sync),
+        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
+        mut dists: Vec<Vec<f64>>,
+        mut active: LaneFrontier,
+        cap: usize,
+    ) -> (Vec<Vec<f64>>, Metrics) {
+        let n = active.num_vertices();
+        let k = active.num_lanes();
+        let mut counters = vec![LaneCounters::default(); k];
+        let mut delta: Option<FrontierDelta> = None;
+        for _ in 0..cap {
+            let plan = match &delta {
+                Some(d) => exec.plan_with_delta(active.union(), d),
+                None => exec.plan(Some(active.union())),
+            };
+            let participating = (0..k)
+                .filter(|&q| !active.lane_is_empty(q))
+                .fold(0u64, |bits, q| bits | 1 << q);
+            let mut frontiers = dists.clone();
+            let mut updated = LaneFrontier::new(n, k);
+            exec.scan_add_op_lanes_planned(
+                &plan,
+                value,
+                combine,
+                &dists,
+                &active,
+                &mut frontiers,
+                &mut updated,
+            );
+            exec.end_iteration();
+            dists = frontiers;
+            delta = Some(FrontierDelta::between(active.union(), updated.union()));
+            active = updated;
+            for (q, counter) in counters.iter_mut().enumerate() {
+                counter.iterations += (participating >> q) & 1;
+                let size = active.lane_len(q);
+                counter.frontier_total += size;
+                counter.frontier_peak = counter.frontier_peak.max(size);
+            }
+            if active.is_empty() {
+                break;
+            }
+        }
+        let mut metrics = exec.take_metrics();
+        metrics.lanes = counters;
+        (dists, metrics)
+    }
+
+    fn proptest_cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(32)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(proptest_cases()))]
+
+        /// Fused BFS, SSSP and WCC lanes through [`run_lanes_loop`] equal
+        /// the clone-every-round oracle: every label bit and the whole
+        /// `Metrics`, at one and two worker threads.
+        #[test]
+        fn lanes_loop_matches_clone_every_round_oracle(
+            app_lanes in (0u8..3, 1usize..=8),
+            shape in (16usize..300, 1usize..8),
+            seeds in (0u64..1 << 32, 0u64..1 << 32),
+            threads in 1usize..=2,
+        ) {
+            let (app, k) = app_lanes;
+            let (n, degree) = shape;
+            let g = Rmat::new(n, n * degree).seed(seeds.0).max_weight(9).generate();
+            let g = if app == 2 { symmetrised(&g) } else { g };
+            let cfg = test_config();
+            let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
+            let spec = FixedSpec::new(16, 0).unwrap();
+            let (dists, active, cap) = if app == 2 {
+                let labels: Vec<f64> = (0..n).map(|v| v as f64).collect();
+                (vec![labels; k], LaneFrontier::full(n, k), n)
+            } else {
+                let mut dists = vec![vec![spec.max_value(); n]; k];
+                let mut active = LaneFrontier::new(n, k);
+                let mut pick = seeds.1;
+                for (q, dist) in dists.iter_mut().enumerate() {
+                    pick = pick.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(q as u64 + 1);
+                    let source = (pick >> 33) as usize % n;
+                    dist[source] = 0.0;
+                    active.set(q, source);
+                }
+                (dists, active, n)
+            };
+            let unit = |_w: f32, _s: u32, _d: u32| 1.0;
+            let weight = |w: f32, _s: u32, _d: u32| f64::from(w);
+            let relax = |du: f64, w: f64| du + w;
+            let forward = |du: f64, _w: f64| du;
+            let value: &(dyn Fn(f32, u32, u32) -> f64 + Sync) = if app == 1 { &weight } else { &unit };
+            let combine: &(dyn Fn(f64, f64) -> f64 + Sync) = if app == 2 { &forward } else { &relax };
+            let engine = || StreamingExecutor::new(&tiled, &cfg, spec).with_threads(threads);
+            let (got, got_metrics) =
+                run_lanes_loop(&mut engine(), value, combine, dists.clone(), active.clone(), cap);
+            let (want, want_metrics) =
+                clone_every_round_oracle(&mut engine(), value, combine, dists, active, cap);
+            let bits = |d: &[Vec<f64>]| -> Vec<Vec<u64>> {
+                d.iter().map(|l| l.iter().map(|x| x.to_bits()).collect()).collect()
+            };
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+            proptest::prop_assert_eq!(got_metrics, want_metrics);
+        }
+    }
 }

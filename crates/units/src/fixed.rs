@@ -199,14 +199,14 @@ impl Quantizer {
         if x.is_nan() {
             return 0;
         }
-        let scaled = (x * self.scale).round();
-        if scaled >= f64::from(self.max_raw) {
+        let rounded = round_half_away(x * self.scale);
+        if rounded >= i64::from(self.max_raw) {
             self.max_raw
-        } else if scaled <= f64::from(self.min_raw) {
+        } else if rounded <= i64::from(self.min_raw) {
             self.min_raw
         } else {
             // Safety of cast: bounds checked above and max_raw fits in i32.
-            scaled as i32
+            rounded as i32
         }
     }
 
@@ -223,6 +223,24 @@ impl Quantizer {
     pub fn quantize_value(self, x: f64) -> f64 {
         self.dequantize(self.quantize(x))
     }
+}
+
+/// Rounds `y` to the nearest integer, ties away from zero, saturating at
+/// the `i64` range: `f64::round` followed by an `as i64` cast, computed
+/// with a truncating conversion and one exact subtraction, so baseline
+/// x86-64 (no SSE4.1 `roundsd`) makes no libm call. `y` must not be NaN.
+///
+/// Below 2⁵² in magnitude the truncation `t` and `y − t` are exact, and
+/// `|y − t| < 1` picks the tie-away neighbour. From 2⁵² up every `f64` is
+/// already an integer, so `y − t` is zero until the cast saturates at 2⁶³,
+/// where the saturating step keeps the bound.
+#[inline]
+fn round_half_away(y: f64) -> i64 {
+    let t = y as i64;
+    let frac = y - t as f64;
+    // Flags, not branches: the fraction of a quantised value is noise.
+    t.saturating_add(i64::from(frac >= 0.5))
+        .saturating_sub(i64::from(frac <= -0.5))
 }
 
 impl Default for FixedSpec {
@@ -462,7 +480,97 @@ mod tests {
         assert_eq!(slices, vec![0xFF; 4]);
     }
 
+    /// The quantiser as it was written against libm: `f64::round`, then
+    /// saturation in `f64`.
+    fn reference_quantize(spec: FixedSpec, x: f64) -> i32 {
+        if x.is_nan() {
+            return 0;
+        }
+        let scaled = (x * f64::from(spec.frac_bits()).exp2()).round();
+        if scaled >= f64::from(spec.max_raw()) {
+            spec.max_raw()
+        } else if scaled <= f64::from(spec.min_raw()) {
+            spec.min_raw()
+        } else {
+            scaled as i32
+        }
+    }
+
+    /// Asserts the integer rounding and the quantiser built on it match
+    /// the `f64::round` reference bit for bit at `x` (and at `x`'s scaled
+    /// value for the bare rounding).
+    fn assert_matches_reference(spec: FixedSpec, x: f64) {
+        let q = spec.quantizer();
+        assert_eq!(
+            q.quantize(x),
+            reference_quantize(spec, x),
+            "{spec} at {x:e}"
+        );
+        let dequantized = spec.dequantize(reference_quantize(spec, x));
+        assert_eq!(
+            q.quantize_value(x).to_bits(),
+            dequantized.to_bits(),
+            "{spec} at {x:e}"
+        );
+        if !x.is_nan() {
+            assert_eq!(round_half_away(x), x.round() as i64, "rounding {x:e}");
+        }
+    }
+
+    /// Ties, signed zeros, NaN, infinities and the magnitudes where the
+    /// conversion's regime changes (2³¹, 2⁵², 2⁶³), with neighbours.
+    #[test]
+    fn integer_rounding_matches_f64_round_at_edges() {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+        ];
+        xs.extend([f64::MIN_POSITIVE, 0.499_999_999_999_999_94, 1e-300]);
+        for k in 0..8 {
+            xs.push(f64::from(k) + 0.5);
+        }
+        for e in [31, 52, 53, 63, 64] {
+            let p = 2f64.powi(e);
+            xs.extend([p, p - 0.5, p + 0.5, p.next_up(), p.next_down(), p - 1.0]);
+        }
+        let xs: Vec<f64> = xs.iter().flat_map(|&x| [x, -x]).collect();
+        for spec in [(16, 0), (16, 8), (16, 12), (31, 0), (31, 30), (2, 0)] {
+            let spec = FixedSpec::new(spec.0, spec.1).unwrap();
+            let scale = f64::from(spec.frac_bits()).exp2();
+            for &x in &xs {
+                assert_matches_reference(spec, x);
+                assert_matches_reference(spec, x / scale);
+            }
+        }
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn integer_rounding_matches_f64_round(
+            format in (2u8..=31, 0u8..=30),
+            bits in (0u32..=u32::MAX, 0u32..=u32::MAX),
+            tie in 0i64..(1i64 << 51),
+            magnitude in (0i32..=66, 0.0f64..1.0),
+        ) {
+            let spec = FixedSpec::new(format.0, format.1.min(format.0 - 1)).unwrap();
+            let scale = f64::from(spec.frac_bits()).exp2();
+            // Any bit pattern: subnormals, NaNs and infinities included.
+            let raw = f64::from_bits(u64::from(bits.0) << 32 | u64::from(bits.1));
+            // An exact tie k + ½ once scaled, |k| ≤ 2⁵⁰.
+            let tied = ((tie - (1i64 << 50)) as f64 + 0.5) / scale;
+            // A scaled magnitude in [2^e, 2^(e+1)).
+            let big = (1.0 + magnitude.1) * 2f64.powi(magnitude.0) / scale;
+            for x in [raw, tied, big, -big] {
+                assert_matches_reference(spec, x);
+            }
+        }
+
         #[test]
         fn quantize_error_within_half_step(
             total in 2u8..=24,
