@@ -86,26 +86,53 @@ use crate::preprocess::tiler::TiledGraph;
 pub struct PlanRow {
     /// Column-major block index (`0..`[`TiledGraph::num_blocks`]).
     pub block: u32,
-    /// Planned positions among the `(block, strip)` slot's nonempty
-    /// subgraphs, ascending (see [`TiledGraph::slot_subgraphs`]).
+    /// Streamed ordinals of the planned subgraphs, ascending — all inside
+    /// [`TiledGraph::slot_subgraphs`]`(block, strip)`; read each with
+    /// [`TiledGraph::subgraph`].
     pub subgraphs: Vec<u32>,
 }
 
 /// One planned scan unit: a [`StripUnit`] plus the block rows (and
-/// subgraphs within them) the scan will actually visit, in streamed order.
+/// subgraphs within them) the scan will actually visit, in streamed order,
+/// and the totals of that visit — set once, where the unit is built, so no
+/// downstream layer re-counts them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanUnit {
     /// The destination strip being scanned.
     pub unit: StripUnit,
-    /// Planned block-row visits, ascending by block row.
+    /// Planned block-row visits, ascending by block row (so the unit's
+    /// ordinals ascend across rows too).
     pub rows: Vec<PlanRow>,
+    /// Planned subgraph visits across `rows`.
+    pub subgraphs: u64,
+    /// Edges inside the planned subgraphs.
+    pub edges: u64,
 }
 
 impl PlanUnit {
-    /// Total planned subgraph visits in this unit.
-    #[must_use]
-    pub fn num_subgraphs(&self) -> usize {
-        self.rows.iter().map(|r| r.subgraphs.len()).sum()
+    /// A unit with nothing planned yet.
+    pub(crate) fn new(unit: StripUnit) -> PlanUnit {
+        PlanUnit {
+            unit,
+            rows: Vec::new(),
+            subgraphs: 0,
+            edges: 0,
+        }
+    }
+
+    /// Appends the subgraph at streamed `ordinal` of column-major
+    /// `block`, holding `edges` edges; calls must follow streamed order.
+    pub(crate) fn push(&mut self, block: u32, ordinal: u32, edges: u32) {
+        if self.rows.last().map(|r| r.block) != Some(block) {
+            self.rows.push(PlanRow {
+                block,
+                subgraphs: Vec::new(),
+            });
+        }
+        let row = self.rows.last_mut().expect("row just ensured");
+        row.subgraphs.push(ordinal);
+        self.subgraphs += 1;
+        self.edges += u64::from(edges);
     }
 }
 
@@ -132,11 +159,13 @@ pub struct PlanStats {
 /// previous plan by the incremental
 /// [`Planner`](crate::exec::planner::Planner).
 ///
-/// Units are held by [`Arc`] so derived plans share per-unit state
-/// instead of cloning it: the incremental planner carries untouched units
-/// between consecutive plans pointer-equal, the cluster layer's shards
-/// are `Arc` clones of the global plan's units, and the out-of-core layer
-/// caches per-unit disk spans keyed by that pointer identity.
+/// Each unit names its subgraphs by streamed ordinal and carries its
+/// planned `(subgraphs, edges)`, so the cluster layer shards and the
+/// out-of-core layer prices a plan straight from its units. Units are held
+/// by [`Arc`] so derived plans share them instead of cloning: the
+/// incremental planner carries untouched units between consecutive plans,
+/// and the cluster layer's shards are `Arc` clones of the global plan's
+/// units.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanPlan {
     units: Vec<Arc<PlanUnit>>,
@@ -192,17 +221,28 @@ impl PlanSkeleton {
         for unit in &units {
             // Every block row is visited, every subgraph streamed — the
             // §3.4 disk-order walk, exactly as a plan.
+            let (mut subgraphs, mut edges) = (0u64, 0u64);
             let rows = (0..per_side)
                 .map(|bi| {
                     let block = unit.bj as usize * per_side + bi;
                     let slot = tiled.slot_subgraphs(block, unit.strip as usize);
+                    subgraphs += slot.len() as u64;
+                    edges += slot
+                        .clone()
+                        .map(|ord| u64::from(tiled.subgraph(ord).edges()))
+                        .sum::<u64>();
                     PlanRow {
                         block: block as u32,
-                        subgraphs: (0..slot.len() as u32).collect(),
+                        subgraphs: (slot.start as u32..slot.end as u32).collect(),
                     }
                 })
                 .collect();
-            plan_units.push(Arc::new(PlanUnit { unit: *unit, rows }));
+            plan_units.push(Arc::new(PlanUnit {
+                unit: *unit,
+                rows,
+                subgraphs,
+                edges,
+            }));
         }
         let full = Arc::new(ScanPlan {
             stats: PlanStats {
@@ -273,40 +313,28 @@ impl PlanSkeleton {
         );
         let per_side = tiled.order().blocks_per_side();
         let strips_per_block = tiled.order().strips_per_block();
-        let mut rows_by_unit: Vec<Vec<PlanRow>> = vec![Vec::new(); self.num_units()];
-        let mut subgraphs = 0u64;
-        let mut edges = 0u64;
+        let mut building: Vec<PlanUnit> = self
+            .full
+            .units
+            .iter()
+            .map(|p| PlanUnit::new(p.unit))
+            .collect();
         // Block rows ascending, spans within a row in streamed order, so
         // each unit accumulates its rows already sorted.
         for span in tiled.source_index().spans() {
-            if !span.intersects(mask) {
-                continue;
-            }
-            let bj = span.block as usize / per_side;
-            let unit_rows = &mut rows_by_unit[bj * strips_per_block + span.strip as usize];
-            if unit_rows.last().map(|r| r.block) != Some(span.block) {
-                unit_rows.push(PlanRow {
-                    block: span.block,
-                    subgraphs: Vec::new(),
-                });
-            }
-            unit_rows
-                .last_mut()
-                .expect("row just ensured")
-                .subgraphs
-                .push(span.position);
-            subgraphs += 1;
-            edges += u64::from(span.edges);
-        }
-        let mut units = Vec::new();
-        for (punit, rows) in self.full.units.iter().zip(rows_by_unit) {
-            if !rows.is_empty() {
-                units.push(Arc::new(PlanUnit {
-                    unit: punit.unit,
-                    rows,
-                }));
+            if span.intersects(mask) {
+                let bj = span.block as usize / per_side;
+                let unit = &mut building[bj * strips_per_block + span.strip as usize];
+                unit.push(span.block, span.ordinal, span.edges);
             }
         }
+        let units: Vec<Arc<PlanUnit>> = building
+            .into_iter()
+            .filter(|u| !u.rows.is_empty())
+            .map(Arc::new)
+            .collect();
+        let subgraphs: u64 = units.iter().map(|u| u.subgraphs).sum();
+        let edges: u64 = units.iter().map(|u| u.edges).sum();
         let stats = PlanStats {
             units_planned: units.len(),
             units_pruned: self.num_units() - units.len(),
@@ -349,8 +377,8 @@ mod tests {
             tiled.nonempty_subgraphs() as u64
         );
         assert_eq!(full.stats().edges_planned, tiled.total_edges() as u64);
-        let visits: usize = full.units().iter().map(|u| u.num_subgraphs()).sum();
-        assert_eq!(visits, tiled.nonempty_subgraphs());
+        let visits: u64 = full.units().iter().map(|u| u.subgraphs).sum();
+        assert_eq!(visits, tiled.nonempty_subgraphs() as u64);
         // Every block row appears in every unit of the dense plan.
         let per_side = tiled.order().blocks_per_side();
         for pu in full.units() {

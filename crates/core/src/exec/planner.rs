@@ -15,9 +15,11 @@
 //! and patches only the strip units whose gating chunks flipped —
 //! `O(|delta|)` span work instead of `O(units)` — falling back to a full
 //! rebuild when the delta is dense. Untouched units are carried into the
-//! new plan as shared [`Arc`]s, so downstream layers recognise them by
-//! pointer identity: the cluster executor re-shards and the out-of-core
-//! layer re-derives per-unit disk spans only for touched strips.
+//! new plan as shared [`Arc`]s rather than rebuilt. Every unit, carried or
+//! rebuilt, names its subgraphs by streamed ordinal and carries its
+//! planned `(subgraphs, edges)`, so the plan's running totals move by the
+//! replaced unit's own fields and downstream layers (cluster sharding,
+//! disk pricing) read the units as they are.
 //!
 //! Chunk activity comes from the hierarchical [`FrontierMask`]: the
 //! summary level proves whole word spans inactive without reading dense
@@ -90,7 +92,7 @@ use graphr_units::Nanos;
 
 use crate::config::GraphRConfig;
 use crate::exec::mask::{FrontierDelta, FrontierMask, SUMMARY_SPAN, WORD_BITS};
-use crate::exec::plan::{PlanRow, PlanSkeleton, PlanStats, PlanUnit, ScanPlan};
+use crate::exec::plan::{PlanSkeleton, PlanStats, PlanUnit, ScanPlan};
 use crate::exec::strip::StripUnit;
 use crate::metrics::PlanCounters;
 use crate::preprocess::tiler::TiledGraph;
@@ -101,8 +103,8 @@ use crate::preprocess::tiler::TiledGraph;
 struct UnitSpan {
     /// Column-major block index.
     block: u32,
-    /// Position within the strip's `subgraphs` vector.
-    position: u32,
+    /// Streamed ordinal of the subgraph.
+    ordinal: u32,
     /// Ordinal of the source chunk whose activity gates this span.
     chunk: u32,
     /// Edges in the subgraph.
@@ -158,8 +160,8 @@ pub struct PlannerIndex {
     /// Distinct source ranges `(src_start, src_len)`, ascending and
     /// disjoint — the granularity at which a mask gates spans.
     chunks: Vec<(u32, u32)>,
-    /// Per unit: its spans in streamed order (blocks ascending, positions
-    /// ascending within a block) — exactly the order
+    /// Per unit: its spans in streamed order (ordinals ascending) —
+    /// exactly the order
     /// [`PlanSkeleton::pruned_plan`] emits.
     unit_spans: Vec<Vec<UnitSpan>>,
     /// Per chunk: the units holding at least one span gated by it.
@@ -194,7 +196,7 @@ impl PlannerIndex {
                 .expect("chunk table covers every span") as u32;
             unit_spans[unit as usize].push(UnitSpan {
                 block: span.block,
-                position: span.position,
+                ordinal: span.ordinal,
                 chunk,
                 edges: span.edges,
             });
@@ -278,41 +280,16 @@ impl PlannerIndex {
     }
 
     /// Rebuilds one unit's planned content under a per-chunk activity
-    /// vector: `(content, planned subgraphs, planned edges)`; `None` when
-    /// no span survives (the unit is pruned from the plan).
-    fn build_unit(&self, unit: usize, bits: &[bool]) -> (Option<Arc<PlanUnit>>, u64, u64) {
-        let mut rows: Vec<PlanRow> = Vec::new();
-        let mut subgraphs = 0u64;
-        let mut edges = 0u64;
+    /// vector; `None` when no span survives (the unit is pruned from the
+    /// plan).
+    fn build_unit(&self, unit: usize, bits: &[bool]) -> Option<Arc<PlanUnit>> {
+        let mut punit = PlanUnit::new(self.units[unit]);
         for span in &self.unit_spans[unit] {
-            if !bits[span.chunk as usize] {
-                continue;
+            if bits[span.chunk as usize] {
+                punit.push(span.block, span.ordinal, span.edges);
             }
-            if rows.last().map(|r| r.block) != Some(span.block) {
-                rows.push(PlanRow {
-                    block: span.block,
-                    subgraphs: Vec::new(),
-                });
-            }
-            rows.last_mut()
-                .expect("row just ensured")
-                .subgraphs
-                .push(span.position);
-            subgraphs += 1;
-            edges += u64::from(span.edges);
         }
-        if rows.is_empty() {
-            (None, 0, 0)
-        } else {
-            (
-                Some(Arc::new(PlanUnit {
-                    unit: self.units[unit],
-                    rows,
-                })),
-                subgraphs,
-                edges,
-            )
-        }
+        (!punit.rows.is_empty()).then(|| Arc::new(punit))
     }
 }
 
@@ -330,8 +307,6 @@ pub struct Planner {
     bits: Option<Vec<bool>>,
     /// Current per-unit plan content (`None` = unit pruned).
     unit_table: Vec<Option<Arc<PlanUnit>>>,
-    /// Current per-unit planned `(subgraphs, edges)`.
-    unit_counts: Vec<(u64, u64)>,
     planned_units: usize,
     planned_subgraphs: u64,
     planned_edges: u64,
@@ -355,7 +330,6 @@ impl Planner {
             index,
             bits: None,
             unit_table: vec![None; num_units],
-            unit_counts: vec![(0, 0); num_units],
             planned_units: 0,
             planned_subgraphs: 0,
             planned_edges: 0,
@@ -373,26 +347,6 @@ impl Planner {
     #[must_use]
     pub fn index(&self) -> &Arc<PlannerIndex> {
         &self.index
-    }
-
-    /// The units the last planned frontier kept, as the very
-    /// `Arc<PlanUnit>`s the next delta patch will carry over
-    /// pointer-equal unless it touches their strip — the planner's
-    /// stable-unit export at iteration commit.
-    ///
-    /// This Arc identity is what the out-of-core layer's
-    /// cross-iteration prefetch rides: the
-    /// [`DiskAccountant`](crate::outofcore::DiskAccountant)'s per-unit
-    /// ordinal cache recognizes carried-over units at zero
-    /// re-derivation cost when its
-    /// [`ScanDriver`](crate::outofcore::driver::ScanDriver) exports a
-    /// committed window's planned spans as the next round's read-ahead
-    /// candidates. Prefetched bytes are therefore always a subset of
-    /// bytes some previously-planned unit named — the containment
-    /// property pinned in `tests/disk_prefetch.rs`.
-    #[must_use]
-    pub fn stable_units(&self) -> Vec<Arc<PlanUnit>> {
-        self.unit_table.iter().flatten().cloned().collect()
     }
 
     /// The plan an engine under `config` should execute for an optional
@@ -557,37 +511,25 @@ impl Planner {
     /// Rebuilds the whole per-unit state under `bits` (first mask, or a
     /// dense delta).
     fn rebuild(&mut self, bits: &[bool]) {
-        self.planned_units = 0;
-        self.planned_subgraphs = 0;
-        self.planned_edges = 0;
         for unit in 0..self.index.num_units() {
-            let (entry, subgraphs, edges) = self.index.build_unit(unit, bits);
-            if entry.is_some() {
-                self.planned_units += 1;
-            }
-            self.planned_subgraphs += subgraphs;
-            self.planned_edges += edges;
-            self.unit_counts[unit] = (subgraphs, edges);
-            self.unit_table[unit] = entry;
+            self.repatch_unit(unit, bits);
         }
     }
 
-    /// Re-derives one touched unit under `bits`, keeping the running
-    /// stats consistent.
+    /// Re-derives one touched unit under `bits`, moving the running stats
+    /// by the replaced and the new unit's own counts.
     fn repatch_unit(&mut self, unit: usize, bits: &[bool]) {
-        let (old_subgraphs, old_edges) = self.unit_counts[unit];
-        if self.unit_table[unit].is_some() {
+        if let Some(old) = &self.unit_table[unit] {
             self.planned_units -= 1;
+            self.planned_subgraphs -= old.subgraphs;
+            self.planned_edges -= old.edges;
         }
-        self.planned_subgraphs -= old_subgraphs;
-        self.planned_edges -= old_edges;
-        let (entry, subgraphs, edges) = self.index.build_unit(unit, bits);
-        if entry.is_some() {
+        let entry = self.index.build_unit(unit, bits);
+        if let Some(new) = &entry {
             self.planned_units += 1;
+            self.planned_subgraphs += new.subgraphs;
+            self.planned_edges += new.edges;
         }
-        self.planned_subgraphs += subgraphs;
-        self.planned_edges += edges;
-        self.unit_counts[unit] = (subgraphs, edges);
         self.unit_table[unit] = entry;
     }
 

@@ -301,16 +301,15 @@ impl<'a> StripScanner<'a> {
 
         for row in &punit.rows {
             let bidx = row.block as usize;
-            let slot = tiled.slot_subgraphs(bidx, sidx);
-            let pruned = (slot.len() - row.subgraphs.len()) as u64;
+            let pruned = (tiled.slot_subgraphs(bidx, sidx).len() - row.subgraphs.len()) as u64;
             match self.config.order {
                 StreamingOrder::ColumnMajor => {
                     // Dense tile packing: the whole strip's planned tiles
                     // feed the GE slots back to back.
                     let mut strip_tiles = 0u64;
                     let mut strip_edges = 0u64;
-                    for &g in &row.subgraphs {
-                        let sg = tiled.subgraph(slot.start + g as usize);
+                    for &ord in &row.subgraphs {
+                        let sg = tiled.subgraph(ord as usize);
                         strip_tiles += sg.tiles().len() as u64;
                         strip_edges += u64::from(sg.edges());
                         self.mac_subgraph(
@@ -328,8 +327,8 @@ impl<'a> StripScanner<'a> {
                     // Subgraphs are stored in ascending chunk order, which
                     // is exactly the source-major visit order within one
                     // strip.
-                    for &g in &row.subgraphs {
-                        let sg = tiled.subgraph(slot.start + g as usize);
+                    for &ord in &row.subgraphs {
+                        let sg = tiled.subgraph(ord as usize);
                         let (tiles, edges) = (sg.tiles().len() as u64, u64::from(sg.edges()));
                         self.mac_subgraph(
                             bidx, sidx, sg, unit, value, inputs, outputs, &mut salu, metrics,
@@ -559,12 +558,11 @@ impl<'a> StripScanner<'a> {
 
         for row in &punit.rows {
             let bidx = row.block as usize;
-            let slot_start = tiled.slot_subgraphs(bidx, sidx).start;
             // Per-tile active-row counts drive the packed timing.
             tile_rows.clear();
             let mut strip_edges = 0u64;
-            for &g in &row.subgraphs {
-                let sg = tiled.subgraph(slot_start + g as usize);
+            for &ord in &row.subgraphs {
+                let sg = tiled.subgraph(ord as usize);
                 let src0 = tiled.chunk_src_start(bidx, sg.chunk());
                 // Planned means streamed — once for the whole batch, and
                 // whether or not any of its rows end up driven.

@@ -77,15 +77,13 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use graphr_graph::{Edge, EdgeList};
 use graphr_units::{FixedSpec, Joules, Nanos};
 use serde::{Deserialize, Serialize};
 
-use crate::config::GraphRConfig;
+use crate::config::{ConfigError, GraphRConfig};
 use crate::exec::lanes::LaneFrontier;
 use crate::exec::mask::{FrontierDelta, FrontierMask};
 use crate::exec::plan::{PlanSkeleton, PlanStats, PlanUnit, ScanPlan};
@@ -100,10 +98,6 @@ use crate::trace::TraceHandle;
 
 /// Bytes per exchanged vertex property (the §3.2 16-bit data format).
 pub const BYTES_PER_PROPERTY: u64 = 2;
-
-/// Per-unit `(subgraphs, edges)` counts keyed by the `Arc<PlanUnit>`
-/// they were derived from (see `ClusterExecutor::counts_for`).
-type UnitCountCache = RefCell<HashMap<usize, (Arc<PlanUnit>, (u64, u64))>>;
 
 /// How destination strips are assigned to cluster nodes.
 ///
@@ -185,6 +179,25 @@ impl MultiNodeConfig {
         self.owner = owner;
         self
     }
+
+    /// Checks the configuration a [`ClusterExecutor`] is built from.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] when `nodes` is zero or the interconnect
+    /// bandwidth is not a positive finite number.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        if self.nodes == 0 {
+            return Err(ConfigError::new("a cluster needs at least one node"));
+        }
+        if !(self.interconnect_gbps.is_finite() && self.interconnect_gbps > 0.0) {
+            return Err(ConfigError::new(format!(
+                "interconnect bandwidth must be positive and finite, got {} GB/s",
+                self.interconnect_gbps
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// Splits a graph into per-node edge sets by destination-strip ownership
@@ -217,6 +230,14 @@ struct NodeShare {
     units: usize,
     subgraphs: u64,
     edges: u64,
+}
+
+impl NodeShare {
+    fn add(&mut self, punit: &PlanUnit) {
+        self.units += 1;
+        self.subgraphs += punit.subgraphs;
+        self.edges += punit.edges;
+    }
 }
 
 /// Plan-aware interconnect accounting for a cluster run: accumulates the
@@ -322,16 +343,6 @@ pub struct ClusterExecutor<'a> {
     owners: Vec<u32>,
     /// Full-plan ownership baseline per node.
     shares: Vec<NodeShare>,
-    /// The dense plan's shards, computed once on first use — every MAC
-    /// iteration executes the same cached full plan, so resharding it per
-    /// scan would repeat an O(plan) walk and clone.
-    dense_shards: Option<Arc<Vec<ScanPlan>>>,
-    /// Per strip unit: the planned `(subgraphs, edges)` of the last plan
-    /// content seen for it, keyed by the `Arc<PlanUnit>` it was counted
-    /// from — so re-sharding a delta-patched plan re-counts only touched
-    /// strips (the sharding analogue of the disk layer's per-unit span
-    /// cache).
-    count_cache: UnitCountCache,
     net: NetAccountant,
     /// Composed cluster metrics, refreshed after every mutating call.
     metrics: Metrics,
@@ -385,7 +396,7 @@ impl<'a> ClusterExecutor<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `cluster.nodes` is zero.
+    /// Panics if [`MultiNodeConfig::check`] rejects `cluster`.
     #[must_use]
     pub fn with_engines(
         tiled: &'a TiledGraph,
@@ -394,23 +405,15 @@ impl<'a> ClusterExecutor<'a> {
         planner: Planner,
         mut make_engine: impl FnMut(usize) -> Box<dyn ScanEngine + 'a>,
     ) -> Self {
-        assert!(cluster.nodes > 0, "a cluster needs at least one node");
+        if let Err(e) = cluster.check() {
+            panic!("{e}");
+        }
         let nodes: Vec<_> = (0..cluster.nodes).map(&mut make_engine).collect();
         let full = planner.skeleton().full_plan();
-        // One walk of the dense plan feeds both the ownership assignment
-        // (edge weights) and the per-node baseline shares.
-        let counts: Vec<(u64, u64)> = full
-            .units()
-            .iter()
-            .map(|punit| count_planned(tiled, punit))
-            .collect();
-        let owners = assign_owners(&counts, cluster.nodes, cluster.owner);
+        let owners = assign_owners(full.units(), cluster.nodes, cluster.owner);
         let mut shares = vec![NodeShare::default(); cluster.nodes];
-        for (punit, &(subgraphs, edges)) in full.units().iter().zip(&counts) {
-            let share = &mut shares[owners[punit.unit.index] as usize];
-            share.units += 1;
-            share.subgraphs += subgraphs;
-            share.edges += edges;
+        for punit in full.units() {
+            shares[owners[punit.unit.index] as usize].add(punit);
         }
         ClusterExecutor {
             tiled,
@@ -420,8 +423,6 @@ impl<'a> ClusterExecutor<'a> {
             nodes,
             owners,
             shares,
-            dense_shards: None,
-            count_cache: RefCell::new(HashMap::new()),
             net: NetAccountant::new(cluster),
             metrics: Metrics::new(),
             iterations: 0,
@@ -471,10 +472,7 @@ impl<'a> ClusterExecutor<'a> {
         let mut planned = vec![NodeShare::default(); nodes];
         for punit in plan.units() {
             let owner = self.owners[punit.unit.index] as usize;
-            let (subgraphs, edges) = self.counts_for(punit);
-            planned[owner].units += 1;
-            planned[owner].subgraphs += subgraphs;
-            planned[owner].edges += edges;
+            planned[owner].add(punit);
             units[owner].push(Arc::clone(punit));
         }
         units
@@ -495,39 +493,6 @@ impl<'a> ClusterExecutor<'a> {
                 )
             })
             .collect()
-    }
-
-    /// One unit's planned `(subgraphs, edges)`, served from the per-unit
-    /// cache when the plan carries the same `Arc` as the previous scan
-    /// (untouched strips under incremental re-planning), re-counted
-    /// otherwise.
-    fn counts_for(&self, punit: &Arc<PlanUnit>) -> (u64, u64) {
-        let mut cache = self.count_cache.borrow_mut();
-        let key = punit.unit.index;
-        if let Some((cached_unit, counts)) = cache.get(&key) {
-            if Arc::ptr_eq(cached_unit, punit) {
-                return *counts;
-            }
-        }
-        let counts = count_planned(self.tiled, punit);
-        cache.insert(key, (Arc::clone(punit), counts));
-        counts
-    }
-
-    /// [`ClusterExecutor::shard`] with the dense plan's shards cached:
-    /// drivers execute the skeleton's (`Arc`-shared) full plan every MAC
-    /// iteration, so its shards are derived once and reused.
-    fn shards_for(&mut self, plan: &ScanPlan) -> Arc<Vec<ScanPlan>> {
-        let full = self.planner.skeleton().full_plan();
-        if std::ptr::eq(plan, Arc::as_ptr(&full)) {
-            if let Some(cached) = &self.dense_shards {
-                return Arc::clone(cached);
-            }
-            let shards = Arc::new(self.shard(plan));
-            self.dense_shards = Some(Arc::clone(&shards));
-            return shards;
-        }
-        Arc::new(self.shard(plan))
     }
 
     /// Recomposes the externally visible metrics from the nodes' current
@@ -614,16 +579,16 @@ fn planned_updates(plan: &ScanPlan, updated: &FrontierMask) -> u64 {
 }
 
 /// Assigns every strip unit of the dense plan to a node under `policy`,
-/// given each unit's full-plan `(subgraphs, edges)` counts.
-fn assign_owners(counts: &[(u64, u64)], nodes: usize, policy: OwnerPolicy) -> Vec<u32> {
-    let num_units = counts.len();
+/// weighing each unit by its full-plan edge count.
+fn assign_owners(full: &[Arc<PlanUnit>], nodes: usize, policy: OwnerPolicy) -> Vec<u32> {
+    let num_units = full.len();
     match policy {
         OwnerPolicy::RoundRobin => (0..num_units).map(|i| (i % nodes) as u32).collect(),
         OwnerPolicy::DegreeWeighted => {
             // Longest-processing-time greedy: heaviest strip first onto
             // the least-loaded node; ties break deterministically by unit
             // index and node index.
-            let weights: Vec<u64> = counts.iter().map(|&(_, edges)| edges).collect();
+            let weights: Vec<u64> = full.iter().map(|punit| punit.edges).collect();
             let mut order: Vec<usize> = (0..num_units).collect();
             order.sort_by_key(|&u| (std::cmp::Reverse(weights[u]), u));
             let mut loads = vec![0u64; nodes];
@@ -636,20 +601,6 @@ fn assign_owners(counts: &[(u64, u64)], nodes: usize, policy: OwnerPolicy) -> Ve
             owners
         }
     }
-}
-
-/// Counts the subgraph visits and edges a planned unit will stream.
-fn count_planned(tiled: &TiledGraph, punit: &PlanUnit) -> (u64, u64) {
-    let mut subgraphs = 0u64;
-    let mut edges = 0u64;
-    for row in &punit.rows {
-        let slot = tiled.slot_subgraphs(row.block as usize, punit.unit.strip as usize);
-        for &pos in &row.subgraphs {
-            subgraphs += 1;
-            edges += u64::from(tiled.subgraph(slot.start + pos as usize).edges());
-        }
-    }
-    (subgraphs, edges)
 }
 
 impl ScanEngine for ClusterExecutor<'_> {
@@ -688,7 +639,7 @@ impl ScanEngine for ClusterExecutor<'_> {
         inputs: &[&[f64]],
     ) -> Vec<Vec<f64>> {
         let n = self.tiled.num_vertices();
-        let shards = self.shards_for(plan);
+        let shards = self.shard(plan);
         let mut outputs = vec![vec![0.0; n]; inputs.len()];
         for (node, shard) in self.nodes.iter_mut().zip(shards.iter()) {
             let local = node.scan_mac_planned(shard, value, inputs);
@@ -736,7 +687,7 @@ impl ScanEngine for ClusterExecutor<'_> {
         } else {
             0
         };
-        let shards = self.shards_for(plan);
+        let shards = self.shard(plan);
         let mut rows = 0u64;
         for (node, shard) in self.nodes.iter_mut().zip(shards.iter()) {
             // Each node writes only its owned destination ranges of the

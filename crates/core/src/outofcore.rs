@@ -21,9 +21,9 @@
 //!   per-iteration model, enabled by [`DiskModel::prefetch`] (the
 //!   `-pipe` drive names). A frontier-pruned plan is only known once
 //!   the previous frontier has settled, so an *exact* prefetch cannot
-//!   reach across iterations — but the incremental planner's Arc-stable
-//!   units make the bulk of the next plan *predictable*: at each window
-//!   commit the driver exports the window's planned spans as
+//!   reach across iterations — but consecutive frontiers overlap, so the
+//!   bulk of the next plan is *predictable*: at each window
+//!   commit the driver exports the window's planned ordinals as
 //!   candidates, spends the window's idle I/O-lane time reading a
 //!   greedy prefix of them ahead, and serves the next iteration's scans
 //!   from the read-ahead buffer at zero marginal latency, synchronously
@@ -88,14 +88,11 @@
 //!
 //! [`ScanPlan`]: crate::exec::plan::ScanPlan
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use graphr_graph::BYTES_PER_EDGE;
 use graphr_units::Nanos;
 use serde::{Deserialize, Serialize};
 
-use crate::exec::plan::{PlanUnit, ScanPlan};
+use crate::exec::plan::ScanPlan;
 use crate::metrics::Metrics;
 use crate::preprocess::tiler::TiledGraph;
 
@@ -261,12 +258,9 @@ impl IoPlan {
     #[must_use]
     pub fn from_scan_plan(tiled: &TiledGraph, plan: &ScanPlan) -> IoPlan {
         let mut planned = vec![false; tiled.nonempty_subgraphs()];
-        for punit in plan.units() {
-            for row in &punit.rows {
-                let slot = tiled.slot_subgraphs(row.block as usize, punit.unit.strip as usize);
-                for &pos in &row.subgraphs {
-                    planned[slot.start + pos as usize] = true;
-                }
+        for row in plan.units().iter().flat_map(|punit| &punit.rows) {
+            for &ord in &row.subgraphs {
+                planned[ord as usize] = true;
             }
         }
         let mut io = IoPlan::default();
@@ -319,8 +313,7 @@ impl IoPlan {
 /// the currency [`IoIndex`] and [`driver::ScanDriver`] trade in. A byte
 /// range of the static on-disk edge list is the same range no matter
 /// which plan names it, so the driver serves prefetched ordinals to any
-/// later plan that wants them (ordinal-level serving; Arc identity is
-/// only the cheap export path through [`IoIndex::unit_ordinals`]).
+/// later plan that wants them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum PlannedSet {
     /// A full-restream plan: every nonempty subgraph is planned.
@@ -331,9 +324,8 @@ pub(crate) enum PlannedSet {
 
 /// Once-per-graph lookup behind [`DiskAccountant`]: every nonempty
 /// subgraph's block, by streamed ordinal (adjacency of ordinals ⇔ byte
-/// contiguity on disk; a planned `(block, strip, position)` is ordinal
-/// [`TiledGraph::slot_subgraphs`]`.start + position`, and its bytes are
-/// read off the tiled graph) — so a sparse scan's [`IoPlan`] costs
+/// contiguity on disk; plan rows name subgraphs by ordinal, and their
+/// bytes are read off the tiled graph) — so a sparse scan's [`IoPlan`] costs
 /// `O(planned · log planned)` instead of a walk over the whole graph
 /// ([`IoPlan::from_scan_plan`]'s general path, which this is tested
 /// against).
@@ -346,12 +338,6 @@ struct IoIndex {
     total_bytes: u64,
     /// The dense plan's IoPlan, precomputed.
     full: IoPlan,
-    /// Per strip unit: the ordinal list of the last plan content seen for
-    /// it, keyed by the `Arc<PlanUnit>` it was derived from. The
-    /// incremental planner carries untouched units between consecutive
-    /// plans pointer-equal, so only *touched* strips re-derive their
-    /// ordinals here — the disk side of delta re-planning.
-    unit_cache: HashMap<usize, (Arc<PlanUnit>, Arc<Vec<u32>>)>,
 }
 
 impl IoIndex {
@@ -364,45 +350,21 @@ impl IoIndex {
             total_blocks: tiled.num_blocks(),
             total_bytes: tiled.total_edges() as u64 * BYTES_PER_EDGE,
             full: IoPlan::full_restream(tiled),
-            unit_cache: HashMap::new(),
         }
-    }
-
-    /// One unit's planned ordinals, served from the per-unit cache when
-    /// the plan carries the same `Arc` as the previous scan (untouched
-    /// strips under incremental re-planning), re-derived otherwise.
-    fn unit_ordinals(&mut self, tiled: &TiledGraph, punit: &Arc<PlanUnit>) -> Arc<Vec<u32>> {
-        let key = punit.unit.index;
-        if let Some((cached_unit, ordinals)) = self.unit_cache.get(&key) {
-            if Arc::ptr_eq(cached_unit, punit) {
-                return Arc::clone(ordinals);
-            }
-        }
-        let mut ordinals = Vec::with_capacity(punit.num_subgraphs());
-        for row in &punit.rows {
-            let slot = tiled.slot_subgraphs(row.block as usize, punit.unit.strip as usize);
-            ordinals.extend(row.subgraphs.iter().map(|&pos| slot.start as u32 + pos));
-        }
-        let ordinals = Arc::new(ordinals);
-        self.unit_cache
-            .insert(key, (Arc::clone(punit), Arc::clone(&ordinals)));
-        ordinals
     }
 
     /// [`IoPlan::from_scan_plan`] in time proportional to the *plan*, not
-    /// the graph: planned ordinals are gathered per unit (cached for
-    /// strips an incremental plan left untouched) and sorted once; runs
-    /// of consecutive ordinals are the sequential segments, block
-    /// transitions count the loaded blocks.
+    /// the graph: planned ordinals are gathered from the plan rows and
+    /// sorted once; runs of consecutive ordinals are the sequential
+    /// segments, block transitions count the loaded blocks.
     #[cfg(test)]
-    fn io_plan(&mut self, tiled: &TiledGraph, plan: &ScanPlan) -> IoPlan {
-        let planned = self.planned_set(tiled, plan);
+    fn io_plan(&self, tiled: &TiledGraph, plan: &ScanPlan) -> IoPlan {
+        let planned = self.planned_set(plan);
         self.io_for(tiled, &planned)
     }
 
-    /// Gathers `plan`'s ordinals into a [`PlannedSet`] (cached per unit
-    /// for strips an incremental plan left untouched, sorted once).
-    fn planned_set(&mut self, tiled: &TiledGraph, plan: &ScanPlan) -> PlannedSet {
+    /// Gathers `plan`'s ordinals into a [`PlannedSet`], sorted once.
+    fn planned_set(&self, plan: &ScanPlan) -> PlannedSet {
         // Full-restream short-circuit. Deliberately *not* `plan.is_full()`:
         // a cluster shard's stats are measured against its node's share,
         // so a shard of a dense plan reports zero pruned while covering
@@ -413,7 +375,9 @@ impl IoIndex {
         }
         let mut planned: Vec<u32> = Vec::with_capacity(plan.stats().subgraphs_planned as usize);
         for punit in plan.units() {
-            planned.extend(self.unit_ordinals(tiled, punit).iter());
+            for row in &punit.rows {
+                planned.extend(&row.subgraphs);
+            }
         }
         planned.sort_unstable();
         PlannedSet::Sparse(planned)
@@ -568,7 +532,7 @@ impl DiskAccountant {
     /// ever sees its own graph).
     pub fn charge_scan(&mut self, tiled: &TiledGraph, plan: &ScanPlan, metrics: &mut Metrics) {
         let index = self.index.get_or_insert_with(|| IoIndex::build(tiled));
-        let planned = index.planned_set(tiled, plan);
+        let planned = index.planned_set(plan);
         let io = index.io_for(tiled, &planned);
         let d = &mut metrics.disk;
         d.bytes_loaded += io.bytes_loaded;
@@ -729,6 +693,8 @@ mod tests {
     use crate::config::GraphRConfig;
     use crate::exec::mask::FrontierMask;
     use crate::exec::plan::PlanSkeleton;
+    use crate::exec::planner::Planner;
+    use crate::metrics::PlanCounters;
     use crate::sim::{run_pagerank, PageRankOptions};
     use graphr_graph::generators::rmat::Rmat;
 
@@ -868,11 +834,12 @@ mod tests {
     #[test]
     fn indexed_io_plan_matches_the_general_walk() {
         // The accountant's O(planned)-path must agree with the
-        // whole-graph walk for dense, sparse, and empty plans alike.
+        // whole-graph walk for dense, sparse, empty and delta-patched
+        // plans alike.
         let g = Rmat::new(140, 900).seed(21).generate();
         let tiled = TiledGraph::preprocess(&g, &blocked_config()).unwrap();
         let skeleton = PlanSkeleton::build(&tiled);
-        let mut index = IoIndex::build(&tiled);
+        let index = IoIndex::build(&tiled);
         assert_eq!(
             index.io_plan(&tiled, &skeleton.full_plan()),
             IoPlan::from_scan_plan(&tiled, &skeleton.full_plan())
@@ -899,6 +866,28 @@ mod tests {
             index.io_plan(&tiled, &empty),
             IoPlan::from_scan_plan(&tiled, &empty)
         );
+
+        // Overlapping frontiers through the incremental planner: the
+        // later plans mix carried-over and re-derived units.
+        let g = graphr_graph::generators::structured::grid(16, 16);
+        let cfg = blocked_config();
+        let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
+        let n = tiled.num_vertices();
+        let mut planner = Planner::new(&tiled, std::sync::Arc::new(PlanSkeleton::build(&tiled)));
+        let mut counters = PlanCounters::default();
+        let index = IoIndex::build(&tiled);
+        let mask1 = FrontierMask::from_slice(&(0..n).map(|v| v < n / 2).collect::<Vec<_>>());
+        let mask2 =
+            FrontierMask::from_slice(&(0..n).map(|v| v > 4 && v < n / 2 + 4).collect::<Vec<_>>());
+        for mask in [&mask1, &mask2, &mask1] {
+            let plan = planner.plan_for(&cfg, Some(mask), &mut counters);
+            assert_eq!(
+                index.io_plan(&tiled, &plan),
+                IoPlan::from_scan_plan(&tiled, &plan),
+                "delta-patched plans must price like the general walk"
+            );
+        }
+        assert!(counters.delta_patches > 0, "frontiers must have patched");
     }
 
     #[test]
@@ -938,38 +927,6 @@ mod tests {
             Nanos::new(pruned.bytes_loaded as f64 / seg.sequential_gbps)
                 + seg.per_block_latency * pruned.segments as f64
         );
-    }
-
-    #[test]
-    fn unit_cache_serves_shared_arcs_and_invalidates_on_new_content() {
-        use crate::exec::planner::Planner;
-        use crate::metrics::PlanCounters;
-        use std::sync::Arc;
-
-        let g = graphr_graph::generators::structured::grid(16, 16);
-        let cfg = blocked_config();
-        let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
-        let n = tiled.num_vertices();
-        let skeleton = Arc::new(PlanSkeleton::build(&tiled));
-        let mut planner = Planner::new(&tiled, Arc::clone(&skeleton));
-        let mut counters = PlanCounters::default();
-        let mut index = IoIndex::build(&tiled);
-
-        // Two overlapping frontiers: the second plan shares untouched
-        // units by Arc, and the indexed IoPlan must stay exact for both
-        // (cache hits on shared units, re-derivation on patched ones).
-        let mask1 = FrontierMask::from_slice(&(0..n).map(|v| v < n / 2).collect::<Vec<_>>());
-        let mask2 =
-            FrontierMask::from_slice(&(0..n).map(|v| v > 4 && v < n / 2 + 4).collect::<Vec<_>>());
-        for mask in [&mask1, &mask2, &mask1] {
-            let plan = planner.plan_for(&cfg, Some(mask), &mut counters);
-            assert_eq!(
-                index.io_plan(&tiled, &plan),
-                IoPlan::from_scan_plan(&tiled, &plan),
-                "cached per-unit ordinals must not change the IoPlan"
-            );
-        }
-        assert!(counters.delta_patches > 0, "frontiers must have patched");
     }
 
     #[test]

@@ -12,11 +12,9 @@
 //!
 //! 1. **Candidate export.** When a window commits, the driver keeps the
 //!    window's planned subgraph ordinals as *candidates* for the next
-//!    round. The ordinals come out of the accountant's per-unit cache,
-//!    which is keyed by the incremental planner's `Arc<PlanUnit>`
-//!    identity — a unit the planner carried over pointer-equal costs
-//!    nothing to re-export, which is what makes the export free for the
-//!    stable bulk of consecutive plans.
+//!    round. Plan rows already name their subgraphs by streamed ordinal,
+//!    so the export is the sorted ordinal set the accountant gathered
+//!    to price the window's scans — no re-derivation.
 //! 2. **Speculative issue.** At the start of the next window the driver
 //!    issues double-buffered segment reads for a greedy prefix of the
 //!    candidate runs (contiguous ordinal ranges, in disk order),
@@ -42,8 +40,7 @@
 //! Serving is by *ordinal*, not by plan-unit identity: a prefetched byte
 //! range of the static on-disk edge list satisfies any later plan that
 //! wants it, so a BFS wavefront that patches its `PlanUnit`s while
-//! sweeping the same tiles still hits. Arc identity is the cheap
-//! *export* path, not an extra serving condition.
+//! sweeping the same tiles still hits.
 //!
 //! Everything here is a pure function of the executed plans and the
 //! [`DiskModel`], so the driver inherits the determinism contract:

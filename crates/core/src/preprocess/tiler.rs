@@ -9,9 +9,9 @@
 //! nonempty tiles, nonempty subgraphs — keeping only those is what lets
 //! GraphR skip work (§3.3) — and `(block, strip)` slots. A subgraph's
 //! *ordinal*, its position among the nonempty subgraphs, is therefore also
-//! its place on disk: adjacent ordinals are adjacent bytes, and the
-//! subgraph at `position` within a slot is ordinal
-//! `slot start + position`.
+//! its place on disk: adjacent ordinals are adjacent bytes. Spans and
+//! plans name subgraphs by ordinal, so every layer reads a subgraph with
+//! one [`TiledGraph::subgraph`] lookup.
 
 use std::ops::Range;
 
@@ -45,10 +45,8 @@ pub struct SubgraphSpan {
     pub block: u32,
     /// Strip index within the block.
     pub strip: u32,
-    /// Position among the `(block, strip)` slot's nonempty subgraphs: the
-    /// subgraph's streamed ordinal is
-    /// [`TiledGraph::slot_subgraphs`]`(block, strip).start + position`.
-    pub position: u32,
+    /// The subgraph's streamed ordinal (see [`TiledGraph::subgraph`]).
+    pub ordinal: u32,
     /// First source vertex the subgraph covers.
     pub src_start: u32,
     /// Real (unpadded) source vertices covered — the crossbar row count,
@@ -236,7 +234,7 @@ impl TiledGraph {
                 spans.push(SubgraphSpan {
                     block: co.block as u32,
                     strip: co.strip as u32,
-                    position: chunks.len() as u32 - slot_starts[slot],
+                    ordinal: chunks.len() as u32,
                     src_start: src_start as u32,
                     src_len: c.min(n.saturating_sub(src_start)) as u32,
                     edge_offset: entries.len() as u64,
@@ -519,8 +517,7 @@ mod tests {
             // subgraph's entries, tiles strictly ascending: the in-memory
             // layout is the byte order the disk model prices.
             for span in tiled.source_index().spans() {
-                let slot = tiled.slot_subgraphs(span.block as usize, span.strip as usize);
-                let sg = tiled.subgraph(slot.start + span.position as usize);
+                let sg = tiled.subgraph(span.ordinal as usize);
                 prop_assert_eq!(sg.edges(), span.edges);
                 let held: Vec<TileEntry> =
                     sg.tiles().flat_map(|(_, entries)| entries.iter().copied()).collect();

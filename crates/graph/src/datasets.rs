@@ -11,7 +11,7 @@
 //! degree; density then grows by `1/scale` *uniformly across datasets*, so
 //! the cross-dataset density ordering that drives the paper's Figure 21 is
 //! preserved at any scale. The benchmark harness reads the scale from the
-//! `GRAPHR_SCALE` environment variable (default 1/64) so the full grid runs
+//! `GRAPHR_SCALE` environment variable (default 1/32) so the full grid runs
 //! in seconds.
 
 use std::collections::HashMap;

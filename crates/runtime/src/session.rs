@@ -504,6 +504,9 @@ impl Session {
         let config = template.config.as_ref().unwrap_or(&self.config);
         let disk = template.disk.resolve(self.disk);
         let cluster = template.cluster.resolve(self.cluster);
+        if let Some(cluster) = &cluster {
+            cluster.check().map_err(SimError::Config)?;
+        }
         // One sink job per wave: the run is one machine execution, so its
         // spans and per-lane events share one timeline, tagged with the
         // index `begin_job` hands out so batch jobs sharing a sink stay

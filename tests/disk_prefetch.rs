@@ -6,20 +6,15 @@
 //! prefetch on, the serial engine, the parallel engine, and a one-node
 //! cluster still emit byte-identical Chrome traces; and every byte the
 //! driver reads ahead was named by the *previous* window's planned
-//! stable units — the containment property that keeps speculation
-//! honest.
+//! subgraphs — the containment property that keeps speculation honest.
 
 use std::sync::Arc;
 
-use graphr_repro::core::exec::mask::FrontierMask;
-use graphr_repro::core::exec::planner::Planner;
-use graphr_repro::core::exec::PlanSkeleton;
-use graphr_repro::core::metrics::PlanCounters;
 use graphr_repro::core::multinode::MultiNodeConfig;
 use graphr_repro::core::outofcore::DiskModel;
 use graphr_repro::core::sim::{PageRankOptions, TraversalOptions};
 use graphr_repro::core::trace::{TraceData, TraceSink};
-use graphr_repro::core::{GraphRConfig, TiledGraph};
+use graphr_repro::core::GraphRConfig;
 use graphr_repro::graph::generators::rmat::Rmat;
 use graphr_repro::graph::generators::structured::grid;
 use graphr_repro::graph::GraphHandle;
@@ -192,33 +187,4 @@ fn prefetched_bytes_are_bounded_by_the_previous_plan() {
         report.output.metrics().disk.bytes_prefetched,
         "per-window prefetch must sum to the aggregate counter"
     );
-}
-
-/// The export feeding those candidates: after any plan, every planned
-/// unit is present in `Planner::stable_units` by Arc identity — the
-/// prefetch lane can never name a span the planner did not.
-#[test]
-fn stable_units_cover_every_planned_unit() {
-    let g = grid(60, 60);
-    let config = test_config();
-    let tiled = TiledGraph::preprocess(&g, &config).expect("grid tiles");
-    let skeleton = Arc::new(PlanSkeleton::build(&tiled));
-    let mut planner = Planner::new(&tiled, Arc::clone(&skeleton));
-    let mut counters = PlanCounters::default();
-    let n = tiled.num_vertices();
-    for band in 0..6usize {
-        let mut mask = FrontierMask::new(n);
-        for v in (band * 500)..((band * 500 + 700).min(n)) {
-            mask.set(v);
-        }
-        let plan = planner.plan_for(&config, Some(&mask), &mut counters);
-        let stable = planner.stable_units();
-        assert!(!stable.is_empty(), "band {band}: no stable units exported");
-        for unit in plan.units() {
-            assert!(
-                stable.iter().any(|s| Arc::ptr_eq(s, unit)),
-                "band {band}: a planned unit is missing from the stable export"
-            );
-        }
-    }
 }

@@ -4,6 +4,8 @@
 //! the per-iteration disk accounting must sum back to the legacy
 //! aggregate estimate whenever nothing is pruned.
 //!
+//! `PROPTEST_CASES` sets the cases per property (default 48).
+//!
 //! [`IoPlan`]: graphr_repro::core::outofcore::IoPlan
 
 use graphr_repro::core::exec::{PlanSkeleton, StreamingExecutor};
@@ -16,6 +18,13 @@ use graphr_repro::graph::generators::rmat::Rmat;
 use graphr_repro::graph::BYTES_PER_EDGE;
 use proptest::prelude::*;
 
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(48)
+}
+
 fn small_config() -> GraphRConfig {
     GraphRConfig::builder()
         .crossbar_size(4)
@@ -27,7 +36,7 @@ fn small_config() -> GraphRConfig {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// Over any mask, the pruned plan's IoPlan loads no more than the
     /// full restream, partitions its bytes exactly into loaded + skipped,

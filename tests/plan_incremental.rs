@@ -4,12 +4,14 @@
 //! — to a plan rebuilt from scratch for the same mask, on the serial,
 //! parallel, and cluster engines alike. The planner may only differ in
 //! *cost*, reported through `Metrics::plan`.
+//!
+//! `PROPTEST_CASES` sets the cases per property (default 32).
 
 use std::sync::Arc;
 
 use graphr_repro::core::exec::mask::{FrontierDelta, FrontierMask};
 use graphr_repro::core::exec::planner::Planner;
-use graphr_repro::core::exec::{PlanSkeleton, ScanEngine, StreamingExecutor};
+use graphr_repro::core::exec::{PlanSkeleton, PlanUnit, ScanEngine, ScanPlan, StreamingExecutor};
 use graphr_repro::core::metrics::PlanCounters;
 use graphr_repro::core::multinode::{ClusterExecutor, MultiNodeConfig, OwnerPolicy};
 use graphr_repro::core::{GraphRConfig, Metrics, TiledGraph};
@@ -17,6 +19,13 @@ use graphr_repro::graph::generators::rmat::Rmat;
 use graphr_repro::graph::generators::structured::grid;
 use graphr_repro::units::FixedSpec;
 use proptest::prelude::*;
+
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(32)
+}
 
 fn test_config() -> GraphRConfig {
     GraphRConfig::builder()
@@ -63,8 +72,26 @@ fn mask_sequence(n: usize, seed: u64, steps: usize) -> Vec<Vec<bool>> {
     out
 }
 
+/// Oracle for a unit's carried counts: its planned subgraph visits and
+/// their edges, recounted from the tiled graph by ordinal.
+fn count_planned(tiled: &TiledGraph, punit: &PlanUnit) -> (u64, u64) {
+    let ordinals = punit.rows.iter().flat_map(|row| &row.subgraphs);
+    let edges = ordinals
+        .clone()
+        .map(|&ord| u64::from(tiled.subgraph(ord as usize).edges()))
+        .sum();
+    (ordinals.count() as u64, edges)
+}
+
+/// Every unit of `plan` carries the counts its rows recount to.
+fn units_carry_their_counts(tiled: &TiledGraph, plan: &ScanPlan) -> bool {
+    plan.units()
+        .iter()
+        .all(|punit| (punit.subgraphs, punit.edges) == count_planned(tiled, punit))
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// The core contract: over a random frontier sequence, every plan the
     /// stateful planner emits equals the scratch rebuild — units (content
@@ -86,6 +113,7 @@ proptest! {
         let mut by_delta = Planner::new(&tiled, Arc::clone(&skeleton));
         let mut counters = PlanCounters::default();
         let mut delta_counters = PlanCounters::default();
+        prop_assert!(units_carry_their_counts(&tiled, &skeleton.full_plan()));
         let mut prev: Option<FrontierMask> = None;
         for (step, dense) in mask_sequence(n, seed, steps).iter().enumerate() {
             let mask = FrontierMask::from_slice(dense);
@@ -102,6 +130,13 @@ proptest! {
                 None => by_delta.plan_for(&config, Some(&mask), &mut delta_counters),
             };
             prop_assert_eq!(&*delta_plan, &scratch, "delta step {} diverged", step);
+            for emitted in [&*plan, &*delta_plan, &scratch] {
+                prop_assert!(
+                    units_carry_their_counts(&tiled, emitted),
+                    "step {}: a unit's carried counts disagree with its rows",
+                    step
+                );
+            }
             prev = Some(mask);
         }
         prop_assert_eq!(

@@ -7,6 +7,7 @@
 //! configurations that skip the builder's checks.
 
 use graphr_repro::core::exec::MAX_LANES;
+use graphr_repro::core::multinode::MultiNodeConfig;
 use graphr_repro::core::sim::{SimError, TraversalOptions};
 use graphr_repro::core::GraphRConfig;
 use graphr_repro::graph::generators::rmat::Rmat;
@@ -304,4 +305,36 @@ fn invalid_per_job_geometry_fails_only_its_job() {
         "good queries fuse"
     );
     assert_eq!(server.stats().solo, 2);
+
+    // A bad per-job cluster (no nodes, or a link that is not a positive
+    // finite bandwidth) is a config error of that job alone, whether
+    // submitted directly or drained behind a good query.
+    let no_nodes = bfs(&handle, 0).with_cluster(MultiNodeConfig {
+        nodes: 0,
+        ..MultiNodeConfig::pcie_cluster(1)
+    });
+    let bad_links = [0.0, -1.0, f64::NAN].map(|interconnect_gbps| {
+        bfs(&handle, 0).with_cluster(MultiNodeConfig {
+            interconnect_gbps,
+            ..MultiNodeConfig::pcie_cluster(2)
+        })
+    });
+    for job in bad_links.iter().chain([&no_nodes]) {
+        let err = session.submit(job).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::Sim(SimError::Config(_))),
+            "{err}"
+        );
+        session.submit(&bfs(&handle, 0)).expect("the next job runs");
+    }
+    let mut server = Server::new(ServeConfig::default());
+    for job in [no_nodes, bfs(&handle, 3)] {
+        server.enqueue(job).unwrap();
+    }
+    let ok: Vec<bool> = server
+        .drain(&session)
+        .iter()
+        .map(|r| r.report.is_ok())
+        .collect();
+    assert_eq!(ok, [false, true]);
 }
