@@ -129,6 +129,7 @@ fn main() {
     scan_kernel_case();
     sparse_frontier_case();
     incremental_planner_case();
+    planner_replay_case();
     fused_wave_case();
     serve_stats_case();
     out_of_core_sparse_frontier_case(threads);
@@ -419,6 +420,51 @@ fn incremental_planner_case() {
         t_delta * 1e3,
         t_scratch * 1e3,
         t_scratch / t_delta.max(1e-9),
+    );
+}
+
+/// The incremental planner's cost per frontier delta: a corner BFS's 478
+/// anti-diagonal frontiers on the 240×240 grid, replayed through
+/// `Planner::plan_for_delta` on the `traverse_grid` geometry. Best of 5
+/// replays; printed, not asserted (host time is too noisy to gate on).
+fn planner_replay_case() {
+    use graphr_core::exec::mask::FrontierDelta;
+    use graphr_core::exec::{PlanSkeleton, Planner, PlannerIndex};
+    use graphr_core::metrics::PlanCounters;
+    use std::sync::Arc;
+
+    const SIDE: usize = 240;
+    let config = bench_config();
+    let tiled = TiledGraph::preprocess(&grid(SIDE, SIDE), &config).expect("grid tiles");
+    let skeleton = Arc::new(PlanSkeleton::build(&tiled));
+    let index = Arc::new(PlannerIndex::build(&tiled));
+    let masks: Vec<FrontierMask> = (0..2 * SIDE - 1)
+        .map(|r| {
+            let mut mask = FrontierMask::new(SIDE * SIDE);
+            for i in r.saturating_sub(SIDE - 1)..=r.min(SIDE - 1) {
+                mask.set(i * SIDE + (r - i));
+            }
+            mask
+        })
+        .collect();
+    let deltas: Vec<FrontierDelta> = masks
+        .windows(2)
+        .map(|pair| FrontierDelta::between(&pair[0], &pair[1]))
+        .collect();
+    let replay = best_of(5, || {
+        let mut planner = Planner::with_index(Arc::clone(&skeleton), Arc::clone(&index));
+        let mut counters = PlanCounters::default();
+        let _ = planner.plan_for(&config, Some(&masks[0]), &mut counters);
+        let start = Instant::now();
+        for (mask, delta) in masks[1..].iter().zip(&deltas) {
+            std::hint::black_box(planner.plan_for_delta(&config, mask, delta, &mut counters));
+        }
+        start.elapsed()
+    });
+    println!(
+        "  planner replay (240x240 grid, {} anti-diagonal deltas): {:.2} µs per plan_for_delta call (best of 5)",
+        deltas.len(),
+        replay * 1e6 / deltas.len() as f64
     );
 }
 

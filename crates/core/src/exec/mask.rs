@@ -219,21 +219,9 @@ impl FrontierMask {
     /// for the planner's `mask_words` accounting.
     #[must_use]
     pub fn any_in_range_counted(&self, lo: usize, hi: usize) -> (bool, u64) {
-        let hi = hi.min(self.n);
-        if lo >= hi {
-            return (false, 0);
-        }
-        let (w0, w1) = (lo / WORD_BITS, (hi - 1) / WORD_BITS);
         let mut examined = 0u64;
-        for w in w0..=w1 {
+        for (_, word) in range_words(&self.words, lo, hi.min(self.n)) {
             examined += 1;
-            let mut word = self.words[w];
-            if w == w0 {
-                word &= u64::MAX << (lo % WORD_BITS);
-            }
-            if w == w1 && !hi.is_multiple_of(WORD_BITS) {
-                word &= (1u64 << (hi % WORD_BITS)) - 1;
-            }
             if word != 0 {
                 return (true, examined);
             }
@@ -245,24 +233,58 @@ impl FrontierMask {
     /// cluster exchange's per-unit update accounting).
     #[must_use]
     pub fn count_range(&self, lo: usize, hi: usize) -> u64 {
-        let hi = hi.min(self.n);
-        if lo >= hi {
-            return 0;
-        }
-        let (w0, w1) = (lo / WORD_BITS, (hi - 1) / WORD_BITS);
-        let mut count = 0u64;
-        for w in w0..=w1 {
-            let mut word = self.words[w];
-            if w == w0 {
-                word &= u64::MAX << (lo % WORD_BITS);
-            }
-            if w == w1 && !hi.is_multiple_of(WORD_BITS) {
-                word &= (1u64 << (hi % WORD_BITS)) - 1;
-            }
-            count += u64::from(word.count_ones());
-        }
-        count
+        range_words(&self.words, lo, hi.min(self.n))
+            .map(|(_, word)| u64::from(word.count_ones()))
+            .sum()
     }
+}
+
+/// The words of a packed bitset overlapping bits `lo..hi`, each masked to
+/// that range, as `(word index, masked word)` in ascending order — shared
+/// by the mask's range queries and the plan units' span bitsets.
+#[inline]
+pub(crate) fn range_words(
+    words: &[u64],
+    lo: usize,
+    hi: usize,
+) -> impl Iterator<Item = (usize, u64)> + '_ {
+    let span = if lo < hi {
+        lo / WORD_BITS..(hi - 1) / WORD_BITS + 1
+    } else {
+        0..0
+    };
+    span.map(move |w| {
+        let mut word = words[w];
+        if w == lo / WORD_BITS {
+            word &= u64::MAX << (lo % WORD_BITS);
+        }
+        if w == (hi - 1) / WORD_BITS && !hi.is_multiple_of(WORD_BITS) {
+            word &= (1u64 << (hi % WORD_BITS)) - 1;
+        }
+        (w, word)
+    })
+}
+
+/// The set bits of a packed bitset in `lo..hi`, ascending.
+#[inline]
+pub(crate) fn set_bits(words: &[u64], lo: usize, hi: usize) -> impl Iterator<Item = usize> + '_ {
+    let (words, mut w) = if lo < hi {
+        (&words[..hi.div_ceil(WORD_BITS)], lo / WORD_BITS)
+    } else {
+        (&[][..], 0)
+    };
+    let mut word = words
+        .get(w)
+        .map_or(0, |&word| word & (u64::MAX << (lo % WORD_BITS)));
+    std::iter::from_fn(move || loop {
+        if word != 0 {
+            let bit = w * WORD_BITS + word.trailing_zeros() as usize;
+            word &= word - 1;
+            return (bit < hi).then_some(bit);
+        }
+        w += 1;
+        word = *words.get(w)?;
+    })
 }
 
 /// Iterates the set-bit positions of one `u64`, ascending.
@@ -343,40 +365,26 @@ impl FrontierDelta {
         self.activated.is_empty() && self.deactivated.is_empty()
     }
 
-    /// The distinct touched words, ascending (merge of the two sorted
-    /// lists) — the spans whose chunk activity a delta patch re-derives.
-    #[must_use]
-    pub fn touched_words(&self) -> Vec<u32> {
-        let mut words: Vec<u32> = Vec::with_capacity(self.len());
-        let (mut a, mut d) = (0, 0);
-        while a < self.activated.len() || d < self.deactivated.len() {
-            let next = match (self.activated.get(a), self.deactivated.get(d)) {
-                (Some(&x), Some(&y)) if x == y => {
-                    a += 1;
-                    d += 1;
-                    x
-                }
-                (Some(&x), Some(&y)) if x < y => {
-                    a += 1;
-                    x
-                }
-                (Some(_), Some(&y)) => {
-                    d += 1;
-                    y
-                }
-                (Some(&x), None) => {
-                    a += 1;
-                    x
-                }
-                (None, Some(&y)) => {
-                    d += 1;
-                    y
-                }
-                (None, None) => unreachable!(),
+    /// The distinct touched words, ascending: a merge of the two sorted
+    /// lists that allocates nothing — the words whose chunk activity a
+    /// delta patch re-derives.
+    #[inline]
+    pub fn touched_words(&self) -> impl Iterator<Item = u32> + '_ {
+        let (mut a, mut d) = (&self.activated[..], &self.deactivated[..]);
+        std::iter::from_fn(move || {
+            let next = match (a.first(), d.first()) {
+                (Some(&x), Some(&y)) => x.min(y),
+                (Some(&x), None) | (None, Some(&x)) => x,
+                (None, None) => return None,
             };
-            words.push(next);
-        }
-        words
+            if a.first() == Some(&next) {
+                a = &a[1..];
+            }
+            if d.first() == Some(&next) {
+                d = &d[1..];
+            }
+            Some(next)
+        })
     }
 }
 
@@ -460,7 +468,7 @@ mod tests {
         let delta = FrontierDelta::between(&old, &new);
         assert_eq!(delta.activated, vec![1, 65]);
         assert_eq!(delta.deactivated, vec![1]);
-        assert_eq!(delta.touched_words(), vec![1, 65]);
+        assert_eq!(delta.touched_words().collect::<Vec<_>>(), vec![1, 65]);
         assert!(FrontierDelta::between(&old, &old).is_empty());
     }
 
@@ -472,7 +480,7 @@ mod tests {
         let delta = FrontierDelta::between(&old, &new);
         // Patching `old`'s words at exactly the delta's words yields `new`.
         let mut patched = old.clone();
-        for &w in &delta.touched_words() {
+        for w in delta.touched_words() {
             let w = w as usize;
             for b in 0..WORD_BITS {
                 let v = w * WORD_BITS + b;

@@ -76,64 +76,152 @@
 
 use std::sync::Arc;
 
-use crate::exec::mask::FrontierMask;
+use crate::exec::mask::{range_words, set_bits, FrontierMask, WORD_BITS};
 use crate::exec::strip::{strip_units, StripUnit};
-use crate::preprocess::tiler::TiledGraph;
+use crate::preprocess::tiler::{SubgraphSpan, TiledGraph};
 
-/// One planned visit of a block row within a unit: which block to enter
-/// and which of its strip's subgraphs to stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanRow {
-    /// Column-major block index (`0..`[`TiledGraph::num_blocks`]).
-    pub block: u32,
-    /// Streamed ordinals of the planned subgraphs, ascending — all inside
-    /// [`TiledGraph::slot_subgraphs`]`(block, strip)`; read each with
-    /// [`TiledGraph::subgraph`].
-    pub subgraphs: Vec<u32>,
-}
-
-/// One planned scan unit: a [`StripUnit`] plus the block rows (and
-/// subgraphs within them) the scan will actually visit, in streamed order,
-/// and the totals of that visit — set once, where the unit is built, so no
-/// downstream layer re-counts them.
+/// One planned scan unit: a [`StripUnit`] plus which of its spans the scan
+/// will stream, and the totals of that visit — set where the unit is built
+/// or patched, so no downstream layer re-counts them.
+///
+/// A unit's *span table* is its nonempty subgraphs in streamed order,
+/// block rows ascending: slot `k` is the `k`-th ordinal of the unit's
+/// concatenated [`TiledGraph::slot_subgraphs`] ranges. The planned content
+/// is a bitset over that table, so the incremental planner patches a unit
+/// by flipping exactly the slots a flipped source chunk gates. Read it
+/// back with [`PlanUnit::rows`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanUnit {
     /// The destination strip being scanned.
     pub unit: StripUnit,
-    /// Planned block-row visits, ascending by block row (so the unit's
-    /// ordinals ascend across rows too).
-    pub rows: Vec<PlanRow>,
-    /// Planned subgraph visits across `rows`.
+    /// Bit `k` set iff span-table slot `k` is planned.
+    spans: Box<[u64]>,
+    /// Whether every block row is visited, planned subgraphs or not — the
+    /// dense plan's walk, which charges strip write-back per row.
+    all_rows: bool,
+    /// Planned subgraph visits.
     pub subgraphs: u64,
     /// Edges inside the planned subgraphs.
     pub edges: u64,
 }
 
 impl PlanUnit {
-    /// A unit with nothing planned yet.
-    pub(crate) fn new(unit: StripUnit) -> PlanUnit {
+    /// A unit with a `spans`-slot span table and nothing planned yet.
+    pub(crate) fn new(unit: StripUnit, spans: usize) -> PlanUnit {
         PlanUnit {
             unit,
-            rows: Vec::new(),
+            spans: vec![0; spans.div_ceil(WORD_BITS)].into_boxed_slice(),
+            all_rows: false,
             subgraphs: 0,
             edges: 0,
         }
     }
 
-    /// Appends the subgraph at streamed `ordinal` of column-major
-    /// `block`, holding `edges` edges; calls must follow streamed order.
-    pub(crate) fn push(&mut self, block: u32, ordinal: u32, edges: u32) {
-        if self.rows.last().map(|r| r.block) != Some(block) {
-            self.rows.push(PlanRow {
-                block,
-                subgraphs: Vec::new(),
-            });
+    /// Plans (`on`) or unplans span-table `slot`, a subgraph of `edges`
+    /// edges, moving the unit's totals; the slot must currently be in the
+    /// other state.
+    #[inline]
+    pub(crate) fn set_span(&mut self, slot: usize, edges: u32, on: bool) {
+        let bit = 1u64 << (slot % WORD_BITS);
+        let word = &mut self.spans[slot / WORD_BITS];
+        debug_assert_eq!(*word & bit == 0, on, "span slot {slot} set twice");
+        *word ^= bit;
+        if on {
+            self.subgraphs += 1;
+            self.edges += u64::from(edges);
+        } else {
+            self.subgraphs -= 1;
+            self.edges -= u64::from(edges);
         }
-        let row = self.rows.last_mut().expect("row just ensured");
-        row.subgraphs.push(ordinal);
-        self.subgraphs += 1;
-        self.edges += u64::from(edges);
     }
+
+    /// The block rows the scan visits, ascending, each with its planned
+    /// subgraphs. A row with nothing planned is visited only by the dense
+    /// plan. `tiled` must be the graph the unit was planned for.
+    #[inline]
+    pub fn rows<'a>(&'a self, tiled: &'a TiledGraph) -> impl Iterator<Item = PlanRow<'a>> + 'a {
+        let per_side = tiled.order().blocks_per_side();
+        let first_block = self.unit.bj as usize * per_side;
+        let mut lo = 0;
+        (first_block..first_block + per_side).filter_map(move |block| {
+            let slot = tiled.slot_subgraphs(block, self.unit.strip as usize);
+            let row = PlanRow {
+                block: block as u32,
+                first_ordinal: slot.start as u32,
+                spans: &self.spans,
+                lo,
+                hi: lo + slot.len(),
+            };
+            lo = row.hi;
+            (self.all_rows || row.subgraphs().next().is_some()).then_some(row)
+        })
+    }
+
+    /// The planned streamed ordinals, in the order [`PlanUnit::rows`]
+    /// visits them.
+    #[inline]
+    pub fn ordinals<'a>(&'a self, tiled: &'a TiledGraph) -> impl Iterator<Item = u32> + 'a {
+        self.rows(tiled).flat_map(|row| row.subgraphs())
+    }
+}
+
+/// One visited block row of a [`PlanUnit`]: which block to enter and which
+/// of its strip's subgraphs to stream.
+#[derive(Debug, Clone, Copy)]
+pub struct PlanRow<'a> {
+    /// Column-major block index (`0..`[`TiledGraph::num_blocks`]).
+    pub block: u32,
+    /// Streamed ordinal of the row's first span-table slot.
+    first_ordinal: u32,
+    spans: &'a [u64],
+    /// The row's slots in the unit's span table.
+    lo: usize,
+    hi: usize,
+}
+
+impl<'a> PlanRow<'a> {
+    /// Streamed ordinals of the planned subgraphs, ascending — all inside
+    /// [`TiledGraph::slot_subgraphs`]`(block, strip)`; read each with
+    /// [`TiledGraph::subgraph`].
+    #[inline]
+    pub fn subgraphs(self) -> impl Iterator<Item = u32> + 'a {
+        let (first, lo) = (self.first_ordinal, self.lo);
+        set_bits(self.spans, lo, self.hi).map(move |slot| first + (slot - lo) as u32)
+    }
+
+    /// Planned subgraphs in this row.
+    #[must_use]
+    #[inline]
+    pub fn planned(&self) -> usize {
+        range_words(self.spans, self.lo, self.hi)
+            .map(|(_, word)| word.count_ones() as usize)
+            .sum()
+    }
+
+    /// Nonempty subgraphs of this row the plan excluded.
+    #[must_use]
+    #[inline]
+    pub fn pruned(&self) -> usize {
+        self.hi - self.lo - self.planned()
+    }
+}
+
+/// Every span of `tiled`'s source-range index with its unit's ordinal in
+/// the unit table and its slot in that unit's span table. The index lists
+/// block rows ascending and streamed order within a row, so each unit
+/// meets its spans in span-table order.
+pub(crate) fn span_slots(
+    tiled: &TiledGraph,
+) -> impl Iterator<Item = (usize, usize, &SubgraphSpan)> {
+    let per_side = tiled.order().blocks_per_side();
+    let strips_per_block = tiled.order().strips_per_block();
+    let mut next_slot = vec![0usize; per_side * strips_per_block];
+    tiled.source_index().spans().iter().map(move |span| {
+        let unit = span.block as usize / per_side * strips_per_block + span.strip as usize;
+        let slot = next_slot[unit];
+        next_slot[unit] += 1;
+        (unit, slot, span)
+    })
 }
 
 /// What a plan kept and what it pruned, relative to the full scan.
@@ -215,35 +303,26 @@ impl PlanSkeleton {
     /// table and materialises the dense plan over it.
     #[must_use]
     pub fn build(tiled: &TiledGraph) -> Self {
-        let units = strip_units(tiled);
         let per_side = tiled.order().blocks_per_side();
-        let mut plan_units = Vec::with_capacity(units.len());
-        for unit in &units {
-            // Every block row is visited, every subgraph streamed — the
-            // §3.4 disk-order walk, exactly as a plan.
-            let (mut subgraphs, mut edges) = (0u64, 0u64);
-            let rows = (0..per_side)
-                .map(|bi| {
-                    let block = unit.bj as usize * per_side + bi;
-                    let slot = tiled.slot_subgraphs(block, unit.strip as usize);
-                    subgraphs += slot.len() as u64;
-                    edges += slot
-                        .clone()
-                        .map(|ord| u64::from(tiled.subgraph(ord).edges()))
-                        .sum::<u64>();
-                    PlanRow {
-                        block: block as u32,
-                        subgraphs: (slot.start as u32..slot.end as u32).collect(),
-                    }
-                })
-                .collect();
-            plan_units.push(Arc::new(PlanUnit {
-                unit: *unit,
-                rows,
-                subgraphs,
-                edges,
-            }));
-        }
+        let plan_units: Vec<Arc<PlanUnit>> = strip_units(tiled)
+            .into_iter()
+            .map(|unit| {
+                // Every block row is visited, every subgraph streamed — the
+                // §3.4 disk-order walk, exactly as a plan.
+                let slots = || {
+                    (0..per_side).map(move |bi| {
+                        let block = unit.bj as usize * per_side + bi;
+                        tiled.slot_subgraphs(block, unit.strip as usize)
+                    })
+                };
+                let mut punit = PlanUnit::new(unit, slots().map(|slot| slot.len()).sum());
+                for (slot, ordinal) in slots().flatten().enumerate() {
+                    punit.set_span(slot, tiled.subgraph(ordinal).edges(), true);
+                }
+                punit.all_rows = true;
+                Arc::new(punit)
+            })
+            .collect();
         let full = Arc::new(ScanPlan {
             stats: PlanStats {
                 units_planned: plan_units.len(),
@@ -311,26 +390,20 @@ impl PlanSkeleton {
             tiled.num_vertices(),
             "active mask must range over every vertex"
         );
-        let per_side = tiled.order().blocks_per_side();
-        let strips_per_block = tiled.order().strips_per_block();
         let mut building: Vec<PlanUnit> = self
             .full
             .units
             .iter()
-            .map(|p| PlanUnit::new(p.unit))
+            .map(|p| PlanUnit::new(p.unit, p.subgraphs as usize))
             .collect();
-        // Block rows ascending, spans within a row in streamed order, so
-        // each unit accumulates its rows already sorted.
-        for span in tiled.source_index().spans() {
+        for (unit, slot, span) in span_slots(tiled) {
             if span.intersects(mask) {
-                let bj = span.block as usize / per_side;
-                let unit = &mut building[bj * strips_per_block + span.strip as usize];
-                unit.push(span.block, span.ordinal, span.edges);
+                building[unit].set_span(slot, span.edges, true);
             }
         }
         let units: Vec<Arc<PlanUnit>> = building
             .into_iter()
-            .filter(|u| !u.rows.is_empty())
+            .filter(|u| u.subgraphs > 0)
             .map(Arc::new)
             .collect();
         let subgraphs: u64 = units.iter().map(|u| u.subgraphs).sum();
@@ -382,7 +455,7 @@ mod tests {
         // Every block row appears in every unit of the dense plan.
         let per_side = tiled.order().blocks_per_side();
         for pu in full.units() {
-            assert_eq!(pu.rows.len(), per_side);
+            assert_eq!(pu.rows(&tiled).count(), per_side);
         }
     }
 
@@ -439,12 +512,12 @@ mod tests {
         for pu in plan.units() {
             assert!(last_index < Some(pu.unit.index));
             last_index = Some(pu.unit.index);
-            assert!(!pu.rows.is_empty());
+            assert!(pu.subgraphs > 0);
             let mut last_block = None;
-            for row in &pu.rows {
+            for row in pu.rows(&tiled) {
                 assert!(last_block < Some(row.block));
                 last_block = Some(row.block);
-                assert!(!row.subgraphs.is_empty());
+                assert!(row.planned() > 0);
             }
         }
     }

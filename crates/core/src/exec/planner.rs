@@ -12,22 +12,28 @@
 //!
 //! A [`Planner`] makes planning *stateful*: it remembers the previous
 //! mask's per-chunk activity and the previous plan's per-unit content,
-//! and patches only the strip units whose gating chunks flipped —
-//! `O(|delta|)` span work instead of `O(units)` — falling back to a full
-//! rebuild when the delta is dense. Untouched units are carried into the
-//! new plan as shared [`Arc`]s rather than rebuilt. Every unit, carried or
-//! rebuilt, names its subgraphs by streamed ordinal and carries its
-//! planned `(subgraphs, edges)`, so the plan's running totals move by the
-//! replaced unit's own fields and downstream layers (cluster sharding,
-//! disk pricing) read the units as they are.
+//! and pays per flipped chunk and per flipped span. A [`PlanUnit`]'s
+//! content is a bitset over its unit's span table (see
+//! [`PlanUnit::rows`]) plus running `(subgraphs, edges)` counts; the
+//! [`PlannerIndex`] maps every source chunk to the `(unit, span slot)`
+//! pairs it gates, so a flipped chunk flips exactly those bits and moves
+//! the counts by their edges. A touched unit is taken out of the table
+//! (copied if an earlier plan still holds it), patched and stored under
+//! a new [`Arc`]; untouched units are carried into the new plan as shared
+//! `Arc`s, and the plan's running totals move span by span. Downstream
+//! layers (cluster sharding, disk pricing) read the units as they are.
 //!
-//! Chunk activity comes from the hierarchical [`FrontierMask`]: the
-//! summary level proves whole word spans inactive without reading dense
-//! bits ([`Planner::plan_for`]), and when the driver supplies the
-//! [`FrontierDelta`] it already built while flipping vertices,
-//! [`Planner::plan_for_delta`] re-derives activity for exactly the
-//! chunks the delta's words overlap — the old `O(|V|)` mask re-scan and
-//! the planner-side chunk diff both disappear from the steady state.
+//! Chunk activity comes from the hierarchical [`FrontierMask`]. The first
+//! plan re-scans the mask at word granularity, and the summary level
+//! proves whole word spans inactive without reading dense bits
+//! ([`Planner::plan_for`]). After that the driver supplies the
+//! [`FrontierDelta`] it built while flipping vertices, and
+//! [`Planner::plan_for_delta`] re-derives activity for exactly the chunks
+//! the delta's words overlap: the index's word table gives each touched
+//! word its first chunk by lookup, a chunk inside one word is tested
+//! against that word inline, and the delta's two sorted word lists are
+//! merged without allocating. A delta that touches more than half the
+//! units is counted as a rebuild (`full_rebuilds`), a patch otherwise.
 //!
 //! **Determinism contract:** a delta-patched plan is bit-identical —
 //! units, [`PlanStats`], and therefore all
@@ -92,80 +98,45 @@ use graphr_units::Nanos;
 
 use crate::config::GraphRConfig;
 use crate::exec::mask::{FrontierDelta, FrontierMask, SUMMARY_SPAN, WORD_BITS};
-use crate::exec::plan::{PlanSkeleton, PlanStats, PlanUnit, ScanPlan};
+use crate::exec::plan::{span_slots, PlanSkeleton, PlanStats, PlanUnit, ScanPlan};
 use crate::exec::strip::StripUnit;
 use crate::metrics::PlanCounters;
 use crate::preprocess::tiler::TiledGraph;
 
-/// One nonempty subgraph of a strip unit, as the planner sees it: where
-/// it sits in the unit's streamed order and which source chunk gates it.
-#[derive(Debug, Clone, Copy)]
-struct UnitSpan {
-    /// Column-major block index.
-    block: u32,
-    /// Streamed ordinal of the subgraph.
-    ordinal: u32,
-    /// Ordinal of the source chunk whose activity gates this span.
-    chunk: u32,
-    /// Edges in the subgraph.
+/// One nonempty subgraph a source chunk gates: its unit, its slot in that
+/// unit's span table, and its edges.
+#[derive(Debug, Clone, Copy, Default)]
+struct GatedSpan {
+    unit: u32,
+    slot: u32,
     edges: u32,
 }
 
-/// The frontier diff at source-chunk granularity: which chunks (crossbar
-/// row ranges of the source dimension — the granularity at which a mask
-/// can change a plan at all) became active, and which fell inactive,
-/// between two consecutive masks. Internal to the planner; drivers speak
-/// the word-granular [`FrontierDelta`] instead.
-#[derive(Debug, Clone, Default)]
-struct ChunkDelta {
-    /// Chunk ordinals active under the new mask but not the old.
-    activated: Vec<u32>,
-    /// Chunk ordinals active under the old mask but not the new.
-    deactivated: Vec<u32>,
-}
-
-impl ChunkDelta {
-    /// Diffs two per-chunk activity vectors (same length).
-    fn between(old: &[bool], new: &[bool]) -> ChunkDelta {
-        let mut delta = ChunkDelta::default();
-        for (chunk, (&o, &n)) in old.iter().zip(new).enumerate() {
-            if o != n {
-                if n {
-                    delta.activated.push(chunk as u32);
-                } else {
-                    delta.deactivated.push(chunk as u32);
-                }
-            }
-        }
-        delta
-    }
-
-    /// Whether nothing flipped (the previous plan can be reused whole).
-    fn is_empty(&self) -> bool {
-        self.activated.is_empty() && self.deactivated.is_empty()
-    }
-}
-
-/// The reusable, graph-derived part of incremental planning: per-unit
-/// span tables in streamed order, the distinct source chunks, and the
-/// chunk → units reverse index. Depends only on the [`TiledGraph`], so a
-/// session caches one beside the [`PlanSkeleton`] and stamps out cheap
-/// per-engine [`Planner`]s from it.
+/// The reusable, graph-derived part of incremental planning: the distinct
+/// source chunks, a mask-word → chunk table, and the chunk → span index.
+/// Depends only on the [`TiledGraph`], so a session caches one beside the
+/// [`PlanSkeleton`] and stamps out cheap per-engine [`Planner`]s from it.
 #[derive(Debug)]
 pub struct PlannerIndex {
     num_vertices: usize,
     units: Vec<StripUnit>,
+    /// Per unit: the size of its span table.
+    unit_spans: Vec<u32>,
     total_subgraphs: u64,
     total_edges: u64,
     /// Distinct source ranges `(src_start, src_len)`, ascending and
     /// disjoint — the granularity at which a mask gates spans.
     chunks: Vec<(u32, u32)>,
-    /// Per unit: its spans in streamed order (ordinals ascending) —
-    /// exactly the order
-    /// [`PlanSkeleton::pruned_plan`] emits.
-    unit_spans: Vec<Vec<UnitSpan>>,
-    /// Per chunk: the units holding at least one span gated by it.
-    chunk_units: Vec<Vec<u32>>,
+    /// Per chunk lying inside one mask word: its bits in that word; 0 for
+    /// a chunk that crosses a word boundary.
+    chunk_mask: Vec<u64>,
+    /// Per mask word `w`: the first chunk ending past vertex `64w`, i.e.
+    /// the first a flip inside word `w` can gate.
+    word_chunk: Vec<u32>,
+    /// Chunk `c` gates `gated[chunk_gated[c]..chunk_gated[c + 1]]`, at
+    /// most one span per unit.
+    chunk_gated: Vec<u32>,
+    gated: Vec<GatedSpan>,
 }
 
 impl PlannerIndex {
@@ -173,49 +144,81 @@ impl PlannerIndex {
     /// source-range index).
     #[must_use]
     pub fn build(tiled: &TiledGraph) -> PlannerIndex {
-        let per_side = tiled.order().blocks_per_side();
-        let strips_per_block = tiled.order().strips_per_block();
         let units: Vec<StripUnit> = crate::exec::strip::strip_units(tiled);
-        let num_units = units.len();
-
         let spans = tiled.source_index().spans();
-        let mut chunks: Vec<(u32, u32)> = spans.iter().map(|s| (s.src_start, s.src_len)).collect();
-        chunks.sort_unstable();
-        chunks.dedup();
-
-        let mut unit_spans: Vec<Vec<UnitSpan>> = vec![Vec::new(); num_units];
-        let mut chunk_units: Vec<Vec<u32>> = vec![Vec::new(); chunks.len()];
-        // Rows ascending by block row, spans in streamed order within a
-        // row: every unit accumulates its spans already in the order the
-        // scratch rebuild would emit them.
-        for span in spans {
-            let bj = span.block as usize / per_side;
-            let unit = (bj * strips_per_block + span.strip as usize) as u32;
-            let chunk = chunks
-                .binary_search(&(span.src_start, span.src_len))
-                .expect("chunk table covers every span") as u32;
-            unit_spans[unit as usize].push(UnitSpan {
-                block: span.block,
-                ordinal: span.ordinal,
-                chunk,
-                edges: span.edges,
-            });
-            if chunk_units[chunk as usize].last() != Some(&unit) {
-                chunk_units[chunk as usize].push(unit);
-            }
+        // Chunks are crossbar-row aligned, so one slot per `C` vertices
+        // collects them in order without a sort.
+        let rows = tiled.order().crossbar_size();
+        let mut len_at = vec![0u32; tiled.num_vertices().div_ceil(rows)];
+        for s in spans {
+            debug_assert_eq!(s.src_start as usize % rows, 0, "chunks are row-aligned");
+            len_at[s.src_start as usize / rows] = s.src_len;
         }
-        for chunk in &mut chunk_units {
-            chunk.sort_unstable();
-            chunk.dedup();
+        let chunks: Vec<(u32, u32)> = (0..len_at.len())
+            .filter(|&k| len_at[k] > 0)
+            .map(|k| ((k * rows) as u32, len_at[k]))
+            .collect();
+
+        let chunk_mask = chunks
+            .iter()
+            .map(|&(s, l)| {
+                let (offset, len) = (s as usize % WORD_BITS, l as usize);
+                if len > 0 && offset + len <= WORD_BITS {
+                    (u64::MAX >> (WORD_BITS - len)) << offset
+                } else {
+                    0
+                }
+            })
+            .collect();
+        let word_chunk: Vec<u32> = (0..tiled.num_vertices().div_ceil(WORD_BITS))
+            .map(|w| {
+                chunks.partition_point(|&(s, l)| s as usize + l as usize <= w * WORD_BITS) as u32
+            })
+            .collect();
+
+        // Counting sort of the spans by chunk.
+        let chunk_of: Vec<u32> = spans
+            .iter()
+            .map(|s| {
+                // A span's chunk ends past its first vertex, so it is at or
+                // after the first chunk of that vertex's word.
+                let mut c = word_chunk[s.src_start as usize / WORD_BITS] as usize;
+                while chunks[c].0 != s.src_start {
+                    c += 1;
+                }
+                c as u32
+            })
+            .collect();
+        let mut chunk_gated = vec![0u32; chunks.len() + 1];
+        for &c in &chunk_of {
+            chunk_gated[c as usize + 1] += 1;
+        }
+        for c in 0..chunks.len() {
+            chunk_gated[c + 1] += chunk_gated[c];
+        }
+        let mut fill = chunk_gated.clone();
+        let mut gated = vec![GatedSpan::default(); spans.len()];
+        let mut unit_spans = vec![0u32; units.len()];
+        for ((unit, slot, span), &c) in span_slots(tiled).zip(&chunk_of) {
+            gated[fill[c as usize] as usize] = GatedSpan {
+                unit: unit as u32,
+                slot: slot as u32,
+                edges: span.edges,
+            };
+            fill[c as usize] += 1;
+            unit_spans[unit] += 1;
         }
         PlannerIndex {
             num_vertices: tiled.num_vertices(),
             units,
+            unit_spans,
             total_subgraphs: tiled.nonempty_subgraphs() as u64,
             total_edges: tiled.total_edges() as u64,
             chunks,
-            unit_spans,
-            chunk_units,
+            chunk_mask,
+            word_chunk,
+            chunk_gated,
+            gated,
         }
     }
 
@@ -229,6 +232,13 @@ impl PlannerIndex {
     #[must_use]
     pub fn num_chunks(&self) -> usize {
         self.chunks.len()
+    }
+
+    /// The spans chunk `c` gates.
+    #[inline]
+    fn gated(&self, c: u32) -> &[GatedSpan] {
+        let c = c as usize;
+        &self.gated[self.chunk_gated[c] as usize..self.chunk_gated[c + 1] as usize]
     }
 
     /// Per-chunk activity of a mask: a chunk is active when any vertex of
@@ -265,40 +275,13 @@ impl PlannerIndex {
         }
         bits
     }
-
-    /// The units any flipped chunk gates, ascending and deduplicated.
-    fn affected_units(&self, delta: &ChunkDelta) -> Vec<u32> {
-        let mut affected: Vec<u32> = delta
-            .activated
-            .iter()
-            .chain(&delta.deactivated)
-            .flat_map(|&c| self.chunk_units[c as usize].iter().copied())
-            .collect();
-        affected.sort_unstable();
-        affected.dedup();
-        affected
-    }
-
-    /// Rebuilds one unit's planned content under a per-chunk activity
-    /// vector; `None` when no span survives (the unit is pruned from the
-    /// plan).
-    fn build_unit(&self, unit: usize, bits: &[bool]) -> Option<Arc<PlanUnit>> {
-        let mut punit = PlanUnit::new(self.units[unit]);
-        for span in &self.unit_spans[unit] {
-            if bits[span.chunk as usize] {
-                punit.push(span.block, span.ordinal, span.edges);
-            }
-        }
-        (!punit.rows.is_empty()).then(|| Arc::new(punit))
-    }
 }
 
 /// Stateful incremental planning over one preprocessed graph: owns the
 /// previous mask's chunk activity and the previous plan's per-unit
-/// content, and turns each new frontier into a [`ScanPlan`] by patching
-/// the delta — or rebuilding when the delta is dense or there is no
-/// previous state. Every engine carries one; see the
-/// [module docs](self) for the determinism contract.
+/// content, and turns each new frontier into a [`ScanPlan`] by flipping
+/// the span slots of the chunks that changed. Every engine carries one;
+/// see the [module docs](self) for the determinism contract.
 #[derive(Debug)]
 pub struct Planner {
     skeleton: Arc<PlanSkeleton>,
@@ -310,7 +293,16 @@ pub struct Planner {
     planned_units: usize,
     planned_subgraphs: u64,
     planned_edges: u64,
+    /// Scratch: chunks whose activity flipped in the current request.
+    flipped: Vec<u32>,
+    /// Scratch: owned copies of the units the current request touches,
+    /// and each unit's position among them (`UNSTAGED` when untouched).
+    staged: Vec<PlanUnit>,
+    staged_at: Vec<u32>,
 }
+
+/// `Planner::staged_at` of a unit the current request has not touched.
+const UNSTAGED: u32 = u32::MAX;
 
 impl Planner {
     /// A planner over `tiled`, building its own [`PlannerIndex`]. The
@@ -333,6 +325,9 @@ impl Planner {
             planned_units: 0,
             planned_subgraphs: 0,
             planned_edges: 0,
+            flipped: Vec::new(),
+            staged: Vec::new(),
+            staged_at: vec![UNSTAGED; num_units],
         }
     }
 
@@ -386,7 +381,8 @@ impl Planner {
     ///
     /// The delta must describe the transition from the mask this planner
     /// last planned to `active`; drivers get it for free by recording the
-    /// words they flip (see [`FrontierDelta::between`]).
+    /// words they flip (see [`FrontierDelta::between`]). A word past the
+    /// mask's last gates nothing and is ignored.
     ///
     /// # Panics
     ///
@@ -407,45 +403,54 @@ impl Planner {
             self.index.num_vertices,
             "active mask must range over every vertex"
         );
-        if self.bits.is_none() {
+        let Some(mut bits) = self.bits.take() else {
             return self.masked_plan(active, counters);
-        }
+        };
         let start = Instant::now();
         counters.delta_words += delta.len() as u64;
-        let mut bits = self.bits.take().expect("checked above");
-        let mut chunk_delta = ChunkDelta::default();
+        self.flipped.clear();
+        let chunks = &self.index.chunks;
+        let mut examined = 0u64;
         // Words ascending and chunks ascending: a cursor keeps straddler
         // chunks (overlapping two touched words) from re-deriving twice.
         let mut rechecked_until = 0usize;
-        for &w in &delta.touched_words() {
-            let lo = w as usize * WORD_BITS;
-            let hi = lo + WORD_BITS;
-            let mut ci = self
-                .index
-                .chunks
-                .partition_point(|&(s, l)| (s as usize + l as usize) <= lo)
-                .max(rechecked_until);
-            while ci < self.index.chunks.len() {
-                let (cs, cl) = self.index.chunks[ci];
-                if (cs as usize) >= hi {
+        for w in delta.touched_words() {
+            let w = w as usize;
+            let Some(&first) = self.index.word_chunk.get(w) else {
+                continue;
+            };
+            let hi = (w + 1) * WORD_BITS;
+            let word = active.word(w);
+            let from = (first as usize).max(rechecked_until);
+            let mut ci = from;
+            let rest = chunks[from..]
+                .iter()
+                .zip(&self.index.chunk_mask[from..])
+                .zip(&mut bits[from..]);
+            for ((&(cs, cl), &mask), bit) in rest {
+                let (cs, cl) = (cs as usize, cl as usize);
+                if cs >= hi {
                     break;
                 }
-                let (act, words) =
-                    active.any_in_range_counted(cs as usize, cs as usize + cl as usize);
-                counters.mask_words += words;
-                if bits[ci] != act {
-                    bits[ci] = act;
-                    if act {
-                        chunk_delta.activated.push(ci as u32);
-                    } else {
-                        chunk_delta.deactivated.push(ci as u32);
-                    }
+                let act = if mask != 0 {
+                    // Inside the touched word: test the word already loaded.
+                    examined += 1;
+                    word & mask != 0
+                } else {
+                    let (act, words) = active.any_in_range_counted(cs, cs + cl);
+                    examined += words;
+                    act
+                };
+                if *bit != act {
+                    *bit = act;
+                    self.flipped.push(ci as u32);
                 }
                 ci += 1;
             }
             rechecked_until = ci;
         }
-        self.commit(bits, chunk_delta, counters);
+        counters.mask_words += examined;
+        self.commit(bits, false, counters);
         let plan = self.emit();
         counters.time += Nanos::new(start.elapsed().as_nanos() as f64);
         plan
@@ -462,75 +467,78 @@ impl Planner {
         );
         let start = Instant::now();
         let new_bits = self.index.chunk_activity(mask, counters);
-        match self.bits.take() {
-            None => {
-                self.rebuild(&new_bits);
-                counters.full_rebuilds += 1;
-                self.bits = Some(new_bits);
-            }
-            Some(old_bits) => {
-                let delta = ChunkDelta::between(&old_bits, &new_bits);
-                self.commit(new_bits, delta, counters);
+        let old_bits = self.bits.take();
+        self.flipped.clear();
+        for (c, &act) in new_bits.iter().enumerate() {
+            if act != old_bits.as_ref().is_some_and(|old| old[c]) {
+                self.flipped.push(c as u32);
             }
         }
+        self.commit(new_bits, old_bits.is_none(), counters);
         let plan = self.emit();
         counters.time += Nanos::new(start.elapsed().as_nanos() as f64);
         plan
     }
 
-    /// Applies a chunk-level delta to the cached per-unit state — patch,
-    /// whole-plan reuse, or dense-fallback rebuild — charging the outcome
-    /// into `counters`, and stores `bits` as the new planned activity.
-    fn commit(&mut self, bits: Vec<bool>, delta: ChunkDelta, counters: &mut PlanCounters) {
-        if delta.is_empty() {
-            counters.delta_patches += 1;
-            counters.units_reused += self.planned_units as u64;
-        } else {
-            let affected = self.index.affected_units(&delta);
-            // A dense delta touches most of the plan anyway; the
-            // straight rebuild is cheaper than patching.
-            if affected.len() * 2 > self.index.num_units() {
-                self.rebuild(&bits);
-                counters.full_rebuilds += 1;
-            } else {
-                for &unit in &affected {
-                    self.repatch_unit(unit as usize, &bits);
+    /// Flips the span slots the `flipped` chunks gate, working on an
+    /// owned copy of each touched unit (plans already handed out keep
+    /// theirs) that goes back into the table under a new `Arc`; the
+    /// running totals move by the replaced and the new unit's own counts.
+    /// Stores `bits` as the new planned activity. The outcome is charged
+    /// into `counters`: a rebuild for the first plan (`first`) or a delta
+    /// touching more than half the units — the same plan a scratch build
+    /// gives — and a patch otherwise.
+    fn commit(&mut self, bits: Vec<bool>, first: bool, counters: &mut PlanCounters) {
+        let Planner {
+            index,
+            unit_table,
+            planned_units,
+            planned_subgraphs,
+            planned_edges,
+            flipped,
+            staged,
+            staged_at,
+            ..
+        } = self;
+        for &c in flipped.iter() {
+            let on = bits[c as usize];
+            for span in index.gated(c) {
+                let u = span.unit as usize;
+                if staged_at[u] == UNSTAGED {
+                    staged_at[u] = staged.len() as u32;
+                    staged.push(match unit_table[u].take() {
+                        Some(planned) => {
+                            *planned_units -= 1;
+                            *planned_subgraphs -= planned.subgraphs;
+                            *planned_edges -= planned.edges;
+                            Arc::unwrap_or_clone(planned)
+                        }
+                        None => PlanUnit::new(index.units[u], index.unit_spans[u] as usize),
+                    });
                 }
-                counters.delta_patches += 1;
-                counters.units_patched += affected.len() as u64;
-                let affected_planned = affected
-                    .iter()
-                    .filter(|&&u| self.unit_table[u as usize].is_some())
-                    .count();
-                counters.units_reused += (self.planned_units - affected_planned) as u64;
+                staged[staged_at[u] as usize].set_span(span.slot as usize, span.edges, on);
             }
         }
+        let touched = staged.len();
+        let untouched_planned = *planned_units;
+        for punit in staged.drain(..) {
+            let u = punit.unit.index;
+            staged_at[u] = UNSTAGED;
+            if punit.subgraphs > 0 {
+                *planned_units += 1;
+                *planned_subgraphs += punit.subgraphs;
+                *planned_edges += punit.edges;
+                unit_table[u] = Some(Arc::new(punit));
+            }
+        }
+        if first || touched * 2 > index.num_units() {
+            counters.full_rebuilds += 1;
+        } else {
+            counters.delta_patches += 1;
+            counters.units_patched += touched as u64;
+            counters.units_reused += untouched_planned as u64;
+        }
         self.bits = Some(bits);
-    }
-
-    /// Rebuilds the whole per-unit state under `bits` (first mask, or a
-    /// dense delta).
-    fn rebuild(&mut self, bits: &[bool]) {
-        for unit in 0..self.index.num_units() {
-            self.repatch_unit(unit, bits);
-        }
-    }
-
-    /// Re-derives one touched unit under `bits`, moving the running stats
-    /// by the replaced and the new unit's own counts.
-    fn repatch_unit(&mut self, unit: usize, bits: &[bool]) {
-        if let Some(old) = &self.unit_table[unit] {
-            self.planned_units -= 1;
-            self.planned_subgraphs -= old.subgraphs;
-            self.planned_edges -= old.edges;
-        }
-        let entry = self.index.build_unit(unit, bits);
-        if let Some(new) = &entry {
-            self.planned_units += 1;
-            self.planned_subgraphs += new.subgraphs;
-            self.planned_edges += new.edges;
-        }
-        self.unit_table[unit] = entry;
     }
 
     /// Materialises the current state as a [`ScanPlan`]: planned units in
@@ -538,7 +546,8 @@ impl Planner {
     /// across consecutive plans) plus stats in exactly
     /// [`PlanSkeleton::pruned_plan`]'s form.
     fn emit(&self) -> Arc<ScanPlan> {
-        let units: Vec<Arc<PlanUnit>> = self.unit_table.iter().flatten().cloned().collect();
+        let mut units = Vec::with_capacity(self.planned_units);
+        units.extend(self.unit_table.iter().flatten().cloned());
         let stats = PlanStats {
             units_planned: self.planned_units,
             units_pruned: self.index.num_units() - self.planned_units,
@@ -794,6 +803,29 @@ mod tests {
         for (a, b) in first.units().iter().zip(second.units()) {
             assert!(Arc::ptr_eq(a, b));
         }
+        assert_eq!(counters.delta_patches, 1);
+        assert_eq!(counters.units_patched, 0);
+    }
+
+    #[test]
+    fn delta_words_past_the_mask_are_ignored() {
+        // `FrontierDelta`'s fields are public, so a caller can name words
+        // the 100-vertex mask (words 0 and 1) does not have.
+        let g = Rmat::new(100, 500).seed(3).generate();
+        let cfg = small_config();
+        let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
+        let skeleton = Arc::new(PlanSkeleton::build(&tiled));
+        let mut planner = Planner::new(&tiled, Arc::clone(&skeleton));
+        let mut counters = PlanCounters::default();
+        let mask = mask_at(100, 5, 4);
+        let first = planner.plan_for(&cfg, Some(&mask), &mut counters);
+        let malformed = FrontierDelta {
+            activated: vec![1, 2, 1_000],
+            deactivated: vec![u32::MAX],
+        };
+        let plan = planner.plan_for_delta(&cfg, &mask, &malformed, &mut counters);
+        assert_eq!(plan, first);
+        assert_eq!(*plan, skeleton.pruned_plan(&tiled, &mask));
         assert_eq!(counters.delta_patches, 1);
         assert_eq!(counters.units_patched, 0);
     }

@@ -299,16 +299,16 @@ impl<'a> StripScanner<'a> {
         let sidx = unit.strip as usize;
         let mut salu = SAlu::new(ReduceOp::Add);
 
-        for row in &punit.rows {
+        for row in punit.rows(tiled) {
             let bidx = row.block as usize;
-            let pruned = (tiled.slot_subgraphs(bidx, sidx).len() - row.subgraphs.len()) as u64;
+            let pruned = row.pruned() as u64;
             match self.config.order {
                 StreamingOrder::ColumnMajor => {
                     // Dense tile packing: the whole strip's planned tiles
                     // feed the GE slots back to back.
                     let mut strip_tiles = 0u64;
                     let mut strip_edges = 0u64;
-                    for &ord in &row.subgraphs {
+                    for ord in row.subgraphs() {
                         let sg = tiled.subgraph(ord as usize);
                         strip_tiles += sg.tiles().len() as u64;
                         strip_edges += u64::from(sg.edges());
@@ -327,7 +327,7 @@ impl<'a> StripScanner<'a> {
                     // Subgraphs are stored in ascending chunk order, which
                     // is exactly the source-major visit order within one
                     // strip.
-                    for &ord in &row.subgraphs {
+                    for ord in row.subgraphs() {
                         let sg = tiled.subgraph(ord as usize);
                         let (tiles, edges) = (sg.tiles().len() as u64, u64::from(sg.edges()));
                         self.mac_subgraph(
@@ -556,12 +556,12 @@ impl<'a> StripScanner<'a> {
         let mut tile_rows = std::mem::take(&mut self.tile_rows_buf);
         let mut marks = std::mem::take(&mut self.marks);
 
-        for row in &punit.rows {
+        for row in punit.rows(tiled) {
             let bidx = row.block as usize;
             // Per-tile active-row counts drive the packed timing.
             tile_rows.clear();
             let mut strip_edges = 0u64;
-            for &ord in &row.subgraphs {
+            for ord in row.subgraphs() {
                 let sg = tiled.subgraph(ord as usize);
                 let src0 = tiled.chunk_src_start(bidx, sg.chunk());
                 // Planned means streamed — once for the whole batch, and

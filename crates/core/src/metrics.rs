@@ -279,8 +279,8 @@ counter_family! {
     /// [`ScanPlan`]: crate::exec::plan::ScanPlan
     #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
     pub struct PlanCounters {
-        /// Plans built by walking the whole span table (first mask, or a
-        /// delta too dense to be worth patching).
+        /// Plans counted as rebuilds: the first mask, or a delta whose
+        /// flipped chunks touch more than half the units.
         pub full_rebuilds: u64 => Sum,
         /// Plans produced by patching the previous plan with the frontier
         /// delta.

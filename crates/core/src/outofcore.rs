@@ -258,10 +258,8 @@ impl IoPlan {
     #[must_use]
     pub fn from_scan_plan(tiled: &TiledGraph, plan: &ScanPlan) -> IoPlan {
         let mut planned = vec![false; tiled.nonempty_subgraphs()];
-        for row in plan.units().iter().flat_map(|punit| &punit.rows) {
-            for &ord in &row.subgraphs {
-                planned[ord as usize] = true;
-            }
+        for ord in plan.units().iter().flat_map(|punit| punit.ordinals(tiled)) {
+            planned[ord as usize] = true;
         }
         let mut io = IoPlan::default();
         // Ordinals follow the ordered edge list exactly (asserted in the
@@ -324,7 +322,7 @@ pub(crate) enum PlannedSet {
 
 /// Once-per-graph lookup behind [`DiskAccountant`]: every nonempty
 /// subgraph's block, by streamed ordinal (adjacency of ordinals ⇔ byte
-/// contiguity on disk; plan rows name subgraphs by ordinal, and their
+/// contiguity on disk; plan units name subgraphs by ordinal, and their
 /// bytes are read off the tiled graph) — so a sparse scan's [`IoPlan`] costs
 /// `O(planned · log planned)` instead of a walk over the whole graph
 /// ([`IoPlan::from_scan_plan`]'s general path, which this is tested
@@ -354,17 +352,17 @@ impl IoIndex {
     }
 
     /// [`IoPlan::from_scan_plan`] in time proportional to the *plan*, not
-    /// the graph: planned ordinals are gathered from the plan rows and
+    /// the graph: planned ordinals are gathered from the plan units and
     /// sorted once; runs of consecutive ordinals are the sequential
     /// segments, block transitions count the loaded blocks.
     #[cfg(test)]
     fn io_plan(&self, tiled: &TiledGraph, plan: &ScanPlan) -> IoPlan {
-        let planned = self.planned_set(plan);
+        let planned = self.planned_set(tiled, plan);
         self.io_for(tiled, &planned)
     }
 
     /// Gathers `plan`'s ordinals into a [`PlannedSet`], sorted once.
-    fn planned_set(&self, plan: &ScanPlan) -> PlannedSet {
+    fn planned_set(&self, tiled: &TiledGraph, plan: &ScanPlan) -> PlannedSet {
         // Full-restream short-circuit. Deliberately *not* `plan.is_full()`:
         // a cluster shard's stats are measured against its node's share,
         // so a shard of a dense plan reports zero pruned while covering
@@ -375,9 +373,7 @@ impl IoIndex {
         }
         let mut planned: Vec<u32> = Vec::with_capacity(plan.stats().subgraphs_planned as usize);
         for punit in plan.units() {
-            for row in &punit.rows {
-                planned.extend(&row.subgraphs);
-            }
+            planned.extend(punit.ordinals(tiled));
         }
         planned.sort_unstable();
         PlannedSet::Sparse(planned)
@@ -532,7 +528,7 @@ impl DiskAccountant {
     /// ever sees its own graph).
     pub fn charge_scan(&mut self, tiled: &TiledGraph, plan: &ScanPlan, metrics: &mut Metrics) {
         let index = self.index.get_or_insert_with(|| IoIndex::build(tiled));
-        let planned = index.planned_set(plan);
+        let planned = index.planned_set(tiled, plan);
         let io = index.io_for(tiled, &planned);
         let d = &mut metrics.disk;
         d.bytes_loaded += io.bytes_loaded;

@@ -12,7 +12,7 @@
 //!
 //! 1. **Candidate export.** When a window commits, the driver keeps the
 //!    window's planned subgraph ordinals as *candidates* for the next
-//!    round. Plan rows already name their subgraphs by streamed ordinal,
+//!    round. Plan units already name their subgraphs by streamed ordinal,
 //!    so the export is the sorted ordinal set the accountant gathered
 //!    to price the window's scans — no re-derivation.
 //! 2. **Speculative issue.** At the start of the next window the driver

@@ -149,7 +149,7 @@ proptest! {
             );
         }
         // touched_words is the sorted dedup merge...
-        let touched = delta.touched_words();
+        let touched = delta.touched_words().collect::<Vec<_>>();
         prop_assert!(touched.windows(2).all(|p| p[0] < p[1]), "ascending, distinct");
         // ...and patching exactly those word spans rebuilds `new`.
         let mut patched = old.clone();

@@ -28,12 +28,32 @@ fn cases() -> u32 {
 }
 
 fn test_config() -> GraphRConfig {
-    GraphRConfig::builder()
-        .crossbar_size(4)
-        .crossbars_per_ge(8)
-        .num_ges(2)
-        .build()
-        .expect("valid test geometry")
+    geometry(4, 8, 2, None)
+}
+
+fn geometry(crossbar: usize, per_ge: usize, ges: usize, block: Option<usize>) -> GraphRConfig {
+    let mut builder = GraphRConfig::builder()
+        .crossbar_size(crossbar)
+        .crossbars_per_ge(per_ge)
+        .num_ges(ges);
+    if let Some(b) = block {
+        builder = builder.block_vertices(b);
+    }
+    builder.build().expect("valid test geometry")
+}
+
+/// The geometries the properties run over. C = 4 with one block per side
+/// gives every unit one block row, and no chunk crosses a mask word.
+/// C = 6 does not divide 64, so some chunks straddle two words; C = 96 is
+/// wider than a word, so every chunk does. 32-vertex blocks of two
+/// 16-wide strips give each unit several block rows, some of them empty.
+fn geometries() -> [GraphRConfig; 4] {
+    [
+        test_config(),
+        geometry(6, 8, 2, None),
+        geometry(96, 4, 1, None),
+        geometry(4, 8, 2, Some(32)),
+    ]
 }
 
 /// A deterministic pseudo-random mask sequence that evolves by flipping a
@@ -75,12 +95,12 @@ fn mask_sequence(n: usize, seed: u64, steps: usize) -> Vec<Vec<bool>> {
 /// Oracle for a unit's carried counts: its planned subgraph visits and
 /// their edges, recounted from the tiled graph by ordinal.
 fn count_planned(tiled: &TiledGraph, punit: &PlanUnit) -> (u64, u64) {
-    let ordinals = punit.rows.iter().flat_map(|row| &row.subgraphs);
-    let edges = ordinals
-        .clone()
-        .map(|&ord| u64::from(tiled.subgraph(ord as usize).edges()))
-        .sum();
-    (ordinals.count() as u64, edges)
+    punit.ordinals(tiled).fold((0, 0), |(count, edges), ord| {
+        (
+            count + 1,
+            edges + u64::from(tiled.subgraph(ord as usize).edges()),
+        )
+    })
 }
 
 /// Every unit of `plan` carries the counts its rows recount to.
@@ -106,48 +126,49 @@ proptest! {
         steps in 2usize..10,
     ) {
         let g = Rmat::new(n, m).seed(seed).max_weight(9).generate();
-        let config = test_config();
-        let tiled = TiledGraph::preprocess(&g, &config).expect("valid geometry");
-        let skeleton = Arc::new(PlanSkeleton::build(&tiled));
-        let mut by_scan = Planner::new(&tiled, Arc::clone(&skeleton));
-        let mut by_delta = Planner::new(&tiled, Arc::clone(&skeleton));
-        let mut counters = PlanCounters::default();
-        let mut delta_counters = PlanCounters::default();
-        prop_assert!(units_carry_their_counts(&tiled, &skeleton.full_plan()));
-        let mut prev: Option<FrontierMask> = None;
-        for (step, dense) in mask_sequence(n, seed, steps).iter().enumerate() {
-            let mask = FrontierMask::from_slice(dense);
-            let plan = by_scan.plan_for(&config, Some(&mask), &mut counters);
-            let scratch = skeleton.pruned_plan(&tiled, &mask);
-            prop_assert_eq!(&*plan, &scratch, "step {} diverged", step);
-            // The driver-delta path: a second planner fed exactly the
-            // word flips between consecutive masks must stay identical.
-            let delta_plan = match &prev {
-                Some(p) => {
-                    let delta = FrontierDelta::between(p, &mask);
-                    by_delta.plan_for_delta(&config, &mask, &delta, &mut delta_counters)
+        for config in geometries() {
+            let tiled = TiledGraph::preprocess(&g, &config).expect("valid geometry");
+            let skeleton = Arc::new(PlanSkeleton::build(&tiled));
+            let mut by_scan = Planner::new(&tiled, Arc::clone(&skeleton));
+            let mut by_delta = Planner::new(&tiled, Arc::clone(&skeleton));
+            let mut counters = PlanCounters::default();
+            let mut delta_counters = PlanCounters::default();
+            prop_assert!(units_carry_their_counts(&tiled, &skeleton.full_plan()));
+            let mut prev: Option<FrontierMask> = None;
+            for (step, dense) in mask_sequence(n, seed, steps).iter().enumerate() {
+                let mask = FrontierMask::from_slice(dense);
+                let plan = by_scan.plan_for(&config, Some(&mask), &mut counters);
+                let scratch = skeleton.pruned_plan(&tiled, &mask);
+                prop_assert_eq!(&*plan, &scratch, "C = {} step {} diverged", config.crossbar_size, step);
+                // The driver-delta path: a second planner fed exactly the
+                // word flips between consecutive masks must stay identical.
+                let delta_plan = match &prev {
+                    Some(p) => {
+                        let delta = FrontierDelta::between(p, &mask);
+                        by_delta.plan_for_delta(&config, &mask, &delta, &mut delta_counters)
+                    }
+                    None => by_delta.plan_for(&config, Some(&mask), &mut delta_counters),
+                };
+                prop_assert_eq!(&*delta_plan, &scratch, "C = {} delta step {} diverged", config.crossbar_size, step);
+                for emitted in [&*plan, &*delta_plan, &scratch] {
+                    prop_assert!(
+                        units_carry_their_counts(&tiled, emitted),
+                        "step {}: a unit's carried counts disagree with its rows",
+                        step
+                    );
                 }
-                None => by_delta.plan_for(&config, Some(&mask), &mut delta_counters),
-            };
-            prop_assert_eq!(&*delta_plan, &scratch, "delta step {} diverged", step);
-            for emitted in [&*plan, &*delta_plan, &scratch] {
-                prop_assert!(
-                    units_carry_their_counts(&tiled, emitted),
-                    "step {}: a unit's carried counts disagree with its rows",
-                    step
-                );
+                prev = Some(mask);
             }
-            prev = Some(mask);
+            prop_assert_eq!(
+                counters.full_rebuilds + counters.delta_patches,
+                steps as u64,
+                "every masked request must be accounted as rebuild or patch"
+            );
+            prop_assert_eq!(
+                delta_counters.full_rebuilds + delta_counters.delta_patches,
+                steps as u64
+            );
         }
-        prop_assert_eq!(
-            counters.full_rebuilds + counters.delta_patches,
-            steps as u64,
-            "every masked request must be accounted as rebuild or patch"
-        );
-        prop_assert_eq!(
-            delta_counters.full_rebuilds + delta_counters.delta_patches,
-            steps as u64
-        );
     }
 
     /// End-to-end determinism: a full SSSP run whose iterations plan
@@ -163,54 +184,55 @@ proptest! {
         nodes in 2usize..5,
     ) {
         let g = Rmat::new(n, m).seed(seed).max_weight(9).generate();
-        let config = test_config();
-        let tiled = TiledGraph::preprocess(&g, &config).expect("valid geometry");
-        let skeleton = Arc::new(PlanSkeleton::build(&tiled));
-        let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
+        for config in geometries() {
+            let tiled = TiledGraph::preprocess(&g, &config).expect("valid geometry");
+            let skeleton = Arc::new(PlanSkeleton::build(&tiled));
+            let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
 
-        let scratch = scratch_planned_sssp(&tiled, &config, &skeleton, spec);
-        let mut serial = StreamingExecutor::new(&tiled, &config, spec);
-        let mut parallel = StreamingExecutor::new(&tiled, &config, spec).with_threads(4);
-        let mut cluster = ClusterExecutor::new(
-            &tiled,
-            &config,
-            spec,
-            MultiNodeConfig::pcie_cluster(nodes).with_owner(OwnerPolicy::DegreeWeighted),
-        );
-        let mut serial_d = StreamingExecutor::new(&tiled, &config, spec);
-        let mut parallel_d = StreamingExecutor::new(&tiled, &config, spec).with_threads(4);
-        let mut cluster_d = ClusterExecutor::new(
-            &tiled,
-            &config,
-            spec,
-            MultiNodeConfig::pcie_cluster(nodes).with_owner(OwnerPolicy::DegreeWeighted),
-        );
-        let engines: [(&str, &mut dyn ScanEngine, bool); 6] = [
-            ("serial", &mut serial, false),
-            ("parallel", &mut parallel, false),
-            ("cluster", &mut cluster, false),
-            ("serial+delta", &mut serial_d, true),
-            ("parallel+delta", &mut parallel_d, true),
-            ("cluster+delta", &mut cluster_d, true),
-        ];
-        for (name, exec, driver_delta) in engines {
-            let (dist, rows, metrics) = engine_planned_sssp(exec, spec, n, driver_delta);
-            prop_assert_eq!(&dist, &scratch.0, "{} distances diverged", name);
-            prop_assert_eq!(&rows, &scratch.1, "{} activations diverged", name);
-            if name.starts_with("serial") {
-                // Downstream Metrics must match bit for bit once the
-                // planner's own cost counters are set aside (the two
-                // loops planned differently on purpose).
-                let mut a = metrics.clone();
-                let mut b = scratch.2.clone();
-                a.plan = PlanCounters::default();
-                b.plan = PlanCounters::default();
-                prop_assert_eq!(a, b, "serial Metrics diverged");
-            } else {
-                // Parallel merges in plan order; the cluster additionally
-                // composes elapsed/net — events stay exactly the scan's.
-                prop_assert_eq!(metrics.events, scratch.2.events, "{} events diverged", name);
-                prop_assert_eq!(metrics.iterations, scratch.2.iterations);
+            let scratch = scratch_planned_sssp(&tiled, &config, &skeleton, spec);
+            let mut serial = StreamingExecutor::new(&tiled, &config, spec);
+            let mut parallel = StreamingExecutor::new(&tiled, &config, spec).with_threads(4);
+            let mut cluster = ClusterExecutor::new(
+                &tiled,
+                &config,
+                spec,
+                MultiNodeConfig::pcie_cluster(nodes).with_owner(OwnerPolicy::DegreeWeighted),
+            );
+            let mut serial_d = StreamingExecutor::new(&tiled, &config, spec);
+            let mut parallel_d = StreamingExecutor::new(&tiled, &config, spec).with_threads(4);
+            let mut cluster_d = ClusterExecutor::new(
+                &tiled,
+                &config,
+                spec,
+                MultiNodeConfig::pcie_cluster(nodes).with_owner(OwnerPolicy::DegreeWeighted),
+            );
+            let engines: [(&str, &mut dyn ScanEngine, bool); 6] = [
+                ("serial", &mut serial, false),
+                ("parallel", &mut parallel, false),
+                ("cluster", &mut cluster, false),
+                ("serial+delta", &mut serial_d, true),
+                ("parallel+delta", &mut parallel_d, true),
+                ("cluster+delta", &mut cluster_d, true),
+            ];
+            for (name, exec, driver_delta) in engines {
+                let (dist, rows, metrics) = engine_planned_sssp(exec, spec, n, driver_delta);
+                prop_assert_eq!(&dist, &scratch.0, "C = {} {} distances diverged", config.crossbar_size, name);
+                prop_assert_eq!(&rows, &scratch.1, "{} activations diverged", name);
+                if name.starts_with("serial") {
+                    // Downstream Metrics must match bit for bit once the
+                    // planner's own cost counters are set aside (the two
+                    // loops planned differently on purpose).
+                    let mut a = metrics.clone();
+                    let mut b = scratch.2.clone();
+                    a.plan = PlanCounters::default();
+                    b.plan = PlanCounters::default();
+                    prop_assert_eq!(a, b, "serial Metrics diverged");
+                } else {
+                    // Parallel merges in plan order; the cluster additionally
+                    // composes elapsed/net — events stay exactly the scan's.
+                    prop_assert_eq!(metrics.events, scratch.2.events, "{} events diverged", name);
+                    prop_assert_eq!(metrics.iterations, scratch.2.iterations);
+                }
             }
         }
     }
@@ -355,4 +377,56 @@ fn one_node_cluster_engine_planned_run_is_bit_identical() {
     assert_eq!(single.0, clustered.0);
     assert_eq!(single.1, clustered.1);
     assert_eq!(single.2, clustered.2, "full Metrics must agree");
+}
+
+/// The `i + j = r` anti-diagonal of a `side × side` grid: the frontier a
+/// corner BFS holds in round `r`.
+fn anti_diagonal(side: usize, r: usize) -> FrontierMask {
+    let mut mask = FrontierMask::new(side * side);
+    for i in r.saturating_sub(side - 1)..=r.min(side - 1) {
+        mask.set(i * side + (r - i));
+    }
+    mask
+}
+
+/// Replays a corner BFS's 478 anti-diagonal frontier deltas on the
+/// benchmark geometry (240×240 grid, C = 8, 32 crossbars per GE, 4 GEs):
+/// every plan equals the scratch rebuild, and the planner's simulated
+/// counters stay exactly where they are pinned. Each counter enters the
+/// benchmark's digests, so a planner rewrite must keep its chunk
+/// re-checks, examined words, affected units and rebuild rule.
+#[test]
+fn anti_diagonal_replay_pins_plan_counters() {
+    const SIDE: usize = 240;
+    let config = GraphRConfig::builder()
+        .crossbar_size(8)
+        .crossbars_per_ge(32)
+        .num_ges(4)
+        .build()
+        .expect("valid benchmark geometry");
+    let tiled = TiledGraph::preprocess(&grid(SIDE, SIDE), &config).expect("grid tiles");
+    let skeleton = Arc::new(PlanSkeleton::build(&tiled));
+    let mut planner = Planner::new(&tiled, Arc::clone(&skeleton));
+    let mut counters = PlanCounters::default();
+    let mut prev = anti_diagonal(SIDE, 0);
+    let first = planner.plan_for(&config, Some(&prev), &mut counters);
+    assert_eq!(*first, skeleton.pruned_plan(&tiled, &prev));
+    for r in 1..2 * SIDE - 1 {
+        let mask = anti_diagonal(SIDE, r);
+        let delta = FrontierDelta::between(&prev, &mask);
+        let plan = planner.plan_for_delta(&config, &mask, &delta, &mut counters);
+        assert_eq!(*plan, skeleton.pruned_plan(&tiled, &mask), "round {r}");
+        prev = mask;
+    }
+    let expected = PlanCounters {
+        full_rebuilds: 1,
+        delta_patches: 478,
+        units_reused: 39_660,
+        units_patched: 14_592,
+        mask_words: 469_936,
+        summary_skips: 14,
+        delta_words: 115_198,
+        ..PlanCounters::default()
+    };
+    assert_eq!(counters, expected, "{counters:?}");
 }
