@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks of the §3.4 preprocessing: global-order-ID
 //! computation and full edge-list tiling (the once-per-graph software
-//! step of Figure 9), from 10 K to 4 M edges. Prints time per call and
-//! edges/s; it asserts nothing about host time.
+//! step of Figure 9), from 10 K to 16 M edges. Prints time per call and
+//! edges/s; the column from 1 M to 16 M edges shows whether tiling time
+//! grows linearly. It asserts nothing about host time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use graphr_core::preprocess::TileOrder;
@@ -19,14 +20,15 @@ fn preprocess_benches(c: &mut Criterion) {
         });
     });
     let config = GraphRConfig::default();
-    // The last two points are hostbench's `pagerank_rmat` graph and one
-    // four times larger, so the edges/s column shows whether tiling
-    // scales linearly at benchmark size.
+    // The last three points are hostbench's `pagerank_rmat` graph and
+    // ones four and sixteen times larger, so the edges/s column shows
+    // whether tiling scales linearly at benchmark size and beyond.
     for (vertices, edges) in [
         (1_250usize, 10_000usize),
         (12_500, 100_000),
         (65_536, 1_000_000),
         (262_144, 4_000_000),
+        (1_048_576, 16_000_000),
     ] {
         let graph = Rmat::new(vertices, edges).seed(1).generate();
         group.throughput(Throughput::Elements(edges as u64));

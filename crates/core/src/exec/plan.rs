@@ -5,8 +5,8 @@
 //! the scanner still costs a full pass over the §3.4-ordered edge list per
 //! iteration. A [`ScanPlan`] moves the decision in front of execution: the
 //! per-block-row
-//! [`SourceRangeIndex`](crate::preprocess::tiler::SourceRangeIndex)
-//! built at tiling time is intersected
+//! [`SourceRangeIndex`](crate::preprocess::tiler::SourceRangeIndex),
+//! read off the tiler's offset tables, is intersected
 //! with the frontier's active mask once per scan, yielding the ordered list
 //! of [`StripUnit`]s — restricted to the block rows and subgraphs holding
 //! at least one active source — that the executors then walk. Pruned
@@ -212,12 +212,16 @@ impl<'a> PlanRow<'a> {
 /// meets its spans in span-table order.
 pub(crate) fn span_slots(
     tiled: &TiledGraph,
-) -> impl Iterator<Item = (usize, usize, &SubgraphSpan)> {
+) -> impl Iterator<Item = (usize, usize, SubgraphSpan)> + '_ {
     let per_side = tiled.order().blocks_per_side();
     let strips_per_block = tiled.order().strips_per_block();
+    // Per block: the unit ordinal of its first strip.
+    let first_unit: Vec<usize> = (0..per_side)
+        .flat_map(|bj| std::iter::repeat_n(bj * strips_per_block, per_side))
+        .collect();
     let mut next_slot = vec![0usize; per_side * strips_per_block];
-    tiled.source_index().spans().iter().map(move |span| {
-        let unit = span.block as usize / per_side * strips_per_block + span.strip as usize;
+    tiled.source_index().spans().map(move |span| {
+        let unit = first_unit[span.block as usize] + span.strip as usize;
         let slot = next_slot[unit];
         next_slot[unit] += 1;
         (unit, slot, span)
@@ -350,27 +354,6 @@ impl PlanSkeleton {
         Arc::clone(&self.full)
     }
 
-    /// The plan an engine under `config` should execute for an optional
-    /// active mask: pruned when a mask is given and the controller is
-    /// sparsity-aware, dense otherwise — `skip_empty = false` (the §3.3
-    /// sparsity ablation) models a controller with no index to seek by,
-    /// which therefore cannot prune. This is the single policy point both
-    /// the serial and the parallel executor route their
-    /// [`ScanEngine::plan`](crate::exec::ScanEngine::plan) through, so
-    /// they cannot drift apart.
-    #[must_use]
-    pub fn plan_for(
-        &self,
-        tiled: &TiledGraph,
-        config: &crate::config::GraphRConfig,
-        active: Option<&FrontierMask>,
-    ) -> Arc<ScanPlan> {
-        match active {
-            Some(mask) if config.skip_empty => Arc::new(self.pruned_plan(tiled, mask)),
-            _ => self.full_plan(),
-        }
-    }
-
     /// Builds a plan restricted to the subgraphs whose source range holds
     /// at least one vertex active under `mask` — and therefore to the block
     /// rows and units containing such a subgraph. Everything else is
@@ -501,7 +484,7 @@ mod tests {
         // Reconstruct the planned set and compare with a direct filter of
         // the source index.
         let spans = tiled.source_index().spans();
-        let expected = spans.iter().filter(|s| s.intersects(&mask)).count() as u64;
+        let expected = spans.filter(|s| s.intersects(&mask)).count() as u64;
         assert_eq!(plan.stats().subgraphs_planned, expected);
         assert_eq!(
             plan.stats().subgraphs_planned + plan.stats().subgraphs_pruned,
@@ -528,7 +511,7 @@ mod tests {
         let tiled = TiledGraph::preprocess(&g, &small_config()).unwrap();
         // Spans across all rows, sorted by edge offset, must tile
         // [0, total_edges) exactly.
-        let mut spans = tiled.source_index().spans().to_vec();
+        let mut spans: Vec<_> = tiled.source_index().spans().collect();
         spans.sort_by_key(|s| s.edge_offset);
         let mut next = 0u64;
         for s in &spans {

@@ -145,19 +145,33 @@ impl PlannerIndex {
     #[must_use]
     pub fn build(tiled: &TiledGraph) -> PlannerIndex {
         let units: Vec<StripUnit> = crate::exec::strip::strip_units(tiled);
-        let spans = tiled.source_index().spans();
         // Chunks are crossbar-row aligned, so one slot per `C` vertices
         // collects them in order without a sort.
         let rows = tiled.order().crossbar_size();
         let mut len_at = vec![0u32; tiled.num_vertices().div_ceil(rows)];
-        for s in spans {
-            debug_assert_eq!(s.src_start as usize % rows, 0, "chunks are row-aligned");
-            len_at[s.src_start as usize / rows] = s.src_len;
+        let mut unit_spans = vec![0u32; units.len()];
+        let mut staged = Vec::with_capacity(tiled.nonempty_subgraphs());
+        staged.extend(span_slots(tiled).map(|(unit, slot, span)| {
+            debug_assert_eq!(span.src_start as usize % rows, 0, "chunks are row-aligned");
+            let at = (span.src_start / rows as u32) as usize;
+            len_at[at] = span.src_len;
+            unit_spans[unit] += 1;
+            let gated = GatedSpan {
+                unit: unit as u32,
+                slot: slot as u32,
+                edges: span.edges,
+            };
+            (at as u32, gated)
+        }));
+        // Per row slot: its chunk's rank among the nonempty chunks.
+        let mut chunk_at = vec![0u32; len_at.len()];
+        let mut chunks: Vec<(u32, u32)> = Vec::new();
+        for (k, &len) in len_at.iter().enumerate() {
+            chunk_at[k] = chunks.len() as u32;
+            if len > 0 {
+                chunks.push(((k * rows) as u32, len));
+            }
         }
-        let chunks: Vec<(u32, u32)> = (0..len_at.len())
-            .filter(|&k| len_at[k] > 0)
-            .map(|k| ((k * rows) as u32, len_at[k]))
-            .collect();
 
         let chunk_mask = chunks
             .iter()
@@ -176,37 +190,20 @@ impl PlannerIndex {
             })
             .collect();
 
-        // Counting sort of the spans by chunk.
-        let chunk_of: Vec<u32> = spans
-            .iter()
-            .map(|s| {
-                // A span's chunk ends past its first vertex, so it is at or
-                // after the first chunk of that vertex's word.
-                let mut c = word_chunk[s.src_start as usize / WORD_BITS] as usize;
-                while chunks[c].0 != s.src_start {
-                    c += 1;
-                }
-                c as u32
-            })
-            .collect();
+        // Counting sort of the spans by chunk, stable in span order.
         let mut chunk_gated = vec![0u32; chunks.len() + 1];
-        for &c in &chunk_of {
-            chunk_gated[c as usize + 1] += 1;
+        for &(at, _) in &staged {
+            chunk_gated[chunk_at[at as usize] as usize + 1] += 1;
         }
         for c in 0..chunks.len() {
             chunk_gated[c + 1] += chunk_gated[c];
         }
         let mut fill = chunk_gated.clone();
-        let mut gated = vec![GatedSpan::default(); spans.len()];
-        let mut unit_spans = vec![0u32; units.len()];
-        for ((unit, slot, span), &c) in span_slots(tiled).zip(&chunk_of) {
-            gated[fill[c as usize] as usize] = GatedSpan {
-                unit: unit as u32,
-                slot: slot as u32,
-                edges: span.edges,
-            };
-            fill[c as usize] += 1;
-            unit_spans[unit] += 1;
+        let mut gated = vec![GatedSpan::default(); staged.len()];
+        for &(at, span) in &staged {
+            let c = chunk_at[at as usize] as usize;
+            gated[fill[c] as usize] = span;
+            fill[c] += 1;
         }
         PlannerIndex {
             num_vertices: tiled.num_vertices(),
@@ -345,14 +342,13 @@ impl Planner {
     }
 
     /// The plan an engine under `config` should execute for an optional
-    /// active mask — the stateful analogue of
-    /// [`PlanSkeleton::plan_for`], and the single policy point every
-    /// engine routes [`ScanEngine::plan`](crate::exec::ScanEngine::plan)
-    /// through. `None` (or `skip_empty = false`, the §3.3 sparsity
-    /// ablation: a controller with no index cannot prune) yields the
-    /// cached dense plan and leaves the delta state untouched; a mask
-    /// yields the pruned plan by delta patch or rebuild, with the outcome
-    /// charged into `counters`.
+    /// active mask — the single policy point every engine routes
+    /// [`ScanEngine::plan`](crate::exec::ScanEngine::plan) through.
+    /// `None` (or `skip_empty = false`, the §3.3 sparsity ablation: a
+    /// controller with no index cannot prune) yields the cached dense plan
+    /// and leaves the delta state untouched; a mask yields the pruned plan
+    /// by delta patch or rebuild, with the outcome charged into
+    /// `counters`.
     ///
     /// # Panics
     ///

@@ -230,7 +230,7 @@ impl DiskModel {
 /// The §3.4 streamed order lays every nonempty subgraph's edges out
 /// contiguously, and the tiler's
 /// [`SourceRangeIndex`](crate::preprocess::tiler::SourceRangeIndex)
-/// records each subgraph's offset into that order — so a plan's subgraphs
+/// gives each subgraph's offset into that order — so a plan's subgraphs
 /// translate directly into byte ranges of the on-disk file. Contiguous
 /// planned subgraphs coalesce into sequential-read [`IoPlan::segments`];
 /// pruned subgraphs contribute only [`IoPlan::bytes_skipped`] (seeked

@@ -184,31 +184,49 @@ impl TileOrder {
             "position ({i}, {j}) outside the padded {0}×{0} matrix",
             self.padded_vertices
         );
-        let (bi, bj) = self.block_coords(i, j);
-        let block = self.block_index(bi, bj);
-        // Equation (4): offsets within the block.
-        let i_in_block = i - bi * self.block_size;
-        let j_in_block = j - bj * self.block_size;
-        // Equation (5): subgraph coordinates.
-        let chunk = (i_in_block / self.crossbar_size) as u64;
-        let strip = (j_in_block / self.strip_width) as u64;
-        // Equation (7): offsets within the subgraph.
-        let sub_row = (i_in_block % self.crossbar_size) as u64;
-        let sub_col = (j_in_block % self.strip_width) as u64;
+        let (bi, chunk, sub_row) = self.source_coords(i);
+        let (bj, strip, sub_col) = self.destination_coords(j);
         PositionCoords {
-            block,
-            strip,
-            chunk,
-            sub_col,
-            sub_row,
+            block: self.block_index(bi, bj),
+            strip: strip as u64,
+            chunk: chunk as u64,
+            sub_col: sub_col as u64,
+            sub_row: sub_row as u64,
         }
+    }
+
+    /// The source half of [`TileOrder::coords`]: row `i`'s block row,
+    /// chunk within the block and row within the chunk. Every coordinate
+    /// of `(i, j)` comes from `i` alone or `j` alone, so a per-vertex
+    /// table of each half places any edge without dividing.
+    pub(crate) fn source_coords(&self, i: usize) -> (usize, usize, usize) {
+        let bi = i / self.block_size;
+        // Equations (4), (5) and (7): offset within the block, chunk,
+        // offset within the chunk.
+        let in_block = i - bi * self.block_size;
+        (
+            bi,
+            in_block / self.crossbar_size,
+            in_block % self.crossbar_size,
+        )
+    }
+
+    /// The destination half of [`TileOrder::coords`]: column `j`'s block
+    /// column, strip within the block and column within the strip.
+    pub(crate) fn destination_coords(&self, j: usize) -> (usize, usize, usize) {
+        let bj = j / self.block_size;
+        let in_block = j - bj * self.block_size;
+        (bj, in_block / self.strip_width, in_block % self.strip_width)
     }
 
     /// The column-major subgraph index within the whole matrix —
     /// equation (6), 0-based.
     #[must_use]
     pub fn subgraph_index(&self, i: usize, j: usize) -> u64 {
-        let c = self.coords(i, j);
+        self.subgraph_of(&self.coords(i, j))
+    }
+
+    fn subgraph_of(&self, c: &PositionCoords) -> u64 {
         let local = c.chunk + c.strip * self.chunks_per_block() as u64;
         c.block * self.subgraphs_per_block() as u64 + local
     }
@@ -225,25 +243,7 @@ impl TileOrder {
         let c = self.coords(i, j);
         // Equation (8): column-major within the subgraph.
         let sub_index = c.sub_row + c.sub_col * self.crossbar_size as u64;
-        self.subgraph_index(i, j) * self.positions_per_subgraph() + sub_index
-    }
-
-    /// Coordinates of the position whose global order ID is `id` — the
-    /// inverse of [`TileOrder::global_id`], unwinding equations (9), (8)
-    /// and (6).
-    #[must_use]
-    pub(crate) fn coords_of(&self, id: u64) -> PositionCoords {
-        let (c, chunks) = (self.crossbar_size as u64, self.chunks_per_block() as u64);
-        let per_subgraph = self.positions_per_subgraph();
-        let (subgraph, within) = (id / per_subgraph, id % per_subgraph);
-        let per_block = self.subgraphs_per_block() as u64;
-        PositionCoords {
-            block: subgraph / per_block,
-            strip: subgraph % per_block / chunks,
-            chunk: subgraph % per_block % chunks,
-            sub_col: within / c,
-            sub_row: within % c,
-        }
+        self.subgraph_of(&c) * self.positions_per_subgraph() + sub_index
     }
 }
 
@@ -344,9 +344,6 @@ mod tests {
                 .map(|&(i, j)| (i % v, j % v))
                 .collect();
             let mut by_tuple = by_id.clone();
-            for &(i, j) in &by_id {
-                prop_assert_eq!(order.coords_of(order.global_id(i, j)), order.coords(i, j));
-            }
             by_id.sort_by_key(|&(i, j)| (order.global_id(i, j), i, j));
             by_tuple.sort_by_key(|&(i, j)| {
                 let co = order.coords(i, j);

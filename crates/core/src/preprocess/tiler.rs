@@ -12,10 +12,24 @@
 //! its place on disk: adjacent ordinals are adjacent bytes. Spans and
 //! plans name subgraphs by ordinal, so every layer reads a subgraph with
 //! one [`TiledGraph::subgraph`] lookup.
+//!
+//! The layout is built in linear passes, not one global sort. The order is
+//! a partition into `(block, strip)` slots followed by a small order within
+//! each slot, and every coordinate of an edge comes from its source alone
+//! or its destination alone, so two per-vertex tables give every edge its
+//! slot and a key within the slot with no division. The key packs chunk,
+//! tile, column and row into bit fields, so it sorts as the global order
+//! ID does and reads back with shifts. One counting pass and one scatter
+//! drop each edge's `(key, weight)` into its slot's bucket in input order;
+//! each bucket is then radix-sorted by key, stably, so parallel edges keep
+//! their input order, and emitted. A subgraph or tile opens only where a
+//! key passes the open one's end. Spans are not stored:
+//! [`SourceRangeIndex::spans`] reads them off the slot, chunk, subgraph and
+//! tile tables.
 
 use std::ops::Range;
 
-use graphr_graph::EdgeList;
+use graphr_graph::{Edge, EdgeList};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{ConfigError, GraphRConfig};
@@ -68,8 +82,8 @@ impl SubgraphSpan {
     }
 }
 
-/// Source-side index of which source ranges hold edges — built once at
-/// tiling time, in the same pass that lays out the edges.
+/// Source-side index of which source ranges hold edges, read off the
+/// tiler's offset tables — nothing is stored beyond them.
 ///
 /// Every nonempty subgraph appears once as a [`SubgraphSpan`] carrying its
 /// source-vertex range and its edge offset into the ordered edge list,
@@ -78,16 +92,38 @@ impl SubgraphSpan {
 /// contain at least one active source *before* streaming anything: the
 /// controller seeks straight to the planned spans' offsets instead of
 /// scanning edges past the GEs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SourceRangeIndex {
-    spans: Vec<SubgraphSpan>,
+#[derive(Debug, Clone, Copy)]
+pub struct SourceRangeIndex<'a> {
+    graph: &'a TiledGraph,
 }
 
-impl SourceRangeIndex {
+impl<'a> SourceRangeIndex<'a> {
     /// Every span: block rows ascending, streamed order within a row.
-    #[must_use]
-    pub fn spans(&self) -> &[SubgraphSpan] {
-        &self.spans
+    pub fn spans(self) -> impl Iterator<Item = SubgraphSpan> + 'a {
+        let g = self.graph;
+        let order = &g.order;
+        let (per_side, strips) = (order.blocks_per_side(), order.strips_per_block());
+        let c = order.crossbar_size();
+        let rows = (0..per_side).flat_map(move |bi| (0..per_side).map(move |bj| (bi, bj)));
+        let slots = rows.flat_map(move |(bi, bj)| (0..strips).map(move |strip| (bi, bj, strip)));
+        slots.flat_map(move |(bi, bj, strip)| {
+            let block = bi + per_side * bj;
+            let src_base = bi * order.block_size();
+            g.slot_subgraphs(block, strip).map(move |ord| {
+                let src_start = src_base + g.chunks[ord] as usize * c;
+                let first = g.tile_starts[g.subgraph_starts[ord] as usize];
+                let end = g.tile_starts[g.subgraph_starts[ord + 1] as usize];
+                SubgraphSpan {
+                    block: block as u32,
+                    strip: strip as u32,
+                    ordinal: ord as u32,
+                    src_start: src_start as u32,
+                    src_len: c.min(g.num_vertices.saturating_sub(src_start)) as u32,
+                    edge_offset: u64::from(first),
+                    edges: end - first,
+                }
+            })
+        })
     }
 }
 
@@ -130,8 +166,6 @@ pub struct TiledGraph {
     /// first subgraph ordinal, plus a trailing subgraph count. Empty slots
     /// keep their place, so the disk-order walk stays arithmetic.
     slot_starts: Vec<u32>,
-    /// Source-side index over the subgraphs, built in the same pass.
-    source_index: SourceRangeIndex,
 }
 
 /// One nonempty subgraph of a [`TiledGraph`]: a `C × strip_width` window
@@ -180,8 +214,9 @@ impl TiledGraph {
     ///
     /// Returns [`ConfigError`] if the configuration's geometry is
     /// inconsistent (see [`GraphRConfig::check`] and
-    /// [`TileOrder::new`]), or if the graph has more edges than the `u32`
-    /// offset tables address.
+    /// [`TileOrder::new`]), or if the graph has more edges, or the
+    /// geometry more `(block, strip)` slots, than the `u32` offset tables
+    /// address, or a slot more positions than 63-bit keys hold.
     pub fn preprocess(graph: &EdgeList, config: &GraphRConfig) -> Result<Self, ConfigError> {
         config.check()?;
         let c = config.crossbar_size;
@@ -192,72 +227,82 @@ impl TiledGraph {
         let edges = graph.edges();
         u32::try_from(edges.len()).map_err(|_| ConfigError::new("more than u32::MAX edges"))?;
 
-        // Sort (global order ID, edge index) keys — the §3.4
-        // preprocessing, each ID computed once; the index keeps parallel
-        // edges in input order, and the weight rides along so the pass
-        // below never revisits the edge list.
-        let mut keys: Vec<(u64, u32, f32)> = edges
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let id = order.global_id(e.src as usize, e.dst as usize);
-                (id, i as u32, e.weight)
-            })
-            .collect();
-        keys.sort_unstable_by_key(|&(id, i, _)| (id, i));
+        let (per_side, strips) = (order.blocks_per_side(), order.strips_per_block());
+        let num_slots = order.num_blocks() * strips;
+        u32::try_from(num_slots).map_err(|_| ConfigError::new("more than u32::MAX slots"))?;
+        let layout = KeyLayout::new(&order)
+            .ok_or_else(|| ConfigError::new("slot positions need more than 63 key bits"))?;
 
-        // One linear pass. A subgraph covers `C × strip_width` consecutive
-        // IDs and a tile `C × C` of them (column-major within the
-        // subgraph), so ID quotients mark where each one opens; sorted IDs
-        // therefore also visit a subgraph's tiles in ascending index.
-        let per_subgraph = order.positions_per_subgraph();
-        let per_tile = (c * c) as u64;
-        let strips_per_block = order.strips_per_block();
-        let per_side = order.blocks_per_side();
+        // Every coordinate of an edge comes from its source alone or its
+        // destination alone, so per-vertex tables give each edge its
+        // `(block, strip)` slot and its key within the slot as two sums.
+        let (src_slot, src_key): (Vec<u32>, Vec<u64>) = (0..n)
+            .map(|i| {
+                let (bi, chunk, row) = order.source_coords(i);
+                ((bi * strips) as u32, layout.source(chunk, row))
+            })
+            .unzip();
+        let (dst_slot, dst_key): (Vec<u32>, Vec<u64>) = (0..n)
+            .map(|j| {
+                let (bj, strip, sub_col) = order.destination_coords(j);
+                let slot = per_side * bj * strips + strip;
+                (slot as u32, layout.destination(sub_col / c, sub_col % c))
+            })
+            .unzip();
+        let slot_of = |e: &Edge| (src_slot[e.src as usize] + dst_slot[e.dst as usize]) as usize;
+
+        // Count, then scatter each edge's `(key, weight)` into its slot's
+        // bucket, in input order.
+        let mut bucket_starts = vec![0u32; num_slots + 1];
+        for e in edges {
+            bucket_starts[slot_of(e) + 1] += 1;
+        }
+        for s in 0..num_slots {
+            bucket_starts[s + 1] += bucket_starts[s];
+        }
+        let mut fill = bucket_starts.clone();
+        let mut buckets = vec![(0u64, 0f32); edges.len()];
+        for e in edges {
+            let slot = slot_of(e);
+            let key = src_key[e.src as usize] + dst_key[e.dst as usize];
+            buckets[fill[slot] as usize] = (key, e.weight);
+            fill[slot] += 1;
+        }
+        drop((fill, src_slot, src_key, dst_slot, dst_key));
+
+        // Sort each bucket by key, stably, so parallel edges keep their
+        // input order, and emit it. Keys ascend, so a subgraph or tile
+        // opens only where a key passes the open one's end.
         let mut entries = Vec::with_capacity(edges.len());
         let mut tile_starts = Vec::new();
         let mut tile_index = Vec::new();
         let mut subgraph_starts = Vec::new();
         let mut chunks: Vec<u32> = Vec::new();
-        let num_slots = order.num_blocks() * strips_per_block;
         let mut slot_starts = Vec::with_capacity(num_slots + 1);
-        let mut spans = Vec::new();
-        let (mut open_subgraph, mut open_tile) = (None, None);
-        for &(id, _, weight) in &keys {
-            let co = order.coords_of(id);
-            if open_subgraph != Some(id / per_subgraph) {
-                open_subgraph = Some(id / per_subgraph);
-                let slot = co.block as usize * strips_per_block + co.strip as usize;
-                slot_starts.resize(slot + 1, chunks.len() as u32);
-                let bi = co.block as usize % per_side;
-                let src_start = bi * block_size + co.chunk as usize * c;
-                spans.push(SubgraphSpan {
-                    block: co.block as u32,
-                    strip: co.strip as u32,
-                    ordinal: chunks.len() as u32,
-                    src_start: src_start as u32,
-                    src_len: c.min(n.saturating_sub(src_start)) as u32,
-                    edge_offset: entries.len() as u64,
-                    edges: 0,
-                });
-                subgraph_starts.push(tile_index.len() as u32);
-                chunks.push(co.chunk as u32);
+        let largest = bucket_starts.windows(2).map(|w| w[1] - w[0]).max();
+        let mut scratch = vec![(0u64, 0f32); largest.unwrap_or(0) as usize];
+        for slot in 0..num_slots {
+            slot_starts.push(chunks.len() as u32);
+            let bucket =
+                &mut buckets[bucket_starts[slot] as usize..bucket_starts[slot + 1] as usize];
+            sort_bucket(bucket, &mut scratch, layout.bits);
+            let (mut subgraph_end, mut tile_end) = (0, 0);
+            for &(key, weight) in bucket.iter() {
+                if key >= subgraph_end {
+                    subgraph_end = layout.chunk_end(key);
+                    subgraph_starts.push(tile_index.len() as u32);
+                    chunks.push(layout.chunk(key));
+                }
+                if key >= tile_end {
+                    tile_end = layout.tile_end(key);
+                    tile_starts.push(entries.len() as u32);
+                    tile_index.push(layout.tile(key));
+                }
+                let (row, col) = layout.cell(key);
+                entries.push(TileEntry { row, col, weight });
             }
-            if open_tile != Some(id / per_tile) {
-                open_tile = Some(id / per_tile);
-                tile_starts.push(entries.len() as u32);
-                tile_index.push((co.sub_col as usize / c) as u32);
-            }
-            spans.last_mut().expect("span just opened").edges += 1;
-            entries.push(TileEntry {
-                row: co.sub_row as u8,
-                col: (co.sub_col as usize % c) as u8,
-                weight,
-            });
         }
-        slot_starts.resize(num_slots + 1, chunks.len() as u32);
-        // Group by block row; the stable sort keeps streamed order within.
-        spans.sort_by_key(|s| s.block as usize % per_side);
+        slot_starts.push(chunks.len() as u32);
         subgraph_starts.push(tile_index.len() as u32);
         tile_starts.push(entries.len() as u32);
         Ok(TiledGraph {
@@ -269,7 +314,6 @@ impl TiledGraph {
             subgraph_starts,
             chunks,
             slot_starts,
-            source_index: SourceRangeIndex { spans },
         })
     }
 
@@ -279,10 +323,10 @@ impl TiledGraph {
         &self.order
     }
 
-    /// The per-block-row source-range index (built at tiling time).
+    /// The per-block-row source-range index over the offset tables.
     #[must_use]
-    pub fn source_index(&self) -> &SourceRangeIndex {
-        &self.source_index
+    pub fn source_index(&self) -> SourceRangeIndex<'_> {
+        SourceRangeIndex { graph: self }
     }
 
     /// Original (unpadded) vertex count.
@@ -361,6 +405,122 @@ impl TiledGraph {
         bi * self.order.block_size() + chunk as usize * self.order.crossbar_size()
     }
 }
+
+/// Where each coordinate of a position sits in its key within a
+/// `(block, strip)` slot. From the most significant bit: chunk, tile,
+/// column within the tile, row. Equation (9) orders a slot's positions by
+/// chunk, then column (tile, then column within it), then row, so keys
+/// sort exactly as global IDs do; yet each field reads back with a shift
+/// and a mask, so emitting the layout divides nothing.
+#[derive(Debug, Clone, Copy)]
+struct KeyLayout {
+    /// Bits of a row (and of a column) within a tile.
+    cell_bits: u32,
+    tile_shift: u32,
+    chunk_shift: u32,
+    /// Bits of a whole key.
+    bits: u32,
+}
+
+impl KeyLayout {
+    /// The layout for `order`, or `None` if a key needs more than 63 bits.
+    fn new(order: &TileOrder) -> Option<KeyLayout> {
+        // Bits holding `0..count`.
+        let width = |count: usize| usize::BITS - (count - 1).leading_zeros();
+        let c = order.crossbar_size();
+        let cell_bits = width(c);
+        let tile_shift = 2 * cell_bits;
+        let chunk_shift = tile_shift + width(order.strip_width() / c);
+        let bits = chunk_shift + width(order.chunks_per_block());
+        (bits < u64::BITS).then_some(KeyLayout {
+            cell_bits,
+            tile_shift,
+            chunk_shift,
+            bits,
+        })
+    }
+
+    /// The source's share of a key: its chunk and row.
+    fn source(&self, chunk: usize, row: usize) -> u64 {
+        (chunk as u64) << self.chunk_shift | row as u64
+    }
+
+    /// The destination's share of a key: its tile and column within it.
+    fn destination(&self, tile: usize, col: usize) -> u64 {
+        (tile as u64) << self.tile_shift | (col as u64) << self.cell_bits
+    }
+
+    fn chunk(&self, key: u64) -> u32 {
+        (key >> self.chunk_shift) as u32
+    }
+
+    /// The first key past `key`'s subgraph.
+    fn chunk_end(&self, key: u64) -> u64 {
+        ((key >> self.chunk_shift) + 1) << self.chunk_shift
+    }
+
+    fn tile(&self, key: u64) -> u32 {
+        let mask = (1u64 << (self.chunk_shift - self.tile_shift)) - 1;
+        ((key >> self.tile_shift) & mask) as u32
+    }
+
+    /// The first key past `key`'s tile.
+    fn tile_end(&self, key: u64) -> u64 {
+        ((key >> self.tile_shift) + 1) << self.tile_shift
+    }
+
+    /// `key`'s `(row, column)` within its tile.
+    fn cell(&self, key: u64) -> (u8, u8) {
+        let mask = (1u64 << self.cell_bits) - 1;
+        ((key & mask) as u8, ((key >> self.cell_bits) & mask) as u8)
+    }
+}
+
+/// Sorts a bucket of `(key, weight)` pairs by key, stably, so equal keys
+/// — parallel edges — keep their order. Keys hold at most `bits` bits.
+/// Least-significant-digit radix passes, one per byte, ping-pong through
+/// `scratch` (at least as long as `keyed`); a byte every pair shares
+/// costs no pass. Buckets no longer than one digit's histogram take a
+/// comparison sort instead.
+fn sort_bucket(keyed: &mut [(u64, f32)], scratch: &mut [(u64, f32)], bits: u32) {
+    const RADIX: usize = 256;
+    if keyed.len() <= RADIX {
+        keyed.sort_by_key(|&(key, _)| key);
+        return;
+    }
+    let digits = bits.div_ceil(8) as usize;
+    let mut counts = [[0u32; RADIX]; 8];
+    for &(key, _) in keyed.iter() {
+        for (d, count) in counts[..digits].iter_mut().enumerate() {
+            count[(key >> (8 * d)) as u8 as usize] += 1;
+        }
+    }
+    let len = keyed.len();
+    let (mut from, mut to) = (keyed, &mut scratch[..len]);
+    let mut in_scratch = false;
+    for (d, count) in counts[..digits].iter_mut().enumerate() {
+        if count.iter().any(|&c| c as usize == len) {
+            continue;
+        }
+        let mut next = 0;
+        for c in count.iter_mut() {
+            (*c, next) = (next, next + *c);
+        }
+        for &pair in from.iter() {
+            let digit = (pair.0 >> (8 * d)) as u8 as usize;
+            to[count[digit] as usize] = pair;
+            count[digit] += 1;
+        }
+        std::mem::swap(&mut from, &mut to);
+        in_scratch = !in_scratch;
+    }
+    if in_scratch {
+        to.copy_from_slice(from);
+    }
+}
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -505,9 +665,27 @@ mod tests {
             n in 1usize..100,
             m in 0usize..400,
             seed in 0u64..20,
+            three_rows in 0usize..2,
         ) {
+            // Either Figure 12's geometry, or 3-row crossbars with
+            // 6-vertex strips and 12-vertex blocks over at least 3×3
+            // blocks, the last one padded unless 12 divides the count.
+            let (n, config) = if three_rows == 1 {
+                let config = GraphRConfig::builder()
+                    .crossbar_size(3)
+                    .crossbars_per_ge(2)
+                    .num_ges(1)
+                    .spec(FixedSpec::new(5, 0).unwrap())
+                    .slicer(BitSlicer::new(4, 1).unwrap())
+                    .block_vertices(12)
+                    .build()
+                    .unwrap();
+                (n + 24, config)
+            } else {
+                (n, small_config())
+            };
             let g = Rmat::new(n, m).seed(seed).generate();
-            let tiled = TiledGraph::preprocess(&g, &small_config()).unwrap();
+            let tiled = TiledGraph::preprocess(&g, &config).unwrap();
             prop_assert_eq!(reconstruct(&tiled).len(), m);
             let by_counter: u32 = (0..tiled.nonempty_subgraphs())
                 .map(|ord| tiled.subgraph(ord).edges())
