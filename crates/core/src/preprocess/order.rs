@@ -157,12 +157,6 @@ impl TileOrder {
         (self.crossbar_size * self.strip_width) as u64
     }
 
-    /// Block coordinates of `(i, j)` — equation (1).
-    #[must_use]
-    pub fn block_coords(&self, i: usize, j: usize) -> (usize, usize) {
-        (i / self.block_size, j / self.block_size)
-    }
-
     /// Column-major block index — equation (2) (with the evident typo
     /// `B_j + (V/B)·B_j` corrected to `B_i + (V/B)·B_j`, which is what the
     /// paper's own example order `B(0,0)→B(1,0)→B(0,1)→B(1,1)` requires).
@@ -200,9 +194,9 @@ impl TileOrder {
     /// of `(i, j)` comes from `i` alone or `j` alone, so a per-vertex
     /// table of each half places any edge without dividing.
     pub(crate) fn source_coords(&self, i: usize) -> (usize, usize, usize) {
+        // Equations (1), (4), (5) and (7): block row, offset within the
+        // block, chunk, offset within the chunk.
         let bi = i / self.block_size;
-        // Equations (4), (5) and (7): offset within the block, chunk,
-        // offset within the chunk.
         let in_block = i - bi * self.block_size;
         (
             bi,
