@@ -3,7 +3,7 @@
 //! simulator's own speed (not the modelled platforms') is tracked.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use graphr_core::exec::streaming::StreamingExecutor;
+use graphr_core::exec::streaming::{EdgeValueFn, StreamingExecutor};
 use graphr_core::{GraphRConfig, TiledGraph};
 use graphr_graph::generators::rmat::Rmat;
 use graphr_gridgraph::engine::{GridEngine, PageRankSettings};
@@ -39,7 +39,10 @@ fn substrate_benches(c: &mut Criterion) {
             let x = vec![1.0; graph.num_vertices()];
             b.iter(|| {
                 let mut exec = StreamingExecutor::new(&tiled, &config, spec);
-                exec.scan_mac(&|w, _, _| f64::from(w), &[std::hint::black_box(&x)])
+                exec.scan_mac(
+                    &EdgeValueFn::new(&|w, _, _| f64::from(w)),
+                    &[std::hint::black_box(&x)],
+                )
             });
         },
     );

@@ -1,8 +1,10 @@
 //! Criterion microbenchmarks of the §3.4 preprocessing: global-order-ID
 //! computation and full edge-list tiling (the once-per-graph software
-//! step of Figure 9), from 10 K to 16 M edges. Prints time per call and
-//! edges/s; the column from 1 M to 16 M edges shows whether tiling time
-//! grows linearly. It asserts nothing about host time.
+//! step of Figure 9), from 10 K to 16 M edges. Prints the mean and the
+//! fastest time per call and edges/s; every point is timed at least five
+//! times (the tilings from 1 M edges up call by call), and the fastest
+//! column from 1 M to 16 M edges shows whether tiling time grows
+//! linearly. It asserts nothing about host time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use graphr_core::preprocess::TileOrder;

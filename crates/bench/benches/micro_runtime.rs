@@ -1,7 +1,8 @@
 //! Microbenchmark: the scan executor on every host thread vs. one thread
 //! on a 100 k-edge R-MAT graph and on a 240×240-grid BFS whose scans are
 //! small enough to run inline at any thread count, the Fast-fidelity scan
-//! kernels' host ns per edge on a 1 M-edge R-MAT graph, the session cache's
+//! kernels' host ns per edge on a 1 M-edge R-MAT graph (the MAC kernel
+//! with and without programming its cell codes), the session cache's
 //! cold-vs-warm preprocessing saving, and the plan layer's
 //! sparse-frontier win — full-scan vs. pruned-plan BFS iterations on a
 //! high-diameter grid.
@@ -16,7 +17,7 @@ use std::time::Instant;
 
 use graphr_bench::perf::{bench_config, bfs_from_zero, bfs_full_plan_rounds};
 use graphr_core::exec::mask::FrontierMask;
-use graphr_core::exec::{ScanEngine, StreamingExecutor};
+use graphr_core::exec::{EdgeValueFn, ScanEngine, StreamingExecutor};
 use graphr_core::multinode::{ClusterExecutor, MultiNodeConfig, MultiNodeEstimate};
 use graphr_core::outofcore::{estimate_out_of_core, DiskModel};
 use graphr_core::sim::{PageRankOptions, TraversalOptions};
@@ -138,11 +139,14 @@ fn main() {
     tracing_overhead_case();
 }
 
-/// The Fast-fidelity scan kernels in host ns per stored edge, at one
-/// thread, on the `pagerank_rmat`-shaped R-MAT graph (65,536 vertices,
-/// 1 M edges): one PageRank-valued MAC scan of one input, and one
-/// one-lane SSSP add-op scan with every vertex active. Best of 3 scans;
-/// printed, not asserted (host time is too noisy to gate on).
+/// The Fast-fidelity scan kernels in host ns per stored edge on the
+/// `pagerank_rmat`-shaped R-MAT graph (65,536 vertices, 1 M edges): a
+/// PageRank-valued MAC scan of one input at 1 and 2 threads, both as the
+/// first scan of an [`EdgeValueFn`] (which programs the cell codes) and
+/// as a scan that reuses its codes, and a one-lane SSSP add-op scan with
+/// every vertex active at one thread. Best of 3 scans; printed, not
+/// asserted (host time is too noisy to gate on). The first and reused
+/// scans must give the same bits.
 fn scan_kernel_case() {
     use graphr_core::exec::LaneFrontier;
 
@@ -154,25 +158,46 @@ fn scan_kernel_case() {
     let degrees = graph.out_degrees();
     let pagerank = |_w: f32, src: u32, _dst: u32| 0.85 / f64::from(degrees[src as usize]);
     let x = vec![1.0; n];
-    let mut mac = StreamingExecutor::new(&tiled, &config, PageRankOptions::default().matrix_spec);
-    let t_mac = best_of(3, || {
-        let start = Instant::now();
-        mac.scan_mac(&pagerank, &[&x]);
-        start.elapsed()
-    });
+    let matrix_spec = PageRankOptions::default().matrix_spec;
+    for threads in [1, 2] {
+        let mut mac = StreamingExecutor::new(&tiled, &config, matrix_spec).with_threads(threads);
+        let mut first = Vec::new();
+        // A fresh value per scan: each one programs the codes.
+        let t_first = best_of(3, || {
+            let value = EdgeValueFn::new(&pagerank);
+            let start = Instant::now();
+            first = mac.scan_mac(&value, &[&x]);
+            start.elapsed()
+        });
+        let value = EdgeValueFn::new(&pagerank);
+        let mut reused = mac.scan_mac(&value, &[&x]);
+        let t_reused = best_of(3, || {
+            let start = Instant::now();
+            reused = mac.scan_mac(&value, &[&x]);
+            start.elapsed()
+        });
+        assert_eq!(first, reused, "reused codes must give the programmed bits");
+        println!(
+            "  scan kernels (Fast, {threads} thread{}, R-MAT 65,536 V / 1 M E): MAC first scan of a value {:.1} ns/edge (programs the codes), reused {:.1} ns/edge",
+            if threads == 1 { "" } else { "s" },
+            t_first * 1e9 / edges,
+            t_reused * 1e9 / edges,
+        );
+    }
 
     let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
     let mut addop = StreamingExecutor::new(&tiled, &config, spec);
     let plan = ScanEngine::plan(&mut addop, None);
     let active = LaneFrontier::full(n, 1);
     let addends = vec![vec![1.0; n]];
+    let weight = EdgeValueFn::new(&|w, _, _| f64::from(w));
     let t_addop = best_of(3, || {
         let mut frontiers = vec![vec![spec.max_value(); n]];
         let mut updated = LaneFrontier::new(n, 1);
         let start = Instant::now();
         addop.scan_add_op_lanes_planned(
             &plan,
-            &|w, _, _| f64::from(w),
+            &weight,
             &|du, w| du + w,
             &addends,
             &active,
@@ -182,8 +207,7 @@ fn scan_kernel_case() {
         start.elapsed()
     });
     println!(
-        "  scan kernels (Fast, 1 thread, R-MAT 65,536 V / 1 M E): MAC {:.1} ns/edge, add-op {:.1} ns/edge",
-        t_mac * 1e9 / edges,
+        "  scan kernels (Fast, 1 thread, R-MAT 65,536 V / 1 M E): add-op {:.1} ns/edge",
         t_addop * 1e9 / edges,
     );
 }
@@ -357,6 +381,7 @@ fn incremental_planner_case() {
         dist[0] = 0.0;
         let mut active = FrontierMask::new(n);
         active.set(0);
+        let hop = EdgeValueFn::new(&|_w, _, _| 1.0);
         let mut planning = std::time::Duration::ZERO;
         for _ in 0..n {
             let t0 = Instant::now();
@@ -366,7 +391,7 @@ fn incremental_planner_case() {
             let mut updated = FrontierMask::new(n);
             exec.scan_add_op_planned(
                 &plan,
-                &|_w, _, _| 1.0,
+                &hop,
                 &|du, w| du + w,
                 &dist,
                 &active,

@@ -14,7 +14,7 @@
 
 use graphr_core::analyze::BottleneckReport;
 use graphr_core::exec::mask::FrontierMask;
-use graphr_core::exec::{ScanEngine, StreamingExecutor};
+use graphr_core::exec::{EdgeValueFn, ScanEngine, StreamingExecutor};
 use graphr_core::json::JsonObject;
 use graphr_core::multinode::{ClusterExecutor, MultiNodeConfig};
 use graphr_core::outofcore::DiskModel;
@@ -67,13 +67,14 @@ pub fn bfs_full_plan_rounds(
     dist[0] = 0.0;
     let mut active = FrontierMask::new(n);
     active.set(0);
+    let hop = EdgeValueFn::new(&|_w, _, _| 1.0);
     for _ in 0..n {
         let plan = exec.plan(None);
         let mut frontier = dist.clone();
         let mut updated = FrontierMask::new(n);
         exec.scan_add_op_planned(
             &plan,
-            &|_w, _, _| 1.0,
+            &hop,
             &|du, w| du + w,
             &dist,
             &active,

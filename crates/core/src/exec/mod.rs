@@ -125,6 +125,12 @@ pub trait ScanEngine {
     /// those. Returns the per-lane row drives.
     /// This is the only add-op primitive: a single query is a one-lane
     /// run.
+    ///
+    /// The scan only ever sets `updated` bits, never clears one, and sets
+    /// them only inside the destination windows of `plan`'s units. So the
+    /// growth of `updated.union().len()` across the call is exactly the
+    /// number of vertices some lane lowered; the cluster engine counts
+    /// its property exchange that way.
     #[allow(clippy::too_many_arguments)]
     fn scan_add_op_lanes_planned(
         &mut self,

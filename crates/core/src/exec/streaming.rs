@@ -55,6 +55,7 @@
 //! aligned `C × strip_width` window — one step per source chunk, empty or
 //! not — which is the ablation quantifying what sparsity-awareness buys.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::config::GraphRConfig;
@@ -73,7 +74,43 @@ use crate::trace::{SpanMark, TraceHandle};
 /// Computes the value programmed into a crossbar cell for an edge:
 /// `(weight, src, dst) → value`. This is the `processEdge`-side transform —
 /// e.g. PageRank programs `r / outdegree(src)`, SSSP programs the weight.
-pub type EdgeValueFn<'f> = dyn Fn(f32, u32, u32) -> f64 + Sync + 'f;
+///
+/// Each [`EdgeValueFn::new`] draws a process-unique id. The first dense
+/// Fast-fidelity MAC scan of an id programs every crossbar cell's code,
+/// and later scans with the same id reuse those codes, so the closure
+/// must give the same value for the same arguments for as long as the id
+/// is scanned. A driver makes one per run (CF, whose values change every
+/// epoch, one per epoch and direction).
+#[derive(Clone, Copy)]
+pub struct EdgeValueFn<'f> {
+    f: &'f (dyn Fn(f32, u32, u32) -> f64 + Sync + 'f),
+    id: u64,
+}
+
+impl<'f> EdgeValueFn<'f> {
+    /// Wraps `f` under a fresh id.
+    #[must_use]
+    pub fn new(f: &'f (dyn Fn(f32, u32, u32) -> f64 + Sync + 'f)) -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        EdgeValueFn {
+            f,
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+        }
+    }
+
+    /// The value of an edge of `weight` from `src` to `dst`.
+    #[inline]
+    #[must_use]
+    pub fn eval(&self, weight: f32, src: u32, dst: u32) -> f64 {
+        (self.f)(weight, src, dst)
+    }
+
+    /// The id programmed codes are keyed by.
+    #[must_use]
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+}
 
 /// The streaming-apply executor over one preprocessed graph.
 ///
@@ -98,6 +135,11 @@ pub struct StreamingExecutor<'a> {
     scan_paths: [u64; 2],
     /// Scratch: the current unit's lowered destinations, for inline scans.
     lowered: Vec<(usize, u64)>,
+    /// The id of the [`EdgeValueFn`] `codes` was programmed for, if any.
+    codes_id: Option<u64>,
+    /// One programmed code per stored edge (see
+    /// [`StripScanner::program_cells`]); empty under the tile kernel.
+    codes: Vec<i32>,
 }
 
 /// Planned work (`edges_planned × K`, K being an add-op scan's lane count
@@ -159,6 +201,8 @@ impl<'a> StreamingExecutor<'a> {
             span_mark: SpanMark::default(),
             scan_paths: [0; 2],
             lowered: Vec::new(),
+            codes_id: None,
+            codes: Vec::new(),
         }
     }
 
@@ -314,6 +358,53 @@ impl<'a> StreamingExecutor<'a> {
         total
     }
 
+    /// The code table a MAC scan of `value` over `plan` reads, taken out
+    /// of the executor; the caller puts it back under `value`'s id once
+    /// the scan has finished, so a scan that panics leaves no table
+    /// behind. The table is the one held for `value`'s id, or, when `plan`
+    /// streams every stored edge, one programmed now. A pruned scan of a
+    /// value without a table gets `None` and programs each planned
+    /// subgraph as it scans it, so it costs what it streams. Programming
+    /// splits the table at `(block, strip)` slot boundaries into pieces of
+    /// about equal edge counts and fans them out like a scan. The tile
+    /// kernel programs each tile itself, so it never gets a table.
+    fn take_codes(&mut self, plan: &ScanPlan, value: &EdgeValueFn<'_>) -> Option<Vec<i32>> {
+        let tiled = self.tiled;
+        let total = tiled.total_edges();
+        let held = self.codes_id == Some(value.id());
+        let dense = plan.stats().edges_planned == total as u64;
+        if self.scanners[0].programs_tiles() || !(held || dense) {
+            return None;
+        }
+        self.codes_id = None;
+        let mut codes = std::mem::take(&mut self.codes);
+        if held {
+            return Some(codes);
+        }
+        codes.resize(total, 0);
+        let workers = self.scanners.len();
+        let pieces = if fans_out(total as u64, workers) {
+            4 * workers
+        } else {
+            1
+        };
+        let piece_edges = total.div_ceil(pieces).max(1);
+        let slots = tiled.num_slots();
+        let (mut tasks, mut rest, mut first, mut taken) = (Vec::new(), &mut codes[..], 0, 0);
+        for slot in 0..slots {
+            let end = tiled.slot_entry_start(slot + 1);
+            if end - taken >= piece_edges || slot + 1 == slots {
+                let (piece, tail) = std::mem::take(&mut rest).split_at_mut(end - taken);
+                tasks.push((first..slot + 1, piece));
+                (rest, first, taken) = (tail, slot + 1, end);
+            }
+        }
+        pool::run_on(&mut self.scanners, tasks, |scanner, (slots, piece)| {
+            scanner.program_cells(slots, value, piece);
+        });
+        Some(codes)
+    }
+
     /// What every scan charges once after its units: the plan's stream
     /// statistics, its disk loading, and the RegO capacity it needs.
     fn finish_scan(&mut self, plan: &ScanPlan, rego_capacity: u64) {
@@ -352,15 +443,19 @@ impl<'a> StreamingExecutor<'a> {
             assert_eq!(x.len(), n, "input vectors must have one entry per vertex");
         }
         let mut outputs = vec![vec![0.0; n]; k];
+        let codes = self.take_codes(plan, value);
         self.run_units(
             plan,
             &mut outputs,
             |scanner, punit, outputs, _, metrics| {
-                scanner.scan_mac_unit(punit, value, inputs, outputs, metrics);
+                scanner.scan_mac_unit(punit, value, codes.as_deref(), inputs, outputs, metrics);
                 0
             },
             |_| {},
         );
+        if let Some(codes) = codes {
+            (self.codes, self.codes_id) = (codes, Some(value.id()));
+        }
         self.finish_scan(plan, mac_rego_capacity(self.config, self.tiled));
         outputs
     }
@@ -588,7 +683,7 @@ mod tests {
         let spec = FixedSpec::new(16, 8).unwrap();
         let mut exec = StreamingExecutor::new(&tiled, &cfg, spec);
         let x: Vec<f64> = (0..50).map(|i| (i % 5) as f64 * 0.25).collect();
-        let y = exec.scan_mac(&weights_value, &[&x]);
+        let y = exec.scan_mac(&EdgeValueFn::new(&weights_value), &[&x]);
         let gold = spmv(&g.to_csr(), &x);
         for (a, b) in y[0].iter().zip(&gold) {
             assert!((a - b).abs() < 1e-6, "mac {a} vs gold {b}");
@@ -606,8 +701,8 @@ mod tests {
         let x: Vec<f64> = (0..40).map(|i| (i % 3) as f64).collect();
         let mut ef = StreamingExecutor::new(&tiled_f, &cfg_f, spec);
         let mut ea = StreamingExecutor::new(&tiled_a, &cfg_a, spec);
-        let yf = ef.scan_mac(&weights_value, &[&x]);
-        let ya = ea.scan_mac(&weights_value, &[&x]);
+        let yf = ef.scan_mac(&EdgeValueFn::new(&weights_value), &[&x]);
+        let ya = ea.scan_mac(&EdgeValueFn::new(&weights_value), &[&x]);
         for (a, b) in yf[0].iter().zip(&ya[0]) {
             assert!((a - b).abs() < 1e-9);
         }
@@ -628,11 +723,11 @@ mod tests {
         let x2: Vec<f64> = (0..30).map(|i| i as f64 * 0.1).collect();
 
         let mut e2 = StreamingExecutor::new(&tiled, &cfg, spec);
-        let both = e2.scan_mac(&weights_value, &[&x1, &x2]);
+        let both = e2.scan_mac(&EdgeValueFn::new(&weights_value), &[&x1, &x2]);
         let m2 = e2.into_metrics();
 
         let mut e1 = StreamingExecutor::new(&tiled, &cfg, spec);
-        let only1 = e1.scan_mac(&weights_value, &[&x1]);
+        let only1 = e1.scan_mac(&EdgeValueFn::new(&weights_value), &[&x1]);
         let m1 = e1.into_metrics();
 
         assert_eq!(both[0], only1[0]);
@@ -660,7 +755,7 @@ mod tests {
         let mut frontier = dist.clone();
         let mut updated = FrontierMask::new(3);
         let rows = exec.scan_add_op(
-            &weights_value,
+            &EdgeValueFn::new(&weights_value),
             &|du, w| du + w,
             &dist,
             &active,
@@ -677,7 +772,7 @@ mod tests {
         let mut updated2 = FrontierMask::new(3);
         let mut frontier2 = dist.clone();
         exec.scan_add_op(
-            &weights_value,
+            &EdgeValueFn::new(&weights_value),
             &|du, w| du + w,
             &dist,
             &active,
@@ -701,7 +796,7 @@ mod tests {
         let mut frontier = dist.clone();
         let mut updated = FrontierMask::new(64);
         let rows = exec.scan_add_op(
-            &weights_value,
+            &EdgeValueFn::new(&weights_value),
             &|du, w| du + w,
             &dist,
             &active,
@@ -730,12 +825,12 @@ mod tests {
         let x = vec![1.0; 64];
 
         let mut es = StreamingExecutor::new(&tiled, &cfg_skip, spec);
-        let ys = es.scan_mac(&weights_value, &[&x]);
+        let ys = es.scan_mac(&EdgeValueFn::new(&weights_value), &[&x]);
         let ms = es.into_metrics();
 
         let tiled2 = TiledGraph::preprocess(&g, &cfg_noskip).unwrap();
         let mut en = StreamingExecutor::new(&tiled2, &cfg_noskip, spec);
-        let yn = en.scan_mac(&weights_value, &[&x]);
+        let yn = en.scan_mac(&EdgeValueFn::new(&weights_value), &[&x]);
         let mn = en.into_metrics();
 
         assert_eq!(ys, yn, "skipping must not change results");
@@ -758,7 +853,7 @@ mod tests {
         let spec = FixedSpec::new(16, 8).unwrap();
         let x = vec![1.0; 512];
         let mut exec = StreamingExecutor::new(&tiled, &cfg, spec);
-        let _ = exec.scan_mac(&weights_value, &[&x]);
+        let _ = exec.scan_mac(&EdgeValueFn::new(&weights_value), &[&x]);
         let m = exec.into_metrics();
         // 512 vertices / 4 rows = 128 chunks per strip-pass; with 4 slots
         // per step and ~hundreds of tiles, packed steps must stay well
@@ -789,12 +884,12 @@ mod tests {
 
         let tiled_c = TiledGraph::preprocess(&g, &col_cfg).unwrap();
         let mut ec = StreamingExecutor::new(&tiled_c, &col_cfg, spec);
-        let yc = ec.scan_mac(&weights_value, &[&x]);
+        let yc = ec.scan_mac(&EdgeValueFn::new(&weights_value), &[&x]);
         let mc = ec.into_metrics();
 
         let tiled_r = TiledGraph::preprocess(&g, &row_cfg).unwrap();
         let mut er = StreamingExecutor::new(&tiled_r, &row_cfg, spec);
-        let yr = er.scan_mac(&weights_value, &[&x]);
+        let yr = er.scan_mac(&EdgeValueFn::new(&weights_value), &[&x]);
         let mr = er.into_metrics();
 
         assert_eq!(yc, yr, "traversal order must not change results");
@@ -850,13 +945,17 @@ mod tests {
             let [inline, fanned_out] = assert_thread_sweep_identical(&tiled, &cfg, spec, |exec| {
                 let mut outputs = Vec::new();
                 for round in 0..4 {
-                    outputs.push(exec.scan_mac(&weights_value, &[&x1]));
-                    outputs.push(exec.scan_mac(&weights_value, &[&x1, &x2]));
+                    outputs.push(exec.scan_mac(&EdgeValueFn::new(&weights_value), &[&x1]));
+                    outputs.push(exec.scan_mac(&EdgeValueFn::new(&weights_value), &[&x1, &x2]));
                     // A one-vertex mask plans fewer units than workers.
                     let mut mask = FrontierMask::new(n);
                     mask.set(round * 70);
                     let plan = exec.plan(Some(&mask));
-                    outputs.push(exec.scan_mac_planned(&plan, &weights_value, &[&x2]));
+                    outputs.push(exec.scan_mac_planned(
+                        &plan,
+                        &EdgeValueFn::new(&weights_value),
+                        &[&x2],
+                    ));
                     exec.end_iteration();
                 }
                 (outputs, exec.take_metrics())
@@ -887,7 +986,7 @@ mod tests {
                 let mut frontier = dist.clone();
                 let mut updated = FrontierMask::new(200);
                 rows_history.push(exec.scan_add_op(
-                    &weights_value,
+                    &EdgeValueFn::new(&weights_value),
                     &|du, w| du + w,
                     &dist,
                     &active,
@@ -1017,7 +1116,7 @@ mod tests {
                 let seeded = updated.clone();
                 exec.scan_add_op_lanes_planned(
                     &plan,
-                    &weights_value,
+                    &EdgeValueFn::new(&weights_value),
                     &|du, w| du + w,
                     &addends,
                     &active,

@@ -21,11 +21,20 @@
 //! stored cells once, in the tiler's streamed `(col, row, edge index)`
 //! order (§3.4, equation (8)), so host work follows the stored edges, not
 //! the `C × C` crossbar; the simulated cost of the empty cells is still
-//! charged from counts. That order keeps parallel edges adjacent, so each
-//! cell's value is merged on the fly (`Sum` for MAC, `Min` for add-op)
-//! and quantised once. MAC sums each column's rows in ascending order per
-//! input vector, skipping zero inputs, and reduces a nonzero sum into
-//! RegO; add-op drives each cell for every lane in its row's lane word.
+//! charged from counts. That order keeps parallel edges adjacent, so a
+//! cell's value is its edges' values merged in streamed order (`Sum` for
+//! MAC, `Min` for add-op) and quantised once. MAC reads those values as
+//! data: [`StripScanner::program_cells`] writes one raw code per stored
+//! edge, the cell's code on its first entry and [`SKIP_CODE`] on the rest,
+//! and the executor keeps that table across scans of one
+//! [`EdgeValueFn`], so the MAC kernel only dequantises. A pruned scan of a
+//! value the executor holds no table for programs each planned subgraph's
+//! codes into scratch just before the same kernel reads them. Add-op
+//! merges and quantises each cell as the walk meets it, since a traversal
+//! meets a cell about once per run. MAC sums each column's rows in
+//! ascending order per input vector, skipping zero inputs, and reduces a
+//! nonzero sum into RegO; add-op drives each cell for every lane in its
+//! row's lane word.
 //! That is the arithmetic and the per-output reduction order of
 //! [`TileCompute`]'s `load` then `mac` / `row_entries`, so results and
 //! metrics are bit-identical to it. [`TileCompute`] remains the datapath
@@ -43,6 +52,8 @@
 //!
 //! [`StreamingExecutor`]: crate::exec::streaming::StreamingExecutor
 
+use std::ops::Range;
+
 use crate::config::{Fidelity, GraphRConfig, StreamingOrder};
 use crate::engine::salu::{ReduceOp, SAlu};
 use crate::engine::tile::{MergeRule, TileCompute};
@@ -54,6 +65,11 @@ use crate::preprocess::tiler::{SubgraphView, TileEntry, TiledGraph};
 /// Bytes per COO edge record streamed from memory ReRAM — the binary
 /// record format is owned by the graph crate.
 pub(crate) use graphr_graph::BYTES_PER_EDGE;
+
+/// The code [`StripScanner::program_cells`] gives every entry of a cell
+/// but its first. It lies outside every format's raw range (formats have
+/// at most 31 bits), so no kernel mistakes it for a programmed value.
+pub const SKIP_CODE: i32 = i32::MIN;
 
 /// One global destination strip: the parallel work unit of a scan.
 ///
@@ -129,8 +145,8 @@ pub struct StripScanner<'a> {
     tile: Option<TileKernel>,
     /// Scratch: one subgraph's lane word per source row (add-op).
     row_lanes: Vec<u64>,
-    /// Scratch: one tile column's stored cells as `(src, quantised value)`.
-    col_cells: Vec<(usize, f64)>,
+    /// Scratch: one subgraph's cell codes, for a MAC scan without a table.
+    subgraph_codes: Vec<i32>,
     /// Scratch: one strip visit's per-tile driven-row counts.
     tile_rows_buf: Vec<u64>,
     /// Scratch: one add-op unit's lowered lanes per local destination.
@@ -213,7 +229,7 @@ impl TileKernel {
         self.value_buf.extend(entries.iter().map(|e| {
             let src = (src0 + e.row as usize) as u32;
             let dst = (dst0 + e.col as usize) as u32;
-            value(e.weight, src, dst)
+            value.eval(e.weight, src, dst)
         }));
         self.tile.load(entries, &self.value_buf, merge);
     }
@@ -235,7 +251,7 @@ impl<'a> StripScanner<'a> {
             quant: spec.quantizer(),
             tile: (config.fidelity == Fidelity::Analog).then(|| TileKernel::new(config, spec)),
             row_lanes: vec![0; config.crossbar_size],
-            col_cells: Vec::new(),
+            subgraph_codes: Vec::new(),
             tile_rows_buf: Vec::new(),
             marks: LaneMarks::new(config.strip_width()),
         }
@@ -272,6 +288,84 @@ impl<'a> StripScanner<'a> {
         self.spec
     }
 
+    /// Whether this scanner's MAC kernel programs each tile itself through
+    /// [`TileCompute`] (Analog fidelity, or the tile reference) rather than
+    /// reading the codes of [`StripScanner::program_cells`].
+    #[must_use]
+    pub(crate) fn programs_tiles(&self) -> bool {
+        self.tile.is_some()
+    }
+
+    /// Programs the crossbar cells of the `(block, strip)` slots in
+    /// `slots` (slot `block · strips_per_block + strip`, see
+    /// [`TiledGraph::slot_entry_start`]) for MAC scans of `value`. `codes`
+    /// covers exactly those slots' stored edges in streamed order and
+    /// receives one raw fixed-point code per edge. A cell's code is the
+    /// sum of its parallel edges' values in streamed order, quantised
+    /// once — what [`TileCompute::load`] programs — and sits on the
+    /// cell's first entry; the cell's other entries get [`SKIP_CODE`], so
+    /// the kernel never multiplies them, not even by zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codes` is not exactly as long as the slots' edge count.
+    pub fn program_cells(&self, slots: Range<usize>, value: &EdgeValueFn<'_>, codes: &mut [i32]) {
+        let tiled = self.tiled;
+        let strips = tiled.order().strips_per_block();
+        let mut rest = codes;
+        for slot in slots {
+            let (block, strip) = (slot / strips, slot % strips);
+            let dst0 = tiled.strip_dst_start(block, strip);
+            for ord in tiled.slot_subgraphs(block, strip) {
+                let sg = tiled.subgraph(ord);
+                let src0 = tiled.chunk_src_start(block, sg.chunk());
+                let (programmed, tail) =
+                    std::mem::take(&mut rest).split_at_mut(sg.edges() as usize);
+                self.program_subgraph(src0, dst0, sg, value, programmed);
+                rest = tail;
+            }
+        }
+        assert!(rest.is_empty(), "codes must cover exactly the slots' edges");
+    }
+
+    /// [`StripScanner::program_cells`] for one subgraph, whose sources
+    /// start at `src0` and destinations at `dst0`; `codes` holds one code
+    /// per edge of it.
+    fn program_subgraph(
+        &self,
+        src0: usize,
+        dst0: usize,
+        sg: SubgraphView<'_>,
+        value: &EdgeValueFn<'_>,
+        codes: &mut [i32],
+    ) {
+        let c = self.config.crossbar_size;
+        let mut rest = codes;
+        for (t, entries) in sg.tiles() {
+            let tile_dst0 = dst0 + t * c;
+            let (tile_codes, tail) = std::mem::take(&mut rest).split_at_mut(entries.len());
+            rest = tail;
+            // `head` is the open cell's first entry and `sum` its value so
+            // far; a cell's entries are adjacent.
+            let (mut head, mut sum) = (0, 0.0);
+            for (i, e) in entries.iter().enumerate() {
+                let src = (src0 + e.row as usize) as u32;
+                let v = value.eval(e.weight, src, (tile_dst0 + e.col as usize) as u32);
+                let open = &entries[head];
+                if i > head && (e.col, e.row) == (open.col, open.row) {
+                    sum = MergeRule::Sum.combine(sum, v);
+                    tile_codes[i] = SKIP_CODE;
+                } else {
+                    if i > head {
+                        tile_codes[head] = self.quant.quantize(sum);
+                    }
+                    (head, sum) = (i, v);
+                }
+            }
+            tile_codes[head] = self.quant.quantize(sum);
+        }
+    }
+
     /// Total crossbar tile slots across the node.
     fn tile_slots(&self) -> usize {
         self.config.num_ges * self.config.tiles_per_ge()
@@ -283,11 +377,16 @@ impl<'a> StripScanner<'a> {
     /// (`outputs[i]` covers exactly the unit's destinations and is
     /// pre-zeroed by the caller), charging the planned work's share of time
     /// and energy into `metrics`. Only the block rows and subgraphs the
-    /// plan lists are visited.
+    /// plan lists are visited. The Fast kernel reads each cell's code
+    /// from `table`, the whole graph's [`StripScanner::program_cells`] for
+    /// `value`, or without one programs each subgraph's codes just before
+    /// it scans them; the tile kernel programs each tile from `value` and
+    /// ignores `table`.
     pub fn scan_mac_unit(
         &mut self,
         punit: &PlanUnit,
         value: &EdgeValueFn<'_>,
+        table: Option<&[i32]>,
         inputs: &[&[f64]],
         outputs: &mut [&mut [f64]],
         metrics: &mut Metrics,
@@ -313,7 +412,7 @@ impl<'a> StripScanner<'a> {
                         strip_tiles += sg.tiles().len() as u64;
                         strip_edges += u64::from(sg.edges());
                         self.mac_subgraph(
-                            bidx, sidx, sg, unit, value, inputs, outputs, &mut salu, metrics,
+                            bidx, sidx, sg, unit, value, table, inputs, outputs, &mut salu, metrics,
                         );
                     }
                     self.charge_strip_time(strip_tiles, strip_edges, pruned, k, metrics);
@@ -331,7 +430,7 @@ impl<'a> StripScanner<'a> {
                         let sg = tiled.subgraph(ord as usize);
                         let (tiles, edges) = (sg.tiles().len() as u64, u64::from(sg.edges()));
                         self.mac_subgraph(
-                            bidx, sidx, sg, unit, value, inputs, outputs, &mut salu, metrics,
+                            bidx, sidx, sg, unit, value, table, inputs, outputs, &mut salu, metrics,
                         );
                         self.charge_strip_time(
                             tiles.min(self.tile_slots() as u64),
@@ -414,6 +513,7 @@ impl<'a> StripScanner<'a> {
         sg: SubgraphView<'_>,
         unit: &StripUnit,
         value: &EdgeValueFn<'_>,
+        table: Option<&[i32]>,
         inputs: &[&[f64]],
         outputs: &mut [&mut [f64]],
         salu: &mut SAlu,
@@ -431,6 +531,16 @@ impl<'a> StripScanner<'a> {
 
         // --- functional compute ---
         let unit_dst0 = unit.dst_start;
+        if self.tile.is_none() && table.is_none() {
+            let mut codes = std::mem::take(&mut self.subgraph_codes);
+            codes.resize(edges as usize, 0);
+            self.program_subgraph(src0, dst0, sg, value, &mut codes);
+            self.subgraph_codes = codes;
+        }
+        let codes = match table {
+            Some(table) => &table[sg.first_entry()..],
+            None => &self.subgraph_codes[..],
+        };
         match &mut self.tile {
             Some(kernel) => {
                 for (t, entries) in sg.tiles() {
@@ -456,24 +566,22 @@ impl<'a> StripScanner<'a> {
             }
             None => {
                 // Stored cells hold real edges, so every source and
-                // destination below is a real vertex.
-                let cells = &mut self.col_cells;
+                // destination below is a real vertex. A cell's code sits
+                // on its first entry; the rest of the cell is skipped.
+                let quant = self.quant;
+                let mut codes = codes;
                 for (t, entries) in sg.tiles() {
                     let tile_dst0 = dst0 + t * c;
                     for column in entries.chunk_by(|a, b| a.col == b.col) {
                         let dst = tile_dst0 + column[0].col as usize;
-                        cells.clear();
-                        cells.extend(column.chunk_by(|a, b| a.row == b.row).map(|cell| {
-                            let src = src0 + cell[0].row as usize;
-                            let v = cell_value(cell, src, dst, value, MergeRule::Sum);
-                            (src, self.quant.quantize_value(v))
-                        }));
+                        let (column_codes, rest) = codes.split_at(column.len());
+                        codes = rest;
                         for (x, out) in inputs.iter().zip(outputs.iter_mut()) {
                             let mut sum = 0.0;
-                            for &(src, q) in cells.iter() {
-                                let xv = x[src];
-                                if xv != 0.0 {
-                                    sum += q * xv;
+                            for (e, &code) in column.iter().zip(column_codes) {
+                                let xv = x[src0 + e.row as usize];
+                                if code != SKIP_CODE && xv != 0.0 {
+                                    sum += quant.dequantize(code) * xv;
                                 }
                             }
                             if sum != 0.0 {
@@ -842,10 +950,10 @@ fn cell_value(
     merge: MergeRule,
 ) -> f64 {
     let (src, dst) = (src as u32, dst as u32);
-    let first = value(cell[0].weight, src, dst);
-    cell[1..]
-        .iter()
-        .fold(first, |v, e| merge.combine(v, value(e.weight, src, dst)))
+    let first = value.eval(cell[0].weight, src, dst);
+    cell[1..].iter().fold(first, |v, e| {
+        merge.combine(v, value.eval(e.weight, src, dst))
+    })
 }
 
 #[cfg(test)]
@@ -901,6 +1009,28 @@ mod tests {
         g
     }
 
+    /// A cell's code is its parallel edges' summed value, quantised once,
+    /// on the cell's first entry; the cell's other entries carry
+    /// [`SKIP_CODE`].
+    #[test]
+    fn program_cells_codes_each_cell_once() {
+        let mut g = golden_graph();
+        for w in [0.5, 0.25] {
+            g.add_edge(graphr_graph::Edge::new(0, 1, w)).unwrap();
+        }
+        let cfg = small_config();
+        let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
+        let scanner = StripScanner::new(&tiled, &cfg, FixedSpec::new(16, 2).unwrap());
+        let mut codes = vec![0; tiled.total_edges()];
+        let value = EdgeValueFn::new(&|w, _, _| f64::from(w));
+        scanner.program_cells(0..tiled.num_slots(), &value, &mut codes);
+        // Q14.2 codes are four times the value: (0, 1) sums to 2.75.
+        let cell = codes.iter().position(|&code| code == 11).unwrap();
+        assert_eq!(codes[cell + 1..cell + 3], [SKIP_CODE; 2]);
+        codes.sort_unstable();
+        assert_eq!(codes, [SKIP_CODE, SKIP_CODE, 4, 4, 4, 4, 8, 11, 12, 16]);
+    }
+
     /// One SSSP add-op scan of `active` over the dense full plan, unit by
     /// unit, each scanning in place into its windows of a copy of
     /// `labels`: the per-lane labels, the per-vertex updated lane words
@@ -924,7 +1054,7 @@ mod tests {
             lowered.clear();
             drives += scanner.scan_add_op_lanes_unit(
                 punit,
-                &|w, _, _| f64::from(w),
+                &EdgeValueFn::new(&|w, _, _| f64::from(w)),
                 &|du, w| du + w,
                 labels,
                 active,
@@ -1010,21 +1140,24 @@ mod tests {
         let spec = FixedSpec::new(16, 8).unwrap();
         let x: Vec<f64> = (0..120).map(|i| (i % 7) as f64 * 0.5).collect();
 
+        let value = EdgeValueFn::new(&|w, _, _| f64::from(w));
         let mut exec = StreamingExecutor::new(&tiled, &cfg, spec);
-        let whole = exec.scan_mac(&|w, _, _| f64::from(w), &[&x]);
+        let whole = exec.scan_mac(&value, &[&x]);
         let whole_metrics = exec.into_metrics();
 
         // Hand-rolled plan-unit loop: same results, same merged metrics.
         let skeleton = crate::exec::plan::PlanSkeleton::build(&tiled);
         let plan = skeleton.full_plan();
         let mut scanner = StripScanner::new(&tiled, &cfg, spec);
+        let mut codes = vec![0; tiled.total_edges()];
+        scanner.program_cells(0..tiled.num_slots(), &value, &mut codes);
         let mut merged = Metrics::new();
         let mut out = vec![0.0; 120];
         for punit in plan.units() {
             let unit = &punit.unit;
             let window = &mut out[unit.dst_start..unit.dst_start + unit.dst_len];
             let mut m = Metrics::new();
-            scanner.scan_mac_unit(punit, &|w, _, _| f64::from(w), &[&x], &mut [window], &mut m);
+            scanner.scan_mac_unit(punit, &value, Some(&codes), &[&x], &mut [window], &mut m);
             merged.merge(&m);
         }
         merged.events.rego_capacity_required = merged

@@ -565,19 +565,6 @@ impl<'a> ClusterExecutor<'a> {
     }
 }
 
-/// Counts the set `updated` bits inside a plan's destination ranges —
-/// the only places a scan of that plan can set them. Word-level popcounts
-/// through the mask; dead 4096-vertex spans cost one summary probe.
-fn planned_updates(plan: &ScanPlan, updated: &FrontierMask) -> u64 {
-    plan.units()
-        .iter()
-        .map(|p| {
-            let u = &p.unit;
-            updated.count_range(u.dst_start, u.dst_start + u.dst_len)
-        })
-        .sum()
-}
-
 /// Assigns every strip unit of the dense plan to a node under `policy`,
 /// weighing each unit by its full-plan edge count.
 fn assign_owners(full: &[Arc<PlanUnit>], nodes: usize, policy: OwnerPolicy) -> Vec<u32> {
@@ -674,19 +661,13 @@ impl ScanEngine for ClusterExecutor<'_> {
     ) -> u64 {
         // Every node advances all K lanes over its shard of the *union*
         // plan. Frontier-delta exchange needs the newly set `updated`
-        // flags: inner engines only write planned units' (disjoint)
-        // destination ranges, so counting inside those ranges is exact
-        // and costs O(planned coverage), not O(|V|) — and nothing at all
-        // on a one-node cluster, which exchanges nothing. The exchange
-        // counts union-updated vertices: a vertex any lane lowered crosses
-        // the interconnect once — lanes share the property exchange
-        // exactly like they share the edge stream.
-        let count = self.cluster.nodes > 1;
-        let before = if count {
-            planned_updates(plan, updated.union())
-        } else {
-            0
-        };
+        // flags: a scan only sets bits, and only inside its plan's
+        // destination windows (see [`ScanEngine`]), so the union's
+        // maintained popcount grows by exactly the vertices this scan
+        // lowered. The exchange counts union-updated vertices: a vertex
+        // any lane lowered crosses the interconnect once — lanes share the
+        // property exchange exactly like they share the edge stream.
+        let before = updated.union().len();
         let shards = self.shard(plan);
         let mut rows = 0u64;
         for (node, shard) in self.nodes.iter_mut().zip(shards.iter()) {
@@ -697,10 +678,7 @@ impl ScanEngine for ClusterExecutor<'_> {
                 shard, value, combine, addends, active, frontiers, updated,
             );
         }
-        if count {
-            let after = planned_updates(plan, updated.union());
-            self.net.touch(after - before);
-        }
+        self.net.touch((updated.union().len() - before) as u64);
         self.resync();
         rows
     }

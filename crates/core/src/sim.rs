@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 use crate::config::{ConfigError, GraphRConfig};
 use crate::exec::lanes::{LaneFrontier, MAX_LANES};
 use crate::exec::mask::{FrontierDelta, FrontierMask};
-use crate::exec::streaming::StreamingExecutor;
+use crate::exec::streaming::{EdgeValueFn, StreamingExecutor};
 use crate::exec::ScanEngine;
 use crate::metrics::{LaneCounters, Metrics};
 use crate::preprocess::tiler::TiledGraph;
@@ -226,6 +226,7 @@ pub fn run_pagerank_with(
     // source without out-edges is never read.
     let conductance: Vec<f64> = degrees.iter().map(|&d| r / f64::from(d)).collect();
     let value = |_w: f32, src: u32, _dst: u32| conductance[src as usize];
+    let value = EdgeValueFn::new(&value);
 
     // Ranks scaled by n: uniform start is exactly 1.0.
     let qr = opts.register_spec.quantizer();
@@ -377,9 +378,11 @@ pub fn run_spmv_with(
     }
     // The conductance w / outdeg depends on each edge's weight, so unlike
     // PageRank's it has no per-source table: w · (1 / outdeg) would round
-    // differently.
+    // differently. The division runs once per programmed edge, when the
+    // executor programs the cell codes, not in the scan's kernel.
     let degrees = graph.out_degrees();
     let value = move |w: f32, src: u32, _dst: u32| f64::from(w) / f64::from(degrees[src as usize]);
+    let value = EdgeValueFn::new(&value);
     let qreg = opts.register_spec.quantizer();
     let qx: Vec<f64> = x.iter().map(|&v| qreg.quantize_value(v)).collect();
     let trace = exec.trace().cloned();
@@ -817,6 +820,7 @@ fn run_lanes_loop(
 ) -> (Vec<Vec<f64>>, Metrics) {
     let n = active.num_vertices();
     let k = active.num_lanes();
+    let value = EdgeValueFn::new(value);
     let trace = exec.trace().cloned();
     let mut tracer = IterTracer::new();
     let mut counters = vec![LaneCounters::default(); k];
@@ -834,7 +838,7 @@ fn run_lanes_loop(
         let mut updated = LaneFrontier::new(n, k);
         exec.scan_add_op_lanes_planned(
             &plan,
-            value,
+            &value,
             combine,
             &dists,
             &active,
@@ -1112,6 +1116,7 @@ pub fn run_cf_with<'e>(
         // Item-side gradients: y[i] = Σ_u e_ui · p_u[feat] over R.
         let value_r =
             |w: f32, src: u32, dst: u32| -> f64 { error_ui(w, src as usize, dst as usize - users) };
+        let value_r = EdgeValueFn::new(&value_r);
         let p_cols: Vec<Vec<f64>> = (0..f)
             .map(|feat| {
                 let mut col = vec![0.0; n];
@@ -1133,6 +1138,7 @@ pub fn run_cf_with<'e>(
         // User-side gradients: y[u] = Σ_i e_ui · q_i[feat] over Rᵀ.
         let value_rt =
             |w: f32, src: u32, dst: u32| -> f64 { error_ui(w, dst as usize, src as usize - users) };
+        let value_rt = EdgeValueFn::new(&value_rt);
         let q_cols: Vec<Vec<f64>> = (0..f)
             .map(|feat| {
                 let mut col = vec![0.0; n];
@@ -1539,6 +1545,7 @@ mod tests {
     ) -> (Vec<Vec<f64>>, Metrics) {
         let n = active.num_vertices();
         let k = active.num_lanes();
+        let value = EdgeValueFn::new(value);
         let mut counters = vec![LaneCounters::default(); k];
         let mut delta: Option<FrontierDelta> = None;
         for _ in 0..cap {
@@ -1553,7 +1560,7 @@ mod tests {
             let mut updated = LaneFrontier::new(n, k);
             exec.scan_add_op_lanes_planned(
                 &plan,
-                value,
+                &value,
                 combine,
                 &dists,
                 &active,

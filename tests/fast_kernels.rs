@@ -10,8 +10,16 @@
 //!
 //! `PROPTEST_CASES` sets the cases per property (default 32).
 
-use graphr_repro::core::exec::{FrontierMask, LaneFrontier, ScanEngine, StreamingExecutor};
+use graphr_repro::core::exec::{
+    EdgeValueFn, FrontierMask, LaneFrontier, ScanEngine, StreamingExecutor,
+};
+use graphr_repro::core::multinode::{ClusterExecutor, MultiNodeConfig, OwnerPolicy};
+use graphr_repro::core::sim::{
+    cf_config_for, run_cf_with, run_pagerank_with, run_spmv_with, CfMatrix, CfOptions,
+    PageRankOptions, ScalarRun, SpmvOptions,
+};
 use graphr_repro::core::{GraphRConfig, Metrics, StreamingOrder, TiledGraph};
+use graphr_repro::graph::generators::bipartite::RatingMatrix;
 use graphr_repro::graph::generators::rmat::Rmat;
 use graphr_repro::graph::{Edge, EdgeList};
 use graphr_repro::reram::SignMode;
@@ -81,15 +89,24 @@ fn bits(v: &[Vec<f64>]) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// One MAC scan of `inputs`: outputs as bits, and the metrics.
+/// Four MAC scans of `inputs` under one value: over the plan pruned to
+/// `mask`, which has no code table yet and so programs each planned
+/// subgraph as it scans it; over the dense plan, which programs the
+/// table; and over both plans again, which read it. Each scan's outputs
+/// as bits, and the metrics.
 fn mac_scan(
     signed: bool,
     inputs: &[Vec<f64>],
+    mask: &FrontierMask,
     mut exec: StreamingExecutor<'_>,
-) -> (Vec<Vec<u64>>, Metrics) {
+) -> (Vec<Vec<Vec<u64>>>, Metrics) {
     let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
-    let out = exec.scan_mac(&edge_value(signed), &refs);
-    (bits(&out), exec.into_metrics())
+    let value = edge_value(signed);
+    let value = EdgeValueFn::new(&value);
+    let (pruned, dense) = (exec.plan(Some(mask)), exec.plan(None));
+    let out = [&pruned, &dense, &dense, &pruned]
+        .map(|plan| bits(&exec.scan_mac_planned(plan, &value, &refs)));
+    (out.to_vec(), exec.into_metrics())
 }
 
 /// One lane-fused add-op scan over the union plan of `active`: lane
@@ -107,7 +124,7 @@ fn add_op_scan(
     let mut updated = LaneFrontier::new(n, k);
     let drives = exec.scan_add_op_lanes_planned(
         &plan,
-        &edge_value(signed),
+        &EdgeValueFn::new(&edge_value(signed)),
         &|du, w| du + w,
         addends,
         active,
@@ -150,11 +167,15 @@ proptest! {
                     .collect()
             })
             .collect();
+        // Sources in about two thirds of the 16-vertex runs.
+        let mask = FrontierMask::from_slice(
+            &(0..n).map(|v| !mix(seed ^ 0x3C, (v / 16) as u64).is_multiple_of(3)).collect::<Vec<_>>(),
+        );
         let reference = StreamingExecutor::new(&tiled, &config, spec).with_tile_reference();
-        let expected = mac_scan(signed, &inputs, reference);
+        let expected = mac_scan(signed, &inputs, &mask, reference);
         for threads in [1, 2] {
             let exec = StreamingExecutor::new(&tiled, &config, spec).with_threads(threads);
-            let got = mac_scan(signed, &inputs, exec);
+            let got = mac_scan(signed, &inputs, &mask, exec);
             prop_assert_eq!(&got.0, &expected.0, "outputs at {} threads", threads);
             prop_assert_eq!(&got.1, &expected.1, "metrics at {} threads", threads);
         }
@@ -211,5 +232,189 @@ proptest! {
             prop_assert_eq!(got.2, expected.2, "row drives at {} threads", threads);
             prop_assert_eq!(&got.3, &expected.3, "metrics at {} threads", threads);
         }
+    }
+}
+
+/// The thread counts the code-table tests sweep: inline, two workers,
+/// and worker counts that do not divide the table's slot pieces.
+const THREADS: [usize; 4] = [1, 2, 3, 7];
+
+/// A MAC-run result compared bit for bit: values and the whole `Metrics`.
+fn run_bits(run: ScalarRun) -> (Vec<u64>, Metrics) {
+    (
+        run.values.iter().map(|v| v.to_bits()).collect(),
+        run.metrics,
+    )
+}
+
+/// A multigraph large enough that the code table is programmed on every
+/// worker (its edge count passes the fan-out cutoff).
+fn table_graph() -> EdgeList {
+    multigraph(600, 6000, 17, 3)
+}
+
+/// Ten PageRank iterations reuse the code table their first scan
+/// programs; a masked SpMV's pruned plan programs only the subgraphs it
+/// scans. Both equal the tile reference bit for bit at every thread
+/// count.
+#[test]
+fn mac_drivers_with_reused_codes_match_tile_reference() {
+    let g = table_graph();
+    let n = g.num_vertices();
+    let config = config(8, StreamingOrder::ColumnMajor, false);
+    let tiled = TiledGraph::preprocess(&g, &config).expect("valid geometry");
+
+    let pagerank = PageRankOptions {
+        max_iterations: 10,
+        tolerance: 0.0,
+        ..PageRankOptions::default()
+    };
+    let spec = pagerank.matrix_spec;
+    let pr = |exec: StreamingExecutor<'_>| {
+        let mut exec = exec;
+        run_bits(run_pagerank_with(&g, &mut exec, &pagerank).expect("pagerank runs"))
+    };
+    let expected = pr(StreamingExecutor::new(&tiled, &config, spec).with_tile_reference());
+    assert_eq!(expected.1.iterations, 10);
+    for threads in THREADS {
+        let got = pr(StreamingExecutor::new(&tiled, &config, spec).with_threads(threads));
+        assert_eq!(got, expected, "pagerank at {threads} threads");
+    }
+
+    let mask = FrontierMask::from_slice(&(0..n).map(|v| (v / 64) % 3 == 1).collect::<Vec<_>>());
+    let spmv = SpmvOptions {
+        input: Some(
+            (0..n)
+                .map(|v| {
+                    if mask.get(v) {
+                        (v % 9) as f64 * 0.25
+                    } else {
+                        0.0
+                    }
+                })
+                .collect(),
+        ),
+        source_mask: Some(mask),
+        ..SpmvOptions::default()
+    };
+    let spec = spmv.matrix_spec;
+    let mv = |exec: StreamingExecutor<'_>| {
+        let mut exec = exec;
+        run_bits(run_spmv_with(&g, &mut exec, &spmv).expect("spmv runs"))
+    };
+    let expected = mv(StreamingExecutor::new(&tiled, &config, spec).with_tile_reference());
+    assert!(
+        expected.1.events.subgraphs_pruned > 0,
+        "the mask must prune"
+    );
+    for threads in THREADS {
+        let got = mv(StreamingExecutor::new(&tiled, &config, spec).with_threads(threads));
+        assert_eq!(got, expected, "masked spmv at {threads} threads");
+    }
+}
+
+/// One executor scanning two different values in runs of two and three
+/// scans gives every scan the result a fresh executor gives that value:
+/// a value's first scan programs a code table and later ones reuse it,
+/// a table held for one value is never read for the other, and a new
+/// table replaces the old one.
+#[test]
+fn distinct_values_on_one_executor_match_fresh_executors() {
+    let g = table_graph();
+    let n = g.num_vertices();
+    let config = config(8, StreamingOrder::ColumnMajor, true);
+    let tiled = TiledGraph::preprocess(&g, &config).expect("valid geometry");
+    let spec = FixedSpec::new(16, 12).expect("Q4.12 is valid");
+    let x: Vec<f64> = (0..n).map(|v| (v % 5) as f64 * 0.25 - 0.5).collect();
+    let weight = |w: f32, _s: u32, _d: u32| f64::from(w) * 0.25;
+    let signed = edge_value(true);
+    let values = [EdgeValueFn::new(&weight), EdgeValueFn::new(&signed)];
+    let scan = |exec: &mut StreamingExecutor<'_>, value: &EdgeValueFn<'_>| {
+        let out = exec.scan_mac(value, &[&x]);
+        (bits(&out), exec.take_metrics())
+    };
+    let fresh: Vec<_> = values
+        .iter()
+        .map(|value| scan(&mut StreamingExecutor::new(&tiled, &config, spec), value))
+        .collect();
+    assert_ne!(fresh[0].0, fresh[1].0, "the two values must differ");
+    for threads in THREADS {
+        let mut exec = StreamingExecutor::new(&tiled, &config, spec).with_threads(threads);
+        for (round, which) in [0, 0, 0, 1, 1, 0, 0].into_iter().enumerate() {
+            let got = scan(&mut exec, &values[which]);
+            assert_eq!(got, fresh[which], "scan {round} at {threads} threads");
+        }
+    }
+}
+
+/// Collaborative filtering programs new values every epoch and direction;
+/// three epochs match the tile reference bit for bit.
+#[test]
+fn cf_epochs_match_tile_reference() {
+    let m = RatingMatrix::new(120, 40, 3000).seed(5).generate();
+    let (users, items) = (120, 40);
+    let opts = CfOptions {
+        features: 4,
+        epochs: 3,
+        ..CfOptions::default()
+    };
+    let cf_config = cf_config_for(&config(8, StreamingOrder::ColumnMajor, false))
+        .expect("differential tiles fit");
+    let tiled = TiledGraph::preprocess(m.graph(), &cf_config).expect("valid geometry");
+    let tiled_t =
+        TiledGraph::preprocess(&m.graph().transposed(), &cf_config).expect("valid geometry");
+    let run = |threads: Option<usize>| {
+        let mut make_engine = |matrix| -> Box<dyn ScanEngine + '_> {
+            let t = match matrix {
+                CfMatrix::Ratings => &tiled,
+                CfMatrix::Transposed => &tiled_t,
+            };
+            let exec = StreamingExecutor::new(t, &cf_config, opts.spec);
+            Box::new(match threads {
+                Some(threads) => exec.with_threads(threads),
+                None => exec.with_tile_reference(),
+            })
+        };
+        let run = run_cf_with(m.graph(), users, items, &cf_config, &opts, &mut make_engine)
+            .expect("cf runs");
+        let rmse: Vec<u64> = run.rmse_history.iter().map(|v| v.to_bits()).collect();
+        (rmse, run.metrics)
+    };
+    let expected = run(None);
+    for threads in THREADS {
+        assert_eq!(run(Some(threads)), expected, "cf at {threads} threads");
+    }
+}
+
+/// Every cluster node programs its own table; a 4-node cluster's PageRank
+/// ranks equal the single engine's bit for bit.
+#[test]
+fn cluster_mac_scans_match_the_single_engine() {
+    let g = table_graph();
+    let config = config(8, StreamingOrder::ColumnMajor, false);
+    let tiled = TiledGraph::preprocess(&g, &config).expect("valid geometry");
+    let opts = PageRankOptions {
+        max_iterations: 4,
+        tolerance: 0.0,
+        ..PageRankOptions::default()
+    };
+    let single = run_pagerank_with(
+        &g,
+        &mut StreamingExecutor::new(&tiled, &config, opts.matrix_spec),
+        &opts,
+    )
+    .expect("pagerank runs");
+    for owner in [OwnerPolicy::RoundRobin, OwnerPolicy::DegreeWeighted] {
+        let cluster = MultiNodeConfig {
+            owner,
+            ..MultiNodeConfig::pcie_cluster(4)
+        };
+        let mut exec = ClusterExecutor::new(&tiled, &config, opts.matrix_spec, cluster);
+        let run = run_pagerank_with(&g, &mut exec, &opts).expect("pagerank runs");
+        assert_eq!(
+            run_bits(run).0,
+            run_bits(single.clone()).0,
+            "{owner:?} cluster ranks"
+        );
     }
 }

@@ -11,7 +11,9 @@ use std::sync::Arc;
 
 use graphr_repro::core::exec::mask::{FrontierDelta, FrontierMask};
 use graphr_repro::core::exec::planner::Planner;
-use graphr_repro::core::exec::{PlanSkeleton, PlanUnit, ScanEngine, ScanPlan, StreamingExecutor};
+use graphr_repro::core::exec::{
+    EdgeValueFn, PlanSkeleton, PlanUnit, ScanEngine, ScanPlan, StreamingExecutor,
+};
 use graphr_repro::core::metrics::PlanCounters;
 use graphr_repro::core::multinode::{ClusterExecutor, MultiNodeConfig, OwnerPolicy};
 use graphr_repro::core::{GraphRConfig, Metrics, TiledGraph};
@@ -262,7 +264,7 @@ fn scratch_planned_sssp(
         let mut updated = FrontierMask::new(n);
         rows_history.push(exec.scan_add_op_planned(
             &plan,
-            &|w, _, _| f64::from(w),
+            &EdgeValueFn::new(&|w, _, _| f64::from(w)),
             &|du, w| du + w,
             &dist,
             &active,
@@ -305,7 +307,7 @@ fn engine_planned_sssp(
         let mut updated = FrontierMask::new(n);
         rows_history.push(exec.scan_add_op_planned(
             &plan,
-            &|w, _, _| f64::from(w),
+            &EdgeValueFn::new(&|w, _, _| f64::from(w)),
             &|du, w| du + w,
             &dist,
             &active,

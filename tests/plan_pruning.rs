@@ -5,7 +5,7 @@
 //! sparse frontiers strictly fewer) edges.
 
 use graphr_repro::core::exec::mask::FrontierMask;
-use graphr_repro::core::exec::{PlanSkeleton, ScanEngine, StreamingExecutor};
+use graphr_repro::core::exec::{EdgeValueFn, PlanSkeleton, ScanEngine, StreamingExecutor};
 use graphr_repro::core::sim::{run_bfs, TraversalOptions};
 use graphr_repro::core::{GraphRConfig, TiledGraph};
 use graphr_repro::graph::generators::rmat::Rmat;
@@ -43,7 +43,7 @@ fn add_op_scan(
     let mut updated = FrontierMask::new(n);
     let rows = exec.scan_add_op_planned(
         &plan,
-        &|w, _, _| f64::from(w),
+        &EdgeValueFn::new(&|w, _, _| f64::from(w)),
         &|du, w| du + w,
         addend,
         mask,
@@ -153,12 +153,12 @@ fn pruned_mac_scan_is_exact_on_masked_inputs() {
     let value = |w: f32, _: u32, _: u32| f64::from(w);
 
     let mut full_exec = StreamingExecutor::new(&tiled, &config, spec);
-    let y_full = full_exec.scan_mac(&value, &[&x]);
+    let y_full = full_exec.scan_mac(&EdgeValueFn::new(&value), &[&x]);
     let m_full = full_exec.into_metrics();
 
     let mut pruned_exec = StreamingExecutor::new(&tiled, &config, spec);
     let plan = pruned_exec.plan(Some(&mask));
-    let y_pruned = pruned_exec.scan_mac_planned(&plan, &value, &[&x]);
+    let y_pruned = pruned_exec.scan_mac_planned(&plan, &EdgeValueFn::new(&value), &[&x]);
     let m_pruned = pruned_exec.into_metrics();
 
     assert_eq!(y_full, y_pruned, "zero rows contribute nothing");

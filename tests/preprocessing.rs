@@ -2,6 +2,7 @@
 //! the Figure 12 worked geometry, edge-conservation round trips, and the
 //! ordering properties the streaming-apply executor relies on.
 
+use graphr_repro::core::exec::EdgeValueFn;
 use graphr_repro::core::preprocess::TileOrder;
 use graphr_repro::core::{GraphRConfig, TiledGraph};
 use graphr_repro::graph::generators::rmat::Rmat;
@@ -129,7 +130,7 @@ fn empty_graph_tiles_and_scans() {
         FixedSpec::new(16, 8).expect("valid spec"),
     );
     let x = vec![1.0; 10];
-    let y = exec.scan_mac(&|w, _, _| f64::from(w), &[&x]);
+    let y = exec.scan_mac(&EdgeValueFn::new(&|w, _, _| f64::from(w)), &[&x]);
     assert_eq!(y[0], vec![0.0; 10]);
     assert_eq!(exec.metrics().events.subgraphs_processed, 0);
 }
@@ -153,7 +154,7 @@ fn single_vertex_graph_tiles_and_scans() {
         &config,
         FixedSpec::new(16, 8).expect("valid spec"),
     );
-    let y = exec.scan_mac(&|w, _, _| f64::from(w), &[&[2.0][..]]);
+    let y = exec.scan_mac(&EdgeValueFn::new(&|w, _, _| f64::from(w)), &[&[2.0][..]]);
     assert_eq!(y[0], vec![6.0]);
 }
 
@@ -183,7 +184,7 @@ fn non_multiple_strip_width_boundaries_hold() {
             FixedSpec::new(16, 8).expect("valid spec"),
         );
         let x: Vec<f64> = (0..n).map(|i| (i % 3) as f64).collect();
-        let y = exec.scan_mac(&|w, _, _| f64::from(w), &[&x]);
+        let y = exec.scan_mac(&EdgeValueFn::new(&|w, _, _| f64::from(w)), &[&x]);
         let gold = graphr_repro::graph::algorithms::spmv::spmv(&g.to_csr(), &x);
         for (a, b) in y[0].iter().zip(&gold) {
             assert!((a - b).abs() < 1e-6, "n={n}: {a} vs {b}");

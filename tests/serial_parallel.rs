@@ -161,7 +161,7 @@ fn pruned_plans_are_bit_identical_under_the_parallel_executor() {
 /// must run both scan paths (else they must run every scan inline).
 fn check_pruned_sweep(n: usize, edges: usize, sources: &[usize], fans_out: bool) {
     use graphr_repro::core::exec::mask::FrontierMask;
-    use graphr_repro::core::exec::{ScanEngine, StreamingExecutor};
+    use graphr_repro::core::exec::{EdgeValueFn, ScanEngine, StreamingExecutor};
     use graphr_repro::core::TiledGraph;
     use graphr_repro::units::FixedSpec;
 
@@ -185,7 +185,7 @@ fn check_pruned_sweep(n: usize, edges: usize, sources: &[usize], fans_out: bool)
             let mut updated = FrontierMask::new(n);
             rows_history.push(exec.scan_add_op_planned(
                 &plan,
-                &|w, _, _| f64::from(w),
+                &EdgeValueFn::new(&|w, _, _| f64::from(w)),
                 &|du, w| du + w,
                 &dist,
                 &active,

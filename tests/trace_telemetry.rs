@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use graphr_repro::core::exec::{PlanSkeleton, ScanEngine, StreamingExecutor};
+use graphr_repro::core::exec::{EdgeValueFn, PlanSkeleton, ScanEngine, StreamingExecutor};
 use graphr_repro::core::metrics::{
     CounterField, CounterValue, DiskCounters, EventCounters, MergeRule, NetCounters, PlanCounters,
     TimeBreakdown,
@@ -320,7 +320,7 @@ fn patched_and_scratch_planned_streams_agree_modulo_plan_events() {
             let mut updated = FrontierMask::new(n);
             exec.scan_add_op_planned(
                 plan,
-                &|w, _, _| f64::from(w),
+                &EdgeValueFn::new(&|w, _, _| f64::from(w)),
                 &|du, w| du + w,
                 &dist,
                 &active,
