@@ -19,7 +19,6 @@ use graphr_graph::{DatasetSpec, EdgeList};
 use graphr_gridgraph::engine::{CfSettings, GridEngine, PageRankSettings};
 use graphr_gridgraph::WorkloadStats;
 use graphr_units::{Joules, Nanos};
-use serde::Serialize;
 
 use crate::context::ExperimentContext;
 
@@ -33,7 +32,7 @@ pub const CF_EPOCHS: usize = 3;
 pub const CF_FEATURES: usize = 32;
 
 /// The five evaluated applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum App {
     /// PageRank (parallel MAC).
     PageRank,
@@ -69,7 +68,7 @@ impl App {
 }
 
 /// Time + energy of one platform on one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformNumbers {
     /// Wall-clock time.
     pub time: Nanos,
@@ -78,7 +77,7 @@ pub struct PlatformNumbers {
 }
 
 /// One cell of the evaluation grid.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AppRun {
     /// Application.
     pub app: App,

@@ -2,12 +2,11 @@
 //! accelerator configuration, and scale-consistent platform models.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use graphr_core::GraphRConfig;
 use graphr_graph::{DatasetSpec, EdgeList};
 use graphr_platforms::{CpuModel, GpuModel, PimModel};
-use parking_lot::Mutex;
 
 /// Environment variable overriding the dataset scale.
 pub const SCALE_ENV: &str = "GRAPHR_SCALE";
@@ -71,7 +70,7 @@ impl ExperimentContext {
     /// The scaled clone of a dataset, cached per tag.
     #[must_use]
     pub fn graph(&self, spec: &DatasetSpec) -> Arc<EdgeList> {
-        let mut cache = self.cache.lock();
+        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(g) = cache.get(spec.tag) {
             return Arc::clone(g);
         }

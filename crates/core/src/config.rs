@@ -18,7 +18,6 @@ use std::fmt;
 
 use graphr_reram::{AdcModel, CostModel, NoiseModel, SignMode};
 use graphr_units::{BitSlicer, FixedSpec, Nanos};
-use serde::{Deserialize, Serialize};
 
 /// Column- or row-major subgraph streaming (§3.3, Figure 11).
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// written back once; row-major reads RegI once per source chunk but needs
 /// RegO space for *every* destination strip at once and rewrites it per
 /// chunk — the paper rejects it because ReRAM writes cost more than reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StreamingOrder {
     /// Destination-major: GraphR's choice.
     #[default]
@@ -40,7 +39,7 @@ pub enum StreamingOrder {
 ///
 /// Both modes produce *identical event counts* (hence identical time and
 /// energy); they differ only in how values are computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Fidelity {
     /// Full crossbar emulation: per-slice bitline sums, ADC conversion,
     /// shift-add recombination, programming noise. The ground truth.
@@ -78,7 +77,7 @@ impl Error for ConfigError {}
 ///
 /// Construct via [`GraphRConfig::builder`]; the §5.2 evaluation point is the
 /// default.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphRConfig {
     /// Crossbar dimension `C` (paper §5.2: 8 → 8×8 crossbars).
     pub crossbar_size: usize,

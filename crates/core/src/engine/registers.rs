@@ -7,8 +7,6 @@
 //! source chunk. [`RegFile`] counts reads and writes so the ablation can
 //! show the trade-off quantitatively.
 
-use serde::{Deserialize, Serialize};
-
 /// A register file of 16-bit-class entries holding `f64` shadow values,
 /// with read/write accounting.
 ///
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(rego.reads(), 1);
 /// assert_eq!(rego.writes(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegFile {
     values: Vec<f64>,
     reads: u64,

@@ -6,10 +6,8 @@
 //! `min` for parallel-add-op algorithms (SSSP relaxation), exactly
 //! Figure 15(a)/(b).
 
-use serde::{Deserialize, Serialize};
-
 /// The reduction operation an sALU is configured with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Accumulate (`reduce = sum`): PageRank, SpMV, CF.
     Add,
@@ -41,7 +39,7 @@ impl ReduceOp {
 /// A counting sALU: applies a [`ReduceOp`] elementwise between a register
 /// row and incoming values, tracking operation counts for the energy model
 /// (compare Figure 15's register-vs-new-value examples).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SAlu {
     op: ReduceOp,
     ops_performed: u64,

@@ -17,7 +17,6 @@
 
 use graphr_reram::{ArrayConfig, MatrixArray};
 use graphr_units::FixedSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::config::{Fidelity, GraphRConfig};
 use crate::preprocess::tiler::TileEntry;
@@ -27,7 +26,7 @@ use crate::preprocess::tiler::TileEntry;
 /// the adjacency-matrix reading used by the MAC algorithms, `Min` keeps the
 /// cheapest parallel edge for the add-op (shortest-path) algorithms —
 /// matching what the gold references compute on multigraphs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MergeRule {
     /// Parallel edges add (MAC pattern).
     #[default]

@@ -20,8 +20,6 @@
 //! which vertices flipped finally reaches the planner instead of being
 //! recovered from a full mask re-scan.
 
-use serde::{Deserialize, Serialize};
-
 /// Bits per mask word.
 pub const WORD_BITS: usize = 64;
 
@@ -34,7 +32,7 @@ pub const SUMMARY_SPAN: usize = WORD_BITS * WORD_BITS;
 ///
 /// The three levels are kept consistent by every mutating method;
 /// equality compares the dense words (and therefore everything else).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FrontierMask {
     /// Vertices the mask ranges over (bits past `n` are always zero).
     n: usize,
@@ -311,7 +309,7 @@ impl Iterator for BitIter {
 /// within each list; a word that both gained and lost bits appears in
 /// both. Empty delta ⇒ identical masks ⇒ the previous plan is reusable
 /// wholesale.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FrontierDelta {
     /// Words that gained at least one set bit (`new & !old != 0`).
     pub activated: Vec<u32>,

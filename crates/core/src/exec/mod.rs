@@ -77,10 +77,11 @@ use crate::trace::TraceHandle;
 /// drivers are generic over it.
 ///
 /// The planned methods are the primitives; the plain [`ScanEngine::scan_mac`]
-/// and [`ScanEngine::scan_add_op`] are provided conveniences that execute
-/// the dense full plan. Add-op scans have one primitive,
-/// [`ScanEngine::scan_add_op_lanes_planned`]; the single-query
-/// [`ScanEngine::scan_add_op_planned`] is its provided one-lane case.
+/// is a provided convenience that executes the dense full plan. Add-op
+/// scans have one primitive, [`ScanEngine::scan_add_op_lanes_planned`];
+/// the single-query [`ScanEngine::scan_add_op_planned`] is its provided
+/// one-lane case. Every other method is required, so an engine cannot
+/// forget to route planning or tracing through its own state.
 pub trait ScanEngine {
     /// Builds a scan plan for this engine's preprocessed graph: the dense
     /// full plan for `None`, or one pruned to the subgraphs holding at
@@ -98,12 +99,8 @@ pub trait ScanEngine {
     /// the engine's previously planned frontier — the planner re-derives
     /// activity for only the chunks those words overlap instead of
     /// re-scanning the whole mask; see [`planner::Planner::plan_for_delta`].
-    /// Bit-identical to `plan(Some(active))`. Defaulted to the full-scan
-    /// path so trait objects and test doubles stay valid.
-    fn plan_with_delta(&mut self, active: &FrontierMask, delta: &FrontierDelta) -> Arc<ScanPlan> {
-        let _ = delta;
-        self.plan(Some(active))
-    }
+    /// Bit-identical to `plan(Some(active))`.
+    fn plan_with_delta(&mut self, active: &FrontierMask, delta: &FrontierDelta) -> Arc<ScanPlan>;
 
     /// One parallel-MAC pass (§4.1) over a plan; see
     /// [`StreamingExecutor::scan_mac_planned`].
@@ -186,22 +183,6 @@ pub trait ScanEngine {
         self.scan_mac_planned(&plan, value, inputs)
     }
 
-    /// One parallel-add-op pass over the whole graph (the dense full
-    /// plan); subgraphs without active sources are still streamed, only
-    /// their GE work is skipped.
-    fn scan_add_op(
-        &mut self,
-        value: &EdgeValueFn<'_>,
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-        addend: &[f64],
-        active: &FrontierMask,
-        frontier: &mut [f64],
-        updated: &mut FrontierMask,
-    ) -> u64 {
-        let plan = self.plan(None);
-        self.scan_add_op_planned(&plan, value, combine, addend, active, frontier, updated)
-    }
-
     /// Attaches (or detaches, with `None`) an out-of-core disk model.
     /// While attached, every executed plan charges its
     /// [`IoPlan`](crate::outofcore::IoPlan) into
@@ -218,17 +199,12 @@ pub trait ScanEngine {
     /// [`TraceData`](crate::trace::TraceData) span events (compute, disk
     /// windows, plan decisions) into the handle's sink. Tracing only
     /// *observes* the engine's [`Metrics`] — attaching a handle never
-    /// changes results or accounting. Defaulted to a no-op so existing
-    /// engines (and test doubles) stay valid without telemetry.
-    fn set_trace(&mut self, trace: Option<TraceHandle>) {
-        let _ = trace;
-    }
+    /// changes results or accounting.
+    fn set_trace(&mut self, trace: Option<TraceHandle>);
 
     /// The attached trace handle, if any (drivers clone it to emit their
     /// own per-iteration snapshots alongside the engine's spans).
-    fn trace(&self) -> Option<&TraceHandle> {
-        None
-    }
+    fn trace(&self) -> Option<&TraceHandle>;
 
     /// Marks the end of one algorithm iteration.
     fn end_iteration(&mut self);

@@ -675,6 +675,22 @@ mod tests {
         f64::from(w)
     }
 
+    /// One single-query add-op pass over the dense full plan: subgraphs
+    /// without active sources are still streamed, only their GE work is
+    /// skipped.
+    fn dense_add_op(
+        exec: &mut StreamingExecutor<'_>,
+        value: &EdgeValueFn<'_>,
+        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
+        addend: &[f64],
+        active: &FrontierMask,
+        frontier: &mut [f64],
+        updated: &mut FrontierMask,
+    ) -> u64 {
+        let plan = exec.plan(None);
+        exec.scan_add_op_planned(&plan, value, combine, addend, active, frontier, updated)
+    }
+
     #[test]
     fn mac_scan_matches_gold_spmv() {
         let g = Rmat::new(50, 300).seed(11).max_weight(4).generate();
@@ -754,7 +770,8 @@ mod tests {
         let active = FrontierMask::from_slice(&[true, false, false]);
         let mut frontier = dist.clone();
         let mut updated = FrontierMask::new(3);
-        let rows = exec.scan_add_op(
+        let rows = dense_add_op(
+            &mut exec,
             &EdgeValueFn::new(&weights_value),
             &|du, w| du + w,
             &dist,
@@ -771,7 +788,8 @@ mod tests {
         let active = updated.clone();
         let mut updated2 = FrontierMask::new(3);
         let mut frontier2 = dist.clone();
-        exec.scan_add_op(
+        dense_add_op(
+            &mut exec,
             &EdgeValueFn::new(&weights_value),
             &|du, w| du + w,
             &dist,
@@ -795,7 +813,8 @@ mod tests {
         let active = FrontierMask::new(64); // nothing active: everything skipped
         let mut frontier = dist.clone();
         let mut updated = FrontierMask::new(64);
-        let rows = exec.scan_add_op(
+        let rows = dense_add_op(
+            &mut exec,
             &EdgeValueFn::new(&weights_value),
             &|du, w| du + w,
             &dist,
@@ -985,7 +1004,8 @@ mod tests {
             for _ in 0..200 {
                 let mut frontier = dist.clone();
                 let mut updated = FrontierMask::new(200);
-                rows_history.push(exec.scan_add_op(
+                rows_history.push(dense_add_op(
+                    exec,
                     &EdgeValueFn::new(&weights_value),
                     &|du, w| du + w,
                     &dist,

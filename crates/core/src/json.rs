@@ -1,8 +1,7 @@
 //! The one hand-written JSON writer every exporter in the workspace uses.
 //!
-//! The vendored `serde` is an offline marker stub (no `serde_json`), so
-//! reports, traces, stats and benchmark rows write JSON by hand through
-//! [`JsonObject`]. Rust's `f64` `Display` never produces scientific
+//! The workspace has no JSON library, so reports, traces, stats and
+//! benchmark rows write JSON by hand through [`JsonObject`]. Rust's `f64` `Display` never produces scientific
 //! notation, so writing a finite float with `{}` is valid JSON.
 //!
 //! # Examples

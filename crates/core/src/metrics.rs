@@ -13,7 +13,6 @@ use std::fmt;
 
 use graphr_reram::CostBreakdown;
 use graphr_units::{Joules, Nanos};
-use serde::{Deserialize, Serialize};
 
 use crate::json::JsonObject;
 
@@ -213,7 +212,7 @@ macro_rules! counter_family {
 
 counter_family! {
     /// Raw architectural event counts.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct EventCounters {
         /// Subgraphs actually streamed through the GEs.
         pub subgraphs_processed: u64 => Sum,
@@ -277,7 +276,7 @@ counter_family! {
     /// [`TraceEvent`](crate::trace::TraceEvent) equality.
     ///
     /// [`ScanPlan`]: crate::exec::plan::ScanPlan
-    #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, Default)]
     pub struct PlanCounters {
         /// Plans counted as rebuilds: the first mask, or a delta whose
         /// flipped chunks touch more than half the units.
@@ -320,7 +319,7 @@ impl PartialEq for PlanCounters {
 counter_family! {
     /// Wall-clock decomposition (raw per-phase sums; with pipelining the
     /// effective total is less than the sum of parts).
-    #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
     pub struct TimeBreakdown {
         /// Tile programming (edge loading through drivers).
         pub program: Nanos => Sum,
@@ -363,7 +362,7 @@ counter_family! {
     /// [`DiskModel`]: crate::outofcore::DiskModel
     /// [`DiskModel::prefetch`]: crate::outofcore::DiskModel::prefetch
     /// [`ScanPlan`]: crate::exec::plan::ScanPlan
-    #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
     pub struct DiskCounters {
         /// Bytes of edge data loaded from disk (planned subgraphs only).
         pub bytes_loaded: u64 => Sum,
@@ -470,7 +469,7 @@ counter_family! {
     /// The dense `|V| × 2`-byte all-gather of
     /// [`estimate_pagerank_scaling`](crate::multinode::estimate_pagerank_scaling)
     /// is the documented upper bound these counters never exceed.
-    #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
     pub struct NetCounters {
         /// Property bytes exchanged between nodes (16-bit properties of
         /// touched vertices, cumulative across iterations).
@@ -518,7 +517,7 @@ counter_family! {
     /// events) stays *fused*: the point of lane fusion is that one scan of
     /// the edge stream serves every query, so those costs are charged once
     /// and only the per-query frontier statistics are attributed.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct LaneCounters {
         /// Iterations in which this lane's frontier was active going in (for
         /// a single-query run this equals [`Metrics::iterations`]; a fused
@@ -535,7 +534,7 @@ counter_family! {
 }
 
 /// Complete accounting of one GraphR run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Metrics {
     /// Iterations (vertex-program supersteps, epochs for CF).
     pub iterations: usize,

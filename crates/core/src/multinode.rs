@@ -81,7 +81,6 @@ use std::sync::Arc;
 
 use graphr_graph::{Edge, EdgeList};
 use graphr_units::{FixedSpec, Joules, Nanos};
-use serde::{Deserialize, Serialize};
 
 use crate::config::{ConfigError, GraphRConfig};
 use crate::exec::lanes::LaneFrontier;
@@ -106,7 +105,7 @@ pub const BYTES_PER_PROPERTY: u64 = 2;
 /// accounting, but it moves the per-node *bottleneck*: on power-law
 /// graphs a handful of hub strips concentrate most edges, and round-robin
 /// can pile several onto one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OwnerPolicy {
     /// `unit.index % nodes` — the PR 4 rule, kept as the default.
     #[default]
@@ -139,7 +138,7 @@ impl OwnerPolicy {
 }
 
 /// Interconnect parameters of a multi-node GraphR cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiNodeConfig {
     /// Number of GraphR nodes.
     pub nodes: usize,
@@ -755,7 +754,7 @@ impl ScanEngine for ClusterExecutor<'_> {
 // --------------------------------------------- legacy dense-exchange model
 
 /// Scaling estimate for one algorithm run on a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiNodeEstimate {
     /// Nodes in the estimate.
     pub nodes: usize,

@@ -90,7 +90,6 @@
 
 use graphr_graph::BYTES_PER_EDGE;
 use graphr_units::Nanos;
-use serde::{Deserialize, Serialize};
 
 use crate::exec::plan::ScanPlan;
 use crate::metrics::Metrics;
@@ -101,7 +100,7 @@ pub mod driver;
 use driver::ScanDriver;
 
 /// At what granularity the drive charges its fixed request latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RequestGranularity {
     /// One request per on-disk block, loaded or seeked past — the
     /// original model, kept as the default.
@@ -116,7 +115,7 @@ pub enum RequestGranularity {
 }
 
 /// Sequential-load characteristics of the backing store.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskModel {
     /// Sustained sequential read bandwidth, GB/s.
     pub sequential_gbps: f64,
@@ -235,7 +234,7 @@ impl DiskModel {
 /// planned subgraphs coalesce into sequential-read [`IoPlan::segments`];
 /// pruned subgraphs contribute only [`IoPlan::bytes_skipped`] (seeked
 /// past, never transferred).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IoPlan {
     /// Bytes of edge data the plan loads (planned subgraphs only).
     pub bytes_loaded: u64,
@@ -450,7 +449,7 @@ pub struct DiskAccountant {
 /// All fields are **simulated** quantities derived from the executed
 /// plans, so windows are bit-identical across the serial and parallel
 /// executors (the same accounting contract as [`Metrics`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DiskWindow {
     /// [`Metrics::elapsed`] when the window opened (the simulated start
     /// of both the window's compute and its double-buffered loads).
@@ -624,7 +623,7 @@ impl DiskAccountant {
 /// Disk/compute composition of an out-of-core run (the legacy aggregate
 /// view; the per-iteration equivalent lives in
 /// [`Metrics::disk`](crate::metrics::DiskCounters)).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutOfCoreEstimate {
     /// Blocks per full pass over the graph.
     pub blocks: usize,

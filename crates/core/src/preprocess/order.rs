@@ -15,12 +15,10 @@
 //! Figure 12 (`C = 4, N = 2, G = 2, B = 32, V = 64` → 4 blocks of 16
 //! subgraphs of 64 positions).
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::ConfigError;
 
 /// Hierarchical coordinates of one matrix position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PositionCoords {
     /// Column-major block index (`BI`).
     pub block: u64,
@@ -50,7 +48,7 @@ pub struct PositionCoords {
 /// assert_eq!(order.global_id(0, 0), 0);
 /// # Ok::<(), graphr_core::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileOrder {
     crossbar_size: usize,
     strip_width: usize,

@@ -30,7 +30,6 @@
 use std::ops::Range;
 
 use graphr_graph::{Edge, EdgeList};
-use serde::{Deserialize, Serialize};
 
 use crate::config::{ConfigError, GraphRConfig};
 use crate::preprocess::order::TileOrder;
@@ -53,7 +52,7 @@ pub struct TileEntry {
 /// Spans are the entries of the [`SourceRangeIndex`]; the plan layer
 /// intersects their source ranges with an active-vertex mask to decide
 /// which subgraphs a scan must stream at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SubgraphSpan {
     /// Column-major block index (`0..`[`TiledGraph::num_blocks`]).
     pub block: u32,

@@ -6,12 +6,10 @@
 //! mapping pattern (§4) they use. The registry drives the `table2`
 //! benchmark target and keeps the simulator's algorithm set honest.
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::salu::ReduceOp;
 
 /// The two algorithm-mapping patterns of §4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pattern {
     /// §4.1: `processEdge` is a multiplication performed in every crossbar
     /// cell; parallelism ≈ `C² × N × G`.
@@ -33,7 +31,7 @@ impl Pattern {
 }
 
 /// One row of Table 2 (plus CF, which §5.1 evaluates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApplicationSpec {
     /// Application name.
     pub name: &'static str,

@@ -35,7 +35,6 @@ use std::fmt;
 
 use graphr_graph::EdgeList;
 use graphr_units::FixedSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::config::{ConfigError, GraphRConfig};
 use crate::exec::lanes::{LaneFrontier, MAX_LANES};
@@ -116,7 +115,7 @@ impl From<ConfigError> for SimError {
 }
 
 /// Result of a scalar-valued run (PageRank, SpMV).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalarRun {
     /// Final per-vertex values (ranks for PageRank, products for SpMV).
     pub values: Vec<f64>,
@@ -127,7 +126,7 @@ pub struct ScalarRun {
 }
 
 /// Result of a traversal run (BFS, SSSP).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraversalRun {
     /// Distance labels; `None` = unreachable (label still at the reserved
     /// maximum `M`).
@@ -137,7 +136,7 @@ pub struct TraversalRun {
 }
 
 /// Result of a collaborative-filtering run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CfRun {
     /// Training RMSE after each epoch.
     pub rmse_history: Vec<f64>,
@@ -148,7 +147,7 @@ pub struct CfRun {
 // ---------------------------------------------------------------- PageRank
 
 /// PageRank options (Figure 13's program).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageRankOptions {
     /// Damping factor `r`.
     pub damping: f64,
@@ -277,7 +276,7 @@ pub fn run_pagerank_with(
 // ------------------------------------------------------------------- SpMV
 
 /// SpMV options (Table 2's vertex program: one normalised pass).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpmvOptions {
     /// Input vector; `None` = all-ones.
     pub input: Option<Vec<f64>>,
@@ -405,7 +404,7 @@ pub fn run_spmv_with(
 // ------------------------------------------------------------- BFS / SSSP
 
 /// Options for the traversal algorithms (BFS, SSSP).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraversalOptions {
     /// Source vertex.
     pub source: u32,
@@ -534,7 +533,7 @@ pub fn run_sssp_with(
 /// Options for a fused multi-source traversal: one lane per source, all
 /// advanced by a single scan of each iteration's union-planned edge
 /// stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaneTraversalOptions {
     /// One source vertex per lane (duplicates allowed; lanes stay
     /// independent). Must hold between 1 and [`MAX_LANES`] entries —
@@ -565,7 +564,7 @@ impl LaneTraversalOptions {
 /// union plan per iteration serving every lane. Per-query attribution
 /// lives in [`Metrics::lanes`]: row `q` holds exactly the counters an
 /// independent run of query `q` would have produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaneRun {
     /// Per-lane distance labels; `None` = unreachable.
     pub distances: Vec<Vec<Option<f64>>>,
@@ -587,7 +586,7 @@ impl LaneRun {
 
 /// Result of a fused connected-components run (K lanes of label
 /// propagation; see [`run_wcc_lanes_with`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WccLaneRun {
     /// Per-lane component labels.
     pub labels: Vec<Vec<u32>>,
@@ -888,7 +887,7 @@ fn run_lanes_loop(
 // -------------------------------------------------------------------- WCC
 
 /// Result of a connected-components run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WccRun {
     /// Component label per vertex (smallest vertex id in the component).
     pub labels: Vec<u32>,
@@ -953,7 +952,7 @@ pub fn run_wcc_with(graph: &EdgeList, exec: &mut dyn ScanEngine) -> Result<WccRu
 /// Collaborative-filtering options (batch gradient-descent matrix
 /// factorisation — the SpMV-shaped formulation that maps onto crossbars;
 /// §5.1 uses feature length 32 on Netflix).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CfOptions {
     /// Latent feature length.
     pub features: usize,

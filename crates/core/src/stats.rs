@@ -16,7 +16,7 @@
 //! subsystems own their instruments (e.g. the serve layer's latency
 //! histograms) and *collect* them into a registry when an exposition is
 //! requested. The registry renders two formats, both hand-written (the
-//! vendored `serde` is an offline marker stub):
+//! workspace has no serialisation library):
 //!
 //! * [`StatsRegistry::render_prometheus`] — the Prometheus text format
 //!   (`# HELP` / `# TYPE` headers, `_bucket{le="…"}` cumulative buckets,

@@ -43,7 +43,6 @@
 use std::sync::{Arc, Mutex};
 
 use graphr_units::Nanos;
-use serde::{Deserialize, Serialize};
 
 use crate::json::JsonObject;
 use crate::metrics::{
@@ -54,7 +53,7 @@ use crate::outofcore::DiskWindow;
 /// Host-measured wall-clock fields of a [`TraceEvent`] — excluded from
 /// equality, mirroring [`PlanCounters::time`] (see the determinism notes
 /// there and in the module docs).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct HostTimes {
     /// Host wall-clock the event's planning work took (nonzero only for
     /// [`TraceData::Plan`] events).
@@ -64,7 +63,7 @@ pub struct HostTimes {
 /// One structured telemetry event. Everything except [`TraceEvent::host`]
 /// is simulated and covered by the determinism contract; `PartialEq`
 /// compares exactly that simulated part.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceEvent {
     /// Sink-assigned job index (see [`TraceSink::begin_job`]).
     pub job: u32,
@@ -85,7 +84,7 @@ impl PartialEq for TraceEvent {
 }
 
 /// The simulated payload of a [`TraceEvent`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceData {
     /// The planner produced one plan: a full rebuild or a delta patch
     /// (the host cost of doing so rides in [`TraceEvent::host`]).

@@ -6,13 +6,11 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::Csr;
 use crate::VertexId;
 
 /// The result of a BFS run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BfsResult {
     /// Hop count from the source, `None` for unreachable vertices.
     pub levels: Vec<Option<u32>>,

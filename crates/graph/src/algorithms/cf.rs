@@ -7,12 +7,10 @@
 //! `p_u · q_i ≈ r`. Per-epoch RMSE must decrease — that is the correctness
 //! signal the simulators are held to.
 
-use serde::{Deserialize, Serialize};
-
 use crate::coo::EdgeList;
 
 /// Hyper-parameters for SGD matrix factorisation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CfParams {
     /// Latent feature length (paper: 32).
     pub features: usize,
@@ -39,7 +37,7 @@ impl Default for CfParams {
 }
 
 /// Trained factors and the per-epoch RMSE trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CfResult {
     /// User latent vectors, `users × features`, row-major.
     pub user_factors: Vec<f64>,

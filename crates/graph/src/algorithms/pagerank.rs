@@ -7,12 +7,10 @@
 //! literal Figure 13 program — or their rank mass is redistributed
 //! uniformly, which preserves `Σ PR = 1`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::Csr;
 
 /// How dangling vertices (out-degree zero) are treated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DanglingPolicy {
     /// Redistribute dangling mass uniformly; keeps `Σ PR = 1`.
     #[default]
@@ -22,7 +20,7 @@ pub enum DanglingPolicy {
 }
 
 /// PageRank parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageRankParams {
     /// Damping factor `r` (probability of following a link). The paper's
     /// worked example uses 4/5; the classic value is 0.85.
@@ -47,7 +45,7 @@ impl Default for PageRankParams {
 }
 
 /// The result of a PageRank run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PageRankResult {
     /// Final rank per vertex.
     pub ranks: Vec<f64>,

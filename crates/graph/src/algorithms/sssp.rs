@@ -8,13 +8,11 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::Csr;
 use crate::VertexId;
 
 /// The result of an SSSP run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SsspResult {
     /// Shortest distance from the source, `None` for unreachable vertices.
     pub distances: Vec<Option<f64>>,

@@ -8,12 +8,10 @@
 //! accelerator's label propagation must converge to the same partition with
 //! each component labelled by its smallest vertex id.
 
-use serde::{Deserialize, Serialize};
-
 use crate::coo::EdgeList;
 
 /// The result of a components run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WccResult {
     /// Component label per vertex: the smallest vertex id in its component.
     pub labels: Vec<u32>,

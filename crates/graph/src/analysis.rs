@@ -1,8 +1,6 @@
 //! Structural graph statistics used by the dataset table and the
 //! sparsity-sensitivity experiment.
 
-use serde::{Deserialize, Serialize};
-
 use crate::coo::EdgeList;
 
 /// Summary statistics of a graph's structure.
@@ -17,7 +15,7 @@ use crate::coo::EdgeList;
 /// assert_eq!(profile.max_out_degree, 10);
 /// assert_eq!(profile.isolated_vertices, 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphProfile {
     /// Vertex count.
     pub num_vertices: usize,

@@ -1,8 +1,6 @@
 //! Coordinate-list (COO) edge storage — the representation GraphR assumes
 //! for graphs on disk and in memory ReRAM (paper §2.4, Figure 5).
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::Csr;
 use crate::error::GraphError;
 use crate::VertexId;
@@ -16,7 +14,7 @@ pub const BYTES_PER_EDGE: u64 = 12;
 
 /// One directed, weighted edge: a `(source, destination, weight)` tuple —
 /// exactly a COO entry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// Source vertex.
     pub src: VertexId,
@@ -59,7 +57,7 @@ impl Edge {
 /// assert_eq!(g.out_degrees(), vec![1, 1, 1, 0]);
 /// # Ok::<(), graphr_graph::GraphError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EdgeList {
     num_vertices: usize,
     edges: Vec<Edge>,

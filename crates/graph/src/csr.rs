@@ -6,8 +6,6 @@
 //! A CSC is simply the CSR of the transposed graph
 //! ([`crate::EdgeList::to_csc`]).
 
-use serde::{Deserialize, Serialize};
-
 use crate::coo::EdgeList;
 use crate::VertexId;
 
@@ -25,7 +23,7 @@ use crate::VertexId;
 /// assert_eq!(targets, vec![1, 2]);
 /// # Ok::<(), graphr_graph::GraphError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     num_vertices: usize,
     offsets: Vec<usize>,

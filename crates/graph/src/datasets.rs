@@ -17,14 +17,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::coo::EdgeList;
 use crate::generators::bipartite::RatingMatrix;
 use crate::generators::rmat::Rmat;
 
 /// What kind of graph a dataset is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetKind {
     /// A directed graph (the six SNAP datasets).
     Directed,
@@ -38,7 +36,7 @@ pub enum DatasetKind {
 }
 
 /// One row of Table 3: a named dataset with its full-scale dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DatasetSpec {
     /// Full dataset name as printed in the paper.
     pub name: &'static str,

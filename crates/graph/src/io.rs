@@ -13,8 +13,6 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::coo::{Edge, EdgeList};
 use crate::error::GraphError;
 
@@ -114,18 +112,18 @@ fn parse_field(field: Option<&str>, line: usize, what: &str) -> Result<u32, Grap
 
 /// Encodes a graph into the compact binary format.
 #[must_use]
-pub fn to_binary(graph: &EdgeList) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + graph.num_edges() * crate::BYTES_PER_EDGE as usize);
-    buf.put_u32_le(BINARY_MAGIC);
-    buf.put_u32_le(1); // format version
-    buf.put_u32_le(graph.num_vertices() as u32);
-    buf.put_u32_le(graph.num_edges() as u32);
+pub fn to_binary(graph: &EdgeList) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(16 + graph.num_edges() * crate::BYTES_PER_EDGE as usize);
+    buf.extend_from_slice(&BINARY_MAGIC.to_le_bytes());
+    buf.extend_from_slice(&1u32.to_le_bytes()); // format version
+    buf.extend_from_slice(&(graph.num_vertices() as u32).to_le_bytes());
+    buf.extend_from_slice(&(graph.num_edges() as u32).to_le_bytes());
     for e in graph.iter() {
-        buf.put_u32_le(e.src);
-        buf.put_u32_le(e.dst);
-        buf.put_f32_le(e.weight);
+        buf.extend_from_slice(&e.src.to_le_bytes());
+        buf.extend_from_slice(&e.dst.to_le_bytes());
+        buf.extend_from_slice(&e.weight.to_le_bytes());
     }
-    buf.freeze()
+    buf
 }
 
 /// Decodes a graph from the compact binary format.
@@ -134,33 +132,40 @@ pub fn to_binary(graph: &EdgeList) -> Bytes {
 ///
 /// Returns [`GraphError::Parse`] if the magic number, version, or length is
 /// wrong, or if any record references an out-of-range vertex.
-pub fn from_binary(mut data: &[u8]) -> Result<EdgeList, GraphError> {
+pub fn from_binary(data: &[u8]) -> Result<EdgeList, GraphError> {
     let parse_err = |message: &str| GraphError::Parse {
         line: 0,
         message: message.into(),
     };
-    if data.len() < 16 {
-        return Err(parse_err("truncated header"));
-    }
-    if data.get_u32_le() != BINARY_MAGIC {
+    let (header, payload) = data
+        .split_first_chunk::<16>()
+        .ok_or_else(|| parse_err("truncated header"))?;
+    let [magic, version, num_vertices, num_edges] = words(header);
+    if magic != BINARY_MAGIC {
         return Err(parse_err("bad magic number"));
     }
-    if data.get_u32_le() != 1 {
+    if version != 1 {
         return Err(parse_err("unsupported format version"));
     }
-    let num_vertices = data.get_u32_le() as usize;
-    let num_edges = data.get_u32_le() as usize;
-    if data.len() != num_edges * crate::BYTES_PER_EDGE as usize {
+    let num_edges = num_edges as usize;
+    if payload.len() != num_edges * crate::BYTES_PER_EDGE as usize {
         return Err(parse_err("edge payload length mismatch"));
     }
-    let mut edges = Vec::with_capacity(num_edges);
-    for _ in 0..num_edges {
-        let src = data.get_u32_le();
-        let dst = data.get_u32_le();
-        let weight = data.get_f32_le();
-        edges.push(Edge::new(src, dst, weight));
-    }
-    EdgeList::from_edges(num_vertices, edges)
+    let edges = payload
+        .chunks_exact(crate::BYTES_PER_EDGE as usize)
+        .map(|record| {
+            let [src, dst, weight] = words(record);
+            Edge::new(src, dst, f32::from_bits(weight))
+        })
+        .collect();
+    EdgeList::from_edges(num_vertices as usize, edges)
+}
+
+/// The first `N` little-endian `u32` words of `bytes`, which holds at least
+/// `4 * N` bytes.
+fn words<const N: usize>(bytes: &[u8]) -> [u32; N] {
+    let (chunks, _) = bytes.as_chunks::<4>();
+    std::array::from_fn(|i| u32::from_le_bytes(chunks[i]))
 }
 
 /// Writes a graph to a SNAP-style text file at `path`.
@@ -187,6 +192,72 @@ pub fn read_text_file<P: AsRef<Path>>(path: P) -> Result<EdgeList, GraphError> {
 mod tests {
     use super::*;
     use crate::generators::rmat::Rmat;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The bytes text edge lists are made of, so fuzzed text reaches the
+    /// field parsers instead of failing UTF-8 decoding.
+    const TEXT_ALPHABET: &[u8] = b"0123456789 \t\n#.-e:nodesinf";
+
+    /// A graph on `n` vertices from raw `(src, dst, weight)` triples, ids
+    /// folded into range.
+    fn graph_from(n: u32, edges: Vec<(u32, u32, f32)>) -> EdgeList {
+        let edges = edges
+            .into_iter()
+            .map(|(s, d, w)| Edge::new(s % n, d % n, w))
+            .collect();
+        EdgeList::from_edges(n as usize, edges).unwrap()
+    }
+
+    /// Both readers over `bytes`: each returns `Ok` or `Err`, and a binary
+    /// input it accepts re-encodes to exactly the same bytes.
+    fn read_both(bytes: &[u8]) {
+        if let Ok(g) = from_binary(bytes) {
+            assert_eq!(to_binary(&g), bytes);
+        }
+        let _ = read_text(bytes);
+    }
+
+    proptest! {
+        #[test]
+        fn readers_never_panic_on_arbitrary_bytes(
+            bytes in vec(0u8..=255, 0..96),
+            text in vec(0..TEXT_ALPHABET.len(), 0..96),
+        ) {
+            read_both(&bytes);
+            let text: Vec<u8> = text.into_iter().map(|i| TEXT_ALPHABET[i]).collect();
+            read_both(&text);
+        }
+
+        #[test]
+        fn readers_never_panic_on_corrupted_encodings(
+            n in 1u32..32,
+            edges in vec((0u32..32, 0u32..32, 0.0f32..16.0), 0..12),
+            flips in vec((0usize..4096, 1u8..=255), 0..4),
+            cut in 0usize..4096,
+        ) {
+            let g = graph_from(n, edges);
+            let mut text = Vec::new();
+            write_text(&g, &mut text).unwrap();
+            for mut bytes in [to_binary(&g), text] {
+                for &(at, mask) in &flips {
+                    let len = bytes.len();
+                    bytes[at % len] ^= mask;
+                }
+                read_both(&bytes);
+                read_both(&bytes[..cut % (bytes.len() + 1)]);
+            }
+        }
+
+        #[test]
+        fn binary_round_trips_generated_graphs(
+            n in 1u32..64,
+            edges in vec((0u32..64, 0u32..64, 0.0f32..16.0), 0..40),
+        ) {
+            let g = graph_from(n, edges);
+            prop_assert_eq!(from_binary(&to_binary(&g)).unwrap(), g);
+        }
+    }
 
     #[test]
     fn text_round_trip_preserves_graph() {
@@ -231,6 +302,27 @@ mod tests {
         assert_eq!(bytes.len(), 16 + 500 * 12);
         let back = from_binary(&bytes).unwrap();
         assert_eq!(back, g);
+    }
+
+    /// The exact bytes of a small weighted graph: a round trip cannot catch
+    /// a format change, because encoder and decoder would change together.
+    #[test]
+    fn binary_bytes_are_pinned() {
+        let g = EdgeList::from_edges(3, vec![Edge::new(0, 1, 2.5), Edge::new(2, 0, 0.5)]).unwrap();
+        let expected = [
+            [0x52, 0x41, 0x52, 0x47], // magic "GRAR"
+            [0x01, 0x00, 0x00, 0x00], // version 1
+            [0x03, 0x00, 0x00, 0x00], // 3 vertices
+            [0x02, 0x00, 0x00, 0x00], // 2 edges
+            [0x00, 0x00, 0x00, 0x00], // src 0
+            [0x01, 0x00, 0x00, 0x00], // dst 1
+            [0x00, 0x00, 0x20, 0x40], // weight 2.5
+            [0x02, 0x00, 0x00, 0x00], // src 2
+            [0x00, 0x00, 0x00, 0x00], // dst 0
+            [0x00, 0x00, 0x00, 0x3F], // weight 0.5
+        ]
+        .concat();
+        assert_eq!(to_binary(&g), expected);
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! is that shared arithmetic, used by the CPU substrate, the GraphR
 //! preprocessor, and the tiling statistics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::coo::EdgeList;
 use crate::VertexId;
 
@@ -25,7 +23,7 @@ use crate::VertexId;
 /// assert_eq!(p.chunk_of(9), 2);
 /// assert_eq!(p.block_of(3, 8), (0, 2));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridPartition {
     num_vertices: usize,
     chunk_size: usize,

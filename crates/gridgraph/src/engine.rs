@@ -12,13 +12,12 @@
 //! GPU and PIM cost models consume.
 
 use graphr_graph::{Edge, EdgeList, GridPartition};
-use serde::{Deserialize, Serialize};
 
 use crate::stats::{IterationStats, WorkloadStats};
 
 /// PageRank settings for the software engine, mirroring the accelerator's
 /// convergence criterion (mean absolute delta of ranks scaled by `|V|`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageRankSettings {
     /// Damping factor `r`.
     pub damping: f64,
@@ -40,7 +39,7 @@ impl Default for PageRankSettings {
 
 /// Collaborative-filtering (SGD matrix factorisation) settings, GraphChi
 /// style.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CfSettings {
     /// Latent feature length (paper: 32).
     pub features: usize,
@@ -67,7 +66,7 @@ impl Default for CfSettings {
 }
 
 /// Result of a scalar run (PageRank, SpMV).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalarRun {
     /// Final per-vertex values.
     pub values: Vec<f64>,
@@ -78,7 +77,7 @@ pub struct ScalarRun {
 }
 
 /// Result of a traversal run (BFS, SSSP).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraversalRun {
     /// Distance labels, `None` = unreachable.
     pub distances: Vec<Option<f64>>,
@@ -87,7 +86,7 @@ pub struct TraversalRun {
 }
 
 /// Result of a CF run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CfRun {
     /// Training RMSE per epoch.
     pub rmse_history: Vec<f64>,

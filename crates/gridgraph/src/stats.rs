@@ -6,8 +6,6 @@
 //! touches, and how large the active set is. `graphr-platforms` turns them
 //! into time and energy with machine constants.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes per streamed COO edge record (src, dst, weight — 4 bytes each).
 pub const EDGE_BYTES: u64 = 12;
 
@@ -15,7 +13,7 @@ pub const EDGE_BYTES: u64 = 12;
 pub const VERTEX_BYTES: u64 = 8;
 
 /// Event counts of one iteration (one superstep / epoch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IterationStats {
     /// Edges streamed (edges of all touched blocks).
     pub edges_processed: u64,
@@ -57,7 +55,7 @@ impl IterationStats {
 }
 
 /// A whole run's workload profile.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WorkloadStats {
     /// Number of vertices in the processed graph.
     pub num_vertices: u64,

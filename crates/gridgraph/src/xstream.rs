@@ -8,20 +8,19 @@
 //! module.
 
 use graphr_graph::EdgeList;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::PageRankSettings;
 use crate::stats::{IterationStats, WorkloadStats};
 
 /// An update record: `(destination, value)` — Figure 2a's "Updates".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Update {
     dst: u32,
     value: f64,
 }
 
 /// Result of an X-Stream run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct XStreamRun {
     /// Final per-vertex values.
     pub values: Vec<f64>,

@@ -1,10 +1,8 @@
 //! Table 1 as data: the qualitative comparison of graph-processing
 //! architectures.
 
-use serde::Serialize;
-
 /// One column of the paper's Table 1 (one architecture).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArchitectureRow {
     /// Architecture name.
     pub name: &'static str,

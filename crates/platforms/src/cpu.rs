@@ -12,12 +12,11 @@
 
 use graphr_gridgraph::WorkloadStats;
 use graphr_units::{Joules, Nanos};
-use serde::{Deserialize, Serialize};
 
 use crate::specs::CpuSpec;
 
 /// Software-stack tuning constants for the GridGraph baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuTuning {
     /// One-off framework startup (allocation, threads, partition setup).
     pub setup: Nanos,
@@ -52,7 +51,7 @@ impl Default for CpuTuning {
 }
 
 /// The CPU platform model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuModel {
     /// Machine constants (Table 4).
     pub spec: CpuSpec,

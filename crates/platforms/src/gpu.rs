@@ -9,12 +9,11 @@
 
 use graphr_gridgraph::{IterationStats, WorkloadStats};
 use graphr_units::{Joules, Nanos};
-use serde::{Deserialize, Serialize};
 
 use crate::specs::GpuSpec;
 
 /// Software-stack tuning constants for the GPU baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuTuning {
     /// One-off context/framework initialisation.
     pub setup: Nanos,
@@ -43,7 +42,7 @@ impl Default for GpuTuning {
 }
 
 /// The GPU platform model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuModel {
     /// Card constants (Table 5).
     pub spec: GpuSpec,

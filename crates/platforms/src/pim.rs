@@ -9,12 +9,11 @@
 
 use graphr_gridgraph::{IterationStats, WorkloadStats};
 use graphr_units::{Joules, Nanos, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::specs::PimSpec;
 
 /// Software/runtime tuning for the Tesseract-style model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PimTuning {
     /// One-off setup (graph distribution across vaults).
     pub setup: Nanos,
@@ -45,7 +44,7 @@ impl Default for PimTuning {
 }
 
 /// The Tesseract-style PIM platform model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PimModel {
     /// Hardware constants.
     pub spec: PimSpec,

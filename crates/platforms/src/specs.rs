@@ -2,10 +2,9 @@
 //! parameters.
 
 use graphr_units::Watts;
-use serde::{Deserialize, Serialize};
 
 /// Table 4: the CPU platform (two Intel Xeon E5-2630 v3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuSpec {
     /// Processor model string.
     pub model: &'static str,
@@ -64,7 +63,7 @@ impl CpuSpec {
 }
 
 /// Table 5: the GPU platform (NVIDIA Tesla K40c).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// Card model string.
     pub model: &'static str,
@@ -107,7 +106,7 @@ impl GpuSpec {
 
 /// Tesseract-style PIM parameters (16 HMCs, 512 vaults, one in-order core
 /// per vault at 2 GHz — the configuration of \[4\]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PimSpec {
     /// HMC cubes.
     pub cubes: usize,

@@ -15,7 +15,6 @@ use std::error::Error;
 use std::fmt;
 
 use graphr_units::{BitSlicer, FixedSpec};
-use serde::{Deserialize, Serialize};
 
 use crate::crossbar::Crossbar;
 use crate::noise::{NoiseModel, NoiseSource};
@@ -24,7 +23,7 @@ use crate::periphery::AdcModel;
 /// Whether a tile stores signed values (differential pair) or unsigned
 /// (single array). All four Table-2 graph algorithms use non-negative
 /// weights; collaborative filtering's latent factors need signed storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SignMode {
     /// One crossbar set; programming a negative value is an error.
     #[default]
@@ -34,7 +33,7 @@ pub enum SignMode {
 }
 
 /// Configuration of one logical tile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrayConfig {
     /// Logical rows (wordlines).
     pub rows: usize,
@@ -121,7 +120,7 @@ impl Error for ArrayError {}
 /// A logical fixed-point matrix tile over ganged crossbars.
 ///
 /// See the [crate-level example](crate) for typical use.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatrixArray {
     config: ArrayConfig,
     /// One crossbar per slice storing positive magnitudes.

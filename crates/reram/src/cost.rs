@@ -12,12 +12,11 @@ use std::fmt;
 use std::ops::{Add, AddAssign};
 
 use graphr_units::{Joules, Nanos};
-use serde::{Deserialize, Serialize};
 
 use crate::params::{DeviceParams, PeripheryParams};
 
 /// Per-event cost scalars for a ReRAM compute fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostModel {
     device: DeviceParams,
     periphery: PeripheryParams,
@@ -152,7 +151,7 @@ impl CostModel {
 }
 
 /// Energy accumulated per architectural component.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostBreakdown {
     /// Crossbar programming (edge loading).
     pub program: Joules,

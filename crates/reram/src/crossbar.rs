@@ -7,8 +7,6 @@
 //! when enabled, is applied at programming time, which is where multi-level
 //! ReRAM inaccuracy physically arises.
 
-use serde::{Deserialize, Serialize};
-
 use crate::noise::NoiseSource;
 
 /// One `rows × cols` crossbar of multi-level cells.
@@ -22,7 +20,7 @@ use crate::noise::NoiseSource;
 /// cb.program(&[1, 2, 3, 4]);
 /// assert_eq!(cb.mvm(&[1.0, 10.0]), vec![31.0, 42.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Crossbar {
     rows: usize,
     cols: usize,

@@ -10,10 +10,9 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How programmed cell levels deviate from their targets.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum NoiseModel {
     /// Ideal programming: cells hold exactly their target level.
     #[default]

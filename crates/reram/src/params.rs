@@ -12,10 +12,9 @@
 //!   register/sALU figures from CACTI-class small-array estimates.
 
 use graphr_units::{Joules, Nanos};
-use serde::{Deserialize, Serialize};
 
 /// Cell- and array-level ReRAM device constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceParams {
     /// High-resistance (OFF) state, ohms. §5.2: 25 MΩ.
     pub hrs_ohm: f64,
@@ -79,7 +78,7 @@ impl Default for DeviceParams {
 
 /// Peripheral circuit constants: converters, sample-and-hold, shift-add,
 /// simple ALU, and registers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeripheryParams {
     /// ADC sample rate in giga-samples per second. §3.2 sizes one 1.0 GSps
     /// ADC to drain eight 8-bitline crossbars in a 64 ns GE cycle.

@@ -9,10 +9,8 @@
 //! [`AdcModel::Uniform`] enables studying resolution sensitivity in the
 //! ablations.
 
-use serde::{Deserialize, Serialize};
-
 /// Analog-to-digital conversion applied to each per-slice bitline sum.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum AdcModel {
     /// Infinite-resolution conversion (the paper's implicit assumption).
     #[default]

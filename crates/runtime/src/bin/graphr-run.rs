@@ -23,8 +23,10 @@
 //! job <app> <dataset> [key=value ...]
 //! ```
 //!
-//! `threads` (or `--threads`) sets the scan worker count; `threads 1` is
-//! the reference executor, and results are bit-identical at any count.
+//! A `table3` scale must lie in `(0, 1]`; anything else, NaN included, is
+//! a line error. `threads` (or `--threads`) sets the scan worker count;
+//! `threads 1` is the reference executor, and results are bit-identical
+//! at any count.
 //! Apps: `pagerank` (damping=, iterations=, tolerance=), `spmv`,
 //! `bfs`/`sssp` (source= or sources=a,b,c — a comma list expands to one
 //! query per source), `wcc`, `cf` (features=, epochs=). The `batch`
@@ -698,11 +700,13 @@ fn parse_dataset(fields: &[&str]) -> Result<(String, GraphHandle), String> {
         }
         "table3" => {
             let tag = fields.get(3).ok_or("table3 needs a tag")?;
-            let scale: f64 = fields
-                .get(4)
-                .ok_or("table3 needs a scale")?
-                .parse()
-                .map_err(|e| format!("bad scale: {e}"))?;
+            let scale = parse::<f64>(fields, 4, &name, "scale")?;
+            // Written so that NaN fails it too.
+            if !(scale > 0.0 && scale <= 1.0) {
+                return Err(format!(
+                    "dataset {name}: scale must be in (0, 1], got {scale}"
+                ));
+            }
             let spec = DatasetSpec::by_tag(tag).ok_or(format!("unknown Table 3 tag '{tag}'"))?;
             let graph = spec.generate(scale);
             match spec.scaled_bipartite(scale) {
@@ -866,6 +870,19 @@ mod tests {
         assert!(e.starts_with("line 2: source: "), "{e}");
         let e = parse_error("dataset g rmat 64 256 1\njob sssp g sources=1,4294967296\n");
         assert!(e.starts_with("line 2: sources: "), "{e}");
+    }
+
+    #[test]
+    fn table3_scale_outside_unit_interval_is_a_line_error() {
+        for scale in ["0", "-0.5", "nan", "5", "inf"] {
+            let e = parse_error(&format!("dataset g table3 WV {scale}\njob bfs g\n"));
+            assert!(
+                e.starts_with("line 1: dataset g: scale must be in (0, 1]"),
+                "{scale}: {e}"
+            );
+        }
+        let e = parse_error("dataset g table3 WV\njob bfs g\n");
+        assert!(e.starts_with("line 1: dataset g: missing scale"), "{e}");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use graphr_core::config::StreamingOrder;
@@ -45,7 +45,6 @@ use graphr_core::trace::{TraceHandle, TraceSink};
 use graphr_core::{GraphRConfig, Metrics, TiledGraph};
 use graphr_graph::{EdgeList, GraphHandle, GraphId};
 use graphr_units::FixedSpec;
-use parking_lot::Mutex;
 
 use crate::job::{Job, JobOutput, JobReport, JobSpec};
 use crate::pool;
@@ -278,7 +277,7 @@ impl Session {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.tilings.lock().len(),
+            entries: self.tilings().len(),
         }
     }
 
@@ -300,6 +299,13 @@ impl Session {
             .tiled)
     }
 
+    /// The tiling cache. A panic while it was held cannot leave it
+    /// inconsistent (entries are inserted whole), so a poisoned lock is
+    /// recovered.
+    fn tilings(&self) -> MutexGuard<'_, HashMap<TileKey, CachedTiling>> {
+        self.tilings.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// [`Session::tiled`] with per-caller hit/miss counters, so concurrent
     /// batch jobs attribute cache traffic to themselves rather than to
     /// whichever job happens to read the global counters.
@@ -315,7 +321,7 @@ impl Session {
         // skip the tiler's check of the rest of the configuration.
         config.check()?;
         let key = TileKey::new(handle.id().clone(), variant, config);
-        if let Some(hit) = self.tilings.lock().get(&key) {
+        if let Some(hit) = self.tilings().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             *local_hits += 1;
             return Ok(hit.clone());
@@ -345,7 +351,7 @@ impl Session {
             skeleton,
             planner_index,
         };
-        self.tilings.lock().insert(key, entry.clone());
+        self.tilings().insert(key, entry.clone());
         Ok(entry)
     }
 

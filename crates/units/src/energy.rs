@@ -11,8 +11,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Nanos;
 
 /// An amount of energy in joules.
@@ -31,7 +29,7 @@ use crate::time::Nanos;
 /// let power = tile.averaged_over(Nanos::new(64.0));
 /// assert!(power.as_watts() > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Joules(f64);
 
 impl Joules {
@@ -190,7 +188,7 @@ impl fmt::Display for Joules {
 /// let burned = tdp.over(Nanos::from_millis(2.0));
 /// assert_eq!(burned.as_millijoules(), 170.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Watts(f64);
 
 impl Watts {

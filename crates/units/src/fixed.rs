@@ -13,8 +13,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Error constructing a [`FixedSpec`] or [`BitSlicer`] with impossible bit
 /// widths.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,7 +58,7 @@ impl Error for FixedSpecError {}
 /// assert!(err <= q4_12.resolution() / 2.0);
 /// # Ok::<(), graphr_units::FixedSpecError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FixedSpec {
     total_bits: u8,
     frac_bits: u8,
@@ -278,7 +276,7 @@ impl fmt::Display for FixedSpec {
 /// assert_eq!(slicer.recombine_u64(&[0xF, 0xE, 0xE, 0xB]), 0xBEEF);
 /// # Ok::<(), graphr_units::FixedSpecError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BitSlicer {
     cell_bits: u8,
     num_slices: u8,

@@ -3,8 +3,6 @@
 //! The paper reports geometric-mean speedups across application × dataset
 //! grids; [`GeoMean`] computes them without pulling in a stats dependency.
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulates a geometric mean in log space — the aggregation the paper
 /// uses for its headline 16.01× / 33.82× numbers.
 ///
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// let gm: GeoMean = [2.0, 8.0].into_iter().collect();
 /// assert_eq!(gm.value(), Some(4.0));
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GeoMean {
     log_sum: f64,
     count: u64,

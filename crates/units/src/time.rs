@@ -10,8 +10,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A duration of simulated time in nanoseconds.
 ///
 /// `Nanos` supports the arithmetic a timing model needs (addition,
@@ -29,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(tile > read);
 /// assert_eq!((read * 2.0).as_nanos(), 58.62);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Nanos(f64);
 
 impl Nanos {
