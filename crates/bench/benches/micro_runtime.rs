@@ -141,12 +141,14 @@ fn main() {
 
 /// The Fast-fidelity scan kernels in host ns per stored edge on the
 /// `pagerank_rmat`-shaped R-MAT graph (65,536 vertices, 1 M edges): a
-/// PageRank-valued MAC scan of one input at 1 and 2 threads, both as the
-/// first scan of an [`EdgeValueFn`] (which programs the cell codes) and
-/// as a scan that reuses its codes, and a one-lane SSSP add-op scan with
-/// every vertex active at one thread. Best of 3 scans; printed, not
-/// asserted (host time is too noisy to gate on). The first and reused
-/// scans must give the same bits.
+/// PageRank-valued MAC scan of one input at 1 and 2 threads, both as a
+/// fresh executor's first dense scan (which lays out and fills every
+/// unit's program, then scans it: a dense SpMV's cost) and as a scan that
+/// reuses the programs; a masked SpMV scan over the plan of a 1-in-100 source
+/// mask (pruned plans program each planned subgraph as they scan it); and
+/// a one-lane SSSP add-op scan with every vertex active at one thread.
+/// Best of 7 scans; printed, not asserted (host time is too noisy to gate
+/// on). The first and reused scans must give the same bits.
 fn scan_kernel_case() {
     use graphr_core::exec::LaneFrontier;
 
@@ -160,30 +162,59 @@ fn scan_kernel_case() {
     let x = vec![1.0; n];
     let matrix_spec = PageRankOptions::default().matrix_spec;
     for threads in [1, 2] {
-        let mut mac = StreamingExecutor::new(&tiled, &config, matrix_spec).with_threads(threads);
+        let fresh = || StreamingExecutor::new(&tiled, &config, matrix_spec).with_threads(threads);
         let mut first = Vec::new();
-        // A fresh value per scan: each one programs the codes.
-        let t_first = best_of(3, || {
+        // A fresh executor per scan, as a SpMV run makes: each first scan
+        // lays out, fills and scans every unit's program.
+        let t_first = best_of(7, || {
+            let mut mac = fresh();
             let value = EdgeValueFn::new(&pagerank);
             let start = Instant::now();
             first = mac.scan_mac(&value, &[&x]);
             start.elapsed()
         });
+        let mut mac = fresh();
         let value = EdgeValueFn::new(&pagerank);
         let mut reused = mac.scan_mac(&value, &[&x]);
-        let t_reused = best_of(3, || {
+        let t_reused = best_of(7, || {
             let start = Instant::now();
             reused = mac.scan_mac(&value, &[&x]);
             start.elapsed()
         });
-        assert_eq!(first, reused, "reused codes must give the programmed bits");
+        assert_eq!(
+            first, reused,
+            "reused programs must give the programmed bits"
+        );
         println!(
-            "  scan kernels (Fast, {threads} thread{}, R-MAT 65,536 V / 1 M E): MAC first scan of a value {:.1} ns/edge (programs the codes), reused {:.1} ns/edge",
+            "  scan kernels (Fast, {threads} thread{}, R-MAT 65,536 V / 1 M E): MAC program + scan {:.1} ns/edge ({:.1} ms, a dense SpMV), reused {:.1} ns/edge",
             if threads == 1 { "" } else { "s" },
             t_first * 1e9 / edges,
+            t_first * 1e3,
             t_reused * 1e9 / edges,
         );
     }
+
+    let mut mask = FrontierMask::new(n);
+    for v in (0..n).step_by(100) {
+        mask.set(v);
+    }
+    let masked_x: Vec<f64> = (0..n)
+        .map(|v| if mask.get(v) { 1.0 } else { 0.0 })
+        .collect();
+    let mut spmv = StreamingExecutor::new(&tiled, &config, matrix_spec);
+    let plan = ScanEngine::plan(&mut spmv, Some(&mask));
+    let t_masked = best_of(7, || {
+        let value = EdgeValueFn::new(&pagerank);
+        let start = Instant::now();
+        spmv.scan_mac_planned(&plan, &value, &[&masked_x]);
+        start.elapsed()
+    });
+    println!(
+        "  scan kernels (Fast, 1 thread, R-MAT 65,536 V / 1 M E): masked SpMV (1-in-100 sources, {} planned edges) {:.2} ms, {:.1} ns/planned edge",
+        plan.stats().edges_planned,
+        t_masked * 1e3,
+        t_masked * 1e9 / plan.stats().edges_planned.max(1) as f64,
+    );
 
     let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
     let mut addop = StreamingExecutor::new(&tiled, &config, spec);

@@ -135,6 +135,16 @@ impl PlanUnit {
         }
     }
 
+    /// Whether this is a unit of the dense plan: every block row visited,
+    /// every subgraph planned. Only [`PlanSkeleton::build`] makes these,
+    /// and nothing patches them, so what a scan of a dense unit walks and
+    /// charges depends on the unit alone. A cluster node's shard of the
+    /// dense plan holds the same units.
+    #[must_use]
+    pub(crate) fn is_dense(&self) -> bool {
+        self.all_rows
+    }
+
     /// The block rows the scan visits, ascending, each with its planned
     /// subgraphs. A row with nothing planned is visited only by the dense
     /// plan. `tiled` must be the graph the unit was planned for.

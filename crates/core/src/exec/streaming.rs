@@ -64,7 +64,7 @@ use crate::exec::mask::{FrontierDelta, FrontierMask};
 use crate::exec::plan::{PlanSkeleton, PlanUnit, ScanPlan};
 use crate::exec::planner::Planner;
 use crate::exec::pool;
-use crate::exec::strip::{mac_rego_capacity, StripScanner};
+use crate::exec::strip::{mac_rego_capacity, MacProgram, StripScanner};
 use crate::exec::ScanEngine;
 use crate::metrics::Metrics;
 use crate::outofcore::{DiskAccountant, DiskModel};
@@ -75,12 +75,14 @@ use crate::trace::{SpanMark, TraceHandle};
 /// `(weight, src, dst) → value`. This is the `processEdge`-side transform —
 /// e.g. PageRank programs `r / outdegree(src)`, SSSP programs the weight.
 ///
-/// Each [`EdgeValueFn::new`] draws a process-unique id. The first dense
-/// Fast-fidelity MAC scan of an id programs every crossbar cell's code,
-/// and later scans with the same id reuse those codes, so the closure
-/// must give the same value for the same arguments for as long as the id
-/// is scanned. A driver makes one per run (CF, whose values change every
-/// epoch, one per epoch and direction).
+/// Each [`EdgeValueFn::new`] draws a process-unique id. A Fast-fidelity
+/// MAC scan of the dense plan keeps each unit's programmed cells and
+/// charges, keyed by that id and the scan's input count (see
+/// [`crate::exec::strip`]'s `# Kernels`). A dense scan under another id or
+/// input count refills a unit's program; later dense scans under the same
+/// pair reuse it. So the closure must give the same value for the same
+/// arguments for as long as the id is scanned. A driver makes one per run
+/// (CF, whose values change every epoch, one per epoch and direction).
 #[derive(Clone, Copy)]
 pub struct EdgeValueFn<'f> {
     f: &'f (dyn Fn(f32, u32, u32) -> f64 + Sync + 'f),
@@ -105,7 +107,7 @@ impl<'f> EdgeValueFn<'f> {
         (self.f)(weight, src, dst)
     }
 
-    /// The id programmed codes are keyed by.
+    /// The id MAC programs are keyed by.
     #[must_use]
     pub(crate) fn id(&self) -> u64 {
         self.id
@@ -135,11 +137,11 @@ pub struct StreamingExecutor<'a> {
     scan_paths: [u64; 2],
     /// Scratch: the current unit's lowered destinations, for inline scans.
     lowered: Vec<(usize, u64)>,
-    /// The id of the [`EdgeValueFn`] `codes` was programmed for, if any.
-    codes_id: Option<u64>,
-    /// One programmed code per stored edge (see
-    /// [`StripScanner::program_cells`]); empty under the tile kernel.
-    codes: Vec<i32>,
+    /// Each dense unit's MAC program, by [`StripUnit::index`]: empty until
+    /// a Fast dense MAC scan, and under the tile kernel.
+    ///
+    /// [`StripUnit::index`]: crate::exec::strip::StripUnit::index
+    programs: Vec<Option<MacProgram>>,
 }
 
 /// Planned work (`edges_planned × K`, K being an add-op scan's lane count
@@ -201,8 +203,7 @@ impl<'a> StreamingExecutor<'a> {
             span_mark: SpanMark::default(),
             scan_paths: [0; 2],
             lowered: Vec::new(),
-            codes_id: None,
-            codes: Vec::new(),
+            programs: Vec::new(),
         }
     }
 
@@ -257,6 +258,16 @@ impl<'a> StreamingExecutor<'a> {
         self.scan_paths
     }
 
+    /// The strip units this executor holds a MAC program for, ascending,
+    /// as `(unit index, programmed cells)`: host state, like
+    /// [`StreamingExecutor::scan_paths`], never part of [`Metrics`].
+    #[must_use]
+    pub fn programmed_units(&self) -> Vec<(usize, usize)> {
+        let held = self.programs.iter().enumerate();
+        held.filter_map(|(unit, program)| Some((unit, program.as_ref()?.cells())))
+            .collect()
+    }
+
     /// Consumes the executor, yielding its metrics (closing any open disk
     /// accounting window first).
     #[must_use]
@@ -295,21 +306,24 @@ impl<'a> StreamingExecutor<'a> {
 
     /// The one per-unit path every scan kind runs through. `out` holds
     /// one vector per lane or input vector; `scan` runs one unit in place
-    /// on its own windows of them (see [`unit_windows`]), appending the
-    /// destinations it lowered to its `lowered` list. A plan whose work —
+    /// on its own windows of them (see [`unit_windows`]) with its entry of
+    /// `states` (one per planned unit), appending the destinations it
+    /// lowered to its `lowered` list. A plan whose work —
     /// `edges_planned × out.len()` — is below [`FAN_OUT_MIN_WORK`], or any
     /// plan at one worker, runs inline on `scanners[0]`; a larger one fans
     /// out over the worker scanners, each unit moving to its worker with
     /// its windows. Either way unit metrics merge, and `on_lowered` sees
     /// each unit's lowered list, in plan order. Returns the summed
     /// per-unit counts.
-    fn run_units(
+    fn run_units<S: Send>(
         &mut self,
         plan: &ScanPlan,
         out: &mut [Vec<f64>],
+        states: Vec<S>,
         scan: impl Fn(
                 &mut StripScanner<'a>,
                 &PlanUnit,
+                S,
                 &mut [&mut [f64]],
                 &mut Vec<(usize, u64)>,
                 &mut Metrics,
@@ -322,14 +336,25 @@ impl<'a> StreamingExecutor<'a> {
         let fan_out = fans_out(work, self.scanners.len());
         self.scan_paths[usize::from(fan_out)] += 1;
         let mut windows = unit_windows(plan, out);
-        let units = plan.units().iter().zip(windows.chunks_mut(lanes));
+        let units = plan
+            .units()
+            .iter()
+            .zip(windows.chunks_mut(lanes))
+            .zip(states);
         let mut total = 0u64;
         if !fan_out {
             let (scanner, lowered) = (&mut self.scanners[0], &mut self.lowered);
-            for (punit, unit_windows) in units {
+            for ((punit, unit_windows), state) in units {
                 let mut unit_metrics = Metrics::new();
                 lowered.clear();
-                total += scan(scanner, punit, unit_windows, lowered, &mut unit_metrics);
+                total += scan(
+                    scanner,
+                    punit,
+                    state,
+                    unit_windows,
+                    lowered,
+                    &mut unit_metrics,
+                );
                 self.metrics.merge(&unit_metrics);
                 on_lowered(lowered);
             }
@@ -338,11 +363,12 @@ impl<'a> StreamingExecutor<'a> {
         let per_unit = pool::run_on(
             &mut self.scanners,
             units,
-            |scanner, (punit, unit_windows)| {
+            |scanner, ((punit, unit_windows), state)| {
                 let (mut lowered, mut unit_metrics) = (Vec::new(), Metrics::new());
                 let count = scan(
                     scanner,
                     punit,
+                    state,
                     unit_windows,
                     &mut lowered,
                     &mut unit_metrics,
@@ -358,51 +384,47 @@ impl<'a> StreamingExecutor<'a> {
         total
     }
 
-    /// The code table a MAC scan of `value` over `plan` reads, taken out
-    /// of the executor; the caller puts it back under `value`'s id once
-    /// the scan has finished, so a scan that panics leaves no table
-    /// behind. The table is the one held for `value`'s id, or, when `plan`
-    /// streams every stored edge, one programmed now. A pruned scan of a
-    /// value without a table gets `None` and programs each planned
-    /// subgraph as it scans it, so it costs what it streams. Programming
-    /// splits the table at `(block, strip)` slot boundaries into pieces of
-    /// about equal edge counts and fans them out like a scan. The tile
-    /// kernel programs each tile itself, so it never gets a table.
-    fn take_codes(&mut self, plan: &ScanPlan, value: &EdgeValueFn<'_>) -> Option<Vec<i32>> {
-        let tiled = self.tiled;
-        let total = tiled.total_edges();
-        let held = self.codes_id == Some(value.id());
-        let dense = plan.stats().edges_planned == total as u64;
-        if self.scanners[0].programs_tiles() || !(held || dense) {
-            return None;
+    /// Lays out a MAC program for each dense unit of `plan` that has none
+    /// (see [`MacProgram::lay_out`]): the workers count each unit's cells
+    /// per destination, and this thread allocates every program, so the
+    /// programs of all runs share one heap instead of scattering over the
+    /// workers' allocator arenas. The unit tasks then fill them in place.
+    fn lay_out_programs(&mut self, plan: &ScanPlan, programs: &mut [Option<MacProgram>]) {
+        let missing: Vec<&PlanUnit> = (plan.units().iter())
+            .filter(|punit| punit.is_dense() && programs[punit.unit.index].is_none())
+            .map(|punit| &**punit)
+            .collect();
+        if missing.is_empty() {
+            return;
         }
-        self.codes_id = None;
-        let mut codes = std::mem::take(&mut self.codes);
-        if held {
-            return Some(codes);
-        }
-        codes.resize(total, 0);
-        let workers = self.scanners.len();
-        let pieces = if fans_out(total as u64, workers) {
-            4 * workers
+        let mut counts = vec![0u32; missing.iter().map(|punit| punit.unit.dst_len).sum()];
+        let mut rest = &mut counts[..];
+        let tasks: Vec<_> = (missing.iter())
+            .map(|punit| {
+                let (window, tail) = std::mem::take(&mut rest).split_at_mut(punit.unit.dst_len);
+                rest = tail;
+                (*punit, window)
+            })
+            .collect();
+        let work = missing.iter().map(|punit| punit.edges).sum();
+        let workers = if fans_out(work, self.scanners.len()) {
+            self.scanners.len()
         } else {
             1
         };
-        let piece_edges = total.div_ceil(pieces).max(1);
-        let slots = tiled.num_slots();
-        let (mut tasks, mut rest, mut first, mut taken) = (Vec::new(), &mut codes[..], 0, 0);
-        for slot in 0..slots {
-            let end = tiled.slot_entry_start(slot + 1);
-            if end - taken >= piece_edges || slot + 1 == slots {
-                let (piece, tail) = std::mem::take(&mut rest).split_at_mut(end - taken);
-                tasks.push((first..slot + 1, piece));
-                (rest, first, taken) = (tail, slot + 1, end);
-            }
+        pool::run_on(
+            &mut self.scanners[..workers],
+            tasks,
+            |scanner, (punit, window)| {
+                scanner.count_cells(punit, window);
+            },
+        );
+        let mut rest = &counts[..];
+        for punit in missing {
+            let (window, tail) = rest.split_at(punit.unit.dst_len);
+            rest = tail;
+            programs[punit.unit.index] = Some(MacProgram::lay_out(window));
         }
-        pool::run_on(&mut self.scanners, tasks, |scanner, (slots, piece)| {
-            scanner.program_cells(slots, value, piece);
-        });
-        Some(codes)
     }
 
     /// What every scan charges once after its units: the plan's stream
@@ -443,19 +465,30 @@ impl<'a> StreamingExecutor<'a> {
             assert_eq!(x.len(), n, "input vectors must have one entry per vertex");
         }
         let mut outputs = vec![vec![0.0; n]; k];
-        let codes = self.take_codes(plan, value);
+        // Out of the executor while the scan runs, so a scan that panics
+        // leaves no half-filled program behind. The tile kernel keeps none.
+        let mut programs = std::mem::take(&mut self.programs);
+        if !self.scanners[0].programs_tiles() {
+            programs.resize_with(self.planner.skeleton().num_units(), || None);
+            self.lay_out_programs(plan, &mut programs);
+        }
+        let slots = unit_programs(plan, &mut programs);
         self.run_units(
             plan,
             &mut outputs,
-            |scanner, punit, outputs, _, metrics| {
-                scanner.scan_mac_unit(punit, value, codes.as_deref(), inputs, outputs, metrics);
+            slots,
+            |scanner, punit, program, outputs, _, metrics| {
+                match program {
+                    Some(program) => {
+                        scanner.scan_mac_program(punit, value, program, inputs, outputs, metrics);
+                    }
+                    None => scanner.scan_mac_unit(punit, value, inputs, outputs, metrics),
+                }
                 0
             },
             |_| {},
         );
-        if let Some(codes) = codes {
-            (self.codes, self.codes_id) = (codes, Some(value.id()));
-        }
+        self.programs = programs;
         self.finish_scan(plan, mac_rego_capacity(self.config, self.tiled));
         outputs
     }
@@ -513,7 +546,8 @@ impl<'a> StreamingExecutor<'a> {
         let rows = self.run_units(
             plan,
             frontiers,
-            |scanner, punit, frontiers, lowered, metrics| {
+            vec![(); plan.units().len()],
+            |scanner, punit, (), frontiers, lowered, metrics| {
                 scanner.scan_add_op_lanes_unit(
                     punit, value, combine, addends, active, frontiers, lowered, metrics,
                 )
@@ -566,6 +600,31 @@ fn unit_windows<'v>(plan: &ScanPlan, lanes: &'v mut [Vec<f64>]) -> Vec<&'v mut [
         pos = unit.dst_start + unit.dst_len;
     }
     windows
+}
+
+/// The program of each of `plan`'s units, in plan order: the unit's
+/// entry of `programs` (indexed by [`StripUnit::index`]) for a unit of the
+/// dense plan, `None` for a pruned one, which keeps no program, or where
+/// `programs` holds none. A plan's units run in ascending index order, so
+/// one forward pass hands out every program.
+///
+/// [`StripUnit::index`]: crate::exec::strip::StripUnit::index
+fn unit_programs<'p>(
+    plan: &ScanPlan,
+    programs: &'p mut [Option<MacProgram>],
+) -> Vec<Option<&'p mut MacProgram>> {
+    let mut slots = programs.iter_mut().enumerate();
+    plan.units()
+        .iter()
+        .map(|punit| {
+            if !punit.is_dense() {
+                return None;
+            }
+            let index = punit.unit.index;
+            let (_, slot) = slots.find(|(i, _)| *i == index)?;
+            slot.as_mut()
+        })
+        .collect()
 }
 
 impl ScanEngine for StreamingExecutor<'_> {

@@ -23,18 +23,30 @@
 //! the `C × C` crossbar; the simulated cost of the empty cells is still
 //! charged from counts. That order keeps parallel edges adjacent, so a
 //! cell's value is its edges' values merged in streamed order (`Sum` for
-//! MAC, `Min` for add-op) and quantised once. MAC reads those values as
-//! data: [`StripScanner::program_cells`] writes one raw code per stored
-//! edge, the cell's code on its first entry and [`SKIP_CODE`] on the rest,
-//! and the executor keeps that table across scans of one
-//! [`EdgeValueFn`], so the MAC kernel only dequantises. A pruned scan of a
-//! value the executor holds no table for programs each planned subgraph's
-//! codes into scratch just before the same kernel reads them. Add-op
-//! merges and quantises each cell as the walk meets it, since a traversal
-//! meets a cell about once per run. MAC sums each column's rows in
-//! ascending order per input vector, skipping zero inputs, and reduces a
-//! nonzero sum into RegO; add-op drives each cell for every lane in its
-//! row's lane word.
+//! MAC, `Min` for add-op) and quantised once.
+//!
+//! MAC reads those values as data: one `(source vertex, raw code)` cell
+//! per stored `(source, destination)` pair, parallel edges already
+//! merged, each tagged where its column ends. §4.1 programs a crossbar
+//! once and evaluates it many times, and so does the host: a unit of the
+//! dense plan keeps its cells, with the unit's complete charges for its
+//! input count except the data-dependent sALU operations, as a
+//! `MacProgram` keyed by the [`EdgeValueFn`] id and the input count. Its
+//! cells run destination by destination, each destination's columns in
+//! streamed order, so every output still sees its column sums in the
+//! walk's order. The executor holds one program per unit. Where each
+//! destination's cells go depends only on the tiling, so a program is
+//! laid out once per executor (the workers count each unit's cells, the
+//! calling thread allocates exactly), and a dense scan under another
+//! value or input count refills it inside the unit's own task, in one
+//! walk of its tiles; every dense scan then runs one tight loop over the
+//! cells. A unit of a pruned plan programs each planned subgraph into
+//! scratch, one run per column, just before the same loop reads it, and
+//! charges it as it goes. Add-op merges and quantises each cell as the
+//! walk meets it, since a traversal meets a cell about once per run. MAC
+//! sums each column's rows in ascending order per input vector, skipping
+//! zero inputs, and reduces a nonzero sum into RegO; add-op drives each
+//! cell for every lane in its row's lane word.
 //! That is the arithmetic and the per-output reduction order of
 //! [`TileCompute`]'s `load` then `mac` / `row_entries`, so results and
 //! metrics are bit-identical to it. [`TileCompute`] remains the datapath
@@ -52,8 +64,6 @@
 //!
 //! [`StreamingExecutor`]: crate::exec::streaming::StreamingExecutor
 
-use std::ops::Range;
-
 use crate::config::{Fidelity, GraphRConfig, StreamingOrder};
 use crate::engine::salu::{ReduceOp, SAlu};
 use crate::engine::tile::{MergeRule, TileCompute};
@@ -66,10 +76,93 @@ use crate::preprocess::tiler::{SubgraphView, TileEntry, TiledGraph};
 /// record format is owned by the graph crate.
 pub(crate) use graphr_graph::BYTES_PER_EDGE;
 
-/// The code [`StripScanner::program_cells`] gives every entry of a cell
-/// but its first. It lies outside every format's raw range (formats have
-/// at most 31 bits), so no kernel mistakes it for a programmed value.
-pub const SKIP_CODE: i32 = i32::MIN;
+/// One programmed crossbar cell: the source vertex driving its wordline,
+/// and its raw fixed-point code shifted up one bit over a flag set on its
+/// column's last cell. Formats have at most 31 bits, so the shift keeps
+/// every code.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cell {
+    src: u32,
+    tagged: i32,
+}
+
+impl Cell {
+    fn new(src: usize, code: i32, ends_column: bool) -> Cell {
+        Cell {
+            src: src as u32,
+            tagged: code << 1 | i32::from(ends_column),
+        }
+    }
+
+    #[inline]
+    fn code(self) -> i32 {
+        self.tagged >> 1
+    }
+
+    #[inline]
+    fn ends_column(self) -> bool {
+        self.tagged & 1 != 0
+    }
+}
+
+/// A run of whole columns that all reduce into strip-local destination
+/// `local`: the next `cells` cells of their stream.
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    local: u32,
+    cells: u32,
+}
+
+/// Scratch for one pruned subgraph's cells, one group per column.
+#[derive(Debug, Default)]
+struct CellStream {
+    groups: Vec<Group>,
+    cells: Vec<Cell>,
+}
+
+/// One dense-plan unit's MAC program: its cells and what a scan of it
+/// charges. Cells run destination by destination, each destination's
+/// columns in streamed order, which keeps every output's reduction order.
+/// Where each destination's cells sit depends only on the tiling, so a
+/// program is laid out once, sized exactly (see
+/// [`MacProgram::lay_out`]), and refilled in place for each new
+/// [`EdgeValueFn`] or input count.
+#[derive(Debug)]
+pub(crate) struct MacProgram {
+    /// The value's id and the input count the cells and charges were
+    /// programmed for; `None` until the first fill.
+    key: Option<(u64, usize)>,
+    groups: Box<[Group]>,
+    cells: Box<[Cell]>,
+    /// Everything a scan of the unit charges, except `events.salu_ops`.
+    charges: Metrics,
+}
+
+impl MacProgram {
+    /// An unfilled program holding `counts[local]` cells for each
+    /// strip-local destination (see [`StripScanner::count_cells`]).
+    pub(crate) fn lay_out(counts: &[u32]) -> MacProgram {
+        let groups: Box<[Group]> = (counts.iter().enumerate())
+            .filter(|&(_, &cells)| cells > 0)
+            .map(|(local, &cells)| Group {
+                local: local as u32,
+                cells,
+            })
+            .collect();
+        let total = counts.iter().map(|&cells| cells as usize).sum();
+        MacProgram {
+            key: None,
+            groups,
+            cells: vec![Cell::default(); total].into_boxed_slice(),
+            charges: Metrics::new(),
+        }
+    }
+
+    /// Programmed cells: stored `(source, destination)` pairs.
+    pub(crate) fn cells(&self) -> usize {
+        self.cells.len()
+    }
+}
 
 /// One global destination strip: the parallel work unit of a scan.
 ///
@@ -145,8 +238,11 @@ pub struct StripScanner<'a> {
     tile: Option<TileKernel>,
     /// Scratch: one subgraph's lane word per source row (add-op).
     row_lanes: Vec<u64>,
-    /// Scratch: one subgraph's cell codes, for a MAC scan without a table.
-    subgraph_codes: Vec<i32>,
+    /// Scratch: one pruned subgraph's MAC cells.
+    stream: CellStream,
+    /// Scratch: a unit's next cell position per local destination, while
+    /// its MAC program is filled.
+    next_cell: Vec<u32>,
     /// Scratch: one strip visit's per-tile driven-row counts.
     tile_rows_buf: Vec<u64>,
     /// Scratch: one add-op unit's lowered lanes per local destination.
@@ -251,7 +347,8 @@ impl<'a> StripScanner<'a> {
             quant: spec.quantizer(),
             tile: (config.fidelity == Fidelity::Analog).then(|| TileKernel::new(config, spec)),
             row_lanes: vec![0; config.crossbar_size],
-            subgraph_codes: Vec::new(),
+            stream: CellStream::default(),
+            next_cell: Vec::new(),
             tile_rows_buf: Vec::new(),
             marks: LaneMarks::new(config.strip_width()),
         }
@@ -290,79 +387,42 @@ impl<'a> StripScanner<'a> {
 
     /// Whether this scanner's MAC kernel programs each tile itself through
     /// [`TileCompute`] (Analog fidelity, or the tile reference) rather than
-    /// reading the codes of [`StripScanner::program_cells`].
+    /// reading programmed cells.
     #[must_use]
     pub(crate) fn programs_tiles(&self) -> bool {
         self.tile.is_some()
     }
 
-    /// Programs the crossbar cells of the `(block, strip)` slots in
-    /// `slots` (slot `block · strips_per_block + strip`, see
-    /// [`TiledGraph::slot_entry_start`]) for MAC scans of `value`. `codes`
-    /// covers exactly those slots' stored edges in streamed order and
-    /// receives one raw fixed-point code per edge. A cell's code is the
-    /// sum of its parallel edges' values in streamed order, quantised
-    /// once — what [`TileCompute::load`] programs — and sits on the
-    /// cell's first entry; the cell's other entries get [`SKIP_CODE`], so
-    /// the kernel never multiplies them, not even by zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `codes` is not exactly as long as the slots' edge count.
-    pub fn program_cells(&self, slots: Range<usize>, value: &EdgeValueFn<'_>, codes: &mut [i32]) {
-        let tiled = self.tiled;
-        let strips = tiled.order().strips_per_block();
-        let mut rest = codes;
-        for slot in slots {
-            let (block, strip) = (slot / strips, slot % strips);
-            let dst0 = tiled.strip_dst_start(block, strip);
-            for ord in tiled.slot_subgraphs(block, strip) {
-                let sg = tiled.subgraph(ord);
-                let src0 = tiled.chunk_src_start(block, sg.chunk());
-                let (programmed, tail) =
-                    std::mem::take(&mut rest).split_at_mut(sg.edges() as usize);
-                self.program_subgraph(src0, dst0, sg, value, programmed);
-                rest = tail;
-            }
-        }
-        assert!(rest.is_empty(), "codes must cover exactly the slots' edges");
-    }
-
-    /// [`StripScanner::program_cells`] for one subgraph, whose sources
-    /// start at `src0` and destinations at `dst0`; `codes` holds one code
-    /// per edge of it.
+    /// Programs one subgraph's crossbar cells for MAC scans of `value`,
+    /// handing each to `emit` with its strip-local destination, in
+    /// streamed order: its sources start at `src0`, and `dst0` is the
+    /// first vertex of its unit's window. A cell's code is the sum of its
+    /// parallel edges' values in streamed order, quantised once — what
+    /// [`TileCompute::load`] programs.
     fn program_subgraph(
         &self,
         src0: usize,
         dst0: usize,
         sg: SubgraphView<'_>,
         value: &EdgeValueFn<'_>,
-        codes: &mut [i32],
+        mut emit: impl FnMut(usize, Cell),
     ) {
         let c = self.config.crossbar_size;
-        let mut rest = codes;
         for (t, entries) in sg.tiles() {
-            let tile_dst0 = dst0 + t * c;
-            let (tile_codes, tail) = std::mem::take(&mut rest).split_at_mut(entries.len());
-            rest = tail;
-            // `head` is the open cell's first entry and `sum` its value so
-            // far; a cell's entries are adjacent.
-            let (mut head, mut sum) = (0, 0.0);
-            for (i, e) in entries.iter().enumerate() {
-                let src = (src0 + e.row as usize) as u32;
-                let v = value.eval(e.weight, src, (tile_dst0 + e.col as usize) as u32);
-                let open = &entries[head];
-                if i > head && (e.col, e.row) == (open.col, open.row) {
-                    sum = MergeRule::Sum.combine(sum, v);
-                    tile_codes[i] = SKIP_CODE;
-                } else {
-                    if i > head {
-                        tile_codes[head] = self.quant.quantize(sum);
-                    }
-                    (head, sum) = (i, v);
+            // A cell's entries are adjacent, and so are a column's cells.
+            let mut i = 0;
+            while let Some(&e) = entries.get(i) {
+                let (src, local) = (src0 + e.row as usize, t * c + e.col as usize);
+                let (src_id, dst_id) = (src as u32, (dst0 + local) as u32);
+                let mut v = value.eval(e.weight, src_id, dst_id);
+                i += 1;
+                while let Some(p) = entries.get(i).filter(|p| (p.col, p.row) == (e.col, e.row)) {
+                    v = MergeRule::Sum.combine(v, value.eval(p.weight, src_id, dst_id));
+                    i += 1;
                 }
+                let ends_column = entries.get(i).is_none_or(|next| next.col != e.col);
+                emit(local, Cell::new(src, self.quant.quantize(v), ends_column));
             }
-            tile_codes[head] = self.quant.quantize(sum);
         }
     }
 
@@ -377,27 +437,123 @@ impl<'a> StripScanner<'a> {
     /// (`outputs[i]` covers exactly the unit's destinations and is
     /// pre-zeroed by the caller), charging the planned work's share of time
     /// and energy into `metrics`. Only the block rows and subgraphs the
-    /// plan lists are visited. The Fast kernel reads each cell's code
-    /// from `table`, the whole graph's [`StripScanner::program_cells`] for
-    /// `value`, or without one programs each subgraph's codes just before
-    /// it scans them; the tile kernel programs each tile from `value` and
-    /// ignores `table`.
+    /// plan lists are visited. The Fast kernel programs each subgraph's
+    /// cells just before it scans them; the tile kernel programs
+    /// each tile from `value`. A dense unit that keeps its program scans
+    /// through its kept program instead.
     pub fn scan_mac_unit(
         &mut self,
         punit: &PlanUnit,
         value: &EdgeValueFn<'_>,
-        table: Option<&[i32]>,
         inputs: &[&[f64]],
         outputs: &mut [&mut [f64]],
         metrics: &mut Metrics,
     ) {
+        let mut salu = SAlu::new(ReduceOp::Add);
+        let dst0 = punit.unit.dst_start;
+        self.walk_mac_unit(punit, inputs.len(), metrics, |scanner, src0, sg| {
+            scanner.mac_subgraph(src0, dst0, sg, value, inputs, outputs, &mut salu);
+        });
+        metrics.events.salu_ops += salu.ops_performed();
+    }
+
+    /// [`StripScanner::scan_mac_unit`] for a unit of the dense plan
+    /// through its laid-out `program`, which is first refilled unless it
+    /// holds `value` for `inputs.len()` inputs: one walk of the unit's
+    /// tiles merges, quantises and charges exactly as the per-subgraph
+    /// path does. The scan then reads only the program's cells, and charges
+    /// the stored charges plus its own sALU operations, so results and
+    /// metrics are bit-identical to [`StripScanner::scan_mac_unit`].
+    /// Fast fidelity only: a tile-kernel scanner never keeps programs.
+    pub(crate) fn scan_mac_program(
+        &mut self,
+        punit: &PlanUnit,
+        value: &EdgeValueFn<'_>,
+        program: &mut MacProgram,
+        inputs: &[&[f64]],
+        outputs: &mut [&mut [f64]],
+        metrics: &mut Metrics,
+    ) {
+        debug_assert!(punit.is_dense() && !self.programs_tiles());
+        let key = (value.id(), inputs.len());
+        if program.key != Some(key) {
+            self.fill_program(punit, value, key, program);
+        }
+        let mut salu = SAlu::new(ReduceOp::Add);
+        scan_cells(
+            &program.groups,
+            &program.cells,
+            self.quant,
+            inputs,
+            outputs,
+            &mut salu,
+        );
+        metrics.merge(&program.charges);
+        metrics.events.salu_ops += salu.ops_performed();
+    }
+
+    /// Counts the cells of a dense `punit` per strip-local destination
+    /// into `counts` (one entry per destination of the unit, zeroed by
+    /// the caller): what [`MacProgram::lay_out`] sizes a program by.
+    pub(crate) fn count_cells(&self, punit: &PlanUnit, counts: &mut [u32]) {
+        let tiled = self.tiled;
+        let c = self.config.crossbar_size;
+        for ord in punit.ordinals(tiled) {
+            for (t, entries) in tiled.subgraph(ord as usize).tiles() {
+                // An entry opens a cell unless it repeats its predecessor's.
+                let mut prev = None;
+                for e in entries {
+                    counts[t * c + e.col as usize] += u32::from(prev != Some((e.col, e.row)));
+                    prev = Some((e.col, e.row));
+                }
+            }
+        }
+    }
+
+    /// Programs `punit`'s cells and charges into its laid-out `program`
+    /// for `value` and `key.1` inputs: the charging walk puts every cell
+    /// at the next free place of its destination's run.
+    fn fill_program(
+        &mut self,
+        punit: &PlanUnit,
+        value: &EdgeValueFn<'_>,
+        key: (u64, usize),
+        program: &mut MacProgram,
+    ) {
+        let mut next = std::mem::take(&mut self.next_cell);
+        next.clear();
+        next.resize(punit.unit.dst_len, 0);
+        let mut start = 0;
+        for group in program.groups.iter() {
+            next[group.local as usize] = start;
+            start += group.cells;
+        }
+        let mut charges = Metrics::new();
+        let cells = &mut program.cells;
+        let dst0 = punit.unit.dst_start;
+        self.walk_mac_unit(punit, key.1, &mut charges, |scanner, src0, sg| {
+            scanner.program_subgraph(src0, dst0, sg, value, |local, cell| {
+                cells[next[local] as usize] = cell;
+                next[local] += 1;
+            });
+        });
+        self.next_cell = next;
+        (program.charges, program.key) = (charges, Some(key));
+    }
+
+    /// Walks `punit`'s planned subgraphs in streamed order, handing each
+    /// to `visit` with its first source vertex, and charges the time,
+    /// energy and events of a MAC scan of `k` input vectors into
+    /// `metrics` — all but the sALU operations, which depend on the data.
+    fn walk_mac_unit(
+        &mut self,
+        punit: &PlanUnit,
+        k: usize,
+        metrics: &mut Metrics,
+        mut visit: impl FnMut(&mut Self, usize, SubgraphView<'a>),
+    ) {
         let tiled = self.tiled;
         let n = tiled.num_vertices();
-        let k = inputs.len();
-        let unit = &punit.unit;
-        let sidx = unit.strip as usize;
-        let mut salu = SAlu::new(ReduceOp::Add);
-
         for row in punit.rows(tiled) {
             let bidx = row.block as usize;
             let pruned = row.pruned() as u64;
@@ -411,9 +567,8 @@ impl<'a> StripScanner<'a> {
                         let sg = tiled.subgraph(ord as usize);
                         strip_tiles += sg.tiles().len() as u64;
                         strip_edges += u64::from(sg.edges());
-                        self.mac_subgraph(
-                            bidx, sidx, sg, unit, value, table, inputs, outputs, &mut salu, metrics,
-                        );
+                        visit(self, tiled.chunk_src_start(bidx, sg.chunk()), sg);
+                        self.charge_mac_subgraph(sg, k, metrics);
                     }
                     self.charge_strip_time(strip_tiles, strip_edges, pruned, k, metrics);
                     // Strip write-back: RegO → memory, once per strip.
@@ -429,9 +584,8 @@ impl<'a> StripScanner<'a> {
                     for ord in row.subgraphs() {
                         let sg = tiled.subgraph(ord as usize);
                         let (tiles, edges) = (sg.tiles().len() as u64, u64::from(sg.edges()));
-                        self.mac_subgraph(
-                            bidx, sidx, sg, unit, value, table, inputs, outputs, &mut salu, metrics,
-                        );
+                        visit(self, tiled.chunk_src_start(bidx, sg.chunk()), sg);
+                        self.charge_mac_subgraph(sg, k, metrics);
                         self.charge_strip_time(
                             tiles.min(self.tile_slots() as u64),
                             edges,
@@ -444,7 +598,6 @@ impl<'a> StripScanner<'a> {
                 }
             }
         }
-        metrics.events.salu_ops += salu.ops_performed();
     }
 
     /// Charges the time for one strip's worth of `tiles` nonempty tiles
@@ -505,47 +658,27 @@ impl<'a> StripScanner<'a> {
         metrics.events.adc_conversions += conversions;
     }
 
+    /// The functional part of one planned subgraph of a MAC scan, whose
+    /// sources start at `src0`, reduced into the output windows of the
+    /// unit whose first destination is `dst0`.
     #[allow(clippy::too_many_arguments)]
     fn mac_subgraph(
         &mut self,
-        bidx: usize,
-        sidx: usize,
+        src0: usize,
+        dst0: usize,
         sg: SubgraphView<'_>,
-        unit: &StripUnit,
         value: &EdgeValueFn<'_>,
-        table: Option<&[i32]>,
         inputs: &[&[f64]],
         outputs: &mut [&mut [f64]],
         salu: &mut SAlu,
-        metrics: &mut Metrics,
     ) {
-        let tiled = self.tiled;
-        let n = tiled.num_vertices();
+        let n = self.tiled.num_vertices();
         let c = self.config.crossbar_size;
-        let k = inputs.len();
-        let src0 = tiled.chunk_src_start(bidx, sg.chunk());
-        let dst0 = tiled.strip_dst_start(bidx, sidx);
-        let arrays = self.config.arrays_per_tile() as u64;
-        let tiles = sg.tiles().len() as u64;
-        let edges = u64::from(sg.edges());
-
-        // --- functional compute ---
-        let unit_dst0 = unit.dst_start;
-        if self.tile.is_none() && table.is_none() {
-            let mut codes = std::mem::take(&mut self.subgraph_codes);
-            codes.resize(edges as usize, 0);
-            self.program_subgraph(src0, dst0, sg, value, &mut codes);
-            self.subgraph_codes = codes;
-        }
-        let codes = match table {
-            Some(table) => &table[sg.first_entry()..],
-            None => &self.subgraph_codes[..],
-        };
         match &mut self.tile {
             Some(kernel) => {
                 for (t, entries) in sg.tiles() {
-                    let tile_dst0 = dst0 + t * c;
-                    kernel.load(entries, src0, tile_dst0, value, MergeRule::Sum);
+                    let local0 = t * c;
+                    kernel.load(entries, src0, dst0 + local0, value, MergeRule::Sum);
                     for (ki, x) in inputs.iter().enumerate() {
                         for r in 0..c {
                             let src = src0 + r;
@@ -556,44 +689,47 @@ impl<'a> StripScanner<'a> {
                             if yv == 0.0 {
                                 continue;
                             }
-                            let dst = tile_dst0 + col;
-                            if dst < n {
-                                salu.reduce_one(&mut outputs[ki][dst - unit_dst0], yv);
+                            if dst0 + local0 + col < n {
+                                salu.reduce_one(&mut outputs[ki][local0 + col], yv);
                             }
                         }
                     }
                 }
             }
             None => {
-                // Stored cells hold real edges, so every source and
-                // destination below is a real vertex. A cell's code sits
-                // on its first entry; the rest of the cell is skipped.
-                let quant = self.quant;
-                let mut codes = codes;
-                for (t, entries) in sg.tiles() {
-                    let tile_dst0 = dst0 + t * c;
-                    for column in entries.chunk_by(|a, b| a.col == b.col) {
-                        let dst = tile_dst0 + column[0].col as usize;
-                        let (column_codes, rest) = codes.split_at(column.len());
-                        codes = rest;
-                        for (x, out) in inputs.iter().zip(outputs.iter_mut()) {
-                            let mut sum = 0.0;
-                            for (e, &code) in column.iter().zip(column_codes) {
-                                let xv = x[src0 + e.row as usize];
-                                if code != SKIP_CODE && xv != 0.0 {
-                                    sum += quant.dequantize(code) * xv;
-                                }
-                            }
-                            if sum != 0.0 {
-                                salu.reduce_one(&mut out[dst - unit_dst0], sum);
-                            }
-                        }
+                let mut stream = std::mem::take(&mut self.stream);
+                stream.groups.clear();
+                stream.cells.clear();
+                let mut open = 0;
+                self.program_subgraph(src0, dst0, sg, value, |local, cell| {
+                    stream.cells.push(cell);
+                    open += 1;
+                    if cell.ends_column() {
+                        let local = local as u32;
+                        stream.groups.push(Group { local, cells: open });
+                        open = 0;
                     }
-                }
+                });
+                scan_cells(
+                    &stream.groups,
+                    &stream.cells,
+                    self.quant,
+                    inputs,
+                    outputs,
+                    salu,
+                );
+                self.stream = stream;
             }
         }
+    }
 
-        // --- energy & events (time is charged per strip) ---
+    /// Charges the energy and events of one planned subgraph of a MAC scan
+    /// of `k` input vectors (time is charged per strip).
+    fn charge_mac_subgraph(&self, sg: SubgraphView<'_>, k: usize, metrics: &mut Metrics) {
+        let c = self.config.crossbar_size;
+        let arrays = self.config.arrays_per_tile() as u64;
+        let tiles = sg.tiles().len() as u64;
+        let edges = u64::from(sg.edges());
         let cost = &self.config.cost;
         let cells = edges * arrays;
         let conversions = tiles * c as u64 * arrays * k as u64;
@@ -939,6 +1075,42 @@ impl<'a> StripScanner<'a> {
     }
 }
 
+/// The MAC kernel over a cell stream: for each group and each input
+/// vector `x`, sums `code · x[src]` over each column's cells in order,
+/// skipping zero inputs, and reduces a nonzero sum into the group's entry
+/// of that input's output window — [`TileCompute::mac`]'s arithmetic, and
+/// for every output the reduction order of the streamed walk.
+fn scan_cells(
+    groups: &[Group],
+    cells: &[Cell],
+    quant: graphr_units::Quantizer,
+    inputs: &[&[f64]],
+    outputs: &mut [&mut [f64]],
+    salu: &mut SAlu,
+) {
+    let mut rest = cells;
+    for group in groups {
+        let (run, tail) = rest.split_at(group.cells as usize);
+        rest = tail;
+        for (x, out) in inputs.iter().zip(outputs.iter_mut()) {
+            let out = &mut out[group.local as usize];
+            let mut sum = 0.0;
+            for &cell in run {
+                let xv = x[cell.src as usize];
+                if xv != 0.0 {
+                    sum += quant.dequantize(cell.code()) * xv;
+                }
+                if cell.ends_column() {
+                    if sum != 0.0 {
+                        salu.reduce_one(out, sum);
+                    }
+                    sum = 0.0;
+                }
+            }
+        }
+    }
+}
+
 /// One crossbar cell's programmed value before quantisation: the values
 /// of its parallel edges merged under `merge` in streamed (edge) order,
 /// exactly as [`TileCompute::load`] merges them. `cell` is never empty.
@@ -1009,26 +1181,42 @@ mod tests {
         g
     }
 
-    /// A cell's code is its parallel edges' summed value, quantised once,
-    /// on the cell's first entry; the cell's other entries carry
-    /// [`SKIP_CODE`].
+    /// `punit`'s program, laid out and not yet filled.
+    fn laid_out(scanner: &StripScanner<'_>, punit: &PlanUnit) -> MacProgram {
+        let mut counts = vec![0; punit.unit.dst_len];
+        scanner.count_cells(punit, &mut counts);
+        MacProgram::lay_out(&counts)
+    }
+
+    /// A cell's code is its parallel edges' summed value, quantised once:
+    /// a unit's program holds one cell per stored `(source, destination)`
+    /// pair, however many edges share it.
     #[test]
-    fn program_cells_codes_each_cell_once() {
+    fn programs_code_each_cell_once() {
         let mut g = golden_graph();
         for w in [0.5, 0.25] {
             g.add_edge(graphr_graph::Edge::new(0, 1, w)).unwrap();
         }
         let cfg = small_config();
         let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
-        let scanner = StripScanner::new(&tiled, &cfg, FixedSpec::new(16, 2).unwrap());
-        let mut codes = vec![0; tiled.total_edges()];
+        let plan = crate::exec::plan::PlanSkeleton::build(&tiled).full_plan();
+        let mut scanner = StripScanner::new(&tiled, &cfg, FixedSpec::new(16, 2).unwrap());
         let value = EdgeValueFn::new(&|w, _, _| f64::from(w));
-        scanner.program_cells(0..tiled.num_slots(), &value, &mut codes);
+        let mut cells = Vec::new();
+        for punit in plan.units() {
+            let mut program = laid_out(&scanner, punit);
+            scanner.fill_program(punit, &value, (value.id(), 1), &mut program);
+            assert!(
+                program.cells.iter().all(|cell| cell.ends_column()),
+                "one cell per column here"
+            );
+            cells.extend(program.cells.iter().map(|cell| (cell.code(), cell.src)));
+        }
         // Q14.2 codes are four times the value: (0, 1) sums to 2.75.
-        let cell = codes.iter().position(|&code| code == 11).unwrap();
-        assert_eq!(codes[cell + 1..cell + 3], [SKIP_CODE; 2]);
+        assert!(cells.contains(&(11, 0)));
+        let mut codes: Vec<i32> = cells.iter().map(|&(code, _)| code).collect();
         codes.sort_unstable();
-        assert_eq!(codes, [SKIP_CODE, SKIP_CODE, 4, 4, 4, 4, 8, 11, 12, 16]);
+        assert_eq!(codes, [4, 4, 4, 4, 8, 11, 12, 16]);
     }
 
     /// One SSSP add-op scan of `active` over the dense full plan, unit by
@@ -1149,22 +1337,33 @@ mod tests {
         let skeleton = crate::exec::plan::PlanSkeleton::build(&tiled);
         let plan = skeleton.full_plan();
         let mut scanner = StripScanner::new(&tiled, &cfg, spec);
-        let mut codes = vec![0; tiled.total_edges()];
-        scanner.program_cells(0..tiled.num_slots(), &value, &mut codes);
-        let mut merged = Metrics::new();
-        let mut out = vec![0.0; 120];
-        for punit in plan.units() {
-            let unit = &punit.unit;
-            let window = &mut out[unit.dst_start..unit.dst_start + unit.dst_len];
-            let mut m = Metrics::new();
-            scanner.scan_mac_unit(punit, &value, Some(&codes), &[&x], &mut [window], &mut m);
-            merged.merge(&m);
+        let mut programs: Vec<MacProgram> = plan
+            .units()
+            .iter()
+            .map(|punit| laid_out(&scanner, punit))
+            .collect();
+        // Per-subgraph units, then programmed ones: a program's first scan
+        // fills it and its second reads it.
+        for programmed in [0, 1, 2] {
+            let mut merged = Metrics::new();
+            let mut out = vec![0.0; 120];
+            for (punit, program) in plan.units().iter().zip(&mut programs) {
+                let unit = &punit.unit;
+                let window = &mut out[unit.dst_start..unit.dst_start + unit.dst_len];
+                let mut m = Metrics::new();
+                if programmed > 0 {
+                    scanner.scan_mac_program(punit, &value, program, &[&x], &mut [window], &mut m);
+                } else {
+                    scanner.scan_mac_unit(punit, &value, &[&x], &mut [window], &mut m);
+                }
+                merged.merge(&m);
+            }
+            merged.events.rego_capacity_required = merged
+                .events
+                .rego_capacity_required
+                .max(mac_rego_capacity(&cfg, &tiled));
+            assert_eq!(out, whole[0]);
+            assert_eq!(merged, whole_metrics);
         }
-        merged.events.rego_capacity_required = merged
-            .events
-            .rego_capacity_required
-            .max(mac_rego_capacity(&cfg, &tiled));
-        assert_eq!(out, whole[0]);
-        assert_eq!(merged, whole_metrics);
     }
 }

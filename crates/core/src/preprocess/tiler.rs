@@ -199,12 +199,6 @@ impl<'a> SubgraphView<'a> {
         })
     }
 
-    /// Position of the subgraph's first edge in the streamed order.
-    #[must_use]
-    pub fn first_entry(&self) -> usize {
-        self.graph.tile_starts[self.tile_range().start] as usize
-    }
-
     fn tile_range(&self) -> Range<usize> {
         let starts = &self.graph.subgraph_starts;
         starts[self.ordinal] as usize..starts[self.ordinal + 1] as usize
@@ -352,22 +346,6 @@ impl TiledGraph {
     pub fn slot_subgraphs(&self, block: usize, strip: usize) -> Range<usize> {
         let slot = block * self.order.strips_per_block() + strip;
         self.slot_starts[slot] as usize..self.slot_starts[slot + 1] as usize
-    }
-
-    /// Number of `(block, strip)` slots, empty ones included.
-    #[must_use]
-    pub fn num_slots(&self) -> usize {
-        self.slot_starts.len() - 1
-    }
-
-    /// Position in the streamed order of the first edge of slot `block ·
-    /// strips_per_block + strip`; each slot's edges are contiguous, and
-    /// slot [`TiledGraph::num_slots`] starts at
-    /// [`TiledGraph::total_edges`].
-    #[must_use]
-    pub fn slot_entry_start(&self, slot: usize) -> usize {
-        let subgraph = self.slot_starts[slot] as usize;
-        self.tile_starts[self.subgraph_starts[subgraph] as usize] as usize
     }
 
     /// Streamed ordinals of every nonempty subgraph in `block`.

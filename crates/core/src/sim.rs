@@ -377,8 +377,8 @@ pub fn run_spmv_with(
     }
     // The conductance w / outdeg depends on each edge's weight, so unlike
     // PageRank's it has no per-source table: w · (1 / outdeg) would round
-    // differently. The division runs once per programmed edge, when the
-    // executor programs the cell codes, not in the scan's kernel.
+    // differently. The division runs once per edge, while the scan
+    // programs the cells, not in the kernel that reads them.
     let degrees = graph.out_degrees();
     let value = move |w: f32, src: u32, _dst: u32| f64::from(w) / f64::from(degrees[src as usize]);
     let value = EdgeValueFn::new(&value);

@@ -1,23 +1,31 @@
 //! Oracle tests of the Fast-fidelity scan kernels: the default kernels
-//! walk each tile's stored cells, while the tile reference
+//! walk each tile's stored cells (MAC scans of the dense plan through
+//! each unit's kept program), while the tile reference
 //! ([`StreamingExecutor::with_tile_reference`]) programs a dense
 //! [`TileCompute`](graphr_repro::core::engine::TileCompute) image per tile
 //! and reads it back with `mac` / `row_entries`. Both must agree to the
 //! last bit — outputs by `f64::to_bits`, lane frontiers, updated lane
 //! words, row drives and the whole `Metrics` — on multigraphs, signed
 //! values, zero inputs, every crossbar size, padded columns, both
-//! streaming orders and at one and two worker threads.
+//! streaming orders and at one to seven worker threads.
 //!
 //! `PROPTEST_CASES` sets the cases per property (default 32).
 
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
+
 use graphr_repro::core::exec::{
-    EdgeValueFn, FrontierMask, LaneFrontier, ScanEngine, StreamingExecutor,
+    EdgeValueFn, FrontierDelta, FrontierMask, LaneFrontier, PlanSkeleton, Planner, ScanEngine,
+    ScanPlan, StreamingExecutor,
 };
 use graphr_repro::core::multinode::{ClusterExecutor, MultiNodeConfig, OwnerPolicy};
+use graphr_repro::core::outofcore::DiskModel;
 use graphr_repro::core::sim::{
     cf_config_for, run_cf_with, run_pagerank_with, run_spmv_with, CfMatrix, CfOptions,
     PageRankOptions, ScalarRun, SpmvOptions,
 };
+use graphr_repro::core::trace::TraceHandle;
 use graphr_repro::core::{GraphRConfig, Metrics, StreamingOrder, TiledGraph};
 use graphr_repro::graph::generators::bipartite::RatingMatrix;
 use graphr_repro::graph::generators::rmat::Rmat;
@@ -233,6 +241,94 @@ proptest! {
             prop_assert_eq!(&got.3, &expected.3, "metrics at {} threads", threads);
         }
     }
+
+    /// Programmed MAC streams: one executor runs value A with one input,
+    /// A with three, value B, a scan over a mask's plan (pruned unless
+    /// empty-window skipping is off, which plans densely), then A again.
+    /// Every scan's outputs and `Metrics` equal the tile reference's on
+    /// padded grids of at least 2×2 blocks, so a unit spans block rows,
+    /// with strips that do not divide |V|, self-loops and parallel edges.
+    #[test]
+    fn programmed_streams_match_tile_reference(
+        size in 0usize..4,
+        order in 0usize..2,
+        skip in 0usize..2,
+        signed in 0usize..2,
+        strips_per_block in 1usize..=2,
+        blocks in 2usize..=3,
+        pad in 1usize..1000,
+        m in 0usize..2500,
+        seed in 0u64..1000,
+        dup in 1usize..6,
+    ) {
+        let signed = signed == 1;
+        let strip = config([2, 3, 4, 8][size], ORDERS[order], signed).strip_width();
+        let config = GraphRConfig {
+            block_vertices: Some(strips_per_block * strip),
+            skip_empty: skip == 1,
+            ..config([2, 3, 4, 8][size], ORDERS[order], signed)
+        };
+        config.check().expect("valid test geometry");
+        let n = blocks * strips_per_block * strip - (1 + pad % (strip - 1));
+        let mut edges = multigraph(n, m, seed, dup).edges().to_vec();
+        edges.extend((0..n as u32).step_by(7).map(|v| Edge::new(v, v, 1.5)));
+        let g = EdgeList::from_edges(n, edges).expect("in-range edges");
+        let tiled = TiledGraph::preprocess(&g, &config).expect("valid geometry");
+        prop_assert!(tiled.order().blocks_per_side() >= 2);
+        let spec = FixedSpec::new(16, 12).expect("Q4.12 is valid");
+        let inputs: Vec<Vec<f64>> = (0..3)
+            .map(|q| {
+                (0..n)
+                    .map(|v| (mix(seed ^ 0x77, (q * n + v) as u64) % 6) as f64 * 0.25 - 0.25)
+                    .map(|x| if x < 0.0 { -0.5 } else { x })
+                    .collect()
+            })
+            .collect();
+        let mask = FrontierMask::from_slice(
+            &(0..n).map(|v| mix(seed ^ 0x3C, (v / 8) as u64).is_multiple_of(3)).collect::<Vec<_>>(),
+        );
+        let expected = program_sequence(signed, &inputs, &mask, {
+            StreamingExecutor::new(&tiled, &config, spec).with_tile_reference()
+        });
+        for threads in THREADS {
+            let exec = StreamingExecutor::new(&tiled, &config, spec).with_threads(threads);
+            let got = program_sequence(signed, &inputs, &mask, exec);
+            for (step, (got, expected)) in got.iter().zip(&expected).enumerate() {
+                prop_assert_eq!(&got.0, &expected.0, "outputs of scan {} at {} threads", step, threads);
+                prop_assert_eq!(&got.1, &expected.1, "metrics of scan {} at {} threads", step, threads);
+            }
+        }
+    }
+}
+
+/// The scans of `programmed_streams_match_tile_reference` on one executor,
+/// each scan's outputs as bits with the metrics it charged.
+fn program_sequence(
+    signed: bool,
+    inputs: &[Vec<f64>],
+    mask: &FrontierMask,
+    mut exec: StreamingExecutor<'_>,
+) -> Vec<(Vec<Vec<u64>>, Metrics)> {
+    let a = edge_value(signed);
+    let b =
+        |w: f32, src: u32, dst: u32| f64::from(w) * 0.5 + f64::from((src + 2 * dst) % 4) * 0.125;
+    let (a, b) = (EdgeValueFn::new(&a), EdgeValueFn::new(&b));
+    let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+    let (dense, masked) = (exec.plan(None), exec.plan(Some(mask)));
+    let steps: [(&ScanPlan, &EdgeValueFn<'_>, usize); 5] = [
+        (&dense, &a, 1),
+        (&dense, &a, 3),
+        (&dense, &b, 1),
+        (&masked, &b, 1),
+        (&dense, &a, 1),
+    ];
+    steps
+        .into_iter()
+        .map(|(plan, value, k)| {
+            let out = exec.scan_mac_planned(plan, value, &refs[..k]);
+            (bits(&out), exec.take_metrics())
+        })
+        .collect()
 }
 
 /// The thread counts the code-table tests sweep: inline, two workers,
@@ -386,8 +482,79 @@ fn cf_epochs_match_tile_reference() {
     }
 }
 
-/// Every cluster node programs its own table; a 4-node cluster's PageRank
-/// ranks equal the single engine's bit for bit.
+/// The `(unit index, cells)` programs a cluster node last reported.
+type Census = Rc<RefCell<Vec<(usize, usize)>>>;
+
+/// A cluster node that reports, after every MAC scan, which strip units
+/// its executor holds programs for.
+struct CensusNode<'a> {
+    exec: StreamingExecutor<'a>,
+    held: Census,
+}
+
+impl ScanEngine for CensusNode<'_> {
+    fn plan(&mut self, active: Option<&FrontierMask>) -> Arc<ScanPlan> {
+        self.exec.plan(active)
+    }
+
+    fn plan_with_delta(&mut self, active: &FrontierMask, delta: &FrontierDelta) -> Arc<ScanPlan> {
+        self.exec.plan_with_delta(active, delta)
+    }
+
+    fn scan_mac_planned(
+        &mut self,
+        plan: &ScanPlan,
+        value: &EdgeValueFn<'_>,
+        inputs: &[&[f64]],
+    ) -> Vec<Vec<f64>> {
+        let out = self.exec.scan_mac_planned(plan, value, inputs);
+        *self.held.borrow_mut() = self.exec.programmed_units();
+        out
+    }
+
+    fn scan_add_op_lanes_planned(
+        &mut self,
+        plan: &ScanPlan,
+        value: &EdgeValueFn<'_>,
+        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
+        addends: &[Vec<f64>],
+        active: &LaneFrontier,
+        frontiers: &mut [Vec<f64>],
+        updated: &mut LaneFrontier,
+    ) -> u64 {
+        self.exec
+            .scan_add_op_lanes_planned(plan, value, combine, addends, active, frontiers, updated)
+    }
+
+    fn set_disk(&mut self, disk: Option<DiskModel>) {
+        self.exec.set_disk(disk);
+    }
+
+    fn set_trace(&mut self, trace: Option<TraceHandle>) {
+        self.exec.set_trace(trace);
+    }
+
+    fn trace(&self) -> Option<&TraceHandle> {
+        self.exec.trace()
+    }
+
+    fn end_iteration(&mut self) {
+        ScanEngine::end_iteration(&mut self.exec);
+    }
+
+    fn metrics(&self) -> &Metrics {
+        ScanEngine::metrics(&self.exec)
+    }
+
+    fn take_metrics(&mut self) -> Metrics {
+        self.exec.take_metrics()
+    }
+}
+
+/// A 4-node cluster's PageRank ranks equal the single engine's bit for
+/// bit. Each node programs only the units it owns: the round-robin nodes
+/// together hold exactly the single engine's programmed cells, and no
+/// node holds a unit another node owns.
 #[test]
 fn cluster_mac_scans_match_the_single_engine() {
     let g = table_graph();
@@ -398,12 +565,8 @@ fn cluster_mac_scans_match_the_single_engine() {
         tolerance: 0.0,
         ..PageRankOptions::default()
     };
-    let single = run_pagerank_with(
-        &g,
-        &mut StreamingExecutor::new(&tiled, &config, opts.matrix_spec),
-        &opts,
-    )
-    .expect("pagerank runs");
+    let mut single_exec = StreamingExecutor::new(&tiled, &config, opts.matrix_spec);
+    let single = run_pagerank_with(&g, &mut single_exec, &opts).expect("pagerank runs");
     for owner in [OwnerPolicy::RoundRobin, OwnerPolicy::DegreeWeighted] {
         let cluster = MultiNodeConfig {
             owner,
@@ -417,4 +580,42 @@ fn cluster_mac_scans_match_the_single_engine() {
             "{owner:?} cluster ranks"
         );
     }
+
+    let held: Vec<Census> = (0..4).map(|_| Rc::default()).collect();
+    let planner = Planner::new(&tiled, Arc::new(PlanSkeleton::build(&tiled)));
+    let mut cluster = ClusterExecutor::with_engines(
+        &tiled,
+        &config,
+        MultiNodeConfig::pcie_cluster(4).with_owner(OwnerPolicy::RoundRobin),
+        planner,
+        |node| {
+            Box::new(CensusNode {
+                exec: StreamingExecutor::new(&tiled, &config, opts.matrix_spec),
+                held: Rc::clone(&held[node]),
+            })
+        },
+    );
+    let run = run_pagerank_with(&g, &mut cluster, &opts).expect("pagerank runs");
+    assert_eq!(
+        run_bits(run).0,
+        run_bits(single.clone()).0,
+        "census cluster ranks"
+    );
+    let dense = cluster.plan(None);
+    let shards = cluster.shard(&dense);
+    let mut union = Vec::new();
+    for (node, (held, shard)) in held.iter().zip(&shards).enumerate() {
+        let owned: Vec<usize> = shard.units().iter().map(|p| p.unit.index).collect();
+        for &(unit, _) in held.borrow().iter() {
+            assert!(owned.contains(&unit), "node {node} holds unit {unit}");
+        }
+        union.extend(held.borrow().iter().copied());
+    }
+    union.sort_unstable();
+    let programmed = single_exec.programmed_units();
+    assert_eq!(programmed.len(), PlanSkeleton::build(&tiled).num_units());
+    assert_eq!(
+        union, programmed,
+        "the nodes' programs are the single engine's"
+    );
 }
