@@ -142,10 +142,11 @@ fn main() {
 /// The Fast-fidelity scan kernels in host ns per stored edge on the
 /// `pagerank_rmat`-shaped R-MAT graph (65,536 vertices, 1 M edges): a
 /// PageRank-valued MAC scan of one input at 1 and 2 threads, both as a
-/// fresh executor's first dense scan (which lays out and fills every
-/// unit's program, then scans it: a dense SpMV's cost) and as a scan that
-/// reuses the programs; a masked SpMV scan over the plan of a 1-in-100 source
-/// mask (pruned plans program each planned subgraph as they scan it); and
+/// fresh executor's first dense scan (which fills every unit's program in
+/// one walk of its tiles, then scans it: a dense SpMV's cost) and as a
+/// scan that reuses the programs, with the program bytes the executor then
+/// holds per stored edge; a masked SpMV scan over the plan of a 1-in-100
+/// source mask (a pruned unit fills a scratch program on every scan); and
 /// a one-lane SSSP add-op scan with every vertex active at one thread.
 /// Best of 7 scans; printed, not asserted (host time is too noisy to gate
 /// on). The first and reused scans must give the same bits.
@@ -165,7 +166,7 @@ fn scan_kernel_case() {
         let fresh = || StreamingExecutor::new(&tiled, &config, matrix_spec).with_threads(threads);
         let mut first = Vec::new();
         // A fresh executor per scan, as a SpMV run makes: each first scan
-        // lays out, fills and scans every unit's program.
+        // fills and scans every unit's program.
         let t_first = best_of(7, || {
             let mut mac = fresh();
             let value = EdgeValueFn::new(&pagerank);
@@ -176,6 +177,7 @@ fn scan_kernel_case() {
         let mut mac = fresh();
         let value = EdgeValueFn::new(&pagerank);
         let mut reused = mac.scan_mac(&value, &[&x]);
+        let program_bytes = mac.program_bytes() as f64 / edges;
         let t_reused = best_of(7, || {
             let start = Instant::now();
             reused = mac.scan_mac(&value, &[&x]);
@@ -186,11 +188,12 @@ fn scan_kernel_case() {
             "reused programs must give the programmed bits"
         );
         println!(
-            "  scan kernels (Fast, {threads} thread{}, R-MAT 65,536 V / 1 M E): MAC program + scan {:.1} ns/edge ({:.1} ms, a dense SpMV), reused {:.1} ns/edge",
+            "  scan kernels (Fast, {threads} thread{}, R-MAT 65,536 V / 1 M E): MAC program + scan {:.1} ns/edge ({:.1} ms, a dense SpMV), reused {:.1} ns/edge, programs {:.2} B/edge",
             if threads == 1 { "" } else { "s" },
             t_first * 1e9 / edges,
             t_first * 1e3,
             t_reused * 1e9 / edges,
+            program_bytes,
         );
     }
 

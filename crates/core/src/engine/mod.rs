@@ -8,14 +8,10 @@
 //! * [`tile::TileCompute`] — the functional model of one logical tile in
 //!   either fidelity (full analog emulation or fast fixed-point),
 //! * [`salu::SAlu`] — the configurable reduction unit (`add` for PageRank,
-//!   `min` for BFS/SSSP; Figure 15),
-//! * [`registers::RegFile`] — RegI/RegO with access counting, whose sizes
-//!   drive the §3.3 column-major vs row-major argument.
+//!   `min` for BFS/SSSP; Figure 15).
 
-pub mod registers;
 pub mod salu;
 pub mod tile;
 
-pub use registers::RegFile;
 pub use salu::{ReduceOp, SAlu};
 pub use tile::{MergeRule, TileCompute};

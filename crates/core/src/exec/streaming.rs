@@ -137,11 +137,12 @@ pub struct StreamingExecutor<'a> {
     scan_paths: [u64; 2],
     /// Scratch: the current unit's lowered destinations, for inline scans.
     lowered: Vec<(usize, u64)>,
-    /// Each dense unit's MAC program, by [`StripUnit::index`]: empty until
-    /// a Fast dense MAC scan, and under the tile kernel.
+    /// Each dense unit's MAC program, by [`StripUnit::index`], unfilled
+    /// until a Fast MAC scan of the dense plan fills it inside the unit's
+    /// own task. Empty under the tile kernel.
     ///
     /// [`StripUnit::index`]: crate::exec::strip::StripUnit::index
-    programs: Vec<Option<MacProgram>>,
+    programs: Vec<MacProgram>,
 }
 
 /// Planned work (`edges_planned × K`, K being an add-op scan's lane count
@@ -264,8 +265,17 @@ impl<'a> StreamingExecutor<'a> {
     #[must_use]
     pub fn programmed_units(&self) -> Vec<(usize, usize)> {
         let held = self.programs.iter().enumerate();
-        held.filter_map(|(unit, program)| Some((unit, program.as_ref()?.cells())))
+        held.filter(|(_, program)| program.is_filled())
+            .map(|(unit, program)| (unit, program.cells()))
             .collect()
+    }
+
+    /// Heap bytes of the MAC programs this executor holds (see
+    /// [`StreamingExecutor::programmed_units`]): host state, never part of
+    /// [`Metrics`].
+    #[must_use]
+    pub fn program_bytes(&self) -> usize {
+        self.programs.iter().map(MacProgram::bytes).sum()
     }
 
     /// Consumes the executor, yielding its metrics (closing any open disk
@@ -384,49 +394,6 @@ impl<'a> StreamingExecutor<'a> {
         total
     }
 
-    /// Lays out a MAC program for each dense unit of `plan` that has none
-    /// (see [`MacProgram::lay_out`]): the workers count each unit's cells
-    /// per destination, and this thread allocates every program, so the
-    /// programs of all runs share one heap instead of scattering over the
-    /// workers' allocator arenas. The unit tasks then fill them in place.
-    fn lay_out_programs(&mut self, plan: &ScanPlan, programs: &mut [Option<MacProgram>]) {
-        let missing: Vec<&PlanUnit> = (plan.units().iter())
-            .filter(|punit| punit.is_dense() && programs[punit.unit.index].is_none())
-            .map(|punit| &**punit)
-            .collect();
-        if missing.is_empty() {
-            return;
-        }
-        let mut counts = vec![0u32; missing.iter().map(|punit| punit.unit.dst_len).sum()];
-        let mut rest = &mut counts[..];
-        let tasks: Vec<_> = (missing.iter())
-            .map(|punit| {
-                let (window, tail) = std::mem::take(&mut rest).split_at_mut(punit.unit.dst_len);
-                rest = tail;
-                (*punit, window)
-            })
-            .collect();
-        let work = missing.iter().map(|punit| punit.edges).sum();
-        let workers = if fans_out(work, self.scanners.len()) {
-            self.scanners.len()
-        } else {
-            1
-        };
-        pool::run_on(
-            &mut self.scanners[..workers],
-            tasks,
-            |scanner, (punit, window)| {
-                scanner.count_cells(punit, window);
-            },
-        );
-        let mut rest = &counts[..];
-        for punit in missing {
-            let (window, tail) = rest.split_at(punit.unit.dst_len);
-            rest = tail;
-            programs[punit.unit.index] = Some(MacProgram::lay_out(window));
-        }
-    }
-
     /// What every scan charges once after its units: the plan's stream
     /// statistics, its disk loading, and the RegO capacity it needs.
     fn finish_scan(&mut self, plan: &ScanPlan, rego_capacity: u64) {
@@ -469,8 +436,8 @@ impl<'a> StreamingExecutor<'a> {
         // leaves no half-filled program behind. The tile kernel keeps none.
         let mut programs = std::mem::take(&mut self.programs);
         if !self.scanners[0].programs_tiles() {
-            programs.resize_with(self.planner.skeleton().num_units(), || None);
-            self.lay_out_programs(plan, &mut programs);
+            let units = self.planner.skeleton().num_units();
+            programs.resize_with(units, MacProgram::default);
         }
         let slots = unit_programs(plan, &mut programs);
         self.run_units(
@@ -602,16 +569,16 @@ fn unit_windows<'v>(plan: &ScanPlan, lanes: &'v mut [Vec<f64>]) -> Vec<&'v mut [
     windows
 }
 
-/// The program of each of `plan`'s units, in plan order: the unit's
+/// The kept program of each of `plan`'s units, in plan order: the unit's
 /// entry of `programs` (indexed by [`StripUnit::index`]) for a unit of the
 /// dense plan, `None` for a pruned one, which keeps no program, or where
-/// `programs` holds none. A plan's units run in ascending index order, so
+/// `programs` is empty. A plan's units run in ascending index order, so
 /// one forward pass hands out every program.
 ///
 /// [`StripUnit::index`]: crate::exec::strip::StripUnit::index
 fn unit_programs<'p>(
     plan: &ScanPlan,
-    programs: &'p mut [Option<MacProgram>],
+    programs: &'p mut [MacProgram],
 ) -> Vec<Option<&'p mut MacProgram>> {
     let mut slots = programs.iter_mut().enumerate();
     plan.units()
@@ -621,8 +588,7 @@ fn unit_programs<'p>(
                 return None;
             }
             let index = punit.unit.index;
-            let (_, slot) = slots.find(|(i, _)| *i == index)?;
-            slot.as_mut()
+            slots.find(|(i, _)| *i == index).map(|(_, program)| program)
         })
         .collect()
 }

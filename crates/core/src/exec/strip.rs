@@ -28,25 +28,23 @@
 //! MAC reads those values as data: one `(source vertex, raw code)` cell
 //! per stored `(source, destination)` pair, parallel edges already
 //! merged, each tagged where its column ends. §4.1 programs a crossbar
-//! once and evaluates it many times, and so does the host: a unit of the
-//! dense plan keeps its cells, with the unit's complete charges for its
-//! input count except the data-dependent sALU operations, as a
-//! `MacProgram` keyed by the [`EdgeValueFn`] id and the input count. Its
-//! cells run destination by destination, each destination's columns in
-//! streamed order, so every output still sees its column sums in the
-//! walk's order. The executor holds one program per unit. Where each
-//! destination's cells go depends only on the tiling, so a program is
-//! laid out once per executor (the workers count each unit's cells, the
-//! calling thread allocates exactly), and a dense scan under another
-//! value or input count refills it inside the unit's own task, in one
-//! walk of its tiles; every dense scan then runs one tight loop over the
-//! cells. A unit of a pruned plan programs each planned subgraph into
-//! scratch, one run per column, just before the same loop reads it, and
-//! charges it as it goes. Add-op merges and quantises each cell as the
-//! walk meets it, since a traversal meets a cell about once per run. MAC
-//! sums each column's rows in ascending order per input vector, skipping
-//! zero inputs, and reduces a nonzero sum into RegO; add-op drives each
-//! cell for every lane in its row's lane word.
+//! once and evaluates it many times, and so does the host: every Fast MAC
+//! unit scan reads a `MacProgram`, the unit's cells with the unit's
+//! complete charges for its input count except the data-dependent sALU
+//! operations. Its cells run destination by destination, each
+//! destination's columns in streamed order, so every output still sees
+//! its column sums in the walk's order. One charging walk of the unit's
+//! planned tiles fills a program: it stages each cell with its strip-local
+//! destination and counts cells per destination, and a stable counting
+//! sort then writes them into an exactly sized program. A unit of the
+//! dense plan keeps its program, keyed by the [`EdgeValueFn`] id and the
+//! input count, and refills it only under a new key; a unit of a pruned
+//! plan refills the scanner's scratch program on every scan. Either way
+//! the scan is one tight loop over the cells. Add-op merges and quantises
+//! each cell as the walk meets it, since a traversal meets a cell about
+//! once per run. MAC sums each column's rows in ascending order per input
+//! vector, skipping zero inputs, and reduces a nonzero sum into RegO;
+//! add-op drives each cell for every lane in its row's lane word.
 //! That is the arithmetic and the per-output reduction order of
 //! [`TileCompute`]'s `load` then `mac` / `row_entries`, so results and
 //! metrics are bit-identical to it. [`TileCompute`] remains the datapath
@@ -106,61 +104,47 @@ impl Cell {
 }
 
 /// A run of whole columns that all reduce into strip-local destination
-/// `local`: the next `cells` cells of their stream.
+/// `local`: the next `cells` cells of their program.
 #[derive(Debug, Clone, Copy)]
 struct Group {
     local: u32,
     cells: u32,
 }
 
-/// Scratch for one pruned subgraph's cells, one group per column.
+/// One unit's MAC program: its cells and what a scan of it charges. Cells
+/// run destination by destination, each destination's columns in
+/// streamed order, which keeps every output's reduction order. A fill
+/// (`StripScanner::fill_program`) sizes a fresh program exactly; a
+/// refill for a new [`EdgeValueFn`] or input count reuses its
+/// allocations, which fit, since a dense unit's cells depend only on the
+/// tiling.
 #[derive(Debug, Default)]
-struct CellStream {
-    groups: Vec<Group>,
-    cells: Vec<Cell>,
-}
-
-/// One dense-plan unit's MAC program: its cells and what a scan of it
-/// charges. Cells run destination by destination, each destination's
-/// columns in streamed order, which keeps every output's reduction order.
-/// Where each destination's cells sit depends only on the tiling, so a
-/// program is laid out once, sized exactly (see
-/// [`MacProgram::lay_out`]), and refilled in place for each new
-/// [`EdgeValueFn`] or input count.
-#[derive(Debug)]
 pub(crate) struct MacProgram {
     /// The value's id and the input count the cells and charges were
     /// programmed for; `None` until the first fill.
     key: Option<(u64, usize)>,
-    groups: Box<[Group]>,
-    cells: Box<[Cell]>,
+    groups: Vec<Group>,
+    cells: Vec<Cell>,
     /// Everything a scan of the unit charges, except `events.salu_ops`.
     charges: Metrics,
 }
 
 impl MacProgram {
-    /// An unfilled program holding `counts[local]` cells for each
-    /// strip-local destination (see [`StripScanner::count_cells`]).
-    pub(crate) fn lay_out(counts: &[u32]) -> MacProgram {
-        let groups: Box<[Group]> = (counts.iter().enumerate())
-            .filter(|&(_, &cells)| cells > 0)
-            .map(|(local, &cells)| Group {
-                local: local as u32,
-                cells,
-            })
-            .collect();
-        let total = counts.iter().map(|&cells| cells as usize).sum();
-        MacProgram {
-            key: None,
-            groups,
-            cells: vec![Cell::default(); total].into_boxed_slice(),
-            charges: Metrics::new(),
-        }
+    /// Whether the program has been filled.
+    pub(crate) fn is_filled(&self) -> bool {
+        self.key.is_some()
     }
 
-    /// Programmed cells: stored `(source, destination)` pairs.
+    /// The cells the program holds room for: its stored `(source,
+    /// destination)` pairs, since a fill sizes it exactly.
     pub(crate) fn cells(&self) -> usize {
-        self.cells.len()
+        self.cells.capacity()
+    }
+
+    /// Heap bytes the program holds: its cells and destination headers.
+    pub(crate) fn bytes(&self) -> usize {
+        self.cells.capacity() * std::mem::size_of::<Cell>()
+            + self.groups.capacity() * std::mem::size_of::<Group>()
     }
 }
 
@@ -238,10 +222,13 @@ pub struct StripScanner<'a> {
     tile: Option<TileKernel>,
     /// Scratch: one subgraph's lane word per source row (add-op).
     row_lanes: Vec<u64>,
-    /// Scratch: one pruned subgraph's MAC cells.
-    stream: CellStream,
-    /// Scratch: a unit's next cell position per local destination, while
-    /// its MAC program is filled.
+    /// Scratch: the MAC program of the pruned unit being scanned.
+    scratch: MacProgram,
+    /// Scratch: a MAC fill's cells in walk order, each with its strip-local
+    /// destination.
+    staged: Vec<(u32, Cell)>,
+    /// Scratch: a MAC fill's cell count, then next cell position, per
+    /// strip-local destination.
     next_cell: Vec<u32>,
     /// Scratch: one strip visit's per-tile driven-row counts.
     tile_rows_buf: Vec<u64>,
@@ -347,7 +334,8 @@ impl<'a> StripScanner<'a> {
             quant: spec.quantizer(),
             tile: (config.fidelity == Fidelity::Analog).then(|| TileKernel::new(config, spec)),
             row_lanes: vec![0; config.crossbar_size],
-            stream: CellStream::default(),
+            scratch: MacProgram::default(),
+            staged: Vec::new(),
             next_cell: Vec::new(),
             tile_rows_buf: Vec::new(),
             marks: LaneMarks::new(config.strip_width()),
@@ -437,10 +425,10 @@ impl<'a> StripScanner<'a> {
     /// (`outputs[i]` covers exactly the unit's destinations and is
     /// pre-zeroed by the caller), charging the planned work's share of time
     /// and energy into `metrics`. Only the block rows and subgraphs the
-    /// plan lists are visited. The Fast kernel programs each subgraph's
-    /// cells just before it scans them; the tile kernel programs
-    /// each tile from `value`. A dense unit that keeps its program scans
-    /// through its kept program instead.
+    /// plan lists are visited. The Fast kernel fills this scanner's scratch
+    /// program from the unit and scans it; the tile kernel programs each
+    /// tile from `value`. A dense unit that keeps its program is scanned
+    /// through that program instead.
     pub fn scan_mac_unit(
         &mut self,
         punit: &PlanUnit,
@@ -449,22 +437,25 @@ impl<'a> StripScanner<'a> {
         outputs: &mut [&mut [f64]],
         metrics: &mut Metrics,
     ) {
-        let mut salu = SAlu::new(ReduceOp::Add);
-        let dst0 = punit.unit.dst_start;
-        self.walk_mac_unit(punit, inputs.len(), metrics, |scanner, src0, sg| {
-            scanner.mac_subgraph(src0, dst0, sg, value, inputs, outputs, &mut salu);
-        });
-        metrics.events.salu_ops += salu.ops_performed();
+        if self.programs_tiles() {
+            let mut salu = SAlu::new(ReduceOp::Add);
+            let dst0 = punit.unit.dst_start;
+            self.walk_mac_unit(punit, inputs.len(), metrics, |scanner, src0, sg| {
+                scanner.mac_subgraph(src0, dst0, sg, value, inputs, outputs, &mut salu);
+            });
+            metrics.events.salu_ops += salu.ops_performed();
+            return;
+        }
+        let mut program = std::mem::take(&mut self.scratch);
+        self.fill_program(punit, value, (value.id(), inputs.len()), &mut program);
+        scan_cells(&program, self.quant, inputs, outputs, metrics);
+        self.scratch = program;
     }
 
     /// [`StripScanner::scan_mac_unit`] for a unit of the dense plan
-    /// through its laid-out `program`, which is first refilled unless it
-    /// holds `value` for `inputs.len()` inputs: one walk of the unit's
-    /// tiles merges, quantises and charges exactly as the per-subgraph
-    /// path does. The scan then reads only the program's cells, and charges
-    /// the stored charges plus its own sALU operations, so results and
-    /// metrics are bit-identical to [`StripScanner::scan_mac_unit`].
-    /// Fast fidelity only: a tile-kernel scanner never keeps programs.
+    /// through its kept `program`, which is first filled unless it holds
+    /// `value` for `inputs.len()` inputs. Fast fidelity only: a tile-kernel
+    /// scanner keeps no programs.
     pub(crate) fn scan_mac_program(
         &mut self,
         punit: &PlanUnit,
@@ -479,40 +470,15 @@ impl<'a> StripScanner<'a> {
         if program.key != Some(key) {
             self.fill_program(punit, value, key, program);
         }
-        let mut salu = SAlu::new(ReduceOp::Add);
-        scan_cells(
-            &program.groups,
-            &program.cells,
-            self.quant,
-            inputs,
-            outputs,
-            &mut salu,
-        );
-        metrics.merge(&program.charges);
-        metrics.events.salu_ops += salu.ops_performed();
+        scan_cells(program, self.quant, inputs, outputs, metrics);
     }
 
-    /// Counts the cells of a dense `punit` per strip-local destination
-    /// into `counts` (one entry per destination of the unit, zeroed by
-    /// the caller): what [`MacProgram::lay_out`] sizes a program by.
-    pub(crate) fn count_cells(&self, punit: &PlanUnit, counts: &mut [u32]) {
-        let tiled = self.tiled;
-        let c = self.config.crossbar_size;
-        for ord in punit.ordinals(tiled) {
-            for (t, entries) in tiled.subgraph(ord as usize).tiles() {
-                // An entry opens a cell unless it repeats its predecessor's.
-                let mut prev = None;
-                for e in entries {
-                    counts[t * c + e.col as usize] += u32::from(prev != Some((e.col, e.row)));
-                    prev = Some((e.col, e.row));
-                }
-            }
-        }
-    }
-
-    /// Programs `punit`'s cells and charges into its laid-out `program`
-    /// for `value` and `key.1` inputs: the charging walk puts every cell
-    /// at the next free place of its destination's run.
+    /// Programs `punit`'s cells and charges into `program` for `value` and
+    /// `key.1` inputs in one charging walk of its planned tiles, which
+    /// stages each cell with its strip-local destination and counts cells
+    /// per destination. A stable counting sort then writes the cells
+    /// destination by destination, each destination's in walk order, into
+    /// the program, sized exactly.
     fn fill_program(
         &mut self,
         punit: &PlanUnit,
@@ -520,24 +486,43 @@ impl<'a> StripScanner<'a> {
         key: (u64, usize),
         program: &mut MacProgram,
     ) {
+        let mut staged = std::mem::take(&mut self.staged);
         let mut next = std::mem::take(&mut self.next_cell);
+        staged.clear();
         next.clear();
         next.resize(punit.unit.dst_len, 0);
-        let mut start = 0;
-        for group in program.groups.iter() {
-            next[group.local as usize] = start;
-            start += group.cells;
-        }
         let mut charges = Metrics::new();
-        let cells = &mut program.cells;
         let dst0 = punit.unit.dst_start;
         self.walk_mac_unit(punit, key.1, &mut charges, |scanner, src0, sg| {
             scanner.program_subgraph(src0, dst0, sg, value, |local, cell| {
-                cells[next[local] as usize] = cell;
                 next[local] += 1;
+                staged.push((local as u32, cell));
             });
         });
-        self.next_cell = next;
+        let groups = &mut program.groups;
+        groups.clear();
+        groups.reserve_exact(next.iter().filter(|&&cells| cells > 0).count());
+        let mut start = 0;
+        for (local, slot) in next.iter_mut().enumerate() {
+            let cells = std::mem::replace(slot, start);
+            if cells > 0 {
+                groups.push(Group {
+                    local: local as u32,
+                    cells,
+                });
+            }
+            start += cells;
+        }
+        let cells = &mut program.cells;
+        cells.clear();
+        cells.reserve_exact(staged.len());
+        cells.resize(staged.len(), Cell::default());
+        for &(local, cell) in &staged {
+            let at = &mut next[local as usize];
+            cells[*at as usize] = cell;
+            *at += 1;
+        }
+        (self.staged, self.next_cell) = (staged, next);
         (program.charges, program.key) = (charges, Some(key));
     }
 
@@ -658,9 +643,9 @@ impl<'a> StripScanner<'a> {
         metrics.events.adc_conversions += conversions;
     }
 
-    /// The functional part of one planned subgraph of a MAC scan, whose
-    /// sources start at `src0`, reduced into the output windows of the
-    /// unit whose first destination is `dst0`.
+    /// The functional part of one planned subgraph of a MAC scan through
+    /// the tile kernel, whose sources start at `src0`, reduced into the
+    /// output windows of the unit whose first destination is `dst0`.
     #[allow(clippy::too_many_arguments)]
     fn mac_subgraph(
         &mut self,
@@ -674,51 +659,24 @@ impl<'a> StripScanner<'a> {
     ) {
         let n = self.tiled.num_vertices();
         let c = self.config.crossbar_size;
-        match &mut self.tile {
-            Some(kernel) => {
-                for (t, entries) in sg.tiles() {
-                    let local0 = t * c;
-                    kernel.load(entries, src0, dst0 + local0, value, MergeRule::Sum);
-                    for (ki, x) in inputs.iter().enumerate() {
-                        for r in 0..c {
-                            let src = src0 + r;
-                            kernel.input_buf[r] = if src < n { x[src] } else { 0.0 };
-                        }
-                        let y = kernel.tile.mac(&kernel.input_buf);
-                        for (col, &yv) in y.iter().enumerate() {
-                            if yv == 0.0 {
-                                continue;
-                            }
-                            if dst0 + local0 + col < n {
-                                salu.reduce_one(&mut outputs[ki][local0 + col], yv);
-                            }
-                        }
+        let kernel = self.tile.as_mut().expect("a tile-kernel scanner");
+        for (t, entries) in sg.tiles() {
+            let local0 = t * c;
+            kernel.load(entries, src0, dst0 + local0, value, MergeRule::Sum);
+            for (ki, x) in inputs.iter().enumerate() {
+                for r in 0..c {
+                    let src = src0 + r;
+                    kernel.input_buf[r] = if src < n { x[src] } else { 0.0 };
+                }
+                let y = kernel.tile.mac(&kernel.input_buf);
+                for (col, &yv) in y.iter().enumerate() {
+                    if yv == 0.0 {
+                        continue;
+                    }
+                    if dst0 + local0 + col < n {
+                        salu.reduce_one(&mut outputs[ki][local0 + col], yv);
                     }
                 }
-            }
-            None => {
-                let mut stream = std::mem::take(&mut self.stream);
-                stream.groups.clear();
-                stream.cells.clear();
-                let mut open = 0;
-                self.program_subgraph(src0, dst0, sg, value, |local, cell| {
-                    stream.cells.push(cell);
-                    open += 1;
-                    if cell.ends_column() {
-                        let local = local as u32;
-                        stream.groups.push(Group { local, cells: open });
-                        open = 0;
-                    }
-                });
-                scan_cells(
-                    &stream.groups,
-                    &stream.cells,
-                    self.quant,
-                    inputs,
-                    outputs,
-                    salu,
-                );
-                self.stream = stream;
             }
         }
     }
@@ -1075,21 +1033,22 @@ impl<'a> StripScanner<'a> {
     }
 }
 
-/// The MAC kernel over a cell stream: for each group and each input
-/// vector `x`, sums `code · x[src]` over each column's cells in order,
-/// skipping zero inputs, and reduces a nonzero sum into the group's entry
-/// of that input's output window — [`TileCompute::mac`]'s arithmetic, and
-/// for every output the reduction order of the streamed walk.
+/// The MAC kernel over a program: for each group and each input vector
+/// `x`, sums `code · x[src]` over each column's cells in order, skipping
+/// zero inputs, and reduces a nonzero sum into the group's entry of that
+/// input's output window — [`TileCompute::mac`]'s arithmetic, and for
+/// every output the reduction order of the streamed walk. Charges the
+/// program's stored charges plus its own sALU operations into `metrics`.
 fn scan_cells(
-    groups: &[Group],
-    cells: &[Cell],
+    program: &MacProgram,
     quant: graphr_units::Quantizer,
     inputs: &[&[f64]],
     outputs: &mut [&mut [f64]],
-    salu: &mut SAlu,
+    metrics: &mut Metrics,
 ) {
-    let mut rest = cells;
-    for group in groups {
+    let mut salu = SAlu::new(ReduceOp::Add);
+    let mut rest = &program.cells[..];
+    for group in &program.groups {
         let (run, tail) = rest.split_at(group.cells as usize);
         rest = tail;
         for (x, out) in inputs.iter().zip(outputs.iter_mut()) {
@@ -1109,6 +1068,8 @@ fn scan_cells(
             }
         }
     }
+    metrics.merge(&program.charges);
+    metrics.events.salu_ops += salu.ops_performed();
 }
 
 /// One crossbar cell's programmed value before quantisation: the values
@@ -1181,13 +1142,6 @@ mod tests {
         g
     }
 
-    /// `punit`'s program, laid out and not yet filled.
-    fn laid_out(scanner: &StripScanner<'_>, punit: &PlanUnit) -> MacProgram {
-        let mut counts = vec![0; punit.unit.dst_len];
-        scanner.count_cells(punit, &mut counts);
-        MacProgram::lay_out(&counts)
-    }
-
     /// A cell's code is its parallel edges' summed value, quantised once:
     /// a unit's program holds one cell per stored `(source, destination)`
     /// pair, however many edges share it.
@@ -1204,7 +1158,7 @@ mod tests {
         let value = EdgeValueFn::new(&|w, _, _| f64::from(w));
         let mut cells = Vec::new();
         for punit in plan.units() {
-            let mut program = laid_out(&scanner, punit);
+            let mut program = MacProgram::default();
             scanner.fill_program(punit, &value, (value.id(), 1), &mut program);
             assert!(
                 program.cells.iter().all(|cell| cell.ends_column()),
@@ -1337,12 +1291,9 @@ mod tests {
         let skeleton = crate::exec::plan::PlanSkeleton::build(&tiled);
         let plan = skeleton.full_plan();
         let mut scanner = StripScanner::new(&tiled, &cfg, spec);
-        let mut programs: Vec<MacProgram> = plan
-            .units()
-            .iter()
-            .map(|punit| laid_out(&scanner, punit))
-            .collect();
-        // Per-subgraph units, then programmed ones: a program's first scan
+        let mut programs: Vec<MacProgram> =
+            plan.units().iter().map(|_| MacProgram::default()).collect();
+        // Scratch programs, then kept ones: a kept program's first scan
         // fills it and its second reads it.
         for programmed in [0, 1, 2] {
             let mut merged = Metrics::new();

@@ -16,8 +16,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use graphr_repro::core::exec::{
-    EdgeValueFn, FrontierDelta, FrontierMask, LaneFrontier, PlanSkeleton, Planner, ScanEngine,
-    ScanPlan, StreamingExecutor,
+    strip_units, EdgeValueFn, FrontierDelta, FrontierMask, LaneFrontier, PlanSkeleton, Planner,
+    ScanEngine, ScanPlan, StreamingExecutor,
 };
 use graphr_repro::core::multinode::{ClusterExecutor, MultiNodeConfig, OwnerPolicy};
 use graphr_repro::core::outofcore::DiskModel;
@@ -98,9 +98,9 @@ fn bits(v: &[Vec<f64>]) -> Vec<Vec<u64>> {
 }
 
 /// Four MAC scans of `inputs` under one value: over the plan pruned to
-/// `mask`, which has no code table yet and so programs each planned
-/// subgraph as it scans it; over the dense plan, which programs the
-/// table; and over both plans again, which read it. Each scan's outputs
+/// `mask`, whose units each fill a scratch program as they scan; over
+/// the dense plan, which fills the kept programs; and over both plans
+/// again, the dense scan reading the kept programs. Each scan's outputs
 /// as bits, and the metrics.
 fn mac_scan(
     signed: bool,
@@ -331,8 +331,8 @@ fn program_sequence(
         .collect()
 }
 
-/// The thread counts the code-table tests sweep: inline, two workers,
-/// and worker counts that do not divide the table's slot pieces.
+/// The thread counts the program tests sweep: inline, two workers, and
+/// worker counts that do not divide the units evenly.
 const THREADS: [usize; 4] = [1, 2, 3, 7];
 
 /// A MAC-run result compared bit for bit: values and the whole `Metrics`.
@@ -343,16 +343,16 @@ fn run_bits(run: ScalarRun) -> (Vec<u64>, Metrics) {
     )
 }
 
-/// A multigraph large enough that the code table is programmed on every
-/// worker (its edge count passes the fan-out cutoff).
+/// A multigraph large enough that programs are filled on every worker
+/// (its edge count passes the fan-out cutoff).
 fn table_graph() -> EdgeList {
     multigraph(600, 6000, 17, 3)
 }
 
-/// Ten PageRank iterations reuse the code table their first scan
-/// programs; a masked SpMV's pruned plan programs only the subgraphs it
-/// scans. Both equal the tile reference bit for bit at every thread
-/// count.
+/// Ten PageRank iterations reuse the programs their first scan fills; a
+/// masked SpMV's pruned units fill scratch programs from only the
+/// subgraphs they scan. Both equal the tile reference bit for bit at
+/// every thread count.
 #[test]
 fn mac_drivers_with_reused_codes_match_tile_reference() {
     let g = table_graph();
@@ -411,9 +411,9 @@ fn mac_drivers_with_reused_codes_match_tile_reference() {
 
 /// One executor scanning two different values in runs of two and three
 /// scans gives every scan the result a fresh executor gives that value:
-/// a value's first scan programs a code table and later ones reuse it,
-/// a table held for one value is never read for the other, and a new
-/// table replaces the old one.
+/// a value's first scan fills the units' programs and later ones reuse
+/// them, programs held for one value are never read for the other, and
+/// a new value refills them.
 #[test]
 fn distinct_values_on_one_executor_match_fresh_executors() {
     let g = table_graph();
@@ -440,6 +440,86 @@ fn distinct_values_on_one_executor_match_fresh_executors() {
             let got = scan(&mut exec, &values[which]);
             assert_eq!(got, fresh[which], "scan {round} at {threads} threads");
         }
+    }
+}
+
+/// A dense MAC scan sizes every kept program exactly: each unit's entry
+/// of `programmed_units()` holds one cell per distinct `(source,
+/// destination)` pair of the edge list among the unit's destinations,
+/// however many parallel edges share it. A pruned scan afterwards fills
+/// only a scanner's scratch program, which is not kept, so the list and
+/// the held bytes stay as they were. Both scans give the tile
+/// reference's bits on inputs that are not dyadic, so every output's
+/// column sums must also reduce in walk order.
+#[test]
+fn dense_programs_hold_exactly_their_stored_pairs() {
+    let base = config(4, StreamingOrder::ColumnMajor, false);
+    let strip = base.strip_width();
+    let config = GraphRConfig {
+        block_vertices: Some(2 * strip),
+        ..base
+    };
+    config.check().expect("valid test geometry");
+    let n = 3 * 2 * strip - 5;
+    let mut edges = multigraph(n, 6000, 23, 2).edges().to_vec();
+    for v in (0..n as u32).step_by(5) {
+        edges.extend([Edge::new(v, v, 1.5), Edge::new(v, v, 2.25)]);
+    }
+    let g = EdgeList::from_edges(n, edges).expect("in-range edges");
+    let tiled = TiledGraph::preprocess(&g, &config).expect("valid geometry");
+    assert!(tiled.order().blocks_per_side() >= 2);
+
+    let mut pairs: Vec<(u32, u32)> = g.edges().iter().map(|e| (e.src, e.dst)).collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    assert!(
+        pairs.len() < g.num_edges(),
+        "parallel edges must share cells"
+    );
+    let expected: Vec<(usize, usize)> = strip_units(&tiled)
+        .iter()
+        .map(|unit| {
+            let window = unit.dst_start..unit.dst_start + unit.dst_len;
+            let cells = pairs
+                .iter()
+                .filter(|&&(_, dst)| window.contains(&(dst as usize)));
+            (unit.index, cells.count())
+        })
+        .collect();
+
+    let spec = FixedSpec::new(16, 12).expect("Q4.12 is valid");
+    let x: Vec<f64> = (0..n).map(|v| 1.0 / (v + 3) as f64).collect();
+    let value = edge_value(false);
+    let value = EdgeValueFn::new(&value);
+    let mask = FrontierMask::from_slice(&(0..n).map(|v| (v / 16) % 3 == 1).collect::<Vec<_>>());
+    let mut reference = StreamingExecutor::new(&tiled, &config, spec).with_tile_reference();
+    let dense_bits = bits(&reference.scan_mac(&value, &[&x]));
+    let plan = reference.plan(Some(&mask));
+    let pruned_bits = bits(&reference.scan_mac_planned(&plan, &value, &[&x]));
+    for threads in [1, 2] {
+        let mut exec = StreamingExecutor::new(&tiled, &config, spec).with_threads(threads);
+        let out = exec.scan_mac(&value, &[&x]);
+        assert_eq!(bits(&out), dense_bits, "{threads} threads");
+        assert_eq!(exec.programmed_units(), expected, "{threads} threads");
+        let bytes = exec.program_bytes();
+        assert!(
+            bytes >= 8 * pairs.len(),
+            "{bytes} bytes for {} cells",
+            pairs.len()
+        );
+
+        let pruned = exec.plan(Some(&mask));
+        assert!(pruned.stats().subgraphs_pruned > 0, "the mask must prune");
+        let out = exec.scan_mac_planned(&pruned, &value, &[&x]);
+        assert_eq!(bits(&out), pruned_bits, "{threads} threads, pruned");
+        assert_eq!(
+            exec.programmed_units(),
+            expected,
+            "{threads} threads, pruned"
+        );
+        assert_eq!(exec.program_bytes(), bytes, "{threads} threads, pruned");
+        let [_, fanned_out] = exec.scan_paths();
+        assert_eq!(fanned_out > 0, threads > 1, "{threads} threads: fan-out");
     }
 }
 
