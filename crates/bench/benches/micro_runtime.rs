@@ -2,7 +2,8 @@
 //! on a 100 k-edge R-MAT graph and on a 240×240-grid BFS whose scans are
 //! small enough to run inline at any thread count, the Fast-fidelity scan
 //! kernels' host ns per edge on a 1 M-edge R-MAT graph (the MAC kernel
-//! with and without programming its cell codes), the session cache's
+//! with and without building its cell index and filling its codes), the
+//! session cache's
 //! cold-vs-warm preprocessing saving, and the plan layer's
 //! sparse-frontier win — full-scan vs. pruned-plan BFS iterations on a
 //! high-diameter grid.
@@ -141,15 +142,17 @@ fn main() {
 
 /// The Fast-fidelity scan kernels in host ns per stored edge on the
 /// `pagerank_rmat`-shaped R-MAT graph (65,536 vertices, 1 M edges): a
-/// PageRank-valued MAC scan of one input at 1 and 2 threads, both as a
-/// fresh executor's first dense scan (which fills every unit's program in
-/// one walk of its tiles, then scans it: a dense SpMV's cost) and as a
-/// scan that reuses the programs, with the program bytes the executor then
-/// holds per stored edge; a masked SpMV scan over the plan of a 1-in-100
-/// source mask (a pruned unit fills a scratch program on every scan); and
-/// a one-lane SSSP add-op scan with every vertex active at one thread.
-/// Best of 7 scans; printed, not asserted (host time is too noisy to gate
-/// on). The first and reused scans must give the same bits.
+/// PageRank-valued MAC scan of one input at 1 and 2 threads, as a fresh
+/// tiling's first dense scan (which builds the tiling's cell index, then
+/// fills every unit's codes and scans them), as a fresh executor's first
+/// dense scan on a built index (fill and scan: a dense SpMV's cost), and
+/// as a scan that reuses the codes, with the index's and the executor's
+/// code bytes per stored edge; a masked SpMV scan over the plan of a
+/// 1-in-100 source mask (a pruned unit fills scratch codes for its planned
+/// subgraphs on every scan); and a one-lane SSSP add-op scan with every
+/// vertex active at one thread. Best of 7 scans; printed, not asserted
+/// (host time is too noisy to gate on). All three MAC scans must give the
+/// same bits.
 fn scan_kernel_case() {
     use graphr_core::exec::LaneFrontier;
 
@@ -157,16 +160,28 @@ fn scan_kernel_case() {
     let n = graph.num_vertices();
     let edges = graph.num_edges() as f64;
     let config = bench_config();
-    let tiled = TiledGraph::preprocess(&graph, &config).expect("tile the R-MAT graph");
+    let tile = || TiledGraph::preprocess(&graph, &config).expect("tile the R-MAT graph");
+    let tiled = tile();
     let degrees = graph.out_degrees();
     let pagerank = |_w: f32, src: u32, _dst: u32| 0.85 / f64::from(degrees[src as usize]);
     let x = vec![1.0; n];
     let matrix_spec = PageRankOptions::default().matrix_spec;
     for threads in [1, 2] {
         let fresh = || StreamingExecutor::new(&tiled, &config, matrix_spec).with_threads(threads);
-        let mut first = Vec::new();
-        // A fresh executor per scan, as a SpMV run makes: each first scan
-        // fills and scans every unit's program.
+        // A fresh tiling per scan: its first dense scan builds the index.
+        let mut cold = Vec::new();
+        let t_cold = best_of(7, || {
+            let tiled = tile();
+            let mut mac =
+                StreamingExecutor::new(&tiled, &config, matrix_spec).with_threads(threads);
+            let value = EdgeValueFn::new(&pagerank);
+            let start = Instant::now();
+            cold = mac.scan_mac(&value, &[&x]);
+            start.elapsed()
+        });
+        // A fresh executor per scan on a built index, as a SpMV run makes:
+        // each first scan fills and scans every unit's codes.
+        let mut first = fresh().scan_mac(&EdgeValueFn::new(&pagerank), &[&x]);
         let t_first = best_of(7, || {
             let mut mac = fresh();
             let value = EdgeValueFn::new(&pagerank);
@@ -177,23 +192,25 @@ fn scan_kernel_case() {
         let mut mac = fresh();
         let value = EdgeValueFn::new(&pagerank);
         let mut reused = mac.scan_mac(&value, &[&x]);
-        let program_bytes = mac.program_bytes() as f64 / edges;
         let t_reused = best_of(7, || {
             let start = Instant::now();
             reused = mac.scan_mac(&value, &[&x]);
             start.elapsed()
         });
         assert_eq!(
-            first, reused,
-            "reused programs must give the programmed bits"
+            cold, first,
+            "a built index must give the building scan's bits"
         );
+        assert_eq!(first, reused, "reused codes must give the filled bits");
         println!(
-            "  scan kernels (Fast, {threads} thread{}, R-MAT 65,536 V / 1 M E): MAC program + scan {:.1} ns/edge ({:.1} ms, a dense SpMV), reused {:.1} ns/edge, programs {:.2} B/edge",
+            "  scan kernels (Fast, {threads} thread{}, R-MAT 65,536 V / 1 M E): MAC index build + fill + scan {:.1} ms (a fresh tiling's SpMV), fill + scan {:.1} ns/edge ({:.1} ms, a dense SpMV), reused {:.1} ns/edge; index {:.2} B/edge, codes {:.2} B/edge",
             if threads == 1 { "" } else { "s" },
+            t_cold * 1e3,
             t_first * 1e9 / edges,
             t_first * 1e3,
             t_reused * 1e9 / edges,
-            program_bytes,
+            tiled.mac_index_bytes() as f64 / edges,
+            mac.program_bytes() as f64 / edges,
         );
     }
 

@@ -195,8 +195,15 @@ impl<'a> PlanRow<'a> {
     /// [`TiledGraph::subgraph`].
     #[inline]
     pub fn subgraphs(self) -> impl Iterator<Item = u32> + 'a {
+        self.planned_spans().map(|(_, ordinal)| ordinal)
+    }
+
+    /// The planned subgraphs as `(span-table slot, streamed ordinal)`
+    /// pairs, ascending.
+    #[inline]
+    pub(crate) fn planned_spans(self) -> impl Iterator<Item = (usize, u32)> + 'a {
         let (first, lo) = (self.first_ordinal, self.lo);
-        set_bits(self.spans, lo, self.hi).map(move |slot| first + (slot - lo) as u32)
+        set_bits(self.spans, lo, self.hi).map(move |slot| (slot, first + (slot - lo) as u32))
     }
 
     /// Planned subgraphs in this row.

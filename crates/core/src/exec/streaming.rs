@@ -64,11 +64,11 @@ use crate::exec::mask::{FrontierDelta, FrontierMask};
 use crate::exec::plan::{PlanSkeleton, PlanUnit, ScanPlan};
 use crate::exec::planner::Planner;
 use crate::exec::pool;
-use crate::exec::strip::{mac_rego_capacity, MacProgram, StripScanner};
+use crate::exec::strip::{mac_rego_capacity, StripScanner, UnitProgram};
 use crate::exec::ScanEngine;
 use crate::metrics::Metrics;
 use crate::outofcore::{DiskAccountant, DiskModel};
-use crate::preprocess::tiler::TiledGraph;
+use crate::preprocess::tiler::{MacIndex, TiledGraph};
 use crate::trace::{SpanMark, TraceHandle};
 
 /// Computes the value programmed into a crossbar cell for an edge:
@@ -76,13 +76,12 @@ use crate::trace::{SpanMark, TraceHandle};
 /// e.g. PageRank programs `r / outdegree(src)`, SSSP programs the weight.
 ///
 /// Each [`EdgeValueFn::new`] draws a process-unique id. A Fast-fidelity
-/// MAC scan of the dense plan keeps each unit's programmed cells and
-/// charges, keyed by that id and the scan's input count (see
-/// [`crate::exec::strip`]'s `# Kernels`). A dense scan under another id or
-/// input count refills a unit's program; later dense scans under the same
-/// pair reuse it. So the closure must give the same value for the same
-/// arguments for as long as the id is scanned. A driver makes one per run
-/// (CF, whose values change every epoch, one per epoch and direction).
+/// MAC scan of the dense plan keeps its units' codes, keyed by that id
+/// (see [`crate::exec::strip`]'s `# Kernels`). A dense scan under another
+/// id refills them; later dense scans under the same id reuse them. So the
+/// closure must give the same value for the same arguments for as long as
+/// the id is scanned. A driver makes one per run (CF, whose values change
+/// every epoch, one per epoch and direction).
 #[derive(Clone, Copy)]
 pub struct EdgeValueFn<'f> {
     f: &'f (dyn Fn(f32, u32, u32) -> f64 + Sync + 'f),
@@ -107,7 +106,7 @@ impl<'f> EdgeValueFn<'f> {
         (self.f)(weight, src, dst)
     }
 
-    /// The id MAC programs are keyed by.
+    /// The id MAC codes are keyed by.
     #[must_use]
     pub(crate) fn id(&self) -> u64 {
         self.id
@@ -137,12 +136,66 @@ pub struct StreamingExecutor<'a> {
     scan_paths: [u64; 2],
     /// Scratch: the current unit's lowered destinations, for inline scans.
     lowered: Vec<(usize, u64)>,
-    /// Each dense unit's MAC program, by [`StripUnit::index`], unfilled
-    /// until a Fast MAC scan of the dense plan fills it inside the unit's
-    /// own task. Empty under the tile kernel.
-    ///
-    /// [`StripUnit::index`]: crate::exec::strip::StripUnit::index
-    programs: Vec<MacProgram>,
+    /// The dense plan's MAC codes for one value. Empty under the tile
+    /// kernel.
+    codes: CodeBlock,
+}
+
+/// The MAC codes of one dense plan's units for one value, each unit's
+/// cells in [`MacIndex`] order and the units in plan order, with each
+/// unit's charges. The executor allocates it on the calling thread; each
+/// unit's task fills its part on the value's first scan.
+#[derive(Debug, Default)]
+struct CodeBlock {
+    /// The [`EdgeValueFn`] id the codes hold; `None` until filled.
+    value: Option<u64>,
+    /// The held units, ascending.
+    units: Vec<HeldUnit>,
+    codes: Vec<i32>,
+}
+
+/// A unit a [`CodeBlock`] holds: its index, its cells, and its charges
+/// with their input count.
+type HeldUnit = (usize, usize, Option<(usize, Metrics)>);
+
+impl CodeBlock {
+    /// An unfilled block sized to `plan`'s units.
+    fn new(index: &MacIndex, plan: &ScanPlan) -> CodeBlock {
+        let cells = |unit| index.unit_cells(unit).0.len();
+        let units: Vec<_> = plan
+            .units()
+            .iter()
+            .map(|p| (p.unit.index, cells(p.unit.index), None))
+            .collect();
+        let codes = vec![0; units.iter().map(|unit| unit.1).sum()];
+        CodeBlock {
+            value: None,
+            units,
+            codes,
+        }
+    }
+
+    /// Whether the block holds `value`'s codes for exactly `plan`'s units.
+    fn holds(&self, value: u64, plan: &ScanPlan) -> bool {
+        let held = self.units.iter().map(|unit| unit.0);
+        self.value == Some(value) && held.eq(plan.units().iter().map(|p| p.unit.index))
+    }
+
+    /// Each held unit's program, in plan order; the codes are written
+    /// first if `fill`.
+    fn programs(&mut self, fill: bool) -> Vec<Option<UnitProgram<'_>>> {
+        let mut codes = &mut self.codes[..];
+        let programs = self.units.iter_mut().map(|(_, cells, charges)| {
+            let (held, rest) = std::mem::take(&mut codes).split_at_mut(*cells);
+            codes = rest;
+            Some(UnitProgram {
+                codes: held,
+                fill,
+                charges,
+            })
+        });
+        programs.collect()
+    }
 }
 
 /// Planned work (`edges_planned × K`, K being an add-op scan's lane count
@@ -204,7 +257,7 @@ impl<'a> StreamingExecutor<'a> {
             span_mark: SpanMark::default(),
             scan_paths: [0; 2],
             lowered: Vec::new(),
-            programs: Vec::new(),
+            codes: CodeBlock::default(),
         }
     }
 
@@ -259,23 +312,27 @@ impl<'a> StreamingExecutor<'a> {
         self.scan_paths
     }
 
-    /// The strip units this executor holds a MAC program for, ascending,
-    /// as `(unit index, programmed cells)`: host state, like
+    /// The strip units this executor holds MAC codes for, ascending, as
+    /// `(unit index, codes held)`: one code per stored `(source,
+    /// destination)` pair of the unit. Host state, like
     /// [`StreamingExecutor::scan_paths`], never part of [`Metrics`].
     #[must_use]
     pub fn programmed_units(&self) -> Vec<(usize, usize)> {
-        let held = self.programs.iter().enumerate();
-        held.filter(|(_, program)| program.is_filled())
-            .map(|(unit, program)| (unit, program.cells()))
-            .collect()
+        let held = self
+            .codes
+            .units
+            .iter()
+            .filter(|_| self.codes.value.is_some());
+        held.map(|&(unit, cells, _)| (unit, cells)).collect()
     }
 
-    /// Heap bytes of the MAC programs this executor holds (see
+    /// Heap bytes of the MAC codes this executor holds (see
     /// [`StreamingExecutor::programmed_units`]): host state, never part of
-    /// [`Metrics`].
+    /// [`Metrics`]. The tiling's shared cell index is counted apart, by
+    /// [`TiledGraph::mac_index_bytes`].
     #[must_use]
     pub fn program_bytes(&self) -> usize {
-        self.programs.iter().map(MacProgram::bytes).sum()
+        self.codes.codes.capacity() * std::mem::size_of::<i32>()
     }
 
     /// Consumes the executor, yielding its metrics (closing any open disk
@@ -432,18 +489,34 @@ impl<'a> StreamingExecutor<'a> {
             assert_eq!(x.len(), n, "input vectors must have one entry per vertex");
         }
         let mut outputs = vec![vec![0.0; n]; k];
+        let units = plan.units();
+        let fast = !self.scanners[0].programs_tiles();
         // Out of the executor while the scan runs, so a scan that panics
-        // leaves no half-filled program behind. The tile kernel keeps none.
-        let mut programs = std::mem::take(&mut self.programs);
-        if !self.scanners[0].programs_tiles() {
-            let units = self.planner.skeleton().num_units();
-            programs.resize_with(units, MacProgram::default);
+        // leaves no half-filled codes behind.
+        let mut block = std::mem::take(&mut self.codes);
+        // A Fast scan of a plan of dense units only (the dense plan, or a
+        // cluster node's share of it) reads the code block, allocating and
+        // filling it first unless it holds `value` for exactly these
+        // units. Any other plan fills its units' planned runs into scratch
+        // codes as it scans, and the tile kernel keeps no codes.
+        let keeps = fast && !units.is_empty() && units.iter().all(|punit| punit.is_dense());
+        let fill = keeps && !block.holds(value.id(), plan);
+        if fast {
+            let index = self.mac_index();
+            if fill {
+                drop(block);
+                block = CodeBlock::new(index, plan);
+            }
         }
-        let slots = unit_programs(plan, &mut programs);
+        let states = if keeps {
+            block.programs(fill)
+        } else {
+            units.iter().map(|_| None).collect()
+        };
         self.run_units(
             plan,
             &mut outputs,
-            slots,
+            states,
             |scanner, punit, program, outputs, _, metrics| {
                 match program {
                     Some(program) => {
@@ -455,9 +528,21 @@ impl<'a> StreamingExecutor<'a> {
             },
             |_| {},
         );
-        self.programs = programs;
+        if fill {
+            block.value = Some(value.id());
+        }
+        self.codes = block;
         self.finish_scan(plan, mac_rego_capacity(self.config, self.tiled));
         outputs
+    }
+
+    /// The tiling's MAC cell index, built first on this executor's
+    /// workers if no scan has built it yet (on the calling thread alone
+    /// when the tiling is too small to fan out).
+    fn mac_index(&mut self) -> &'a MacIndex {
+        let fan_out = fans_out(self.tiled.total_edges() as u64, self.scanners.len());
+        let workers = if fan_out { self.scanners.len() } else { 1 };
+        self.tiled.mac_index(&mut self.scanners[..workers])
     }
 
     /// One parallel-add-op pass (Figure 16 c3) advancing all K lanes of
@@ -567,30 +652,6 @@ fn unit_windows<'v>(plan: &ScanPlan, lanes: &'v mut [Vec<f64>]) -> Vec<&'v mut [
         pos = unit.dst_start + unit.dst_len;
     }
     windows
-}
-
-/// The kept program of each of `plan`'s units, in plan order: the unit's
-/// entry of `programs` (indexed by [`StripUnit::index`]) for a unit of the
-/// dense plan, `None` for a pruned one, which keeps no program, or where
-/// `programs` is empty. A plan's units run in ascending index order, so
-/// one forward pass hands out every program.
-///
-/// [`StripUnit::index`]: crate::exec::strip::StripUnit::index
-fn unit_programs<'p>(
-    plan: &ScanPlan,
-    programs: &'p mut [MacProgram],
-) -> Vec<Option<&'p mut MacProgram>> {
-    let mut slots = programs.iter_mut().enumerate();
-    plan.units()
-        .iter()
-        .map(|punit| {
-            if !punit.is_dense() {
-                return None;
-            }
-            let index = punit.unit.index;
-            slots.find(|(i, _)| *i == index).map(|(_, program)| program)
-        })
-        .collect()
 }
 
 impl ScanEngine for StreamingExecutor<'_> {
@@ -1214,6 +1275,50 @@ mod tests {
                 assert_eq!((inline, fanned_out), if fan_out { (0, 1) } else { (1, 0) });
             }
         }
+    }
+
+    /// A tiling's MAC cell index is built by the first Fast MAC scan on
+    /// any executor, add-op scans and the tile kernels never build it, and
+    /// every later executor reads the same index.
+    #[test]
+    fn executors_share_the_tilings_mac_index() {
+        let g = Rmat::new(300, 2000).seed(3).max_weight(7).generate();
+        let cfg = small_config(Fidelity::Fast);
+        let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
+        let spec = FixedSpec::new(16, 8).unwrap();
+        let value = EdgeValueFn::new(&weights_value);
+        let x: Vec<f64> = (0..300).map(|i| (i % 7) as f64 * 0.25).collect();
+
+        let mut addop = StreamingExecutor::new(&tiled, &cfg, spec);
+        let mut active = FrontierMask::new(300);
+        active.set(0);
+        let (dist, mut updated) = (vec![0.0; 300], FrontierMask::new(300));
+        let mut frontier = dist.clone();
+        dense_add_op(
+            &mut addop,
+            &value,
+            &|du, w| du + w,
+            &dist,
+            &active,
+            &mut frontier,
+            &mut updated,
+        );
+        let reference = StreamingExecutor::new(&tiled, &cfg, spec).with_tile_reference();
+        let expected = reference.with_threads(2).scan_mac(&value, &[&x]);
+        assert_eq!(tiled.mac_index_bytes(), 0, "built without a Fast MAC scan");
+
+        let mut first = StreamingExecutor::new(&tiled, &cfg, spec).with_threads(2);
+        assert_eq!(first.scan_mac(&value, &[&x]), expected);
+        let index: *const MacIndex = tiled.mac_index(&mut [()]);
+        let bytes = tiled.mac_index_bytes();
+        assert!(bytes > 0);
+        let mut second = StreamingExecutor::new(&tiled, &cfg, spec);
+        assert_eq!(
+            second.scan_mac(&EdgeValueFn::new(&weights_value), &[&x]),
+            expected
+        );
+        assert!(std::ptr::eq(index, tiled.mac_index(&mut [()])), "rebuilt");
+        assert_eq!(tiled.mac_index_bytes(), bytes);
     }
 
     #[test]

@@ -25,26 +25,27 @@
 //! cell's value is its edges' values merged in streamed order (`Sum` for
 //! MAC, `Min` for add-op) and quantised once.
 //!
-//! MAC reads those values as data: one `(source vertex, raw code)` cell
-//! per stored `(source, destination)` pair, parallel edges already
-//! merged, each tagged where its column ends. §4.1 programs a crossbar
-//! once and evaluates it many times, and so does the host: every Fast MAC
-//! unit scan reads a `MacProgram`, the unit's cells with the unit's
-//! complete charges for its input count except the data-dependent sALU
-//! operations. Its cells run destination by destination, each
-//! destination's columns in streamed order, so every output still sees
-//! its column sums in the walk's order. One charging walk of the unit's
-//! planned tiles fills a program: it stages each cell with its strip-local
-//! destination and counts cells per destination, and a stable counting
-//! sort then writes them into an exactly sized program. A unit of the
-//! dense plan keeps its program, keyed by the [`EdgeValueFn`] id and the
-//! input count, and refills it only under a new key; a unit of a pruned
-//! plan refills the scanner's scratch program on every scan. Either way
-//! the scan is one tight loop over the cells. Add-op merges and quantises
-//! each cell as the walk meets it, since a traversal meets a cell about
-//! once per run. MAC sums each column's rows in ascending order per input
-//! vector, skipping zero inputs, and reduces a nonzero sum into RegO;
-//! add-op drives each cell for every lane in its row's lane word.
+//! MAC reads those values as data. §4.1 programs a crossbar once and
+//! evaluates it many times, and so does the host. Everything about a cell
+//! but its value depends only on the tiling, so the tiling keeps it in its
+//! [`MacIndex`], built once on the first Fast MAC scan: every stored
+//! `(source, destination)` pair in the tiler's streamed order, unit by
+//! unit, with its source, edge count and column-end flag, each column's
+//! strip-local destination, and where each subgraph's run of cells
+//! starts. A fill is one linear pass over a run of the index and its
+//! edges: it evaluates each cell's edges, merges them, quantises once and
+//! writes a 4-byte code in place. A unit of the dense plan keeps its
+//! codes, filled inside its own task on a value's first dense scan, with
+//! its charges for the input count; a unit of a pruned plan fills scratch
+//! codes for its planned runs on every scan. Either way the scan is one
+//! tight loop over the cells and their codes. The streamed order is exact
+//! with no sort: each column's cells are adjacent with rows ascending, and
+//! each output meets its columns in the walk's order, however the columns
+//! of different outputs interleave. Add-op merges and quantises each cell
+//! as the walk meets it, since a traversal meets a cell about once per
+//! run. MAC sums each column's rows in ascending order per input vector,
+//! skipping zero inputs, and reduces a nonzero sum into RegO; add-op
+//! drives each cell for every lane in its row's lane word.
 //! That is the arithmetic and the per-output reduction order of
 //! [`TileCompute`]'s `load` then `mac` / `row_entries`, so results and
 //! metrics are bit-identical to it. [`TileCompute`] remains the datapath
@@ -60,7 +61,12 @@
 //! happens inside one unit, in one deterministic order, regardless of
 //! which thread ran it.
 //!
+//! The index addresses strips of at most 65,536 destinations; a wider
+//! strip runs its MAC scans through [`TileCompute`] too.
+//!
 //! [`StreamingExecutor`]: crate::exec::streaming::StreamingExecutor
+
+use std::ops::Range;
 
 use crate::config::{Fidelity, GraphRConfig, StreamingOrder};
 use crate::engine::salu::{ReduceOp, SAlu};
@@ -68,84 +74,24 @@ use crate::engine::tile::{MergeRule, TileCompute};
 use crate::exec::plan::PlanUnit;
 use crate::exec::streaming::EdgeValueFn;
 use crate::metrics::Metrics;
-use crate::preprocess::tiler::{SubgraphView, TileEntry, TiledGraph};
+use crate::preprocess::tiler::{
+    ends_column, MacIndex, SubgraphView, TileEntry, TiledGraph, MAX_STRIP_WIDTH,
+};
 
 /// Bytes per COO edge record streamed from memory ReRAM — the binary
 /// record format is owned by the graph crate.
 pub(crate) use graphr_graph::BYTES_PER_EDGE;
 
-/// One programmed crossbar cell: the source vertex driving its wordline,
-/// and its raw fixed-point code shifted up one bit over a flag set on its
-/// column's last cell. Formats have at most 31 bits, so the shift keeps
-/// every code.
-#[derive(Debug, Clone, Copy, Default)]
-struct Cell {
-    src: u32,
-    tagged: i32,
-}
-
-impl Cell {
-    fn new(src: usize, code: i32, ends_column: bool) -> Cell {
-        Cell {
-            src: src as u32,
-            tagged: code << 1 | i32::from(ends_column),
-        }
-    }
-
-    #[inline]
-    fn code(self) -> i32 {
-        self.tagged >> 1
-    }
-
-    #[inline]
-    fn ends_column(self) -> bool {
-        self.tagged & 1 != 0
-    }
-}
-
-/// A run of whole columns that all reduce into strip-local destination
-/// `local`: the next `cells` cells of their program.
-#[derive(Debug, Clone, Copy)]
-struct Group {
-    local: u32,
-    cells: u32,
-}
-
-/// One unit's MAC program: its cells and what a scan of it charges. Cells
-/// run destination by destination, each destination's columns in
-/// streamed order, which keeps every output's reduction order. A fill
-/// (`StripScanner::fill_program`) sizes a fresh program exactly; a
-/// refill for a new [`EdgeValueFn`] or input count reuses its
-/// allocations, which fit, since a dense unit's cells depend only on the
-/// tiling.
-#[derive(Debug, Default)]
-pub(crate) struct MacProgram {
-    /// The value's id and the input count the cells and charges were
-    /// programmed for; `None` until the first fill.
-    key: Option<(u64, usize)>,
-    groups: Vec<Group>,
-    cells: Vec<Cell>,
-    /// Everything a scan of the unit charges, except `events.salu_ops`.
-    charges: Metrics,
-}
-
-impl MacProgram {
-    /// Whether the program has been filled.
-    pub(crate) fn is_filled(&self) -> bool {
-        self.key.is_some()
-    }
-
-    /// The cells the program holds room for: its stored `(source,
-    /// destination)` pairs, since a fill sizes it exactly.
-    pub(crate) fn cells(&self) -> usize {
-        self.cells.capacity()
-    }
-
-    /// Heap bytes the program holds: its cells and destination headers.
-    pub(crate) fn bytes(&self) -> usize {
-        self.cells.capacity() * std::mem::size_of::<Cell>()
-            + self.groups.capacity() * std::mem::size_of::<Group>()
-    }
+/// A dense-plan unit's MAC program as its executor keeps it: one raw
+/// fixed-point code per index cell of the unit, and the unit's charges.
+pub(crate) struct UnitProgram<'p> {
+    /// The unit's codes, in index order.
+    pub(crate) codes: &'p mut [i32],
+    /// Whether the codes must be written before the scan reads them.
+    pub(crate) fill: bool,
+    /// Everything a MAC scan of the unit charges except the sALU
+    /// operations, with the input count it was charged for.
+    pub(crate) charges: &'p mut Option<(usize, Metrics)>,
 }
 
 /// One global destination strip: the parallel work unit of a scan.
@@ -218,18 +164,13 @@ pub struct StripScanner<'a> {
     /// `spec`'s quantisation with its scale factors computed once.
     quant: graphr_units::Quantizer,
     /// The tile datapath: present in Analog fidelity, or in Fast fidelity
-    /// when the scanner is the [`StripScanner::tile_reference`].
+    /// when the scanner is the [`StripScanner::tile_reference`] or the
+    /// strips are wider than the [`MacIndex`] addresses.
     tile: Option<TileKernel>,
     /// Scratch: one subgraph's lane word per source row (add-op).
     row_lanes: Vec<u64>,
-    /// Scratch: the MAC program of the pruned unit being scanned.
-    scratch: MacProgram,
-    /// Scratch: a MAC fill's cells in walk order, each with its strip-local
-    /// destination.
-    staged: Vec<(u32, Cell)>,
-    /// Scratch: a MAC fill's cell count, then next cell position, per
-    /// strip-local destination.
-    next_cell: Vec<u32>,
+    /// Scratch: the codes of the pruned-plan run being scanned.
+    codes: Vec<i32>,
     /// Scratch: one strip visit's per-tile driven-row counts.
     tile_rows_buf: Vec<u64>,
     /// Scratch: one add-op unit's lowered lanes per local destination.
@@ -332,11 +273,10 @@ impl<'a> StripScanner<'a> {
             config,
             spec,
             quant: spec.quantizer(),
-            tile: (config.fidelity == Fidelity::Analog).then(|| TileKernel::new(config, spec)),
+            tile: (config.fidelity == Fidelity::Analog || config.strip_width() > MAX_STRIP_WIDTH)
+                .then(|| TileKernel::new(config, spec)),
             row_lanes: vec![0; config.crossbar_size],
-            scratch: MacProgram::default(),
-            staged: Vec::new(),
-            next_cell: Vec::new(),
+            codes: Vec::new(),
             tile_rows_buf: Vec::new(),
             marks: LaneMarks::new(config.strip_width()),
         }
@@ -374,44 +314,11 @@ impl<'a> StripScanner<'a> {
     }
 
     /// Whether this scanner's MAC kernel programs each tile itself through
-    /// [`TileCompute`] (Analog fidelity, or the tile reference) rather than
-    /// reading programmed cells.
+    /// [`TileCompute`] (Analog fidelity, the tile reference, or strips too
+    /// wide for the [`MacIndex`]) rather than reading programmed codes.
     #[must_use]
     pub(crate) fn programs_tiles(&self) -> bool {
         self.tile.is_some()
-    }
-
-    /// Programs one subgraph's crossbar cells for MAC scans of `value`,
-    /// handing each to `emit` with its strip-local destination, in
-    /// streamed order: its sources start at `src0`, and `dst0` is the
-    /// first vertex of its unit's window. A cell's code is the sum of its
-    /// parallel edges' values in streamed order, quantised once — what
-    /// [`TileCompute::load`] programs.
-    fn program_subgraph(
-        &self,
-        src0: usize,
-        dst0: usize,
-        sg: SubgraphView<'_>,
-        value: &EdgeValueFn<'_>,
-        mut emit: impl FnMut(usize, Cell),
-    ) {
-        let c = self.config.crossbar_size;
-        for (t, entries) in sg.tiles() {
-            // A cell's entries are adjacent, and so are a column's cells.
-            let mut i = 0;
-            while let Some(&e) = entries.get(i) {
-                let (src, local) = (src0 + e.row as usize, t * c + e.col as usize);
-                let (src_id, dst_id) = (src as u32, (dst0 + local) as u32);
-                let mut v = value.eval(e.weight, src_id, dst_id);
-                i += 1;
-                while let Some(p) = entries.get(i).filter(|p| (p.col, p.row) == (e.col, e.row)) {
-                    v = MergeRule::Sum.combine(v, value.eval(p.weight, src_id, dst_id));
-                    i += 1;
-                }
-                let ends_column = entries.get(i).is_none_or(|next| next.col != e.col);
-                emit(local, Cell::new(src, self.quant.quantize(v), ends_column));
-            }
-        }
     }
 
     /// Total crossbar tile slots across the node.
@@ -425,10 +332,11 @@ impl<'a> StripScanner<'a> {
     /// (`outputs[i]` covers exactly the unit's destinations and is
     /// pre-zeroed by the caller), charging the planned work's share of time
     /// and energy into `metrics`. Only the block rows and subgraphs the
-    /// plan lists are visited. The Fast kernel fills this scanner's scratch
-    /// program from the unit and scans it; the tile kernel programs each
-    /// tile from `value`. A dense unit that keeps its program is scanned
-    /// through that program instead.
+    /// plan lists are visited. The Fast kernel fills each planned
+    /// subgraph's run of the [`MacIndex`] into scratch codes and scans
+    /// them; the tile kernel programs each tile from `value`. A dense unit
+    /// whose executor keeps its codes is scanned through
+    /// [`StripScanner::scan_mac_program`] instead.
     pub fn scan_mac_unit(
         &mut self,
         punit: &PlanUnit,
@@ -446,84 +354,165 @@ impl<'a> StripScanner<'a> {
             metrics.events.salu_ops += salu.ops_performed();
             return;
         }
-        let mut program = std::mem::take(&mut self.scratch);
-        self.fill_program(punit, value, (value.id(), inputs.len()), &mut program);
-        scan_cells(&program, self.quant, inputs, outputs, metrics);
-        self.scratch = program;
+        let charges = self.mac_charges(punit, inputs.len());
+        let (index, tiled, unit) = (self.index(), self.tiled, punit.unit.index);
+        let mut codes = std::mem::take(&mut self.codes);
+        let (cells, mut column) = index.unit_cells(unit);
+        let (mut cell, mut salu_ops) = (cells.start, 0);
+        for row in punit.rows(tiled) {
+            for (slot, ord) in row.planned_spans() {
+                // The unit's columns follow one another across its runs.
+                let run = index.run_cells(unit, slot);
+                column += index.columns_ending(cell..run.start);
+                codes.resize(codes.len().max(run.len()), 0);
+                let codes = &mut codes[..run.len()];
+                let entries = tiled.subgraph(ord as usize).entries();
+                let dst0 = punit.unit.dst_start;
+                let next = self.fill_cells(&run, column, entries, dst0, value, codes);
+                salu_ops += self.scan_cells(&run, column, codes, inputs, outputs);
+                (cell, column) = (run.end, next);
+            }
+        }
+        self.codes = codes;
+        metrics.merge(&charges);
+        metrics.events.salu_ops += salu_ops;
     }
 
     /// [`StripScanner::scan_mac_unit`] for a unit of the dense plan
-    /// through its kept `program`, which is first filled unless it holds
-    /// `value` for `inputs.len()` inputs. Fast fidelity only: a tile-kernel
-    /// scanner keeps no programs.
+    /// through its kept `program`, whose codes are written first if
+    /// `program.fill` and whose charges are recharged unless they are for
+    /// `inputs.len()` inputs. Fast fidelity only.
     pub(crate) fn scan_mac_program(
         &mut self,
         punit: &PlanUnit,
         value: &EdgeValueFn<'_>,
-        program: &mut MacProgram,
+        program: UnitProgram<'_>,
         inputs: &[&[f64]],
         outputs: &mut [&mut [f64]],
         metrics: &mut Metrics,
     ) {
         debug_assert!(punit.is_dense() && !self.programs_tiles());
-        let key = (value.id(), inputs.len());
-        if program.key != Some(key) {
-            self.fill_program(punit, value, key, program);
+        let k = inputs.len();
+        let charges = match program.charges.take() {
+            Some((held, charges)) if held == k => charges,
+            _ => self.mac_charges(punit, k),
+        };
+        let (index, unit) = (self.index(), punit.unit.index);
+        let (cells, first_column) = index.unit_cells(unit);
+        if program.fill {
+            let mut column = first_column;
+            for (row, entries) in index.unit_rows(self.tiled, unit) {
+                let codes = &mut program.codes[row.start - cells.start..row.end - cells.start];
+                let dst0 = punit.unit.dst_start;
+                column = self.fill_cells(&row, column, entries, dst0, value, codes);
+            }
         }
-        scan_cells(program, self.quant, inputs, outputs, metrics);
+        let salu_ops = self.scan_cells(&cells, first_column, program.codes, inputs, outputs);
+        metrics.merge(&charges);
+        metrics.events.salu_ops += salu_ops;
+        *program.charges = Some((k, charges));
     }
 
-    /// Programs `punit`'s cells and charges into `program` for `value` and
-    /// `key.1` inputs in one charging walk of its planned tiles, which
-    /// stages each cell with its strip-local destination and counts cells
-    /// per destination. A stable counting sort then writes the cells
-    /// destination by destination, each destination's in walk order, into
-    /// the program, sized exactly.
-    fn fill_program(
-        &mut self,
-        punit: &PlanUnit,
-        value: &EdgeValueFn<'_>,
-        key: (u64, usize),
-        program: &mut MacProgram,
-    ) {
-        let mut staged = std::mem::take(&mut self.staged);
-        let mut next = std::mem::take(&mut self.next_cell);
-        staged.clear();
-        next.clear();
-        next.resize(punit.unit.dst_len, 0);
+    /// The tiling's MAC cell index (built here, on this thread, only if no
+    /// executor has built it).
+    fn index(&self) -> &'a MacIndex {
+        self.tiled.mac_index(&mut [()])
+    }
+
+    /// Everything a MAC scan of `punit` with `k` input vectors charges
+    /// except the sALU operations.
+    fn mac_charges(&mut self, punit: &PlanUnit, k: usize) -> Metrics {
         let mut charges = Metrics::new();
-        let dst0 = punit.unit.dst_start;
-        self.walk_mac_unit(punit, key.1, &mut charges, |scanner, src0, sg| {
-            scanner.program_subgraph(src0, dst0, sg, value, |local, cell| {
-                next[local] += 1;
-                staged.push((local as u32, cell));
-            });
-        });
-        let groups = &mut program.groups;
-        groups.clear();
-        groups.reserve_exact(next.iter().filter(|&&cells| cells > 0).count());
-        let mut start = 0;
-        for (local, slot) in next.iter_mut().enumerate() {
-            let cells = std::mem::replace(slot, start);
-            if cells > 0 {
-                groups.push(Group {
-                    local: local as u32,
-                    cells,
-                });
+        self.walk_mac_unit(punit, k, &mut charges, |_, _, _| {});
+        charges
+    }
+
+    /// Writes the codes of the index's `cells`, whose columns start at
+    /// position `column`, in the unit whose first destination is `dst0`,
+    /// for `value`: one pass over the cells and their edges `entries`,
+    /// each cell's edges evaluated and merged in streamed order and
+    /// quantised once (what [`TileCompute::load`] programs), shifted up one
+    /// bit over the cell's column-end flag; formats have at most 31 bits.
+    /// Returns the position past the cells' columns.
+    fn fill_cells(
+        &self,
+        cells: &Range<usize>,
+        column: usize,
+        entries: &[TileEntry],
+        dst0: usize,
+        value: &EdgeValueFn<'_>,
+        codes: &mut [i32],
+    ) -> usize {
+        let index = self.index();
+        let (srcs, meta) = index.cells(cells.clone());
+        let locals = index.locals(column);
+        let (mut edge, mut columns) = (0, 0);
+        for (at, ((&src, &meta), code)) in srcs.iter().zip(meta).zip(codes).enumerate() {
+            let edges = index.edges(cells.start + at, meta);
+            let (src, dst) = (src as usize, dst0 + usize::from(locals[columns]));
+            let v = cell_value(
+                &entries[edge..edge + edges],
+                src,
+                dst,
+                value,
+                MergeRule::Sum,
+            );
+            edge += edges;
+            *code = self.quant.quantize(v) << 1 | i32::from(ends_column(meta));
+            columns += usize::from(ends_column(meta));
+        }
+        column + columns
+    }
+
+    /// The MAC kernel over the `codes` of the index's `cells`, whose
+    /// columns start at position `column`: for each input vector `x`, sums
+    /// `code · x[src]` over each column's cells in order, skipping zero
+    /// inputs, and reduces a nonzero sum into the column's destination in
+    /// that input's output window — [`TileCompute::mac`]'s arithmetic, and
+    /// for every output the reduction order of the streamed walk. Returns
+    /// the sALU operations performed.
+    fn scan_cells(
+        &self,
+        cells: &Range<usize>,
+        column: usize,
+        codes: &[i32],
+        inputs: &[&[f64]],
+        outputs: &mut [&mut [f64]],
+    ) -> u64 {
+        /// Cells per chunk of whole columns that every input vector scans
+        /// in turn, so the chunk stays in cache across inputs.
+        const CHUNK: usize = 1024;
+        let (index, quant) = (self.index(), self.quant);
+        let (mut srcs, mut codes) = (index.cells(cells.clone()).0, codes);
+        let mut locals = index.locals(column);
+        let mut salu = SAlu::new(ReduceOp::Add);
+        while !srcs.is_empty() {
+            let mut end = CHUNK.min(srcs.len());
+            end += codes[end - 1..]
+                .iter()
+                .position(|code| code & 1 != 0)
+                .unwrap_or(0);
+            let mut columns = 0;
+            for (x, out) in inputs.iter().zip(outputs.iter_mut()) {
+                let (mut column, mut sum) = (0, 0.0);
+                for (&src, &code) in srcs[..end].iter().zip(&codes[..end]) {
+                    let xv = x[src as usize];
+                    if xv != 0.0 {
+                        sum += quant.dequantize(code >> 1) * xv;
+                    }
+                    if code & 1 != 0 {
+                        if sum != 0.0 {
+                            salu.reduce_one(&mut out[usize::from(locals[column])], sum);
+                        }
+                        sum = 0.0;
+                        column += 1;
+                    }
+                }
+                columns = column;
             }
-            start += cells;
+            (srcs, codes, locals) = (&srcs[end..], &codes[end..], &locals[columns..]);
         }
-        let cells = &mut program.cells;
-        cells.clear();
-        cells.reserve_exact(staged.len());
-        cells.resize(staged.len(), Cell::default());
-        for &(local, cell) in &staged {
-            let at = &mut next[local as usize];
-            cells[*at as usize] = cell;
-            *at += 1;
-        }
-        (self.staged, self.next_cell) = (staged, next);
-        (program.charges, program.key) = (charges, Some(key));
+        salu.ops_performed()
     }
 
     /// Walks `punit`'s planned subgraphs in streamed order, handing each
@@ -539,8 +528,9 @@ impl<'a> StripScanner<'a> {
     ) {
         let tiled = self.tiled;
         let n = tiled.num_vertices();
+        let c = self.config.crossbar_size;
         for row in punit.rows(tiled) {
-            let bidx = row.block as usize;
+            let src_base = tiled.chunk_src_start(row.block as usize, 0);
             let pruned = row.pruned() as u64;
             match self.config.order {
                 StreamingOrder::ColumnMajor => {
@@ -550,10 +540,11 @@ impl<'a> StripScanner<'a> {
                     let mut strip_edges = 0u64;
                     for ord in row.subgraphs() {
                         let sg = tiled.subgraph(ord as usize);
-                        strip_tiles += sg.tiles().len() as u64;
-                        strip_edges += u64::from(sg.edges());
-                        visit(self, tiled.chunk_src_start(bidx, sg.chunk()), sg);
-                        self.charge_mac_subgraph(sg, k, metrics);
+                        let (tiles, edges) = (sg.tiles().len() as u64, u64::from(sg.edges()));
+                        strip_tiles += tiles;
+                        strip_edges += edges;
+                        visit(self, src_base + sg.chunk() as usize * c, sg);
+                        self.charge_mac_subgraph(tiles, edges, k, metrics);
                     }
                     self.charge_strip_time(strip_tiles, strip_edges, pruned, k, metrics);
                     // Strip write-back: RegO → memory, once per strip.
@@ -569,8 +560,8 @@ impl<'a> StripScanner<'a> {
                     for ord in row.subgraphs() {
                         let sg = tiled.subgraph(ord as usize);
                         let (tiles, edges) = (sg.tiles().len() as u64, u64::from(sg.edges()));
-                        visit(self, tiled.chunk_src_start(bidx, sg.chunk()), sg);
-                        self.charge_mac_subgraph(sg, k, metrics);
+                        visit(self, src_base + sg.chunk() as usize * c, sg);
+                        self.charge_mac_subgraph(tiles, edges, k, metrics);
                         self.charge_strip_time(
                             tiles.min(self.tile_slots() as u64),
                             edges,
@@ -681,13 +672,12 @@ impl<'a> StripScanner<'a> {
         }
     }
 
-    /// Charges the energy and events of one planned subgraph of a MAC scan
-    /// of `k` input vectors (time is charged per strip).
-    fn charge_mac_subgraph(&self, sg: SubgraphView<'_>, k: usize, metrics: &mut Metrics) {
+    /// Charges the energy and events of one planned subgraph of `tiles`
+    /// tiles and `edges` edges in a MAC scan of `k` input vectors (time is
+    /// charged per strip).
+    fn charge_mac_subgraph(&self, tiles: u64, edges: u64, k: usize, metrics: &mut Metrics) {
         let c = self.config.crossbar_size;
         let arrays = self.config.arrays_per_tile() as u64;
-        let tiles = sg.tiles().len() as u64;
-        let edges = u64::from(sg.edges());
         let cost = &self.config.cost;
         let cells = edges * arrays;
         let conversions = tiles * c as u64 * arrays * k as u64;
@@ -1033,45 +1023,6 @@ impl<'a> StripScanner<'a> {
     }
 }
 
-/// The MAC kernel over a program: for each group and each input vector
-/// `x`, sums `code · x[src]` over each column's cells in order, skipping
-/// zero inputs, and reduces a nonzero sum into the group's entry of that
-/// input's output window — [`TileCompute::mac`]'s arithmetic, and for
-/// every output the reduction order of the streamed walk. Charges the
-/// program's stored charges plus its own sALU operations into `metrics`.
-fn scan_cells(
-    program: &MacProgram,
-    quant: graphr_units::Quantizer,
-    inputs: &[&[f64]],
-    outputs: &mut [&mut [f64]],
-    metrics: &mut Metrics,
-) {
-    let mut salu = SAlu::new(ReduceOp::Add);
-    let mut rest = &program.cells[..];
-    for group in &program.groups {
-        let (run, tail) = rest.split_at(group.cells as usize);
-        rest = tail;
-        for (x, out) in inputs.iter().zip(outputs.iter_mut()) {
-            let out = &mut out[group.local as usize];
-            let mut sum = 0.0;
-            for &cell in run {
-                let xv = x[cell.src as usize];
-                if xv != 0.0 {
-                    sum += quant.dequantize(cell.code()) * xv;
-                }
-                if cell.ends_column() {
-                    if sum != 0.0 {
-                        salu.reduce_one(out, sum);
-                    }
-                    sum = 0.0;
-                }
-            }
-        }
-    }
-    metrics.merge(&program.charges);
-    metrics.events.salu_ops += salu.ops_performed();
-}
-
 /// One crossbar cell's programmed value before quantisation: the values
 /// of its parallel edges merged under `merge` in streamed (edge) order,
 /// exactly as [`TileCompute::load`] merges them. `cell` is never empty.
@@ -1143,7 +1094,7 @@ mod tests {
     }
 
     /// A cell's code is its parallel edges' summed value, quantised once:
-    /// a unit's program holds one cell per stored `(source, destination)`
+    /// a unit's program holds one code per stored `(source, destination)`
     /// pair, however many edges share it.
     #[test]
     fn programs_code_each_cell_once() {
@@ -1156,15 +1107,26 @@ mod tests {
         let plan = crate::exec::plan::PlanSkeleton::build(&tiled).full_plan();
         let mut scanner = StripScanner::new(&tiled, &cfg, FixedSpec::new(16, 2).unwrap());
         let value = EdgeValueFn::new(&|w, _, _| f64::from(w));
+        let index = tiled.mac_index(&mut [()]);
+        let x = vec![0.0; 6];
         let mut cells = Vec::new();
         for punit in plan.units() {
-            let mut program = MacProgram::default();
-            scanner.fill_program(punit, &value, (value.id(), 1), &mut program);
+            let unit_cells = index.unit_cells(punit.unit.index).0;
+            let mut codes = vec![0; unit_cells.len()];
+            let program = UnitProgram {
+                codes: &mut codes,
+                fill: true,
+                charges: &mut None,
+            };
+            let mut out = vec![0.0; punit.unit.dst_len];
+            let outputs = &mut [&mut out[..]];
+            scanner.scan_mac_program(punit, &value, program, &[&x], outputs, &mut Metrics::new());
             assert!(
-                program.cells.iter().all(|cell| cell.ends_column()),
+                codes.iter().all(|code| code & 1 == 1),
                 "one cell per column here"
             );
-            cells.extend(program.cells.iter().map(|cell| (cell.code(), cell.src)));
+            let srcs = index.cells(unit_cells).0.iter();
+            cells.extend(codes.iter().zip(srcs).map(|(code, &src)| (code >> 1, src)));
         }
         // Q14.2 codes are four times the value: (0, 1) sums to 2.75.
         assert!(cells.contains(&(11, 0)));
@@ -1291,18 +1253,29 @@ mod tests {
         let skeleton = crate::exec::plan::PlanSkeleton::build(&tiled);
         let plan = skeleton.full_plan();
         let mut scanner = StripScanner::new(&tiled, &cfg, spec);
-        let mut programs: Vec<MacProgram> =
-            plan.units().iter().map(|_| MacProgram::default()).collect();
-        // Scratch programs, then kept ones: a kept program's first scan
-        // fills it and its second reads it.
+        let index = tiled.mac_index(&mut [()]);
+        let units = plan.units();
+        let mut codes: Vec<Vec<i32>> = units
+            .iter()
+            .map(|punit| vec![0; index.unit_cells(punit.unit.index).0.len()])
+            .collect();
+        let mut charges = vec![None; units.len()];
+        // Scratch codes, then kept ones: a kept program's first scan fills
+        // it and its second reads it.
         for programmed in [0, 1, 2] {
             let mut merged = Metrics::new();
             let mut out = vec![0.0; 120];
-            for (punit, program) in plan.units().iter().zip(&mut programs) {
+            let programs = codes.iter_mut().zip(&mut charges);
+            for (punit, (codes, charges)) in units.iter().zip(programs) {
                 let unit = &punit.unit;
                 let window = &mut out[unit.dst_start..unit.dst_start + unit.dst_len];
                 let mut m = Metrics::new();
                 if programmed > 0 {
+                    let program = UnitProgram {
+                        codes,
+                        fill: programmed == 1,
+                        charges,
+                    };
                     scanner.scan_mac_program(punit, &value, program, &[&x], &mut [window], &mut m);
                 } else {
                     scanner.scan_mac_unit(punit, &value, &[&x], &mut [window], &mut m);

@@ -26,13 +26,20 @@
 //! key passes the open one's end. Spans are not stored:
 //! [`SourceRangeIndex::spans`] reads them off the slot, chunk, subgraph and
 //! tile tables.
+//!
+//! What a Fast MAC scan needs beyond the layout, the [`MacIndex`] of its
+//! cells, is built lazily on the first such scan and kept beside it.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use graphr_graph::{Edge, EdgeList};
 
 use crate::config::{ConfigError, GraphRConfig};
 use crate::preprocess::order::TileOrder;
+
+mod mac_index;
+pub(crate) use mac_index::{ends_column, MacIndex, MAX_STRIP_WIDTH};
 
 /// One edge placed inside a crossbar tile.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -165,6 +172,32 @@ pub struct TiledGraph {
     /// first subgraph ordinal, plus a trailing subgraph count. Empty slots
     /// keep their place, so the disk-order walk stays arithmetic.
     slot_starts: Vec<u32>,
+    /// The MAC cell index, once a Fast MAC scan has built it.
+    mac_index: LazyMacIndex,
+}
+
+/// A [`TiledGraph`]'s lazily built [`MacIndex`]. It is derived state, so a
+/// tiling compares, prints and clones the same whether or not it has been
+/// built; a clone starts unbuilt.
+#[derive(Default)]
+struct LazyMacIndex(OnceLock<MacIndex>);
+
+impl Clone for LazyMacIndex {
+    fn clone(&self) -> Self {
+        LazyMacIndex::default()
+    }
+}
+
+impl PartialEq for LazyMacIndex {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for LazyMacIndex {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("LazyMacIndex")
+    }
 }
 
 /// One nonempty subgraph of a [`TiledGraph`]: a `C × strip_width` window
@@ -197,6 +230,12 @@ impl<'a> SubgraphView<'a> {
             let entries = g.tile_starts[t] as usize..g.tile_starts[t + 1] as usize;
             (g.tile_index[t] as usize, &g.entries[entries])
         })
+    }
+
+    /// Every edge of the subgraph, in streamed order.
+    pub(crate) fn entries(&self) -> &'a [TileEntry] {
+        let g = self.graph;
+        &g.entries[g.subgraph_edges(self.ordinal..self.ordinal + 1)]
     }
 
     fn tile_range(&self) -> Range<usize> {
@@ -313,7 +352,33 @@ impl TiledGraph {
             subgraph_starts,
             chunks,
             slot_starts,
+            mac_index: LazyMacIndex::default(),
         })
+    }
+
+    /// Positions in the streamed order of the edges of the subgraphs at
+    /// `ordinals`.
+    fn subgraph_edges(&self, ordinals: Range<usize>) -> Range<usize> {
+        let tiles = &self.subgraph_starts;
+        let first = self.tile_starts[tiles[ordinals.start] as usize];
+        first as usize..self.tile_starts[tiles[ordinals.end] as usize] as usize
+    }
+
+    /// The MAC cell index, built first if no scan has built it yet, with
+    /// the units fanned out over one worker per entry of `workers`.
+    pub(crate) fn mac_index<S: Send>(&self, workers: &mut [S]) -> &MacIndex {
+        self.mac_index
+            .0
+            .get_or_init(|| MacIndex::build(self, workers))
+    }
+
+    /// Heap bytes of the MAC cell index, or 0 while no Fast-fidelity MAC
+    /// scan has built it. The index depends only on the tiling, so every
+    /// executor over this graph shares it: host state, never part of
+    /// [`Metrics`](crate::Metrics).
+    #[must_use]
+    pub fn mac_index_bytes(&self) -> usize {
+        self.mac_index.0.get().map_or(0, MacIndex::bytes)
     }
 
     /// The ordering geometry in use.
@@ -656,6 +721,24 @@ mod tests {
         let tiled = TiledGraph::preprocess(&g, &small_config()).unwrap();
         assert_eq!(tiled.nonempty_subgraphs(), 0);
         assert_eq!(tiled.total_edges(), 0);
+    }
+
+    /// The MAC cell index is derived state: a tiling compares and prints
+    /// the same whether or not it has built its index, and a clone starts
+    /// unbuilt.
+    #[test]
+    fn tilings_ignore_their_mac_index() {
+        let g = Rmat::new(60, 300).seed(7).max_weight(9).generate();
+        let built = TiledGraph::preprocess(&g, &small_config()).unwrap();
+        let unbuilt = TiledGraph::preprocess(&g, &small_config()).unwrap();
+        built.mac_index(&mut [()]);
+        assert!(built.mac_index_bytes() > 0);
+        assert_eq!(unbuilt.mac_index_bytes(), 0);
+        assert_eq!(built, unbuilt);
+        assert_eq!(format!("{built:?}"), format!("{unbuilt:?}"));
+        let clone = built.clone();
+        assert_eq!(clone, built);
+        assert_eq!(clone.mac_index_bytes(), 0);
     }
 
     proptest! {

@@ -4,6 +4,7 @@
 //! *full Metrics* for a one-node cluster — while the plan-aware property
 //! exchange never charges more bytes than the legacy dense all-gather.
 
+use graphr_repro::core::exec::StreamingExecutor;
 use graphr_repro::core::multinode::{
     ClusterExecutor, MultiNodeConfig, MultiNodeEstimate, BYTES_PER_PROPERTY,
 };
@@ -309,6 +310,45 @@ proptest! {
             other => prop_assert!(false, "unexpected output {:?}", other),
         }
     }
+}
+
+/// The MAC cell index covers the whole tiling whichever executor builds
+/// it: after a 4-node cluster's PageRank has built it while scanning the
+/// nodes' shares of the dense plan, a fresh single engine on the same
+/// tiling reads it and gives a single engine's bits and metrics, and the
+/// index holds the bytes a single engine builds.
+#[test]
+fn cluster_built_mac_index_serves_a_single_engine() {
+    let g = Rmat::new(250, 1500).seed(42).max_weight(9).generate();
+    let cfg = test_config();
+    let opts = PageRankOptions {
+        max_iterations: 4,
+        tolerance: 0.0,
+        ..PageRankOptions::default()
+    };
+    let pagerank = |tiled: &TiledGraph| {
+        let mut exec = StreamingExecutor::new(tiled, &cfg, opts.matrix_spec);
+        let run = run_pagerank_with(&g, &mut exec, &opts).expect("single-node run");
+        let bits: Vec<u64> = run.values.iter().map(|v| v.to_bits()).collect();
+        (bits, run.metrics)
+    };
+    let single_tiled = TiledGraph::preprocess(&g, &cfg).expect("valid geometry");
+    let single = pagerank(&single_tiled);
+
+    let tiled = TiledGraph::preprocess(&g, &cfg).expect("valid geometry");
+    let cluster = MultiNodeConfig::pcie_cluster(4);
+    let mut exec = ClusterExecutor::new(&tiled, &cfg, opts.matrix_spec, cluster);
+    let run = run_pagerank_with(&g, &mut exec, &opts).expect("cluster run");
+    let bits: Vec<u64> = run.values.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(bits, single.0, "cluster ranks");
+    let bytes = tiled.mac_index_bytes();
+    assert_eq!(bytes, single_tiled.mac_index_bytes(), "index scope");
+    assert_eq!(
+        pagerank(&tiled),
+        single,
+        "single engine on the cluster's index"
+    );
+    assert_eq!(tiled.mac_index_bytes(), bytes);
 }
 
 /// A masked SpMV (MAC-side pruning) through the cluster: the pruned plan

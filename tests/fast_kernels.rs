@@ -1,6 +1,6 @@
 //! Oracle tests of the Fast-fidelity scan kernels: the default kernels
-//! walk each tile's stored cells (MAC scans of the dense plan through
-//! each unit's kept program), while the tile reference
+//! walk each tile's stored cells (MAC scans through the tiling's cell
+//! index and the executor's codes), while the tile reference
 //! ([`StreamingExecutor::with_tile_reference`]) programs a dense
 //! [`TileCompute`](graphr_repro::core::engine::TileCompute) image per tile
 //! and reads it back with `mac` / `row_entries`. Both must agree to the
@@ -98,22 +98,31 @@ fn bits(v: &[Vec<f64>]) -> Vec<Vec<u64>> {
 }
 
 /// Four MAC scans of `inputs` under one value: over the plan pruned to
-/// `mask`, whose units each fill a scratch program as they scan; over
-/// the dense plan, which fills the kept programs; and over both plans
-/// again, the dense scan reading the kept programs. Each scan's outputs
-/// as bits, and the metrics.
+/// `mask`, whose units each fill scratch codes as they scan; over the
+/// dense plan, which fills the kept codes; and over both plans again, the
+/// dense scan reading the kept codes. Each scan's outputs as bits, and the
+/// metrics.
 fn mac_scan(
     signed: bool,
+    inputs: &[Vec<f64>],
+    mask: &FrontierMask,
+    exec: StreamingExecutor<'_>,
+) -> (Vec<Vec<Vec<u64>>>, Metrics) {
+    let value = edge_value(signed);
+    mac_scan_of(&EdgeValueFn::new(&value), inputs, mask, exec)
+}
+
+/// [`mac_scan`] under `value`.
+fn mac_scan_of(
+    value: &EdgeValueFn<'_>,
     inputs: &[Vec<f64>],
     mask: &FrontierMask,
     mut exec: StreamingExecutor<'_>,
 ) -> (Vec<Vec<Vec<u64>>>, Metrics) {
     let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
-    let value = edge_value(signed);
-    let value = EdgeValueFn::new(&value);
     let (pruned, dense) = (exec.plan(Some(mask)), exec.plan(None));
     let out = [&pruned, &dense, &dense, &pruned]
-        .map(|plan| bits(&exec.scan_mac_planned(plan, &value, &refs)));
+        .map(|plan| bits(&exec.scan_mac_planned(plan, value, &refs)));
     (out.to_vec(), exec.into_metrics())
 }
 
@@ -349,9 +358,9 @@ fn table_graph() -> EdgeList {
     multigraph(600, 6000, 17, 3)
 }
 
-/// Ten PageRank iterations reuse the programs their first scan fills; a
-/// masked SpMV's pruned units fill scratch programs from only the
-/// subgraphs they scan. Both equal the tile reference bit for bit at
+/// Ten PageRank iterations reuse the codes their first scan fills; a
+/// masked SpMV's pruned units fill scratch codes for only the subgraphs
+/// they scan. Both equal the tile reference bit for bit at
 /// every thread count.
 #[test]
 fn mac_drivers_with_reused_codes_match_tile_reference() {
@@ -443,12 +452,13 @@ fn distinct_values_on_one_executor_match_fresh_executors() {
     }
 }
 
-/// A dense MAC scan sizes every kept program exactly: each unit's entry
-/// of `programmed_units()` holds one cell per distinct `(source,
+/// A dense MAC scan sizes the kept codes exactly: each unit's entry of
+/// `programmed_units()` holds one code per distinct `(source,
 /// destination)` pair of the edge list among the unit's destinations,
-/// however many parallel edges share it. A pruned scan afterwards fills
-/// only a scanner's scratch program, which is not kept, so the list and
-/// the held bytes stay as they were. Both scans give the tile
+/// however many parallel edges share it, and the executor holds 4 bytes
+/// per code. A pruned scan afterwards fills only a scanner's scratch
+/// codes, which are not kept, so the list, the held bytes and the
+/// tiling's index bytes stay as they were. Both scans give the tile
 /// reference's bits on inputs that are not dyadic, so every output's
 /// column sums must also reduce in walk order.
 #[test]
@@ -501,10 +511,13 @@ fn dense_programs_hold_exactly_their_stored_pairs() {
         let out = exec.scan_mac(&value, &[&x]);
         assert_eq!(bits(&out), dense_bits, "{threads} threads");
         assert_eq!(exec.programmed_units(), expected, "{threads} threads");
+        // One 4-byte code per cell; the cell index is the tiling's.
         let bytes = exec.program_bytes();
+        assert_eq!(bytes, 4 * pairs.len(), "{threads} threads");
+        let index_bytes = tiled.mac_index_bytes();
         assert!(
-            bytes >= 8 * pairs.len(),
-            "{bytes} bytes for {} cells",
+            index_bytes >= 5 * pairs.len(),
+            "{index_bytes} index bytes for {} cells",
             pairs.len()
         );
 
@@ -518,9 +531,124 @@ fn dense_programs_hold_exactly_their_stored_pairs() {
             "{threads} threads, pruned"
         );
         assert_eq!(exec.program_bytes(), bytes, "{threads} threads, pruned");
+        assert_eq!(
+            tiled.mac_index_bytes(),
+            index_bytes,
+            "{threads} threads, pruned"
+        );
         let [_, fanned_out] = exec.scan_paths();
         assert_eq!(fanned_out > 0, threads > 1, "{threads} threads: fan-out");
     }
+}
+
+/// Cells the index must keep apart or count exactly, on a 3×3-block grid of
+/// 4-row crossbars and 16-wide strips, each in a subgraph of its own
+/// among 5,000 other edges: 300 parallel edges in one cell, whose values
+/// only sum to the tile reference's bits in streamed order; one source's
+/// cell at the same `(row, column)` at the end of one tile and the start of
+/// the next, two parallel edges each; and one destination's cells at the
+/// same `(row, column)` at the end of one subgraph and the start of the
+/// next, in the same slot and across block rows. MAC scans at 1, 3 and 5
+/// inputs over the dense plan and over a pruned plan that keeps these
+/// subgraphs give the tile reference's bits and metrics at one and two
+/// threads.
+#[test]
+fn index_edge_cases_match_tile_reference() {
+    let base = config(4, StreamingOrder::ColumnMajor, false);
+    let strip = base.strip_width();
+    assert_eq!(strip, 16);
+    let config = GraphRConfig {
+        block_vertices: Some(2 * strip),
+        ..base
+    };
+    config.check().expect("valid test geometry");
+    let n = 3 * 2 * strip - 5;
+    // `(source, destination)` pairs of the special cells; each sits in a
+    // `(source chunk, strip)` subgraph no other edge enters.
+    let tile_edge = [(13, 23), (13, 27)];
+    let subgraph_edge = [(29, 50), (33, 50), (37, 50)];
+    let special = |src: u32, dst: u32| {
+        let subgraph = (src / 4, dst / 16);
+        [(5, 9)]
+            .iter()
+            .chain(&tile_edge)
+            .chain(&subgraph_edge)
+            .any(|&(s, d)| (s / 4, d / 16) == subgraph)
+    };
+    let mut edges: Vec<Edge> = multigraph(n, 5000, 31, 4)
+        .edges()
+        .iter()
+        .filter(|e| !special(e.src, e.dst))
+        .copied()
+        .collect();
+    edges.extend((0..300).map(|i| Edge::new(5, 9, ((i * 7) % 11) as f32 * 0.25 + 0.125)));
+    for (i, &(src, dst)) in tile_edge.iter().chain(&tile_edge).enumerate() {
+        edges.push(Edge::new(src, dst, 1.0 + i as f32 * 0.75));
+    }
+    edges.extend(
+        subgraph_edge
+            .iter()
+            .map(|&(src, dst)| Edge::new(src, dst, 2.5)),
+    );
+    let g = EdgeList::from_edges(n, edges).expect("in-range edges");
+    let tiled = TiledGraph::preprocess(&g, &config).expect("valid geometry");
+
+    // Source 13's subgraph holds row 1, column 3 of two adjacent tiles.
+    let span = tiled
+        .source_index()
+        .spans()
+        .find(|span| {
+            let dst0 = tiled.strip_dst_start(span.block as usize, span.strip as usize);
+            (span.src_start, dst0) == (12, 16)
+        })
+        .expect("source 13's subgraph");
+    let cells: Vec<(usize, Vec<(u8, u8)>)> = tiled
+        .subgraph(span.ordinal as usize)
+        .tiles()
+        .map(|(t, entries)| (t, entries.iter().map(|e| (e.row, e.col)).collect()))
+        .collect();
+    assert_eq!(cells, [(1, vec![(1, 3); 2]), (2, vec![(1, 3); 2])]);
+
+    let value =
+        |w: f32, src: u32, dst: u32| f64::from(w) * 0.01 + f64::from((src + dst) % 3) * 3e-4;
+    let value = EdgeValueFn::new(&value);
+    let chunks = [1, 3, 7, 8, 9];
+    let mask = FrontierMask::from_slice(
+        &(0..n)
+            .map(|v| chunks.contains(&(v / 4)) || (v / 16) % 3 == 1)
+            .collect::<Vec<_>>(),
+    );
+    let spec = FixedSpec::new(16, 12).expect("Q4.12 is valid");
+    for k in [1, 3, 5] {
+        let inputs: Vec<Vec<f64>> = (0..k)
+            .map(|q| {
+                (0..n)
+                    .map(|v| {
+                        if mix(q as u64, v as u64).is_multiple_of(7) {
+                            0.0
+                        } else {
+                            1.0 / (v + 3 + q) as f64
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let reference = StreamingExecutor::new(&tiled, &config, spec).with_tile_reference();
+        let expected = mac_scan_of(&value, &inputs, &mask, reference);
+        for threads in [1, 2] {
+            let exec = StreamingExecutor::new(&tiled, &config, spec).with_threads(threads);
+            let got = mac_scan_of(&value, &inputs, &mask, exec);
+            assert_eq!(got.0, expected.0, "outputs at k = {k}, {threads} threads");
+            assert_eq!(got.1, expected.1, "metrics at k = {k}, {threads} threads");
+        }
+    }
+    let mut exec = StreamingExecutor::new(&tiled, &config, spec).with_threads(2);
+    assert!(
+        exec.plan(Some(&mask)).stats().subgraphs_pruned > 0,
+        "the mask must prune"
+    );
+    exec.scan_mac(&value, &[&vec![1.0; n]]);
+    assert_eq!(exec.scan_paths(), [0, 1], "a dense scan fans out");
 }
 
 /// Collaborative filtering programs new values every epoch and direction;
