@@ -28,7 +28,7 @@
 //! MAC reads those values as data. §4.1 programs a crossbar once and
 //! evaluates it many times, and so does the host. Everything about a cell
 //! but its value depends only on the tiling, so the tiling keeps it in its
-//! [`MacIndex`], built once on the first Fast MAC scan: every stored
+//! `MacIndex`, built once on the first Fast MAC scan: every stored
 //! `(source, destination)` pair in the tiler's streamed order, unit by
 //! unit, with its source, edge count and column-end flag, each column's
 //! strip-local destination, and where each subgraph's run of cells
@@ -333,10 +333,10 @@ impl<'a> StripScanner<'a> {
     /// pre-zeroed by the caller), charging the planned work's share of time
     /// and energy into `metrics`. Only the block rows and subgraphs the
     /// plan lists are visited. The Fast kernel fills each planned
-    /// subgraph's run of the [`MacIndex`] into scratch codes and scans
-    /// them; the tile kernel programs each tile from `value`. A dense unit
-    /// whose executor keeps its codes is scanned through
-    /// [`StripScanner::scan_mac_program`] instead.
+    /// subgraph's run of the tiling's cell index into scratch codes and
+    /// scans them; the tile kernel programs each tile from `value`. A
+    /// dense unit whose executor keeps its codes is scanned through those
+    /// instead.
     pub fn scan_mac_unit(
         &mut self,
         punit: &PlanUnit,

@@ -27,7 +27,7 @@
 //! [`SourceRangeIndex::spans`] reads them off the slot, chunk, subgraph and
 //! tile tables.
 //!
-//! What a Fast MAC scan needs beyond the layout, the [`MacIndex`] of its
+//! What a Fast MAC scan needs beyond the layout, the `MacIndex` of its
 //! cells, is built lazily on the first such scan and kept beside it.
 
 use std::ops::Range;
