@@ -527,51 +527,34 @@ impl<'a> StripScanner<'a> {
         mut visit: impl FnMut(&mut Self, usize, SubgraphView<'a>),
     ) {
         let tiled = self.tiled;
-        let n = tiled.num_vertices();
         let c = self.config.crossbar_size;
+        let writeback = self.config.strip_width().min(tiled.num_vertices());
+        // Column-major streaming feeds the strip's planned tiles to the GE
+        // slots back to back, and writes RegO back once per strip.
+        // Row-major streaming revisits the strip's RegO window per source
+        // chunk, so every nonempty subgraph costs its own GE step and a
+        // full RegO spill — the §3.3 argument. Subgraphs are stored in
+        // ascending chunk order, which is the source-major visit order.
+        let row_major = self.config.order == StreamingOrder::RowMajor;
         for row in punit.rows(tiled) {
             let src_base = tiled.chunk_src_start(row.block as usize, 0);
             let pruned = row.pruned() as u64;
-            match self.config.order {
-                StreamingOrder::ColumnMajor => {
-                    // Dense tile packing: the whole strip's planned tiles
-                    // feed the GE slots back to back.
-                    let mut strip_tiles = 0u64;
-                    let mut strip_edges = 0u64;
-                    for ord in row.subgraphs() {
-                        let sg = tiled.subgraph(ord as usize);
-                        let (tiles, edges) = (sg.tiles().len() as u64, u64::from(sg.edges()));
-                        strip_tiles += tiles;
-                        strip_edges += edges;
-                        visit(self, src_base + sg.chunk() as usize * c, sg);
-                        self.charge_mac_subgraph(tiles, edges, k, metrics);
-                    }
-                    self.charge_strip_time(strip_tiles, strip_edges, pruned, k, metrics);
-                    // Strip write-back: RegO → memory, once per strip.
-                    self.charge_strip_writeback(self.config.strip_width().min(n), metrics);
+            let (mut strip_tiles, mut strip_edges) = (0, 0);
+            for ord in row.subgraphs() {
+                let sg = tiled.subgraph(ord as usize);
+                let (tiles, edges) = (sg.tiles().len() as u64, u64::from(sg.edges()));
+                visit(self, src_base + sg.chunk() as usize * c, sg);
+                self.charge_mac_subgraph(tiles, edges, k, metrics);
+                if row_major {
+                    let step = tiles.min(self.tile_slots() as u64);
+                    self.charge_strip_time(step, edges, pruned, k, metrics);
+                    self.charge_strip_writeback(writeback, metrics);
                 }
-                StreamingOrder::RowMajor => {
-                    // Source-major: each chunk revisits the strip's RegO
-                    // window, so every nonempty subgraph costs its own GE
-                    // step and a full RegO spill — the §3.3 argument.
-                    // Subgraphs are stored in ascending chunk order, which
-                    // is exactly the source-major visit order within one
-                    // strip.
-                    for ord in row.subgraphs() {
-                        let sg = tiled.subgraph(ord as usize);
-                        let (tiles, edges) = (sg.tiles().len() as u64, u64::from(sg.edges()));
-                        visit(self, src_base + sg.chunk() as usize * c, sg);
-                        self.charge_mac_subgraph(tiles, edges, k, metrics);
-                        self.charge_strip_time(
-                            tiles.min(self.tile_slots() as u64),
-                            edges,
-                            pruned,
-                            k,
-                            metrics,
-                        );
-                        self.charge_strip_writeback(self.config.strip_width().min(n), metrics);
-                    }
-                }
+                (strip_tiles, strip_edges) = (strip_tiles + tiles, strip_edges + edges);
+            }
+            if !row_major {
+                self.charge_strip_time(strip_tiles, strip_edges, pruned, k, metrics);
+                self.charge_strip_writeback(writeback, metrics);
             }
         }
     }
