@@ -148,11 +148,13 @@ fn main() {
 /// dense scan on a built index (fill and scan: a dense SpMV's cost), and
 /// as a scan that reuses the codes, with the index's and the executor's
 /// code bytes per stored edge; a masked SpMV scan over the plan of a
-/// 1-in-100 source mask (a pruned unit fills scratch codes for its planned
-/// subgraphs on every scan); and a one-lane SSSP add-op scan with every
-/// vertex active at one thread. Best of 7 scans; printed, not asserted
-/// (host time is too noisy to gate on). All three MAC scans must give the
-/// same bits.
+/// 1-in-100 source mask, whose fresh value refills the kept codes of its
+/// planned runs on every scan, one fill and one scan call per run of
+/// adjacent planned subgraphs, with the code bytes per stored edge its
+/// executor then holds (its planned units' codes only); and a one-lane
+/// SSSP add-op scan with every vertex active at one thread. Best of 7
+/// scans; printed, not asserted (host time is too noisy to gate on). All
+/// three dense MAC scans must give the same bits.
 fn scan_kernel_case() {
     use graphr_core::exec::LaneFrontier;
 
@@ -230,10 +232,11 @@ fn scan_kernel_case() {
         start.elapsed()
     });
     println!(
-        "  scan kernels (Fast, 1 thread, R-MAT 65,536 V / 1 M E): masked SpMV (1-in-100 sources, {} planned edges) {:.2} ms, {:.1} ns/planned edge",
+        "  scan kernels (Fast, 1 thread, R-MAT 65,536 V / 1 M E): masked SpMV (1-in-100 sources, {} planned edges) {:.2} ms, {:.1} ns/planned edge; codes {:.2} B/edge",
         plan.stats().edges_planned,
         t_masked * 1e3,
         t_masked * 1e9 / plan.stats().edges_planned.max(1) as f64,
+        spmv.program_bytes() as f64 / edges,
     );
 
     let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");

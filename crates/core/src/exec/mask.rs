@@ -285,6 +285,31 @@ pub(crate) fn set_bits(words: &[u64], lo: usize, hi: usize) -> impl Iterator<Ite
     })
 }
 
+/// The maximal runs of set bits of a packed bitset in `lo..hi`, ascending.
+pub(crate) fn set_runs(
+    words: &[u64],
+    lo: usize,
+    hi: usize,
+) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    // The first bit from `from` on, below `hi`, that differs from `flip`'s.
+    let next = move |from: usize, flip: u64| {
+        let mut w = from / WORD_BITS;
+        let mut word = (words.get(w)? ^ flip) & (u64::MAX << (from % WORD_BITS));
+        while word == 0 && (w + 1) * WORD_BITS < hi {
+            w += 1;
+            word = words[w] ^ flip;
+        }
+        let bit = w * WORD_BITS + word.trailing_zeros() as usize;
+        (bit < hi).then_some(bit)
+    };
+    let mut at = lo;
+    std::iter::from_fn(move || {
+        let start = next(at, 0)?;
+        at = next(start, u64::MAX).unwrap_or(hi);
+        Some(start..at)
+    })
+}
+
 /// Iterates the set-bit positions of one `u64`, ascending.
 struct BitIter(u64);
 
@@ -494,5 +519,36 @@ mod tests {
         }
         assert_eq!(patched, new);
         assert_eq!(patched.len(), new.len());
+    }
+
+    /// `set_runs` yields exactly the maximal runs of set bits inside
+    /// `lo..hi`, over sparse and dense words, runs that cross word
+    /// boundaries and set bits on both sides of the range.
+    #[test]
+    fn set_runs_are_the_maximal_runs_in_range() {
+        for (n, seed) in [(200, 3), (300, 5), (130, 9)] {
+            let mut bits = reference(n, seed);
+            bits[60..140.min(n)].fill(true);
+            let words: Vec<u64> = bits
+                .chunks(WORD_BITS)
+                .map(|c| c.iter().rev().fold(0, |w, &b| w << 1 | u64::from(b)))
+                .collect();
+            for (lo, hi) in [(0, n), (1, n - 1), (63, 65), (64, 128), (70, 70), (5, 61)] {
+                let mut expected = Vec::new();
+                let mut v = lo;
+                while v < hi {
+                    let start = v;
+                    while v < hi && bits[v] {
+                        v += 1;
+                    }
+                    if v > start {
+                        expected.push(start..v);
+                    }
+                    v += 1;
+                }
+                let runs: Vec<_> = set_runs(&words, lo, hi).collect();
+                assert_eq!(runs, expected, "n = {n}, {lo}..{hi}");
+            }
+        }
     }
 }

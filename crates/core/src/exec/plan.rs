@@ -74,9 +74,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use crate::exec::mask::{range_words, set_bits, FrontierMask, WORD_BITS};
+use crate::exec::mask::{range_words, set_bits, set_runs, FrontierMask, WORD_BITS};
 use crate::exec::strip::{strip_units, StripUnit};
 use crate::preprocess::tiler::{SubgraphSpan, TiledGraph};
 
@@ -195,15 +196,19 @@ impl<'a> PlanRow<'a> {
     /// [`TiledGraph::subgraph`].
     #[inline]
     pub fn subgraphs(self) -> impl Iterator<Item = u32> + 'a {
-        self.planned_spans().map(|(_, ordinal)| ordinal)
+        let (first, lo) = (self.first_ordinal, self.lo);
+        set_bits(self.spans, lo, self.hi).map(move |slot| first + (slot - lo) as u32)
     }
 
-    /// The planned subgraphs as `(span-table slot, streamed ordinal)`
-    /// pairs, ascending.
+    /// The planned subgraphs as maximal runs of adjacent span-table slots,
+    /// ascending, each as its slots and its streamed ordinals.
     #[inline]
-    pub(crate) fn planned_spans(self) -> impl Iterator<Item = (usize, u32)> + 'a {
-        let (first, lo) = (self.first_ordinal, self.lo);
-        set_bits(self.spans, lo, self.hi).map(move |slot| (slot, first + (slot - lo) as u32))
+    pub(crate) fn planned_runs(self) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + 'a {
+        let (first, lo) = (self.first_ordinal as usize, self.lo);
+        set_runs(self.spans, lo, self.hi).map(move |slots| {
+            let ordinals = first + slots.start - lo..first + slots.end - lo;
+            (slots, ordinals)
+        })
     }
 
     /// Planned subgraphs in this row.

@@ -64,7 +64,7 @@ use crate::exec::mask::{FrontierDelta, FrontierMask};
 use crate::exec::plan::{PlanSkeleton, PlanUnit, ScanPlan};
 use crate::exec::planner::Planner;
 use crate::exec::pool;
-use crate::exec::strip::{mac_rego_capacity, StripScanner, UnitProgram};
+use crate::exec::strip::{mac_rego_capacity, StripScanner, UnitCodes};
 use crate::exec::ScanEngine;
 use crate::metrics::Metrics;
 use crate::outofcore::{DiskAccountant, DiskModel};
@@ -76,11 +76,12 @@ use crate::trace::{SpanMark, TraceHandle};
 /// e.g. PageRank programs `r / outdegree(src)`, SSSP programs the weight.
 ///
 /// Each [`EdgeValueFn::new`] draws a process-unique id. A Fast-fidelity
-/// MAC scan of the dense plan keeps its units' codes, keyed by that id
-/// (see [`crate::exec::strip`]'s `# Kernels`). A dense scan under another
-/// id refills them; later dense scans under the same id reuse them. So the
-/// closure must give the same value for the same arguments for as long as
-/// the id is scanned. A driver makes one per run (CF, whose values change
+/// MAC scan keeps its units' codes, tagged with that id (see
+/// [`crate::exec::strip`]'s `# Kernels`). A scan under another id refills
+/// the runs it plans; once a dense scan has filled a unit, later scans
+/// under the same id, dense or pruned, read its codes. So the closure must
+/// give the same value for the same arguments for as long as the id is
+/// scanned. A driver makes one per run (CF, whose values change
 /// every epoch, one per epoch and direction).
 #[derive(Clone, Copy)]
 pub struct EdgeValueFn<'f> {
@@ -136,66 +137,8 @@ pub struct StreamingExecutor<'a> {
     scan_paths: [u64; 2],
     /// Scratch: the current unit's lowered destinations, for inline scans.
     lowered: Vec<(usize, u64)>,
-    /// The dense plan's MAC codes for one value. Empty under the tile
-    /// kernel.
-    codes: CodeBlock,
-}
-
-/// The MAC codes of one dense plan's units for one value, each unit's
-/// cells in [`MacIndex`] order and the units in plan order, with each
-/// unit's charges. The executor allocates it on the calling thread; each
-/// unit's task fills its part on the value's first scan.
-#[derive(Debug, Default)]
-struct CodeBlock {
-    /// The [`EdgeValueFn`] id the codes hold; `None` until filled.
-    value: Option<u64>,
-    /// The held units, ascending.
-    units: Vec<HeldUnit>,
-    codes: Vec<i32>,
-}
-
-/// A unit a [`CodeBlock`] holds: its index, its cells, and its charges
-/// with their input count.
-type HeldUnit = (usize, usize, Option<(usize, Metrics)>);
-
-impl CodeBlock {
-    /// An unfilled block sized to `plan`'s units.
-    fn new(index: &MacIndex, plan: &ScanPlan) -> CodeBlock {
-        let cells = |unit| index.unit_cells(unit).0.len();
-        let units: Vec<_> = plan
-            .units()
-            .iter()
-            .map(|p| (p.unit.index, cells(p.unit.index), None))
-            .collect();
-        let codes = vec![0; units.iter().map(|unit| unit.1).sum()];
-        CodeBlock {
-            value: None,
-            units,
-            codes,
-        }
-    }
-
-    /// Whether the block holds `value`'s codes for exactly `plan`'s units.
-    fn holds(&self, value: u64, plan: &ScanPlan) -> bool {
-        let held = self.units.iter().map(|unit| unit.0);
-        self.value == Some(value) && held.eq(plan.units().iter().map(|p| p.unit.index))
-    }
-
-    /// Each held unit's program, in plan order; the codes are written
-    /// first if `fill`.
-    fn programs(&mut self, fill: bool) -> Vec<Option<UnitProgram<'_>>> {
-        let mut codes = &mut self.codes[..];
-        let programs = self.units.iter_mut().map(|(_, cells, charges)| {
-            let (held, rest) = std::mem::take(&mut codes).split_at_mut(*cells);
-            codes = rest;
-            Some(UnitProgram {
-                codes: held,
-                fill,
-                charges,
-            })
-        });
-        programs.collect()
-    }
+    /// Per strip unit, its kept MAC codes; empty until a Fast MAC scan.
+    units: Vec<UnitCodes>,
 }
 
 /// Planned work (`edges_planned × K`, K being an add-op scan's lane count
@@ -257,7 +200,7 @@ impl<'a> StreamingExecutor<'a> {
             span_mark: SpanMark::default(),
             scan_paths: [0; 2],
             lowered: Vec::new(),
-            codes: CodeBlock::default(),
+            units: Vec::new(),
         }
     }
 
@@ -312,27 +255,25 @@ impl<'a> StreamingExecutor<'a> {
         self.scan_paths
     }
 
-    /// The strip units this executor holds MAC codes for, ascending, as
-    /// `(unit index, codes held)`: one code per stored `(source,
-    /// destination)` pair of the unit. Host state, like
+    /// The strip units whose MAC codes this executor holds for one value,
+    /// ascending, as `(unit index, codes held)`: one code per stored
+    /// `(source, destination)` pair of the unit. Host state, like
     /// [`StreamingExecutor::scan_paths`], never part of [`Metrics`].
     #[must_use]
     pub fn programmed_units(&self) -> Vec<(usize, usize)> {
-        let held = self
-            .codes
-            .units
-            .iter()
-            .filter(|_| self.codes.value.is_some());
-        held.map(|&(unit, cells, _)| (unit, cells)).collect()
+        let units = self.units.iter().enumerate();
+        let held = units.filter_map(|(unit, kept)| kept.value.and(Some((unit, kept.codes.len()))));
+        held.collect()
     }
 
-    /// Heap bytes of the MAC codes this executor holds (see
-    /// [`StreamingExecutor::programmed_units`]): host state, never part of
-    /// [`Metrics`]. The tiling's shared cell index is counted apart, by
+    /// Heap bytes of the MAC codes this executor keeps, whatever values
+    /// they hold: host state, never part of [`Metrics`]. The tiling's
+    /// shared cell index is counted apart, by
     /// [`TiledGraph::mac_index_bytes`].
     #[must_use]
     pub fn program_bytes(&self) -> usize {
-        self.codes.codes.capacity() * std::mem::size_of::<i32>()
+        let codes = self.units.iter().map(|unit| unit.codes.capacity());
+        codes.sum::<usize>() * std::mem::size_of::<i32>()
     }
 
     /// Consumes the executor, yielding its metrics (closing any open disk
@@ -489,49 +430,37 @@ impl<'a> StreamingExecutor<'a> {
             assert_eq!(x.len(), n, "input vectors must have one entry per vertex");
         }
         let mut outputs = vec![vec![0.0; n]; k];
-        let units = plan.units();
-        let fast = !self.scanners[0].programs_tiles();
         // Out of the executor while the scan runs, so a scan that panics
-        // leaves no half-filled codes behind.
-        let mut block = std::mem::take(&mut self.codes);
-        // A Fast scan of a plan of dense units only (the dense plan, or a
-        // cluster node's share of it) reads the code block, allocating and
-        // filling it first unless it holds `value` for exactly these
-        // units. Any other plan fills its units' planned runs into scratch
-        // codes as it scans, and the tile kernel keeps no codes.
-        let keeps = fast && !units.is_empty() && units.iter().all(|punit| punit.is_dense());
-        let fill = keeps && !block.holds(value.id(), plan);
-        if fast {
+        // leaves no half-filled codes behind. The tile kernel keeps none.
+        let mut held = std::mem::take(&mut self.units);
+        if !self.scanners[0].programs_tiles() {
             let index = self.mac_index();
-            if fill {
-                drop(block);
-                block = CodeBlock::new(index, plan);
+            let order = self.tiled.order();
+            let units = order.blocks_per_side() * order.strips_per_block();
+            held.resize_with(units, UnitCodes::default);
+            for punit in plan.units() {
+                let unit = punit.unit.index;
+                if held[unit].codes.is_empty() {
+                    held[unit].codes = vec![0; index.unit_cells(unit).0.len()];
+                }
             }
         }
-        let states = if keeps {
-            block.programs(fill)
-        } else {
-            units.iter().map(|_| None).collect()
-        };
+        let mut rest = held.iter_mut().enumerate();
+        let states = plan.units().iter().map(|punit| {
+            let found = rest.find(|(unit, _)| *unit == punit.unit.index);
+            found.map(|(_, codes)| codes)
+        });
         self.run_units(
             plan,
             &mut outputs,
-            states,
-            |scanner, punit, program, outputs, _, metrics| {
-                match program {
-                    Some(program) => {
-                        scanner.scan_mac_program(punit, value, program, inputs, outputs, metrics);
-                    }
-                    None => scanner.scan_mac_unit(punit, value, inputs, outputs, metrics),
-                }
+            states.collect(),
+            |scanner, punit, codes, outputs, _, metrics| {
+                scanner.scan_mac_unit(punit, value, codes, inputs, outputs, metrics);
                 0
             },
             |_| {},
         );
-        if fill {
-            block.value = Some(value.id());
-        }
-        self.codes = block;
+        self.units = held;
         self.finish_scan(plan, mac_rego_capacity(self.config, self.tiled));
         outputs
     }

@@ -31,26 +31,28 @@
 //! `MacIndex`, built once on the first Fast MAC scan: every stored
 //! `(source, destination)` pair in the tiler's streamed order, unit by
 //! unit, with its source, edge count and column-end flag, each column's
-//! strip-local destination, and where each subgraph's run of cells
-//! starts. A fill is one linear pass over a run of the index and its
-//! edges: it evaluates each cell's edges, merges them, quantises once and
-//! writes a 4-byte code in place. A unit of the dense plan keeps its
-//! codes, filled inside its own task on a value's first dense scan, with
-//! its charges for the input count; a unit of a pruned plan fills scratch
-//! codes for its planned runs on every scan. Either way the scan is one
-//! tight loop over the cells and their codes. The streamed order is exact
-//! with no sort: each column's cells are adjacent with rows ascending, and
-//! each output meets its columns in the walk's order, however the columns
-//! of different outputs interleave. Add-op merges and quantises each cell
-//! as the walk meets it, since a traversal meets a cell about once per
-//! run. MAC sums each column's rows in ascending order per input vector,
-//! skipping zero inputs, and reduces a nonzero sum into RegO; add-op
-//! drives each cell for every lane in its row's lane word.
-//! That is the arithmetic and the per-output reduction order of
-//! [`TileCompute`]'s `load` then `mac` / `row_entries`, so results and
-//! metrics are bit-identical to it. [`TileCompute`] remains the datapath
-//! in [`Fidelity::Analog`], and in Fast fidelity it is the oracle:
-//! [`StripScanner::tile_reference`] runs every tile through it.
+//! strip-local destination, and where each subgraph's run of cells starts.
+//! A fill is one linear pass over a run of the index and its edges: it
+//! evaluates each cell's edges, merges them, quantises once and writes a
+//! 4-byte code in place. The executor keeps each unit's codes, tagged with
+//! the value they hold, and one kernel serves dense and pruned plans:
+//! inside the unit's task it walks the planned runs of adjacent subgraphs,
+//! fills a run's codes unless the tag names the scan's value, and scans
+//! them in one tight loop. A dense fill sets the tag, and a dense unit
+//! keeps its charges per input count; a pruned fill covers only its runs,
+//! so it clears the tag. The streamed order is exact with no sort: each
+//! column's cells are adjacent with rows ascending, and each output meets
+//! its columns in the walk's order, however the columns of different
+//! outputs interleave. Add-op merges and quantises each cell as the walk
+//! meets it, since a traversal meets a cell about once per run. MAC sums
+//! each column's rows in ascending order per input vector, skipping zero
+//! inputs, and reduces a nonzero sum into RegO; add-op drives each cell
+//! for every lane in its row's lane word. That is the arithmetic and the
+//! per-output reduction order of [`TileCompute`]'s `load` then `mac` /
+//! `row_entries`, so results and metrics are bit-identical to it.
+//! [`TileCompute`] remains the datapath in [`Fidelity::Analog`], and in
+//! Fast fidelity it is the oracle: [`StripScanner::tile_reference`] runs
+//! every tile through it.
 //!
 //! Determinism contract: a scan is the [`PlanUnit`]s of a
 //! [`ScanPlan`](crate::exec::plan::ScanPlan), each executed by one
@@ -82,16 +84,16 @@ use crate::preprocess::tiler::{
 /// record format is owned by the graph crate.
 pub(crate) use graphr_graph::BYTES_PER_EDGE;
 
-/// A dense-plan unit's MAC program as its executor keeps it: one raw
-/// fixed-point code per index cell of the unit, and the unit's charges.
-pub(crate) struct UnitProgram<'p> {
-    /// The unit's codes, in index order.
-    pub(crate) codes: &'p mut [i32],
-    /// Whether the codes must be written before the scan reads them.
-    pub(crate) fill: bool,
-    /// Everything a MAC scan of the unit charges except the sALU
+/// One strip unit's MAC codes as its executor keeps them: one raw
+/// fixed-point code per index cell of the unit, in index order.
+#[derive(Debug, Default)]
+pub(crate) struct UnitCodes {
+    /// The [`EdgeValueFn`] id every code holds, or `None` if some do not.
+    pub(crate) value: Option<u64>,
+    pub(crate) codes: Vec<i32>,
+    /// Everything a dense MAC scan of the unit charges except the sALU
     /// operations, with the input count it was charged for.
-    pub(crate) charges: &'p mut Option<(usize, Metrics)>,
+    pub(crate) charges: Option<(usize, Metrics)>,
 }
 
 /// One global destination strip: the parallel work unit of a scan.
@@ -169,8 +171,6 @@ pub struct StripScanner<'a> {
     tile: Option<TileKernel>,
     /// Scratch: one subgraph's lane word per source row (add-op).
     row_lanes: Vec<u64>,
-    /// Scratch: the codes of the pruned-plan run being scanned.
-    codes: Vec<i32>,
     /// Scratch: one strip visit's per-tile driven-row counts.
     tile_rows_buf: Vec<u64>,
     /// Scratch: one add-op unit's lowered lanes per local destination.
@@ -276,7 +276,6 @@ impl<'a> StripScanner<'a> {
             tile: (config.fidelity == Fidelity::Analog || config.strip_width() > MAX_STRIP_WIDTH)
                 .then(|| TileKernel::new(config, spec)),
             row_lanes: vec![0; config.crossbar_size],
-            codes: Vec::new(),
             tile_rows_buf: Vec::new(),
             marks: LaneMarks::new(config.strip_width()),
         }
@@ -332,20 +331,19 @@ impl<'a> StripScanner<'a> {
     /// (`outputs[i]` covers exactly the unit's destinations and is
     /// pre-zeroed by the caller), charging the planned work's share of time
     /// and energy into `metrics`. Only the block rows and subgraphs the
-    /// plan lists are visited. The Fast kernel fills each planned
-    /// subgraph's run of the tiling's cell index into scratch codes and
-    /// scans them; the tile kernel programs each tile from `value`. A
-    /// dense unit whose executor keeps its codes is scanned through those
-    /// instead.
-    pub fn scan_mac_unit(
+    /// plan lists are visited, through the unit's kept codes `held` (see
+    /// the module's `# Kernels`) or, for `None`, the tile kernel, which
+    /// programs each tile from `value`.
+    pub(crate) fn scan_mac_unit(
         &mut self,
         punit: &PlanUnit,
         value: &EdgeValueFn<'_>,
+        held: Option<&mut UnitCodes>,
         inputs: &[&[f64]],
         outputs: &mut [&mut [f64]],
         metrics: &mut Metrics,
     ) {
-        if self.programs_tiles() {
+        let Some(held) = held else {
             let mut salu = SAlu::new(ReduceOp::Add);
             let dst0 = punit.unit.dst_start;
             self.walk_mac_unit(punit, inputs.len(), metrics, |scanner, src0, sg| {
@@ -353,64 +351,38 @@ impl<'a> StripScanner<'a> {
             });
             metrics.events.salu_ops += salu.ops_performed();
             return;
-        }
-        let charges = self.mac_charges(punit, inputs.len());
-        let (index, tiled, unit) = (self.index(), self.tiled, punit.unit.index);
-        let mut codes = std::mem::take(&mut self.codes);
-        let (cells, mut column) = index.unit_cells(unit);
-        let (mut cell, mut salu_ops) = (cells.start, 0);
-        for row in punit.rows(tiled) {
-            for (slot, ord) in row.planned_spans() {
-                // The unit's columns follow one another across its runs.
-                let run = index.run_cells(unit, slot);
-                column += index.columns_ending(cell..run.start);
-                codes.resize(codes.len().max(run.len()), 0);
-                let codes = &mut codes[..run.len()];
-                let entries = tiled.subgraph(ord as usize).entries();
-                let dst0 = punit.unit.dst_start;
-                let next = self.fill_cells(&run, column, entries, dst0, value, codes);
-                salu_ops += self.scan_cells(&run, column, codes, inputs, outputs);
-                (cell, column) = (run.end, next);
-            }
-        }
-        self.codes = codes;
-        metrics.merge(&charges);
-        metrics.events.salu_ops += salu_ops;
-    }
-
-    /// [`StripScanner::scan_mac_unit`] for a unit of the dense plan
-    /// through its kept `program`, whose codes are written first if
-    /// `program.fill` and whose charges are recharged unless they are for
-    /// `inputs.len()` inputs. Fast fidelity only.
-    pub(crate) fn scan_mac_program(
-        &mut self,
-        punit: &PlanUnit,
-        value: &EdgeValueFn<'_>,
-        program: UnitProgram<'_>,
-        inputs: &[&[f64]],
-        outputs: &mut [&mut [f64]],
-        metrics: &mut Metrics,
-    ) {
-        debug_assert!(punit.is_dense() && !self.programs_tiles());
-        let k = inputs.len();
-        let charges = match program.charges.take() {
-            Some((held, charges)) if held == k => charges,
-            _ => self.mac_charges(punit, k),
         };
-        let (index, unit) = (self.index(), punit.unit.index);
-        let (cells, first_column) = index.unit_cells(unit);
-        if program.fill {
-            let mut column = first_column;
-            for (row, entries) in index.unit_rows(self.tiled, unit) {
-                let codes = &mut program.codes[row.start - cells.start..row.end - cells.start];
-                let dst0 = punit.unit.dst_start;
-                column = self.fill_cells(&row, column, entries, dst0, value, codes);
+        let (k, dense) = (inputs.len(), punit.is_dense());
+        let kept = held.charges.take_if(|kept| dense && kept.0 == k);
+        let (_, charges) = kept.unwrap_or_else(|| {
+            let mut charges = Metrics::new();
+            self.walk_mac_unit(punit, k, &mut charges, |_, _, _| {});
+            (k, charges)
+        });
+        let fill = held.value != Some(value.id());
+        let index = self.index();
+        let (cells, mut column) = index.unit_cells(punit.unit.index);
+        let (mut cell, mut salu_ops) = (cells.start, 0);
+        for row in punit.rows(self.tiled) {
+            for (run, entries) in index.planned_runs(self.tiled, punit.unit.index, row) {
+                // The unit's columns follow one another across its runs.
+                column += index.columns_ending(cell..run.start);
+                let codes = &mut held.codes[run.start - cells.start..run.end - cells.start];
+                if fill {
+                    self.fill_cells(&run, column, entries, punit.unit.dst_start, value, codes);
+                }
+                salu_ops += self.scan_cells(&run, column, codes, inputs, outputs);
+                cell = run.start;
             }
         }
-        let salu_ops = self.scan_cells(&cells, first_column, program.codes, inputs, outputs);
+        if fill {
+            held.value = dense.then_some(value.id());
+        }
         metrics.merge(&charges);
         metrics.events.salu_ops += salu_ops;
-        *program.charges = Some((k, charges));
+        if dense {
+            held.charges = Some((k, charges));
+        }
     }
 
     /// The tiling's MAC cell index (built here, on this thread, only if no
@@ -419,21 +391,12 @@ impl<'a> StripScanner<'a> {
         self.tiled.mac_index(&mut [()])
     }
 
-    /// Everything a MAC scan of `punit` with `k` input vectors charges
-    /// except the sALU operations.
-    fn mac_charges(&mut self, punit: &PlanUnit, k: usize) -> Metrics {
-        let mut charges = Metrics::new();
-        self.walk_mac_unit(punit, k, &mut charges, |_, _, _| {});
-        charges
-    }
-
     /// Writes the codes of the index's `cells`, whose columns start at
     /// position `column`, in the unit whose first destination is `dst0`,
     /// for `value`: one pass over the cells and their edges `entries`,
     /// each cell's edges evaluated and merged in streamed order and
     /// quantised once (what [`TileCompute::load`] programs), shifted up one
     /// bit over the cell's column-end flag; formats have at most 31 bits.
-    /// Returns the position past the cells' columns.
     fn fill_cells(
         &self,
         cells: &Range<usize>,
@@ -442,7 +405,7 @@ impl<'a> StripScanner<'a> {
         dst0: usize,
         value: &EdgeValueFn<'_>,
         codes: &mut [i32],
-    ) -> usize {
+    ) {
         let index = self.index();
         let (srcs, meta) = index.cells(cells.clone());
         let locals = index.locals(column);
@@ -461,7 +424,6 @@ impl<'a> StripScanner<'a> {
             *code = self.quant.quantize(v) << 1 | i32::from(ends_column(meta));
             columns += usize::from(ends_column(meta));
         }
-        column + columns
     }
 
     /// The MAC kernel over the `codes` of the index's `cells`, whose
@@ -1095,15 +1057,16 @@ mod tests {
         let mut cells = Vec::new();
         for punit in plan.units() {
             let unit_cells = index.unit_cells(punit.unit.index).0;
-            let mut codes = vec![0; unit_cells.len()];
-            let program = UnitProgram {
-                codes: &mut codes,
-                fill: true,
-                charges: &mut None,
+            let mut held = UnitCodes {
+                codes: vec![0; unit_cells.len()],
+                ..UnitCodes::default()
             };
             let mut out = vec![0.0; punit.unit.dst_len];
             let outputs = &mut [&mut out[..]];
-            scanner.scan_mac_program(punit, &value, program, &[&x], outputs, &mut Metrics::new());
+            let m = &mut Metrics::new();
+            scanner.scan_mac_unit(punit, &value, Some(&mut held), &[&x], outputs, m);
+            assert_eq!(held.value, Some(value.id()), "a dense fill tags its value");
+            let codes = held.codes;
             assert!(
                 codes.iter().all(|code| code & 1 == 1),
                 "one cell per column here"
@@ -1238,31 +1201,22 @@ mod tests {
         let mut scanner = StripScanner::new(&tiled, &cfg, spec);
         let index = tiled.mac_index(&mut [()]);
         let units = plan.units();
-        let mut codes: Vec<Vec<i32>> = units
+        let mut held: Vec<UnitCodes> = units
             .iter()
-            .map(|punit| vec![0; index.unit_cells(punit.unit.index).0.len()])
+            .map(|punit| UnitCodes {
+                codes: vec![0; index.unit_cells(punit.unit.index).0.len()],
+                ..UnitCodes::default()
+            })
             .collect();
-        let mut charges = vec![None; units.len()];
-        // Scratch codes, then kept ones: a kept program's first scan fills
-        // it and its second reads it.
-        for programmed in [0, 1, 2] {
+        // The first pass fills the kept codes and the second reads them.
+        for _ in 0..2 {
             let mut merged = Metrics::new();
             let mut out = vec![0.0; 120];
-            let programs = codes.iter_mut().zip(&mut charges);
-            for (punit, (codes, charges)) in units.iter().zip(programs) {
+            for (punit, held) in units.iter().zip(&mut held) {
                 let unit = &punit.unit;
                 let window = &mut out[unit.dst_start..unit.dst_start + unit.dst_len];
                 let mut m = Metrics::new();
-                if programmed > 0 {
-                    let program = UnitProgram {
-                        codes,
-                        fill: programmed == 1,
-                        charges,
-                    };
-                    scanner.scan_mac_program(punit, &value, program, &[&x], &mut [window], &mut m);
-                } else {
-                    scanner.scan_mac_unit(punit, &value, &[&x], &mut [window], &mut m);
-                }
+                scanner.scan_mac_unit(punit, &value, Some(held), &[&x], &mut [window], &mut m);
                 merged.merge(&m);
             }
             merged.events.rego_capacity_required = merged

@@ -232,12 +232,6 @@ impl<'a> SubgraphView<'a> {
         })
     }
 
-    /// Every edge of the subgraph, in streamed order.
-    pub(crate) fn entries(&self) -> &'a [TileEntry] {
-        let g = self.graph;
-        &g.entries[g.subgraph_edges(self.ordinal..self.ordinal + 1)]
-    }
-
     fn tile_range(&self) -> Range<usize> {
         let starts = &self.graph.subgraph_starts;
         starts[self.ordinal] as usize..starts[self.ordinal + 1] as usize

@@ -11,6 +11,7 @@
 
 use std::ops::Range;
 
+use crate::exec::plan::PlanRow;
 use crate::exec::pool;
 use crate::preprocess::tiler::{TileEntry, TiledGraph};
 
@@ -141,28 +142,21 @@ impl MacIndex {
         (cells, column as usize)
     }
 
-    /// Index positions of the cells of span-table slot `slot` of `unit`.
-    pub(crate) fn run_cells(&self, unit: usize, slot: usize) -> Range<usize> {
-        let at = self.units[unit].0 as usize + slot;
-        self.runs[at] as usize..self.runs[at + 1] as usize
-    }
-
-    /// `unit`'s nonempty block rows, ascending, as the index positions of
-    /// their cells and their edges in streamed order.
-    pub(crate) fn unit_rows<'t>(
+    /// The planned subgraphs of `row`, a block row of `unit`, as maximal
+    /// runs of adjacent span-table slots, ascending: each as the index
+    /// positions of its cells and its edges in streamed order.
+    pub(crate) fn planned_runs<'t>(
         &'t self,
         tiled: &'t TiledGraph,
         unit: usize,
+        row: PlanRow<'t>,
     ) -> impl Iterator<Item = (Range<usize>, &'t [TileEntry])> + 't {
-        let mut at = self.units[unit].0 as usize;
-        unit_slots(tiled, unit)
-            .filter(|(_, slot)| !slot.is_empty())
-            .map(move |(_, slot)| {
-                let first = at;
-                at += slot.len();
-                let cells = self.runs[first] as usize..self.runs[at] as usize;
-                (cells, &tiled.entries[tiled.subgraph_edges(slot)])
-            })
+        let first = self.units[unit].0 as usize;
+        row.planned_runs().map(move |(slots, ordinals)| {
+            let cells =
+                self.runs[first + slots.start] as usize..self.runs[first + slots.end] as usize;
+            (cells, &tiled.entries[tiled.subgraph_edges(ordinals)])
+        })
     }
 
     /// Per cell of `cells`: its source vertex and its metadata.

@@ -1133,6 +1133,8 @@ pub fn run_cf_with<'e>(
         let grad_q = exec_r.scan_mac(&value_r, &p_col_refs);
         exec_r.end_iteration();
         metrics.merge(&exec_r.take_metrics());
+        // Each engine goes with its codes before the next one fills its own.
+        drop(exec_r);
 
         // User-side gradients: y[u] = Σ_i e_ui · q_i[feat] over Rᵀ.
         let value_rt =
@@ -1151,6 +1153,7 @@ pub fn run_cf_with<'e>(
         let mut exec_t = make_engine(CfMatrix::Transposed);
         let grad_p = exec_t.scan_mac(&value_rt, &q_col_refs);
         metrics.merge(&exec_t.take_metrics());
+        drop(exec_t);
 
         // Controller update, quantised.
         let lr = opts.learning_rate;

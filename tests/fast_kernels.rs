@@ -253,7 +253,9 @@ proptest! {
 
     /// Programmed MAC streams: one executor runs value A with one input,
     /// A with three, value B, a scan over a mask's plan (pruned unless
-    /// empty-window skipping is off, which plans densely), then A again.
+    /// empty-window skipping is off, which plans densely), A again, then
+    /// a fresh value C over the mask's plan, densely, and over the mask's
+    /// plan with five inputs.
     /// Every scan's outputs and `Metrics` equal the tile reference's on
     /// padded grids of at least 2×2 blocks, so a unit spans block rows,
     /// with strips that do not divide |V|, self-loops and parallel edges.
@@ -285,7 +287,7 @@ proptest! {
         let tiled = TiledGraph::preprocess(&g, &config).expect("valid geometry");
         prop_assert!(tiled.order().blocks_per_side() >= 2);
         let spec = FixedSpec::new(16, 12).expect("Q4.12 is valid");
-        let inputs: Vec<Vec<f64>> = (0..3)
+        let inputs: Vec<Vec<f64>> = (0..5)
             .map(|q| {
                 (0..n)
                     .map(|v| (mix(seed ^ 0x77, (q * n + v) as u64) % 6) as f64 * 0.25 - 0.25)
@@ -311,7 +313,10 @@ proptest! {
 }
 
 /// The scans of `programmed_streams_match_tile_reference` on one executor,
-/// each scan's outputs as bits with the metrics it charged.
+/// each scan's outputs as bits with the metrics it charged. Value C's
+/// pruned scan fills only its planned runs, so the dense scan after it
+/// must refill the rest; the masked scans of B and C read the codes a
+/// dense scan filled, but never its charges.
 fn program_sequence(
     signed: bool,
     inputs: &[Vec<f64>],
@@ -321,15 +326,23 @@ fn program_sequence(
     let a = edge_value(signed);
     let b =
         |w: f32, src: u32, dst: u32| f64::from(w) * 0.5 + f64::from((src + 2 * dst) % 4) * 0.125;
-    let (a, b) = (EdgeValueFn::new(&a), EdgeValueFn::new(&b));
+    let c = |w: f32, src: u32, dst: u32| f64::from(w) * 0.25 + f64::from((src ^ dst) % 3) * 0.25;
+    let (a, b, c) = (
+        EdgeValueFn::new(&a),
+        EdgeValueFn::new(&b),
+        EdgeValueFn::new(&c),
+    );
     let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
     let (dense, masked) = (exec.plan(None), exec.plan(Some(mask)));
-    let steps: [(&ScanPlan, &EdgeValueFn<'_>, usize); 5] = [
+    let steps: [(&ScanPlan, &EdgeValueFn<'_>, usize); 8] = [
         (&dense, &a, 1),
         (&dense, &a, 3),
         (&dense, &b, 1),
         (&masked, &b, 1),
         (&dense, &a, 1),
+        (&masked, &c, 1),
+        (&dense, &c, 1),
+        (&masked, &c, 5),
     ];
     steps
         .into_iter()
@@ -456,11 +469,13 @@ fn distinct_values_on_one_executor_match_fresh_executors() {
 /// `programmed_units()` holds one code per distinct `(source,
 /// destination)` pair of the edge list among the unit's destinations,
 /// however many parallel edges share it, and the executor holds 4 bytes
-/// per code. A pruned scan afterwards fills only a scanner's scratch
-/// codes, which are not kept, so the list, the held bytes and the
-/// tiling's index bytes stay as they were. Both scans give the tile
-/// reference's bits on inputs that are not dyadic, so every output's
-/// column sums must also reduce in walk order.
+/// per code. A pruned scan of the same value afterwards reads those kept
+/// codes, so the list, the held bytes and the tiling's index bytes stay
+/// as they were. A fresh executor's pruned scan under a new value
+/// allocates codes for its planned units only and fills only their
+/// planned runs, so it lists no unit as holding a value. Every scan gives
+/// the tile reference's bits on inputs that are not dyadic, so every
+/// output's column sums must also reduce in walk order.
 #[test]
 fn dense_programs_hold_exactly_their_stored_pairs() {
     let base = config(4, StreamingOrder::ColumnMajor, false);
@@ -506,6 +521,10 @@ fn dense_programs_hold_exactly_their_stored_pairs() {
     let dense_bits = bits(&reference.scan_mac(&value, &[&x]));
     let plan = reference.plan(Some(&mask));
     let pruned_bits = bits(&reference.scan_mac_planned(&plan, &value, &[&x]));
+    // Sources 60..64 reach four of the six units.
+    let first_mask = FrontierMask::from_slice(&(0..n).map(|v| v / 4 == 15).collect::<Vec<_>>());
+    let plan = reference.plan(Some(&first_mask));
+    let first_bits = bits(&reference.scan_mac_planned(&plan, &value, &[&x]));
     for threads in [1, 2] {
         let mut exec = StreamingExecutor::new(&tiled, &config, spec).with_threads(threads);
         let out = exec.scan_mac(&value, &[&x]);
@@ -538,6 +557,26 @@ fn dense_programs_hold_exactly_their_stored_pairs() {
         );
         let [_, fanned_out] = exec.scan_paths();
         assert_eq!(fanned_out > 0, threads > 1, "{threads} threads: fan-out");
+
+        let mut exec = StreamingExecutor::new(&tiled, &config, spec).with_threads(threads);
+        let pruned = exec.plan(Some(&first_mask));
+        let fresh = edge_value(false);
+        let out = exec.scan_mac_planned(&pruned, &EdgeValueFn::new(&fresh), &[&x]);
+        assert_eq!(bits(&out), first_bits, "{threads} threads, pruned first");
+        assert_eq!(
+            exec.programmed_units(),
+            [],
+            "{threads} threads, pruned first"
+        );
+        let planned: Vec<usize> = pruned.units().iter().map(|p| p.unit.index).collect();
+        assert!(planned.len() < expected.len(), "the mask must prune units");
+        let cells = expected.iter().filter(|(unit, _)| planned.contains(unit));
+        let cells: usize = cells.map(|&(_, cells)| cells).sum();
+        assert_eq!(
+            exec.program_bytes(),
+            4 * cells,
+            "{threads} threads, pruned first"
+        );
     }
 }
 
