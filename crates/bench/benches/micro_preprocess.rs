@@ -4,7 +4,9 @@
 //! fastest time per call and edges/s; every point is timed at least five
 //! times (the tilings from 1 M edges up call by call), and the fastest
 //! column from 1 M to 16 M edges shows whether tiling time grows
-//! linearly. It asserts nothing about host time.
+//! linearly. It asserts nothing about host time. It also prints the
+//! tiling's heap bytes per stored edge at each size, and asserts the 1 M
+//! edge point holds at most 15: that is deterministic.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use graphr_core::preprocess::TileOrder;
@@ -33,6 +35,17 @@ fn preprocess_benches(c: &mut Criterion) {
         (1_048_576, 16_000_000),
     ] {
         let graph = Rmat::new(vertices, edges).seed(1).generate();
+        let bytes = TiledGraph::preprocess(&graph, &config)
+            .unwrap()
+            .heap_bytes();
+        let per_edge = bytes as f64 / edges as f64;
+        println!("preprocess/tile_graph/{edges}: tiling holds {per_edge:.2} B per stored edge");
+        if edges == 1_000_000 {
+            assert!(
+                per_edge <= 15.0,
+                "{per_edge:.2} B per stored edge at 1 M edges"
+            );
+        }
         group.throughput(Throughput::Elements(edges as u64));
         group.bench_with_input(BenchmarkId::new("tile_graph", edges), &graph, |b, graph| {
             b.iter(|| TiledGraph::preprocess(std::hint::black_box(graph), &config).unwrap());

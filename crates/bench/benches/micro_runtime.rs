@@ -2,9 +2,8 @@
 //! on a 100 k-edge R-MAT graph and on a 240×240-grid BFS whose scans are
 //! small enough to run inline at any thread count, the Fast-fidelity scan
 //! kernels' host ns per edge on a 1 M-edge R-MAT graph (the MAC kernel
-//! with and without building its cell index and filling its codes), the
-//! session cache's
-//! cold-vs-warm preprocessing saving, and the plan layer's
+//! on a fresh tiling, on a fresh executor and with its codes reused), the
+//! session cache's cold-vs-warm preprocessing saving, and the plan layer's
 //! sparse-frontier win — full-scan vs. pruned-plan BFS iterations on a
 //! high-diameter grid.
 //!
@@ -143,11 +142,12 @@ fn main() {
 /// The Fast-fidelity scan kernels in host ns per stored edge on the
 /// `pagerank_rmat`-shaped R-MAT graph (65,536 vertices, 1 M edges): a
 /// PageRank-valued MAC scan of one input at 1 and 2 threads, as a fresh
-/// tiling's first dense scan (which builds the tiling's cell index, then
-/// fills every unit's codes and scans them), as a fresh executor's first
-/// dense scan on a built index (fill and scan: a dense SpMV's cost), and
-/// as a scan that reuses the codes, with the index's and the executor's
-/// code bytes per stored edge; a masked SpMV scan over the plan of a
+/// tiling's first dense scan (tiling excluded), as a fresh executor's
+/// first dense scan on a tiling already scanned (each fills every unit's
+/// codes and scans them: a dense SpMV's cost), and as a scan that reuses
+/// the codes, with the tiling's heap bytes per stored edge (asserted at
+/// most 15) and the executor's code bytes per stored edge; a masked SpMV
+/// scan over the plan of a
 /// 1-in-100 source mask, whose fresh value refills the kept codes of its
 /// planned runs on every scan, one fill and one scan call per run of
 /// adjacent planned subgraphs, with the code bytes per stored edge its
@@ -170,7 +170,7 @@ fn scan_kernel_case() {
     let matrix_spec = PageRankOptions::default().matrix_spec;
     for threads in [1, 2] {
         let fresh = || StreamingExecutor::new(&tiled, &config, matrix_spec).with_threads(threads);
-        // A fresh tiling per scan: its first dense scan builds the index.
+        // A fresh tiling per scan, tiled before the clock starts.
         let mut cold = Vec::new();
         let t_cold = best_of(7, || {
             let tiled = tile();
@@ -181,8 +181,8 @@ fn scan_kernel_case() {
             cold = mac.scan_mac(&value, &[&x]);
             start.elapsed()
         });
-        // A fresh executor per scan on a built index, as a SpMV run makes:
-        // each first scan fills and scans every unit's codes.
+        // A fresh executor per scan on a tiling already scanned, as a SpMV
+        // run makes: each first scan fills and scans every unit's codes.
         let mut first = fresh().scan_mac(&EdgeValueFn::new(&pagerank), &[&x]);
         let t_first = best_of(7, || {
             let mut mac = fresh();
@@ -199,19 +199,18 @@ fn scan_kernel_case() {
             reused = mac.scan_mac(&value, &[&x]);
             start.elapsed()
         });
-        assert_eq!(
-            cold, first,
-            "a built index must give the building scan's bits"
-        );
+        assert_eq!(cold, first, "a scanned tiling must give a fresh one's bits");
+        let tiling_bytes = tiled.heap_bytes() as f64 / edges;
+        assert!(tiling_bytes <= 15.0, "{tiling_bytes:.2} tiling B/edge");
         assert_eq!(first, reused, "reused codes must give the filled bits");
         println!(
-            "  scan kernels (Fast, {threads} thread{}, R-MAT 65,536 V / 1 M E): MAC index build + fill + scan {:.1} ms (a fresh tiling's SpMV), fill + scan {:.1} ns/edge ({:.1} ms, a dense SpMV), reused {:.1} ns/edge; index {:.2} B/edge, codes {:.2} B/edge",
+            "  scan kernels (Fast, {threads} thread{}, R-MAT 65,536 V / 1 M E): MAC fill + scan {:.1} ms on a fresh tiling, {:.1} ns/edge ({:.1} ms, a dense SpMV) on a fresh executor, reused {:.1} ns/edge; tiling {:.2} B/edge, codes {:.2} B/edge",
             if threads == 1 { "" } else { "s" },
             t_cold * 1e3,
             t_first * 1e9 / edges,
             t_first * 1e3,
             t_reused * 1e9 / edges,
-            tiled.mac_index_bytes() as f64 / edges,
+            tiling_bytes,
             mac.program_bytes() as f64 / edges,
         );
     }

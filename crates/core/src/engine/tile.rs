@@ -19,13 +19,13 @@ use graphr_reram::{ArrayConfig, MatrixArray};
 use graphr_units::FixedSpec;
 
 use crate::config::{Fidelity, GraphRConfig};
-use crate::preprocess::tiler::TileEntry;
 
-/// How parallel edges that land on the same crossbar cell combine. A cell
-/// stores one conductance, so preprocessing must pick a semantic: `Sum` is
-/// the adjacency-matrix reading used by the MAC algorithms, `Min` keeps the
-/// cheapest parallel edge for the add-op (shortest-path) algorithms —
-/// matching what the gold references compute on multigraphs.
+/// How parallel edges that land on the same crossbar cell combine into the
+/// value it is programmed with. A cell stores one conductance, so the
+/// scanner must pick a semantic: `Sum` is the adjacency-matrix reading used
+/// by the MAC algorithms, `Min` keeps the cheapest parallel edge for the
+/// add-op (shortest-path) algorithms — matching what the gold references
+/// compute on multigraphs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MergeRule {
     /// Parallel edges add (MAC pattern).
@@ -59,12 +59,8 @@ pub struct TileCompute {
     dense: Vec<f64>,
     /// Entries of the currently loaded tile grouped per row (fast add-op).
     rows: Vec<Vec<(u8, f64)>>,
-    /// Cells touched by the current load (merge bookkeeping).
+    /// Cells set by the current load.
     touched: Vec<usize>,
-    /// Last-touched epoch per cell.
-    stamp: Vec<u32>,
-    /// Current load epoch.
-    epoch: u32,
 }
 
 impl TileCompute {
@@ -91,8 +87,6 @@ impl TileCompute {
             dense: vec![0.0; size * size],
             rows: vec![Vec::new(); size],
             touched: Vec::with_capacity(size * size),
-            stamp: vec![0; size * size],
-            epoch: 1,
         }
     }
 
@@ -102,39 +96,26 @@ impl TileCompute {
         self.spec
     }
 
-    /// Loads a tile: `entries` give positions, `values` the real-valued
-    /// matrix entries (same order). Unmentioned cells are zero. Parallel
-    /// edges landing on the same cell merge under `merge` *before*
-    /// quantisation — a crossbar cell holds exactly one conductance, so the
-    /// preprocessing combines multigraph edges ([`MergeRule::Sum`] is the
-    /// adjacency-matrix semantic for MAC algorithms; [`MergeRule::Min`]
-    /// keeps the shortest parallel edge for add-op algorithms).
+    /// Loads a tile: each `(row, col, value)` is one cell's real-valued
+    /// matrix entry, its parallel edges already merged (see
+    /// [`MergeRule`]) — a crossbar cell holds exactly one conductance. No
+    /// cell may appear twice; unmentioned cells are zero.
     ///
     /// # Panics
     ///
-    /// Panics if `values.len() != entries.len()`, on out-of-range
-    /// coordinates, or (in unsigned mode) on negative values.
-    pub fn load(&mut self, entries: &[TileEntry], values: &[f64], merge: MergeRule) {
-        assert_eq!(entries.len(), values.len(), "one value required per entry");
-        // Merge parallel edges into the raw dense buffer.
+    /// Panics on coordinates outside the tile or (in unsigned mode) on
+    /// negative values.
+    pub fn load(&mut self, cells: impl IntoIterator<Item = (usize, usize, f64)>) {
         self.dense.fill(0.0);
         self.touched.clear();
-        for (e, &v) in entries.iter().zip(values) {
-            let idx = e.row as usize * self.size + e.col as usize;
-            if self.stamp[idx] == self.epoch {
-                self.dense[idx] = merge.combine(self.dense[idx], v);
-            } else {
-                self.stamp[idx] = self.epoch;
-                self.dense[idx] = v;
-                self.touched.push(idx);
-            }
-        }
-        if self.epoch == u32::MAX {
-            // Stamp wrap-around: reset to a clean state.
-            self.stamp.fill(0);
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
+        for (row, col, v) in cells {
+            assert!(
+                row < self.size && col < self.size,
+                "cell ({row}, {col}) outside the tile"
+            );
+            let idx = row * self.size + col;
+            self.dense[idx] = v;
+            self.touched.push(idx);
         }
         match self.fidelity {
             Fidelity::Analog => {
@@ -225,19 +206,6 @@ mod tests {
     use super::*;
     use crate::config::GraphRConfig;
 
-    fn entries(list: &[(u8, u8, f64)]) -> (Vec<TileEntry>, Vec<f64>) {
-        let e = list
-            .iter()
-            .map(|&(row, col, _)| TileEntry {
-                row,
-                col,
-                weight: 0.0,
-            })
-            .collect();
-        let v = list.iter().map(|&(_, _, v)| v).collect();
-        (e, v)
-    }
-
     fn config(fidelity: Fidelity) -> GraphRConfig {
         GraphRConfig::builder().fidelity(fidelity).build().unwrap()
     }
@@ -250,18 +218,18 @@ mod tests {
 
     #[test]
     fn fast_and_analog_agree_exactly_when_ideal() {
-        let (e, v) = entries(&[
+        let e = [
             (0, 0, 1.5),
             (0, 7, 0.25),
             (3, 3, 2.0),
             (7, 0, 0.125),
             (7, 7, 3.75),
-        ]);
+        ];
         let spec = FixedSpec::paper_default();
         let mut fast = TileCompute::new(&config(Fidelity::Fast), spec);
         let mut analog = TileCompute::new(&config(Fidelity::Analog), spec);
-        fast.load(&e, &v, MergeRule::Sum);
-        analog.load(&e, &v, MergeRule::Sum);
+        fast.load(e);
+        analog.load(e);
         let x: Vec<f64> = (0..8).map(|i| 0.5 + i as f64 * 0.25).collect();
         let yf = fast.mac(&x);
         let ya = analog.mac(&x);
@@ -279,10 +247,10 @@ mod tests {
 
     #[test]
     fn mac_computes_quantised_product() {
-        let (e, v) = entries(&[(1, 2, 0.5), (4, 2, 0.25)]);
+        let e = [(1, 2, 0.5), (4, 2, 0.25)];
         let spec = FixedSpec::paper_default();
         let mut tile = TileCompute::new(&config(Fidelity::Fast), spec);
-        tile.load(&e, &v, MergeRule::Sum);
+        tile.load(e);
         let mut x = vec![0.0; 8];
         x[1] = 2.0;
         x[4] = 4.0;
@@ -293,10 +261,10 @@ mod tests {
 
     #[test]
     fn row_entries_report_sparse_content() {
-        let (e, v) = entries(&[(2, 1, 3.0), (2, 6, 5.0)]);
+        let e = [(2, 1, 3.0), (2, 6, 5.0)];
         for fidelity in [Fidelity::Fast, Fidelity::Analog] {
             let mut tile = TileCompute::new(&config(fidelity), FixedSpec::new(16, 0).unwrap());
-            tile.load(&e, &v, MergeRule::Sum);
+            tile.load(e);
             assert_eq!(row_entries_of(&tile, 2), vec![(1, 3.0), (6, 5.0)]);
             assert!(row_entries_of(&tile, 0).is_empty());
         }
@@ -306,10 +274,10 @@ mod tests {
     fn reload_clears_previous_tile() {
         let spec = FixedSpec::paper_default();
         let mut tile = TileCompute::new(&config(Fidelity::Fast), spec);
-        let (e1, v1) = entries(&[(0, 0, 1.0)]);
-        tile.load(&e1, &v1, MergeRule::Sum);
-        let (e2, v2) = entries(&[(5, 5, 2.0)]);
-        tile.load(&e2, &v2, MergeRule::Sum);
+        let e1 = [(0, 0, 1.0)];
+        tile.load(e1);
+        let e2 = [(5, 5, 2.0)];
+        tile.load(e2);
         assert!(
             row_entries_of(&tile, 0).is_empty(),
             "old entry must be gone"
@@ -320,21 +288,20 @@ mod tests {
     #[test]
     fn integer_spec_keeps_distances_exact() {
         let spec = FixedSpec::new(16, 0).unwrap();
-        let (e, v) = entries(&[(0, 0, 1234.0), (1, 1, 64.0)]);
+        let e = [(0, 0, 1234.0), (1, 1, 64.0)];
         for fidelity in [Fidelity::Fast, Fidelity::Analog] {
             let mut tile = TileCompute::new(&config(fidelity), spec);
-            tile.load(&e, &v, MergeRule::Sum);
+            tile.load(e);
             assert_eq!(tile.row(0)[0], 1234.0);
             assert_eq!(tile.row(1)[1], 64.0);
         }
     }
 
     #[test]
-    #[should_panic(expected = "one value required")]
-    fn mismatched_values_panic() {
+    #[should_panic(expected = "outside the tile")]
+    fn out_of_range_cells_panic() {
         let spec = FixedSpec::paper_default();
         let mut tile = TileCompute::new(&config(Fidelity::Fast), spec);
-        let (e, _) = entries(&[(0, 0, 1.0)]);
-        tile.load(&e, &[], MergeRule::Sum);
+        tile.load([(0, 8, 1.0)]);
     }
 }

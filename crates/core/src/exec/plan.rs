@@ -6,7 +6,7 @@
 //! iteration. A [`ScanPlan`] moves the decision in front of execution: the
 //! per-block-row
 //! [`SourceRangeIndex`](crate::preprocess::tiler::SourceRangeIndex),
-//! read off the tiler's offset tables, is intersected
+//! read off the tiler's subgraph tables, is intersected
 //! with the frontier's active mask once per scan, yielding the ordered list
 //! of [`StripUnit`]s — restricted to the block rows and subgraphs holding
 //! at least one active source — that the executors then walk. Pruned
@@ -200,15 +200,13 @@ impl<'a> PlanRow<'a> {
         set_bits(self.spans, lo, self.hi).map(move |slot| first + (slot - lo) as u32)
     }
 
-    /// The planned subgraphs as maximal runs of adjacent span-table slots,
-    /// ascending, each as its slots and its streamed ordinals.
+    /// The planned subgraphs as maximal runs of adjacent streamed
+    /// ordinals, ascending.
     #[inline]
-    pub(crate) fn planned_runs(self) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + 'a {
+    pub(crate) fn planned_runs(self) -> impl Iterator<Item = Range<usize>> + 'a {
         let (first, lo) = (self.first_ordinal as usize, self.lo);
-        set_runs(self.spans, lo, self.hi).map(move |slots| {
-            let ordinals = first + slots.start - lo..first + slots.end - lo;
-            (slots, ordinals)
-        })
+        set_runs(self.spans, lo, self.hi)
+            .map(move |slots| first + slots.start - lo..first + slots.end - lo)
     }
 
     /// Planned subgraphs in this row.

@@ -68,7 +68,7 @@ use crate::exec::strip::{mac_rego_capacity, StripScanner, UnitCodes};
 use crate::exec::ScanEngine;
 use crate::metrics::Metrics;
 use crate::outofcore::{DiskAccountant, DiskModel};
-use crate::preprocess::tiler::{MacIndex, TiledGraph};
+use crate::preprocess::tiler::TiledGraph;
 use crate::trace::{SpanMark, TraceHandle};
 
 /// Computes the value programmed into a crossbar cell for an edge:
@@ -268,8 +268,7 @@ impl<'a> StreamingExecutor<'a> {
 
     /// Heap bytes of the MAC codes this executor keeps, whatever values
     /// they hold: host state, never part of [`Metrics`]. The tiling's
-    /// shared cell index is counted apart, by
-    /// [`TiledGraph::mac_index_bytes`].
+    /// tables are counted apart, by [`TiledGraph::heap_bytes`].
     #[must_use]
     pub fn program_bytes(&self) -> usize {
         let codes = self.units.iter().map(|unit| unit.codes.capacity());
@@ -434,14 +433,13 @@ impl<'a> StreamingExecutor<'a> {
         // leaves no half-filled codes behind. The tile kernel keeps none.
         let mut held = std::mem::take(&mut self.units);
         if !self.scanners[0].programs_tiles() {
-            let index = self.mac_index();
             let order = self.tiled.order();
             let units = order.blocks_per_side() * order.strips_per_block();
             held.resize_with(units, UnitCodes::default);
             for punit in plan.units() {
                 let unit = punit.unit.index;
                 if held[unit].codes.is_empty() {
-                    held[unit].codes = vec![0; index.unit_cells(unit).0.len()];
+                    held[unit].codes = vec![0; self.tiled.unit_cells(unit)];
                 }
             }
         }
@@ -463,15 +461,6 @@ impl<'a> StreamingExecutor<'a> {
         self.units = held;
         self.finish_scan(plan, mac_rego_capacity(self.config, self.tiled));
         outputs
-    }
-
-    /// The tiling's MAC cell index, built first on this executor's
-    /// workers if no scan has built it yet (on the calling thread alone
-    /// when the tiling is too small to fan out).
-    fn mac_index(&mut self) -> &'a MacIndex {
-        let fan_out = fans_out(self.tiled.total_edges() as u64, self.scanners.len());
-        let workers = if fan_out { self.scanners.len() } else { 1 };
-        self.tiled.mac_index(&mut self.scanners[..workers])
     }
 
     /// One parallel-add-op pass (Figure 16 c3) advancing all K lanes of
@@ -1206,11 +1195,12 @@ mod tests {
         }
     }
 
-    /// A tiling's MAC cell index is built by the first Fast MAC scan on
-    /// any executor, add-op scans and the tile kernels never build it, and
-    /// every later executor reads the same index.
+    /// Executors over one tiling agree whatever ran on it before: after an
+    /// add-op scan and a tile-reference MAC scan, a first Fast MAC scan at
+    /// two threads and a later one-thread executor under a new value id
+    /// give the tile reference's outputs.
     #[test]
-    fn executors_share_the_tilings_mac_index() {
+    fn executors_over_one_tiling_agree() {
         let g = Rmat::new(300, 2000).seed(3).max_weight(7).generate();
         let cfg = small_config(Fidelity::Fast);
         let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
@@ -1234,20 +1224,14 @@ mod tests {
         );
         let reference = StreamingExecutor::new(&tiled, &cfg, spec).with_tile_reference();
         let expected = reference.with_threads(2).scan_mac(&value, &[&x]);
-        assert_eq!(tiled.mac_index_bytes(), 0, "built without a Fast MAC scan");
 
         let mut first = StreamingExecutor::new(&tiled, &cfg, spec).with_threads(2);
         assert_eq!(first.scan_mac(&value, &[&x]), expected);
-        let index: *const MacIndex = tiled.mac_index(&mut [()]);
-        let bytes = tiled.mac_index_bytes();
-        assert!(bytes > 0);
         let mut second = StreamingExecutor::new(&tiled, &cfg, spec);
         assert_eq!(
             second.scan_mac(&EdgeValueFn::new(&weights_value), &[&x]),
             expected
         );
-        assert!(std::ptr::eq(index, tiled.mac_index(&mut [()])), "rebuilt");
-        assert_eq!(tiled.mac_index_bytes(), bytes);
     }
 
     #[test]

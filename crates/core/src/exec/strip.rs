@@ -17,42 +17,44 @@
 //!
 //! # Kernels
 //!
-//! In [`Fidelity::Fast`] the MAC and add-op kernels walk each tile's
-//! stored cells once, in the tiler's streamed `(col, row, edge index)`
-//! order (§3.4, equation (8)), so host work follows the stored edges, not
-//! the `C × C` crossbar; the simulated cost of the empty cells is still
-//! charged from counts. That order keeps parallel edges adjacent, so a
-//! cell's value is its edges' values merged in streamed order (`Sum` for
-//! MAC, `Min` for add-op) and quantised once.
+//! In [`Fidelity::Fast`] the MAC and add-op kernels walk the tiling's
+//! stored cells once, in the tiler's streamed order (§3.4, equation (8)):
+//! columns by ascending strip-local destination, rows ascending within a
+//! column, so host work follows the stored edges, not the `C × C` crossbar;
+//! the simulated cost of the empty cells is still charged from counts. A
+//! cell is one stored `(source, destination)` pair, and its parallel edges
+//! follow one another in input order, so its value is its edges' values
+//! merged in that order (`Sum` for MAC, `Min` for add-op) and quantised
+//! once.
 //!
 //! MAC reads those values as data. §4.1 programs a crossbar once and
 //! evaluates it many times, and so does the host. Everything about a cell
-//! but its value depends only on the tiling, so the tiling keeps it in its
-//! `MacIndex`, built once on the first Fast MAC scan: every stored
-//! `(source, destination)` pair in the tiler's streamed order, unit by
-//! unit, with its source, edge count and column-end flag, each column's
-//! strip-local destination, and where each subgraph's run of cells starts.
-//! A fill is one linear pass over a run of the index and its edges: it
-//! evaluates each cell's edges, merges them, quantises once and writes a
-//! 4-byte code in place. The executor keeps each unit's codes, tagged with
-//! the value they hold, and one kernel serves dense and pruned plans:
-//! inside the unit's task it walks the planned runs of adjacent subgraphs,
-//! fills a run's codes unless the tag names the scan's value, and scans
-//! them in one tight loop. A dense fill sets the tag, and a dense unit
-//! keeps its charges per input count; a pruned fill covers only its runs,
-//! so it clears the tag. The streamed order is exact with no sort: each
-//! column's cells are adjacent with rows ascending, and each output meets
-//! its columns in the walk's order, however the columns of different
-//! outputs interleave. Add-op merges and quantises each cell as the walk
-//! meets it, since a traversal meets a cell about once per run. MAC sums
-//! each column's rows in ascending order per input vector, skipping zero
-//! inputs, and reduces a nonzero sum into RegO; add-op drives each cell
-//! for every lane in its row's lane word. That is the arithmetic and the
-//! per-output reduction order of [`TileCompute`]'s `load` then `mac` /
-//! `row_entries`, so results and metrics are bit-identical to it.
+//! but its value is the tiling's: its source, its edge count and
+//! column-end flag, its column's strip-local destination, and where each
+//! subgraph's cells, columns and edges start. A fill is one linear pass
+//! over a run of cells and their edges: it evaluates each cell's edges,
+//! merges them, quantises once and writes a 4-byte code in place. The
+//! executor keeps each unit's codes, its block rows' cells one row after
+//! another, tagged with the value they hold, and one kernel serves dense
+//! and pruned plans: inside the unit's task it walks the planned runs of
+//! adjacent subgraphs, fills a run's codes unless the tag names the scan's
+//! value, and scans them in one tight loop. A dense fill sets the tag, and
+//! a dense unit keeps its charges per input count; a pruned fill covers
+//! only its runs, so it clears the tag. The streamed order is exact with no
+//! sort: each column's cells are adjacent with rows ascending, and each
+//! output meets its columns in the walk's order, however the columns of
+//! different outputs interleave. Add-op merges and quantises each cell as
+//! the walk meets it, since a traversal meets a cell about once per run.
+//! MAC sums each column's rows in ascending order per input vector,
+//! skipping zero inputs, and reduces a nonzero sum into RegO; add-op drives
+//! each cell for every lane in its row's lane word. That is the arithmetic
+//! and the per-output reduction order of [`TileCompute`]'s `load` then
+//! `mac` / `row_entries`, so results and metrics are bit-identical to it.
 //! [`TileCompute`] remains the datapath in [`Fidelity::Analog`], and in
 //! Fast fidelity it is the oracle: [`StripScanner::tile_reference`] runs
-//! every tile through it.
+//! every tile through it. Tiles are not stored: a tile is the run of a
+//! subgraph's columns under one crossbar's `C` bitlines, and the tile
+//! kernels gather each one's cells as they meet it.
 //!
 //! Determinism contract: a scan is the [`PlanUnit`]s of a
 //! [`ScanPlan`](crate::exec::plan::ScanPlan), each executed by one
@@ -63,11 +65,9 @@
 //! happens inside one unit, in one deterministic order, regardless of
 //! which thread ran it.
 //!
-//! The index addresses strips of at most 65,536 destinations; a wider
-//! strip runs its MAC scans through [`TileCompute`] too.
-//!
 //! [`StreamingExecutor`]: crate::exec::streaming::StreamingExecutor
 
+use std::iter::Peekable;
 use std::ops::Range;
 
 use crate::config::{Fidelity, GraphRConfig, StreamingOrder};
@@ -76,16 +76,15 @@ use crate::engine::tile::{MergeRule, TileCompute};
 use crate::exec::plan::PlanUnit;
 use crate::exec::streaming::EdgeValueFn;
 use crate::metrics::Metrics;
-use crate::preprocess::tiler::{
-    ends_column, MacIndex, SubgraphView, TileEntry, TiledGraph, MAX_STRIP_WIDTH,
-};
+use crate::preprocess::tiler::{ends_column, ends_tile, Cell, SubgraphView, TiledGraph};
 
 /// Bytes per COO edge record streamed from memory ReRAM — the binary
 /// record format is owned by the graph crate.
 pub(crate) use graphr_graph::BYTES_PER_EDGE;
 
 /// One strip unit's MAC codes as its executor keeps them: one raw
-/// fixed-point code per index cell of the unit, in index order.
+/// fixed-point code per cell of the unit, its block rows one after another,
+/// each in streamed order.
 #[derive(Debug, Default)]
 pub(crate) struct UnitCodes {
     /// The [`EdgeValueFn`] id every code holds, or `None` if some do not.
@@ -166,9 +165,10 @@ pub struct StripScanner<'a> {
     /// `spec`'s quantisation with its scale factors computed once.
     quant: graphr_units::Quantizer,
     /// The tile datapath: present in Analog fidelity, or in Fast fidelity
-    /// when the scanner is the [`StripScanner::tile_reference`] or the
-    /// strips are wider than the [`MacIndex`] addresses.
+    /// when the scanner is the [`StripScanner::tile_reference`].
     tile: Option<TileKernel>,
+    /// Scratch: the cells of the tile being driven.
+    tile_cells: Vec<Cell<'a>>,
     /// Scratch: one subgraph's lane word per source row (add-op).
     row_lanes: Vec<u64>,
     /// Scratch: one strip visit's per-tile driven-row counts.
@@ -220,8 +220,6 @@ impl LaneMarks {
 /// The [`TileCompute`] kernels and their per-tile staging buffers.
 struct TileKernel {
     tile: TileCompute,
-    /// Per-tile programmed values, reused across tiles.
-    value_buf: Vec<f64>,
     /// Chunk-local input slice.
     input_buf: Vec<f64>,
     /// One tile row's stored `(col, value)` entries.
@@ -233,30 +231,44 @@ impl TileKernel {
         let c = config.crossbar_size;
         TileKernel {
             tile: TileCompute::new(config, spec),
-            value_buf: Vec::with_capacity(c * c),
             input_buf: vec![0.0; c],
             entry_buf: Vec::with_capacity(c),
         }
     }
 
-    /// Programs the tile holding `entries`, whose row `r` is source
-    /// vertex `src0 + r` and column `col` destination `dst0 + col`.
+    /// Programs the tile holding `cells`, whose row `r` is source vertex
+    /// `src0 + r` and whose strip-local destination `local` is vertex
+    /// `dst0 + local`, in bitline `local % C`.
     fn load(
         &mut self,
-        entries: &[TileEntry],
+        cells: &[Cell<'_>],
         src0: usize,
         dst0: usize,
         value: &EdgeValueFn<'_>,
         merge: MergeRule,
     ) {
-        self.value_buf.clear();
-        self.value_buf.extend(entries.iter().map(|e| {
-            let src = (src0 + e.row as usize) as u32;
-            let dst = (dst0 + e.col as usize) as u32;
-            value.eval(e.weight, src, dst)
+        let c = self.input_buf.len();
+        self.tile.load(cells.iter().map(|cell| {
+            let (src, local) = (cell.src as usize, usize::from(cell.local));
+            let v = cell_value(cell.weights, src, dst0 + local, value, merge);
+            (src - src0, local % c, v)
         }));
-        self.tile.load(entries, &self.value_buf, merge);
     }
+}
+
+/// Gathers the next tile of a subgraph's `cells` into `tile` and returns
+/// its index within the strip, or `None` past the last tile.
+fn next_tile<'g>(
+    cells: &mut Peekable<impl Iterator<Item = Cell<'g>>>,
+    c: usize,
+    tile: &mut Vec<Cell<'g>>,
+) -> Option<usize> {
+    let t = usize::from(cells.peek()?.local) / c;
+    tile.clear();
+    tile.extend(std::iter::from_fn(|| {
+        cells.next_if(|cell| usize::from(cell.local) / c == t)
+    }));
+    Some(t)
 }
 
 impl<'a> StripScanner<'a> {
@@ -273,8 +285,8 @@ impl<'a> StripScanner<'a> {
             config,
             spec,
             quant: spec.quantizer(),
-            tile: (config.fidelity == Fidelity::Analog || config.strip_width() > MAX_STRIP_WIDTH)
-                .then(|| TileKernel::new(config, spec)),
+            tile: (config.fidelity == Fidelity::Analog).then(|| TileKernel::new(config, spec)),
+            tile_cells: Vec::new(),
             row_lanes: vec![0; config.crossbar_size],
             tile_rows_buf: Vec::new(),
             marks: LaneMarks::new(config.strip_width()),
@@ -313,8 +325,8 @@ impl<'a> StripScanner<'a> {
     }
 
     /// Whether this scanner's MAC kernel programs each tile itself through
-    /// [`TileCompute`] (Analog fidelity, the tile reference, or strips too
-    /// wide for the [`MacIndex`]) rather than reading programmed codes.
+    /// [`TileCompute`] (Analog fidelity or the tile reference) rather than
+    /// reading programmed codes.
     #[must_use]
     pub(crate) fn programs_tiles(&self) -> bool {
         self.tile.is_some()
@@ -346,8 +358,8 @@ impl<'a> StripScanner<'a> {
         let Some(held) = held else {
             let mut salu = SAlu::new(ReduceOp::Add);
             let dst0 = punit.unit.dst_start;
-            self.walk_mac_unit(punit, inputs.len(), metrics, |scanner, src0, sg| {
-                scanner.mac_subgraph(src0, dst0, sg, value, inputs, outputs, &mut salu);
+            self.walk_mac_unit(punit, inputs.len(), metrics, |scanner, sg| {
+                scanner.mac_subgraph(dst0, sg, value, inputs, outputs, &mut salu);
             });
             metrics.events.salu_ops += salu.ops_performed();
             return;
@@ -356,24 +368,33 @@ impl<'a> StripScanner<'a> {
         let kept = held.charges.take_if(|kept| dense && kept.0 == k);
         let (_, charges) = kept.unwrap_or_else(|| {
             let mut charges = Metrics::new();
-            self.walk_mac_unit(punit, k, &mut charges, |_, _, _| {});
+            self.walk_mac_unit(punit, k, &mut charges, |_, _| {});
             (k, charges)
         });
         let fill = held.value != Some(value.id());
-        let index = self.index();
-        let (cells, mut column) = index.unit_cells(punit.unit.index);
-        let (mut cell, mut salu_ops) = (cells.start, 0);
-        for row in punit.rows(self.tiled) {
-            for (run, entries) in index.planned_runs(self.tiled, punit.unit.index, row) {
-                // The unit's columns follow one another across its runs.
-                column += index.columns_ending(cell..run.start);
-                let codes = &mut held.codes[run.start - cells.start..run.end - cells.start];
+        let (tiled, dst0) = (self.tiled, punit.unit.dst_start);
+        let strip = punit.unit.strip as usize;
+        // The unit's codes hold its block rows' cells one row after
+        // another: `base` is the code position of block `block`'s first.
+        let (mut base, mut block) = (0, punit.unit.bj as usize * tiled.order().blocks_per_side());
+        let mut salu_ops = 0;
+        for row in punit.rows(tiled) {
+            let row_block = row.block as usize;
+            base += (block..row_block)
+                .map(|skipped| tiled.slot_cells(skipped, strip).len())
+                .sum::<usize>();
+            let slot = tiled.slot_cells(row_block, strip);
+            for ordinals in row.planned_runs() {
+                let (first, cells) = tiled.run(ordinals);
+                let at = base + cells.start - slot.start;
+                let codes = &mut held.codes[at..at + cells.len()];
+                let column = first.column as usize;
                 if fill {
-                    self.fill_cells(&run, column, entries, punit.unit.dst_start, value, codes);
+                    self.fill_cells(&cells, column, first.edge as usize, dst0, value, codes);
                 }
-                salu_ops += self.scan_cells(&run, column, codes, inputs, outputs);
-                cell = run.start;
+                salu_ops += self.scan_cells(&cells, column, codes, inputs, outputs);
             }
+            (base, block) = (base + slot.len(), row_block + 1);
         }
         if fill {
             held.value = dense.then_some(value.id());
@@ -385,36 +406,31 @@ impl<'a> StripScanner<'a> {
         }
     }
 
-    /// The tiling's MAC cell index (built here, on this thread, only if no
-    /// executor has built it).
-    fn index(&self) -> &'a MacIndex {
-        self.tiled.mac_index(&mut [()])
-    }
-
-    /// Writes the codes of the index's `cells`, whose columns start at
-    /// position `column`, in the unit whose first destination is `dst0`,
-    /// for `value`: one pass over the cells and their edges `entries`,
-    /// each cell's edges evaluated and merged in streamed order and
-    /// quantised once (what [`TileCompute::load`] programs), shifted up one
-    /// bit over the cell's column-end flag; formats have at most 31 bits.
+    /// Writes the codes of the tiling's `cells`, whose columns start at
+    /// position `column` and edges at position `edge`, in the unit whose
+    /// first destination is `dst0`, for `value`: one pass over the cells
+    /// and their edges, each cell's edges evaluated and merged in streamed
+    /// order and quantised once (what [`TileCompute::load`] is programmed
+    /// with), shifted up one bit over the cell's column-end flag; formats
+    /// have at most 31 bits.
     fn fill_cells(
         &self,
         cells: &Range<usize>,
         column: usize,
-        entries: &[TileEntry],
+        edge: usize,
         dst0: usize,
         value: &EdgeValueFn<'_>,
         codes: &mut [i32],
     ) {
-        let index = self.index();
-        let (srcs, meta) = index.cells(cells.clone());
-        let locals = index.locals(column);
+        let tiled = self.tiled;
+        let (srcs, meta) = tiled.cells(cells.clone());
+        let (locals, weights) = (tiled.locals(column), tiled.weights(edge));
         let (mut edge, mut columns) = (0, 0);
         for (at, ((&src, &meta), code)) in srcs.iter().zip(meta).zip(codes).enumerate() {
-            let edges = index.edges(cells.start + at, meta);
+            let edges = tiled.cell_edges(cells.start + at, meta);
             let (src, dst) = (src as usize, dst0 + usize::from(locals[columns]));
             let v = cell_value(
-                &entries[edge..edge + edges],
+                &weights[edge..edge + edges],
                 src,
                 dst,
                 value,
@@ -426,7 +442,7 @@ impl<'a> StripScanner<'a> {
         }
     }
 
-    /// The MAC kernel over the `codes` of the index's `cells`, whose
+    /// The MAC kernel over the `codes` of the tiling's `cells`, whose
     /// columns start at position `column`: for each input vector `x`, sums
     /// `code · x[src]` over each column's cells in order, skipping zero
     /// inputs, and reduces a nonzero sum into the column's destination in
@@ -444,9 +460,9 @@ impl<'a> StripScanner<'a> {
         /// Cells per chunk of whole columns that every input vector scans
         /// in turn, so the chunk stays in cache across inputs.
         const CHUNK: usize = 1024;
-        let (index, quant) = (self.index(), self.quant);
-        let (mut srcs, mut codes) = (index.cells(cells.clone()).0, codes);
-        let mut locals = index.locals(column);
+        let (tiled, quant) = (self.tiled, self.quant);
+        let (mut srcs, mut codes) = (tiled.cells(cells.clone()).0, codes);
+        let mut locals = tiled.locals(column);
         let mut salu = SAlu::new(ReduceOp::Add);
         while !srcs.is_empty() {
             let mut end = CHUNK.min(srcs.len());
@@ -478,18 +494,17 @@ impl<'a> StripScanner<'a> {
     }
 
     /// Walks `punit`'s planned subgraphs in streamed order, handing each
-    /// to `visit` with its first source vertex, and charges the time,
-    /// energy and events of a MAC scan of `k` input vectors into
-    /// `metrics` — all but the sALU operations, which depend on the data.
+    /// to `visit`, and charges the time, energy and events of a MAC scan of
+    /// `k` input vectors into `metrics` — all but the sALU operations,
+    /// which depend on the data.
     fn walk_mac_unit(
         &mut self,
         punit: &PlanUnit,
         k: usize,
         metrics: &mut Metrics,
-        mut visit: impl FnMut(&mut Self, usize, SubgraphView<'a>),
+        mut visit: impl FnMut(&mut Self, SubgraphView<'a>),
     ) {
         let tiled = self.tiled;
-        let c = self.config.crossbar_size;
         let writeback = self.config.strip_width().min(tiled.num_vertices());
         // Column-major streaming feeds the strip's planned tiles to the GE
         // slots back to back, and writes RegO back once per strip.
@@ -499,13 +514,12 @@ impl<'a> StripScanner<'a> {
         // ascending chunk order, which is the source-major visit order.
         let row_major = self.config.order == StreamingOrder::RowMajor;
         for row in punit.rows(tiled) {
-            let src_base = tiled.chunk_src_start(row.block as usize, 0);
             let pruned = row.pruned() as u64;
             let (mut strip_tiles, mut strip_edges) = (0, 0);
             for ord in row.subgraphs() {
                 let sg = tiled.subgraph(ord as usize);
-                let (tiles, edges) = (sg.tiles().len() as u64, u64::from(sg.edges()));
-                visit(self, src_base + sg.chunk() as usize * c, sg);
+                let (tiles, edges) = (u64::from(sg.num_tiles()), u64::from(sg.edges()));
+                visit(self, sg);
                 self.charge_mac_subgraph(tiles, edges, k, metrics);
                 if row_major {
                     let step = tiles.min(self.tile_slots() as u64);
@@ -580,14 +594,12 @@ impl<'a> StripScanner<'a> {
     }
 
     /// The functional part of one planned subgraph of a MAC scan through
-    /// the tile kernel, whose sources start at `src0`, reduced into the
-    /// output windows of the unit whose first destination is `dst0`.
-    #[allow(clippy::too_many_arguments)]
+    /// the tile kernel, reduced into the output windows of the unit whose
+    /// first destination is `dst0`.
     fn mac_subgraph(
         &mut self,
-        src0: usize,
         dst0: usize,
-        sg: SubgraphView<'_>,
+        sg: SubgraphView<'a>,
         value: &EdgeValueFn<'_>,
         inputs: &[&[f64]],
         outputs: &mut [&mut [f64]],
@@ -595,10 +607,12 @@ impl<'a> StripScanner<'a> {
     ) {
         let n = self.tiled.num_vertices();
         let c = self.config.crossbar_size;
+        let src0 = sg.src_start();
         let kernel = self.tile.as_mut().expect("a tile-kernel scanner");
-        for (t, entries) in sg.tiles() {
+        let mut cells = sg.cells().peekable();
+        while let Some(t) = next_tile(&mut cells, c, &mut self.tile_cells) {
             let local0 = t * c;
-            kernel.load(entries, src0, dst0 + local0, value, MergeRule::Sum);
+            kernel.load(&self.tile_cells, src0, dst0, value, MergeRule::Sum);
             for (ki, x) in inputs.iter().enumerate() {
                 for r in 0..c {
                     let src = src0 + r;
@@ -686,7 +700,6 @@ impl<'a> StripScanner<'a> {
         let tiled = self.tiled;
         let n = tiled.num_vertices();
         let unit = &punit.unit;
-        let sidx = unit.strip as usize;
         let mut salu = SAlu::new(ReduceOp::Min);
         let mut total_drives: u64 = 0;
         let mut row_lanes = std::mem::take(&mut self.row_lanes);
@@ -694,13 +707,12 @@ impl<'a> StripScanner<'a> {
         let mut marks = std::mem::take(&mut self.marks);
 
         for row in punit.rows(tiled) {
-            let bidx = row.block as usize;
             // Per-tile active-row counts drive the packed timing.
             tile_rows.clear();
             let mut strip_edges = 0u64;
             for ord in row.subgraphs() {
                 let sg = tiled.subgraph(ord as usize);
-                let src0 = tiled.chunk_src_start(bidx, sg.chunk());
+                let src0 = sg.src_start();
                 // Planned means streamed — once for the whole batch, and
                 // whether or not any of its rows end up driven.
                 strip_edges += u64::from(sg.edges());
@@ -718,8 +730,7 @@ impl<'a> StripScanner<'a> {
                     continue;
                 }
                 total_drives += self.addop_lanes_subgraph(
-                    bidx,
-                    sidx,
+                    src0,
                     sg,
                     unit,
                     value,
@@ -814,9 +825,8 @@ impl<'a> StripScanner<'a> {
     #[allow(clippy::too_many_arguments)]
     fn addop_lanes_subgraph(
         &mut self,
-        bidx: usize,
-        sidx: usize,
-        sg: SubgraphView<'_>,
+        src0: usize,
+        sg: SubgraphView<'a>,
         unit: &StripUnit,
         value: &EdgeValueFn<'_>,
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
@@ -832,24 +842,30 @@ impl<'a> StripScanner<'a> {
         let n = tiled.num_vertices();
         let c = self.config.crossbar_size;
         let quant = self.quant;
-        let src0 = tiled.chunk_src_start(bidx, sg.chunk());
-        let dst0 = tiled.strip_dst_start(bidx, sidx);
-        let unit_dst0 = unit.dst_start;
+        let dst0 = unit.dst_start;
         let arrays = self.config.arrays_per_tile() as u64;
-        let tiles = sg.tiles().len() as u64;
+        let tiles = u64::from(sg.num_tiles());
         let edges = u64::from(sg.edges());
         let mut active_cells: u64 = 0;
         let mut rows_driven: u64 = 0;
         let activations: u64 = row_lanes.iter().map(|l| u64::from(l.count_ones())).sum();
 
         // --- functional compute: per tile, program once, drive each
-        // active row once per lane holding it ---
-        for (t, entries) in sg.tiles() {
-            let tile_dst0 = dst0 + t * c;
-            let mut this_tile_rows = 0u64;
-            match &mut self.tile {
-                Some(kernel) => {
-                    kernel.load(entries, src0, tile_dst0, value, MergeRule::Min);
+        // active row once per lane holding it; each tile's driven rows feed
+        // the packed timing ---
+        let mut close_tile = |rows: u64| {
+            if rows > 0 {
+                tile_rows.push(rows);
+                rows_driven += rows;
+            }
+        };
+        match &mut self.tile {
+            Some(kernel) => {
+                let mut cells = sg.cells().peekable();
+                while let Some(t) = next_tile(&mut cells, c, &mut self.tile_cells) {
+                    let local0 = t * c;
+                    let mut this_tile_rows = 0u64;
+                    kernel.load(&self.tile_cells, src0, dst0, value, MergeRule::Min);
                     for (r, &lanes) in row_lanes.iter().enumerate() {
                         if lanes == 0 {
                             continue;
@@ -868,60 +884,63 @@ impl<'a> StripScanner<'a> {
                             let frontier = &mut *frontiers[q];
                             for &(col, w) in &kernel.entry_buf {
                                 active_cells += arrays;
-                                let dst = tile_dst0 + col;
-                                if dst >= n {
+                                let local = local0 + col;
+                                if dst0 + local >= n {
                                     continue;
                                 }
                                 // The relaxation (e.g. dist(u) + w(u, v)),
                                 // saturating in the fixed-point datapath,
                                 // then min via the sALU.
                                 let candidate = quant.quantize_value(combine(du, w));
-                                if salu.reduce_one(&mut frontier[dst - unit_dst0], candidate) {
-                                    marks.mark(dst - unit_dst0, q);
-                                }
-                            }
-                        }
-                    }
-                }
-                None => {
-                    // A row counts once per tile, however many of its
-                    // cells the walk meets; a `u8` row fits 256 bits.
-                    let mut seen = [0u64; 4];
-                    for column in entries.chunk_by(|a, b| a.col == b.col) {
-                        let dst = tile_dst0 + column[0].col as usize;
-                        let local = dst - unit_dst0;
-                        for cell in column.chunk_by(|a, b| a.row == b.row) {
-                            let r = cell[0].row as usize;
-                            let lanes = row_lanes[r];
-                            if lanes == 0 {
-                                continue;
-                            }
-                            let drives = u64::from(lanes.count_ones());
-                            let bit = 1u64 << (r % 64);
-                            if seen[r / 64] & bit == 0 {
-                                seen[r / 64] |= bit;
-                                this_tile_rows += drives;
-                            }
-                            active_cells += arrays * drives;
-                            let src = src0 + r;
-                            let w = cell_value(cell, src, dst, value, MergeRule::Min);
-                            let w = quant.quantize_value(w);
-                            let mut lane_bits = lanes;
-                            while lane_bits != 0 {
-                                let q = lane_bits.trailing_zeros() as usize;
-                                lane_bits &= lane_bits - 1;
-                                let candidate = quant.quantize_value(combine(addends[q][src], w));
-                                if salu.reduce_one(&mut frontiers[q][local], candidate) {
+                                if salu.reduce_one(&mut frontier[local], candidate) {
                                     marks.mark(local, q);
                                 }
                             }
                         }
                     }
+                    close_tile(this_tile_rows);
                 }
             }
-            if this_tile_rows > 0 {
-                tile_rows.push(this_tile_rows);
-                rows_driven += this_tile_rows;
+            None => {
+                // A row counts once per tile, however many of its cells the
+                // walk meets; a `u8` row fits 256 bits.
+                let (first, cells) = tiled.run(sg.ordinal()..sg.ordinal() + 1);
+                let (srcs, meta) = tiled.cells(cells.clone());
+                let locals = tiled.locals(first.column as usize);
+                let weights = tiled.weights(first.edge as usize);
+                let (mut edge, mut column) = (0, 0);
+                let (mut seen, mut this_tile_rows) = ([0u64; 4], 0u64);
+                for (at, (&src, &meta)) in srcs.iter().zip(meta).enumerate() {
+                    let edges = tiled.cell_edges(cells.start + at, meta);
+                    let (cell, local) = (&weights[edge..edge + edges], usize::from(locals[column]));
+                    (edge, column) = (edge + edges, column + usize::from(ends_column(meta)));
+                    let (src, r) = (src as usize, src as usize - src0);
+                    let lanes = row_lanes[r];
+                    if lanes != 0 {
+                        let drives = u64::from(lanes.count_ones());
+                        let bit = 1u64 << (r % 64);
+                        if seen[r / 64] & bit == 0 {
+                            seen[r / 64] |= bit;
+                            this_tile_rows += drives;
+                        }
+                        active_cells += arrays * drives;
+                        let w = cell_value(cell, src, dst0 + local, value, MergeRule::Min);
+                        let w = quant.quantize_value(w);
+                        let mut lane_bits = lanes;
+                        while lane_bits != 0 {
+                            let q = lane_bits.trailing_zeros() as usize;
+                            lane_bits &= lane_bits - 1;
+                            let candidate = quant.quantize_value(combine(addends[q][src], w));
+                            if salu.reduce_one(&mut frontiers[q][local], candidate) {
+                                marks.mark(local, q);
+                            }
+                        }
+                    }
+                    if ends_tile(meta) {
+                        close_tile(this_tile_rows);
+                        (seen, this_tile_rows) = ([0; 4], 0);
+                    }
+                }
             }
         }
 
@@ -969,20 +988,20 @@ impl<'a> StripScanner<'a> {
 }
 
 /// One crossbar cell's programmed value before quantisation: the values
-/// of its parallel edges merged under `merge` in streamed (edge) order,
-/// exactly as [`TileCompute::load`] merges them. `cell` is never empty.
+/// of its parallel edges, of `weights`, merged under `merge` in streamed
+/// (input) order. `weights` is never empty.
 fn cell_value(
-    cell: &[TileEntry],
+    weights: &[f32],
     src: usize,
     dst: usize,
     value: &EdgeValueFn<'_>,
     merge: MergeRule,
 ) -> f64 {
     let (src, dst) = (src as u32, dst as u32);
-    let first = value.eval(cell[0].weight, src, dst);
-    cell[1..].iter().fold(first, |v, e| {
-        merge.combine(v, value.eval(e.weight, src, dst))
-    })
+    let first = value.eval(weights[0], src, dst);
+    weights[1..]
+        .iter()
+        .fold(first, |v, &w| merge.combine(v, value.eval(w, src, dst)))
 }
 
 #[cfg(test)]
@@ -1052,11 +1071,12 @@ mod tests {
         let plan = crate::exec::plan::PlanSkeleton::build(&tiled).full_plan();
         let mut scanner = StripScanner::new(&tiled, &cfg, FixedSpec::new(16, 2).unwrap());
         let value = EdgeValueFn::new(&|w, _, _| f64::from(w));
-        let index = tiled.mac_index(&mut [()]);
         let x = vec![0.0; 6];
         let mut cells = Vec::new();
         for punit in plan.units() {
-            let unit_cells = index.unit_cells(punit.unit.index).0;
+            // One block: the unit's cells are its one slot's.
+            let unit_cells = tiled.slot_cells(0, punit.unit.strip as usize);
+            assert_eq!(unit_cells.len(), tiled.unit_cells(punit.unit.index));
             let mut held = UnitCodes {
                 codes: vec![0; unit_cells.len()],
                 ..UnitCodes::default()
@@ -1071,7 +1091,7 @@ mod tests {
                 codes.iter().all(|code| code & 1 == 1),
                 "one cell per column here"
             );
-            let srcs = index.cells(unit_cells).0.iter();
+            let srcs = tiled.cells(unit_cells).0.iter();
             cells.extend(codes.iter().zip(srcs).map(|(code, &src)| (code >> 1, src)));
         }
         // Q14.2 codes are four times the value: (0, 1) sums to 2.75.
@@ -1199,12 +1219,11 @@ mod tests {
         let skeleton = crate::exec::plan::PlanSkeleton::build(&tiled);
         let plan = skeleton.full_plan();
         let mut scanner = StripScanner::new(&tiled, &cfg, spec);
-        let index = tiled.mac_index(&mut [()]);
         let units = plan.units();
         let mut held: Vec<UnitCodes> = units
             .iter()
             .map(|punit| UnitCodes {
-                codes: vec![0; index.unit_cells(punit.unit.index).0.len()],
+                codes: vec![0; tiled.unit_cells(punit.unit.index)],
                 ..UnitCodes::default()
             })
             .collect();

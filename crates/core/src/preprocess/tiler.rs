@@ -1,17 +1,30 @@
 //! The tiler: applies [`TileOrder`] to a concrete edge list, producing the
-//! flat streamed-order layout the streaming-apply executor walks.
+//! streamed-order cell layout every scan walks.
 //!
-//! The layout is exactly the §3.4 ordered edge list, materialised once:
-//! every edge sits in one array in global-order-ID order — blocks in
-//! column-major order, destination strips within a block, source chunks
-//! (subgraphs) within a strip, and within a subgraph the logical crossbar
-//! tiles in ascending index. Three offset tables cut that array into
-//! nonempty tiles, nonempty subgraphs — keeping only those is what lets
-//! GraphR skip work (§3.3) — and `(block, strip)` slots. A subgraph's
-//! *ordinal*, its position among the nonempty subgraphs, is therefore also
-//! its place on disk: adjacent ordinals are adjacent bytes. Spans and
-//! plans name subgraphs by ordinal, so every layer reads a subgraph with
-//! one [`TiledGraph::subgraph`] lookup.
+//! The layout is the §3.4 ordered edge list, stored once. Its order is
+//! global-order-ID order: blocks in column-major order, destination strips
+//! within a block, source chunks (subgraphs) within a strip, and within a
+//! subgraph the crossbar columns by ascending strip-local destination, rows
+//! ascending within a column and parallel edges in input order. A *cell* is
+//! one stored `(source, destination)` pair, which its parallel edges share.
+//! The tiling holds
+//! - per edge, its weight;
+//! - per cell, its source vertex and a meta byte: its edge count (0 above
+//!   63, where a short side list keeps it) over its tile-end and
+//!   column-end flags;
+//! - per column, its strip-local destination;
+//! - per nonempty subgraph, where its edges, cells, columns and tiles start;
+//! - per `(block, strip)` slot, its first subgraph.
+//!
+//! Keeping only the nonempty subgraphs is what lets GraphR skip work
+//! (§3.3). A subgraph's *ordinal*, its position among them, is also its
+//! place on disk: adjacent ordinals are adjacent bytes. Spans and plans
+//! name subgraphs by ordinal, so every layer reads a subgraph with one
+//! [`TiledGraph::subgraph`] lookup. Tiles are derived: a tile is the run of
+//! a subgraph's columns under one crossbar's `C` bitlines (`local / C`), and
+//! only their count is kept. A subgraph's source chunk is read off its first
+//! cell's source. Spans are not stored either: [`SourceRangeIndex::spans`]
+//! reads them off the slot and subgraph tables.
 //!
 //! The layout is built in linear passes, not one global sort. The order is
 //! a partition into `(block, strip)` slots followed by a small order within
@@ -20,36 +33,48 @@
 //! slot and a key within the slot with no division. The key packs chunk,
 //! tile, column and row into bit fields, so it sorts as the global order
 //! ID does and reads back with shifts. One counting pass and one scatter
-//! drop each edge's `(key, weight)` into its slot's bucket in input order;
-//! each bucket is then radix-sorted by key, stably, so parallel edges keep
-//! their input order, and emitted. A subgraph or tile opens only where a
-//! key passes the open one's end. Spans are not stored:
-//! [`SourceRangeIndex::spans`] reads them off the slot, chunk, subgraph and
-//! tile tables.
-//!
-//! What a Fast MAC scan needs beyond the layout, the `MacIndex` of its
-//! cells, is built lazily on the first such scan and kept beside it.
+//! drop each edge's `(key, weight, source)` into its slot's bucket in
+//! input order; each bucket is then radix-sorted by key, stably, so
+//! parallel edges keep their input order, and drained once. Equal keys are
+//! one cell, and a column, tile or subgraph opens where the key's bits
+//! above its row, its column or its tile change.
 
 use std::ops::Range;
-use std::sync::OnceLock;
 
 use graphr_graph::{Edge, EdgeList};
 
 use crate::config::{ConfigError, GraphRConfig};
 use crate::preprocess::order::TileOrder;
 
-mod mac_index;
-pub(crate) use mac_index::{ends_column, MacIndex, MAX_STRIP_WIDTH};
+/// The widest strip the layout addresses: strip-local destinations are
+/// `u16`.
+pub(crate) const MAX_STRIP_WIDTH: usize = 1 << u16::BITS;
+/// Cells of more than this many edges keep their count in the side list.
+const NARROW_EDGES: usize = 0x3F;
 
-/// One edge placed inside a crossbar tile.
+/// Whether a cell with metadata `meta` ends its column.
+#[inline]
+pub(crate) fn ends_column(meta: u8) -> bool {
+    meta & 1 != 0
+}
+
+/// Whether a cell with metadata `meta` ends its tile (and so its column).
+#[inline]
+pub(crate) fn ends_tile(meta: u8) -> bool {
+    meta & 2 != 0
+}
+
+/// One stored `(source, destination)` pair of a subgraph: a crossbar cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TileEntry {
-    /// Wordline within the tile (`0..C`).
-    pub row: u8,
-    /// Bitline within the tile (`0..C`).
-    pub col: u8,
-    /// Edge weight.
-    pub weight: f32,
+pub struct Cell<'a> {
+    /// Source vertex; its crossbar row is `src` minus
+    /// [`SubgraphView::src_start`].
+    pub src: u32,
+    /// Strip-local destination: crossbar tile `local / C`, bitline
+    /// `local % C`.
+    pub local: u16,
+    /// The weights of its parallel edges, in input order.
+    pub weights: &'a [f32],
 }
 
 /// One nonempty subgraph's place in the §3.4 streamed order, seen from the
@@ -89,7 +114,7 @@ impl SubgraphSpan {
 }
 
 /// Source-side index of which source ranges hold edges, read off the
-/// tiler's offset tables — nothing is stored beyond them.
+/// tiler's tables — nothing is stored beyond them.
 ///
 /// Every nonempty subgraph appears once as a [`SubgraphSpan`] carrying its
 /// source-vertex range and its edge offset into the ordered edge list,
@@ -107,30 +132,37 @@ impl<'a> SourceRangeIndex<'a> {
     /// Every span: block rows ascending, streamed order within a row.
     pub fn spans(self) -> impl Iterator<Item = SubgraphSpan> + 'a {
         let g = self.graph;
-        let order = &g.order;
-        let (per_side, strips) = (order.blocks_per_side(), order.strips_per_block());
-        let c = order.crossbar_size();
+        let (per_side, strips) = (g.order.blocks_per_side(), g.order.strips_per_block());
+        let c = g.order.crossbar_size();
         let rows = (0..per_side).flat_map(move |bi| (0..per_side).map(move |bj| (bi, bj)));
         let slots = rows.flat_map(move |(bi, bj)| (0..strips).map(move |strip| (bi, bj, strip)));
         slots.flat_map(move |(bi, bj, strip)| {
             let block = bi + per_side * bj;
-            let src_base = bi * order.block_size();
             g.slot_subgraphs(block, strip).map(move |ord| {
-                let src_start = src_base + g.chunks[ord] as usize * c;
-                let first = g.tile_starts[g.subgraph_starts[ord] as usize];
-                let end = g.tile_starts[g.subgraph_starts[ord + 1] as usize];
+                let (first, end) = (g.subgraphs[ord], g.subgraphs[ord + 1]);
+                let src_start = g.subgraph(ord).src_start();
                 SubgraphSpan {
                     block: block as u32,
                     strip: strip as u32,
                     ordinal: ord as u32,
                     src_start: src_start as u32,
                     src_len: c.min(g.num_vertices.saturating_sub(src_start)) as u32,
-                    edge_offset: u64::from(first),
-                    edges: end - first,
+                    edge_offset: u64::from(first.edge),
+                    edges: end.edge - first.edge,
                 }
             })
         })
     }
+}
+
+/// Where one nonempty subgraph's entries start in the per-edge, per-cell
+/// and per-column tables, and how many tiles precede it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Starts {
+    pub(crate) edge: u32,
+    pub(crate) cell: u32,
+    pub(crate) column: u32,
+    pub(crate) tile: u32,
 }
 
 /// A graph preprocessed into GraphR's streaming order.
@@ -156,52 +188,29 @@ impl<'a> SourceRangeIndex<'a> {
 pub struct TiledGraph {
     order: TileOrder,
     num_vertices: usize,
-    /// Every edge, in §3.4 streamed order.
-    entries: Vec<TileEntry>,
-    /// Per nonempty tile: its first entry, plus a trailing entry count.
-    tile_starts: Vec<u32>,
-    /// Per nonempty tile: its index `ge · tiles_per_ge + slot` within its
-    /// subgraph.
-    tile_index: Vec<u32>,
-    /// Per nonempty subgraph (by ordinal): its first tile, plus a trailing
-    /// tile count.
-    subgraph_starts: Vec<u32>,
-    /// Per nonempty subgraph: its source chunk within the block.
-    chunks: Vec<u32>,
+    /// Per edge, in §3.4 streamed order: its weight.
+    weights: Vec<f32>,
+    /// Per cell: its source vertex.
+    srcs: Vec<u32>,
+    /// Per cell: its edge count (0 above [`NARROW_EDGES`]) shifted up two
+    /// bits over its tile-end and column-end flags.
+    meta: Vec<u8>,
+    /// `(cell, edge count)` of the cells above [`NARROW_EDGES`] edges, by
+    /// cell.
+    wide: Vec<(u32, u32)>,
+    /// Per column: its strip-local destination.
+    locals: Vec<u16>,
+    /// Per nonempty subgraph (by ordinal), plus a trailing end: where it
+    /// starts.
+    subgraphs: Vec<Starts>,
     /// Per `(block, strip)` slot, `block · strips_per_block + strip`: its
     /// first subgraph ordinal, plus a trailing subgraph count. Empty slots
     /// keep their place, so the disk-order walk stays arithmetic.
     slot_starts: Vec<u32>,
-    /// The MAC cell index, once a Fast MAC scan has built it.
-    mac_index: LazyMacIndex,
-}
-
-/// A [`TiledGraph`]'s lazily built [`MacIndex`]. It is derived state, so a
-/// tiling compares, prints and clones the same whether or not it has been
-/// built; a clone starts unbuilt.
-#[derive(Default)]
-struct LazyMacIndex(OnceLock<MacIndex>);
-
-impl Clone for LazyMacIndex {
-    fn clone(&self) -> Self {
-        LazyMacIndex::default()
-    }
-}
-
-impl PartialEq for LazyMacIndex {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl std::fmt::Debug for LazyMacIndex {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("LazyMacIndex")
-    }
 }
 
 /// One nonempty subgraph of a [`TiledGraph`]: a `C × strip_width` window
-/// of the adjacency matrix, read in place from the flat layout.
+/// of the adjacency matrix, read in place from the layout.
 #[derive(Debug, Clone, Copy)]
 pub struct SubgraphView<'a> {
     graph: &'a TiledGraph,
@@ -209,32 +218,65 @@ pub struct SubgraphView<'a> {
 }
 
 impl<'a> SubgraphView<'a> {
+    /// First source vertex the subgraph covers: its cells' sources share
+    /// one `C`-aligned chunk.
+    #[must_use]
+    pub fn src_start(&self) -> usize {
+        let c = self.graph.order.crossbar_size();
+        let src = self.graph.srcs[self.starts().cell as usize] as usize;
+        src - src % c
+    }
+
     /// Source chunk index within the block.
     #[must_use]
     pub fn chunk(&self) -> u32 {
-        self.graph.chunks[self.ordinal]
+        let order = &self.graph.order;
+        (self.src_start() % order.block_size() / order.crossbar_size()) as u32
     }
 
     /// Total edges in the subgraph.
     #[must_use]
     pub fn edges(&self) -> u32 {
-        let tiles = self.tile_range();
-        self.graph.tile_starts[tiles.end] - self.graph.tile_starts[tiles.start]
+        self.end().edge - self.starts().edge
     }
 
-    /// The nonempty tiles in ascending tile index
-    /// (`ge · tiles_per_ge + slot`), each with its edges in streamed order.
-    pub fn tiles(&self) -> impl ExactSizeIterator<Item = (usize, &'a [TileEntry])> + 'a {
+    /// Nonempty crossbar tiles in the subgraph.
+    #[must_use]
+    pub fn num_tiles(&self) -> u32 {
+        self.end().tile - self.starts().tile
+    }
+
+    /// The cells, in streamed order: columns by ascending strip-local
+    /// destination, rows ascending within a column.
+    pub fn cells(&self) -> impl Iterator<Item = Cell<'a>> + 'a {
         let g = self.graph;
-        self.tile_range().map(move |t| {
-            let entries = g.tile_starts[t] as usize..g.tile_starts[t + 1] as usize;
-            (g.tile_index[t] as usize, &g.entries[entries])
+        let (first, end) = (self.starts(), self.end());
+        let (mut edge, mut column) = (first.edge as usize, first.column as usize);
+        (first.cell as usize..end.cell as usize).map(move |cell| {
+            let meta = g.meta[cell];
+            let edges = g.cell_edges(cell, meta);
+            let held = Cell {
+                src: g.srcs[cell],
+                local: g.locals[column],
+                weights: &g.weights[edge..edge + edges],
+            };
+            edge += edges;
+            column += usize::from(ends_column(meta));
+            held
         })
     }
 
-    fn tile_range(&self) -> Range<usize> {
-        let starts = &self.graph.subgraph_starts;
-        starts[self.ordinal] as usize..starts[self.ordinal + 1] as usize
+    /// The subgraph's streamed ordinal.
+    pub(crate) fn ordinal(&self) -> usize {
+        self.ordinal
+    }
+
+    fn starts(&self) -> Starts {
+        self.graph.subgraphs[self.ordinal]
+    }
+
+    fn end(&self) -> Starts {
+        self.graph.subgraphs[self.ordinal + 1]
     }
 }
 
@@ -246,11 +288,18 @@ impl TiledGraph {
     ///
     /// Returns [`ConfigError`] if the configuration's geometry is
     /// inconsistent (see [`GraphRConfig::check`] and
-    /// [`TileOrder::new`]), or if the graph has more edges, or the
-    /// geometry more `(block, strip)` slots, than the `u32` offset tables
+    /// [`TileOrder::new`]), if its strips are wider than the 65,536
+    /// destinations the layout addresses, or if the graph has more edges,
+    /// or the geometry more `(block, strip)` slots, than the `u32` tables
     /// address, or a slot more positions than 63-bit keys hold.
     pub fn preprocess(graph: &EdgeList, config: &GraphRConfig) -> Result<Self, ConfigError> {
         config.check()?;
+        if config.strip_width() > MAX_STRIP_WIDTH {
+            return Err(ConfigError::new(format!(
+                "strip width {} exceeds the {MAX_STRIP_WIDTH} destinations a tiling addresses",
+                config.strip_width()
+            )));
+        }
         let c = config.crossbar_size;
         let n = graph.num_vertices();
         let block_size = config.effective_block_vertices(n);
@@ -268,23 +317,31 @@ impl TiledGraph {
         // Every coordinate of an edge comes from its source alone or its
         // destination alone, so per-vertex tables give each edge its
         // `(block, strip)` slot and its key within the slot as two sums.
-        let (src_slot, src_key): (Vec<u32>, Vec<u64>) = (0..n)
-            .map(|i| {
-                let (bi, chunk, row) = order.source_coords(i);
-                ((bi * strips) as u32, layout.source(chunk, row))
+        // Vertices are met in order, so nested counters give their
+        // coordinates with no division.
+        let (src_slot, src_key): (Vec<u32>, Vec<u64>) = (0..per_side)
+            .flat_map(|bi| {
+                let chunks = 0..order.chunks_per_block();
+                chunks.flat_map(move |chunk| {
+                    (0..c).map(move |row| ((bi * strips) as u32, layout.source(chunk, row)))
+                })
             })
+            .take(n)
             .unzip();
-        let (dst_slot, dst_key): (Vec<u32>, Vec<u64>) = (0..n)
-            .map(|j| {
-                let (bj, strip, sub_col) = order.destination_coords(j);
-                let slot = per_side * bj * strips + strip;
-                (slot as u32, layout.destination(sub_col / c, sub_col % c))
+        let (dst_slot, dst_key): (Vec<u32>, Vec<u64>) = (0..per_side * strips)
+            .flat_map(|column| {
+                let tiles = 0..order.strip_width() / c;
+                let slot = (per_side * strips * (column / strips) + column % strips) as u32;
+                tiles.flat_map(move |tile| {
+                    (0..c).map(move |col| (slot, layout.destination(tile, col)))
+                })
             })
+            .take(n)
             .unzip();
         let slot_of = |e: &Edge| (src_slot[e.src as usize] + dst_slot[e.dst as usize]) as usize;
 
-        // Count, then scatter each edge's `(key, weight)` into its slot's
-        // bucket, in input order.
+        // Count, then scatter each edge's `(key, weight, source)` into its
+        // slot's bucket, in input order.
         let mut bucket_starts = vec![0u32; num_slots + 1];
         for e in edges {
             bucket_starts[slot_of(e) + 1] += 1;
@@ -293,86 +350,154 @@ impl TiledGraph {
             bucket_starts[s + 1] += bucket_starts[s];
         }
         let mut fill = bucket_starts.clone();
-        let mut buckets = vec![(0u64, 0f32); edges.len()];
+        let mut buckets = vec![(0u64, 0f32, 0u32); edges.len()];
         for e in edges {
             let slot = slot_of(e);
             let key = src_key[e.src as usize] + dst_key[e.dst as usize];
-            buckets[fill[slot] as usize] = (key, e.weight);
+            buckets[fill[slot] as usize] = (key, e.weight, e.src);
             fill[slot] += 1;
         }
         drop((fill, src_slot, src_key, dst_slot, dst_key));
 
         // Sort each bucket by key, stably, so parallel edges keep their
-        // input order, and emit it. Keys ascend, so a subgraph or tile
-        // opens only where a key passes the open one's end.
-        let mut entries = Vec::with_capacity(edges.len());
-        let mut tile_starts = Vec::new();
-        let mut tile_index = Vec::new();
-        let mut subgraph_starts = Vec::new();
-        let mut chunks: Vec<u32> = Vec::new();
+        // input order, and drain it into the tables: its weights, then one
+        // entry per run of equal keys, a cell. A column, tile or subgraph
+        // opens where the key's bits above its row, column or tile change.
+        // Keys restart in every slot, so each slot opens all three afresh.
+        let mut weights = Vec::with_capacity(edges.len());
+        let (mut srcs, mut meta) = (
+            Vec::with_capacity(edges.len()),
+            Vec::with_capacity(edges.len()),
+        );
+        let mut locals = Vec::with_capacity(edges.len());
+        let (mut wide, mut subgraphs) = (Vec::new(), Vec::new());
         let mut slot_starts = Vec::with_capacity(num_slots + 1);
+        let mut tiles = 0;
         let largest = bucket_starts.windows(2).map(|w| w[1] - w[0]).max();
-        let mut scratch = vec![(0u64, 0f32); largest.unwrap_or(0) as usize];
+        let mut scratch = vec![(0u64, 0f32, 0u32); largest.unwrap_or(0) as usize];
         for slot in 0..num_slots {
-            slot_starts.push(chunks.len() as u32);
+            slot_starts.push(subgraphs.len() as u32);
             let bucket =
                 &mut buckets[bucket_starts[slot] as usize..bucket_starts[slot + 1] as usize];
             sort_bucket(bucket, &mut scratch, layout.bits);
-            let (mut subgraph_end, mut tile_end) = (0, 0);
-            for &(key, weight) in bucket.iter() {
-                if key >= subgraph_end {
-                    subgraph_end = layout.chunk_end(key);
-                    subgraph_starts.push(tile_index.len() as u32);
-                    chunks.push(layout.chunk(key));
+            let first = weights.len();
+            weights.extend(bucket.iter().map(|&(_, weight, _)| weight));
+            let (mut edge, mut prev) = (0, u64::MAX);
+            for cell in bucket.chunk_by(|a, b| a.0 == b.0) {
+                let (key, edges) = (cell[0].0, cell.len());
+                let changed = key ^ prev;
+                let opens_column = changed >> layout.cell_bits != 0;
+                if changed >> layout.chunk_shift != 0 {
+                    subgraphs.push(Starts {
+                        edge: (first + edge) as u32,
+                        cell: srcs.len() as u32,
+                        column: locals.len() as u32,
+                        tile: tiles,
+                    });
                 }
-                if key >= tile_end {
-                    tile_end = layout.tile_end(key);
-                    tile_starts.push(entries.len() as u32);
-                    tile_index.push(layout.tile(key));
+                // The cell ends its tile or column where the next key's
+                // bits above its column or row differ, or the slot ends.
+                let ends = key ^ bucket.get(edge + edges).map_or(u64::MAX, |next| next.0);
+                let flags = u8::from(ends >> layout.tile_shift != 0) << 1
+                    | u8::from(ends >> layout.cell_bits != 0);
+                if edges > NARROW_EDGES {
+                    wide.push((srcs.len() as u32, edges as u32));
                 }
-                let (row, col) = layout.cell(key);
-                entries.push(TileEntry { row, col, weight });
+                let count = if edges > NARROW_EDGES { 0 } else { edges as u8 };
+                meta.push(count << 2 | flags);
+                srcs.push(cell[0].2);
+                if opens_column {
+                    tiles += u32::from(changed >> layout.tile_shift != 0);
+                    locals.push(layout.local(key, c) as u16);
+                }
+                (edge, prev) = (edge + edges, key);
             }
         }
-        slot_starts.push(chunks.len() as u32);
-        subgraph_starts.push(tile_index.len() as u32);
-        tile_starts.push(entries.len() as u32);
+        slot_starts.push(subgraphs.len() as u32);
+        subgraphs.push(Starts {
+            edge: weights.len() as u32,
+            cell: srcs.len() as u32,
+            column: locals.len() as u32,
+            tile: tiles,
+        });
+        srcs.shrink_to_fit();
+        meta.shrink_to_fit();
+        locals.shrink_to_fit();
+        subgraphs.shrink_to_fit();
         Ok(TiledGraph {
             order,
             num_vertices: n,
-            entries,
-            tile_starts,
-            tile_index,
-            subgraph_starts,
-            chunks,
+            weights,
+            srcs,
+            meta,
+            wide,
+            locals,
+            subgraphs,
             slot_starts,
-            mac_index: LazyMacIndex::default(),
         })
     }
 
-    /// Positions in the streamed order of the edges of the subgraphs at
-    /// `ordinals`.
-    fn subgraph_edges(&self, ordinals: Range<usize>) -> Range<usize> {
-        let tiles = &self.subgraph_starts;
-        let first = self.tile_starts[tiles[ordinals.start] as usize];
-        first as usize..self.tile_starts[tiles[ordinals.end] as usize] as usize
-    }
-
-    /// The MAC cell index, built first if no scan has built it yet, with
-    /// the units fanned out over one worker per entry of `workers`.
-    pub(crate) fn mac_index<S: Send>(&self, workers: &mut [S]) -> &MacIndex {
-        self.mac_index
-            .0
-            .get_or_init(|| MacIndex::build(self, workers))
-    }
-
-    /// Heap bytes of the MAC cell index, or 0 while no Fast-fidelity MAC
-    /// scan has built it. The index depends only on the tiling, so every
-    /// executor over this graph shares it: host state, never part of
-    /// [`Metrics`](crate::Metrics).
+    /// Heap bytes of every table the tiling holds: host state, never part
+    /// of [`Metrics`](crate::Metrics).
     #[must_use]
-    pub fn mac_index_bytes(&self) -> usize {
-        self.mac_index.0.get().map_or(0, MacIndex::bytes)
+    pub fn heap_bytes(&self) -> usize {
+        fn bytes<T>(table: &Vec<T>) -> usize {
+            table.capacity() * std::mem::size_of::<T>()
+        }
+        bytes(&self.weights)
+            + bytes(&self.srcs)
+            + bytes(&self.meta)
+            + bytes(&self.wide)
+            + bytes(&self.locals)
+            + bytes(&self.subgraphs)
+            + bytes(&self.slot_starts)
+    }
+
+    /// Where the subgraphs at `ordinals` start, and the positions of
+    /// their cells.
+    pub(crate) fn run(&self, ordinals: Range<usize>) -> (Starts, Range<usize>) {
+        let (first, end) = (self.subgraphs[ordinals.start], self.subgraphs[ordinals.end]);
+        (first, first.cell as usize..end.cell as usize)
+    }
+
+    /// Per cell of `cells`: its source vertex and its metadata.
+    pub(crate) fn cells(&self, cells: Range<usize>) -> (&[u32], &[u8]) {
+        (&self.srcs[cells.clone()], &self.meta[cells])
+    }
+
+    /// Destinations of the columns from position `column` on.
+    pub(crate) fn locals(&self, column: usize) -> &[u16] {
+        &self.locals[column..]
+    }
+
+    /// Weights of the edges from position `edge` on.
+    pub(crate) fn weights(&self, edge: usize) -> &[f32] {
+        &self.weights[edge..]
+    }
+
+    /// The edge count of the cell at position `cell`, whose metadata is
+    /// `meta`.
+    #[inline]
+    pub(crate) fn cell_edges(&self, cell: usize, meta: u8) -> usize {
+        match usize::from(meta >> 2) {
+            0 => self.wide[self.wide.partition_point(|&(c, _)| (c as usize) < cell)].1 as usize,
+            edges => edges,
+        }
+    }
+
+    /// Positions of the cells of the subgraphs in `(block, strip)`.
+    pub(crate) fn slot_cells(&self, block: usize, strip: usize) -> Range<usize> {
+        self.run(self.slot_subgraphs(block, strip)).1
+    }
+
+    /// Cells of the strip unit `unit` (`bj · strips_per_block + strip`),
+    /// over all its block rows.
+    pub(crate) fn unit_cells(&self, unit: usize) -> usize {
+        let (per_side, strips) = (self.order.blocks_per_side(), self.order.strips_per_block());
+        let blocks = unit / strips * per_side..(unit / strips + 1) * per_side;
+        blocks
+            .map(|block| self.slot_cells(block, unit % strips).len())
+            .sum()
     }
 
     /// The ordering geometry in use.
@@ -381,7 +506,7 @@ impl TiledGraph {
         &self.order
     }
 
-    /// The per-block-row source-range index over the offset tables.
+    /// The per-block-row source-range index over the subgraph tables.
     #[must_use]
     pub fn source_index(&self) -> SourceRangeIndex<'_> {
         SourceRangeIndex { graph: self }
@@ -427,19 +552,19 @@ impl TiledGraph {
     /// Total edges across all tiles.
     #[must_use]
     pub fn total_edges(&self) -> usize {
-        self.entries.len()
+        self.weights.len()
     }
 
     /// Number of subgraphs containing at least one edge.
     #[must_use]
     pub fn nonempty_subgraphs(&self) -> usize {
-        self.chunks.len()
+        self.subgraphs.len() - 1
     }
 
     /// Number of logical crossbar tiles containing at least one edge.
     #[must_use]
     pub fn nonempty_tiles(&self) -> usize {
-        self.tile_index.len()
+        self.subgraphs[self.nonempty_subgraphs()].tile as usize
     }
 
     /// Total subgraph slots (empty included) — the denominator of the
@@ -454,13 +579,6 @@ impl TiledGraph {
     pub fn strip_dst_start(&self, block: usize, strip: usize) -> usize {
         let bj = block / self.order.blocks_per_side();
         bj * self.order.block_size() + strip * self.order.strip_width()
-    }
-
-    /// First source vertex of source `chunk` in `block`.
-    #[must_use]
-    pub fn chunk_src_start(&self, block: usize, chunk: u32) -> usize {
-        let bi = block % self.order.blocks_per_side();
-        bi * self.order.block_size() + chunk as usize * self.order.crossbar_size()
     }
 }
 
@@ -508,47 +626,30 @@ impl KeyLayout {
         (tile as u64) << self.tile_shift | (col as u64) << self.cell_bits
     }
 
-    fn chunk(&self, key: u64) -> u32 {
-        (key >> self.chunk_shift) as u32
-    }
-
-    /// The first key past `key`'s subgraph.
-    fn chunk_end(&self, key: u64) -> u64 {
-        ((key >> self.chunk_shift) + 1) << self.chunk_shift
-    }
-
-    fn tile(&self, key: u64) -> u32 {
-        let mask = (1u64 << (self.chunk_shift - self.tile_shift)) - 1;
-        ((key >> self.tile_shift) & mask) as u32
-    }
-
-    /// The first key past `key`'s tile.
-    fn tile_end(&self, key: u64) -> u64 {
-        ((key >> self.tile_shift) + 1) << self.tile_shift
-    }
-
-    /// `key`'s `(row, column)` within its tile.
-    fn cell(&self, key: u64) -> (u8, u8) {
-        let mask = (1u64 << self.cell_bits) - 1;
-        ((key & mask) as u8, ((key >> self.cell_bits) & mask) as u8)
+    /// `key`'s strip-local destination, `tile · c + column`, for `c`-row
+    /// crossbars.
+    fn local(&self, key: u64, c: usize) -> usize {
+        let field = |shift: u32, bits: u32| (key >> shift) as usize & ((1 << bits) - 1);
+        let tile = field(self.tile_shift, self.chunk_shift - self.tile_shift);
+        tile * c + field(self.cell_bits, self.cell_bits)
     }
 }
 
-/// Sorts a bucket of `(key, weight)` pairs by key, stably, so equal keys
-/// — parallel edges — keep their order. Keys hold at most `bits` bits.
-/// Least-significant-digit radix passes, one per byte, ping-pong through
-/// `scratch` (at least as long as `keyed`); a byte every pair shares
-/// costs no pass. Buckets no longer than one digit's histogram take a
+/// Sorts a bucket of `(key, weight, source)` edges by key, stably, so
+/// equal keys — parallel edges — keep their order. Keys hold at most
+/// `bits` bits. Least-significant-digit radix passes, one per byte,
+/// ping-pong through `scratch` (at least as long as `keyed`); a byte every
+/// edge shares costs no pass. Buckets no longer than one digit's histogram take a
 /// comparison sort instead.
-fn sort_bucket(keyed: &mut [(u64, f32)], scratch: &mut [(u64, f32)], bits: u32) {
+fn sort_bucket(keyed: &mut [(u64, f32, u32)], scratch: &mut [(u64, f32, u32)], bits: u32) {
     const RADIX: usize = 256;
     if keyed.len() <= RADIX {
-        keyed.sort_by_key(|&(key, _)| key);
+        keyed.sort_by_key(|&(key, _, _)| key);
         return;
     }
     let digits = bits.div_ceil(8) as usize;
     let mut counts = [[0u32; RADIX]; 8];
-    for &(key, _) in keyed.iter() {
+    for &(key, _, _) in keyed.iter() {
         for (d, count) in counts[..digits].iter_mut().enumerate() {
             count[(key >> (8 * d)) as u8 as usize] += 1;
         }
@@ -603,20 +704,14 @@ mod tests {
 
     /// Every `(src, dst, weight)` the layout holds, walked slot by slot.
     fn reconstruct(tiled: &TiledGraph) -> Vec<(u32, u32, f32)> {
-        let c = tiled.order().crossbar_size();
         let mut out = Vec::new();
         for block in 0..tiled.num_blocks() {
             for strip in 0..tiled.order().strips_per_block() {
                 let dst0 = tiled.strip_dst_start(block, strip);
                 for ord in tiled.slot_subgraphs(block, strip) {
-                    let sg = tiled.subgraph(ord);
-                    let src0 = tiled.chunk_src_start(block, sg.chunk());
-                    for (t, entries) in sg.tiles() {
-                        for e in entries {
-                            let src = src0 + e.row as usize;
-                            let dst = dst0 + t * c + e.col as usize;
-                            out.push((src as u32, dst as u32, e.weight));
-                        }
+                    for cell in tiled.subgraph(ord).cells() {
+                        let dst = (dst0 + usize::from(cell.local)) as u32;
+                        out.extend(cell.weights.iter().map(|&w| (cell.src, dst, w)));
                     }
                 }
             }
@@ -637,8 +732,10 @@ mod tests {
         for ord in 0..tiled.nonempty_subgraphs() {
             let sg = tiled.subgraph(ord);
             subgraphs.push((sg.chunk(), sg.edges()));
-            for (t, entries) in sg.tiles() {
-                streamed.extend(entries.iter().map(|e| (t, e.row, e.col, e.weight)));
+            for cell in sg.cells() {
+                let (t, col) = (usize::from(cell.local) / 4, (cell.local % 4) as u8);
+                let row = (cell.src as usize - sg.src_start()) as u8;
+                streamed.extend(cell.weights.iter().map(|&w| (t, row, col, w)));
             }
         }
         #[rustfmt::skip]
@@ -680,8 +777,8 @@ mod tests {
                 for ord in slot {
                     let sg = tiled.subgraph(ord);
                     assert!(sg.edges() > 0);
-                    assert_ne!(sg.tiles().len(), 0);
-                    assert!(sg.tiles().all(|(_, entries)| !entries.is_empty()));
+                    assert_ne!(sg.num_tiles(), 0);
+                    assert!(sg.cells().all(|cell| !cell.weights.is_empty()));
                 }
             }
         }
@@ -717,22 +814,17 @@ mod tests {
         assert_eq!(tiled.total_edges(), 0);
     }
 
-    /// The MAC cell index is derived state: a tiling compares and prints
-    /// the same whether or not it has built its index, and a clone starts
-    /// unbuilt.
+    /// Every field of a tiling is its value: two tilings of one graph
+    /// compare and print the same, and so does a clone.
     #[test]
-    fn tilings_ignore_their_mac_index() {
+    fn tilings_compare_print_and_clone_by_value() {
         let g = Rmat::new(60, 300).seed(7).max_weight(9).generate();
-        let built = TiledGraph::preprocess(&g, &small_config()).unwrap();
-        let unbuilt = TiledGraph::preprocess(&g, &small_config()).unwrap();
-        built.mac_index(&mut [()]);
-        assert!(built.mac_index_bytes() > 0);
-        assert_eq!(unbuilt.mac_index_bytes(), 0);
-        assert_eq!(built, unbuilt);
-        assert_eq!(format!("{built:?}"), format!("{unbuilt:?}"));
-        let clone = built.clone();
-        assert_eq!(clone, built);
-        assert_eq!(clone.mac_index_bytes(), 0);
+        let first = TiledGraph::preprocess(&g, &small_config()).unwrap();
+        let second = TiledGraph::preprocess(&g, &small_config()).unwrap();
+        assert_eq!(first, second);
+        assert_eq!(format!("{first:?}"), format!("{second:?}"));
+        let clone = first.clone();
+        assert_eq!(clone, first);
     }
 
     proptest! {
@@ -768,17 +860,21 @@ mod tests {
                 .sum();
             prop_assert_eq!(by_counter as usize, m);
             // Every span's byte range of the streamed order is exactly its
-            // subgraph's entries, tiles strictly ascending: the in-memory
+            // subgraph's edges, tiles strictly ascending: the in-memory
             // layout is the byte order the disk model prices.
+            let c = config.crossbar_size;
             for span in tiled.source_index().spans() {
                 let sg = tiled.subgraph(span.ordinal as usize);
                 prop_assert_eq!(sg.edges(), span.edges);
-                let held: Vec<TileEntry> =
-                    sg.tiles().flat_map(|(_, entries)| entries.iter().copied()).collect();
+                let held: Vec<f32> =
+                    sg.cells().flat_map(|cell| cell.weights.iter().copied()).collect();
                 let lo = span.edge_offset as usize;
-                prop_assert_eq!(&tiled.entries[lo..lo + span.edges as usize], &held[..]);
-                let tiles: Vec<usize> = sg.tiles().map(|(t, _)| t).collect();
+                prop_assert_eq!(&tiled.weights[lo..lo + span.edges as usize], &held[..]);
+                let mut tiles: Vec<usize> =
+                    sg.cells().map(|cell| usize::from(cell.local) / c).collect();
+                tiles.dedup();
                 prop_assert!(tiles.windows(2).all(|w| w[0] < w[1]), "tiles {:?}", tiles);
+                prop_assert_eq!(tiles.len(), sg.num_tiles() as usize);
             }
         }
     }

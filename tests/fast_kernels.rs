@@ -530,13 +530,14 @@ fn dense_programs_hold_exactly_their_stored_pairs() {
         let out = exec.scan_mac(&value, &[&x]);
         assert_eq!(bits(&out), dense_bits, "{threads} threads");
         assert_eq!(exec.programmed_units(), expected, "{threads} threads");
-        // One 4-byte code per cell; the cell index is the tiling's.
+        // One 4-byte code per cell; each cell's source and meta byte are
+        // the tiling's.
         let bytes = exec.program_bytes();
         assert_eq!(bytes, 4 * pairs.len(), "{threads} threads");
-        let index_bytes = tiled.mac_index_bytes();
+        let tiling_bytes = tiled.heap_bytes();
         assert!(
-            index_bytes >= 5 * pairs.len(),
-            "{index_bytes} index bytes for {} cells",
+            tiling_bytes >= 5 * pairs.len(),
+            "{tiling_bytes} tiling bytes for {} cells",
             pairs.len()
         );
 
@@ -551,8 +552,8 @@ fn dense_programs_hold_exactly_their_stored_pairs() {
         );
         assert_eq!(exec.program_bytes(), bytes, "{threads} threads, pruned");
         assert_eq!(
-            tiled.mac_index_bytes(),
-            index_bytes,
+            tiled.heap_bytes(),
+            tiling_bytes,
             "{threads} threads, pruned"
         );
         let [_, fanned_out] = exec.scan_paths();
@@ -641,11 +642,21 @@ fn index_edge_cases_match_tile_reference() {
             (span.src_start, dst0) == (12, 16)
         })
         .expect("source 13's subgraph");
-    let cells: Vec<(usize, Vec<(u8, u8)>)> = tiled
-        .subgraph(span.ordinal as usize)
-        .tiles()
-        .map(|(t, entries)| (t, entries.iter().map(|e| (e.row, e.col)).collect()))
-        .collect();
+    // Per tile, each edge's `(row, column)` within it.
+    let sg = tiled.subgraph(span.ordinal as usize);
+    let mut cells: Vec<(usize, Vec<(u8, u8)>)> = Vec::new();
+    for cell in sg.cells() {
+        let t = usize::from(cell.local) / 4;
+        if cells.last().is_none_or(|&(last, _)| last != t) {
+            cells.push((t, Vec::new()));
+        }
+        let at = (
+            (cell.src as usize - sg.src_start()) as u8,
+            (cell.local % 4) as u8,
+        );
+        let tile = &mut cells.last_mut().expect("a tile is open").1;
+        tile.extend(std::iter::repeat_n(at, cell.weights.len()));
+    }
     assert_eq!(cells, [(1, vec![(1, 3); 2]), (2, vec![(1, 3); 2])]);
 
     let value =

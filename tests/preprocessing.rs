@@ -24,20 +24,17 @@ fn figure12_config() -> GraphRConfig {
 }
 
 /// Every subgraph's `(src, dst)` edges, subgraphs in streamed order,
-/// rebuilt from slot, chunk and tile coordinates.
+/// rebuilt from slot coordinates and each cell's source and strip-local
+/// destination.
 fn subgraph_edges(tiled: &TiledGraph) -> Vec<Vec<(usize, usize)>> {
-    let c = tiled.order().crossbar_size();
     let mut out = Vec::new();
     for block in 0..tiled.num_blocks() {
         for strip in 0..tiled.order().strips_per_block() {
             let dst0 = tiled.strip_dst_start(block, strip);
             for ord in tiled.slot_subgraphs(block, strip) {
-                let sg = tiled.subgraph(ord);
-                let src0 = tiled.chunk_src_start(block, sg.chunk());
-                let edges = sg.tiles().flat_map(|(t, entries)| {
-                    entries
-                        .iter()
-                        .map(move |e| (src0 + e.row as usize, dst0 + t * c + e.col as usize))
+                let edges = tiled.subgraph(ord).cells().flat_map(|cell| {
+                    let edge = (cell.src as usize, dst0 + usize::from(cell.local));
+                    std::iter::repeat_n(edge, cell.weights.len())
                 });
                 out.push(edges.collect());
             }
@@ -87,6 +84,31 @@ fn default_node_tiles_real_sized_graph() {
     assert!(tiled.nonempty_subgraphs() <= tiled.total_subgraph_slots());
     // 10 K vertices pad to 3 strips of the 4096-wide window.
     assert_eq!(tiled.order().padded_vertices(), 12288);
+}
+
+/// Strip-local destinations are 16-bit, so a strip wider than 65,536
+/// destinations is a configuration error, returned rather than panicked
+/// on; a strip of exactly 65,536 tiles.
+#[test]
+fn strips_wider_than_the_layout_addresses_are_rejected() {
+    let strips = |ges: usize| {
+        GraphRConfig::builder()
+            .crossbar_size(256)
+            .crossbars_per_ge(16)
+            .num_ges(ges)
+            .spec(FixedSpec::new(5, 0).expect("valid spec"))
+            .slicer(BitSlicer::new(4, 1).expect("valid slicer"))
+            .build()
+            .expect("a valid node")
+    };
+    let g = Rmat::new(100, 400).seed(2).generate();
+    let widest = strips(16);
+    assert_eq!(widest.strip_width(), 65_536);
+    let tiled = TiledGraph::preprocess(&g, &widest).expect("the widest strip tiles");
+    assert_eq!(tiled.total_edges(), 400);
+    let too_wide = strips(17);
+    let err = TiledGraph::preprocess(&g, &too_wide).expect_err("a 69,632-wide strip");
+    assert!(err.to_string().contains("strip width 69632"), "{err}");
 }
 
 #[test]
@@ -204,8 +226,8 @@ proptest! {
         let g = Rmat::new(n, m).seed(seed).generate();
         let tiled = TiledGraph::preprocess(&g, &figure12_config()).unwrap();
         let total: usize = (0..tiled.nonempty_subgraphs())
-            .flat_map(|ord| tiled.subgraph(ord).tiles())
-            .map(|(_, entries)| entries.len())
+            .flat_map(|ord| tiled.subgraph(ord).cells())
+            .map(|cell| cell.weights.len())
             .sum();
         prop_assert_eq!(total, m);
     }
