@@ -20,7 +20,7 @@ use graphr_core::exec::mask::FrontierMask;
 use graphr_core::exec::{EdgeValueFn, ScanEngine, StreamingExecutor};
 use graphr_core::multinode::{ClusterExecutor, MultiNodeConfig, MultiNodeEstimate};
 use graphr_core::outofcore::{estimate_out_of_core, DiskModel};
-use graphr_core::sim::{PageRankOptions, TraversalOptions};
+use graphr_core::sim::{PageRankOptions, SpmvOptions, TraversalOptions};
 use graphr_core::{GraphRConfig, TiledGraph};
 use graphr_graph::generators::rmat::Rmat;
 use graphr_graph::generators::structured::grid;
@@ -146,9 +146,13 @@ fn main() {
 /// first dense scan on a tiling already scanned (each fills every unit's
 /// codes and scans them: a dense SpMV's cost), and as a scan that reuses
 /// the codes, with the tiling's heap bytes per stored edge (asserted at
-/// most 15) and the executor's code bytes per stored edge; a masked SpMV
-/// scan over the plan of a
-/// 1-in-100 source mask, whose fresh value refills the kept codes of its
+/// most 15) and the executor's code bytes per stored edge. The fresh
+/// executor's scan runs under PageRank's values as
+/// `EdgeValueFn::per_source` and as the equal closure, and under SpMV's
+/// as `EdgeValueFn::weight_over_source` and as its closure; each pair
+/// must give the same bits, and each fresh scan prints its ratio to the
+/// reused one. Then a masked SpMV scan over the plan of a 1-in-100 source
+/// mask, whose fresh value refills the kept codes of its
 /// planned runs on every scan, one fill and one scan call per run of
 /// adjacent planned subgraphs, with the code bytes per stored edge its
 /// executor then holds (its planned units' codes only); and a one-lane
@@ -165,34 +169,40 @@ fn scan_kernel_case() {
     let tile = || TiledGraph::preprocess(&graph, &config).expect("tile the R-MAT graph");
     let tiled = tile();
     let degrees = graph.out_degrees();
-    let pagerank = |_w: f32, src: u32, _dst: u32| 0.85 / f64::from(degrees[src as usize]);
+    let conductance: Vec<f64> = degrees.iter().map(|&d| 0.85 / f64::from(d)).collect();
+    let out_degrees: Vec<f64> = degrees.iter().map(|&d| f64::from(d)).collect();
+    let pagerank = |_w: f32, src: u32, _dst: u32| conductance[src as usize];
+    let over_degree = |w: f32, src: u32, _dst: u32| f64::from(w) / out_degrees[src as usize];
     let x = vec![1.0; n];
     let matrix_spec = PageRankOptions::default().matrix_spec;
+    let spmv_spec = SpmvOptions::default().matrix_spec;
     for threads in [1, 2] {
-        let fresh = || StreamingExecutor::new(&tiled, &config, matrix_spec).with_threads(threads);
+        let fresh = |spec| StreamingExecutor::new(&tiled, &config, spec).with_threads(threads);
         // A fresh tiling per scan, tiled before the clock starts.
         let mut cold = Vec::new();
         let t_cold = best_of(7, || {
             let tiled = tile();
             let mut mac =
                 StreamingExecutor::new(&tiled, &config, matrix_spec).with_threads(threads);
-            let value = EdgeValueFn::new(&pagerank);
+            let value = EdgeValueFn::per_source(&conductance);
             let start = Instant::now();
             cold = mac.scan_mac(&value, &[&x]);
             start.elapsed()
         });
         // A fresh executor per scan on a tiling already scanned, as a SpMV
         // run makes: each first scan fills and scans every unit's codes.
-        let mut first = fresh().scan_mac(&EdgeValueFn::new(&pagerank), &[&x]);
-        let t_first = best_of(7, || {
-            let mut mac = fresh();
-            let value = EdgeValueFn::new(&pagerank);
-            let start = Instant::now();
-            first = mac.scan_mac(&value, &[&x]);
-            start.elapsed()
-        });
-        let mut mac = fresh();
-        let value = EdgeValueFn::new(&pagerank);
+        let (pr, mv) = (|| fresh(matrix_spec), || fresh(spmv_spec));
+        let (t_table, first) = first_scan(pr, || EdgeValueFn::per_source(&conductance), &x);
+        let (t_closure, by_closure) = first_scan(pr, || EdgeValueFn::new(&pagerank), &x);
+        assert_eq!(first, by_closure, "per_source must give its closure's bits");
+        let (t_over, over) = first_scan(mv, || EdgeValueFn::weight_over_source(&out_degrees), &x);
+        let (t_over_closure, by_closure) = first_scan(mv, || EdgeValueFn::new(&over_degree), &x);
+        assert_eq!(
+            over, by_closure,
+            "weight_over_source must give its closure's bits"
+        );
+        let mut mac = fresh(matrix_spec);
+        let value = EdgeValueFn::per_source(&conductance);
         let mut reused = mac.scan_mac(&value, &[&x]);
         let t_reused = best_of(7, || {
             let start = Instant::now();
@@ -203,15 +213,27 @@ fn scan_kernel_case() {
         let tiling_bytes = tiled.heap_bytes() as f64 / edges;
         assert!(tiling_bytes <= 15.0, "{tiling_bytes:.2} tiling B/edge");
         assert_eq!(first, reused, "reused codes must give the filled bits");
+        let plural = if threads == 1 { "" } else { "s" };
         println!(
-            "  scan kernels (Fast, {threads} thread{}, R-MAT 65,536 V / 1 M E): MAC fill + scan {:.1} ms on a fresh tiling, {:.1} ns/edge ({:.1} ms, a dense SpMV) on a fresh executor, reused {:.1} ns/edge; tiling {:.2} B/edge, codes {:.2} B/edge",
-            if threads == 1 { "" } else { "s" },
+            "  scan kernels (Fast, {threads} thread{plural}, R-MAT 65,536 V / 1 M E): MAC fill + scan {:.1} ms on a fresh tiling, {:.1} ns/edge ({:.1} ms, a dense SpMV) on a fresh executor, reused {:.1} ns/edge; tiling {:.2} B/edge, codes {:.2} B/edge",
             t_cold * 1e3,
-            t_first * 1e9 / edges,
-            t_first * 1e3,
+            t_table * 1e9 / edges,
+            t_table * 1e3,
             t_reused * 1e9 / edges,
             tiling_bytes,
             mac.program_bytes() as f64 / edges,
+        );
+        let ratio = |t: f64| t / t_reused;
+        println!(
+            "  scan kernels (Fast, {threads} thread{plural}): fresh-executor dense scan, PageRank values per_source {:.1} ms ({:.2}x reused) vs closure {:.1} ms ({:.2}x), SpMV values weight_over_source {:.1} ms ({:.2}x) vs closure {:.1} ms ({:.2}x)",
+            t_table * 1e3,
+            ratio(t_table),
+            t_closure * 1e3,
+            ratio(t_closure),
+            t_over * 1e3,
+            ratio(t_over),
+            t_over_closure * 1e3,
+            ratio(t_over_closure),
         );
     }
 
@@ -222,10 +244,10 @@ fn scan_kernel_case() {
     let masked_x: Vec<f64> = (0..n)
         .map(|v| if mask.get(v) { 1.0 } else { 0.0 })
         .collect();
-    let mut spmv = StreamingExecutor::new(&tiled, &config, matrix_spec);
+    let mut spmv = StreamingExecutor::new(&tiled, &config, spmv_spec);
     let plan = ScanEngine::plan(&mut spmv, Some(&mask));
     let t_masked = best_of(7, || {
-        let value = EdgeValueFn::new(&pagerank);
+        let value = EdgeValueFn::weight_over_source(&out_degrees);
         let start = Instant::now();
         spmv.scan_mac_planned(&plan, &value, &[&masked_x]);
         start.elapsed()
@@ -263,6 +285,23 @@ fn scan_kernel_case() {
         "  scan kernels (Fast, 1 thread, R-MAT 65,536 V / 1 M E): add-op {:.1} ns/edge",
         t_addop * 1e9 / edges,
     );
+}
+
+/// A fresh executor's first dense MAC scan of `x` under `value()`: the
+/// best of 7 host times, and its outputs.
+fn first_scan<'a, 'v>(
+    fresh: impl Fn() -> StreamingExecutor<'a>,
+    value: impl Fn() -> EdgeValueFn<'v>,
+    x: &[f64],
+) -> (f64, Vec<Vec<f64>>) {
+    let mut first = fresh().scan_mac(&value(), &[x]);
+    let t_first = best_of(7, || {
+        let (mut mac, value) = (fresh(), value());
+        let start = Instant::now();
+        first = mac.scan_mac(&value, &[x]);
+        start.elapsed()
+    });
+    (t_first, first)
 }
 
 /// Observability is passive: draining the same serve batch with and

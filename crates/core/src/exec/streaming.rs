@@ -56,7 +56,7 @@
 //! not — which is the ablation quantifying what sparsity-awareness buys.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::config::GraphRConfig;
 use crate::exec::lanes::LaneFrontier;
@@ -64,7 +64,7 @@ use crate::exec::mask::{FrontierDelta, FrontierMask};
 use crate::exec::plan::{PlanSkeleton, PlanUnit, ScanPlan};
 use crate::exec::planner::Planner;
 use crate::exec::pool;
-use crate::exec::strip::{mac_rego_capacity, StripScanner, UnitCodes};
+use crate::exec::strip::{mac_rego_capacity, Fill, StripScanner, UnitCodes};
 use crate::exec::ScanEngine;
 use crate::metrics::Metrics;
 use crate::outofcore::{DiskAccountant, DiskModel};
@@ -74,28 +74,60 @@ use crate::trace::{SpanMark, TraceHandle};
 /// Computes the value programmed into a crossbar cell for an edge:
 /// `(weight, src, dst) → value`. This is the `processEdge`-side transform —
 /// e.g. PageRank programs `r / outdegree(src)`, SSSP programs the weight.
+/// It is a closure ([`EdgeValueFn::new`]), or data:
+/// [`EdgeValueFn::per_source`] (`table[src]`, PageRank's conductance) or
+/// [`EdgeValueFn::weight_over_source`] (`w / table[src]`, SpMV's). Every
+/// kernel sees [`EdgeValueFn::eval`]'s values; the Fast MAC fill reads a
+/// table directly, with the same bits, and a scan rejects a table shorter
+/// than |V|.
 ///
-/// Each [`EdgeValueFn::new`] draws a process-unique id. A Fast-fidelity
-/// MAC scan keeps its units' codes, tagged with that id (see
+/// Each constructor draws a process-unique id. A Fast-fidelity MAC scan
+/// keeps its units' codes, tagged with that id (see
 /// [`crate::exec::strip`]'s `# Kernels`). A scan under another id refills
 /// the runs it plans; once a dense scan has filled a unit, later scans
-/// under the same id, dense or pruned, read its codes. So the closure must
+/// under the same id, dense or pruned, read its codes. So a closure must
 /// give the same value for the same arguments for as long as the id is
-/// scanned. A driver makes one per run (CF, whose values change
+/// scanned; a data form borrows its table, which therefore cannot change
+/// under the id. A driver makes one per run (CF, whose values change
 /// every epoch, one per epoch and direction).
 #[derive(Clone, Copy)]
 pub struct EdgeValueFn<'f> {
-    f: &'f (dyn Fn(f32, u32, u32) -> f64 + Sync + 'f),
+    pub(crate) form: ValueForm<'f>,
     id: u64,
+}
+
+/// What an [`EdgeValueFn`] computes its values from.
+#[derive(Clone, Copy)]
+pub(crate) enum ValueForm<'f> {
+    Closure(&'f (dyn Fn(f32, u32, u32) -> f64 + Sync + 'f)),
+    PerSource(&'f [f64]),
+    WeightOverSource(&'f [f64]),
 }
 
 impl<'f> EdgeValueFn<'f> {
     /// Wraps `f` under a fresh id.
     #[must_use]
     pub fn new(f: &'f (dyn Fn(f32, u32, u32) -> f64 + Sync + 'f)) -> Self {
+        Self::of(ValueForm::Closure(f))
+    }
+
+    /// The value `table[src]` for an edge out of `src`, under a fresh id.
+    #[must_use]
+    pub fn per_source(table: &'f [f64]) -> Self {
+        Self::of(ValueForm::PerSource(table))
+    }
+
+    /// The value `f64::from(w) / table[src]` for an edge of weight `w` out
+    /// of `src`, under a fresh id.
+    #[must_use]
+    pub fn weight_over_source(table: &'f [f64]) -> Self {
+        Self::of(ValueForm::WeightOverSource(table))
+    }
+
+    fn of(form: ValueForm<'f>) -> Self {
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         EdgeValueFn {
-            f,
+            form,
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -104,7 +136,19 @@ impl<'f> EdgeValueFn<'f> {
     #[inline]
     #[must_use]
     pub fn eval(&self, weight: f32, src: u32, dst: u32) -> f64 {
-        (self.f)(weight, src, dst)
+        match self.form {
+            ValueForm::Closure(f) => f(weight, src, dst),
+            ValueForm::PerSource(table) => table[src as usize],
+            ValueForm::WeightOverSource(table) => f64::from(weight) / table[src as usize],
+        }
+    }
+
+    /// Panics unless a data form's table covers `n` vertices.
+    fn assert_covers(&self, n: usize) {
+        if let ValueForm::PerSource(table) | ValueForm::WeightOverSource(table) = self.form {
+            let len = table.len();
+            assert!(len >= n, "value table has {len} entries for {n} vertices");
+        }
     }
 
     /// The id MAC codes are keyed by.
@@ -428,6 +472,7 @@ impl<'a> StreamingExecutor<'a> {
         for x in inputs {
             assert_eq!(x.len(), n, "input vectors must have one entry per vertex");
         }
+        value.assert_covers(n);
         let mut outputs = vec![vec![0.0; n]; k];
         // Out of the executor while the scan runs, so a scan that panics
         // leaves no half-filled codes behind. The tile kernel keeps none.
@@ -448,12 +493,16 @@ impl<'a> StreamingExecutor<'a> {
             let found = rest.find(|(unit, _)| *unit == punit.unit.index);
             found.map(|(_, codes)| codes)
         });
+        let fill = Fill {
+            value,
+            source_codes: OnceLock::new(),
+        };
         self.run_units(
             plan,
             &mut outputs,
             states.collect(),
             |scanner, punit, codes, outputs, _, metrics| {
-                scanner.scan_mac_unit(punit, value, codes, inputs, outputs, metrics);
+                scanner.scan_mac_unit(punit, &fill, codes, inputs, outputs, metrics);
                 0
             },
             |_| {},
@@ -492,6 +541,7 @@ impl<'a> StreamingExecutor<'a> {
     ) -> u64 {
         let n = self.tiled.num_vertices();
         let k = active.num_lanes();
+        value.assert_covers(n);
         assert_eq!(addends.len(), k, "one addend vector per lane required");
         assert_eq!(frontiers.len(), k, "one frontier vector per lane required");
         assert_eq!(updated.num_lanes(), k, "updated must carry the same lanes");

@@ -33,7 +33,12 @@
 //! column-end flag, its column's strip-local destination, and where each
 //! subgraph's cells, columns and edges start. A fill is one linear pass
 //! over a run of cells and their edges: it evaluates each cell's edges,
-//! merges them, quantises once and writes a 4-byte code in place. The
+//! merges them, quantises once and writes a 4-byte code in place. Its
+//! loop is chosen per run by the value's form ([`EdgeValueFn`]): a closure
+//! is called per edge; a `per_source` table is quantised once per scan
+//! that fills, so a one-edge cell's code is a lookup (a cell of more edges
+//! sums and quantises); `weight_over_source` divides each weight inline.
+//! Each gives the bits of the closure computing the same values. The
 //! executor keeps each unit's codes, its block rows' cells one row after
 //! another, tagged with the value they hold, and one kernel serves dense
 //! and pruned plans: inside the unit's task it walks the planned runs of
@@ -69,14 +74,16 @@
 
 use std::iter::Peekable;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use crate::config::{Fidelity, GraphRConfig, StreamingOrder};
 use crate::engine::salu::{ReduceOp, SAlu};
 use crate::engine::tile::{MergeRule, TileCompute};
 use crate::exec::plan::PlanUnit;
-use crate::exec::streaming::EdgeValueFn;
-use crate::metrics::Metrics;
+use crate::exec::streaming::{EdgeValueFn, ValueForm};
+use crate::metrics::{EventCounters, Metrics};
 use crate::preprocess::tiler::{ends_column, ends_tile, Cell, SubgraphView, TiledGraph};
+use graphr_reram::CostBreakdown;
 
 /// Bytes per COO edge record streamed from memory ReRAM — the binary
 /// record format is owned by the graph crate.
@@ -93,6 +100,13 @@ pub(crate) struct UnitCodes {
     /// Everything a dense MAC scan of the unit charges except the sALU
     /// operations, with the input count it was charged for.
     pub(crate) charges: Option<(usize, Metrics)>,
+}
+
+/// What one MAC scan's fills read: its value, and a `per_source` table's
+/// codes, quantised by the scan's first fill.
+pub(crate) struct Fill<'v> {
+    pub(crate) value: &'v EdgeValueFn<'v>,
+    pub(crate) source_codes: OnceLock<Vec<i32>>,
 }
 
 /// One global destination strip: the parallel work unit of a scan.
@@ -345,16 +359,17 @@ impl<'a> StripScanner<'a> {
     /// and energy into `metrics`. Only the block rows and subgraphs the
     /// plan lists are visited, through the unit's kept codes `held` (see
     /// the module's `# Kernels`) or, for `None`, the tile kernel, which
-    /// programs each tile from `value`.
+    /// programs each tile from `fill`'s value.
     pub(crate) fn scan_mac_unit(
         &mut self,
         punit: &PlanUnit,
-        value: &EdgeValueFn<'_>,
+        fill: &Fill<'_>,
         held: Option<&mut UnitCodes>,
         inputs: &[&[f64]],
         outputs: &mut [&mut [f64]],
         metrics: &mut Metrics,
     ) {
+        let value = fill.value;
         let Some(held) = held else {
             let mut salu = SAlu::new(ReduceOp::Add);
             let dst0 = punit.unit.dst_start;
@@ -371,7 +386,7 @@ impl<'a> StripScanner<'a> {
             self.walk_mac_unit(punit, k, &mut charges, |_, _| {});
             (k, charges)
         });
-        let fill = held.value != Some(value.id());
+        let fills = held.value != Some(value.id());
         let (tiled, dst0) = (self.tiled, punit.unit.dst_start);
         let strip = punit.unit.strip as usize;
         // The unit's codes hold its block rows' cells one row after
@@ -389,14 +404,14 @@ impl<'a> StripScanner<'a> {
                 let at = base + cells.start - slot.start;
                 let codes = &mut held.codes[at..at + cells.len()];
                 let column = first.column as usize;
-                if fill {
-                    self.fill_cells(&cells, column, first.edge as usize, dst0, value, codes);
+                if fills {
+                    self.fill_cells(&cells, column, first.edge as usize, dst0, fill, codes);
                 }
                 salu_ops += self.scan_cells(&cells, column, codes, inputs, outputs);
             }
             (base, block) = (base + slot.len(), row_block + 1);
         }
-        if fill {
+        if fills {
             held.value = dense.then_some(value.id());
         }
         metrics.merge(&charges);
@@ -408,37 +423,61 @@ impl<'a> StripScanner<'a> {
 
     /// Writes the codes of the tiling's `cells`, whose columns start at
     /// position `column` and edges at position `edge`, in the unit whose
-    /// first destination is `dst0`, for `value`: one pass over the cells
-    /// and their edges, each cell's edges evaluated and merged in streamed
-    /// order and quantised once (what [`TileCompute::load`] is programmed
-    /// with), shifted up one bit over the cell's column-end flag; formats
-    /// have at most 31 bits.
+    /// first destination is `dst0`, for `fill`'s value: each cell's edges'
+    /// values merged in streamed order and quantised once (what
+    /// [`TileCompute::load`] is programmed with), shifted up one bit over
+    /// the cell's column-end flag; formats have at most 31 bits. The loop
+    /// is chosen once per run, by the value's form (see `# Kernels`).
+    #[inline(never)]
     fn fill_cells(
         &self,
         cells: &Range<usize>,
         column: usize,
         edge: usize,
         dst0: usize,
-        value: &EdgeValueFn<'_>,
+        fill: &Fill<'_>,
         codes: &mut [i32],
     ) {
-        let tiled = self.tiled;
+        let (tiled, quant) = (self.tiled, self.quant);
         let (srcs, meta) = tiled.cells(cells.clone());
-        let (locals, weights) = (tiled.locals(column), tiled.weights(edge));
-        let (mut edge, mut columns) = (0, 0);
-        for (at, ((&src, &meta), code)) in srcs.iter().zip(meta).zip(codes).enumerate() {
-            let edges = tiled.cell_edges(cells.start + at, meta);
-            let (src, dst) = (src as usize, dst0 + usize::from(locals[columns]));
-            let v = cell_value(
-                &weights[edge..edge + edges],
-                src,
-                dst,
-                value,
-                MergeRule::Sum,
-            );
-            edge += edges;
-            *code = self.quant.quantize(v) << 1 | i32::from(ends_column(meta));
-            columns += usize::from(ends_column(meta));
+        let cell_edges = |at, meta| tiled.cell_edges(cells.start + at, meta);
+        let (weights, mut edge) = (tiled.weights(edge), 0);
+        let cells = srcs.iter().zip(meta).zip(codes).enumerate();
+        match fill.value.form {
+            ValueForm::PerSource(table) => {
+                let quantize = || table.iter().map(|&v| quant.quantize(v)).collect();
+                let table_codes = fill.source_codes.get_or_init(quantize);
+                for (at, ((&src, &meta), code)) in cells {
+                    let (src, edges) = (src as usize, cell_edges(at, meta));
+                    let raw = match edges {
+                        1 => table_codes[src],
+                        _ => quant.quantize((1..edges).fold(table[src], |v, _| v + table[src])),
+                    };
+                    *code = raw << 1 | i32::from(ends_column(meta));
+                }
+            }
+            ValueForm::WeightOverSource(table) => {
+                for (at, ((&src, &meta), code)) in cells {
+                    let (d, edges) = (table[src as usize], cell_edges(at, meta));
+                    let mut v = f64::from(weights[edge]) / d;
+                    if edges > 1 {
+                        let rest = &weights[edge + 1..edge + edges];
+                        v = rest.iter().fold(v, |v, &w| v + f64::from(w) / d);
+                    }
+                    edge += edges;
+                    *code = quant.quantize(v) << 1 | i32::from(ends_column(meta));
+                }
+            }
+            ValueForm::Closure(_) => {
+                let (locals, mut columns) = (tiled.locals(column), 0);
+                for (at, ((&src, &meta), code)) in cells {
+                    let (edges, dst) = (cell_edges(at, meta), dst0 + usize::from(locals[columns]));
+                    let cell = &weights[edge..edge + edges];
+                    let v = cell_value(cell, src as usize, dst, fill.value, MergeRule::Sum);
+                    (edge, columns) = (edge + edges, columns + usize::from(ends_column(meta)));
+                    *code = quant.quantize(v) << 1 | i32::from(ends_column(meta));
+                }
+            }
         }
     }
 
@@ -463,7 +502,10 @@ impl<'a> StripScanner<'a> {
         let (tiled, quant) = (self.tiled, self.quant);
         let (mut srcs, mut codes) = (tiled.cells(cells.clone()).0, codes);
         let mut locals = tiled.locals(column);
-        let mut salu = SAlu::new(ReduceOp::Add);
+        // The sALU's Add, counted here. Adding a nonzero sum in place gives
+        // `SAlu::reduce_one`'s bits: a sum that leaves a slot equal leaves
+        // its bits too.
+        let mut salu_ops = 0;
         while !srcs.is_empty() {
             let mut end = CHUNK.min(srcs.len());
             end += codes[end - 1..]
@@ -472,6 +514,7 @@ impl<'a> StripScanner<'a> {
                 .unwrap_or(0);
             let mut columns = 0;
             for (x, out) in inputs.iter().zip(outputs.iter_mut()) {
+                let (x, out): (&[f64], &mut [f64]) = (x, out);
                 let (mut column, mut sum) = (0, 0.0);
                 for (&src, &code) in srcs[..end].iter().zip(&codes[..end]) {
                     let xv = x[src as usize];
@@ -480,7 +523,8 @@ impl<'a> StripScanner<'a> {
                     }
                     if code & 1 != 0 {
                         if sum != 0.0 {
-                            salu.reduce_one(&mut out[usize::from(locals[column])], sum);
+                            out[usize::from(locals[column])] += sum;
+                            salu_ops += 1;
                         }
                         sum = 0.0;
                         column += 1;
@@ -490,7 +534,7 @@ impl<'a> StripScanner<'a> {
             }
             (srcs, codes, locals) = (&srcs[end..], &codes[end..], &locals[columns..]);
         }
-        salu.ops_performed()
+        salu_ops
     }
 
     /// Walks `punit`'s planned subgraphs in streamed order, handing each
@@ -512,22 +556,28 @@ impl<'a> StripScanner<'a> {
         // chunk, so every nonempty subgraph costs its own GE step and a
         // full RegO spill — the §3.3 argument. Subgraphs are stored in
         // ascending chunk order, which is the source-major visit order.
+        // Subgraph charges add into local copies, written back before any
+        // other charge, so every field sees the same additions in order.
         let row_major = self.config.order == StreamingOrder::RowMajor;
         for row in punit.rows(tiled) {
             let pruned = row.pruned() as u64;
             let (mut strip_tiles, mut strip_edges) = (0, 0);
+            let (mut energy, mut events) = (metrics.energy, metrics.events);
             for ord in row.subgraphs() {
                 let sg = tiled.subgraph(ord as usize);
                 let (tiles, edges) = (u64::from(sg.num_tiles()), u64::from(sg.edges()));
                 visit(self, sg);
-                self.charge_mac_subgraph(tiles, edges, k, metrics);
+                self.charge_mac_subgraph(tiles, edges, k, &mut energy, &mut events);
                 if row_major {
+                    (metrics.energy, metrics.events) = (energy, events);
                     let step = tiles.min(self.tile_slots() as u64);
                     self.charge_strip_time(step, edges, pruned, k, metrics);
                     self.charge_strip_writeback(writeback, metrics);
+                    (energy, events) = (metrics.energy, metrics.events);
                 }
                 (strip_tiles, strip_edges) = (strip_tiles + tiles, strip_edges + edges);
             }
+            (metrics.energy, metrics.events) = (energy, events);
             if !row_major {
                 self.charge_strip_time(strip_tiles, strip_edges, pruned, k, metrics);
                 self.charge_strip_writeback(writeback, metrics);
@@ -632,27 +682,33 @@ impl<'a> StripScanner<'a> {
     }
 
     /// Charges the energy and events of one planned subgraph of `tiles`
-    /// tiles and `edges` edges in a MAC scan of `k` input vectors (time is
-    /// charged per strip).
-    fn charge_mac_subgraph(&self, tiles: u64, edges: u64, k: usize, metrics: &mut Metrics) {
+    /// tiles and `edges` edges in a MAC scan of `k` input vectors into
+    /// `energy` and `ev` (time is charged per strip).
+    fn charge_mac_subgraph(
+        &self,
+        tiles: u64,
+        edges: u64,
+        k: usize,
+        energy: &mut CostBreakdown,
+        ev: &mut EventCounters,
+    ) {
         let c = self.config.crossbar_size;
         let arrays = self.config.arrays_per_tile() as u64;
         let cost = &self.config.cost;
         let cells = edges * arrays;
         let conversions = tiles * c as u64 * arrays * k as u64;
-        metrics.energy.program += cost.program_energy(cells);
-        metrics.energy.mvm += cost.mvm_energy(cells * k as u64);
-        metrics.energy.driver += cost.driver_energy(c as u64 * tiles * arrays * k as u64);
-        metrics.energy.adc += cost.adc_energy(conversions);
-        metrics.energy.sample_hold += cost.sample_hold_energy(conversions);
-        metrics.energy.shift_add += cost.shift_add_energy(conversions);
-        metrics.energy.salu += cost.salu_energy(tiles * c as u64 * k as u64);
+        energy.program += cost.program_energy(cells);
+        energy.mvm += cost.mvm_energy(cells * k as u64);
+        energy.driver += cost.driver_energy(c as u64 * tiles * arrays * k as u64);
+        energy.adc += cost.adc_energy(conversions);
+        energy.sample_hold += cost.sample_hold_energy(conversions);
+        energy.shift_add += cost.shift_add_energy(conversions);
+        energy.salu += cost.salu_energy(tiles * c as u64 * k as u64);
         let reg_reads = tiles * c as u64 * k as u64; // per-tile RegI row reads
         let reg_writes = tiles * c as u64 * k as u64; // RegO merges
-        metrics.energy.registers += cost.register_energy(reg_reads + reg_writes);
-        metrics.energy.memory += cost.memory_stream_energy(edges * BYTES_PER_EDGE);
+        energy.registers += cost.register_energy(reg_reads + reg_writes);
+        energy.memory += cost.memory_stream_energy(edges * BYTES_PER_EDGE);
 
-        let ev = &mut metrics.events;
         ev.subgraphs_processed += 1;
         ev.tiles_loaded += tiles;
         ev.edges_loaded += edges;
@@ -1009,7 +1065,6 @@ mod tests {
     use super::*;
     use crate::exec::lanes::LaneFrontier;
     use crate::exec::mask::FrontierMask;
-    use crate::metrics::EventCounters;
     use graphr_graph::generators::rmat::Rmat;
     use graphr_units::FixedSpec;
 
@@ -1071,6 +1126,10 @@ mod tests {
         let plan = crate::exec::plan::PlanSkeleton::build(&tiled).full_plan();
         let mut scanner = StripScanner::new(&tiled, &cfg, FixedSpec::new(16, 2).unwrap());
         let value = EdgeValueFn::new(&|w, _, _| f64::from(w));
+        let fill = Fill {
+            value: &value,
+            source_codes: OnceLock::new(),
+        };
         let x = vec![0.0; 6];
         let mut cells = Vec::new();
         for punit in plan.units() {
@@ -1084,7 +1143,7 @@ mod tests {
             let mut out = vec![0.0; punit.unit.dst_len];
             let outputs = &mut [&mut out[..]];
             let m = &mut Metrics::new();
-            scanner.scan_mac_unit(punit, &value, Some(&mut held), &[&x], outputs, m);
+            scanner.scan_mac_unit(punit, &fill, Some(&mut held), &[&x], outputs, m);
             assert_eq!(held.value, Some(value.id()), "a dense fill tags its value");
             let codes = held.codes;
             assert!(
@@ -1227,6 +1286,10 @@ mod tests {
                 ..UnitCodes::default()
             })
             .collect();
+        let fill = Fill {
+            value: &value,
+            source_codes: OnceLock::new(),
+        };
         // The first pass fills the kept codes and the second reads them.
         for _ in 0..2 {
             let mut merged = Metrics::new();
@@ -1235,7 +1298,7 @@ mod tests {
                 let unit = &punit.unit;
                 let window = &mut out[unit.dst_start..unit.dst_start + unit.dst_len];
                 let mut m = Metrics::new();
-                scanner.scan_mac_unit(punit, &value, Some(held), &[&x], &mut [window], &mut m);
+                scanner.scan_mac_unit(punit, &fill, Some(held), &[&x], &mut [window], &mut m);
                 merged.merge(&m);
             }
             merged.events.rego_capacity_required = merged

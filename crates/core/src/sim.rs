@@ -224,8 +224,9 @@ pub fn run_pagerank_with(
     // Each source's programmed conductance r / outdeg, once per run; a
     // source without out-edges is never read.
     let conductance: Vec<f64> = degrees.iter().map(|&d| r / f64::from(d)).collect();
-    let value = |_w: f32, src: u32, _dst: u32| conductance[src as usize];
-    let value = EdgeValueFn::new(&value);
+    let value = EdgeValueFn::per_source(&conductance);
+    // Those sources' ranks are the dangling mass.
+    let sinks: Vec<usize> = (0..n).filter(|&v| degrees[v] == 0).collect();
 
     // Ranks scaled by n: uniform start is exactly 1.0.
     let qr = opts.register_spec.quantizer();
@@ -237,13 +238,7 @@ pub fn run_pagerank_with(
     while exec.metrics().iterations < opts.max_iterations {
         let y = exec.scan_mac(&value, &[&s]);
         let dangling: f64 = if opts.redistribute_dangling {
-            degrees
-                .iter()
-                .zip(&s)
-                .filter(|&(&d, _)| d == 0)
-                .map(|(_, &sv)| sv)
-                .sum::<f64>()
-                / n as f64
+            sinks.iter().map(|&v| s[v]).sum::<f64>() / n as f64
         } else {
             0.0
         };
@@ -375,13 +370,10 @@ pub fn run_spmv_with(
             ))));
         }
     }
-    // The conductance w / outdeg depends on each edge's weight, so unlike
-    // PageRank's it has no per-source table: w · (1 / outdeg) would round
-    // differently. The division runs once per edge, while the scan
-    // programs the cells, not in the kernel that reads them.
-    let degrees = graph.out_degrees();
-    let value = move |w: f32, src: u32, _dst: u32| f64::from(w) / f64::from(degrees[src as usize]);
-    let value = EdgeValueFn::new(&value);
+    // The conductance w / outdeg is divided per edge as the scan fills:
+    // w · (1 / outdeg) would round differently.
+    let degrees: Vec<f64> = graph.out_degrees().into_iter().map(f64::from).collect();
+    let value = EdgeValueFn::weight_over_source(&degrees);
     let qreg = opts.register_spec.quantizer();
     let qx: Vec<f64> = x.iter().map(|&v| qreg.quantize_value(v)).collect();
     let trace = exec.trace().cloned();

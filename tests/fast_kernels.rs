@@ -126,10 +126,11 @@ fn mac_scan_of(
     (out.to_vec(), exec.into_metrics())
 }
 
-/// One lane-fused add-op scan over the union plan of `active`: lane
-/// frontiers as bits, updated lanes, row drives and the metrics.
+/// One lane-fused add-op scan under `value` over the union plan of
+/// `active`: lane frontiers as bits, updated lanes, row drives and the
+/// metrics.
 fn add_op_scan(
-    signed: bool,
+    value: &EdgeValueFn<'_>,
     active: &LaneFrontier,
     addends: &[Vec<f64>],
     mut exec: StreamingExecutor<'_>,
@@ -141,7 +142,7 @@ fn add_op_scan(
     let mut updated = LaneFrontier::new(n, k);
     let drives = exec.scan_add_op_lanes_planned(
         &plan,
-        &EdgeValueFn::new(&edge_value(signed)),
+        value,
         &|du, w| du + w,
         addends,
         active,
@@ -239,11 +240,13 @@ proptest! {
                     .collect()
             })
             .collect();
+        let value = edge_value(signed);
+        let value = EdgeValueFn::new(&value);
         let reference = StreamingExecutor::new(&tiled, &config, spec).with_tile_reference();
-        let expected = add_op_scan(signed, &active, &addends, reference);
+        let expected = add_op_scan(&value, &active, &addends, reference);
         for threads in [1, 2] {
             let exec = StreamingExecutor::new(&tiled, &config, spec).with_threads(threads);
-            let got = add_op_scan(signed, &active, &addends, exec);
+            let got = add_op_scan(&value, &active, &addends, exec);
             prop_assert_eq!(&got.0, &expected.0, "frontiers at {} threads", threads);
             prop_assert_eq!(&got.1, &expected.1, "updated lanes at {} threads", threads);
             prop_assert_eq!(got.2, expected.2, "row drives at {} threads", threads);
@@ -310,6 +313,105 @@ proptest! {
             }
         }
     }
+
+    /// Data-form values: `per_source` over PageRank's conductance table
+    /// and `weight_over_source` over the out-degrees give their equal
+    /// closures' outputs and `Metrics` bit for bit, and the tile
+    /// reference's, over pruned and dense plans (a fresh pruned fill, a
+    /// dense fill, then both reading the kept codes) at k = 1, 3 or 5
+    /// non-dyadic inputs and one to three threads, on multigraphs with one
+    /// cell of 70 parallel edges. An SSSP add-op scan under each data form
+    /// equals its closure's too.
+    #[test]
+    fn data_form_values_match_closures_and_tile_reference(
+        size in 0usize..4,
+        order in 0usize..2,
+        n in 1usize..300,
+        m in 0usize..2500,
+        seed in 0u64..1000,
+        dup in 1usize..6,
+        k in 0usize..3,
+    ) {
+        let config = config(SIZES[size], ORDERS[order], false);
+        let (src, dst) = ((seed as usize % n) as u32, (seed as usize * 7 % n) as u32);
+        let mut edges = multigraph(n, m, seed, dup).edges().to_vec();
+        edges.extend((0..70).map(|i| Edge::new(src, dst, (i % 5) as f32 * 0.75 + 0.5)));
+        let g = EdgeList::from_edges(n, edges).expect("in-range edges");
+        let tiled = TiledGraph::preprocess(&g, &config).expect("valid geometry");
+        let spec = FixedSpec::new(16, 12).expect("Q4.12 is valid");
+        let degrees: Vec<f64> = g.out_degrees().into_iter().map(f64::from).collect();
+        let conductance: Vec<f64> = degrees.iter().map(|&d| 0.85 / d).collect();
+        let inputs: Vec<Vec<f64>> = (0..[1, 3, 5][k])
+            .map(|q| {
+                (0..n)
+                    .map(|v| {
+                        if mix(seed ^ q as u64, v as u64).is_multiple_of(7) {
+                            0.0
+                        } else {
+                            1.0 / (v + 3 + q) as f64
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let mask = FrontierMask::from_slice(
+            &(0..n).map(|v| !mix(seed ^ 0x3C, (v / 16) as u64).is_multiple_of(3)).collect::<Vec<_>>(),
+        );
+        let per_source = |_w: f32, src: u32, _dst: u32| conductance[src as usize];
+        let over_source = |w: f32, src: u32, _dst: u32| f64::from(w) / degrees[src as usize];
+        let forms = [
+            (EdgeValueFn::per_source(&conductance), EdgeValueFn::new(&per_source)),
+            (EdgeValueFn::weight_over_source(&degrees), EdgeValueFn::new(&over_source)),
+        ];
+        let active = LaneFrontier::from_masks(std::slice::from_ref(&mask));
+        let addends = vec![(0..n).map(|v| (v % 11) as f64 * 0.375).collect::<Vec<_>>()];
+        for (data, closure) in &forms {
+            let reference = StreamingExecutor::new(&tiled, &config, spec).with_tile_reference();
+            let expected = mac_scan_of(data, &inputs, &mask, reference);
+            for threads in 1..=3 {
+                let exec = || StreamingExecutor::new(&tiled, &config, spec).with_threads(threads);
+                let got = mac_scan_of(data, &inputs, &mask, exec());
+                prop_assert_eq!(&got, &mac_scan_of(closure, &inputs, &mask, exec()), "closure at {} threads", threads);
+                prop_assert_eq!(&got.0, &expected.0, "outputs at {} threads", threads);
+                prop_assert_eq!(&got.1, &expected.1, "metrics at {} threads", threads);
+            }
+            let exec = || StreamingExecutor::new(&tiled, &config, spec);
+            prop_assert_eq!(
+                add_op_scan(data, &active, &addends, exec()),
+                add_op_scan(closure, &active, &addends, exec())
+            );
+        }
+    }
+}
+
+/// A value table shorter than |V| is rejected when a MAC scan starts.
+#[test]
+#[should_panic(expected = "value table has 9 entries for 10 vertices")]
+fn short_per_source_tables_are_rejected() {
+    let g = Rmat::new(10, 40).seed(1).generate();
+    let config = config(4, StreamingOrder::ColumnMajor, false);
+    let tiled = TiledGraph::preprocess(&g, &config).expect("valid geometry");
+    let spec = FixedSpec::new(16, 12).expect("Q4.12 is valid");
+    let mut exec = StreamingExecutor::new(&tiled, &config, spec);
+    exec.scan_mac(&EdgeValueFn::per_source(&[0.5; 9]), &[&[1.0; 10]]);
+}
+
+/// A value table shorter than |V| is rejected when an add-op scan starts.
+#[test]
+#[should_panic(expected = "value table has 0 entries for 10 vertices")]
+fn short_weight_over_source_tables_are_rejected() {
+    let g = Rmat::new(10, 40).seed(1).generate();
+    let config = config(4, StreamingOrder::ColumnMajor, false);
+    let tiled = TiledGraph::preprocess(&g, &config).expect("valid geometry");
+    let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
+    let active = LaneFrontier::full(10, 1);
+    let addends = vec![vec![0.0; 10]];
+    add_op_scan(
+        &EdgeValueFn::weight_over_source(&[]),
+        &active,
+        &addends,
+        StreamingExecutor::new(&tiled, &config, spec),
+    );
 }
 
 /// The scans of `programmed_streams_match_tile_reference` on one executor,
