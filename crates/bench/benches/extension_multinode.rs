@@ -1,52 +1,81 @@
 //! Extension: multi-node GraphR scaling (the paper's declared future
-//! work, section 3.1) — the legacy dense-all-gather PageRank estimate on
-//! the WebGoogle clone across cluster sizes, then the plan-aware cluster
-//! subsystem on a sparse-frontier BFS, where the frontier-delta exchange
-//! is asserted to beat the dense all-gather baseline.
+//! work, section 3.1) — PageRank on the WebGoogle clone through the
+//! plan-aware cluster executor across cluster sizes, then a
+//! sparse-frontier BFS, where the frontier-delta exchange is asserted to
+//! beat the dense all-gather bound, then skew-aware strip ownership.
 
 use graphr_core::exec::ScanEngine;
-use graphr_core::multinode::{
-    estimate_pagerank_scaling, ClusterExecutor, MultiNodeConfig, MultiNodeEstimate, OwnerPolicy,
+use graphr_core::multinode::{dense_exchange_bytes, ClusterExecutor, MultiNodeConfig, OwnerPolicy};
+use graphr_core::sim::{
+    run_bfs, run_bfs_with, run_pagerank, run_pagerank_with, PageRankOptions, TraversalOptions,
 };
-use graphr_core::sim::{run_bfs, run_bfs_with, PageRankOptions, TraversalOptions};
 use graphr_core::TiledGraph;
 use graphr_graph::generators::structured::grid;
 use graphr_graph::DatasetSpec;
 use graphr_units::FixedSpec;
 
 fn main() {
+    cluster_pagerank();
+    cluster_sparse_frontier();
+    skew_aware_ownership();
+}
+
+/// PageRank on WG through the plan-aware cluster executor: values must
+/// equal the single-node run at every size, and the exchanged bytes stay
+/// at or below the dense all-gather bound (a dense MAC iteration plans
+/// every destination, so the two meet).
+fn cluster_pagerank() {
     let ctx = graphr_bench::ExperimentContext::from_env();
     let graph = ctx.graph(&DatasetSpec::web_google());
+    let config = ctx.config();
     let opts = PageRankOptions {
         max_iterations: 5,
         tolerance: 0.0,
         ..PageRankOptions::default()
     };
+    let single = run_pagerank(&graph, config, &opts).expect("single-node pagerank");
+    let tiled = TiledGraph::preprocess(&graph, config).expect("valid configuration");
     let mut rows = Vec::new();
     for nodes in [1usize, 2, 4, 8, 16] {
-        let est = estimate_pagerank_scaling(
-            &graph,
-            ctx.config(),
-            &MultiNodeConfig::pcie_cluster(nodes),
-            &opts,
-        )
-        .expect("valid configuration");
+        let mut cluster = ClusterExecutor::new(
+            &tiled,
+            config,
+            opts.matrix_spec,
+            MultiNodeConfig::pcie_cluster(nodes),
+        );
+        let run = run_pagerank_with(&graph, &mut cluster, &opts).expect("cluster pagerank");
+        assert_eq!(
+            run.values, single.values,
+            "partitioning must not change PageRank values ({nodes} nodes)"
+        );
+        let m = &run.metrics;
+        let dense = dense_exchange_bytes(graph.num_vertices(), m.iterations);
+        assert!(
+            m.net.bytes_exchanged <= dense,
+            "plan-aware exchange must stay within the dense all-gather: {} vs {} bytes",
+            m.net.bytes_exchanged,
+            dense
+        );
         rows.push(vec![
             nodes.to_string(),
-            format!("{}", est.bottleneck_scan_time),
-            format!("{}", est.exchange_time),
-            format!("{}", est.total_time),
-            format!("{:.2}x", est.speedup),
-            format!("{}", est.total_energy),
+            format!("{}", m.total_time() - m.net.time),
+            format!("{:.1} KiB", m.net.bytes_exchanged as f64 / 1024.0),
+            format!("{:.1} KiB", dense as f64 / 1024.0),
+            format!("{}", m.net.time),
+            format!("{}", m.total_time()),
+            format!("{:.2}x", single.metrics.total_time().ratio(m.total_time())),
+            format!("{}", m.total_energy()),
         ]);
     }
     println!(
         "{}",
         graphr_bench::report::render_table(
-            "Extension: multi-node GraphR, legacy dense all-gather (PageRank on WG, 5 iterations)",
+            "Extension: multi-node GraphR, plan-aware cluster (PageRank on WG, 5 iterations)",
             &[
                 "nodes",
                 "bottleneck scan",
+                "exchanged",
+                "dense all-gather",
                 "exchange",
                 "total",
                 "speedup",
@@ -55,9 +84,6 @@ fn main() {
             &rows,
         )
     );
-
-    cluster_sparse_frontier();
-    skew_aware_ownership();
 }
 
 /// Skew-aware strip ownership on a power-law graph: round-robin piles
@@ -166,8 +192,7 @@ fn cluster_sparse_frontier() {
             run.distances, single.distances,
             "partitioning must not change BFS labels ({nodes} nodes)"
         );
-        let dense =
-            MultiNodeEstimate::dense_exchange_bytes(g.num_vertices(), run.metrics.iterations);
+        let dense = dense_exchange_bytes(g.num_vertices(), run.metrics.iterations);
         if nodes > 1 {
             assert!(
                 run.metrics.net.bytes_exchanged < dense,

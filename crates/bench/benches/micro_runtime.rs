@@ -18,7 +18,7 @@ use std::time::Instant;
 use graphr_bench::perf::{bench_config, bfs_from_zero, bfs_full_plan_rounds};
 use graphr_core::exec::mask::FrontierMask;
 use graphr_core::exec::{EdgeValueFn, ScanEngine, StreamingExecutor};
-use graphr_core::multinode::{ClusterExecutor, MultiNodeConfig, MultiNodeEstimate};
+use graphr_core::multinode::{dense_exchange_bytes, ClusterExecutor, MultiNodeConfig};
 use graphr_core::outofcore::{estimate_out_of_core, DiskModel};
 use graphr_core::sim::{PageRankOptions, SpmvOptions, TraversalOptions};
 use graphr_core::{GraphRConfig, TiledGraph};
@@ -770,7 +770,7 @@ fn cluster_sparse_frontier_case() {
         "summed per-node events must equal the single-node scan"
     );
 
-    let dense = MultiNodeEstimate::dense_exchange_bytes(n, m_cluster.iterations);
+    let dense = dense_exchange_bytes(n, m_cluster.iterations);
     assert!(
         m_cluster.net.bytes_exchanged < dense,
         "frontier-delta exchange must beat the dense all-gather: {} vs {} bytes",

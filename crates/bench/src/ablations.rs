@@ -1,4 +1,5 @@
-//! Ablation studies of the design choices DESIGN.md calls out.
+//! Ablation studies of the simulator's design choices (ARCHITECTURE.md
+//! maps each choice to the paper section and the code that makes it).
 //!
 //! Each function runs a controlled comparison and returns structured
 //! results plus a rendered table; the corresponding `ablation_*` bench

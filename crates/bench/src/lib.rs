@@ -1,5 +1,5 @@
 //! Experiment harness: regenerates every table and figure of the GraphR
-//! evaluation (§5), plus the ablations called out in DESIGN.md.
+//! evaluation (§5), plus design-choice ablations (README.md, "Experiments").
 //!
 //! Each `cargo bench` target under `benches/` is a thin wrapper over this
 //! library:
@@ -14,7 +14,7 @@
 //! | `fig19_gpu` | Figure 19 |
 //! | `fig20_pim` | Figure 20 |
 //! | `fig21_sparsity` | Figure 21 |
-//! | `ablation_*` | DESIGN.md §4 design-choice studies |
+//! | `ablation_*` | design-choice studies ([`ablations`]) |
 //! | `micro_*` | criterion microbenchmarks of the simulator itself |
 //! | `perf_report` | `BENCH_micro.json` — the [`perf`] scenarios' tracked baseline |
 //!

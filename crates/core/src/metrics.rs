@@ -466,9 +466,9 @@ counter_family! {
     /// iteration's planned subgraphs actually touched: the `updated` frontier
     /// delta for the add-op applications (BFS, SSSP, WCC), the planned units'
     /// destination coverage for the MAC applications (PageRank, SpMV, CF).
-    /// The dense `|V| × 2`-byte all-gather of
-    /// [`estimate_pagerank_scaling`](crate::multinode::estimate_pagerank_scaling)
-    /// is the documented upper bound these counters never exceed.
+    /// The dense `|V| × 2`-byte all-gather per iteration,
+    /// [`dense_exchange_bytes`](crate::multinode::dense_exchange_bytes), is
+    /// the upper bound these counters never exceed.
     #[derive(Debug, Clone, Copy, PartialEq, Default)]
     pub struct NetCounters {
         /// Property bytes exchanged between nodes (16-bit properties of

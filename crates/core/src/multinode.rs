@@ -13,31 +13,25 @@
 //! are exchanged so every node starts the next iteration with the full
 //! property vector.
 //!
-//! Two models are provided:
-//!
-//! * [`ClusterExecutor`] — the **plan-aware cluster subsystem**. It is a
-//!   [`ScanEngine`], so every `sim` driver (including the incremental
-//!   re-planning traversal loops) runs on a cluster unchanged. Each
-//!   executed [`ScanPlan`] is sharded by destination-strip ownership
-//!   under an [`OwnerPolicy`] — round-robin `index % nodes` by default
-//!   (the same rule as [`partition_by_strip`]), or degree-weighted
-//!   ([`OwnerPolicy::DegreeWeighted`]) to tighten the per-node bottleneck
-//!   on power-law graphs — and each shard runs through a *real* inner
-//!   engine, so tile packing, skipping, energy and disk accounting stay
-//!   exact per node. Shard units are `Arc`-shared with the global plan,
-//!   so re-sharding a delta-patched plan clones pointers, not unit
-//!   state. A plan-aware exchange then charges the per-iteration
-//!   property traffic only for vertices the iteration actually touched —
-//!   the `updated` frontier delta for the add-op applications, the planned
-//!   units' destination coverage for the MAC applications — into
-//!   [`Metrics::net`](crate::metrics::NetCounters), and composes iteration
-//!   time as `max(per-node scan [+ disk]) + exchange`.
-//! * [`estimate_pagerank_scaling`] — the **legacy dense all-gather**
-//!   estimate, kept as the documented upper bound (the multi-node analogue
-//!   of [`estimate_out_of_core`](crate::outofcore::estimate_out_of_core)):
-//!   every iteration exchanges the full `|V| × 2`-byte property vector.
-//!   The plan-aware exchange never charges more bytes per iteration, and
-//!   on sparse frontiers charges radically fewer.
+//! [`ClusterExecutor`] is the **plan-aware cluster subsystem**. It is a
+//! [`ScanEngine`], so every `sim` driver (including the incremental
+//! re-planning traversal loops) runs on a cluster unchanged. Each
+//! executed [`ScanPlan`] is sharded by destination-strip ownership under
+//! an [`OwnerPolicy`] — round-robin `index % nodes` by default, or
+//! degree-weighted ([`OwnerPolicy::DegreeWeighted`]) to tighten the
+//! per-node bottleneck on power-law graphs — and each shard runs through
+//! a *real* inner engine, so tile packing, skipping, energy and disk
+//! accounting stay exact per node. Shard units are `Arc`-shared with the
+//! global plan, so re-sharding a delta-patched plan clones pointers, not
+//! unit state. A plan-aware exchange then charges the per-iteration
+//! property traffic only for vertices the iteration actually touched —
+//! the `updated` frontier delta for the add-op applications, the planned
+//! units' destination coverage for the MAC applications — into
+//! [`Metrics::net`](crate::metrics::NetCounters), and composes iteration
+//! time as `max(per-node scan [+ disk]) + exchange`. It never charges
+//! more than the dense all-gather of the full `|V| × 2`-byte property
+//! vector every iteration ([`dense_exchange_bytes`]), and on sparse
+//! frontiers charges radically fewer.
 //!
 //! Determinism contract: destination strips are disjoint, every shard is a
 //! subsequence of the global plan (merge order preserved), and per-node
@@ -79,7 +73,6 @@
 
 use std::sync::Arc;
 
-use graphr_graph::{Edge, EdgeList};
 use graphr_units::{FixedSpec, Joules, Nanos};
 
 use crate::config::{ConfigError, GraphRConfig};
@@ -92,7 +85,6 @@ use crate::exec::ScanEngine;
 use crate::metrics::{Metrics, NetCounters, PlanCounters};
 use crate::outofcore::DiskModel;
 use crate::preprocess::tiler::TiledGraph;
-use crate::sim::{run_pagerank, PageRankOptions, SimError};
 use crate::trace::TraceHandle;
 
 /// Bytes per exchanged vertex property (the §3.2 16-bit data format).
@@ -199,24 +191,13 @@ impl MultiNodeConfig {
     }
 }
 
-/// Splits a graph into per-node edge sets by destination-strip ownership
-/// (node `k` owns strips `s` with `s % nodes == k`), the partitioning that
-/// keeps each node's RegO windows private.
+/// Total property bytes a dense all-gather exchanges over `iterations`:
+/// the full `num_vertices × BYTES_PER_PROPERTY` vector every iteration.
+/// The plan-aware [`Metrics::net`](crate::metrics::NetCounters)
+/// accounting of a [`ClusterExecutor`] run never exceeds it.
 #[must_use]
-pub fn partition_by_strip(graph: &EdgeList, config: &GraphRConfig, nodes: usize) -> Vec<EdgeList> {
-    let width = config.strip_width();
-    let mut parts: Vec<Vec<Edge>> = vec![Vec::new(); nodes.max(1)];
-    for e in graph.iter() {
-        let strip = e.dst as usize / width;
-        parts[strip % nodes.max(1)].push(*e);
-    }
-    parts
-        .into_iter()
-        .map(|edges| {
-            EdgeList::from_edges(graph.num_vertices(), edges)
-                .expect("partition preserves vertex range")
-        })
-        .collect()
+pub fn dense_exchange_bytes(num_vertices: usize, iterations: usize) -> u64 {
+    num_vertices as u64 * BYTES_PER_PROPERTY * iterations as u64
 }
 
 // ------------------------------------------------------- cluster execution
@@ -246,9 +227,8 @@ impl NodeShare {
 /// The exchange is *plan-aware*: an iteration is charged
 /// [`BYTES_PER_PROPERTY`] bytes per vertex it actually touched (recorded
 /// by the owning [`ClusterExecutor`] at scan time), never the dense
-/// `|V| × BYTES_PER_PROPERTY` all-gather of
-/// [`estimate_pagerank_scaling`] — that legacy formula is the documented
-/// upper bound. An iteration that touched nothing exchanges nothing. A
+/// `|V| × BYTES_PER_PROPERTY` all-gather — [`dense_exchange_bytes`] is
+/// the upper bound. An iteration that touched nothing exchanges nothing. A
 /// one-node cluster charges nothing at all (there is no interconnect),
 /// which is what keeps it bit-identical to the single-node engine.
 #[derive(Debug, Clone)]
@@ -751,108 +731,14 @@ impl ScanEngine for ClusterExecutor<'_> {
     }
 }
 
-// --------------------------------------------- legacy dense-exchange model
-
-/// Scaling estimate for one algorithm run on a cluster.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MultiNodeEstimate {
-    /// Nodes in the estimate.
-    pub nodes: usize,
-    /// Single-node runtime of the same workload (the baseline).
-    pub single_node_time: Nanos,
-    /// Slowest node's scan time across the run.
-    pub bottleneck_scan_time: Nanos,
-    /// Total property-exchange time across the run.
-    pub exchange_time: Nanos,
-    /// Estimated cluster runtime (`bottleneck + exchange`).
-    pub total_time: Nanos,
-    /// Compute energy summed over nodes plus interconnect energy.
-    pub total_energy: Joules,
-    /// `single_node_time / total_time`.
-    pub speedup: f64,
-}
-
-impl MultiNodeEstimate {
-    /// Total property bytes the dense all-gather exchanges across the run
-    /// — the upper bound the plan-aware
-    /// [`Metrics::net`](crate::metrics::NetCounters) accounting of a
-    /// [`ClusterExecutor`] run never exceeds.
-    #[must_use]
-    pub fn dense_exchange_bytes(num_vertices: usize, iterations: usize) -> u64 {
-        num_vertices as u64 * BYTES_PER_PROPERTY * iterations as u64
-    }
-}
-
-/// Estimates multi-node PageRank scaling with the **legacy dense
-/// all-gather** model: each node's scan workload runs through the real
-/// executor (on a physically partitioned edge list), and every iteration
-/// is synchronised by a full `|V| × 2`-byte property all-gather —
-/// the multi-node analogue of
-/// [`estimate_out_of_core`](crate::outofcore::estimate_out_of_core)'s
-/// dense restream, kept as the documented upper bound the plan-aware
-/// [`ClusterExecutor`] is compared against.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the configuration is invalid.
-///
-/// # Panics
-///
-/// Panics if `cluster.nodes` is zero.
-pub fn estimate_pagerank_scaling(
-    graph: &EdgeList,
-    config: &GraphRConfig,
-    cluster: &MultiNodeConfig,
-    opts: &PageRankOptions,
-) -> Result<MultiNodeEstimate, SimError> {
-    assert!(cluster.nodes > 0, "a cluster needs at least one node");
-    let single = run_pagerank(graph, config, opts)?;
-    let iterations = single.metrics.iterations.max(1);
-
-    // Per-node workloads: same iteration count, disjoint destination sets.
-    let mut bottleneck = Nanos::ZERO;
-    let mut compute_energy = Joules::ZERO;
-    let fixed_iter_opts = PageRankOptions {
-        max_iterations: iterations,
-        tolerance: 0.0,
-        ..*opts
-    };
-    for part in partition_by_strip(graph, config, cluster.nodes) {
-        if part.num_edges() == 0 {
-            continue;
-        }
-        let node_run = run_pagerank(&part, config, &fixed_iter_opts)?;
-        bottleneck = bottleneck.max(node_run.metrics.total_time());
-        compute_energy += node_run.metrics.total_energy();
-    }
-
-    // All-gather of 16-bit properties once per iteration: each node sends
-    // its owned slice to every other node; with a switch this is |V|·2
-    // bytes in and out per node.
-    let bytes_per_exchange = (graph.num_vertices() as u64 * BYTES_PER_PROPERTY) as f64;
-    let per_exchange =
-        cluster.exchange_latency + Nanos::new(bytes_per_exchange / cluster.interconnect_gbps);
-    let exchange_time = per_exchange * iterations as f64;
-    let exchange_energy =
-        cluster.energy_per_byte * (bytes_per_exchange * cluster.nodes as f64 * iterations as f64);
-
-    let total_time = bottleneck + exchange_time;
-    Ok(MultiNodeEstimate {
-        nodes: cluster.nodes,
-        single_node_time: single.metrics.total_time(),
-        bottleneck_scan_time: bottleneck,
-        exchange_time,
-        total_time,
-        total_energy: compute_energy + exchange_energy,
-        speedup: single.metrics.total_time().ratio(total_time),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{run_pagerank_with, run_sssp, run_sssp_with, TraversalOptions};
+    use crate::sim::{
+        run_pagerank, run_pagerank_with, run_sssp, run_sssp_with, PageRankOptions, TraversalOptions,
+    };
     use graphr_graph::generators::rmat::Rmat;
+    use graphr_graph::EdgeList;
 
     fn config() -> GraphRConfig {
         GraphRConfig::builder()
@@ -865,65 +751,6 @@ mod tests {
 
     fn graph() -> EdgeList {
         Rmat::new(600, 4000).seed(21).self_loops(false).generate()
-    }
-
-    #[test]
-    fn partition_conserves_edges_and_separates_destinations() {
-        let g = graph();
-        let cfg = config();
-        let parts = partition_by_strip(&g, &cfg, 4);
-        assert_eq!(parts.len(), 4);
-        let total: usize = parts.iter().map(EdgeList::num_edges).sum();
-        assert_eq!(total, g.num_edges());
-        let width = cfg.strip_width();
-        for (k, part) in parts.iter().enumerate() {
-            for e in part.iter() {
-                assert_eq!((e.dst as usize / width) % 4, k);
-            }
-        }
-    }
-
-    #[test]
-    fn scaling_beats_single_node_and_saturates() {
-        let g = graph();
-        let cfg = config();
-        let opts = PageRankOptions {
-            max_iterations: 5,
-            tolerance: 0.0,
-            ..PageRankOptions::default()
-        };
-        let two =
-            estimate_pagerank_scaling(&g, &cfg, &MultiNodeConfig::pcie_cluster(2), &opts).unwrap();
-        let eight =
-            estimate_pagerank_scaling(&g, &cfg, &MultiNodeConfig::pcie_cluster(8), &opts).unwrap();
-        assert!(two.speedup > 1.0, "two nodes should help: {}", two.speedup);
-        assert!(
-            eight.speedup >= two.speedup * 0.9,
-            "more nodes should not badly regress"
-        );
-        assert!(
-            eight.speedup < 8.0,
-            "exchange cost must prevent perfect scaling"
-        );
-        assert!(eight.exchange_time > two.exchange_time * 0.9);
-    }
-
-    #[test]
-    fn one_node_cluster_has_no_advantage() {
-        let g = graph();
-        let cfg = config();
-        let opts = PageRankOptions {
-            max_iterations: 3,
-            tolerance: 0.0,
-            ..PageRankOptions::default()
-        };
-        let one =
-            estimate_pagerank_scaling(&g, &cfg, &MultiNodeConfig::pcie_cluster(1), &opts).unwrap();
-        assert!(
-            one.speedup <= 1.0 + 1e-9,
-            "one node plus exchange cannot beat one node: {}",
-            one.speedup
-        );
     }
 
     #[test]
@@ -1114,8 +941,7 @@ mod tests {
         let mut cluster =
             ClusterExecutor::new(&tiled, &cfg, opts.spec, MultiNodeConfig::pcie_cluster(4));
         let run = run_sssp_with(&g, &mut cluster, &opts).unwrap();
-        let dense =
-            MultiNodeEstimate::dense_exchange_bytes(g.num_vertices(), run.metrics.iterations);
+        let dense = dense_exchange_bytes(g.num_vertices(), run.metrics.iterations);
         assert!(
             run.metrics.net.bytes_exchanged < dense,
             "frontier-delta exchange must beat the all-gather: {} vs {}",

@@ -155,9 +155,6 @@ pub struct PageRankOptions {
     pub max_iterations: usize,
     /// Mean-absolute-delta convergence threshold (on ranks scaled by `|V|`).
     pub tolerance: f64,
-    /// Redistribute dangling mass (keeps `Σ rank = 1`); the literal paper
-    /// program drops it.
-    pub redistribute_dangling: bool,
     /// Conductance fixed-point format.
     pub matrix_spec: FixedSpec,
     /// Register (vertex property) fixed-point format, applied to ranks
@@ -172,7 +169,6 @@ impl Default for PageRankOptions {
             damping: 0.85,
             max_iterations: 50,
             tolerance: 1e-4,
-            redistribute_dangling: true,
             matrix_spec: FixedSpec::new(16, 15).expect("Q1.15 is valid"),
             register_spec: FixedSpec::new(16, 6).expect("Q10.6 is valid"),
         }
@@ -180,6 +176,10 @@ impl Default for PageRankOptions {
 }
 
 /// Runs PageRank on GraphR (parallel-MAC pattern, §4.1).
+///
+/// The rank mass of vertices without out-edges (dangling mass) is
+/// redistributed uniformly every iteration, which keeps `Σ rank = 1`;
+/// Figure 13's literal program drops it.
 ///
 /// # Errors
 ///
@@ -237,11 +237,7 @@ pub fn run_pagerank_with(
     let mut tracer = IterTracer::new();
     while exec.metrics().iterations < opts.max_iterations {
         let y = exec.scan_mac(&value, &[&s]);
-        let dangling: f64 = if opts.redistribute_dangling {
-            sinks.iter().map(|&v| s[v]).sum::<f64>() / n as f64
-        } else {
-            0.0
-        };
+        let dangling = sinks.iter().map(|&v| s[v]).sum::<f64>() / n as f64;
         let mut delta = 0.0;
         for v in 0..n {
             // `y` already carries the damping factor (the programmed

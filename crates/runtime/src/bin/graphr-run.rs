@@ -2,8 +2,7 @@
 //! print a metrics report.
 //!
 //! Usage: `graphr-run <JOBFILE> [--threads N] [--batch]
-//! [--disk sata|nvme|sata-seg|nvme-seg|...-pipe|none]
-//! [--prefetch on|off] [--nodes N|single]
+//! [--disk sata|nvme|sata-seg|nvme-seg|...-pipe|none] [--nodes N|single]
 //! [--owner rr|degree] [--trace PATH] [--report text|json]
 //! [--stats PATH|-]`
 //!
@@ -16,7 +15,6 @@
 //! threads <n>
 //! batch on|off
 //! disk sata|nvme|sata-seg|nvme-seg|sata-pipe|nvme-pipe|sata-seg-pipe|nvme-seg-pipe|none
-//! prefetch on|off
 //! nodes <n>|single
 //! owner rr|degree
 //! trace <path>|off
@@ -33,7 +31,7 @@
 //! directive (or `--batch`) runs the file through the `graphr-serve`
 //! scheduler instead of one submission per job: every query enters the
 //! serve queue and a single drain coalesces compatible queued traversals
-//! (same graph, app, options, and execution settings) into **fused
+//! (same graph, app and options) into **fused
 //! waves** — one frontier lane per query, one scan of each iteration's
 //! union plan for all of them — printing which wave ran each query and
 //! how many lanes it shared. Results are bit-identical to the unbatched
@@ -43,11 +41,10 @@
 //! out-of-core regime: scans price their disk loading plan-aware and the
 //! reports gain a disk-vs-compute breakdown (the `-seg` variants charge
 //! one request per sequential segment instead of one per on-disk block,
-//! rewarding contiguity; a `-pipe` suffix — or `prefetch on` /
-//! `--prefetch on`, composing with whichever model is in force — adds
-//! the pipelined I/O lane that reads previously-planned segments ahead
-//! during idle windows, surfacing `graphr_disk_prefetch_*` counters
-//! under `--stats` and a `prefetch:` segment in the disk report row).
+//! rewarding contiguity; a `-pipe` suffix adds the pipelined I/O lane
+//! that reads previously-planned segments ahead during idle windows,
+//! surfacing `graphr_disk_prefetch_*` counters under `--stats` and a
+//! `prefetch:` segment in the disk report row).
 //! The `nodes` directive
 //! (overridable with `--nodes`) runs every job on a simulated multi-node
 //! cluster with PCIe-class links: plans are sharded by destination-strip
@@ -103,15 +100,13 @@ fn main() -> ExitCode {
 
 fn run(args: &[String]) -> Result<(), String> {
     const USAGE: &str = "usage: graphr-run <JOBFILE> [--threads N] [--batch] \
-                         [--disk sata|nvme|sata-seg|nvme-seg|...-pipe|none] \
-                         [--prefetch on|off] [--nodes N] \
+                         [--disk sata|nvme|sata-seg|nvme-seg|...-pipe|none] [--nodes N] \
                          [--owner rr|degree] [--trace PATH] [--report text|json] \
                          [--stats PATH|-]";
     let mut path = None;
     let mut threads_override = None;
     let mut force_batch = false;
     let mut disk_override = None;
-    let mut prefetch_override = None;
     let mut nodes_override = None;
     let mut owner_override = None;
     let mut trace_override = None;
@@ -149,10 +144,6 @@ fn run(args: &[String]) -> Result<(), String> {
                     .ok_or("--disk needs a value (sata|nvme|sata-seg|nvme-seg|...-pipe|none)")?;
                 disk_override = Some(parse_disk(v)?);
             }
-            "--prefetch" => {
-                let v = it.next().ok_or("--prefetch needs a value (on|off)")?;
-                prefetch_override = Some(parse_prefetch(v)?);
-            }
             "--nodes" => {
                 let v = it
                     .next()
@@ -180,12 +171,7 @@ fn run(args: &[String]) -> Result<(), String> {
     if let Some(t) = threads {
         session = session.with_threads(t);
     }
-    let mut disk = disk_override.unwrap_or(plan.disk);
-    // `--prefetch` / the `prefetch` directive compose with whichever
-    // model is in force, mirroring the `-pipe` name suffix.
-    if let (Some(model), Some(p)) = (&mut disk, prefetch_override.or(plan.prefetch)) {
-        model.prefetch = p;
-    }
+    let disk = disk_override.unwrap_or(plan.disk);
     if let Some(model) = disk {
         session = session.with_disk(model);
     }
@@ -466,7 +452,6 @@ struct Plan {
     threads: Option<usize>,
     batch: bool,
     disk: Option<DiskModel>,
-    prefetch: Option<bool>,
     nodes: Option<usize>,
     owner: OwnerPolicy,
     trace: Option<String>,
@@ -518,17 +503,6 @@ fn parse_disk(name: &str) -> Result<Option<DiskModel>, String> {
     })
 }
 
-/// Parses a prefetch toggle as used by `--prefetch` and the `prefetch`
-/// directive (composes with whichever disk model is in force, mirroring
-/// the `-pipe` model-name suffix).
-fn parse_prefetch(value: &str) -> Result<bool, String> {
-    match value {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        other => Err(format!("unknown prefetch setting '{other}' (on|off)")),
-    }
-}
-
 /// The `--report json` entry of a job that failed.
 fn failed_job_json(job: &Job, error: &impl std::fmt::Display) -> String {
     let mut out = String::new();
@@ -566,7 +540,6 @@ fn parse_job_file(text: &str) -> Result<Plan, String> {
         threads: None,
         batch: false,
         disk: None,
-        prefetch: None,
         nodes: None,
         owner: OwnerPolicy::default(),
         trace: None,
@@ -599,12 +572,6 @@ fn parse_job_file(text: &str) -> Result<Plan, String> {
                     err("disk needs a value (sata|nvme|sata-seg|nvme-seg|...-pipe|none)".into())
                 })?;
                 plan.disk = parse_disk(v).map_err(err)?;
-            }
-            "prefetch" => {
-                let v = fields
-                    .get(1)
-                    .ok_or_else(|| err("prefetch needs a value (on|off)".into()))?;
-                plan.prefetch = Some(parse_prefetch(v).map_err(err)?);
             }
             "nodes" => {
                 let v = fields

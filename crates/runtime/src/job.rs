@@ -1,112 +1,16 @@
 //! Job specifications and results for the runtime service layer.
 
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
 use graphr_core::analyze::BottleneckReport;
 use graphr_core::json::JsonObject;
-use graphr_core::multinode::MultiNodeConfig;
-use graphr_core::outofcore::DiskModel;
 use graphr_core::sim::{
     CfOptions, CfRun, PageRankOptions, ScalarRun, SpmvOptions, TraversalOptions, TraversalRun,
     WccRun,
 };
-use graphr_core::trace::TraceSink;
-use graphr_core::{GraphRConfig, Metrics};
+use graphr_core::Metrics;
 use graphr_graph::GraphHandle;
-
-/// Per-job out-of-core storage selection, three-way so a job can both
-/// opt *into* a disk model and opt back *out* of a session-level one.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum DiskChoice {
-    /// Use the session's disk configuration (which may itself be
-    /// in-core). The default.
-    #[default]
-    Inherit,
-    /// Force in-core execution even when the session prices disk.
-    InCore,
-    /// Run under this disk model regardless of the session default.
-    Model(DiskModel),
-}
-
-impl DiskChoice {
-    /// The effective disk model given the session default.
-    #[must_use]
-    pub fn resolve(self, session_default: Option<DiskModel>) -> Option<DiskModel> {
-        match self {
-            DiskChoice::Inherit => session_default,
-            DiskChoice::InCore => None,
-            DiskChoice::Model(disk) => Some(disk),
-        }
-    }
-}
-
-/// Per-job cluster-execution selection, three-way so a job can both opt
-/// *into* a simulated multi-node cluster and opt back *out* of a
-/// session-level one.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum ClusterChoice {
-    /// Use the session's cluster configuration (which may itself be
-    /// single-node). The default.
-    #[default]
-    Inherit,
-    /// Force single-node execution even when the session clusters.
-    SingleNode,
-    /// Run on this cluster regardless of the session default.
-    Cluster(MultiNodeConfig),
-}
-
-impl ClusterChoice {
-    /// The effective cluster configuration given the session default.
-    #[must_use]
-    pub fn resolve(self, session_default: Option<MultiNodeConfig>) -> Option<MultiNodeConfig> {
-        match self {
-            ClusterChoice::Inherit => session_default,
-            ClusterChoice::SingleNode => None,
-            ClusterChoice::Cluster(cluster) => Some(cluster),
-        }
-    }
-}
-
-/// Per-job telemetry selection, three-way so a job can both opt *into*
-/// a private [`TraceSink`] and opt back *out* of a session-level one
-/// (the same shape as [`DiskChoice`] / [`ClusterChoice`]).
-#[derive(Debug, Clone, Default)]
-pub enum TraceChoice {
-    /// Use the session's trace sink (which may itself be absent). The
-    /// default.
-    #[default]
-    Inherit,
-    /// Emit no telemetry even when the session traces by default.
-    Off,
-    /// Emit into this sink regardless of the session default.
-    Sink(Arc<TraceSink>),
-}
-
-impl TraceChoice {
-    /// The effective trace sink given the session default.
-    #[must_use]
-    pub fn resolve(&self, session_default: Option<&Arc<TraceSink>>) -> Option<Arc<TraceSink>> {
-        match self {
-            TraceChoice::Inherit => session_default.map(Arc::clone),
-            TraceChoice::Off => None,
-            TraceChoice::Sink(sink) => Some(Arc::clone(sink)),
-        }
-    }
-
-    /// Whether two choices route telemetry identically (sinks compare by
-    /// identity, not contents — two distinct sinks never coalesce).
-    #[must_use]
-    pub fn same_route(&self, other: &TraceChoice) -> bool {
-        match (self, other) {
-            (TraceChoice::Inherit, TraceChoice::Inherit) => true,
-            (TraceChoice::Off, TraceChoice::Off) => true,
-            (TraceChoice::Sink(a), TraceChoice::Sink(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-}
 
 /// What to run — one variant per evaluated application (plus the WCC
 /// extension).
@@ -142,100 +46,22 @@ impl JobSpec {
     }
 }
 
-/// One unit of work: a graph, an application, and how to run it.
+/// One unit of work: a graph and an application. How it runs (the
+/// architectural configuration, disk, cluster and trace sink) is the
+/// session's.
 #[derive(Debug, Clone)]
 pub struct Job {
     /// The registered graph to run on.
     pub graph: GraphHandle,
     /// The application and its options.
     pub spec: JobSpec,
-    /// Per-job architectural override; `None` uses the session's
-    /// configuration.
-    pub config: Option<GraphRConfig>,
-    /// Per-job out-of-core storage selection (inherit the session's,
-    /// force in-core, or force a specific disk model).
-    pub disk: DiskChoice,
-    /// Per-job cluster-execution selection (inherit the session's, force
-    /// single-node, or force a specific cluster).
-    pub cluster: ClusterChoice,
-    /// Per-job telemetry selection (inherit the session's sink, force
-    /// tracing off, or emit into a job-private sink).
-    pub trace: TraceChoice,
 }
 
 impl Job {
-    /// A job under the session configuration.
+    /// A job of `spec` on `graph`.
     #[must_use]
     pub fn new(graph: GraphHandle, spec: JobSpec) -> Self {
-        Job {
-            graph,
-            spec,
-            config: None,
-            disk: DiskChoice::default(),
-            cluster: ClusterChoice::default(),
-            trace: TraceChoice::default(),
-        }
-    }
-
-    /// Overrides the architectural configuration for this job.
-    #[must_use]
-    pub fn with_config(mut self, config: GraphRConfig) -> Self {
-        self.config = Some(config);
-        self
-    }
-
-    /// Runs this job in the out-of-core regime: every scan's disk loading
-    /// is priced under `disk` and reported in the job's metrics
-    /// ([`Metrics::disk`]) and report. Overrides any session default.
-    #[must_use]
-    pub fn with_disk(mut self, disk: DiskModel) -> Self {
-        self.disk = DiskChoice::Model(disk);
-        self
-    }
-
-    /// Forces in-core execution for this job, even when the session
-    /// prices disk by default (mirrors the CLI's `--disk none`).
-    #[must_use]
-    pub fn in_core(mut self) -> Self {
-        self.disk = DiskChoice::InCore;
-        self
-    }
-
-    /// Runs this job on a simulated multi-node cluster: every scan plan
-    /// is sharded by destination-strip ownership across the cluster's
-    /// nodes, and the plan-aware property exchange lands in
-    /// [`Metrics::net`]. Overrides any session default.
-    #[must_use]
-    pub fn with_cluster(mut self, cluster: MultiNodeConfig) -> Self {
-        self.cluster = ClusterChoice::Cluster(cluster);
-        self
-    }
-
-    /// Forces single-node execution for this job, even when the session
-    /// clusters by default.
-    #[must_use]
-    pub fn single_node(mut self) -> Self {
-        self.cluster = ClusterChoice::SingleNode;
-        self
-    }
-
-    /// Emits this job's telemetry into `sink`: the drivers' per-iteration
-    /// snapshots plus the engines' span events land there as one traced
-    /// job (see [`graphr_core::trace`]). Overrides any session default.
-    /// Tracing only observes the run — results and [`Metrics`] stay
-    /// bit-identical to an untraced submission.
-    #[must_use]
-    pub fn with_trace(mut self, sink: Arc<TraceSink>) -> Self {
-        self.trace = TraceChoice::Sink(sink);
-        self
-    }
-
-    /// Forces tracing off for this job, even when the session traces by
-    /// default (mirrors `--disk none` / `nodes single`).
-    #[must_use]
-    pub fn untraced(mut self) -> Self {
-        self.trace = TraceChoice::Off;
-        self
+        Job { graph, spec }
     }
 
     /// Whether this job's application can ride a fused multi-source wave
@@ -248,9 +74,8 @@ impl Job {
 
     /// Whether `other` may share one fused run with this job: both must
     /// be fusable, on the same graph, running the same application with
-    /// the same non-source options, under identical execution settings
-    /// (architectural config, disk, cluster, and telemetry route).
-    /// Only the source vertex may differ — that is what the lanes carry.
+    /// the same non-source options. Only the source vertex may differ —
+    /// that is what the lanes carry.
     #[must_use]
     pub fn fusable_with(&self, other: &Job) -> bool {
         let same_spec = match (&self.spec, &other.spec) {
@@ -260,13 +85,7 @@ impl Job {
             (JobSpec::Wcc, JobSpec::Wcc) => true,
             _ => false,
         };
-        same_spec
-            && self.is_fusable()
-            && self.graph.id() == other.graph.id()
-            && self.config == other.config
-            && self.disk == other.disk
-            && self.cluster == other.cluster
-            && self.trace.same_route(&other.trace)
+        same_spec && self.is_fusable() && self.graph.id() == other.graph.id()
     }
 }
 

@@ -17,23 +17,24 @@
 //!   fresh `Planner` stamped from it — frontier-delta re-planning
 //!   without re-walking the span table); one worker budget
 //!   ([`Session::with_threads`](session::Session::with_threads)) for
-//!   every engine; batched multi-job submission; an
-//!   optional out-of-core disk configuration
-//!   ([`Session::with_disk`](session::Session::with_disk) /
-//!   [`Job::with_disk`](job::Job::with_disk)) under which every scan's
-//!   plan also prices its disk loading
-//!   (plan-aware and per-iteration — see `graphr_core::outofcore`); and
-//!   an optional cluster configuration
-//!   ([`Session::with_cluster`](session::Session::with_cluster) /
-//!   [`Job::with_cluster`](job::Job::with_cluster)) under which every
-//!   scan plan is sharded by destination-strip ownership across simulated
-//!   GraphR nodes, with the plan-aware
-//!   property exchange charged into `Metrics::net` (see
-//!   `graphr_core::multinode`); and an optional telemetry sink
-//!   ([`Session::with_trace`](session::Session::with_trace) /
-//!   [`Job::with_trace`](job::Job::with_trace)) collecting every run's
-//!   per-iteration trace events on the simulated clock, exportable as
-//!   JSONL or a Chrome/Perfetto timeline (see `graphr_core::trace`).
+//!   every engine; batched multi-job submission; and the execution
+//!   settings every job runs under. A [`Job`] is only a graph and a
+//!   [`JobSpec`]; how it runs is the session's:
+//!   * an optional out-of-core disk model
+//!     ([`Session::with_disk`](session::Session::with_disk)) under which
+//!     every scan's plan also prices its disk loading (plan-aware and
+//!     per-iteration — see `graphr_core::outofcore`);
+//!   * an optional cluster
+//!     ([`Session::with_cluster`](session::Session::with_cluster)) under
+//!     which every scan plan is sharded by destination-strip ownership
+//!     across simulated GraphR nodes, with the plan-aware property
+//!     exchange charged into `Metrics::net` (see `graphr_core::multinode`);
+//!   * an optional telemetry sink
+//!     ([`Session::with_trace`](session::Session::with_trace)) collecting
+//!     every run's per-iteration trace events on the simulated clock,
+//!     exportable as JSONL or a Chrome/Perfetto timeline (see
+//!     `graphr_core::trace`).
+//!
 //!   Every submission reaches one job runner that executes a *wave*:
 //!   [`Session::submit`](session::Session::submit) is a one-job wave,
 //!   so a lone BFS/SSSP/WCC query is the one-lane case of the fused
@@ -93,7 +94,7 @@ pub mod pool;
 pub mod serve;
 pub mod session;
 
-pub use job::{ClusterChoice, DiskChoice, Job, JobOutput, JobReport, JobSpec, TraceChoice};
+pub use job::{Job, JobOutput, JobReport, JobSpec};
 pub use parallel::ParallelExecutor;
 pub use serve::{AdmissionError, QueryResult, ServeConfig, ServeLatency, ServeStats, Server};
 pub use session::{CacheStats, GraphVariant, RuntimeError, Session};

@@ -7,8 +7,7 @@
 //! executed by [`Server::drain`], which walks the queue in submission
 //! order and **coalesces compatible traversal queries into fused waves**:
 //! queued BFS/SSSP/WCC queries on the same graph with the same
-//! application, options, and execution settings (see
-//! [`Job::fusable_with`]) become one [`Session::submit_fused`] run — one
+//! application and options (see [`Job::fusable_with`]) become one [`Session::submit_fused`] run — one
 //! frontier lane per query, one scan of each iteration's union plan for
 //! all of them. Queries that cannot fuse (PageRank/SpMV/CF, or a
 //! traversal with no compatible neighbour) run alone through

@@ -202,58 +202,54 @@ impl Session {
         self
     }
 
-    /// Runs every job in the out-of-core regime by default: scans price
-    /// their disk loading under `disk` (plan-aware, per-iteration) and
-    /// reports gain the disk-vs-compute breakdown. A job's own
-    /// [`Job::with_disk`] still overrides this session default.
+    /// Runs every job in the out-of-core regime: scans price their disk
+    /// loading under `disk` (plan-aware, per-iteration) and reports gain
+    /// the disk-vs-compute breakdown.
     #[must_use]
     pub fn with_disk(mut self, disk: DiskModel) -> Self {
         self.disk = Some(disk);
         self
     }
 
-    /// The session's default disk model, if out-of-core pricing is on.
+    /// The session's disk model, if out-of-core pricing is on.
     #[must_use]
     pub fn disk(&self) -> Option<&DiskModel> {
         self.disk.as_ref()
     }
 
-    /// Runs every job on a simulated multi-node cluster by default: each
-    /// scan plan is sharded by destination-strip ownership across
-    /// `cluster.nodes` engines, and the
-    /// plan-aware property exchange lands in
-    /// [`Metrics::net`](graphr_core::Metrics). A job's own
-    /// [`Job::with_cluster`] / [`Job::single_node`] still overrides this
-    /// session default. Composes with the disk configuration: each node
-    /// prices its own plan-aware loading.
+    /// Runs every job on a simulated multi-node cluster: each scan plan is
+    /// sharded by destination-strip ownership across `cluster.nodes`
+    /// engines, and the plan-aware property exchange lands in
+    /// [`Metrics::net`](graphr_core::Metrics). Composes with the disk
+    /// configuration: each node prices its own plan-aware loading. A
+    /// cluster that fails [`MultiNodeConfig::check`] fails every submit
+    /// with [`SimError::Config`].
     #[must_use]
     pub fn with_cluster(mut self, cluster: MultiNodeConfig) -> Self {
         self.cluster = Some(cluster);
         self
     }
 
-    /// The session's default cluster configuration, if any.
+    /// The session's cluster configuration, if any.
     #[must_use]
     pub fn cluster(&self) -> Option<&MultiNodeConfig> {
         self.cluster.as_ref()
     }
 
-    /// Collects every job's telemetry into `sink` by default: each
-    /// submission opens one job in the sink (named `"<app> on <graph>"`,
-    /// or `"<app>[xK] on <graph>"` for a fused wave of K ≥ 2) and the
+    /// Collects every job's telemetry into `sink`: each submission opens
+    /// one job in the sink (named `"<app> on <graph>"`, or
+    /// `"<app>[xK] on <graph>"` for a fused wave of K ≥ 2) and the
     /// drivers' per-iteration snapshots plus the engines' span events
-    /// land there (see [`graphr_core::trace`]). A job's own
-    /// [`Job::with_trace`] / [`Job::untraced`] still overrides this
-    /// session default. Tracing only observes the runs — results and
-    /// [`Metrics`] stay bit-identical to an
-    /// untraced session.
+    /// land there (see [`graphr_core::trace`]). Tracing only observes the
+    /// runs — results and [`Metrics`] stay bit-identical to an untraced
+    /// session.
     #[must_use]
     pub fn with_trace(mut self, sink: Arc<TraceSink>) -> Self {
         self.trace = Some(sink);
         self
     }
 
-    /// The session's default trace sink, if telemetry is on.
+    /// The session's trace sink, if telemetry is on.
     #[must_use]
     pub fn trace(&self) -> Option<&Arc<TraceSink>> {
         self.trace.as_ref()
@@ -369,20 +365,17 @@ impl Session {
         )
     }
 
-    // One parameter per orthogonal per-job setting; bundling them would
-    // just move the argument list into a struct literal at every call.
-    #[allow(clippy::too_many_arguments)]
+    /// An engine over a cached tiling under the session's disk and
+    /// cluster settings.
     fn engine<'a>(
         &self,
         tiling: &'a CachedTiling,
         config: &'a GraphRConfig,
         spec: FixedSpec,
         scan_threads: usize,
-        disk: Option<DiskModel>,
-        cluster: Option<MultiNodeConfig>,
         trace: Option<TraceHandle>,
     ) -> Box<dyn ScanEngine + 'a> {
-        let mut engine: Box<dyn ScanEngine + 'a> = match cluster {
+        let mut engine: Box<dyn ScanEngine + 'a> = match self.cluster {
             // Cluster nodes execute one after another on the host, so each
             // node's engine may use the full scan budget.
             Some(c) => Box::new(ClusterExecutor::with_engines(
@@ -394,7 +387,7 @@ impl Session {
             )),
             None => Self::node_engine(tiling, config, spec, scan_threads),
         };
-        engine.set_disk(disk);
+        engine.set_disk(self.disk);
         engine.set_trace(trace);
         engine
     }
@@ -406,7 +399,8 @@ impl Session {
     ///
     /// Returns [`RuntimeError::NotBipartite`] for CF on a non-bipartite
     /// handle and [`RuntimeError::Sim`] for simulation-level failures
-    /// (including a per-job configuration with an invalid geometry).
+    /// (including a session configuration or cluster that fails its
+    /// check).
     pub fn submit(&self, job: &Job) -> Result<JobReport, RuntimeError> {
         self.submit_with_budget(job, self.threads)
     }
@@ -507,23 +501,21 @@ impl Session {
         let start = Instant::now();
         let mut cache_hits = 0u64;
         let mut cache_misses = 0u64;
-        let config = template.config.as_ref().unwrap_or(&self.config);
-        let disk = template.disk.resolve(self.disk);
-        let cluster = template.cluster.resolve(self.cluster);
-        if let Some(cluster) = &cluster {
+        let config = &self.config;
+        if let Some(cluster) = &self.cluster {
             cluster.check().map_err(SimError::Config)?;
         }
         // One sink job per wave: the run is one machine execution, so its
         // spans and per-lane events share one timeline, tagged with the
         // index `begin_job` hands out so batch jobs sharing a sink stay
         // separable.
-        let trace = template.trace.resolve(self.trace.as_ref()).map(|sink| {
+        let trace = self.trace.as_ref().map(|sink| {
             let (app, graph) = (template.spec.name(), template.graph.id().name());
             let index = sink.begin_job(&match jobs.len() {
                 1 => format!("{app} on {graph}"),
                 k => format!("{app}[x{k}] on {graph}"),
             });
-            TraceHandle::for_job(sink, index)
+            TraceHandle::for_job(Arc::clone(sink), index)
         });
         let mut tiling = |variant, config: &GraphRConfig| {
             self.tiling_counted(
@@ -552,20 +544,12 @@ impl Session {
                     CfMatrix::Ratings => &tiling_r,
                     CfMatrix::Transposed => &tiling_t,
                 };
-                self.engine(
-                    tiling,
-                    &cf_config,
-                    spec,
-                    scan_threads,
-                    disk,
-                    cluster,
-                    trace.clone(),
-                )
+                self.engine(tiling, &cf_config, spec, scan_threads, trace.clone())
             })?;
             vec![JobOutput::Cf(run)]
         } else {
             let tiling = tiling(variant, config)?;
-            let mut exec = self.engine(&tiling, config, spec, scan_threads, disk, cluster, trace);
+            let mut exec = self.engine(&tiling, config, spec, scan_threads, trace);
             let exec = exec.as_mut();
             match &template.spec {
                 JobSpec::PageRank(opts) => {
@@ -711,19 +695,24 @@ mod tests {
     fn distinct_geometries_do_not_collide() {
         let session = Session::new(small_config());
         let h = handle();
-        let job = Job::new(h.clone(), JobSpec::PageRank(PageRankOptions::default()));
-        session.submit(&job).unwrap();
         let other = GraphRConfig::builder()
             .crossbar_size(8)
             .crossbars_per_ge(8)
             .num_ges(2)
             .build()
             .unwrap();
-        let job2 = Job::new(h, JobSpec::PageRank(PageRankOptions::default())).with_config(other);
-        session.submit(&job2).unwrap();
+        let a = session
+            .tiled(&h, GraphVariant::Forward, &small_config())
+            .unwrap();
+        let b = session.tiled(&h, GraphVariant::Forward, &other).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b));
         let stats = session.cache_stats();
         assert_eq!(stats.misses, 2, "different geometry → different tiling");
         assert_eq!(stats.entries, 2);
+        // Each geometry is served warm from its own entry.
+        let again = session.tiled(&h, GraphVariant::Forward, &other).unwrap();
+        assert!(Arc::ptr_eq(&b, &again));
+        assert_eq!(session.cache_stats().hits, 1);
     }
 
     #[test]
@@ -742,12 +731,12 @@ mod tests {
     }
 
     #[test]
-    fn session_disk_default_and_job_override() {
+    fn session_disk_reaches_every_job() {
         let session = Session::new(small_config()).with_disk(DiskModel::sata_ssd());
         let job = Job::new(handle(), JobSpec::Sssp(TraversalOptions::default()));
         let report = session.submit(&job).unwrap();
         let m = report.output.metrics();
-        assert!(m.disk.is_active(), "session default must reach the engine");
+        assert!(m.disk.is_active(), "session disk must reach the engine");
         assert!(m.disk.bytes_loaded > 0);
         assert!(m.disk.time.as_nanos() > 0.0);
         // Σ max(compute, disk) dominates both components.
@@ -758,34 +747,21 @@ mod tests {
             "report gains a disk line"
         );
 
-        // A per-job NVMe override must beat the session's SATA default.
-        let nvme = session
-            .submit(&job.clone().with_disk(DiskModel::nvme()))
-            .unwrap();
-        assert!(nvme.output.metrics().disk.time < m.disk.time);
-        // Identical functional results and compute accounting either way.
-        assert_eq!(nvme.output.metrics().elapsed, m.elapsed);
-
-        // A job can also opt back out to in-core despite the session
-        // default (the API mirror of the CLI's `--disk none`).
-        let opted_out = session.submit(&job.clone().in_core()).unwrap();
-        assert!(!opted_out.output.metrics().disk.is_active());
-        assert_eq!(opted_out.output.metrics().elapsed, m.elapsed);
-
         // Without any disk configuration the counters stay silent.
         let in_core = Session::new(small_config()).submit(&job).unwrap();
         assert!(!in_core.output.metrics().disk.is_active());
         assert!(!in_core.render().contains("disk:"));
+        assert_eq!(in_core.output.metrics().elapsed, m.elapsed);
     }
 
     #[test]
-    fn session_cluster_default_and_job_override() {
+    fn session_cluster_reaches_every_job() {
         use graphr_core::multinode::MultiNodeConfig;
         let session = Session::new(small_config()).with_cluster(MultiNodeConfig::pcie_cluster(4));
         let job = Job::new(handle(), JobSpec::Sssp(TraversalOptions::default()));
         let report = session.submit(&job).unwrap();
         let m = report.output.metrics();
-        assert!(m.net.is_active(), "session default must reach the engine");
+        assert!(m.net.is_active(), "session cluster must reach the engine");
         assert!(m.net.bytes_exchanged > 0);
         assert!(report.render().contains("net:"), "report gains a net line");
 
@@ -799,20 +775,19 @@ mod tests {
             other => panic!("unexpected outputs {other:?}"),
         }
 
-        // A job can opt back out to single-node despite the session
-        // default...
-        let opted_out = session.submit(&job.clone().single_node()).unwrap();
-        assert_eq!(opted_out.output, single.output);
-        // ...and a one-node cluster override is bit-identical to the
-        // single-node engine, full Metrics included.
-        let one = session
-            .submit(&job.clone().with_cluster(MultiNodeConfig::pcie_cluster(1)))
+        // A one-node cluster is bit-identical to the single-node engine,
+        // full Metrics included.
+        let one = Session::new(small_config())
+            .with_cluster(MultiNodeConfig::pcie_cluster(1))
+            .submit(&job)
             .unwrap();
         assert_eq!(one.output, single.output);
 
         // Cluster + disk compose: each node prices its own loading.
-        let both = session
-            .submit(&job.clone().with_disk(DiskModel::nvme()))
+        let both = Session::new(small_config())
+            .with_cluster(MultiNodeConfig::pcie_cluster(4))
+            .with_disk(DiskModel::nvme())
+            .submit(&job)
             .unwrap();
         let bm = both.output.metrics();
         assert!(bm.net.is_active() && bm.disk.is_active());

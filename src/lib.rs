@@ -15,7 +15,7 @@
 //! | [`core`] | the GraphR node: preprocessing, graph engines, streaming-apply, algorithm mappings |
 //! | [`gridgraph`] | the CPU software substrate (dual sliding windows, X-Stream) |
 //! | [`platforms`] | analytical CPU/GPU/PIM cost models |
-//! | [`runtime`] | parallel job runtime: strip-sharded scans, cached sessions, batched jobs, `graphr-run` |
+//! | [`runtime`] | job runtime: cached sessions, batched jobs, fused serve waves, `graphr-run` (the scans themselves live in [`core`]) |
 //!
 //! # Quickstart
 //!
@@ -35,8 +35,9 @@
 //! # Ok::<(), graphr_repro::core::sim::SimError>(())
 //! ```
 //!
-//! See `examples/` for runnable end-to-end scenarios and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the reproduction methodology.
+//! See `examples/` for runnable end-to-end scenarios, `README.md` for the
+//! build and the experiments, and `ARCHITECTURE.md` for the pipeline, the
+//! paper-to-code map and the determinism contract.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

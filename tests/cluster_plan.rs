@@ -2,11 +2,11 @@
 //! `ScanPlan` across simulated GraphR nodes must be observationally
 //! invisible — bit-identical results for any node count, bit-identical
 //! *full Metrics* for a one-node cluster — while the plan-aware property
-//! exchange never charges more bytes than the legacy dense all-gather.
+//! exchange never charges more bytes than the dense all-gather.
 
 use graphr_repro::core::exec::StreamingExecutor;
 use graphr_repro::core::multinode::{
-    ClusterExecutor, MultiNodeConfig, MultiNodeEstimate, BYTES_PER_PROPERTY,
+    dense_exchange_bytes, ClusterExecutor, MultiNodeConfig, BYTES_PER_PROPERTY,
 };
 use graphr_repro::core::outofcore::DiskModel;
 use graphr_repro::core::sim::{
@@ -151,7 +151,7 @@ fn four_node_sparse_frontier_bfs_beats_the_dense_all_gather() {
     let run = run_bfs_with(&g, &mut cluster, &opts).expect("cluster bfs");
     assert_eq!(run.distances, single.distances);
 
-    let dense = MultiNodeEstimate::dense_exchange_bytes(g.num_vertices(), run.metrics.iterations);
+    let dense = dense_exchange_bytes(g.num_vertices(), run.metrics.iterations);
     assert!(
         run.metrics.net.bytes_exchanged < dense,
         "frontier-delta exchange must beat the all-gather: {} vs {} bytes",
@@ -189,14 +189,14 @@ fn plan_aware_exchange_is_bounded_by_the_dense_all_gather() {
     };
     let mut pr_cluster = ClusterExecutor::new(&tiled, &cfg, pr_opts.matrix_spec, cluster_cfg);
     let pr = run_pagerank_with(&g, &mut pr_cluster, &pr_opts).expect("cluster pagerank");
-    let pr_dense = MultiNodeEstimate::dense_exchange_bytes(g.num_vertices(), pr.metrics.iterations);
+    let pr_dense = dense_exchange_bytes(g.num_vertices(), pr.metrics.iterations);
     assert_eq!(pr.metrics.net.bytes_exchanged, pr_dense);
 
     // Sparse add-op: SSSP's frontier-delta exchange is strictly below.
     let tr_opts = TraversalOptions::default();
     let mut tr_cluster = ClusterExecutor::new(&tiled, &cfg, tr_opts.spec, cluster_cfg);
     let tr = run_sssp_with(&g, &mut tr_cluster, &tr_opts).expect("cluster sssp");
-    let tr_dense = MultiNodeEstimate::dense_exchange_bytes(g.num_vertices(), tr.metrics.iterations);
+    let tr_dense = dense_exchange_bytes(g.num_vertices(), tr.metrics.iterations);
     assert!(tr.metrics.net.bytes_exchanged < tr_dense);
     assert!(tr.metrics.net.bytes_exchanged > 0);
 }
@@ -259,7 +259,7 @@ proptest! {
         if nodes == 1 {
             prop_assert_eq!(run.metrics, single.metrics);
         } else {
-            let dense = MultiNodeEstimate::dense_exchange_bytes(
+            let dense = dense_exchange_bytes(
                 g.num_vertices(),
                 run.metrics.iterations,
             );
@@ -390,7 +390,7 @@ fn masked_spmv_on_a_cluster_matches_unmasked_single_node() {
         .expect("masked cluster run");
     assert_eq!(masked.values, unmasked.values);
     assert!(masked.metrics.events.subgraphs_pruned > 0);
-    let dense = MultiNodeEstimate::dense_exchange_bytes(n, 1);
+    let dense = dense_exchange_bytes(n, 1);
     assert!(
         masked.metrics.net.bytes_exchanged < dense,
         "pruned MAC exchange covers only planned destinations: {} vs {}",

@@ -1,10 +1,9 @@
 //! Deterministic tests for the `graphr-serve` scheduler: admission
 //! control, queue-order fairness, the coalescing rule (only queries that
-//! agree on graph, application, options, and execution settings share a
-//! fused wave), overflow splitting past
-//! [`MAX_LANES`](graphr_repro::core::exec::MAX_LANES), degenerate
-//! query streams (empty drains, duplicated sources), and per-job
-//! configurations that skip the builder's checks.
+//! agree on graph, application and options share a fused wave), overflow
+//! splitting past [`MAX_LANES`](graphr_repro::core::exec::MAX_LANES),
+//! degenerate query streams (empty drains, duplicated sources), and
+//! session configurations that skip the builder's checks.
 
 use graphr_repro::core::exec::MAX_LANES;
 use graphr_repro::core::multinode::MultiNodeConfig;
@@ -13,7 +12,8 @@ use graphr_repro::core::GraphRConfig;
 use graphr_repro::graph::generators::rmat::Rmat;
 use graphr_repro::graph::GraphHandle;
 use graphr_repro::runtime::{
-    AdmissionError, Job, JobOutput, JobSpec, RuntimeError, ServeConfig, Server, Session,
+    AdmissionError, GraphVariant, Job, JobOutput, JobSpec, RuntimeError, ServeConfig, Server,
+    Session,
 };
 use graphr_repro::units::BitSlicer;
 
@@ -103,17 +103,7 @@ fn only_identical_settings_coalesce() {
     let handle = GraphHandle::new("settings", Rmat::new(80, 400).seed(3).generate());
     let session = Session::new(small_config());
     let mut server = Server::new(ServeConfig::default());
-    let other_geometry = GraphRConfig::builder()
-        .crossbar_size(8)
-        .crossbars_per_ge(8)
-        .num_ges(2)
-        .build()
-        .unwrap();
     server.enqueue(bfs(&handle, 0)).unwrap();
-    // Same app and graph but a different architectural config: no fuse.
-    server
-        .enqueue(bfs(&handle, 1).with_config(other_geometry))
-        .unwrap();
     // Different iteration cap: no fuse.
     server
         .enqueue(Job::new(
@@ -136,10 +126,10 @@ fn only_identical_settings_coalesce() {
     server.enqueue(bfs(&handle, 3)).unwrap();
     let results = server.drain(&session);
     let lanes: Vec<usize> = results.iter().map(|r| r.lanes).collect();
-    assert_eq!(lanes, vec![2, 1, 1, 1, 2], "only queries 0 and 4 fuse");
+    assert_eq!(lanes, vec![2, 1, 1, 2], "only queries 0 and 3 fuse");
     assert!(results.iter().all(|r| r.report.is_ok()));
     let stats = server.stats();
-    assert_eq!((stats.waves, stats.fused, stats.solo), (1, 2, 3));
+    assert_eq!((stats.waves, stats.fused, stats.solo), (1, 2, 2));
 }
 
 #[test]
@@ -237,24 +227,22 @@ fn admission_control_rejects_and_recovers() {
     assert_eq!(stats.rejected, 1);
 }
 
-/// `GraphRConfig`'s fields are public, so a per-job configuration written
+/// `GraphRConfig`'s fields are public, so a session configuration written
 /// as a struct literal skips the builder's checks. The session checks it
-/// again, on a warm cache too: a crossbar wider than the byte-wide tile
+/// again at every submit: a crossbar wider than the byte-wide tile
 /// coordinates can address (they would wrap and corrupt distances) or of
 /// zero width (a division by zero), no ADC (a panic in the cost model),
 /// an out-of-range programming serialisation or a slicer too narrow for
-/// the spec fails its job with a configuration error, and the next job
-/// still runs; in a drain such a job fails only itself.
+/// the spec fails the submit with a configuration error, and so does a
+/// cluster with no nodes or a link that is not a positive finite
+/// bandwidth. The check also runs on a warm cache.
 #[test]
 fn invalid_per_job_geometry_fails_only_its_job() {
     let handle = GraphHandle::new("geometry", Rmat::new(1000, 3000).seed(7).generate());
     let session = Session::new(small_config());
-    let bad = |crossbar_size| {
-        bfs(&handle, 0).with_config(GraphRConfig {
-            crossbar_size,
-            ..small_config()
-        })
-    };
+    session
+        .submit(&bfs(&handle, 0))
+        .expect("a valid session runs");
     let literals = [
         GraphRConfig {
             crossbar_size: 512,
@@ -281,60 +269,36 @@ fn invalid_per_job_geometry_fails_only_its_job() {
             ..small_config()
         },
     ];
-    for config in literals {
-        let err = session
-            .submit(&bfs(&handle, 0).with_config(config.clone()))
+    let is_config_error =
+        |err: &RuntimeError| matches!(err, RuntimeError::Sim(SimError::Config(_)));
+    for config in &literals {
+        let err = Session::new(config.clone())
+            .submit(&bfs(&handle, 0))
             .unwrap_err();
+        assert!(is_config_error(&err), "{config:?}: {err}");
+        // The warm session's cache holds this geometry's tiling whenever
+        // the tiling key matches; the lookup still rejects the config.
         assert!(
-            matches!(err, RuntimeError::Sim(SimError::Config(_))),
-            "{config:?}: {err}"
+            matches!(
+                session.tiled(&handle, GraphVariant::Forward, config),
+                Err(SimError::Config(_))
+            ),
+            "{config:?}"
         );
         session.submit(&bfs(&handle, 0)).expect("the next job runs");
     }
 
-    let mut server = Server::new(ServeConfig::default());
-    for job in [bfs(&handle, 0), bad(0), bfs(&handle, 5), bad(512)] {
-        server.enqueue(job).unwrap();
-    }
-    let results = server.drain(&session);
-    let ok: Vec<bool> = results.iter().map(|r| r.report.is_ok()).collect();
-    assert_eq!(ok, [true, false, true, false]);
-    assert_eq!(
-        (results[0].lanes, results[2].lanes),
-        (2, 2),
-        "good queries fuse"
-    );
-    assert_eq!(server.stats().solo, 2);
-
-    // A bad per-job cluster (no nodes, or a link that is not a positive
-    // finite bandwidth) is a config error of that job alone, whether
-    // submitted directly or drained behind a good query.
-    let no_nodes = bfs(&handle, 0).with_cluster(MultiNodeConfig {
+    let no_nodes = MultiNodeConfig {
         nodes: 0,
         ..MultiNodeConfig::pcie_cluster(1)
+    };
+    let bad_links = [0.0, -1.0, f64::NAN].map(|interconnect_gbps| MultiNodeConfig {
+        interconnect_gbps,
+        ..MultiNodeConfig::pcie_cluster(2)
     });
-    let bad_links = [0.0, -1.0, f64::NAN].map(|interconnect_gbps| {
-        bfs(&handle, 0).with_cluster(MultiNodeConfig {
-            interconnect_gbps,
-            ..MultiNodeConfig::pcie_cluster(2)
-        })
-    });
-    for job in bad_links.iter().chain([&no_nodes]) {
-        let err = session.submit(job).unwrap_err();
-        assert!(
-            matches!(err, RuntimeError::Sim(SimError::Config(_))),
-            "{err}"
-        );
-        session.submit(&bfs(&handle, 0)).expect("the next job runs");
+    for cluster in bad_links.into_iter().chain([no_nodes]) {
+        let bad = Session::new(small_config()).with_cluster(cluster);
+        let err = bad.submit(&bfs(&handle, 0)).unwrap_err();
+        assert!(is_config_error(&err), "{cluster:?}: {err}");
     }
-    let mut server = Server::new(ServeConfig::default());
-    for job in [no_nodes, bfs(&handle, 3)] {
-        server.enqueue(job).unwrap();
-    }
-    let ok: Vec<bool> = server
-        .drain(&session)
-        .iter()
-        .map(|r| r.report.is_ok())
-        .collect();
-    assert_eq!(ok, [false, true]);
 }

@@ -128,34 +128,6 @@ fn tracing_never_changes_results_or_metrics() {
     }
 }
 
-/// Per-job overrides: `Job::untraced` keeps a session-default sink dark,
-/// and `Job::with_trace` attaches one to a session without a default.
-#[test]
-fn per_job_trace_choice_overrides_the_session_default() {
-    let handle = rmat_handle();
-    let spec = JobSpec::PageRank(PageRankOptions::default());
-
-    let session_sink = TraceSink::shared();
-    Session::new(test_config())
-        .with_trace(Arc::clone(&session_sink))
-        .submit(&Job::new(handle.clone(), spec.clone()).untraced())
-        .expect("untraced job");
-    assert!(
-        session_sink.is_empty(),
-        "untraced() must suppress the default sink"
-    );
-
-    let job_sink = TraceSink::shared();
-    Session::new(test_config())
-        .submit(&Job::new(handle, spec).with_trace(Arc::clone(&job_sink)))
-        .expect("per-job traced run");
-    assert!(
-        !job_sink.is_empty(),
-        "with_trace() must attach without a session default"
-    );
-    assert_eq!(job_sink.job_names().len(), 1);
-}
-
 /// A solo submission is a one-job wave of the session's one job runner:
 /// for every traversal, `submit(&job)` and `submit_fused(&[job])` return
 /// equal outputs (full `Metrics` included) and byte-identical Chrome
